@@ -7,10 +7,9 @@
 //! * `stats FILE.csv` — cardinality, coverage, average extents.
 //! * `build-histogram FILE.csv --level L --out FILE.hist
 //!   [--kind ph|gh-basic|gh|euler] [--shards N] [--extent x0,y0,x1,y1]` —
-//!   build and persist a histogram file of any family (`--scheme` is an
-//!   alias for `--kind`); with `--shards N` the input is split into N
-//!   rectangle ranges built independently and merged, byte-identical to
-//!   the direct build.
+//!   build and persist a histogram file of any family; with `--shards N`
+//!   the input is split into N rectangle ranges built independently and
+//!   merged, byte-identical to the direct build.
 //! * `merge-histogram A.hist B.hist [...] --out FILE.hist` — merge
 //!   histogram files of the same kind and grid into one.
 //! * `estimate A.hist B.hist` — estimate the join selectivity from two
@@ -56,9 +55,8 @@
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
     build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram, presets,
-    Dataset, DatasetError, EulerHistogram, Extent, GhBasicHistogram, GhHistogram, Grid,
-    HistogramError, HistogramKind, JoinBaseline, Parallelism, PhHistogram, RTreeConfig, Rect,
-    SpatialHistogram, ValidationPolicy,
+    Dataset, DatasetError, Extent, GhHistogram, Grid, HistogramError, HistogramKind, JoinBaseline,
+    Parallelism, RTreeConfig, Rect, SpatialHistogram, ValidationPolicy,
 };
 use sj_query::{Catalog, CatalogConfig, CompactionPolicy, DegradationPolicy, QueryError};
 use sj_server::{CatalogService, Client, ClientError, RemoteOutcome, Server, ServerConfig};
@@ -496,15 +494,7 @@ fn cmd_build_histogram(args: &[String]) -> Result<CliOutput, CliError> {
         .map_err(|e| CliError::usage(format!("bad --level: {e}")))?;
     let out = take_flag(&mut args, "--out")?
         .ok_or_else(|| CliError::usage("build-histogram requires --out"))?;
-    // --kind is the canonical flag; --scheme is kept as an alias.
-    let kind_name = match (
-        take_flag(&mut args, "--kind")?,
-        take_flag(&mut args, "--scheme")?,
-    ) {
-        (Some(k), _) => k,
-        (None, Some(s)) => s,
-        (None, None) => "gh".to_string(),
-    };
+    let kind_name = take_flag(&mut args, "--kind")?.unwrap_or_else(|| "gh".to_string());
     let kind: HistogramKind = kind_name.parse().map_err(|_| {
         CliError::usage(format!(
             "unknown kind {kind_name:?} (expected ph, gh-basic, gh or euler)"
@@ -565,39 +555,22 @@ fn cmd_build_histogram(args: &[String]) -> Result<CliOutput, CliError> {
 /// Little-endian bytes of the versioned envelope magic ("SJSH").
 const ENVELOPE_MAGIC_LE: [u8; 4] = 0x534a_5348u32.to_le_bytes();
 
-/// Decodes a histogram file: the versioned envelope of any kind, or one
-/// of the legacy bare formats (dense/sparse GH, GH-basic, PH, Euler),
-/// distinguished by their magic numbers. A file that *is* an envelope but
-/// fails to decode keeps its typed error (and exit code) instead of
-/// falling through to the legacy guessing.
+/// Decodes a histogram file: the checksummed envelope of any kind, or —
+/// for a file without the envelope magic — the bare sparse GH format
+/// that `build-histogram --sparse` writes. No other layout is read, so
+/// every decode failure is the typed error of the one decoder the file
+/// claims.
 fn decode_histogram(path: &str, bytes: &[u8]) -> Result<Box<dyn SpatialHistogram>, CliError> {
-    match load_histogram(bytes) {
-        Ok(h) => return Ok(h),
-        Err(e) if bytes.get(..4) == Some(ENVELOPE_MAGIC_LE.as_slice()) => {
-            return Err(CliError::from_histogram(path, &e));
-        }
-        Err(_) => {}
+    if bytes.get(..4) == Some(ENVELOPE_MAGIC_LE.as_slice()) {
+        return load_histogram(bytes).map_err(|e| CliError::from_histogram(path, &e));
     }
-    if let Ok(h) = GhHistogram::from_bytes(bytes).or_else(|_| GhHistogram::from_sparse_bytes(bytes))
-    {
-        return Ok(Box::new(h));
+    match GhHistogram::from_sparse_bytes(bytes) {
+        Ok(h) => Ok(Box::new(h)),
+        Err(e) => Err(CliError::from_histogram(
+            &format!("{path} (no envelope magic, read as sparse GH)"),
+            &e,
+        )),
     }
-    if let Ok(h) = GhBasicHistogram::from_bytes(bytes) {
-        return Ok(Box::new(h));
-    }
-    if let Ok(h) = PhHistogram::from_bytes(bytes) {
-        return Ok(Box::new(h));
-    }
-    if let Ok(h) = EulerHistogram::from_bytes(bytes) {
-        return Ok(Box::new(h));
-    }
-    Err(CliError {
-        message: format!(
-            "{path}: could not decode histogram file with any common scheme \
-             (gh, gh-basic, ph, euler)"
-        ),
-        code: exit_code::CORRUPT,
-    })
 }
 
 fn cmd_estimate(args: &[String]) -> Result<CliOutput, CliError> {
@@ -695,6 +668,35 @@ fn outcome_warning(outcome: &RemoteOutcome) -> Option<String> {
     ))
 }
 
+/// Registers `ds` with the saved statistics in `stats_file` when that
+/// file exists — leniently, so unusable statistics become a warning and
+/// a degraded table instead of a failure — and with freshly built
+/// statistics otherwise.
+fn register_with_saved_statistics(
+    catalog: &mut Catalog,
+    ds: Dataset,
+    stats_file: Option<&Path>,
+    warnings: &mut Vec<String>,
+) -> Result<(), CliError> {
+    let failed = |e: QueryError| CliError::from_query("registration failed", &e);
+    let Some(file) = stats_file.filter(|f| f.exists()) else {
+        return catalog.register(ds).map_err(failed);
+    };
+    let bytes = std::fs::read(file)
+        .map_err(|e| CliError::io(format!("failed to read {}: {e}", file.display())))?;
+    let table = ds.name.clone();
+    if let Some(reason) = catalog
+        .register_with_statistics_lenient(ds, &bytes)
+        .map_err(failed)?
+    {
+        warnings.push(format!(
+            "statistics {} unusable for table {table:?}: {reason}; estimation will degrade",
+            file.display()
+        ));
+    }
+    Ok(())
+}
+
 fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
     let mut args = args.to_vec();
     let level: u32 = take_flag(&mut args, "--level")?.map_or(Ok(6), |s| {
@@ -757,49 +759,22 @@ fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
     })
     .map_err(|e| CliError::from_query("bad catalog configuration", &e))?;
 
-    // Register each table: from saved statistics when --stats-dir holds a
-    // `<stem>.hist` for it (leniently — unusable statistics degrade the
-    // estimate instead of failing), from a fresh build otherwise. A
-    // `<stem>.base` compaction snapshot means the daemon has folded
-    // mutations into that histogram, so it no longer describes the CSV;
-    // this cold path estimates the CSVs as given and builds fresh.
+    // Register each table from `<stem>.hist` in --stats-dir when there is
+    // one. A `<stem>.base` compaction snapshot means the daemon has
+    // folded mutations into that histogram, so it no longer describes
+    // the CSV; this cold path estimates the CSVs as given and builds
+    // fresh.
     for (path, ds) in [(a_path, a), (b_path, b)] {
-        let table = ds.name.clone();
         let stem = Path::new(path).file_stem().map_or_else(
             || "dataset".to_string(),
             |s| s.to_string_lossy().into_owned(),
         );
-        let snapshot = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{stem}.base")));
-        if snapshot.is_some_and(|f| f.exists()) {
-            catalog
-                .register(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?;
-            continue;
-        }
         let stats_file = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{stem}.hist")));
-        match stats_file {
-            Some(f) if f.exists() => {
-                let bytes = std::fs::read(&f)
-                    .map_err(|e| CliError::io(format!("failed to read {}: {e}", f.display())))?;
-                let reason = catalog
-                    .register_with_statistics_lenient(ds, &bytes)
-                    .map_err(|e| CliError::from_query("registration failed", &e))?;
-                if let Some(reason) = reason {
-                    warnings.push(format!(
-                        "statistics {} unusable for table {table:?}: {reason}; \
-                         estimation will degrade",
-                        f.display()
-                    ));
-                }
-            }
-            _ => catalog
-                .register(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?,
-        }
+            .as_deref()
+            .map(Path::new)
+            .filter(|dir| !dir.join(format!("{stem}.base")).exists())
+            .map(|dir| dir.join(format!("{stem}.hist")));
+        register_with_saved_statistics(&mut catalog, ds, stats_file.as_deref(), &mut warnings)?;
     }
 
     let outcome = catalog
@@ -1063,37 +1038,15 @@ fn cmd_serve(args: &[String]) -> Result<CliOutput, CliError> {
         // lives in the statistics store (folded mutations mean the CSV
         // and the saved histogram no longer agree): defer statistics and
         // let open_stats_store below install the snapshotted pair.
-        let snapshot = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{table}.base")));
-        if snapshot.is_some_and(|f| f.exists()) {
+        let dir = stats_dir.as_deref().map(Path::new);
+        if dir.is_some_and(|d| d.join(format!("{table}.base")).exists()) {
             catalog
                 .register_deferred(ds)
                 .map_err(|e| CliError::from_query("registration failed", &e))?;
             continue;
         }
-        let stats_file = stats_dir
-            .as_ref()
-            .map(|dir| Path::new(dir).join(format!("{table}.hist")));
-        match stats_file {
-            Some(f) if f.exists() => {
-                let bytes = std::fs::read(&f)
-                    .map_err(|e| CliError::io(format!("failed to read {}: {e}", f.display())))?;
-                let reason = catalog
-                    .register_with_statistics_lenient(ds, &bytes)
-                    .map_err(|e| CliError::from_query("registration failed", &e))?;
-                if let Some(reason) = reason {
-                    warnings.push(format!(
-                        "statistics {} unusable for table {table:?}: {reason}; \
-                         estimation will degrade",
-                        f.display()
-                    ));
-                }
-            }
-            _ => catalog
-                .register(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?,
-        }
+        let stats_file = dir.map(|d| d.join(format!("{table}.hist")));
+        register_with_saved_statistics(&mut catalog, ds, stats_file.as_deref(), &mut warnings)?;
     }
 
     // With a statistics directory the daemon keeps a per-table
@@ -1445,7 +1398,7 @@ mod tests {
             &csv,
             "--level",
             "3",
-            "--scheme",
+            "--kind",
             "ph",
             "--out",
             &ph,
@@ -2422,7 +2375,7 @@ mod format_tests {
             &csv,
             "--level",
             "3",
-            "--scheme",
+            "--kind",
             "ph",
             "--sparse",
             "--out",

@@ -66,9 +66,9 @@ pub use sj_geo::{
 };
 pub use sj_histogram::{
     build_histogram, build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram,
-    load_histogram_json, parametric_selectivity, CorruptSection, EulerHistogram, GhBasicHistogram,
-    GhHistogram, Grid, HistogramDelta, HistogramError, HistogramKind, ParametricInputs,
-    PhHistogram, SelectivityEstimate, SpatialHistogram,
+    parametric_selectivity, CorruptSection, EulerHistogram, GhBasicHistogram, GhHistogram, Grid,
+    HistogramDelta, HistogramError, HistogramKind, ParametricInputs, PhHistogram,
+    SelectivityEstimate, SpatialHistogram,
 };
 pub use sj_rtree::{
     join_count, join_count_parallel, join_pairs, mindist, RTree, RTreeConfig, SplitAlgorithm,

@@ -436,56 +436,8 @@ fn inspect_shape(
 /// version, an unknown kind tag, a length-frame mismatch, or a failed
 /// checksum.
 pub fn load_delta(full: &[u8]) -> Result<HistogramDelta, HistogramError> {
-    let envelope = |detail: String| HistogramError::corrupt(CorruptSection::Envelope, detail);
-    let mut data = full;
-    if data.remaining() < 12 {
-        return Err(envelope(format!(
-            "truncated delta envelope: {} bytes, need at least 12",
-            full.len()
-        )));
-    }
-    if data.get_u32_le() != DELTA_MAGIC {
-        return Err(envelope("bad delta envelope magic".to_string()));
-    }
-    let version = data.get_u32_le();
-    if version != DELTA_VERSION {
-        return Err(envelope(format!(
-            "unsupported delta envelope version {version}"
-        )));
-    }
-    let tag = data.get_u32_le();
-    let kind = HistogramKind::from_tag(tag)
-        .ok_or_else(|| envelope(format!("unknown histogram kind tag {tag}")))?;
-    if data.remaining() < 12 {
-        return Err(envelope(format!(
-            "truncated delta envelope: {} bytes, need at least 24",
-            full.len()
-        )));
-    }
-    let payload_len = data.get_u64_le();
-    let framed_total = payload_len
-        .checked_add(24)
-        .ok_or_else(|| envelope(format!("absurd payload length {payload_len}")))?;
-    if framed_total != full.len() as u64 {
-        return Err(envelope(format!(
-            "length frame mismatch: header says {payload_len} payload bytes \
-             but the envelope holds {}",
-            full.len()
-        )));
-    }
-    let tail_at = full.len().saturating_sub(4);
-    let (body, tail) = full.split_at(tail_at);
-    let stored = u32::from_le_bytes(tail.try_into().unwrap_or([0; 4]));
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(HistogramError::corrupt(
-            CorruptSection::Checksum,
-            format!("CRC32 mismatch: stored {stored:#010x}, computed {computed:#010x}"),
-        ));
-    }
-    let payload = body
-        .get(20..)
-        .ok_or_else(|| envelope("delta envelope shorter than its fixed header".to_string()))?;
+    let (kind, payload) =
+        crate::traits::open_envelope(full, DELTA_MAGIC, DELTA_VERSION, "delta envelope")?;
     HistogramDelta::from_bytes(kind, payload)
 }
 

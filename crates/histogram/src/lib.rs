@@ -60,7 +60,7 @@ pub use parametric::{parametric_result_size, parametric_selectivity, ParametricI
 pub use ph::PhHistogram;
 pub use traits::{
     build_histogram, build_histogram_parallel, build_histogram_sharded, load_histogram,
-    load_histogram_json, HistogramKind, SpatialHistogram,
+    HistogramKind, SpatialHistogram,
 };
 
 /// A selectivity estimate together with the implied result size.

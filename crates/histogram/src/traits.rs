@@ -12,8 +12,7 @@
 //!
 //! Persistence wraps each family's native byte format in a small
 //! versioned envelope so a single [`load_histogram`] call can revive any
-//! kind; [`persist_json`] offers the same envelope as a JSON document for
-//! text-based pipelines. The current (version 2) binary envelope is
+//! kind. The envelope (version 2, the only accepted layout) is
 //! length-framed and checksummed:
 //!
 //! ```text
@@ -22,10 +21,8 @@
 //!
 //! The trailing CRC32 covers every preceding byte, so truncation and
 //! bit-flips surface as typed [`HistogramError::Corrupt`] values instead
-//! of panics or silently-wrong statistics. Version 1 envelopes (no frame,
-//! no checksum) still load through a legacy fallback.
-//!
-//! [`persist_json`]: SpatialHistogram::persist_json
+//! of panics or silently-wrong statistics. Any other version is rejected
+//! the same way.
 
 use crate::band::RowBanded;
 use crate::crc::crc32;
@@ -43,10 +40,6 @@ const ENVELOPE_MAGIC: u32 = 0x534a_5348; // "SJSH"
 /// Envelope format version; bump on incompatible layout changes.
 /// Version 2 added the payload length frame and the trailing CRC32.
 const ENVELOPE_VERSION: u32 = 2;
-/// The pre-checksum envelope layout (magic, version, tag, payload).
-const LEGACY_ENVELOPE_VERSION: u32 = 1;
-/// `format` field value of the JSON envelope.
-const JSON_FORMAT: &str = "sjsel-histogram";
 
 /// Identifies one of the four histogram families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -249,17 +242,6 @@ pub trait SpatialHistogram: std::fmt::Debug + Send + Sync {
         buf.put_u32_le(checksum);
         buf.freeze()
     }
-
-    /// Serializes into a versioned JSON envelope decodable by
-    /// [`load_histogram_json`]. The native payload travels hex-encoded.
-    fn persist_json(&self) -> String {
-        format!(
-            "{{\"format\":\"{JSON_FORMAT}\",\"version\":{ENVELOPE_VERSION},\
-             \"kind\":\"{}\",\"payload_hex\":\"{}\"}}",
-            self.kind().name(),
-            hex_encode(&self.to_bytes())
-        )
-    }
 }
 
 impl Clone for Box<dyn SpatialHistogram> {
@@ -433,149 +415,75 @@ fn load_payload(
 }
 
 /// Decodes a histogram of any kind from the envelope written by
-/// [`SpatialHistogram::persist`]. Version 2 envelopes are verified
-/// against their length frame and trailing CRC32 before the payload is
-/// touched; version 1 (pre-checksum) envelopes load through the legacy
-/// path with no integrity check beyond the payload's own structure.
+/// [`SpatialHistogram::persist`]. The envelope is verified against its
+/// length frame and trailing CRC32 before the payload is touched.
 ///
 /// # Errors
-/// Returns [`HistogramError::Corrupt`] on malformed input, a bad version,
-/// an unknown kind tag, a length-frame mismatch, or a failed checksum.
+/// Returns [`HistogramError::Corrupt`] on malformed input, a version
+/// other than the current one, an unknown kind tag, a length-frame
+/// mismatch, or a failed checksum.
 pub fn load_histogram(full: &[u8]) -> Result<Box<dyn SpatialHistogram>, HistogramError> {
+    let (kind, payload) = open_envelope(full, ENVELOPE_MAGIC, ENVELOPE_VERSION, "envelope")?;
+    load_payload(kind, payload)
+}
+
+/// Opens the framing shared by `.hist` and `.hdelta` envelopes —
+/// `magic u32 | version u32 | kind tag u32 | payload_len u64 | payload |
+/// crc32 u32` — and returns the kind and payload once the magic, the
+/// version (exactly `version`: no other is read), the kind tag, the
+/// length frame and the CRC32 all check out. `what` names the envelope
+/// in error messages.
+pub(crate) fn open_envelope<'a>(
+    full: &'a [u8],
+    magic: u32,
+    version: u32,
+    what: &str,
+) -> Result<(HistogramKind, &'a [u8]), HistogramError> {
     let envelope = |detail: String| HistogramError::corrupt(CorruptSection::Envelope, detail);
     let mut data = full;
-    if data.remaining() < 12 {
+    if data.remaining() < 24 {
         return Err(envelope(format!(
-            "truncated envelope: {} bytes, need at least 12",
+            "truncated {what}: {} bytes, need at least 24",
             full.len()
         )));
     }
-    if data.get_u32_le() != ENVELOPE_MAGIC {
-        return Err(envelope("bad envelope magic".to_string()));
+    if data.get_u32_le() != magic {
+        return Err(envelope(format!("bad {what} magic")));
     }
-    let version = data.get_u32_le();
+    let found = data.get_u32_le();
+    if found != version {
+        return Err(envelope(format!("unsupported {what} version {found}")));
+    }
     let tag = data.get_u32_le();
     let kind = HistogramKind::from_tag(tag)
         .ok_or_else(|| envelope(format!("unknown histogram kind tag {tag}")))?;
-    match version {
-        LEGACY_ENVELOPE_VERSION => load_payload(kind, data),
-        ENVELOPE_VERSION => {
-            if data.remaining() < 12 {
-                return Err(envelope(format!(
-                    "truncated envelope: {} bytes, need at least 24",
-                    full.len()
-                )));
-            }
-            let payload_len = data.get_u64_le();
-            let framed_total = payload_len
-                .checked_add(24)
-                .ok_or_else(|| envelope(format!("absurd payload length {payload_len}")))?;
-            if framed_total != full.len() as u64 {
-                return Err(envelope(format!(
-                    "length frame mismatch: header says {payload_len} payload bytes \
-                     but the envelope holds {}",
-                    full.len()
-                )));
-            }
-            // framed_total == full.len() >= 24 here, so the trailer and
-            // the 20-byte header prefix are both in range; the fallible
-            // accessors keep the decoder panic-free regardless.
-            let tail_at = full.len().saturating_sub(4);
-            let (body, tail) = full.split_at(tail_at);
-            let stored = u32::from_le_bytes(tail.try_into().unwrap_or([0; 4]));
-            let computed = crc32(body);
-            if stored != computed {
-                return Err(HistogramError::corrupt(
-                    CorruptSection::Checksum,
-                    format!("CRC32 mismatch: stored {stored:#010x}, computed {computed:#010x}"),
-                ));
-            }
-            let payload = body
-                .get(20..)
-                .ok_or_else(|| envelope("envelope shorter than its fixed header".to_string()))?;
-            load_payload(kind, payload)
-        }
-        other => Err(envelope(format!("unsupported envelope version {other}"))),
+    let payload_len = data.get_u64_le();
+    let framed_total = payload_len
+        .checked_add(24)
+        .ok_or_else(|| envelope(format!("absurd payload length {payload_len}")))?;
+    if framed_total != full.len() as u64 {
+        return Err(envelope(format!(
+            "length frame mismatch: header says {payload_len} payload bytes \
+             but the {what} holds {}",
+            full.len()
+        )));
     }
-}
-
-/// Decodes a histogram of any kind from the JSON envelope written by
-/// [`SpatialHistogram::persist_json`].
-///
-/// # Errors
-/// Returns [`HistogramError::Corrupt`] on malformed input, a bad version,
-/// or an unknown kind name.
-pub fn load_histogram_json(json: &str) -> Result<Box<dyn SpatialHistogram>, HistogramError> {
-    let corrupt = |m: &str| HistogramError::corrupt(CorruptSection::Envelope, m);
-    let format = json_string_field(json, "format").ok_or_else(|| corrupt("missing format"))?;
-    if format != JSON_FORMAT {
+    // framed_total == full.len() >= 24 here, so the trailer and the
+    // 20-byte header prefix are both in range; the fallible accessors
+    // keep the decoder panic-free regardless.
+    let (body, tail) = full.split_at(full.len().saturating_sub(4));
+    let stored = u32::from_le_bytes(tail.try_into().unwrap_or([0; 4]));
+    let computed = crc32(body);
+    if stored != computed {
         return Err(HistogramError::corrupt(
-            CorruptSection::Envelope,
-            format!("unrecognized format {format:?}"),
+            CorruptSection::Checksum,
+            format!("CRC32 mismatch: stored {stored:#010x}, computed {computed:#010x}"),
         ));
     }
-    let version = json_u64_field(json, "version").ok_or_else(|| corrupt("missing version"))?;
-    if version != u64::from(ENVELOPE_VERSION) && version != u64::from(LEGACY_ENVELOPE_VERSION) {
-        return Err(HistogramError::corrupt(
-            CorruptSection::Envelope,
-            format!("unsupported envelope version {version}"),
-        ));
-    }
-    let kind: HistogramKind = json_string_field(json, "kind")
-        .ok_or_else(|| corrupt("missing kind"))?
-        .parse()?;
-    let payload = hex_decode(
-        json_string_field(json, "payload_hex").ok_or_else(|| corrupt("missing payload_hex"))?,
-    )?;
-    load_payload(kind, &payload)
-}
-
-/// Extracts the string value of `"field":"…"` from the flat JSON envelope
-/// (the values this format writes never contain escapes).
-fn json_string_field<'a>(json: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":\"");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts the numeric value of `"field":N` from the flat JSON envelope.
-fn json_u64_field(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let start = json.find(&needle)? + needle.len();
-    let digits: String = json[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Lowercase hex encoding of `data`.
-fn hex_encode(data: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(data.len() * 2);
-    for b in data {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 0x0f)] as char);
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`].
-fn hex_decode(s: &str) -> Result<Vec<u8>, HistogramError> {
-    let corrupt = |m: &str| HistogramError::corrupt(CorruptSection::Envelope, m);
-    if !s.len().is_multiple_of(2) || !s.is_ascii() {
-        return Err(corrupt("payload_hex must be an even-length hex string"));
-    }
-    s.as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            std::str::from_utf8(pair)
-                .ok()
-                .and_then(|digits| u8::from_str_radix(digits, 16).ok())
-                .ok_or_else(|| corrupt("invalid hex digit in payload_hex"))
-        })
-        .collect()
+    let payload = body
+        .get(20..)
+        .ok_or_else(|| envelope(format!("{what} shorter than its fixed header")))?;
+    Ok((kind, payload))
 }
 
 #[cfg(test)]
@@ -635,10 +543,6 @@ mod tests {
                 expected,
                 "{kind}: identical estimates after reload"
             );
-
-            let back = load_histogram_json(&ha.persist_json()).unwrap();
-            assert_eq!(back.kind(), kind);
-            assert_eq!(back.to_bytes(), ha.to_bytes(), "{kind}: JSON lossless");
         }
     }
 
@@ -650,9 +554,22 @@ mod tests {
         let mut bad_magic = bytes.to_vec();
         bad_magic[0] ^= 1;
         assert!(load_histogram(&bad_magic).is_err());
-        let mut bad_version = bytes.to_vec();
-        bad_version[4] = 99;
-        assert!(load_histogram(&bad_version).is_err());
+        // Only the current version decodes: the retired pre-checksum
+        // version 1 is rejected like any unknown one.
+        for version in [0u8, 1, 3, 99] {
+            let mut bad_version = bytes.to_vec();
+            bad_version[4] = version;
+            assert!(
+                matches!(
+                    load_histogram(&bad_version),
+                    Err(HistogramError::Corrupt {
+                        section: CorruptSection::Envelope,
+                        ..
+                    })
+                ),
+                "envelope version {version} must be rejected"
+            );
+        }
         let mut bad_tag = bytes.to_vec();
         bad_tag[8] = 99;
         assert!(load_histogram(&bad_tag).is_err());
@@ -679,30 +596,6 @@ mod tests {
                 ..
             })
         ));
-        // JSON with the wrong format marker or broken hex.
-        assert!(load_histogram_json("{\"format\":\"other\"}").is_err());
-        let json = h.persist_json();
-        assert!(load_histogram_json(&json.replace("sjsel-histogram", "x")).is_err());
-        assert!(load_histogram_json(&json.replace("\"version\":2", "\"version\":9")).is_err());
-    }
-
-    /// Version-1 envelopes (no length frame, no CRC) predate this layout
-    /// and must keep loading through the legacy fallback.
-    #[test]
-    fn legacy_v1_envelope_still_loads() {
-        let a = uniform(120, 146, 0.07);
-        for kind in HistogramKind::ALL {
-            let h = build_histogram(kind, unit_grid(3), &a);
-            let payload = h.to_bytes();
-            let mut v1 = BytesMut::with_capacity(12 + payload.len());
-            v1.put_u32_le(ENVELOPE_MAGIC);
-            v1.put_u32_le(LEGACY_ENVELOPE_VERSION);
-            v1.put_u32_le(kind.tag());
-            v1.put_slice(&payload);
-            let back = load_histogram(&v1).unwrap();
-            assert_eq!(back.kind(), kind);
-            assert_eq!(back.to_bytes(), payload, "{kind}: legacy load lossless");
-        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ use sj_query::{
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// When, relative to the targeted I/O operation, the simulated process
@@ -688,9 +689,17 @@ fn sabotage(fault: RecoveryFault, dir: &Path) -> Result<(), String> {
     }
 }
 
-/// A scratch directory unique to this process and trial.
+/// Numbers scratch directories within one process, so concurrent runs
+/// (the unit tests run the matrix on parallel threads) never share one.
+static NEXT_TRIAL_DIR: AtomicU64 = AtomicU64::new(0);
+
+/// A scratch directory unique to this process, call and trial.
 fn trial_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sj-verify-recovery-{}-{tag}", std::process::id()));
+    let n = NEXT_TRIAL_DIR.fetch_add(1, Ordering::SeqCst);
+    let dir = std::env::temp_dir().join(format!(
+        "sj-verify-recovery-{}-{n}-{tag}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

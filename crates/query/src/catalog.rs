@@ -636,9 +636,9 @@ impl Catalog {
     }
 
     /// Registers a dataset reusing a previously saved histogram file
-    /// instead of rebuilding it. Accepts the versioned envelope of any
-    /// family (falling back to the legacy sparse-GH format for files
-    /// written by older versions). The statistics must match this
+    /// instead of rebuilding it. Accepts the checksummed envelope of any
+    /// family, as written by [`Catalog::save_statistics`]; no other
+    /// layout is read. The statistics must match this
     /// catalog's configured family and grid and the dataset's
     /// cardinality, otherwise they are rejected as stale.
     ///
@@ -744,11 +744,7 @@ impl Catalog {
         expected_len: usize,
         stats_file: &[u8],
     ) -> Result<Box<dyn SpatialHistogram>, QueryError> {
-        let histogram: Box<dyn SpatialHistogram> = match load_histogram(stats_file) {
-            Ok(h) => h,
-            // Legacy statistics predate the envelope: bare sparse GH.
-            Err(_) => Box::new(GhHistogram::from_sparse_bytes(stats_file)?),
-        };
+        let histogram = load_histogram(stats_file)?;
         if histogram.kind() != self.config.kind {
             return Err(QueryError::Histogram(
                 sj_histogram::HistogramError::KindMismatch {
@@ -826,22 +822,6 @@ mod persistence_tests {
     }
 
     #[test]
-    fn legacy_sparse_gh_statistics_still_load() {
-        let mut c1 = Catalog::with_level(4);
-        c1.register(tiny("alpha", 40)).unwrap();
-        let legacy = c1.gh_histogram("alpha").unwrap().to_sparse_bytes();
-
-        let mut c2 = Catalog::with_level(4);
-        c2.register_with_statistics(tiny("alpha", 40), &legacy)
-            .unwrap();
-        assert_eq!(
-            c2.gh_histogram("alpha").unwrap().to_bytes(),
-            c1.gh_histogram("alpha").unwrap().to_bytes(),
-            "legacy sparse statistics must decode to the same histogram"
-        );
-    }
-
-    #[test]
     fn stale_statistics_rejected() {
         let mut c = Catalog::with_level(4);
         c.register(tiny("alpha", 40)).unwrap();
@@ -879,6 +859,42 @@ mod persistence_tests {
         assert!(fresh
             .register_with_statistics(tiny("alpha", 40), b"nonsense")
             .is_err());
+    }
+
+    /// A checksum failure is reported as one: no other decoder gets a
+    /// second try at the bytes and replaces the error with its own.
+    #[test]
+    fn crc_corrupt_statistics_report_the_checksum() {
+        let mut c = Catalog::with_level(4);
+        c.register(tiny("alpha", 40)).unwrap();
+        let mut bytes = c.histogram("alpha").unwrap().persist().to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+
+        let mut strict = Catalog::with_level(4);
+        let err = strict
+            .register_with_statistics(tiny("alpha", 40), &bytes)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                QueryError::Histogram(sj_histogram::HistogramError::Corrupt {
+                    section: sj_histogram::CorruptSection::Checksum,
+                    ..
+                })
+            ),
+            "flipped payload byte must fail the checksum, got {err:?}"
+        );
+
+        let mut lenient = Catalog::with_level(4);
+        let reason = lenient
+            .register_with_statistics_lenient(tiny("alpha", 40), &bytes)
+            .unwrap()
+            .unwrap_or_default();
+        assert!(
+            reason.contains("CRC32 mismatch"),
+            "degraded reason must name the checksum failure, got {reason:?}"
+        );
     }
 }
 

@@ -45,9 +45,8 @@
 //!
 //! The CRC32 covers every preceding byte of the record. A torn tail
 //! (crash mid-append) is tolerated and reported; a checksum or magic
-//! mismatch before the tail is a typed corruption error. Version-1
-//! records (no `id_token`/`id_seq` fields) are still decoded, with an
-//! unstamped [`MutationId`].
+//! mismatch before the tail is a typed corruption error, and so is any
+//! version other than 2.
 //!
 //! `id_token`/`id_seq` are the client-stamped [`MutationId`] of the
 //! batch (zero for unstamped batches). Stamped IDs are remembered in a
@@ -73,7 +72,7 @@
 //! silently mixing generations. The trailing ID section persists the
 //! mutation-ID dedup ring: compaction deletes the WAL, so without it a
 //! retry that straddles a compaction would lose its duplicate guard.
-//! Version-1 snapshots (no ID section) are still decoded.
+//! As with the WAL, version 2 is the only layout read.
 //!
 //! All file I/O in this module flows through the [`StoreIo`] trait
 //! ([`RealStoreIo`] in production), so a fault-injecting implementation
@@ -93,20 +92,17 @@ use std::sync::Arc;
 /// Magic prefix of every WAL record.
 pub(crate) const WAL_MAGIC: u32 = 0x534a_574c; // "SJWL"
 /// WAL record format version; bump on incompatible layout changes.
-/// Version 2 added the mutation-ID fields; version-1 records are still
-/// decoded (with an unstamped ID).
+/// Version 2 added the mutation-ID fields; records of any other
+/// version are rejected.
 pub(crate) const WAL_VERSION: u32 = 2;
-/// Fixed bytes of a version-1 WAL record before its rectangles: magic,
-/// version, sequence number, and the two batch lengths.
-const WAL_V1_HEADER_LEN: usize = 24;
-/// Fixed bytes of a version-2 WAL record before its rectangles: the
-/// version-1 header plus the 16-byte mutation ID.
+/// Fixed bytes of a WAL record before its rectangles: magic, version,
+/// sequence number, the 16-byte mutation ID, and the two batch lengths.
 const WAL_HEADER_LEN: usize = 40;
 /// Magic prefix of a dataset snapshot (`<table>.base`) file.
 pub(crate) const SNAPSHOT_MAGIC: u32 = 0x534a_5342; // "SJSB"
 /// Snapshot format version; bump on incompatible layout changes.
-/// Version 2 appended the mutation-ID dedup ring; version-1 snapshots
-/// are still decoded (with an empty ring).
+/// Version 2 appended the mutation-ID dedup ring; snapshots of any
+/// other version are rejected.
 pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 /// Fixed bytes of a snapshot before its rectangles: magic, version,
 /// sequence fence, paired-histogram CRC, and the rectangle count.
@@ -595,6 +591,8 @@ fn encode_wal_record(seq: u64, id: MutationId, inserts: &[Rect], deletes: &[Rect
 
 /// One decoded WAL record.
 struct WalRecord {
+    /// Byte offset just past this record in the WAL image.
+    end: usize,
     seq: u64,
     id: MutationId,
     inserts: Vec<Rect>,
@@ -608,62 +606,37 @@ fn decode_wal(data: &[u8]) -> Result<(Vec<WalRecord>, usize), QueryError> {
     let corrupt = |detail: String| {
         QueryError::Histogram(HistogramError::corrupt(CorruptSection::Payload, detail))
     };
-    let u32_at = |at: usize| -> Option<u32> {
-        data.get(at..at + 4)
-            .and_then(|s| s.try_into().ok())
-            .map(u32::from_le_bytes)
-    };
-    let u64_at = |at: usize| -> Option<u64> {
-        data.get(at..at + 8)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_le_bytes)
-    };
-    let f64_at = |at: usize| -> Option<f64> {
-        data.get(at..at + 8)
-            .and_then(|s| s.try_into().ok())
-            .map(f64::from_le_bytes)
-    };
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < data.len() {
         if data.len() - offset < 8 {
             return Ok((records, 1)); // torn tail: magic/version cut short
         }
-        let magic = u32_at(offset).unwrap_or(0);
+        let magic = le_u32(data, offset).unwrap_or(0);
         if magic != WAL_MAGIC {
             return Err(corrupt(format!(
                 "WAL record at offset {offset} has bad magic {magic:#010x}"
             )));
         }
-        let version = u32_at(offset + 4).unwrap_or(0);
-        // Version 1 lacked the 16-byte mutation ID; decode both.
-        let header_len = match version {
-            1 => WAL_V1_HEADER_LEN,
-            WAL_VERSION => WAL_HEADER_LEN,
-            other => {
-                return Err(corrupt(format!(
-                    "WAL record at offset {offset} has unsupported version {other}"
-                )))
-            }
-        };
-        if data.len() - offset < header_len {
+        let version = le_u32(data, offset + 4).unwrap_or(0);
+        if version != WAL_VERSION {
+            return Err(corrupt(format!(
+                "WAL record at offset {offset} has unsupported version {version}"
+            )));
+        }
+        if data.len() - offset < WAL_HEADER_LEN {
             return Ok((records, 1)); // torn tail: header cut short
         }
-        let seq = u64_at(offset + 8).unwrap_or(0);
-        let id = if version == 1 {
-            MutationId::UNSTAMPED
-        } else {
-            MutationId::new(
-                u64_at(offset + 16).unwrap_or(0),
-                u64_at(offset + 24).unwrap_or(0),
-            )
-        };
-        let counts_at = offset + header_len - 8;
+        let seq = le_u64(data, offset + 8).unwrap_or(0);
+        let id = MutationId::new(
+            le_u64(data, offset + 16).unwrap_or(0),
+            le_u64(data, offset + 24).unwrap_or(0),
+        );
         // sj-lint: allow(cast, u32 always fits in usize on supported targets)
-        let n_ins = u32_at(counts_at).unwrap_or(0) as usize;
+        let n_ins = le_u32(data, offset + 32).unwrap_or(0) as usize;
         // sj-lint: allow(cast, u32 always fits in usize on supported targets)
-        let n_del = u32_at(counts_at + 4).unwrap_or(0) as usize;
-        let body_len = header_len + (n_ins + n_del) * 32;
+        let n_del = le_u32(data, offset + 36).unwrap_or(0) as usize;
+        let body_len = WAL_HEADER_LEN + (n_ins + n_del) * 32;
         let Some(total) = body_len.checked_add(4) else {
             return Err(corrupt(format!(
                 "WAL record at offset {offset} declares an absurd batch size"
@@ -675,7 +648,7 @@ fn decode_wal(data: &[u8]) -> Result<(Vec<WalRecord>, usize), QueryError> {
         let body = data
             .get(offset..offset + body_len)
             .ok_or_else(|| corrupt("WAL record slice out of bounds".to_string()))?;
-        let stored = u32_at(offset + body_len).unwrap_or(0);
+        let stored = le_u32(data, offset + body_len).unwrap_or(0);
         let computed = crc32(body);
         if stored != computed {
             return Err(corrupt(format!(
@@ -683,18 +656,11 @@ fn decode_wal(data: &[u8]) -> Result<(Vec<WalRecord>, usize), QueryError> {
                  (stored {stored:#010x}, computed {computed:#010x})"
             )));
         }
-        let mut rects = Vec::with_capacity(n_ins + n_del);
-        for i in 0..n_ins + n_del {
-            let at = offset + header_len + i * 32;
-            let (Some(xlo), Some(ylo), Some(xhi), Some(yhi)) =
-                (f64_at(at), f64_at(at + 8), f64_at(at + 16), f64_at(at + 24))
-            else {
-                return Err(corrupt("WAL rectangle slice out of bounds".to_string()));
-            };
-            rects.push(Rect::new(xlo, ylo, xhi, yhi));
-        }
+        let mut rects = le_rects(data, offset + WAL_HEADER_LEN, n_ins + n_del)
+            .ok_or_else(|| corrupt("WAL rectangle slice out of bounds".to_string()))?;
         let deletes = rects.split_off(n_ins);
         records.push(WalRecord {
+            end: offset + total,
             seq,
             id,
             inserts: rects,
@@ -716,26 +682,28 @@ fn decode_wal(data: &[u8]) -> Result<(Vec<WalRecord>, usize), QueryError> {
 /// version, or a failed checksum before the tail.
 pub fn wal_record_ends(data: &[u8]) -> Result<Vec<usize>, QueryError> {
     let (records, _torn) = decode_wal(data)?;
-    let mut ends = Vec::with_capacity(records.len());
-    let mut offset = 0usize;
-    for record in &records {
-        let header_len = if record.id.is_stamped() || wal_header_is_v2(data, offset) {
-            WAL_HEADER_LEN
-        } else {
-            WAL_V1_HEADER_LEN
-        };
-        offset += header_len + (record.inserts.len() + record.deletes.len()) * 32 + 4;
-        ends.push(offset);
-    }
-    Ok(ends)
+    Ok(records.iter().map(|record| record.end).collect())
 }
 
-/// Whether the record starting at `offset` carries a version-2 header.
-fn wal_header_is_v2(data: &[u8], offset: usize) -> bool {
-    data.get(offset + 4..offset + 8)
-        .and_then(|s| s.try_into().ok())
-        .map(u32::from_le_bytes)
-        == Some(WAL_VERSION)
+/// The little-endian `u32` at `at`, or `None` past the end of `data`.
+fn le_u32(data: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?))
+}
+
+/// The little-endian `u64` at `at`, or `None` past the end of `data`.
+fn le_u64(data: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(data.get(at..at + 8)?.try_into().ok()?))
+}
+
+/// `n` rectangles stored from `at` as four little-endian `f64` each, or
+/// `None` if any runs past the end of `data`.
+fn le_rects(data: &[u8], at: usize, n: usize) -> Option<Vec<Rect>> {
+    (0..n)
+        .map(|i| {
+            let coord = |k: usize| le_u64(data, at + i * 32 + k * 8).map(f64::from_bits);
+            Some(Rect::new(coord(0)?, coord(1)?, coord(2)?, coord(3)?))
+        })
+        .collect()
 }
 
 /// A decoded dataset snapshot: the exact rectangles the paired
@@ -786,36 +754,20 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot, QueryError> {
             format!("dataset snapshot {detail}"),
         ))
     };
-    let u32_at = |at: usize| -> Option<u32> {
-        data.get(at..at + 4)
-            .and_then(|s| s.try_into().ok())
-            .map(u32::from_le_bytes)
-    };
-    let u64_at = |at: usize| -> Option<u64> {
-        data.get(at..at + 8)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_le_bytes)
-    };
-    let f64_at = |at: usize| -> Option<f64> {
-        data.get(at..at + 8)
-            .and_then(|s| s.try_into().ok())
-            .map(f64::from_le_bytes)
-    };
     if data.len() < SNAPSHOT_HEADER_LEN + 4 {
         return Err(corrupt("is shorter than its fixed header".to_string()));
     }
-    let magic = u32_at(0).unwrap_or(0);
+    let magic = le_u32(data, 0).unwrap_or(0);
     if magic != SNAPSHOT_MAGIC {
         return Err(corrupt(format!("has bad magic {magic:#010x}")));
     }
-    let version = u32_at(4).unwrap_or(0);
-    // Version 1 lacked the trailing mutation-ID section; decode both.
-    if version != 1 && version != SNAPSHOT_VERSION {
+    let version = le_u32(data, 4).unwrap_or(0);
+    if version != SNAPSHOT_VERSION {
         return Err(corrupt(format!("has unsupported version {version}")));
     }
-    let next_seq = u64_at(8).unwrap_or(0);
-    let hist_crc = u32_at(16).unwrap_or(0);
-    let n = usize::try_from(u64_at(20).unwrap_or(0))
+    let next_seq = le_u64(data, 8).unwrap_or(0);
+    let hist_crc = le_u32(data, 16).unwrap_or(0);
+    let n = usize::try_from(le_u64(data, 20).unwrap_or(0))
         .map_err(|_| corrupt("declares an absurd rectangle count".to_string()))?;
     let Some(rects_end) = n
         .checked_mul(32)
@@ -823,16 +775,11 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot, QueryError> {
     else {
         return Err(corrupt("declares an absurd rectangle count".to_string()));
     };
-    let n_ids = if version == 1 {
-        0
-    } else {
-        let declared = u32_at(rects_end)
-            .ok_or_else(|| corrupt("is truncated before its mutation-ID count".to_string()))?;
-        usize::try_from(declared)
-            .map_err(|_| corrupt("declares an absurd mutation-ID count".to_string()))?
-    };
-    let id_section = if version == 1 { 0 } else { 4 + n_ids * 16 };
-    let Some(body_len) = rects_end.checked_add(id_section) else {
+    let declared = le_u32(data, rects_end)
+        .ok_or_else(|| corrupt("is truncated before its mutation-ID count".to_string()))?;
+    let n_ids = usize::try_from(declared)
+        .map_err(|_| corrupt("declares an absurd mutation-ID count".to_string()))?;
+    let Some(body_len) = rects_end.checked_add(4 + n_ids * 16) else {
         return Err(corrupt("declares an absurd mutation-ID count".to_string()));
     };
     if body_len.checked_add(4) != Some(data.len()) {
@@ -846,27 +793,19 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot, QueryError> {
     let body = data
         .get(..body_len)
         .ok_or_else(|| corrupt("slice out of bounds".to_string()))?;
-    let stored = u32_at(body_len).unwrap_or(0);
+    let stored = le_u32(data, body_len).unwrap_or(0);
     let computed = crc32(body);
     if stored != computed {
         return Err(corrupt(format!(
             "failed its checksum (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
-    let mut rects = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = SNAPSHOT_HEADER_LEN + i * 32;
-        let (Some(xlo), Some(ylo), Some(xhi), Some(yhi)) =
-            (f64_at(at), f64_at(at + 8), f64_at(at + 16), f64_at(at + 24))
-        else {
-            return Err(corrupt("rectangle slice out of bounds".to_string()));
-        };
-        rects.push(Rect::new(xlo, ylo, xhi, yhi));
-    }
+    let rects = le_rects(data, SNAPSHOT_HEADER_LEN, n)
+        .ok_or_else(|| corrupt("rectangle slice out of bounds".to_string()))?;
     let mut ids = Vec::with_capacity(n_ids);
     for i in 0..n_ids {
         let at = rects_end + 4 + i * 16;
-        let (Some(token), Some(seq)) = (u64_at(at), u64_at(at + 8)) else {
+        let (Some(token), Some(seq)) = (le_u64(data, at), le_u64(data, at + 8)) else {
             return Err(corrupt("mutation-ID slice out of bounds".to_string()));
         };
         ids.push(MutationId::new(token, seq));
@@ -1863,6 +1802,20 @@ mod tests {
             matches!(err, QueryError::Histogram(HistogramError::Corrupt { .. })),
             "truncated snapshot must be typed, got {err:?}"
         );
+
+        // The retired version-1 layout (no mutation-ID section),
+        // CRC-sealed, is rejected like any unknown version.
+        let n = usize::try_from(u64::from_le_bytes(good[20..28].try_into().unwrap())).unwrap();
+        let mut v1 = good[..SNAPSHOT_HEADER_LEN + n * 32].to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join("t.base"), &v1).unwrap();
+        let err = reopen(&dir).unwrap_err();
+        assert!(
+            matches!(err, QueryError::Histogram(HistogramError::Corrupt { .. })),
+            "version-1 snapshot must be typed, got {err:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2064,44 +2017,82 @@ mod tests {
         assert!(!store.is_applied(MutationId::UNSTAMPED));
     }
 
-    /// Version-1 WAL records (pre-mutation-ID) still replay, as
-    /// unstamped batches.
-    #[test]
-    fn v1_wal_records_still_decode() {
-        // Hand-encode a v1 record: the v2 layout minus the 16 ID bytes.
-        let ins = rects(3, 0.1);
+    /// Hand-encodes a retired version-1 WAL record: the version-2
+    /// layout minus the 16 mutation-ID bytes, CRC-sealed.
+    fn v1_wal_record(inserts: &[Rect]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&WAL_MAGIC.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(&u32::try_from(inserts.len()).unwrap().to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
-        for r in &ins {
+        for r in inserts {
             for v in [r.xlo, r.ylo, r.xhi, r.yhi] {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
         }
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
 
-        let (records, torn) = decode_wal(&buf).unwrap();
-        assert_eq!(torn, 0);
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].id, MutationId::UNSTAMPED);
-        assert_eq!(records[0].inserts, ins);
+    /// Version 2 is the only WAL layout read: a well-formed, CRC-sealed
+    /// version-1 record is a typed error, not a second layout to guess.
+    /// Record boundaries of version-2 logs, stamped or not, are found
+    /// from the one header length.
+    #[test]
+    fn v1_wal_records_are_rejected() {
+        let ins = rects(3, 0.1);
+        let v1 = v1_wal_record(&ins);
+        for result in [
+            decode_wal(&v1).map(|_| ()),
+            wal_record_ends(&v1).map(|_| ()),
+        ] {
+            assert!(
+                matches!(
+                    result,
+                    Err(QueryError::Histogram(HistogramError::Corrupt { .. }))
+                ),
+                "a version-1 WAL record must be a typed error, got {result:?}"
+            );
+        }
 
-        // And a v2 record appended after it decodes too.
-        buf.extend_from_slice(&encode_wal_record(1, MutationId::new(9, 9), &ins, &[]));
+        let mut buf = encode_wal_record(0, MutationId::UNSTAMPED, &ins, &[]);
+        buf.extend_from_slice(&encode_wal_record(1, MutationId::new(9, 9), &ins, &ins));
         let (records, _) = decode_wal(&buf).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].id, MutationId::new(9, 9));
         assert_eq!(
             wal_record_ends(&buf).unwrap(),
-            vec![
-                WAL_V1_HEADER_LEN + 3 * 32 + 4,
-                WAL_V1_HEADER_LEN + WAL_HEADER_LEN + 6 * 32 + 8,
-            ]
+            vec![WAL_HEADER_LEN + 3 * 32 + 4, 2 * WAL_HEADER_LEN + 9 * 32 + 8]
         );
+    }
+
+    /// Recovery meets a WAL whose record says the retired version 1 with
+    /// a typed error, and nothing replays.
+    #[test]
+    fn v1_wal_fails_open_with_a_typed_error() {
+        let dir = temp_dir("v1wal");
+        let c1 = catalog_with("t", 20, HistogramKind::Gh);
+        c1.save_statistics(&dir).unwrap();
+        let base = c1.histogram("t").unwrap().to_bytes();
+        std::fs::write(dir.join("t.wal"), v1_wal_record(&rects(4, 0.1))).unwrap();
+        let mut c2 = Catalog::with_kind(HistogramKind::Gh, 4);
+        c2.register_with_statistics(
+            Dataset::new("t", Extent::unit(), rects(20, 0.0)),
+            &std::fs::read(dir.join("t.hist")).unwrap(),
+        )
+        .unwrap();
+        let err = c2
+            .open_stats_store(&dir, CompactionPolicy::default())
+            .unwrap_err();
+        assert!(
+            matches!(err, QueryError::Histogram(HistogramError::Corrupt { .. })),
+            "version-1 WAL record must be typed, got {err:?}"
+        );
+        assert_eq!(c2.table_len("t").unwrap(), 20, "nothing may replay");
+        assert_eq!(c2.histogram("t").unwrap().to_bytes(), base);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The compaction swap leaves no tmp files and (with `RealStoreIo`)

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"SJWF"
-//! 4       2     wire version (u16 LE, currently 1)
+//! 4       2     wire version (u16 LE, currently 3, `WIRE_VERSION`)
 //! 6       1     opcode (request, or request | 0x80 for its response)
 //! 7       1     reserved (must be 0)
 //! 8       4     payload length (u32 LE, at most MAX_PAYLOAD)

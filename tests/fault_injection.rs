@@ -140,10 +140,11 @@ fn payload_flips_fail_the_checksum_section() {
     }
 }
 
-/// Old-version (pre-CRC, pre-length-frame) envelopes must keep loading
-/// through the legacy fallback.
+/// Old-version (pre-CRC, pre-length-frame) envelopes carry no checksum,
+/// so they are rejected with a typed envelope error rather than loaded
+/// unverified.
 #[test]
-fn legacy_pre_crc_envelopes_still_load() {
+fn pre_crc_envelopes_are_rejected() {
     for kind in HistogramKind::ALL {
         let grid = Grid::new(3, Extent::unit()).expect("level in range");
         let h = build_histogram(kind, grid, &fixture_rects(80, 0x1e6));
@@ -154,9 +155,13 @@ fn legacy_pre_crc_envelopes_still_load() {
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&kind.tag().to_le_bytes());
         v1.extend_from_slice(&payload);
-        let back = load_histogram(&v1).expect("legacy envelope loads");
-        assert_eq!(back.kind(), kind);
-        assert_eq!(back.to_bytes(), payload, "{kind}: legacy load lossless");
+        match load_histogram(&v1) {
+            Err(HistogramError::Corrupt {
+                section: CorruptSection::Envelope,
+                ..
+            }) => {}
+            other => panic!("{kind}: version-1 envelope gave {other:?}"),
+        }
     }
 }
 
