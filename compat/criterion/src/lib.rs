@@ -9,6 +9,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the benchmark shim measures wall-clock time by design"
+)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

@@ -1,6 +1,11 @@
 //! Histogram-file construction cost: the paper's *Building Time* metric
 //! in absolute terms, per scheme and level.
 
+#![expect(
+    clippy::expect_used,
+    reason = "benchmark harness: a failed setup step aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_core::{presets, Extent, GhBasicHistogram, GhHistogram, Grid, PhHistogram};
 use std::hint::black_box;

@@ -2,6 +2,11 @@
 //! *Estimation Time* metric in absolute terms. This is the per-query cost
 //! a query optimizer pays; the paper reports it at ~1% of the join.
 
+#![expect(
+    clippy::expect_used,
+    reason = "benchmark harness: a failed setup step aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_core::{presets, Extent, GhBasicHistogram, GhHistogram, Grid, PhHistogram};
 use std::hint::black_box;

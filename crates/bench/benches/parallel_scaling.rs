@@ -5,6 +5,12 @@
 //! must be at least 2× faster at 4 threads than at 1. The run prints
 //! an explicit speedup line alongside the per-thread-count timings.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "benchmark harness: wall-clock timing is what it measures, and a failed setup step aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_core::{presets, RTree, RTreeConfig};
 use std::hint::black_box;

@@ -6,6 +6,11 @@
 //! build — the mergeable-sketch contract the `SpatialHistogram` trait
 //! guarantees — so the benchmark doubles as an end-to-end check.
 
+#![expect(
+    clippy::expect_used,
+    reason = "benchmark harness: a failed setup step aborts the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_core::{build_histogram, build_histogram_sharded, presets, Extent, Grid, HistogramKind};
 use sj_geo::Rect;

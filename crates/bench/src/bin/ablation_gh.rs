@@ -15,6 +15,12 @@
 //! cargo run --release -p sj-bench --bin ablation_gh -- --scale 0.2
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "benchmark harness: wall-clock timing is what it measures, and a failed setup step aborts the run"
+)]
+
 use sj_bench::{banner, pct, render_table, HarnessConfig};
 use sj_core::experiment::{fig7_row, HistogramScheme};
 use sj_core::{join_count, RTree, RTreeConfig, SplitAlgorithm};

@@ -24,10 +24,10 @@
 //!   frame versus the same pairs as sequential single requests;
 //! - **merge throughput** — rectangles/sec and merges/sec of the
 //!   sharded histogram build (`build_histogram_sharded`), the merge
-//!   path `sj-lint verify-merge` proves bit-identical;
+//!   path `sj-lint verify-equivalence` proves bit-identical;
 //! - **delta maintenance** — per-operation cost of the incremental
 //!   path (`HistogramDelta::build` + `apply_delta`, the path `sj-lint
-//!   verify-delta` proves rebuild-equivalent) versus a full histogram
+//!   verify-equivalence` proves rebuild-equivalent) versus a full histogram
 //!   rebuild over the mutated dataset, at several dataset scales with
 //!   a fixed small mutation batch;
 //! - **mutation-path overhead** — warm per-op `insert-batch` /
@@ -68,6 +68,13 @@
 //! ```sh
 //! cargo run --release -p sj-bench --bin latency_server -- --out BENCH_5.json
 //! ```
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "benchmark harness: wall-clock timing is what it measures, and a failed setup step aborts the run"
+)]
 
 use sj_datagen::presets;
 use sj_geo::{Extent, Rect};
@@ -308,7 +315,10 @@ struct Bench5 {
 /// (minimum) per-op time of each side is compared.
 fn sync_layer() -> SyncLayerStats {
     use sj_core::sync::{LockRank, OrderedMutex};
-    // sj-lint: allow(lock-discipline, the raw std lock IS the benchmark's comparison baseline; ranking it would measure the wrapper against itself)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the raw std lock IS the benchmark's comparison baseline; ranking it would measure the wrapper against itself"
+    )]
     let raw = std::sync::Mutex::new(0u64);
     let ordered = OrderedMutex::new(LockRank::Catalog, "bench.sync_layer", 0u64);
     let mut raw_best_ns = f64::INFINITY;

@@ -16,6 +16,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::expect_used,
+    reason = "benchmark harness: a failed setup step aborts the run"
+)]
 
 use sj_core::experiment::JoinContext;
 use sj_core::presets::{self, PaperJoin};

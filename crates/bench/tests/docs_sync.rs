@@ -8,6 +8,11 @@
 //! cannot silently drift apart. The committed `BENCH_5.json` at the
 //! repo root is held to the same key list, in the same order.
 
+#![expect(
+    clippy::panic,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {

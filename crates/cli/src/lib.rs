@@ -50,7 +50,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{

@@ -8,6 +8,11 @@
 //! the same way: every subcommand documented in docs/CLI.md must appear
 //! in `sjsel --help` and vice versa.
 
+#![expect(
+    clippy::panic,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 

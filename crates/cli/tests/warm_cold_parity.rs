@@ -6,6 +6,12 @@
 //! statistics (the paper's Eq. 1–5 arithmetic), so residency must not
 //! change a single output byte.
 
+#![expect(
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use sj_cli::run;
 use std::path::PathBuf;
 

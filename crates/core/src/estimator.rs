@@ -162,18 +162,30 @@ impl EstimatorKind {
         // Every histogram family goes through the one SpatialHistogram
         // code path; the families only differ by the boxed builder.
         if let Some((kind, level)) = self.histogram_config() {
-            // sj-lint: allow(panic, every EstimatorKind level is validated <= Grid::MAX_LEVEL at construction)
+            #[expect(
+                clippy::expect_used,
+                reason = "every EstimatorKind level is validated <= Grid::MAX_LEVEL at construction"
+            )]
             let grid = Grid::new(level, *extent).expect("level within Grid::MAX_LEVEL");
-            // sj-lint: allow(determinism, wall-clock measures reported build cost, never estimator input)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock measures reported build cost, never estimator input"
+            )]
             let t0 = Instant::now();
             let ha = build_histogram_parallel(kind, grid, &left.rects, threads);
             let hb = build_histogram_parallel(kind, grid, &right.rects, threads);
             let build_time = t0.elapsed();
-            // sj-lint: allow(determinism, wall-clock measures reported estimate cost, never estimator input)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock measures reported estimate cost, never estimator input"
+            )]
             let t1 = Instant::now();
+            #[expect(
+                clippy::expect_used,
+                reason = "both histograms share kind and grid by construction two lines up"
+            )]
             let est = ha
                 .estimate_join(hb.as_ref())
-                // sj-lint: allow(panic, both histograms share kind and grid by construction two lines up)
                 .expect("same kind and grid by construction");
             let estimate_time = t1.elapsed();
             return EstimationReport {
@@ -186,7 +198,10 @@ impl EstimatorKind {
         }
         match *self {
             EstimatorKind::Parametric => {
-                // sj-lint: allow(determinism, wall-clock measures reported build cost, never estimator input)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock measures reported build cost, never estimator input"
+                )]
                 let t0 = Instant::now();
                 // DatasetStats::coverage is relative to the dataset's own
                 // extent; re-express it against the join extent.
@@ -199,7 +214,10 @@ impl EstimatorKind {
                 let ia = to_inputs(left.stats(), &left.extent);
                 let ib = to_inputs(right.stats(), &right.extent);
                 let build_time = t0.elapsed();
-                // sj-lint: allow(determinism, wall-clock measures reported estimate cost, never estimator input)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock measures reported estimate cost, never estimator input"
+                )]
                 let t1 = Instant::now();
                 let selectivity = parametric_selectivity(&ia, &ib, extent.area());
                 let estimate_time = t1.elapsed();
@@ -212,11 +230,14 @@ impl EstimatorKind {
                     space_bytes: 2 * 32,
                 }
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "histogram_config() returned Some for these kinds, so the early return above fired"
+            )]
             EstimatorKind::Ph { .. }
             | EstimatorKind::GhBasic { .. }
             | EstimatorKind::Gh { .. }
             | EstimatorKind::Euler { .. } => {
-                // sj-lint: allow(panic, histogram_config() returned Some for these kinds, so the early return above fired)
                 unreachable!("histogram kinds are handled by the trait path above")
             }
             EstimatorKind::Sampling {

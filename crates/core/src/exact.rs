@@ -68,12 +68,18 @@ impl JoinBaseline {
         cfg: RTreeConfig,
         par: Parallelism,
     ) -> Self {
-        // sj-lint: allow(determinism, wall-clock measures reported build cost, never join input)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measures reported build cost, never join input"
+        )]
         let t0 = Instant::now();
         let ta = RTree::bulk_load_str(cfg, &left.rects);
         let tb = RTree::bulk_load_str(cfg, &right.rects);
         let rtree_build_time = t0.elapsed();
-        // sj-lint: allow(determinism, wall-clock measures reported join cost, never join input)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measures reported join cost, never join input"
+        )]
         let t1 = Instant::now();
         let pairs = join_count_parallel(&ta, &tb, par.threads());
         let join_time = t1.elapsed();
@@ -107,7 +113,10 @@ impl JoinBaseline {
                 Self::compute_with_parallelism(left, right, RTreeConfig::default(), par)
             }
             ExactBackend::PlaneSweep => {
-                // sj-lint: allow(determinism, wall-clock measures reported join cost, never join input)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock measures reported join cost, never join input"
+                )]
                 let t0 = Instant::now();
                 // Partition-based parallel plane sweep: tile the joint
                 // extent, sweep tiles independently through the shared

@@ -25,6 +25,11 @@
 //! `write()` recover poison via [`PoisonError::into_inner`] — the
 //! policy every call site in the workspace already used by hand.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the ranked wrapper layer itself wraps the std locks, and the tracker's own log mutex cannot be a ranked wrapper without recursing into itself"
+)]
+
 #[cfg(debug_assertions)]
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
@@ -170,6 +175,10 @@ mod tracking {
     /// Rank check, run *before* blocking on the lock. Panics on a rank
     /// inversion unless observing (the verifier wants the evidence, not
     /// the corpse).
+    #[expect(
+        clippy::panic,
+        reason = "a rank inversion is a latent deadlock and must fail loudly in debug builds; observe mode records it for the verifier instead"
+    )]
     pub(super) fn check_order(rank: LockRank, name: &'static str, site: &str) {
         let held = held_snapshot();
         let Some(worst) = held
@@ -182,7 +191,6 @@ mod tracking {
         if OBSERVE.load(Ordering::SeqCst) {
             return; // recorded with its held snapshot in note_acquired
         }
-        // sj-lint: allow(panic, a rank inversion is a latent deadlock and must fail loudly in debug builds; observe mode records it for the verifier instead)
         panic!(
             "lock-order violation: acquiring {:?} (rank {}) `{name}` at {site} \
              while holding {:?} (rank {}) `{}` acquired at {} — acquisition \

@@ -482,7 +482,10 @@ impl Dataset {
         if header[4] != Self::BIN_VERSION {
             return Err(bad("unsupported version"));
         }
-        // sj-lint: allow(panic, header[5..13] is 8 bytes of a fixed 13-byte array, try_into cannot fail)
+        #[expect(
+            clippy::expect_used,
+            reason = "header[5..13] is 8 bytes of a fixed 13-byte array, try_into cannot fail"
+        )]
         let count = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
         let count = usize::try_from(count).map_err(|_| bad("count overflows usize"))?;
         let mut payload = Vec::new();
@@ -492,8 +495,11 @@ impl Dataset {
         }
         let mut rects = Vec::with_capacity(count);
         for chunk in payload.chunks_exact(32) {
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact(32) yields 32-byte chunks and i <= 3, so the 8-byte window is in range"
+            )]
             let f = |i: usize| {
-                // sj-lint: allow(panic, chunks_exact(32) yields 32-byte chunks and i <= 3, so the 8-byte window is in range)
                 f64::from_le_bytes(chunk[i * 8..(i + 1) * 8].try_into().expect("8 bytes"))
             };
             let rect = Rect {

@@ -197,11 +197,11 @@ pub fn sura(scale: f64) -> Dataset {
 }
 
 // ---------------------------------------------------------------------
-// Merge-equivalence verification scenarios (`sj-lint verify-merge`)
+// Equivalence verification scenarios (`sj-lint verify-equivalence`)
 // ---------------------------------------------------------------------
 
 /// Base cardinality of each verification scenario at `scale = 1.0` —
-/// small enough that the full verify-merge matrix runs in seconds, large
+/// small enough that the full verify-equivalence matrix runs in seconds, large
 /// enough that every cell class (contained, boundary-crossing, spanning)
 /// is populated at the levels the verifier builds.
 pub const VERIFY_COUNT: usize = 3_000;

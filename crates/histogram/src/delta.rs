@@ -17,8 +17,8 @@
 //! apply_delta(build(D), Δ)  ≡  build(D ∪ Δ⁺ ∖ Δ⁻)
 //! ```
 //!
-//! — the identity `sj-lint verify-delta` proves dynamically across the
-//! same matrix as `verify-merge`. The insert and delete sides are built
+//! — the identity `sj-lint verify-equivalence` proves dynamically
+//! across the same matrix as the shard merges. The insert and delete sides are built
 //! with the ordinary `band.rs` shard driver (an insert batch is just
 //! another shard), then differenced statistic-by-statistic through the
 //! same introspection order `first_divergence` walks.

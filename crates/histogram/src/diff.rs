@@ -5,7 +5,7 @@
 //! went wrong. This module walks the per-family statistics in their
 //! serialization order and reports the first place two histograms
 //! disagree — the statistic's name and, for per-cell statistics, the grid
-//! cell — so `sj-lint verify-merge` (and any other conformance harness)
+//! cell — so `sj-lint verify-equivalence` (and any other conformance harness)
 //! can print "cell (3, 7) of `cov_x` differs" instead of "bytes differ".
 //!
 //! The statistic names match the struct fields of the four families:

@@ -26,8 +26,8 @@
 //! the only cells skipped are those whose contribution is exactly
 //! `+0.0` (adding `+0.0` to the non-negative accumulator cannot change
 //! its bits). DESIGN.md §16 spells the argument out; the
-//! `kernel_agreement` integration test pins it across the verify-merge
-//! scenario matrix.
+//! `kernel_agreement` integration test pins it across the
+//! verify-equivalence scenario matrix.
 //!
 //! The build side is served by the crate-internal `BinGrid`, a
 //! flattened view of the grid geometry (hoisted cell sizes, row-base

@@ -1,9 +1,14 @@
 //! Old-vs-new agreement: the SoA kernel estimate path must be
 //! **bit-identical** to the retained scalar reference loops across the
-//! verify-merge scenario matrix (all gridded families, levels {3, 6},
+//! verify-equivalence scenario matrix (all gridded families, levels {3, 6},
 //! every ordered dataset pair including self-joins and an empty
 //! dataset). This is the pin for DESIGN.md §16's bit-identity argument;
 //! CI runs it as its own named step.
+
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
 
 use sj_datagen::presets::verify_scenarios;
 use sj_geo::{Extent, Rect};

@@ -1,15 +1,18 @@
-//! `sj-lint` binary: `check`, `rules`, `fingerprint`, `verify-merge`,
-//! `verify-delta`, `verify-recovery` and `verify-locks` subcommands.
+//! `sj-lint` binary: `check`, `rules`, `fingerprint`,
+//! `verify-equivalence`, `verify-recovery` and `verify-locks`
+//! subcommands.
 //!
-//! Exit codes: `0` clean, `1` deny-severity findings (or merge
+//! Exit codes: `0` clean, `1` deny-severity findings (or verifier
 //! divergences), `2` usage error, `3` I/O error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use sj_lint::report::{render, Format};
 use sj_lint::rules::{RuleId, Severity};
+use sj_lint::verify::{run_verify, Fault, VerifyConfig};
+use sj_lint::verify_locks::{run_verify_locks, LockFault, LocksConfig};
+use sj_lint::verify_recovery::{run_verify_recovery, RecoveryConfig, RecoveryFault};
 use sj_lint::{find_workspace_root, fingerprint, run_check, Selection, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,84 +25,100 @@ USAGE:
                   [--deny <r,..|all>] [--warn <r,..|all>]
     sj-lint rules
     sj-lint fingerprint [--update] [--allow-same-version] [--root <dir>]
-    sj-lint verify-merge [--format human|json] [--scale <f>]
-                         [--levels <l,..>] [--shards <n,..>]
-                         [--inject drop-last-rect|nudge-first-rect]
-    sj-lint verify-delta [--format human|json] [--scale <f>]
-                         [--levels <l,..>] [--shards <n,..>]
-                         [--inject drop-last-rect|nudge-first-rect]
+    sj-lint verify-equivalence [--format human|json] [--scale <f>]
+                               [--levels <l,..>] [--shards <n,..>]
+                               [--inject drop-last-rect|nudge-first-rect]
     sj-lint verify-recovery [--format human|json] [--scale <f>]
                             [--levels <l>]
                             [--inject drop-wal-tail|skip-wal-replay]
     sj-lint verify-locks [--format human|json] [--scale <f>]
                          [--inject invert-ranks|hold-across-fsync]
 
-Rules are named r1..r11 or by slug (determinism, fixed-point, panic,
-cast, hygiene, error-taxonomy, persistence, docs, lock-discipline,
-io-under-lock, atomic-ordering). Suppress a single line with
-`// sj-lint: allow(<rule>, <reason>)` — the reason is mandatory.
+Rules are named by code or slug (see `sj-lint rules`; r1 and r9 are
+retired: clippy enforces them from clippy.toml). Suppress a single line
+with `// sj-lint: allow(<rule>, <reason>)` — the reason is mandatory. A
+flag the chosen subcommand does not read is a usage error.
 
-`verify-merge` is the dynamic companion to r2's static fixed-point
-check: it builds every histogram family serially and sharded (row-band
-and rect-range partitions, each shard count in --shards) on seeded
-datasets and exits 1 unless every merged envelope is byte-identical to
-its serial build, localizing divergences to a cell and statistic.
---inject deliberately breaks the merged input to prove the check bites.
+verify-equivalence  every histogram family, built a second way (sharded
+                    and merged, or through a signed delta), must be
+                    byte-identical to its baseline (the serial build, or
+                    a full rebuild over the mutated data)
+verify-recovery     a crash at every mutating store operation must
+                    recover to an acknowledged crash-free prefix state
+verify-locks        a concurrent daemon workload must keep lock ranks
+                    increasing, the lock-order graph acyclic and WAL/fsync
+                    I/O out from under the catalog lock (debug builds)
 
-`verify-delta` does the same for the incremental-statistics path: it
-derives insert/delete batches (mixed and delete-heavy styles) from the
-seeded scenarios and exits 1 unless apply_delta(build(D), delta) is
-byte-identical to a full rebuild over the mutated data, for every
-family, level and shard count. --inject tampers the delta's insert
-batch to prove the check bites.
+Divergences are localized to a cell and statistic (or a lock pair);
+--inject breaks a verifier's input on purpose to prove the check bites.
+Exit codes: 0 clean, 1 findings or divergences, 2 usage error, 3 I/O
+error. docs/CLI.md is the full reference.";
 
-`verify-recovery` crash-tests the statistics store: it runs a fixed
-WAL → tier → compaction workload under an injectable I/O layer,
-simulates a process death at every mutating store operation (before,
-torn and after), reopens the store over the surviving bytes, and exits
-1 unless every recovery is byte-identical to a crash-free prefix no
-older than the last acknowledged batch. --inject sabotages the
-recovery input (truncating or hiding the WAL) to prove the check
-bites.
+/// The flags `command` reads — exactly those its synopsis lines in
+/// [`USAGE`] show — or `None` for an unknown command. Any other flag is
+/// a usage error, so nothing is silently ignored.
+fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
+    let mut current = None;
+    let mut flags = None;
+    let synopsis = USAGE.lines().map(str::trim).skip_while(|l| *l != "USAGE:");
+    for line in synopsis.skip(1).take_while(|l| !l.is_empty()) {
+        if let Some(rest) = line.strip_prefix("sj-lint ") {
+            current = rest.split_whitespace().next();
+        }
+        if current == Some(command) {
+            let words = line.split(['[', ']', ' ']);
+            flags
+                .get_or_insert_with(Vec::new)
+                .extend(words.filter(|w| w.starts_with("--")));
+        }
+    }
+    flags
+}
 
-`verify-locks` is the dynamic companion to r9/r10's static lock
-discipline: it runs a fixed concurrent workload (stamped mutations,
-estimates and a mid-workload compaction) against an in-process daemon
-with the ranked-lock instrumentation observing, and exits 1 on any
-rank inversion, observed lock-order cycle, or WAL/fsync I/O performed
-while the catalog lock was held — localized to the lock pair (ranks
-and acquisition sites) or the offending operation. --inject commits a
-deliberate discipline break to prove the check bites. Debug builds
-only: release compiles the instrumentation away.";
+/// Why a run stopped before producing a verdict.
+enum Failure {
+    /// Bad command line or configuration: exit 2.
+    Usage(String),
+    /// The workspace tree or the fingerprint file could not be read or
+    /// written: exit 3.
+    Io(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::from(2)
+        }
+        Err(Failure::Io(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(3)
         }
     }
 }
 
-/// Parsed command line.
+/// Parsed command line. `None` means "the subcommand's default".
+#[derive(Default)]
 struct Cli {
     root: Option<PathBuf>,
     format: Format,
-    rules: Vec<RuleId>,
+    rules: Option<Vec<RuleId>>,
     deny: Vec<String>,
     warn: Vec<String>,
     update: bool,
     allow_same_version: bool,
-    verify: sj_lint::verify::VerifyConfig,
-    /// Raw `--inject` argument; each verify-* command parses it against
-    /// its own fault vocabulary.
+    scale: Option<f64>,
+    levels: Option<Vec<u32>>,
+    shards: Option<Vec<usize>>,
     inject: Option<String>,
-    /// Whether `--scale` / `--levels` were given explicitly — the
-    /// recovery verifier has its own defaults.
-    scale_explicit: bool,
-    levels_explicit: bool,
 }
 
 /// Parses a comma-separated numeric list for `--levels` / `--shards`.
@@ -127,76 +146,75 @@ fn parse_rule_list(value: &str) -> Result<Vec<RuleId>, String> {
         .collect()
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
-        return Ok(ExitCode::from(2));
-    };
-    let mut cli = Cli {
-        root: None,
-        format: Format::Human,
-        rules: RuleId::ALL.to_vec(),
-        deny: Vec::new(),
-        warn: Vec::new(),
-        update: false,
-        allow_same_version: false,
-        verify: sj_lint::verify::VerifyConfig::default(),
-        inject: None,
-        scale_explicit: false,
-        levels_explicit: false,
-    };
-    let mut it = args.iter().skip(1);
+/// Parses the flags after the subcommand, rejecting any flag the
+/// subcommand does not read.
+fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
+        let flag = arg.as_str();
+        if !accepted.contains(&flag) {
+            return Err(format!(
+                "`{flag}` is not an option of `{command}` (see `sj-lint --help`)"
+            ));
+        }
+        let mut value_of = || {
             it.next()
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
-        match arg.as_str() {
-            "--root" => cli.root = Some(PathBuf::from(value_of("--root")?)),
+        match flag {
+            "--root" => cli.root = Some(PathBuf::from(value_of()?)),
             "--format" => {
-                cli.format = match value_of("--format")?.as_str() {
+                cli.format = match value_of()?.as_str() {
                     "human" => Format::Human,
                     "json" => Format::Json,
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
-            "--rule" => cli.rules = parse_rule_list(&value_of("--rule")?)?,
-            "--deny" => cli.deny.push(value_of("--deny")?),
-            "--warn" => cli.warn.push(value_of("--warn")?),
+            "--rule" => cli.rules = Some(parse_rule_list(&value_of()?)?),
+            "--deny" => cli.deny.push(value_of()?),
+            "--warn" => cli.warn.push(value_of()?),
             "--update" => cli.update = true,
             "--allow-same-version" => cli.allow_same_version = true,
             "--scale" => {
-                let value = value_of("--scale")?;
-                cli.verify.scale = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| *s > 0.0 && s.is_finite())
-                    .ok_or_else(|| format!("--scale: `{value}` is not a positive number"))?;
-                cli.scale_explicit = true;
+                let value = value_of()?;
+                cli.scale = Some(
+                    value
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|s| *s > 0.0 && s.is_finite())
+                        .ok_or_else(|| format!("--scale: `{value}` is not a positive number"))?,
+                );
             }
-            "--levels" => {
-                cli.verify.levels = parse_num_list("--levels", &value_of("--levels")?)?;
-                if cli.verify.levels.is_empty() {
-                    return Err("--levels needs at least one level".to_string());
-                }
-                cli.levels_explicit = true;
-            }
+            "--levels" => cli.levels = Some(parse_num_list(flag, &value_of()?)?),
             "--shards" => {
-                cli.verify.shard_counts = parse_num_list("--shards", &value_of("--shards")?)?;
-                if cli.verify.shard_counts.contains(&0) {
+                let shards: Vec<usize> = parse_num_list(flag, &value_of()?)?;
+                if shards.contains(&0) {
                     return Err("--shards: shard counts must be positive".to_string());
                 }
+                cli.shards = Some(shards);
             }
-            "--inject" => cli.inject = Some(value_of("--inject")?),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
+            "--inject" => cli.inject = Some(value_of()?),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    Ok(cli)
+}
 
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
+    let Some(command) = args.first() else {
+        eprintln!("{USAGE}");
+        return Ok(ExitCode::from(2));
+    };
+    if args.iter().any(|a| a == "--help" || a == "-h") || command == "help" {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    let Some(accepted) = accepted_flags(command) else {
+        return Err(format!("unknown command `{command}`").into());
+    };
+    let cli = parse_flags(command, &accepted, args.get(1..).unwrap_or_default())?;
     match command.as_str() {
         "rules" => {
             for rule in RuleId::ALL {
@@ -206,37 +224,52 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "check" => cmd_check(&cli),
         "fingerprint" => cmd_fingerprint(&cli),
-        "verify-merge" => cmd_verify(&cli),
-        "verify-delta" => cmd_verify_delta(&cli),
+        "verify-equivalence" => cmd_verify_equivalence(&cli),
         "verify-recovery" => cmd_verify_recovery(&cli),
         "verify-locks" => cmd_verify_locks(&cli),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
+/// Exit status of a verifier run.
+fn verdict(clean: bool) -> ExitCode {
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
+}
+
+/// Resolves `--inject` against one verifier's fault vocabulary.
+fn fault<F>(cli: &Cli, parse: fn(&str) -> Option<F>, known: &str) -> Result<Option<F>, String> {
+    cli.inject
+        .as_deref()
+        .map(|name| {
+            parse(name).ok_or_else(|| format!("--inject: unknown fault `{name}` ({known})"))
+        })
+        .transpose()
+}
+
 /// Loads the workspace from `--root` or by ascending from the cwd.
-fn load_workspace(cli: &Cli) -> Result<(PathBuf, Workspace), String> {
+fn load_workspace(cli: &Cli) -> Result<(PathBuf, Workspace), Failure> {
     let root = match &cli.root {
         Some(r) => r.clone(),
         None => {
-            let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
+            let cwd = std::env::current_dir()
+                .map_err(|e| Failure::Io(format!("cannot read cwd: {e}")))?;
             find_workspace_root(&cwd)
-                .ok_or_else(|| "no workspace root found (pass --root)".to_string())?
+                .ok_or_else(|| Failure::Io("no workspace root found (pass --root)".to_string()))?
         }
     };
-    let ws =
-        Workspace::load(&root).map_err(|e| format!("failed to scan {}: {e}", root.display()))?;
+    let ws = Workspace::load(&root)
+        .map_err(|e| Failure::Io(format!("failed to scan {}: {e}", root.display())))?;
     Ok((root, ws))
 }
 
-fn cmd_check(cli: &Cli) -> Result<ExitCode, String> {
+fn cmd_check(cli: &Cli) -> Result<ExitCode, Failure> {
     let (_root, ws) = load_workspace(cli)?;
     let mut selection = Selection {
-        enabled: cli.rules.clone(),
+        enabled: cli.rules.clone().unwrap_or_else(|| RuleId::ALL.to_vec()),
         ..Selection::default()
     };
     // --warn then --deny, so an explicit deny wins over a blanket warn.
@@ -252,100 +285,59 @@ fn cmd_check(cli: &Cli) -> Result<ExitCode, String> {
     }
     let findings = run_check(&ws, &selection);
     print!("{}", render(&findings, cli.format));
-    let denied = findings.iter().any(|f| f.severity == Severity::Deny);
-    Ok(if denied {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(verdict(
+        !findings.iter().any(|f| f.severity == Severity::Deny),
+    ))
 }
 
-/// Resolves `--inject` against the merge/delta fault vocabulary.
-fn merge_config(cli: &Cli) -> Result<sj_lint::verify::VerifyConfig, String> {
-    let mut config = cli.verify.clone();
-    if let Some(name) = &cli.inject {
-        config.fault = Some(sj_lint::verify::Fault::parse(name).ok_or_else(|| {
-            format!("--inject: unknown fault `{name}` (drop-last-rect, nudge-first-rect)")
-        })?);
-    }
-    Ok(config)
-}
-
-fn cmd_verify(cli: &Cli) -> Result<ExitCode, String> {
-    let report = sj_lint::verify::run_verify(&merge_config(cli)?)
-        .map_err(|e| format!("invalid verify-merge configuration: {e}"))?;
+fn cmd_verify_equivalence(cli: &Cli) -> Result<ExitCode, Failure> {
+    let defaults = VerifyConfig::default();
+    let config = VerifyConfig {
+        scale: cli.scale.unwrap_or(defaults.scale),
+        levels: cli.levels.clone().unwrap_or(defaults.levels),
+        shard_counts: cli.shards.clone().unwrap_or(defaults.shard_counts),
+        fault: fault(cli, Fault::parse, "drop-last-rect, nudge-first-rect")?,
+    };
+    let report = run_verify(&config)
+        .map_err(|e| format!("invalid verify-equivalence configuration: {e}"))?;
     print!("{}", report.render(cli.format));
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(verdict(report.is_clean()))
 }
 
-fn cmd_verify_delta(cli: &Cli) -> Result<ExitCode, String> {
-    let report = sj_lint::verify_delta::run_verify_delta(&merge_config(cli)?)
-        .map_err(|e| format!("invalid verify-delta configuration: {e}"))?;
-    print!("{}", report.render(cli.format));
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
-}
-
-fn cmd_verify_recovery(cli: &Cli) -> Result<ExitCode, String> {
-    let mut config = sj_lint::verify_recovery::RecoveryConfig::default();
-    if cli.scale_explicit {
-        config.scale = cli.verify.scale;
+fn cmd_verify_recovery(cli: &Cli) -> Result<ExitCode, Failure> {
+    let mut config = RecoveryConfig::default();
+    if let Some(scale) = cli.scale {
+        config.scale = scale;
     }
-    if cli.levels_explicit {
+    if let Some(levels) = &cli.levels {
         // The crash matrix is one build per trial — a single level.
-        config.level = *cli
-            .verify
-            .levels
-            .first()
-            .ok_or_else(|| "--levels needs at least one level".to_string())?;
+        let [level] = levels[..] else {
+            return Err(
+                "verify-recovery runs at a single level: pass one --levels value"
+                    .to_string()
+                    .into(),
+            );
+        };
+        config.level = level;
     }
-    if let Some(name) = &cli.inject {
-        config.fault = Some(
-            sj_lint::verify_recovery::RecoveryFault::parse(name).ok_or_else(|| {
-                format!(
-                    "--inject: unknown recovery fault `{name}` (drop-wal-tail, skip-wal-replay)"
-                )
-            })?,
-        );
-    }
-    let report = sj_lint::verify_recovery::run_verify_recovery(&config)?;
+    config.fault = fault(cli, RecoveryFault::parse, "drop-wal-tail, skip-wal-replay")?;
+    let report = run_verify_recovery(&config)?;
     print!("{}", report.render(cli.format));
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(verdict(report.is_clean()))
 }
 
-fn cmd_verify_locks(cli: &Cli) -> Result<ExitCode, String> {
-    let mut config = sj_lint::verify_locks::LocksConfig::default();
-    if cli.scale_explicit {
-        config.scale = cli.verify.scale;
+fn cmd_verify_locks(cli: &Cli) -> Result<ExitCode, Failure> {
+    let mut config = LocksConfig::default();
+    if let Some(scale) = cli.scale {
+        config.scale = scale;
     }
-    if let Some(name) = &cli.inject {
-        config.fault = Some(
-            sj_lint::verify_locks::LockFault::parse(name).ok_or_else(|| {
-                format!("--inject: unknown lock fault `{name}` (invert-ranks, hold-across-fsync)")
-            })?,
-        );
-    }
-    let report = sj_lint::verify_locks::run_verify_locks(&config)?;
+    config.fault = fault(cli, LockFault::parse, "invert-ranks, hold-across-fsync")?;
+    let report = run_verify_locks(&config)?;
     print!("{}", report.render(cli.format));
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(verdict(report.is_clean()))
 }
 
-fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, String> {
+fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, Failure> {
     let (root, ws) = load_workspace(cli)?;
     let version = fingerprint::envelope_version(&ws);
     let wire = fingerprint::wire_version(&ws);
@@ -367,17 +359,18 @@ fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, String> {
                     .is_none_or(|o| o.crc != e.crc)
             });
         if changed && old_version == version && old_wire == wire && !cli.allow_same_version {
-            return Err(format!(
+            return Err(Failure::Usage(format!(
                 "persistence functions changed but ENVELOPE_VERSION is still {} and \
                  WIRE_VERSION is still {}: bump the owning version first, or pass \
                  --allow-same-version if the change is provably wire-compatible",
                 version.map_or_else(|| "unknown".to_string(), |v| v.to_string()),
                 wire.map_or_else(|| "unknown".to_string(), |v| v.to_string())
-            ));
+            )));
         }
     }
     let path = root.join(fingerprint::SCHEMA_PATH);
-    std::fs::write(&path, rendered).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    std::fs::write(&path, rendered)
+        .map_err(|e| Failure::Io(format!("cannot write {}: {e}", path.display())))?;
     println!(
         "updated {} ({} functions, envelope version {})",
         fingerprint::SCHEMA_PATH,

@@ -1,14 +1,18 @@
-//! The eleven named workspace invariants and their checkers.
+//! The named workspace invariants that clippy cannot express, and their
+//! checkers.
 //!
-//! Each rule guards a promise an earlier PR made by construction:
+//! Each rule guards a promise an earlier PR made by construction. The
+//! codes r1 (determinism) and r9 (raw-lock construction) are retired:
+//! clippy's `disallowed_methods`/`disallowed_types` enforce them from
+//! the workspace `clippy.toml`, and `[workspace.lints]` enforces the
+//! unwrap/expect/panic half of r3. Retired codes are never reused.
 //!
-//! * **R1 determinism** — shard-merge equivalence and reproducible
-//!   estimates require no wall-clock or OS entropy in estimator paths.
 //! * **R2 fixed-point** — merge paths accumulate only through the exact
 //!   128-bit `Mass` type; a stray `f64 +=` silently breaks bit-identical
 //!   shard merges.
-//! * **R3 panic-freedom** — non-test library code returns typed errors;
-//!   decoders never index unchecked.
+//! * **R3 panic-freedom** — decoders never index unchecked: clippy's
+//!   `indexing_slicing` cannot be scoped to functions named
+//!   `from_bytes*`/`decode*`/`load*`.
 //! * **R4 truncating casts** — histogram/grid/mass numeric code uses
 //!   `try_from` or documents why an `as` cast cannot truncate.
 //! * **R5 crate hygiene** — every crate root forbids `unsafe` and warns
@@ -20,10 +24,6 @@
 //!   fails the check (see [`crate::fingerprint`]).
 //! * **R8 doc coverage** — public items of the estimator-facing crates
 //!   carry doc comments.
-//! * **R9 lock discipline** — non-test library code constructs no raw
-//!   `std::sync` locks; everything goes through the ranked
-//!   `sj_core::sync` wrappers so the hierarchy (DESIGN.md §15) is
-//!   total.
 //! * **R10 I/O under lock** — no blocking file/socket I/O lexically
 //!   inside a live lock-guard region; fsyncs under the catalog lock
 //!   stall every reader.
@@ -37,11 +37,9 @@ use crate::{CrateView, Workspace};
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// R1: no wall-clock / OS entropy outside bench and tests.
-    Determinism,
     /// R2: no `f64` arithmetic in shard-merge paths except `Mass::from_f64`.
     FixedPoint,
-    /// R3: no unwrap/expect/panic/unchecked decoder indexing in lib code.
+    /// R3: no unchecked slice indexing in decoders of lib code.
     PanicFree,
     /// R4: no undocumented truncating `as` casts in histogram/query numeric code.
     Cast,
@@ -53,9 +51,6 @@ pub enum RuleId {
     Persistence,
     /// R8: doc coverage on public items of sj-core/sj-histogram/sj-query.
     Docs,
-    /// R9: no raw `std::sync::{Mutex,RwLock}` construction outside the
-    /// ranked `sj_core::sync` wrappers.
-    LockDiscipline,
     /// R10: no blocking file/socket I/O inside a live lock-guard region.
     IoUnderLock,
     /// R11: atomic `Ordering::` arguments are `SeqCst` or justified.
@@ -64,8 +59,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 11] = [
-        RuleId::Determinism,
+    pub const ALL: [RuleId; 9] = [
         RuleId::FixedPoint,
         RuleId::PanicFree,
         RuleId::Cast,
@@ -73,16 +67,14 @@ impl RuleId {
         RuleId::ErrorTaxonomy,
         RuleId::Persistence,
         RuleId::Docs,
-        RuleId::LockDiscipline,
         RuleId::IoUnderLock,
         RuleId::AtomicOrdering,
     ];
 
-    /// Short code (`r1`..`r8`).
+    /// Short code (`r2`..`r11`; r1 and r9 are retired).
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
-            RuleId::Determinism => "r1",
             RuleId::FixedPoint => "r2",
             RuleId::PanicFree => "r3",
             RuleId::Cast => "r4",
@@ -90,7 +82,6 @@ impl RuleId {
             RuleId::ErrorTaxonomy => "r6",
             RuleId::Persistence => "r7",
             RuleId::Docs => "r8",
-            RuleId::LockDiscipline => "r9",
             RuleId::IoUnderLock => "r10",
             RuleId::AtomicOrdering => "r11",
         }
@@ -100,7 +91,6 @@ impl RuleId {
     #[must_use]
     pub fn slug(self) -> &'static str {
         match self {
-            RuleId::Determinism => "determinism",
             RuleId::FixedPoint => "fixed-point",
             RuleId::PanicFree => "panic",
             RuleId::Cast => "cast",
@@ -108,7 +98,6 @@ impl RuleId {
             RuleId::ErrorTaxonomy => "error-taxonomy",
             RuleId::Persistence => "persistence",
             RuleId::Docs => "docs",
-            RuleId::LockDiscipline => "lock-discipline",
             RuleId::IoUnderLock => "io-under-lock",
             RuleId::AtomicOrdering => "atomic-ordering",
         }
@@ -118,14 +107,11 @@ impl RuleId {
     #[must_use]
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::Determinism => {
-                "no Instant::now/SystemTime/thread_rng/from_entropy outside crates/bench and tests"
-            }
             RuleId::FixedPoint => {
                 "no f64 arithmetic in band.rs / RowBanded / merge / kernel.rs bin_* paths except Mass::from_f64"
             }
             RuleId::PanicFree => {
-                "no unwrap/expect/panic! and no unchecked slice indexing in decoders (non-test lib code)"
+                "no unchecked slice indexing in from_bytes*/decode*/load* decoders (non-test lib code)"
             }
             RuleId::Cast => {
                 "no `as u32`/`as usize`/`as i64` in sj-histogram/sj-query numeric code without try_from or a reasoned suppression"
@@ -140,9 +126,6 @@ impl RuleId {
                 "to_bytes/from_bytes bodies match the checked-in schema fingerprint for the current envelope version"
             }
             RuleId::Docs => "public items of sj-core/sj-histogram/sj-query carry doc comments",
-            RuleId::LockDiscipline => {
-                "no raw std::sync::{Mutex,RwLock} construction in non-test lib code outside sj_core::sync"
-            }
             RuleId::IoUnderLock => {
                 "no blocking I/O (File::, TcpStream::, sync_all, read_to_end, write_all) inside a live lock-guard region"
             }
@@ -231,20 +214,6 @@ fn suppressed(
     hit
 }
 
-/// `true` when `code` invokes the macro `name!`.
-fn has_macro(code: &str, name: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = find_token(code.get(start..).unwrap_or(""), name) {
-        let i = start + pos;
-        let end = i + name.len();
-        if code.get(end..).and_then(|s| s.chars().next()) == Some('!') {
-            return true;
-        }
-        start = end;
-    }
-    false
-}
-
 /// All whole-token occurrences of `tok` in `code`.
 fn token_positions(code: &str, tok: &str) -> Vec<usize> {
     let mut out = Vec::new();
@@ -255,48 +224,6 @@ fn token_positions(code: &str, tok: &str) -> Vec<usize> {
         start = i + tok.len();
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// R1 — determinism
-// ---------------------------------------------------------------------
-
-/// Nondeterminism sources forbidden outside `crates/bench` and tests.
-const R1_TOKENS: [&str; 4] = ["Instant::now", "SystemTime", "thread_rng", "from_entropy"];
-
-/// R1: flags wall-clock and OS-entropy sources in non-test, non-bench
-/// library code. Timing-measurement sites document themselves with
-/// `// sj-lint: allow(determinism, <why>)`.
-pub fn check_determinism(ws: &Workspace, out: &mut Vec<Finding>) {
-    for krate in &ws.crates {
-        if krate.name == "bench" {
-            continue;
-        }
-        for file in &krate.files {
-            for (i, line) in file.lines.iter().enumerate() {
-                if line.in_test {
-                    continue;
-                }
-                for tok in R1_TOKENS {
-                    if has_token(&line.code, tok)
-                        && !suppressed(line, RuleId::Determinism, &file.rel_path, i + 1, out)
-                    {
-                        out.push(Finding {
-                            rule: RuleId::Determinism,
-                            path: file.rel_path.clone(),
-                            line: i + 1,
-                            message: format!(
-                                "nondeterministic source `{tok}` in library code: estimator \
-                                 paths must be reproducible (seeded RNG, no wall clock); \
-                                 timing-only uses need `// sj-lint: allow(determinism, <why>)`"
-                            ),
-                            severity: Severity::Deny,
-                        });
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -395,9 +322,6 @@ pub fn check_fixed_point(ws: &Workspace, out: &mut Vec<Finding>) {
 // R3 — panic-freedom
 // ---------------------------------------------------------------------
 
-/// Panicking macros forbidden in non-test library code.
-const R3_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
 /// Whether a function name marks a decoder (input under external
 /// control, where an indexing panic violates the typed-error contract
 /// pinned by `tests/fault_injection.rs`).
@@ -449,9 +373,10 @@ fn index_sites(code: &str) -> Vec<usize> {
     out
 }
 
-/// R3: flags `.unwrap()`, `.expect(`, panicking macros, and unchecked
-/// slice indexing inside decoder functions — in non-test library code
-/// of every crate except the bench harness.
+/// R3: flags unchecked slice indexing inside decoder functions — in
+/// non-test library code of every crate except the bench harness.
+/// Unwrap, expect and the panicking macros are clippy's
+/// (`[workspace.lints]`); only the decoder scoping needs this checker.
 pub fn check_panic_free(ws: &Workspace, out: &mut Vec<Finding>) {
     for krate in &ws.crates {
         if krate.name == "bench" {
@@ -459,27 +384,9 @@ pub fn check_panic_free(ws: &Workspace, out: &mut Vec<Finding>) {
         }
         for file in &krate.files {
             for (i, line) in file.lines.iter().enumerate() {
-                if line.in_test {
-                    continue;
-                }
-                let mut violations: Vec<String> = Vec::new();
-                if line.code.contains(".unwrap()") {
-                    violations.push("`.unwrap()`".to_string());
-                }
-                if line.code.contains(".expect(") {
-                    violations.push("`.expect(...)`".to_string());
-                }
-                for m in R3_MACROS {
-                    if has_macro(&line.code, m) {
-                        violations.push(format!("`{m}!`"));
-                    }
-                }
-                if line.fn_name.as_deref().is_some_and(is_decoder_fn)
-                    && !index_sites(&line.code).is_empty()
-                {
-                    violations.push("unchecked slice indexing in a decoder".to_string());
-                }
-                if violations.is_empty()
+                if line.in_test
+                    || !line.fn_name.as_deref().is_some_and(is_decoder_fn)
+                    || index_sites(&line.code).is_empty()
                     || suppressed(line, RuleId::PanicFree, &file.rel_path, i + 1, out)
                 {
                     continue;
@@ -488,12 +395,10 @@ pub fn check_panic_free(ws: &Workspace, out: &mut Vec<Finding>) {
                     rule: RuleId::PanicFree,
                     path: file.rel_path.clone(),
                     line: i + 1,
-                    message: format!(
-                        "{} in non-test library code: corrupt statistics must surface as \
-                         typed errors, never a panic; restructure or add \
-                         `// sj-lint: allow(panic, <invariant>)`",
-                        violations.join(", ")
-                    ),
+                    message: "unchecked slice indexing in a decoder: corrupt statistics must \
+                              surface as typed errors, never a panic; use `get(..)` or add \
+                              `// sj-lint: allow(panic, <invariant>)`"
+                        .to_string(),
                     severity: Severity::Deny,
                 });
             }
@@ -785,9 +690,12 @@ pub fn check_docs(ws: &Workspace, out: &mut Vec<Finding>) {
                 if suppressed(line, RuleId::Docs, &file.rel_path, i + 1, out) {
                     continue;
                 }
-                // Walk back over attribute lines to the doc comment.
+                // Walk back over attribute lines (a multi-line attribute
+                // runs from its `#[` line to its `)]` line) to the doc
+                // comment.
                 let mut documented =
                     kw == "mod" && mod_file_has_inner_docs(krate, &file.rel_path, rest);
+                let mut in_attr = false;
                 let mut j = i;
                 while j > 0 {
                     j -= 1;
@@ -799,7 +707,9 @@ pub fn check_docs(ws: &Workspace, out: &mut Vec<Finding>) {
                         break;
                     }
                     let pt = prev.raw.trim();
-                    let attr_ish = pt.starts_with("#[") || pt.ends_with(")]") || pt.ends_with(',');
+                    in_attr |= pt.ends_with(")]");
+                    let attr_ish = in_attr || pt.starts_with("#[") || pt.ends_with(',');
+                    in_attr &= !pt.starts_with("#[");
                     if !attr_ish {
                         break;
                     }
@@ -816,57 +726,6 @@ pub fn check_docs(ws: &Workspace, out: &mut Vec<Finding>) {
                         ),
                         severity: Severity::Deny,
                     });
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// R9 — lock discipline
-// ---------------------------------------------------------------------
-
-/// The one file allowed to construct raw `std::sync` locks: the ranked
-/// wrapper layer itself (which also hosts the tracker's internal log
-/// mutex — a ranked wrapper there would recurse into itself).
-const R9_EXEMPT_FILE: &str = "crates/core/src/sync.rs";
-
-/// Raw lock constructors forbidden outside [`R9_EXEMPT_FILE`].
-const R9_TOKENS: [&str; 2] = ["Mutex::new", "RwLock::new"];
-
-/// R9: non-test library code constructs no raw `std::sync` locks — a
-/// lock outside the ranked `sj_core::sync` wrappers is invisible to the
-/// hierarchy check and to `verify-locks`, so the deadlock-freedom
-/// argument (DESIGN.md §15) no longer covers it. `find_token` is
-/// identifier-boundary-aware, so `OrderedMutex::new` does not match.
-pub fn check_lock_construction(ws: &Workspace, out: &mut Vec<Finding>) {
-    for krate in &ws.crates {
-        for file in &krate.files {
-            if file.rel_path == R9_EXEMPT_FILE {
-                continue;
-            }
-            for (i, line) in file.lines.iter().enumerate() {
-                if line.in_test {
-                    continue;
-                }
-                for tok in R9_TOKENS {
-                    if has_token(&line.code, tok)
-                        && !suppressed(line, RuleId::LockDiscipline, &file.rel_path, i + 1, out)
-                    {
-                        out.push(Finding {
-                            rule: RuleId::LockDiscipline,
-                            path: file.rel_path.clone(),
-                            line: i + 1,
-                            message: format!(
-                                "raw `{tok}` in library code: construct an \
-                                 `sj_core::sync::Ordered{tok}` with a `LockRank` instead, so \
-                                 the lock participates in the hierarchy check and \
-                                 `verify-locks`; deliberate exceptions need \
-                                 `// sj-lint: allow(lock-discipline, <why>)`"
-                            ),
-                            severity: Severity::Deny,
-                        });
-                    }
                 }
             }
         }
@@ -1049,12 +908,5 @@ mod tests {
         assert!(index_sites("vec![0; n]").is_empty());
         assert!(index_sites("let a: [u8; 8] = x;").is_empty());
         assert!(!index_sites("data[..4]").is_empty());
-    }
-
-    #[test]
-    fn macro_detection() {
-        assert!(has_macro("panic!(\"boom\")", "panic"));
-        assert!(!has_macro("no_panic()", "panic"));
-        assert!(!has_macro("panicky", "panic"));
     }
 }

@@ -67,12 +67,6 @@ impl SourceFile {
             lines,
         }
     }
-
-    /// `true` when the file name matches `name` (e.g. `lib.rs`).
-    #[must_use]
-    pub fn file_name_is(&self, name: &str) -> bool {
-        self.rel_path.rsplit('/').next().is_some_and(|f| f == name)
-    }
 }
 
 /// Character class for identifier continuation.

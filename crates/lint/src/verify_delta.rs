@@ -1,383 +1,33 @@
-//! Dynamic delta-equivalence verification — the `verify-delta`
-//! subcommand.
-//!
-//! The incremental-statistics analogue of [`crate::verify`]: where
-//! `verify-merge` proves shard-and-merge builds equal serial builds,
-//! this module proves the signed-delta update path equals a full
-//! rebuild, byte for byte:
-//!
-//! ```text
-//! build(D ∪ Δ⁺ ∖ Δ⁻)  ≡  apply_delta(build(D), delta(Δ⁺, Δ⁻))
-//! ```
-//!
-//! for every [`HistogramKind`], across seeded scenarios, grid levels,
-//! shard counts (the delta itself is built through the sharded row-band
-//! driver) and two batch styles — a mixed insert/delete batch and a
-//! delete-heavy batch that exercises the subtraction paths hardest.
-//! With the default configuration the matrix is exactly
-//! 2 scenarios × 2 levels × 4 kinds × 4 shard counts × 2 styles =
-//! **128 trials**. A mismatch is localized with [`first_divergence`]
-//! to the first differing cell and statistic, never reported as a bare
-//! "bytes differ".
-//!
-//! Everything is deterministic (lint rule r1): the scenarios are the
-//! same fixed-seed datasets `verify-merge` uses, batch membership is a
-//! fixed index stride, and the synthetic inserts are a pure reflection
-//! of existing rectangles — two runs produce identical reports.
-//!
-//! Fault injection reuses [`Fault`]: the fault tampers the *delta's
-//! insert batch only* (the full-rebuild baseline keeps the untampered
-//! batch), so `--inject` proves the verifier catches a delta that
-//! drifted from the data it claims to describe.
-
-use crate::report::Format;
-use crate::verify::{apply_fault, Fault, VerifyConfig};
-use sj_datagen::presets;
-use sj_geo::Rect;
-use sj_histogram::{
-    build_histogram, first_divergence, Divergence, Grid, HistogramDelta, HistogramError,
-    HistogramKind,
-};
-
-/// Composition of the insert/delete batch a trial drives through
-/// [`HistogramDelta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchStyle {
-    /// Deletes every 3rd base rectangle, inserts a reflection of every
-    /// 4th — the steady-state mix of an updating table.
-    Mixed,
-    /// Deletes the entire first half of the base data and inserts only a
-    /// handful — drives the per-cell counts down hard, the regime where
-    /// an unchecked subtraction would underflow.
-    DeleteHeavy,
-}
-
-impl BatchStyle {
-    /// Both batch styles, in report order.
-    pub const ALL: [BatchStyle; 2] = [BatchStyle::Mixed, BatchStyle::DeleteHeavy];
-
-    /// Stable name used in reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchStyle::Mixed => "mixed",
-            BatchStyle::DeleteHeavy => "delete-heavy",
-        }
-    }
-}
-
-/// Result of one trial's byte comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaOutcome {
-    /// The updated histogram is byte-identical to the full rebuild.
-    Identical,
-    /// The envelopes differ; the first differing cell/statistic.
-    Diverged(Divergence),
-    /// The envelopes differ but no statistic divergence was located.
-    BytesOnly,
-    /// `apply_delta` rejected the batch (e.g. a range violation) — a
-    /// failure for a well-formed trial, surfaced typed instead of lost.
-    Rejected(String),
-}
-
-/// One (scenario, kind, level, style, shard-count) comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaTrial {
-    /// Scenario dataset name (`verify-uniform`, `verify-skewed`).
-    pub scenario: String,
-    /// Histogram family under test.
-    pub kind: HistogramKind,
-    /// Grid level of the build.
-    pub level: u32,
-    /// Batch composition of the trial.
-    pub style: BatchStyle,
-    /// Worker threads the delta build was sharded across.
-    pub shards: usize,
-    /// Whether the updated bytes matched the full rebuild.
-    pub outcome: DeltaOutcome,
-}
-
-impl DeltaTrial {
-    /// `scenario/kind/L<level>/<style>x<shards>` — the stable trial
-    /// coordinate used in reports.
-    #[must_use]
-    pub fn coordinate(&self) -> String {
-        format!(
-            "{}/{}/L{}/{}x{}",
-            self.scenario,
-            self.kind.name(),
-            self.level,
-            self.style.name(),
-            self.shards
-        )
-    }
-}
-
-/// The full verification run: every trial in matrix order.
-#[derive(Debug, Clone)]
-pub struct DeltaReport {
-    /// All trials, in deterministic matrix order.
-    pub trials: Vec<DeltaTrial>,
-    /// The fault injected into the delta builds, if any.
-    pub fault: Option<Fault>,
-}
-
-impl DeltaReport {
-    /// Trials whose updated bytes differed from the full rebuild.
-    pub fn divergent(&self) -> impl Iterator<Item = &DeltaTrial> {
-        self.trials
-            .iter()
-            .filter(|t| t.outcome != DeltaOutcome::Identical)
-    }
-
-    /// Whether every trial was byte-identical.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.divergent().next().is_none()
-    }
-
-    /// Renders the report in the selected format, mirroring
-    /// `verify-merge`: one line per divergence plus a summary (human),
-    /// or a single JSON object (json).
-    #[must_use]
-    pub fn render(&self, format: Format) -> String {
-        match format {
-            Format::Human => self.render_human(),
-            Format::Json => self.render_json(),
-        }
-    }
-
-    fn render_human(&self) -> String {
-        let mut out = String::new();
-        if let Some(fault) = self.fault {
-            out.push_str(&format!(
-                "sj-lint verify-delta: injecting fault `{}` into every delta's insert batch\n",
-                fault.name()
-            ));
-        }
-        for t in self.divergent() {
-            let detail = match &t.outcome {
-                DeltaOutcome::Diverged(d) => d.to_string(),
-                DeltaOutcome::Rejected(why) => format!("apply_delta rejected the batch: {why}"),
-                _ => "persisted bytes differ but no statistic divergence was located".to_string(),
-            };
-            out.push_str(&format!(
-                "{}: error[verify-delta] incremental update differs from full rebuild: {detail}\n",
-                t.coordinate()
-            ));
-        }
-        let divergent = self.divergent().count();
-        if divergent == 0 {
-            out.push_str(&format!(
-                "sj-lint verify-delta: clean ({} trials, every incremental update \
-                 byte-identical to its full rebuild)\n",
-                self.trials.len()
-            ));
-        } else {
-            out.push_str(&format!(
-                "sj-lint verify-delta: {divergent} of {} trials diverged\n",
-                self.trials.len()
-            ));
-        }
-        out
-    }
-
-    fn render_json(&self) -> String {
-        use crate::report::escape;
-        let mut out = String::from("{\n  \"divergences\": [\n");
-        let divergent: Vec<&DeltaTrial> = self.divergent().collect();
-        for (i, t) in divergent.iter().enumerate() {
-            let (statistic, cell, left, right) = match &t.outcome {
-                DeltaOutcome::Diverged(d) => (
-                    format!("\"{}\"", escape(d.statistic)),
-                    d.cell.map_or("null".to_string(), |c| {
-                        format!(
-                            "{{\"col\": {}, \"row\": {}, \"index\": {}}}",
-                            c.col, c.row, c.index
-                        )
-                    }),
-                    format!("\"{}\"", escape(&d.left)),
-                    format!("\"{}\"", escape(&d.right)),
-                ),
-                DeltaOutcome::Rejected(why) => (
-                    format!("\"rejected: {}\"", escape(why)),
-                    "null".to_string(),
-                    "null".to_string(),
-                    "null".to_string(),
-                ),
-                _ => (
-                    "null".to_string(),
-                    "null".to_string(),
-                    "null".to_string(),
-                    "null".to_string(),
-                ),
-            };
-            out.push_str(&format!(
-                "    {{\"trial\": \"{}\", \"scenario\": \"{}\", \"kind\": \"{}\", \
-                 \"level\": {}, \"style\": \"{}\", \"shards\": {}, \
-                 \"statistic\": {statistic}, \"cell\": {cell}, \
-                 \"left\": {left}, \"right\": {right}}}{}\n",
-                escape(&t.coordinate()),
-                escape(&t.scenario),
-                t.kind.name(),
-                t.level,
-                t.style.name(),
-                t.shards,
-                if i + 1 < divergent.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"fault\": {},\n",
-            self.fault
-                .map_or("null".to_string(), |f| format!("\"{}\"", f.name()))
-        ));
-        out.push_str(&format!("  \"trials\": {},\n", self.trials.len()));
-        out.push_str(&format!("  \"divergent\": {},\n", divergent.len()));
-        out.push_str(&format!("  \"clean\": {}\n}}\n", self.is_clean()));
-        out
-    }
-}
-
-/// Reflects `r` through the center of `extent` — a deterministic source
-/// of "fresh" insert rectangles that stay inside the extent and are
-/// (for the verify scenarios) almost never bitwise-equal to a base
-/// rectangle, so the full-rebuild baseline genuinely unions them in.
-fn reflect(r: Rect, extent: Rect) -> Rect {
-    let sx = extent.xlo + extent.xhi;
-    let sy = extent.ylo + extent.yhi;
-    Rect::new(sx - r.xhi, sy - r.yhi, sx - r.xlo, sy - r.ylo)
-}
-
-/// The insert and delete batches of one batch style, derived from the
-/// base data by fixed index strides.
-fn batches(style: BatchStyle, base: &[Rect], extent: Rect) -> (Vec<Rect>, Vec<Rect>) {
-    match style {
-        BatchStyle::Mixed => {
-            let inserts: Vec<Rect> = base
-                .iter()
-                .step_by(4)
-                .map(|r| reflect(*r, extent))
-                .collect();
-            let deletes: Vec<Rect> = base.iter().step_by(3).copied().collect();
-            (inserts, deletes)
-        }
-        BatchStyle::DeleteHeavy => {
-            let inserts: Vec<Rect> = base
-                .iter()
-                .step_by(16)
-                .map(|r| reflect(*r, extent))
-                .collect();
-            let deletes: Vec<Rect> = base[..base.len() / 2].to_vec();
-            (inserts, deletes)
-        }
-    }
-}
-
-/// The mutated dataset `D ∪ Δ⁺ ∖ Δ⁻` the full-rebuild baseline is built
-/// over: each delete removes the first not-yet-removed exact match.
-fn mutated(base: &[Rect], inserts: &[Rect], deletes: &[Rect]) -> Vec<Rect> {
-    let mut live = vec![true; base.len()];
-    for d in deletes {
-        if let Some(i) = base.iter().enumerate().position(|(i, r)| live[i] && r == d) {
-            live[i] = false;
-        }
-    }
-    let mut out: Vec<Rect> = base
-        .iter()
-        .zip(&live)
-        .filter_map(|(r, keep)| keep.then_some(*r))
-        .collect();
-    out.extend_from_slice(inserts);
-    out
-}
-
-/// Runs the full scenario matrix: for every seeded scenario dataset,
-/// grid level and histogram family, derives both batch styles, builds
-/// the full-rebuild baseline once per style, and compares it
-/// byte-for-byte against `apply_delta` on a base build, with the delta
-/// built at every configured shard count.
-///
-/// # Errors
-/// Returns [`HistogramError`] when a configured grid level is invalid
-/// (the builds and comparisons themselves cannot fail).
-pub fn run_verify_delta(config: &VerifyConfig) -> Result<DeltaReport, HistogramError> {
-    let mut trials = Vec::new();
-    for dataset in presets::verify_scenarios(config.scale) {
-        let extent = dataset.extent.rect();
-        for &level in &config.levels {
-            let grid = Grid::new(level, dataset.extent)?;
-            for kind in HistogramKind::ALL {
-                let base = build_histogram(kind, grid, &dataset.rects);
-                for style in BatchStyle::ALL {
-                    let (inserts, deletes) = batches(style, &dataset.rects, extent);
-                    // The baseline unions the REAL batch; the fault (if
-                    // any) tampers only what the delta build sees.
-                    let expected =
-                        build_histogram(kind, grid, &mutated(&dataset.rects, &inserts, &deletes));
-                    let expected_envelope = expected.persist();
-                    let delta_inserts = config
-                        .fault
-                        .map_or_else(|| inserts.clone(), |f| apply_fault(f, &inserts));
-                    for &shards in &config.shard_counts {
-                        let delta = HistogramDelta::build_parallel(
-                            kind,
-                            grid,
-                            &delta_inserts,
-                            &deletes,
-                            shards,
-                        );
-                        let mut updated = base.clone_box();
-                        let outcome = match updated.apply_delta(&delta) {
-                            Err(e) => DeltaOutcome::Rejected(e.to_string()),
-                            Ok(()) if updated.persist() == expected_envelope => {
-                                DeltaOutcome::Identical
-                            }
-                            Ok(()) => {
-                                match first_divergence(expected.as_ref(), updated.as_ref())? {
-                                    Some(d) => DeltaOutcome::Diverged(d),
-                                    None => DeltaOutcome::BytesOnly,
-                                }
-                            }
-                        };
-                        trials.push(DeltaTrial {
-                            scenario: dataset.name.clone(),
-                            kind,
-                            level,
-                            style,
-                            shards,
-                            outcome,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(DeltaReport {
-        trials,
-        fault: config.fault,
-    })
-}
+//! Self-tests of the equivalence driver's delta ways
+//! ([`crate::verify::Way::DeltaMixed`],
+//! [`crate::verify::Way::DeltaDeleteHeavy`]): a signed delta applied to
+//! a base build must be byte-identical to a full rebuild over
+//! `D ∪ Δ⁺ ∖ Δ⁻`, and a tampered insert batch must be caught and
+//! localized. The driver itself lives in [`crate::verify`]; this module
+//! holds tests only.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::report::Format;
+    use crate::verify::tests::small;
+    use crate::verify::{run_verify, Fault, Outcome, Trial, VerifyReport};
 
-    /// A small matrix for fast tests: one level, two shard counts.
-    fn small(fault: Option<Fault>) -> VerifyConfig {
-        VerifyConfig {
-            scale: 0.1,
-            levels: vec![4],
-            shard_counts: vec![2, 5],
-            fault,
-        }
+    /// The delta-way trials of a run, in matrix order.
+    fn delta_trials(report: &VerifyReport) -> Vec<&Trial> {
+        report.trials.iter().filter(|t| t.way.is_delta()).collect()
     }
 
     #[test]
     fn incremental_updates_are_rebuild_equivalent() {
-        let report = run_verify_delta(&small(None)).unwrap();
-        assert_eq!(report.trials.len(), 2 * 4 * 2 * 2, "full matrix ran");
-        assert!(report.is_clean(), "{}", report.render(Format::Human));
+        let report = run_verify(&small(None)).unwrap();
+        let deltas = delta_trials(&report);
+        // 2 scenarios × 4 kinds × 2 delta ways × 2 shard counts.
+        assert_eq!(deltas.len(), 2 * 4 * 2 * 2, "full delta matrix ran");
+        assert!(
+            deltas.iter().all(|t| t.outcome == Outcome::Identical),
+            "{}",
+            report.render(Format::Human)
+        );
         let human = report.render(Format::Human);
         assert!(human.contains("clean"), "{human}");
         let json = report.render(Format::Json);
@@ -385,55 +35,45 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_the_documented_128_trial_matrix() {
-        // 2 scenarios × 2 levels × 4 kinds × 4 shard counts × 2 styles.
-        let config = VerifyConfig::default();
-        let expected = 2
-            * config.levels.len()
-            * HistogramKind::ALL.len()
-            * config.shard_counts.len()
-            * BatchStyle::ALL.len();
-        assert_eq!(expected, 128);
-    }
-
-    #[test]
     fn report_is_deterministic() {
-        let a = run_verify_delta(&small(None)).unwrap();
-        let b = run_verify_delta(&small(None)).unwrap();
-        assert_eq!(a.trials, b.trials, "rule r1: identical run-to-run");
+        let a = run_verify(&small(None)).unwrap();
+        let b = run_verify(&small(None)).unwrap();
+        assert_eq!(delta_trials(&a), delta_trials(&b), "identical run-to-run");
     }
 
     #[test]
     fn injected_faults_are_caught_and_localized() {
-        // Dropping the last insert: every family diverges, and the
+        // Dropping the last insert: every delta trial diverges, and the
         // integer families localize to the scalar cardinality.
-        let report = run_verify_delta(&small(Some(Fault::DropLastRect))).unwrap();
-        assert!(!report.is_clean(), "drop-last-rect went unnoticed");
-        assert_eq!(
-            report.divergent().count(),
-            report.trials.len(),
-            "every trial should notice a lost insert"
+        let report = run_verify(&small(Some(Fault::DropLastRect))).unwrap();
+        let deltas = delta_trials(&report);
+        assert!(
+            deltas.iter().all(|t| t.outcome != Outcome::Identical),
+            "every delta trial should notice a lost insert"
         );
         assert!(
-            report.divergent().any(|t| matches!(
+            deltas.iter().any(|t| matches!(
                 &t.outcome,
-                DeltaOutcome::Diverged(d) if d.statistic == "n"
+                Outcome::Diverged(d) if d.statistic == "n"
             )),
-            "no trial localized the lost insert to the cardinality"
+            "no delta trial localized the lost insert to the cardinality"
         );
 
         // Nudging a coordinate: the mass-carrying families catch it at
         // cell granularity; integer-only families may legitimately not
         // see a sub-cell nudge.
-        let report = run_verify_delta(&small(Some(Fault::NudgeFirstRect))).unwrap();
-        let caught: Vec<&DeltaTrial> = report.divergent().collect();
+        let report = run_verify(&small(Some(Fault::NudgeFirstRect))).unwrap();
+        let caught: Vec<&Trial> = delta_trials(&report)
+            .into_iter()
+            .filter(|t| t.outcome != Outcome::Identical)
+            .collect();
         assert!(!caught.is_empty(), "nudge-first-rect went unnoticed");
         assert!(
             caught.iter().any(|t| matches!(
                 &t.outcome,
-                DeltaOutcome::Diverged(d) if d.cell.is_some()
+                Outcome::Diverged(d) if d.cell.is_some()
             )),
-            "no divergence was localized to a cell"
+            "no delta divergence was localized to a cell"
         );
     }
 }

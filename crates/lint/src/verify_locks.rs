@@ -1,7 +1,7 @@
 //! Dynamic lock-order verification — the `verify-locks` subcommand.
 //!
-//! The static rules r9–r11 pin *how* locks are built (ranked wrappers
-//! only), *what* runs under them lexically (no blocking I/O in a
+//! Clippy's `disallowed_types` and the static rules r10–r11 pin *how*
+//! locks are built (ranked wrappers only), *what* runs under them lexically (no blocking I/O in a
 //! visible guard region) and *how* atomics are ordered. This module
 //! closes the gap static scanning cannot: it runs a fixed, seeded
 //! concurrent workload — stamped mutations, estimates and a
@@ -23,12 +23,12 @@
 //!    stalls every estimate behind disk latency, which is exactly what
 //!    the daemon's three-phase pipeline exists to prevent.
 //!
-//! Every run is deterministic (rule r1): fixed dataset, fixed batch
+//! Every run is deterministic: fixed dataset, fixed batch
 //! schedule, fixed thread count. Fault injection (`--inject`)
 //! sabotages the *observed process* instead of the oracle — acquiring
 //! two deliberately mis-ordered locks, or holding a catalog-ranked
 //! lock across a real fsync — to prove the verifier catches both
-//! violation classes, mirroring `verify-merge`/`verify-recovery`.
+//! violation classes, mirroring `verify-equivalence`/`verify-recovery`.
 //!
 //! Observe mode exists only in debug builds (release compiles the
 //! wrappers down to bare std locks), so `verify-locks` refuses to
@@ -587,6 +587,10 @@ pub fn run_verify_locks(config: &LocksConfig) -> Result<LocksReport, String> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test-serialization lock must stay outside the ranked hierarchy the tests observe"
+)]
 mod tests {
     use super::*;
     use std::sync::Mutex;

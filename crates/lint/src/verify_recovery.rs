@@ -1,13 +1,13 @@
 //! Dynamic crash-recovery verification — the `verify-recovery`
 //! subcommand.
 //!
-//! `verify-merge` proves shard merges equal serial builds and
-//! `verify-delta` proves incremental updates equal full rebuilds; this
-//! module proves the *durability* leg of the same contract: after a
-//! process crash at **any** point of the statistics store's mutation
-//! pipeline (WAL append → tier fold → compaction write/sync/rename →
-//! WAL truncation), reopening the store recovers statistics
-//! byte-identical to some crash-free prefix of the same workload:
+//! `verify-equivalence` proves shard merges equal serial builds and
+//! incremental updates equal full rebuilds; this module proves the
+//! *durability* leg of the same contract: after a process crash at
+//! **any** point of the statistics store's mutation pipeline (WAL
+//! append → tier fold → compaction write/sync/rename → WAL truncation),
+//! reopening the store recovers statistics byte-identical to some
+//! crash-free prefix of the same workload:
 //!
 //! ```text
 //! recover(crash(workload, op k, mode)) ∈ { state(step 0), …, state(step N) }
@@ -24,8 +24,8 @@
 //! point, so an unsynced write is provably *not* durable — renaming a
 //! file whose data was never synced leaves a torn target on "disk",
 //! which is exactly the power-loss window the store's sync-before-
-//! rename discipline must close. Every trial is deterministic (rule
-//! r1): fixed datasets, a fixed four-step workload, and an exhaustive
+//! rename discipline must close. Every trial is deterministic:
+//! fixed datasets, a fixed four-step workload, and an exhaustive
 //! crash matrix of every mutating I/O operation × three crash modes.
 //!
 //! Fault injection (`--inject`) sabotages the *recovery input* instead
@@ -33,7 +33,8 @@
 //! to prove the verifier detects a recovery that silently loses
 //! acknowledged work.
 
-use crate::report::Format;
+use crate::report::{escape, render_verdicts, DivergentTrial, Format, Verdicts};
+use crate::verify::reflect;
 use sj_datagen::presets;
 use sj_geo::Rect;
 use sj_histogram::{first_divergence, Divergence, HistogramKind, SpatialHistogram};
@@ -43,7 +44,7 @@ use sj_query::{
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// When, relative to the targeted I/O operation, the simulated process
 /// death strikes.
@@ -91,8 +92,9 @@ pub enum RecoveryFault {
     /// Truncate the surviving WAL by its final complete record before
     /// recovery — the moral equivalent of a replay that stops early.
     DropWalTail,
-    /// Recover as if no WAL existed at all — acknowledged batches that
-    /// were only WAL-durable silently vanish.
+    /// Recover as if no WAL existed at all (the file is removed before
+    /// recovery) — acknowledged batches that were only WAL-durable
+    /// silently vanish.
     SkipWalReplay,
 }
 
@@ -109,11 +111,9 @@ impl RecoveryFault {
     /// Parses an `--inject` argument.
     #[must_use]
     pub fn parse(name: &str) -> Option<RecoveryFault> {
-        match name {
-            "drop-wal-tail" => Some(RecoveryFault::DropWalTail),
-            "skip-wal-replay" => Some(RecoveryFault::SkipWalReplay),
-            _ => None,
-        }
+        [RecoveryFault::DropWalTail, RecoveryFault::SkipWalReplay]
+            .into_iter()
+            .find(|f| f.name() == name)
     }
 }
 
@@ -179,6 +179,38 @@ pub struct RecoveryTrial {
 }
 
 impl RecoveryTrial {
+    /// The trial as a report line, or `None` when it recovered exactly.
+    fn report_line(&self) -> Option<DivergentTrial> {
+        let detail = match &self.outcome {
+            RecoveryOutcome::Identical => return None,
+            RecoveryOutcome::Diverged(d) => d.to_string(),
+            RecoveryOutcome::StateMismatch(why) => why.clone(),
+            RecoveryOutcome::RecoveryFailed(why) => format!("store reopen failed: {why}"),
+            RecoveryOutcome::RunFailed(why) => {
+                format!("workload failed before the injected crash: {why}")
+            }
+        };
+        Some(DivergentTrial {
+            coordinate: self.coordinate(),
+            message: format!(
+                "recovered state differs from every crash-free prefix \
+                 (acknowledged {} steps): {detail}",
+                self.acknowledged
+            ),
+            json_fields: format!(
+                "\"scenario\": \"{}\", \"kind\": \"{}\", \"level\": {}, \"op\": {}, \
+                 \"mode\": \"{}\", \"acknowledged\": {}, \"detail\": \"{}\"",
+                escape(&self.scenario),
+                self.kind.name(),
+                self.level,
+                self.at_op,
+                self.mode.name(),
+                self.acknowledged,
+                escape(&detail)
+            ),
+        })
+    }
+
     /// `scenario/kind/L<level>/op<k>-<mode>` — the stable trial
     /// coordinate used in reports.
     #[must_use]
@@ -217,96 +249,24 @@ impl RecoveryReport {
         self.divergent().next().is_none()
     }
 
-    /// Renders the report in the selected format, mirroring
-    /// `verify-merge`/`verify-delta`.
+    /// Renders the report in the selected format (see
+    /// [`crate::report`]).
     #[must_use]
     pub fn render(&self, format: Format) -> String {
-        match format {
-            Format::Human => self.render_human(),
-            Format::Json => self.render_json(),
-        }
-    }
-
-    fn render_human(&self) -> String {
-        let mut out = String::new();
-        if let Some(fault) = self.fault {
-            out.push_str(&format!(
-                "sj-lint verify-recovery: injecting fault `{}` into every trial's recovery\n",
-                fault.name()
-            ));
-        }
-        for t in self.divergent() {
-            let detail = match &t.outcome {
-                RecoveryOutcome::Diverged(d) => d.to_string(),
-                RecoveryOutcome::StateMismatch(why) => why.clone(),
-                RecoveryOutcome::RecoveryFailed(why) => format!("store reopen failed: {why}"),
-                RecoveryOutcome::RunFailed(why) => {
-                    format!("workload failed before the injected crash: {why}")
-                }
-                RecoveryOutcome::Identical => continue,
-            };
-            out.push_str(&format!(
-                "{}: error[verify-recovery] recovered state differs from every \
-                 crash-free prefix (acknowledged {} steps): {detail}\n",
-                t.coordinate(),
-                t.acknowledged
-            ));
-        }
-        let divergent = self.divergent().count();
-        if divergent == 0 {
-            out.push_str(&format!(
-                "sj-lint verify-recovery: clean ({} trials, every crash point \
-                 recovered to an acknowledged crash-free state)\n",
-                self.trials.len()
-            ));
-        } else {
-            out.push_str(&format!(
-                "sj-lint verify-recovery: {divergent} of {} trials diverged\n",
-                self.trials.len()
-            ));
-        }
-        out
-    }
-
-    fn render_json(&self) -> String {
-        use crate::report::escape;
-        let mut out = String::from("{\n  \"divergences\": [\n");
-        let divergent: Vec<&RecoveryTrial> = self.divergent().collect();
-        for (i, t) in divergent.iter().enumerate() {
-            let detail = match &t.outcome {
-                RecoveryOutcome::Diverged(d) => d.to_string(),
-                RecoveryOutcome::StateMismatch(why) => why.clone(),
-                RecoveryOutcome::RecoveryFailed(why) => format!("store reopen failed: {why}"),
-                RecoveryOutcome::RunFailed(why) => {
-                    format!("workload failed before the injected crash: {why}")
-                }
-                RecoveryOutcome::Identical => String::new(),
-            };
-            out.push_str(&format!(
-                "    {{\"trial\": \"{}\", \"scenario\": \"{}\", \"kind\": \"{}\", \
-                 \"level\": {}, \"op\": {}, \"mode\": \"{}\", \
-                 \"acknowledged\": {}, \"detail\": \"{}\"}}{}\n",
-                escape(&t.coordinate()),
-                escape(&t.scenario),
-                t.kind.name(),
-                t.level,
-                t.at_op,
-                t.mode.name(),
-                t.acknowledged,
-                escape(&detail),
-                if i + 1 < divergent.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"fault\": {},\n",
-            self.fault
-                .map_or("null".to_string(), |f| format!("\"{}\"", f.name()))
-        ));
-        out.push_str(&format!("  \"trials\": {},\n", self.trials.len()));
-        out.push_str(&format!("  \"divergent\": {},\n", divergent.len()));
-        out.push_str(&format!("  \"clean\": {}\n}}\n", self.is_clean()));
-        out
+        let verdicts = Verdicts {
+            command: "verify-recovery",
+            fault: self
+                .fault
+                .map(|f| (f.name(), "into every trial's recovery")),
+            trials: self.trials.len(),
+            divergent: self
+                .trials
+                .iter()
+                .filter_map(RecoveryTrial::report_line)
+                .collect(),
+            clean_claim: "every crash point recovered to an acknowledged crash-free state",
+        };
+        render_verdicts(&verdicts, format)
     }
 }
 
@@ -329,7 +289,11 @@ enum OpFate {
 /// actually made durable.
 pub struct FaultIo {
     plan: Option<CrashPoint>,
-    state: Mutex<FaultState>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the fault harness holds exactly one lock and runs only inside the verifier; ranking it would drag the harness into the hierarchy it exists to test"
+    )]
+    state: std::sync::Mutex<FaultState>,
 }
 
 struct FaultState {
@@ -346,15 +310,16 @@ impl FaultIo {
     /// used for the op-counting probe and the crash-free baseline).
     #[must_use]
     pub fn new(plan: Option<CrashPoint>) -> Self {
-        FaultIo {
-            plan,
-            // sj-lint: allow(lock-discipline, the fault harness holds exactly one lock and runs only inside the verifier; ranking it would drag the harness into the hierarchy it exists to test)
-            state: Mutex::new(FaultState {
-                ops: 0,
-                crashed: false,
-                cache: HashMap::new(),
-            }),
-        }
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the fault harness holds exactly one lock and runs only inside the verifier; ranking it would drag the harness into the hierarchy it exists to test"
+        )]
+        let state = std::sync::Mutex::new(FaultState {
+            ops: 0,
+            crashed: false,
+            cache: HashMap::new(),
+        });
+        FaultIo { plan, state }
     }
 
     /// Mutating operations seen so far.
@@ -520,43 +485,6 @@ impl StoreIo for FaultIo {
     }
 }
 
-/// Recovery-side [`StoreIo`] for [`RecoveryFault::SkipWalReplay`]:
-/// pretends every `.wal` file vanished.
-struct SkipWalIo;
-
-impl StoreIo for SkipWalIo {
-    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
-        RealStoreIo.create_dir_all(dir)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        if path.extension().is_some_and(|e| e == "wal") {
-            return false;
-        }
-        RealStoreIo.exists(path)
-    }
-    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-        RealStoreIo.read(path)
-    }
-    fn append_wal(&self, path: &Path, record: &[u8]) -> std::io::Result<()> {
-        RealStoreIo.append_wal(path, record)
-    }
-    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        RealStoreIo.write(path, bytes)
-    }
-    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
-        RealStoreIo.sync_file(path)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-        RealStoreIo.rename(from, to)
-    }
-    fn remove(&self, path: &Path) -> std::io::Result<()> {
-        RealStoreIo.remove(path)
-    }
-    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
-        RealStoreIo.sync_dir(dir)
-    }
-}
-
 /// The table name every trial uses.
 const TABLE: &str = "verify-uniform";
 
@@ -570,14 +498,6 @@ const POLICY: CompactionPolicy = CompactionPolicy {
 
 /// Number of workload steps (each acknowledged by a receipt).
 const STEPS: usize = 4;
-
-/// Reflects `r` through the center of `extent` — the same deterministic
-/// fresh-rectangle source `verify-delta` uses.
-fn reflect(r: Rect, extent: Rect) -> Rect {
-    let sx = extent.xlo + extent.xhi;
-    let sy = extent.ylo + extent.yhi;
-    Rect::new(sx - r.xhi, sy - r.yhi, sx - r.xlo, sy - r.ylo)
-}
 
 /// The insert/delete batch of workload step `step` (1-based), derived
 /// from the base data by fixed index strides. Delete strides use
@@ -668,13 +588,15 @@ fn snapshot_state(c: &Catalog, out: &mut Vec<Expected>) -> Result<(), QueryError
 
 /// Applies the configured recovery sabotage to the crashed directory.
 fn sabotage(fault: RecoveryFault, dir: &Path) -> Result<(), String> {
+    let wal = dir.join(format!("{TABLE}.wal"));
+    if !wal.exists() {
+        return Ok(());
+    }
     match fault {
-        RecoveryFault::SkipWalReplay => Ok(()), // applied via SkipWalIo
+        RecoveryFault::SkipWalReplay => {
+            std::fs::remove_file(&wal).map_err(|e| format!("hiding WAL: {e}"))
+        }
         RecoveryFault::DropWalTail => {
-            let wal = dir.join(format!("{TABLE}.wal"));
-            if !wal.exists() {
-                return Ok(());
-            }
             let data = std::fs::read(&wal).map_err(|e| format!("reading WAL to sabotage: {e}"))?;
             let ends = wal_record_ends(&data).map_err(|e| e.to_string())?;
             // Drop the final complete record (ends are cumulative byte
@@ -749,12 +671,8 @@ fn run_trial(
     if let Some(f) = fault {
         sabotage(f, &dir)?;
     }
-    let recovery_io: Arc<dyn StoreIo> = match fault {
-        Some(RecoveryFault::SkipWalReplay) => Arc::new(SkipWalIo),
-        _ => Arc::new(RealStoreIo),
-    };
     let mut rc = fresh_catalog(dataset, kind, level).map_err(|e| e.to_string())?;
-    let outcome = match rc.open_stats_store_with_io(&dir, POLICY, recovery_io) {
+    let outcome = match rc.open_stats_store_with_io(&dir, POLICY, Arc::new(RealStoreIo)) {
         Err(e) => RecoveryOutcome::RecoveryFailed(e.to_string()),
         Ok(_) => judge(&rc, acknowledged, expected)?,
     };
@@ -890,7 +808,7 @@ mod tests {
     fn report_is_deterministic() {
         let a = run_verify_recovery(&small(None)).unwrap();
         let b = run_verify_recovery(&small(None)).unwrap();
-        assert_eq!(a.trials, b.trials, "rule r1: identical run-to-run");
+        assert_eq!(a.trials, b.trials, "identical run-to-run");
     }
 
     #[test]

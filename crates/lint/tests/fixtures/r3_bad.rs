@@ -1,15 +1,10 @@
-//! R3 bad: unwrap, a panicking macro, and unchecked indexing inside a
-//! decoder.
-
-pub fn first_entry(entries: &[u64]) -> u64 {
-    entries.first().copied().unwrap()
-}
+//! R3 bad: unchecked slice indexing inside decoders.
 
 pub fn from_bytes(data: &[u8]) -> u64 {
     let hi = data[0];
     u64::from(hi)
 }
 
-pub fn todo_path() {
-    panic!("fell off the decision ladder");
+pub fn decode_len(data: &[u8]) -> usize {
+    usize::from(data[1])
 }

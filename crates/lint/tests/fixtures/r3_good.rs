@@ -1,16 +1,12 @@
-//! R3 good: fallible accessors, typed errors, and a reasoned
-//! suppression for a structurally guaranteed expect.
-
-pub fn first_entry(entries: &[u64]) -> Option<u64> {
-    entries.first().copied()
-}
+//! R3 good: fallible accessors in decoders, and a reasoned suppression
+//! for a structurally guaranteed index.
 
 pub fn from_bytes(data: &[u8]) -> Result<u64, String> {
     let b = data.first().copied().ok_or_else(|| "empty".to_string())?;
     Ok(u64::from(b))
 }
 
-pub fn root_key(nodes: &[u64]) -> u64 {
-    // sj-lint: allow(panic, callers only reach this with a non-empty node list)
-    nodes.first().copied().expect("non-empty")
+pub fn load_flags(header: &[u8; 13]) -> u8 {
+    // sj-lint: allow(panic, a fixed 13-byte array always has index 4)
+    header[4]
 }

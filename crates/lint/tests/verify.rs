@@ -1,12 +1,13 @@
-//! Self-tests proving `verify-merge` actually catches broken merges —
-//! and names the right cell and statistic, not just "bytes differ".
+//! Self-tests proving `verify-equivalence` actually catches broken
+//! merges and deltas — and names the right cell and statistic, not just
+//! "bytes differ".
 
 use sj_lint::report::Format;
-use sj_lint::verify::{run_verify, Fault, Outcome, Partition, VerifyConfig};
+use sj_lint::verify::{run_verify, Fault, Outcome, VerifyConfig, Way};
 use std::process::Command;
 
 /// A small but complete matrix: both scenarios, one level, two shard
-/// counts, both partitions, all four kinds.
+/// counts, all four ways, all four kinds.
 fn config(fault: Option<Fault>) -> VerifyConfig {
     VerifyConfig {
         scale: 0.1,
@@ -19,19 +20,20 @@ fn config(fault: Option<Fault>) -> VerifyConfig {
 #[test]
 fn clean_workspace_build_passes() {
     let report = run_verify(&config(None)).unwrap();
-    assert_eq!(report.trials.len(), 2 * 4 * 2 * 2);
+    assert_eq!(report.trials.len(), 2 * 4 * 4 * 2);
     assert!(report.is_clean(), "{}", report.render(Format::Human));
 }
 
-/// A merge that loses a rectangle (the dropped boundary-group-count
-/// fault) must be flagged on *every* family, and the report must name
-/// the scalar statistic `n` with both values.
+/// A second build that loses a rectangle (the dropped boundary-group
+/// count of a merge, or a lost insert of a delta) must be flagged on
+/// *every* trial. Every merge trial names the scalar statistic `n` with
+/// both values; the delta trials localize it too.
 #[test]
 fn dropped_rect_is_flagged_as_scalar_n_on_every_family() {
     let report = run_verify(&config(Some(Fault::DropLastRect))).unwrap();
     assert!(!report.is_clean());
     assert_eq!(report.divergent().count(), report.trials.len());
-    for trial in &report.trials {
+    for trial in report.trials.iter().filter(|t| !t.way.is_delta()) {
         match &trial.outcome {
             Outcome::Diverged(d) => {
                 assert_eq!(d.statistic, "n", "trial {}", trial.coordinate());
@@ -42,6 +44,19 @@ fn dropped_rect_is_flagged_as_scalar_n_on_every_family() {
             other => panic!("trial {} not localized: {other:?}", trial.coordinate()),
         }
     }
+    assert!(
+        report
+            .trials
+            .iter()
+            .filter(|t| t.way.is_delta())
+            .all(|t| { matches!(&t.outcome, Outcome::Diverged(_)) }),
+        "every delta trial is localized"
+    );
+    assert!(
+        report.trials.iter().any(|t| t.way.is_delta()
+            && matches!(&t.outcome, Outcome::Diverged(d) if d.statistic == "n")),
+        "a delta trial names the lost insert's cardinality"
+    );
     let human = report.render(Format::Human);
     assert!(
         human.contains("scalar statistic `n`: 300 != 299"),
@@ -54,12 +69,12 @@ fn dropped_rect_is_flagged_as_scalar_n_on_every_family() {
 /// to the cell holding the tampered rectangle: PH's boundary-group
 /// coverage `cov` and revised GH's overlap mass `o`. The integer-count
 /// families are insensitive to sub-cell geometry by design and stay
-/// clean.
+/// clean. A nudged delta insert is localized to a cell as well.
 #[test]
 fn nudged_rect_is_localized_to_cell_and_mass_statistic() {
     let report = run_verify(&config(Some(Fault::NudgeFirstRect))).unwrap();
     assert!(!report.is_clean());
-    for trial in &report.trials {
+    for trial in report.trials.iter().filter(|t| !t.way.is_delta()) {
         let kind = trial.kind.name();
         match (&trial.outcome, kind) {
             (Outcome::Diverged(d), "ph") => {
@@ -81,13 +96,17 @@ fn nudged_rect_is_localized_to_cell_and_mass_statistic() {
     }
     // Both partitions of both mass families diverged, at every shard
     // count — the fault is caught everywhere it can manifest.
-    for partition in Partition::ALL {
-        let caught = report
-            .divergent()
-            .filter(|t| t.partition == partition)
-            .count();
-        assert_eq!(caught, 2 * 2 * 2, "partition {}", partition.name());
+    for way in [Way::RowBand, Way::RectRange] {
+        let caught = report.divergent().filter(|t| t.way == way).count();
+        assert_eq!(caught, 2 * 2 * 2, "way {}", way.name());
     }
+    assert!(
+        report
+            .divergent()
+            .any(|t| t.way.is_delta()
+                && matches!(&t.outcome, Outcome::Diverged(d) if d.cell.is_some())),
+        "no delta divergence was localized to a cell"
+    );
 }
 
 /// The JSON report carries the same localization: statistic name and
@@ -106,29 +125,30 @@ fn json_report_names_cell_and_statistic() {
     assert!(json.contains("\"fault\": \"nudge-first-rect\""), "{json}");
     assert!(json.contains("\"statistic\": \"cov\""), "{json}");
     assert!(json.contains("\"statistic\": \"o\""), "{json}");
+    assert!(json.contains("\"way\": \"rect-range\""), "{json}");
     assert!(json.contains("\"col\": "), "{json}");
     assert!(json.contains("\"row\": "), "{json}");
 }
 
 /// End-to-end through the binary: exit 0 on a clean run, 1 when an
-/// injected fault makes a merge diverge, 2 on a usage error — matching
-/// `check`'s exit-code contract.
+/// injected fault makes a second build diverge, 2 on a usage error —
+/// matching `check`'s exit-code contract.
 #[test]
 fn binary_exit_codes_match_check_contract() {
     let bin = env!("CARGO_BIN_EXE_sj-lint");
     let small = ["--scale", "0.05", "--levels", "3", "--shards", "2"];
 
     let clean = Command::new(bin)
-        .arg("verify-merge")
+        .arg("verify-equivalence")
         .args(small)
         .output()
         .unwrap();
     assert_eq!(clean.status.code(), Some(0), "{clean:?}");
     let stdout = String::from_utf8_lossy(&clean.stdout);
-    assert!(stdout.contains("clean"), "{stdout}");
+    assert!(stdout.contains("clean (32 trials"), "{stdout}");
 
     let broken = Command::new(bin)
-        .arg("verify-merge")
+        .arg("verify-equivalence")
         .args(small)
         .args(["--inject", "drop-last-rect", "--format", "json"])
         .output()
@@ -137,9 +157,12 @@ fn binary_exit_codes_match_check_contract() {
     let stdout = String::from_utf8_lossy(&broken.stdout);
     assert!(stdout.contains("\"statistic\": \"n\""), "{stdout}");
 
-    let usage = Command::new(bin)
-        .args(["verify-merge", "--inject", "bogus"])
-        .output()
-        .unwrap();
-    assert_eq!(usage.status.code(), Some(2), "{usage:?}");
+    for args in [
+        &["verify-equivalence", "--inject", "bogus"][..],
+        &["verify-merge"][..],
+        &["verify-delta"][..],
+    ] {
+        let usage = Command::new(bin).args(args).output().unwrap();
+        assert_eq!(usage.status.code(), Some(2), "{args:?}: {usage:?}");
+    }
 }

@@ -106,7 +106,10 @@ impl Catalog {
     pub fn new(config: CatalogConfig) -> Self {
         match Self::try_new(config) {
             Ok(c) => c,
-            // sj-lint: allow(panic, documented contract: static misconfiguration, try_new is the fallible path)
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: static misconfiguration, try_new is the fallible path"
+            )]
             Err(e) => panic!("invalid catalog configuration: {e}"),
         }
     }

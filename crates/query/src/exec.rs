@@ -55,7 +55,10 @@ impl Plan {
     /// and aborts with [`QueryError::ResultTooLarge`] when an intermediate
     /// exceeds the catalog's tuple budget.
     pub fn execute(&self, catalog: &Catalog) -> Result<QueryResult, QueryError> {
-        // sj-lint: allow(determinism, wall-clock fills ExecStats timing, never affects results)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock fills ExecStats timing, never affects results"
+        )]
         let start = Instant::now();
         let budget = catalog.config().tuple_budget;
         let mut stats = ExecStats::default();

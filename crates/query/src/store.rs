@@ -2099,6 +2099,10 @@ mod tests {
     /// fsyncs data before each rename; this pins the call order via a
     /// recording [`StoreIo`].
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the recording StoreIo is a single-lock test double outside the lock hierarchy"
+    )]
     fn compaction_syncs_before_renaming() {
         use std::sync::Mutex;
         struct Recording(Mutex<Vec<String>>, RealStoreIo);

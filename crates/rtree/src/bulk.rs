@@ -58,7 +58,10 @@ impl RTree {
         for r in rects {
             assert!(r.is_finite(), "cannot index a non-finite rectangle");
         }
-        // sj-lint: allow(panic, rects.is_empty() returned above, so of_rects sees at least one rect)
+        #[expect(
+            clippy::expect_used,
+            reason = "rects.is_empty() returned above, so of_rects sees at least one rect"
+        )]
         let extent = Extent::of_rects(rects).expect("non-empty");
         let perm = sj_hilbert::sort_by_hilbert(sj_hilbert::DEFAULT_ORDER, &extent, rects);
         let m = config.max_entries;
@@ -85,15 +88,25 @@ fn pack_levels(mut level: Vec<Node>, m: usize) -> Node {
             let children: Vec<(Rect, Node)> = iter
                 .by_ref()
                 .take(m)
-                // sj-lint: allow(panic, every packed node was built from a non-empty chunk/run)
-                .map(|n| (n.mbr().expect("packed nodes are non-empty"), n))
+                .map(|n| {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every packed node was built from a non-empty chunk/run"
+                    )]
+                    let mbr = n.mbr().expect("packed nodes are non-empty");
+                    (mbr, n)
+                })
                 .collect();
             parents.push(Node::Inner(children));
         }
         level = parents;
     }
-    // sj-lint: allow(panic, the while loop exits only when exactly one node remains)
-    level.into_iter().next().expect("at least one node")
+    #[expect(
+        clippy::expect_used,
+        reason = "the while loop exits only when exactly one node remains"
+    )]
+    let root = level.into_iter().next().expect("at least one node");
+    root
 }
 
 #[cfg(test)]

@@ -31,8 +31,9 @@ impl RTree {
         loop {
             match root {
                 Node::Inner(ref mut children) if children.len() == 1 => {
-                    // sj-lint: allow(panic, the guard just checked len() == 1)
-                    root = children.pop().expect("one child").1;
+                    #[expect(clippy::expect_used, reason = "the guard just checked len() == 1")]
+                    let (_, only) = children.pop().expect("one child");
+                    root = only;
                 }
                 Node::Inner(ref children) if children.is_empty() => {
                     self.set_state(None, 0);

@@ -286,8 +286,11 @@ pub fn join_count_parallel(left: &RTree, right: &RTree, threads: usize) -> u64 {
             break;
         };
         let (a, b) = tasks.swap_remove(pos);
+        #[expect(
+            clippy::unreachable,
+            reason = "position() above selected this pair precisely because both are Inner"
+        )]
         let (Node::Inner(ca), Node::Inner(cb)) = (a, b) else {
-            // sj-lint: allow(panic, position() above selected this pair precisely because both are Inner)
             unreachable!("position() matched Inner/Inner");
         };
         let mut expanded = false;

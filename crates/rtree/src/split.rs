@@ -128,16 +128,20 @@ where
     } else {
         &[2, 3]
     };
-    let winner = *candidates
-        .iter()
-        .min_by(|&&a, &&b| {
-            (evals[a].best_overlap, evals[a].best_area)
-                .partial_cmp(&(evals[b].best_overlap, evals[b].best_area))
-                // sj-lint: allow(panic, metrics are sums/products of finite MBR coordinates, asserted finite on insert)
-                .expect("finite split metrics")
-        })
-        // sj-lint: allow(panic, candidates is a literal two-element slice, min_by of it is Some)
-        .expect("two candidates");
+    #[expect(
+        clippy::expect_used,
+        reason = "metrics are sums/products of finite MBR coordinates, asserted finite on insert"
+    )]
+    let by_cost = |&&a: &&usize, &&b: &&usize| {
+        (evals[a].best_overlap, evals[a].best_area)
+            .partial_cmp(&(evals[b].best_overlap, evals[b].best_area))
+            .expect("finite split metrics")
+    };
+    #[expect(
+        clippy::expect_used,
+        reason = "candidates is a literal two-element slice, min_by of it is Some"
+    )]
+    let winner = *candidates.iter().min_by(by_cost).expect("two candidates");
     let k = evals[winner].best_k;
     let in_first: Vec<bool> = {
         let mut v = vec![false; n];
@@ -294,8 +298,12 @@ fn distribute<T>(
             best
         } else {
             // Linear: first unassigned in input order.
-            // sj-lint: allow(panic, loop condition guarantees remaining > 0 unassigned items)
-            assigned.iter().position(|a| !*a).expect("remaining > 0")
+            #[expect(
+                clippy::expect_used,
+                reason = "loop condition guarantees remaining > 0 unassigned items"
+            )]
+            let first = assigned.iter().position(|a| !*a).expect("remaining > 0");
+            first
         };
 
         let d1 = mbr1.enlargement(&rects[next]);

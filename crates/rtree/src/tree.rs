@@ -188,7 +188,10 @@ impl RTree {
                     &mut reinsert_budget,
                     ejected,
                 ) {
-                    // sj-lint: allow(panic, the root held at least one entry before the insert that split it)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the root held at least one entry before the insert that split it"
+                    )]
                     let old_rect = root.mbr().expect("non-empty root");
                     self.root = Some(Node::Inner(vec![
                         (old_rect, root),
@@ -345,7 +348,10 @@ fn insert_rec(
             let (g1, g2) = split(config.split, overflow, config.min_entries, |e| e.rect);
             *entries = g1;
             let sibling = Node::Leaf(g2);
-            // sj-lint: allow(panic, split() guarantees both groups hold >= min_entries >= 1 entries)
+            #[expect(
+                clippy::expect_used,
+                reason = "split() guarantees both groups hold >= min_entries >= 1 entries"
+            )]
             let rect = sibling.mbr().expect("split group non-empty");
             Some((rect, sibling))
         }
@@ -359,8 +365,12 @@ fn insert_rec(
                 ejected,
             );
             // Refresh the chosen child's MBR after the descent.
-            // sj-lint: allow(panic, insertion only grows the chosen child, it cannot empty it)
-            children[idx].0 = children[idx].1.mbr().expect("child non-empty");
+            #[expect(
+                clippy::expect_used,
+                reason = "insertion only grows the chosen child, it cannot empty it"
+            )]
+            let child_mbr = children[idx].1.mbr().expect("child non-empty");
+            children[idx].0 = child_mbr;
             if let Some((rect, new_node)) = split_result {
                 children.push((rect, new_node));
                 if children.len() > config.max_entries {
@@ -368,7 +378,10 @@ fn insert_rec(
                     let (g1, g2) = split(config.split, overflow, config.min_entries, |c| c.0);
                     *children = g1;
                     let sibling = Node::Inner(g2);
-                    // sj-lint: allow(panic, split() guarantees both groups hold >= min_entries >= 1 children)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "split() guarantees both groups hold >= min_entries >= 1 children"
+                    )]
                     let rect = sibling.mbr().expect("split group non-empty");
                     return Some((rect, sibling));
                 }
@@ -384,7 +397,10 @@ fn insert_rec(
 /// Beckmann et al.'s "close reinsert", which re-inserts the nearest
 /// ejected entry first.
 fn eject_far_entries(entries: &mut Vec<Entry>, config: &RTreeConfig, ejected: &mut Vec<Entry>) {
-    // sj-lint: allow(panic, called only on an overflowing node, which holds > max_entries >= 1 entries)
+    #[expect(
+        clippy::expect_used,
+        reason = "called only on an overflowing node, which holds > max_entries >= 1 entries"
+    )]
     let mbr = Rect::mbr_of(entries.iter().map(|e| e.rect)).expect("overflowing leaf");
     let center = mbr.center();
     let p = ((entries.len() as f64 * 0.3).ceil() as usize)
@@ -447,7 +463,10 @@ fn validate_rec(
         Node::Leaf(_) => leaf_depths.push(depth),
         Node::Inner(children) => {
             for (rect, child) in children {
-                // sj-lint: allow(panic, validate_rec is a structure checker that itself asserts on violation)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "validate_rec is a structure checker that itself asserts on violation"
+                )]
                 let child_mbr = child.mbr().expect("child non-empty");
                 assert_eq!(
                     *rect, child_mbr,

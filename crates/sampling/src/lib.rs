@@ -325,7 +325,10 @@ impl SamplingEstimator {
     /// Runs the estimation on two datasets sharing `extent`.
     #[must_use]
     pub fn estimate(&self, left: &[Rect], right: &[Rect], extent: &Extent) -> SamplingOutcome {
-        // sj-lint: allow(determinism, wall-clock measures reported draw cost; sampling itself is seeded)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock measures reported draw cost; sampling itself is seeded"
+        )]
         let t0 = Instant::now();
         let sa = draw_sample(self.technique, left, self.percent_left, extent, self.seed);
         let sb = draw_sample(
@@ -339,18 +342,27 @@ impl SamplingEstimator {
 
         let (sample_pairs, build, join) = match self.backend {
             JoinBackend::RTree => {
-                // sj-lint: allow(determinism, wall-clock measures reported build cost, never estimator input)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock measures reported build cost, never estimator input"
+                )]
                 let t1 = Instant::now();
                 let ta = RTree::bulk_load_str(self.rtree_config, &sa);
                 let tb = RTree::bulk_load_str(self.rtree_config, &sb);
                 let build = t1.elapsed();
-                // sj-lint: allow(determinism, wall-clock measures reported join cost, never estimator input)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock measures reported join cost, never estimator input"
+                )]
                 let t2 = Instant::now();
                 let pairs = join_count(&ta, &tb);
                 (pairs, build, t2.elapsed())
             }
             JoinBackend::PlaneSweep => {
-                // sj-lint: allow(determinism, wall-clock measures reported join cost, never estimator input)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock measures reported join cost, never estimator input"
+                )]
                 let t2 = Instant::now();
                 let pairs = sj_sweep::sweep_join_count(&sa, &sb);
                 (pairs, Duration::ZERO, t2.elapsed())

@@ -6,6 +6,11 @@
 //! server on an OS-assigned port, injects its fault with raw socket
 //! writes, then proves the server still answers a clean ping.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use sj_server::wire::{self, put_str, HEADER_LEN};
 use sj_server::{
     Client, ClientError, CompactReply, EstimateReply, Frame, MutationId, MutationReply, Opcode,

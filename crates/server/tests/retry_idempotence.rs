@@ -8,6 +8,11 @@
 //! exactly once), while a fresh stamp of the same content applies
 //! again.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_geo::{Extent, Rect};
 use sj_query::{Catalog, DegradationPolicy};

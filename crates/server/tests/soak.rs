@@ -11,6 +11,11 @@
 //! (thread arrival order is scheduler-dependent, the *contents* are
 //! not).
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_geo::{Extent, Rect};
 use sj_query::{Catalog, DegradationPolicy};

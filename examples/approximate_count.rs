@@ -11,6 +11,12 @@
 //! cargo run --release --example approximate_count
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "example program: prints wall-clock timings and aborts on setup errors to stay short"
+)]
+
 use sj_core::{presets, Extent, GhHistogram, Grid, Rect};
 use std::time::Instant;
 

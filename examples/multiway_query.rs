@@ -6,6 +6,11 @@
 //! cargo run --release -p sj-query --example multiway_query
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "example program: aborts on setup errors to stay short"
+)]
+
 use sj_datagen::presets;
 use sj_geo::Rect;
 use sj_query::{Catalog, ChainJoinQuery};

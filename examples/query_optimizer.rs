@@ -13,6 +13,12 @@
 //! cargo run --release --example query_optimizer
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "example program: prints wall-clock timings and aborts on setup errors to stay short"
+)]
+
 use sj_core::{presets, Dataset, Extent, GhHistogram, Grid};
 use std::time::Instant;
 

@@ -4,6 +4,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "example program: prints wall-clock timings"
+)]
+
 use sj_core::{error_pct, presets, EstimatorKind, JoinBaseline};
 use std::time::Instant;
 

@@ -10,6 +10,11 @@
 //! statistics file degrades the estimate to a lower tier with full
 //! provenance instead of failing the query.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -17,6 +17,11 @@
 //!    unequal (time-wise).
 //! 6. Sorted sampling pays a drawing-time premium over RS/RSWR.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the headline-claims test reports wall-clock timings next to its verdicts"
+)]
+
 use sj_core::experiment::{fig6_row, fig7_row, HistogramScheme, JoinContext};
 use sj_core::{presets, SamplingTechnique};
 

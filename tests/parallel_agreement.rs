@@ -7,6 +7,11 @@
 //! order. These tests pin that contract across thread counts, including
 //! oversubscribed ones, and on degenerate inputs.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use proptest::prelude::*;
 use sj_core::{
     presets, EulerHistogram, Extent, GhBasicHistogram, GhHistogram, Grid, PhHistogram, RTree,

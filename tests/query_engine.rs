@@ -2,6 +2,11 @@
 //! plans over realistic clustered data, estimate quality, statistics
 //! persistence, and consistency between plan orders.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use sj_datagen::presets;
 use sj_geo::Rect;
 use sj_query::{Catalog, ChainJoinQuery, StarJoinQuery};

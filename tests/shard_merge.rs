@@ -9,6 +9,11 @@
 //! for the rect-range shard-and-merge path, and pin the versioned
 //! persistence envelope for every kind.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use proptest::prelude::*;
 use sj_core::{
     build_histogram, build_histogram_sharded, load_histogram, Extent, Grid, HistogramKind, Rect,

@@ -11,6 +11,11 @@
 //! correct torn-tail accounting, and a dedup ring that still recognizes
 //! every surviving stamped ID while forgetting the torn one.
 
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
 use proptest::prelude::*;
 use sj_geo::Rect;
 use sj_query::{wal_record_ends, Catalog, CompactionPolicy, MutationId};
