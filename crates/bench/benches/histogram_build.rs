@@ -2,8 +2,9 @@
 //! in absolute terms, per scheme and level.
 
 #![expect(
+    missing_docs,
     clippy::expect_used,
-    reason = "benchmark harness: a failed setup step aborts the run"
+    reason = "benchmark harness: `criterion_group!` generates an undocumented `pub fn`, and a failed setup step aborts the run"
 )]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -3,8 +3,9 @@
 //! a query optimizer pays; the paper reports it at ~1% of the join.
 
 #![expect(
+    missing_docs,
     clippy::expect_used,
-    reason = "benchmark harness: a failed setup step aborts the run"
+    reason = "benchmark harness: `criterion_group!` generates an undocumented `pub fn`, and a failed setup step aborts the run"
 )]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

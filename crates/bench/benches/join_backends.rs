@@ -1,6 +1,11 @@
 //! Microbenchmarks of the exact-join backends: the timing baseline all of
 //! the paper's relative metrics stand on.
 
+#![expect(
+    missing_docs,
+    reason = "benchmark harness: `criterion_group!` generates an undocumented `pub fn`"
+)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sj_core::{presets, RTree, RTreeConfig};
 use std::hint::black_box;

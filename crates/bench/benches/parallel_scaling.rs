@@ -6,9 +6,10 @@
 //! an explicit speedup line alongside the per-thread-count timings.
 
 #![expect(
+    missing_docs,
     clippy::disallowed_methods,
     clippy::expect_used,
-    reason = "benchmark harness: wall-clock timing is what it measures, and a failed setup step aborts the run"
+    reason = "benchmark harness: `criterion_group!` generates an undocumented `pub fn`, wall-clock timing is what it measures, and a failed setup step aborts the run"
 )]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

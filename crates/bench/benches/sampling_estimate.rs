@@ -2,6 +2,11 @@
 //! per technique and sample size — the numerator of the paper's Est. Time
 //! metrics in Figure 6.
 
+#![expect(
+    missing_docs,
+    reason = "benchmark harness: `criterion_group!` generates an undocumented `pub fn`"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_core::{presets, Extent, JoinBackend, SamplingEstimator, SamplingTechnique};
 use std::hint::black_box;

@@ -7,8 +7,9 @@
 //! guarantees — so the benchmark doubles as an end-to-end check.
 
 #![expect(
+    missing_docs,
     clippy::expect_used,
-    reason = "benchmark harness: a failed setup step aborts the run"
+    reason = "benchmark harness: `criterion_group!` generates an undocumented `pub fn`, and a failed setup step aborts the run"
 )]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

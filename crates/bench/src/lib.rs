@@ -14,8 +14,6 @@
 //! * `--threads <n>` — worker threads for context preparation and the
 //!   experiment runners (default: available parallelism).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![expect(
     clippy::expect_used,
     reason = "benchmark harness: a failed setup step aborts the run"

@@ -48,9 +48,6 @@
 //! The logic lives in this library crate so it is unit-testable; the
 //! binary (`src/main.rs`) is a thin wrapper.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
     build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram, presets,

@@ -5,9 +5,6 @@
 //! [`sj_cli::exit_code`]. A closed stdout (e.g. piping into `head`) is a
 //! silent success, not a panic.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::io::Write;
 
 fn main() {

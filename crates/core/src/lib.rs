@@ -37,9 +37,6 @@
 //!   [`Dataset`] and generators ([`presets`]), the R-tree, the
 //!   plane-sweep oracle, and the histogram/sampling implementations.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod estimator;
 pub mod exact;
 pub mod experiment;

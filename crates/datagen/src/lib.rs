@@ -23,9 +23,6 @@
 //! [`presets::PaperJoin`] at the same scale always produces the same
 //! rectangles, so experiments are reproducible run-to-run.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod dataset;
 mod distributions;
 mod error;

@@ -24,9 +24,6 @@
 //!   has four (coincident) corners and four (zero-length) edges, which keeps
 //!   the Geometric Histogram's "intersection points / 4" identity unbiased.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod extent;
 mod point;
 mod rect;

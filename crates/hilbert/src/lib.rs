@@ -13,9 +13,6 @@
 //! between the distance along the curve `d` and cell coordinates `(x, y)`
 //! on a `2^order × 2^order` grid.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use sj_geo::{Extent, Point, Rect};
 
 /// Default curve order used for Hilbert keys: a 2^16 × 2^16 grid resolves

@@ -14,7 +14,10 @@ const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0usize;
     while i < 256 {
-        // sj-lint: allow(cast, i < 256 fits u32; u32::try_from is not const)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "i < 256 fits u32; u32::try_from is not const"
+        )]
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
@@ -38,6 +41,10 @@ static TABLE: [u32; 256] = build_table();
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "keeping only the low byte of the running CRC is the table lookup"
+        )]
         let idx = usize::from((crc as u8) ^ byte);
         crc = (crc >> 8) ^ TABLE[idx];
     }

@@ -1392,9 +1392,10 @@ impl GhHistogram {
                 || !self.h[i].is_zero()
                 || !self.v[i].is_zero()
             {
-                // Cell counts top out at 4^MAX_LEVEL ≈ 4.2 M, well inside u32.
-                #[allow(clippy::cast_possible_truncation)]
-                // sj-lint: allow(cast, cell index < 4^MAX_LEVEL < 2^32)
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "cell index < 4^MAX_LEVEL < 2^32"
+                )]
                 buf.put_u32_le(i as u32);
                 buf.put_u32_le(self.c[i]);
                 self.o[i].put_le(&mut buf);

@@ -3,12 +3,11 @@ use sj_geo::{Extent, Point, Rect};
 
 /// Lossless `u32` → `usize` widening for cell indices and counts.
 ///
-/// Every supported target has `usize` of at least 32 bits, so this is
-/// the one sanctioned widening in cell-index math; all other integer
-/// casts in the crate go through `try_from` or carry a reasoned
-/// `sj-lint` suppression (rule R4).
+/// Every supported target has `usize` of at least 32 bits, so clippy's
+/// cast lints (enabled at the crate root) accept this widening; every
+/// narrowing or sign-changing cast in the crate goes through `try_from`
+/// or carries a reasoned statement-level `#[expect]`.
 pub(crate) const fn ix(v: u32) -> usize {
-    // sj-lint: allow(cast, u32 to usize widening cannot truncate on >=32-bit targets)
     v as usize
 }
 
@@ -120,8 +119,11 @@ impl Grid {
     pub fn col_of(&self, x: f64) -> u32 {
         let n = f64::from(self.cells_per_axis);
         let u = (x - self.extent.rect().xlo) / self.extent.width();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sj-lint: allow(cast, clamped to [0, n-1] with n <= 2^MAX_LEVEL; NaN maps to 0)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "clamped to [0, n-1] with n <= 2^MAX_LEVEL; NaN maps to 0"
+        )]
         let i = (u * n).floor().clamp(0.0, n - 1.0) as u32;
         i
     }
@@ -131,8 +133,11 @@ impl Grid {
     pub fn row_of(&self, y: f64) -> u32 {
         let n = f64::from(self.cells_per_axis);
         let u = (y - self.extent.rect().ylo) / self.extent.height();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sj-lint: allow(cast, clamped to [0, n-1] with n <= 2^MAX_LEVEL; NaN maps to 0)
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "clamped to [0, n-1] with n <= 2^MAX_LEVEL; NaN maps to 0"
+        )]
         let j = (u * n).floor().clamp(0.0, n - 1.0) as u32;
         j
     }

@@ -31,8 +31,11 @@
 //! identically to a serial build — and any kind round-trips through the
 //! versioned [`SpatialHistogram::persist`] / [`load_histogram`] envelope.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 mod band;
 pub mod crc;

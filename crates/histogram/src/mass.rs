@@ -62,7 +62,10 @@ impl Mass {
     /// and maps NaN to zero.
     #[must_use]
     pub fn from_f64(x: f64) -> Self {
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`as` saturates out-of-range values and maps NaN to zero"
+        )]
         Self((x * 2f64.powi(FRAC_BITS)).round() as i128)
     }
 

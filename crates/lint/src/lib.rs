@@ -5,13 +5,14 @@
 //! trees and mechanically enforces the reproducibility and robustness
 //! rules the estimator stack relies on and clippy cannot express: no
 //! floats in shard-merge paths, no unchecked indexing in statistics
-//! decoders, cast discipline in cell-index math, error-taxonomy and doc
-//! hygiene, I/O and atomic-ordering discipline around locks, and a
-//! fingerprinted persistence schema tied to the envelope version. The
-//! wall-clock ban, the raw-lock ban and unwrap/expect/panic freedom are
-//! clippy's, configured in the workspace `clippy.toml` and
-//! `[workspace.lints]`. See [`rules`] for the rule-by-rule rationale
-//! and DESIGN.md §10 for the full write-up.
+//! decoders, suppression and error-taxonomy hygiene, I/O and
+//! atomic-ordering discipline around locks, and a fingerprinted
+//! persistence schema tied to the envelope version. The wall-clock ban,
+//! the raw-lock ban, unwrap/expect/panic freedom, cast discipline, the
+//! `unsafe` ban and doc coverage are rustc's and clippy's, configured in
+//! the workspace `clippy.toml`, `[workspace.lints]` and the sj-histogram
+//! and sj-query crate roots. See [`rules`] for the rule-by-rule
+//! rationale and DESIGN.md §10 for the full write-up.
 //!
 //! The static rules are complemented by *dynamic* analyses: [`verify`]
 //! builds every histogram family a second way on seeded datasets —
@@ -34,15 +35,11 @@
 //! external crate APIs verbatim and are exercised only through the
 //! workspace crates that this checker does cover.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod fingerprint;
 pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod verify;
-mod verify_delta;
 pub mod verify_locks;
 pub mod verify_recovery;
 
@@ -221,11 +218,9 @@ pub fn run_rule(rule: RuleId, ws: &Workspace, out: &mut Vec<Finding>) {
     match rule {
         RuleId::FixedPoint => rules::check_fixed_point(ws, out),
         RuleId::PanicFree => rules::check_panic_free(ws, out),
-        RuleId::Cast => rules::check_casts(ws, out),
         RuleId::Hygiene => rules::check_hygiene(ws, out),
         RuleId::ErrorTaxonomy => rules::check_error_taxonomy(ws, out),
         RuleId::Persistence => fingerprint::check_persistence(ws, out),
-        RuleId::Docs => rules::check_docs(ws, out),
         RuleId::IoUnderLock => rules::check_io_under_lock(ws, out),
         RuleId::AtomicOrdering => rules::check_atomic_ordering(ws, out),
     }

@@ -5,9 +5,6 @@
 //! Exit codes: `0` clean, `1` deny-severity findings (or verifier
 //! divergences), `2` usage error, `3` I/O error.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use sj_lint::report::{render, Format};
 use sj_lint::rules::{RuleId, Severity};
 use sj_lint::verify::{run_verify, Fault, VerifyConfig};
@@ -34,8 +31,9 @@ USAGE:
     sj-lint verify-locks [--format human|json] [--scale <f>]
                          [--inject invert-ranks|hold-across-fsync]
 
-Rules are named by code or slug (see `sj-lint rules`; r1 and r9 are
-retired: clippy enforces them from clippy.toml). Suppress a single line
+Rules are named by code or slug (see `sj-lint rules`; r1, r4, r8 and r9
+are retired: rustc and clippy enforce them from the workspace lint
+configuration). Suppress a single line
 with `// sj-lint: allow(<rule>, <reason>)` — the reason is mandatory. A
 flag the chosen subcommand does not read is a usage error.
 

@@ -200,10 +200,10 @@ mod tests {
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
-            rule: RuleId::Cast,
+            rule: RuleId::PanicFree,
             path: "crates/histogram/src/grid.rs".to_string(),
             line: 86,
-            message: "truncating `as usize` cast with \"quotes\"".to_string(),
+            message: "unchecked slice indexing with \"quotes\"".to_string(),
             severity: Severity::Deny,
         }]
     }
@@ -212,7 +212,7 @@ mod tests {
     fn human_output_names_rule_and_location() {
         let text = render(&sample(), Format::Human);
         assert!(text.contains("crates/histogram/src/grid.rs:86"));
-        assert!(text.contains("[r4/cast]"));
+        assert!(text.contains("[r3/panic]"));
         assert!(text.contains("1 error(s)"));
     }
 
@@ -220,7 +220,7 @@ mod tests {
     fn json_output_is_escaped_and_counted() {
         let text = render(&sample(), Format::Json);
         assert!(text.contains("\\\"quotes\\\""));
-        assert!(text.contains("\"r4\": 1"));
+        assert!(text.contains("\"r3\": 1"));
         assert!(text.contains("\"errors\": 1"));
     }
 

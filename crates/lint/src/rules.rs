@@ -1,11 +1,11 @@
-//! The named workspace invariants that clippy cannot express, and their
-//! checkers.
+//! The named workspace invariants that rustc and clippy cannot express,
+//! and their checkers.
 //!
-//! Each rule guards a promise an earlier PR made by construction. The
-//! codes r1 (determinism) and r9 (raw-lock construction) are retired:
-//! clippy's `disallowed_methods`/`disallowed_types` enforce them from
-//! the workspace `clippy.toml`, and `[workspace.lints]` enforces the
-//! unwrap/expect/panic half of r3. Retired codes are never reused.
+//! Each rule guards a promise an earlier change made by construction. The
+//! codes r1, r4, r8 and r9, and the unwrap/expect/panic half of r3, are
+//! retired and never reused: `clippy.toml`, `[workspace.lints]` and the
+//! cast lints at the sj-histogram and sj-query roots enforce them (see
+//! DESIGN.md §10).
 //!
 //! * **R2 fixed-point** — merge paths accumulate only through the exact
 //!   128-bit `Mass` type; a stray `f64 +=` silently breaks bit-identical
@@ -13,17 +13,13 @@
 //! * **R3 panic-freedom** — decoders never index unchecked: clippy's
 //!   `indexing_slicing` cannot be scoped to functions named
 //!   `from_bytes*`/`decode*`/`load*`.
-//! * **R4 truncating casts** — histogram/grid/mass numeric code uses
-//!   `try_from` or documents why an `as` cast cannot truncate.
-//! * **R5 crate hygiene** — every crate root forbids `unsafe` and warns
-//!   on missing docs; suppressions name a real rule and a reason.
+//! * **R5 suppression hygiene** — every `sj-lint: allow(..)` names a
+//!   live rule.
 //! * **R6 error taxonomy** — public error enums are `#[non_exhaustive]`
 //!   and implement `Display` + `Error`.
 //! * **R7 persistence discipline** — `to_bytes`/`from_bytes` bodies are
 //!   fingerprinted; changing one without bumping the envelope version
 //!   fails the check (see [`crate::fingerprint`]).
-//! * **R8 doc coverage** — public items of the estimator-facing crates
-//!   carry doc comments.
 //! * **R10 I/O under lock** — no blocking file/socket I/O lexically
 //!   inside a live lock-guard region; fsyncs under the catalog lock
 //!   stall every reader.
@@ -31,8 +27,8 @@
 //!   `SeqCst` unless a suppression names the invariant that makes a
 //!   weaker ordering sound.
 
-use crate::scan::{find_token, has_token, Line, SourceFile};
-use crate::{CrateView, Workspace};
+use crate::scan::{has_token, Line, SourceFile};
+use crate::Workspace;
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -41,16 +37,12 @@ pub enum RuleId {
     FixedPoint,
     /// R3: no unchecked slice indexing in decoders of lib code.
     PanicFree,
-    /// R4: no undocumented truncating `as` casts in histogram/query numeric code.
-    Cast,
-    /// R5: crate-root hygiene headers and suppression syntax.
+    /// R5: suppressions name a live rule.
     Hygiene,
     /// R6: public error enums are non_exhaustive + Display + Error.
     ErrorTaxonomy,
     /// R7: persistence schema fingerprint matches the envelope version.
     Persistence,
-    /// R8: doc coverage on public items of sj-core/sj-histogram/sj-query.
-    Docs,
     /// R10: no blocking file/socket I/O inside a live lock-guard region.
     IoUnderLock,
     /// R11: atomic `Ordering::` arguments are `SeqCst` or justified.
@@ -59,29 +51,25 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 7] = [
         RuleId::FixedPoint,
         RuleId::PanicFree,
-        RuleId::Cast,
         RuleId::Hygiene,
         RuleId::ErrorTaxonomy,
         RuleId::Persistence,
-        RuleId::Docs,
         RuleId::IoUnderLock,
         RuleId::AtomicOrdering,
     ];
 
-    /// Short code (`r2`..`r11`; r1 and r9 are retired).
+    /// Short code (`r2`..`r11`; r1, r4, r8 and r9 are retired).
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
             RuleId::FixedPoint => "r2",
             RuleId::PanicFree => "r3",
-            RuleId::Cast => "r4",
             RuleId::Hygiene => "r5",
             RuleId::ErrorTaxonomy => "r6",
             RuleId::Persistence => "r7",
-            RuleId::Docs => "r8",
             RuleId::IoUnderLock => "r10",
             RuleId::AtomicOrdering => "r11",
         }
@@ -93,11 +81,9 @@ impl RuleId {
         match self {
             RuleId::FixedPoint => "fixed-point",
             RuleId::PanicFree => "panic",
-            RuleId::Cast => "cast",
             RuleId::Hygiene => "hygiene",
             RuleId::ErrorTaxonomy => "error-taxonomy",
             RuleId::Persistence => "persistence",
-            RuleId::Docs => "docs",
             RuleId::IoUnderLock => "io-under-lock",
             RuleId::AtomicOrdering => "atomic-ordering",
         }
@@ -113,19 +99,13 @@ impl RuleId {
             RuleId::PanicFree => {
                 "no unchecked slice indexing in from_bytes*/decode*/load* decoders (non-test lib code)"
             }
-            RuleId::Cast => {
-                "no `as u32`/`as usize`/`as i64` in sj-histogram/sj-query numeric code without try_from or a reasoned suppression"
-            }
-            RuleId::Hygiene => {
-                "crate roots carry #![forbid(unsafe_code)] + #![warn(missing_docs)]; suppressions name a real rule"
-            }
+            RuleId::Hygiene => "every sj-lint: allow(..) suppression names a live rule",
             RuleId::ErrorTaxonomy => {
                 "public *Error enums are #[non_exhaustive] and implement Display + Error"
             }
             RuleId::Persistence => {
                 "to_bytes/from_bytes bodies match the checked-in schema fingerprint for the current envelope version"
             }
-            RuleId::Docs => "public items of sj-core/sj-histogram/sj-query carry doc comments",
             RuleId::IoUnderLock => {
                 "no blocking I/O (File::, TcpStream::, sync_all, read_to_end, write_all) inside a live lock-guard region"
             }
@@ -135,7 +115,7 @@ impl RuleId {
         }
     }
 
-    /// Resolves a user-supplied rule name (`r4` or `cast`).
+    /// Resolves a user-supplied rule name (`r10` or `io-under-lock`).
     #[must_use]
     pub fn parse(name: &str) -> Option<RuleId> {
         let name = name.trim();
@@ -212,18 +192,6 @@ fn suppressed(
         }
     }
     hit
-}
-
-/// All whole-token occurrences of `tok` in `code`.
-fn token_positions(code: &str, tok: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while let Some(pos) = find_token(code.get(start..).unwrap_or(""), tok) {
-        let i = start + pos;
-        out.push(i);
-        start = i + tok.len();
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -407,101 +375,14 @@ pub fn check_panic_free(ws: &Workspace, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// R4 — truncating casts
+// R5 — suppression hygiene
 // ---------------------------------------------------------------------
 
-/// Cast targets that can truncate or change signedness silently.
-const R4_TARGETS: [&str; 3] = ["u32", "usize", "i64"];
-
-/// Crates whose numeric code is held to the r4 cast discipline:
-/// sj-histogram (grid/cell-index/mass math) and sj-query (tuple-id
-/// indexing in the executor).
-const R4_CRATES: [&str; 2] = ["histogram", "query"];
-
-/// R4: flags `as u32` / `as usize` / `as i64` in sj-histogram and
-/// sj-query numeric code (grid/cell-index/mass math, tuple-id
-/// indexing) unless converted to `try_from` or carrying a reasoned
-/// suppression.
-pub fn check_casts(ws: &Workspace, out: &mut Vec<Finding>) {
-    for krate in &ws.crates {
-        if !R4_CRATES.contains(&krate.name.as_str()) {
-            continue;
-        }
-        for file in &krate.files {
-            for (i, line) in file.lines.iter().enumerate() {
-                if line.in_test {
-                    continue;
-                }
-                for pos in token_positions(&line.code, "as") {
-                    let rest = line.code.get(pos + 2..).unwrap_or("").trim_start();
-                    let target: String = rest
-                        .chars()
-                        .take_while(|c| c.is_ascii_alphanumeric())
-                        .collect();
-                    if R4_TARGETS.contains(&target.as_str())
-                        && !suppressed(line, RuleId::Cast, &file.rel_path, i + 1, out)
-                    {
-                        out.push(Finding {
-                            rule: RuleId::Cast,
-                            path: file.rel_path.clone(),
-                            line: i + 1,
-                            message: format!(
-                                "truncating `as {target}` cast in r4-scoped numeric code: \
-                                 use `{target}::try_from(..)` (or document the bound with \
-                                 `// sj-lint: allow(cast, <why it cannot truncate>)`)"
-                            ),
-                            severity: Severity::Deny,
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// R5 — crate hygiene
-// ---------------------------------------------------------------------
-
-/// Attribute headers every crate root must carry.
-const R5_FORBID: &str = "#![forbid(unsafe_code)]";
-
-/// R5: every crate root (`src/lib.rs`, `src/main.rs`) carries the
-/// `#![forbid(unsafe_code)]` + missing-docs headers, and every
-/// suppression in the tree names a real rule.
+/// R5: every suppression in the tree names a live rule, so one naming
+/// a retired rule (whose check moved to rustc or clippy) cannot linger.
 pub fn check_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
     for krate in &ws.crates {
         for file in &krate.files {
-            let root = file.rel_path == format!("crates/{}/src/lib.rs", krate.name)
-                || file.rel_path == format!("crates/{}/src/main.rs", krate.name);
-            if root {
-                let has_forbid = file.lines.iter().any(|l| l.code.contains(R5_FORBID));
-                let has_docs_gate = file.lines.iter().any(|l| {
-                    l.code.contains("#![warn(missing_docs)]")
-                        || l.code.contains("#![deny(missing_docs)]")
-                });
-                if !has_forbid {
-                    out.push(Finding {
-                        rule: RuleId::Hygiene,
-                        path: file.rel_path.clone(),
-                        line: 1,
-                        message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-                        severity: Severity::Deny,
-                    });
-                }
-                if !has_docs_gate {
-                    out.push(Finding {
-                        rule: RuleId::Hygiene,
-                        path: file.rel_path.clone(),
-                        line: 1,
-                        message: "crate root is missing `#![warn(missing_docs)]` (or the \
-                                  `deny` form)"
-                            .to_string(),
-                        severity: Severity::Deny,
-                    });
-                }
-            }
-            // Suppression syntax hygiene applies to every file.
             for (i, line) in file.lines.iter().enumerate() {
                 for s in &line.suppress {
                     if RuleId::parse(&s.rule).is_none() {
@@ -608,121 +489,6 @@ pub fn check_error_taxonomy(ws: &Workspace, out: &mut Vec<Finding>) {
                         line: i + 1,
                         message: format!(
                             "public error enum `{name}` has no `std::error::Error` impl"
-                        ),
-                        severity: Severity::Deny,
-                    });
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// R8 — doc coverage
-// ---------------------------------------------------------------------
-
-/// Crates whose public API must be fully documented.
-const R8_CRATES: [&str; 3] = ["core", "histogram", "query"];
-
-/// Item keywords that require a doc comment when `pub`.
-const R8_ITEMS: [&str; 8] = [
-    "fn", "struct", "enum", "trait", "const", "static", "type", "mod",
-];
-
-/// `true` when `decl` (`mod <name>;`) names a sibling module file whose
-/// first non-empty line is an inner `//!` doc. Module docs belong in the
-/// module file: outer docs on the declaration change the scope rustdoc
-/// resolves the module's own intra-doc links in.
-fn mod_file_has_inner_docs(krate: &CrateView, decl_path: &str, decl: &str) -> bool {
-    let Some(name) = decl
-        .strip_prefix("mod")
-        .map(str::trim)
-        .and_then(|r| r.strip_suffix(';'))
-        .map(str::trim)
-    else {
-        return false;
-    };
-    let Some(dir) = decl_path.rfind('/').map(|i| &decl_path[..i]) else {
-        return false;
-    };
-    let candidates = [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")];
-    krate.files.iter().any(|f| {
-        candidates.contains(&f.rel_path)
-            && f.lines
-                .iter()
-                .find(|l| !l.raw.trim().is_empty())
-                .is_some_and(|l| l.is_doc)
-    })
-}
-
-/// R8: public items of the estimator-facing crates carry doc comments.
-/// `pub(crate)` and `pub use` re-exports are exempt.
-pub fn check_docs(ws: &Workspace, out: &mut Vec<Finding>) {
-    for krate in &ws.crates {
-        if !R8_CRATES.contains(&krate.name.as_str()) {
-            continue;
-        }
-        for file in &krate.files {
-            for (i, line) in file.lines.iter().enumerate() {
-                if line.in_test {
-                    continue;
-                }
-                let t = line.code.trim_start();
-                let Some(rest) = t.strip_prefix("pub ") else {
-                    continue;
-                };
-                let mut words = rest.split_whitespace();
-                let Some(first) = words.next() else { continue };
-                // Skip modifiers to find the item keyword.
-                let kw = if matches!(first, "unsafe" | "async" | "const" | "extern") {
-                    // `pub const FOO:` is a const item; `pub const fn` is a fn.
-                    match words.next() {
-                        Some(second) if R8_ITEMS.contains(&second) => second,
-                        _ if first == "const" => "const",
-                        _ => continue,
-                    }
-                } else {
-                    first
-                };
-                if !R8_ITEMS.contains(&kw) {
-                    continue;
-                }
-                if suppressed(line, RuleId::Docs, &file.rel_path, i + 1, out) {
-                    continue;
-                }
-                // Walk back over attribute lines (a multi-line attribute
-                // runs from its `#[` line to its `)]` line) to the doc
-                // comment.
-                let mut documented =
-                    kw == "mod" && mod_file_has_inner_docs(krate, &file.rel_path, rest);
-                let mut in_attr = false;
-                let mut j = i;
-                while j > 0 {
-                    j -= 1;
-                    let Some(prev) = file.lines.get(j) else { break };
-                    if prev.is_doc {
-                        // Inner `//!` docs document the enclosing scope,
-                        // not the item that happens to follow them.
-                        documented |= !prev.raw.trim_start().starts_with("//!");
-                        break;
-                    }
-                    let pt = prev.raw.trim();
-                    in_attr |= pt.ends_with(")]");
-                    let attr_ish = in_attr || pt.starts_with("#[") || pt.ends_with(',');
-                    in_attr &= !pt.starts_with("#[");
-                    if !attr_ish {
-                        break;
-                    }
-                }
-                if !documented {
-                    out.push(Finding {
-                        rule: RuleId::Docs,
-                        path: file.rel_path.clone(),
-                        line: i + 1,
-                        message: format!(
-                            "public `{kw}` item has no doc comment (sj-{} is an \
-                             estimator-facing API)",
-                            krate.name
                         ),
                         severity: Severity::Deny,
                     });
@@ -885,8 +651,9 @@ mod tests {
 
     #[test]
     fn rule_parse_accepts_code_and_slug() {
-        assert_eq!(RuleId::parse("r4"), Some(RuleId::Cast));
-        assert_eq!(RuleId::parse("cast"), Some(RuleId::Cast));
+        assert_eq!(RuleId::parse("r10"), Some(RuleId::IoUnderLock));
+        assert_eq!(RuleId::parse("io-under-lock"), Some(RuleId::IoUnderLock));
+        assert_eq!(RuleId::parse("r4"), None, "retired codes stay retired");
         assert_eq!(RuleId::parse("nope"), None);
     }
 

@@ -12,7 +12,7 @@
 /// A suppression parsed from a `// sj-lint: allow(rule, reason)` comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suppression {
-    /// The rule name inside `allow(...)`, e.g. `cast` or `r4`.
+    /// The rule name inside `allow(...)`, e.g. `panic` or `r3`.
     pub rule: String,
     /// Whether a non-empty reason followed the rule name.
     pub has_reason: bool,

@@ -452,11 +452,11 @@ pub fn run_verify(config: &VerifyConfig) -> Result<VerifyReport, HistogramError>
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     /// A small matrix for fast tests: one level, two shard counts.
-    pub(crate) fn small(fault: Option<Fault>) -> VerifyConfig {
+    fn small(fault: Option<Fault>) -> VerifyConfig {
         VerifyConfig {
             scale: 0.1,
             levels: vec![4],
@@ -489,11 +489,72 @@ pub(crate) mod tests {
         assert_eq!(expected, 256);
     }
 
+    /// The delta-way trials of a run, in matrix order.
+    fn delta_trials(report: &VerifyReport) -> Vec<&Trial> {
+        report.trials.iter().filter(|t| t.way.is_delta()).collect()
+    }
+
+    #[test]
+    fn incremental_updates_are_rebuild_equivalent() {
+        let report = run_verify(&small(None)).unwrap();
+        let deltas = delta_trials(&report);
+        // 2 scenarios × 4 kinds × 2 delta ways × 2 shard counts.
+        assert_eq!(deltas.len(), 2 * 4 * 2 * 2, "full delta matrix ran");
+        assert!(
+            deltas.iter().all(|t| t.outcome == Outcome::Identical),
+            "{}",
+            report.render(Format::Human)
+        );
+    }
+
     #[test]
     fn report_is_deterministic() {
         let a = run_verify(&small(None)).unwrap();
         let b = run_verify(&small(None)).unwrap();
         assert_eq!(a.trials, b.trials, "identical run-to-run");
+    }
+
+    #[test]
+    fn delta_report_is_deterministic() {
+        let a = run_verify(&small(None)).unwrap();
+        let b = run_verify(&small(None)).unwrap();
+        assert_eq!(delta_trials(&a), delta_trials(&b), "identical run-to-run");
+    }
+
+    #[test]
+    fn injected_faults_are_caught_and_localized() {
+        // Dropping the last insert: every delta trial diverges, and the
+        // integer families localize to the scalar cardinality.
+        let report = run_verify(&small(Some(Fault::DropLastRect))).unwrap();
+        let deltas = delta_trials(&report);
+        assert!(
+            deltas.iter().all(|t| t.outcome != Outcome::Identical),
+            "every delta trial should notice a lost insert"
+        );
+        assert!(
+            deltas.iter().any(|t| matches!(
+                &t.outcome,
+                Outcome::Diverged(d) if d.statistic == "n"
+            )),
+            "no delta trial localized the lost insert to the cardinality"
+        );
+
+        // Nudging a coordinate: the mass-carrying families catch it at
+        // cell granularity; integer-only families may legitimately not
+        // see a sub-cell nudge.
+        let report = run_verify(&small(Some(Fault::NudgeFirstRect))).unwrap();
+        let caught: Vec<&Trial> = delta_trials(&report)
+            .into_iter()
+            .filter(|t| t.outcome != Outcome::Identical)
+            .collect();
+        assert!(!caught.is_empty(), "nudge-first-rect went unnoticed");
+        assert!(
+            caught.iter().any(|t| matches!(
+                &t.outcome,
+                Outcome::Diverged(d) if d.cell.is_some()
+            )),
+            "no delta divergence was localized to a cell"
+        );
     }
 
     #[test]

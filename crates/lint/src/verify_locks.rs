@@ -605,6 +605,18 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// Release builds compile observe mode out, so a run records no lock
+    /// events and must say so. Returns `true` there, after checking that
+    /// error, so the caller skips the oracles that need the events.
+    fn compiled_out(config: &LocksConfig) -> bool {
+        if cfg!(debug_assertions) {
+            return false;
+        }
+        let err = run_verify_locks(config).expect_err("release builds record no lock events");
+        assert!(err.contains("no lock events were recorded"), "{err}");
+        true
+    }
+
     #[test]
     fn fault_names_round_trip() {
         for fault in LockFault::ALL {
@@ -616,6 +628,9 @@ mod tests {
     #[test]
     fn clean_workload_satisfies_every_oracle() {
         let _serial = serial();
+        if compiled_out(&LocksConfig::default()) {
+            return;
+        }
         let report = run_verify_locks(&LocksConfig::default()).expect("verify-locks run");
         assert!(
             report.is_clean(),
@@ -634,6 +649,9 @@ mod tests {
             fault: Some(LockFault::InvertRanks),
             ..LocksConfig::default()
         };
+        if compiled_out(&config) {
+            return;
+        }
         let report = run_verify_locks(&config).expect("verify-locks run");
         assert!(!report.is_clean(), "the inversion must be caught");
         assert!(
@@ -664,6 +682,9 @@ mod tests {
             fault: Some(LockFault::HoldAcrossFsync),
             ..LocksConfig::default()
         };
+        if compiled_out(&config) {
+            return;
+        }
         let report = run_verify_locks(&config).expect("verify-locks run");
         assert!(!report.is_clean(), "the held fsync must be caught");
         assert!(

@@ -1,5 +1,4 @@
-//! R5 bad: missing hygiene headers and a suppression naming a rule
-//! that does not exist.
+//! R5 bad: a suppression naming a rule that does not exist.
 
 pub fn widget() -> u32 {
     // sj-lint: allow(made-up-rule, this rule name is not real)

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 /// Tuple ids are `u64` (R-tree entry ids); an id outside the dataset is
 /// a catalog-consistency bug (a dataset changed between planning and
 /// execution) and comes back as [`QueryError::TupleIdOutOfRange`]
-/// instead of an index panic — the same discipline sj-lint rule r4
-/// enforces on grid coordinates in sj-histogram.
+/// instead of an index panic — the same discipline clippy's cast lints
+/// enforce on this crate and on grid coordinates in sj-histogram.
 fn tuple_rect(ds: &Dataset, table: &str, id: u64) -> Result<Rect, QueryError> {
     usize::try_from(id)
         .ok()
@@ -185,7 +185,7 @@ mod tests {
         for k in 1..tables.len() {
             let mut next = Vec::new();
             for t in &tuples {
-                let prev_rect = tables[k - 1].rects[t[k - 1] as usize];
+                let prev_rect = tables[k - 1].rects[usize::try_from(t[k - 1]).unwrap()];
                 for (j, r) in tables[k].rects.iter().enumerate() {
                     if prev_rect.intersects(r) {
                         let mut e = t.clone();
@@ -200,7 +200,7 @@ mod tests {
             tuples.retain(|t| {
                 t.iter()
                     .enumerate()
-                    .all(|(k, &id)| tables[k].rects[id as usize].intersects(&w))
+                    .all(|(k, &id)| tables[k].rects[usize::try_from(id).unwrap()].intersects(&w))
             });
         }
         tuples.sort();
@@ -288,9 +288,9 @@ mod tests {
         );
         for t in result.tuples.iter().take(50) {
             let (ra, rb, rc) = (
-                da.rects[t[0] as usize],
-                db.rects[t[1] as usize],
-                dc.rects[t[2] as usize],
+                da.rects[usize::try_from(t[0]).unwrap()],
+                db.rects[usize::try_from(t[1]).unwrap()],
+                dc.rects[usize::try_from(t[2]).unwrap()],
             );
             assert!(ra.intersects(&rb), "a-b predicate violated");
             assert!(rb.intersects(&rc), "b-c predicate violated");

@@ -34,8 +34,11 @@
 //! assert_eq!(result.tuples[0].len(), 2);    // (ts_id, tcb_id) tuples
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 mod catalog;
 mod degrade;

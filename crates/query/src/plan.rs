@@ -562,8 +562,8 @@ mod star_tests {
         let dc = c.dataset("center").unwrap();
         let ds = c.dataset("sparse_sat").unwrap();
         for t in &result.tuples {
-            assert!(dc.rects[t[0] as usize].intersects(&w));
-            assert!(ds.rects[t[1] as usize].intersects(&w));
+            assert!(dc.rects[usize::try_from(t[0]).unwrap()].intersects(&w));
+            assert!(ds.rects[usize::try_from(t[1]).unwrap()].intersects(&w));
         }
     }
 }

@@ -632,9 +632,7 @@ fn decode_wal(data: &[u8]) -> Result<(Vec<WalRecord>, usize), QueryError> {
             le_u64(data, offset + 16).unwrap_or(0),
             le_u64(data, offset + 24).unwrap_or(0),
         );
-        // sj-lint: allow(cast, u32 always fits in usize on supported targets)
         let n_ins = le_u32(data, offset + 32).unwrap_or(0) as usize;
-        // sj-lint: allow(cast, u32 always fits in usize on supported targets)
         let n_del = le_u32(data, offset + 36).unwrap_or(0) as usize;
         let body_len = WAL_HEADER_LEN + (n_ins + n_del) * 32;
         let Some(total) = body_len.checked_add(4) else {
@@ -1582,7 +1580,7 @@ mod tests {
                 .apply_delta("t", &rects(3, 0.02 * f64::from(round)), &[])
                 .unwrap();
             assert!(!receipt.compacted);
-            assert_eq!(receipt.pending_tiers, round as usize + 1);
+            assert_eq!(receipt.pending_tiers, usize::try_from(round).unwrap() + 1);
         }
         let prov = c.stats_provenance("t").unwrap();
         assert_eq!(prov.pending.len(), 2);
@@ -1875,7 +1873,7 @@ mod tests {
         // Mid-file corruption, by contrast, is a typed error.
         let mut bad = std::fs::read(dir.join("t.wal")).unwrap();
         bad[WAL_HEADER_LEN + 3] ^= 0x40;
-        bad.truncate(wal_len as usize);
+        bad.truncate(usize::try_from(wal_len).unwrap());
         std::fs::write(dir.join("t.wal"), &bad).unwrap();
         let mut c4 = Catalog::with_kind(HistogramKind::Gh, 4);
         c4.register_with_statistics(

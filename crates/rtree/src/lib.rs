@@ -21,9 +21,6 @@
 //!   a choice of [`SplitAlgorithm::Linear`] or
 //!   [`SplitAlgorithm::Quadratic`] node splitting.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bulk;
 mod delete;
 mod join;

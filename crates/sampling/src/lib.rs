@@ -27,9 +27,6 @@
 //! experiment runner can compute the paper's *Est. Time 1* (R-trees on
 //! the base data not available) and *Est. Time 2* (available) metrics.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sj_geo::{Extent, Rect};

@@ -25,9 +25,6 @@
 //! No external dependencies: framing, checksums and threading are std
 //! only, like everything else in the workspace.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod client;
 pub mod server;
 pub mod service;

@@ -16,9 +16,6 @@
 //!   "directly perform a plane sweep algorithm on the two samples"; this
 //!   backend makes that variant available to the sampling estimator.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use sj_geo::Rect;
 
 /// Counts intersecting pairs between `a` and `b` with a forward plane
