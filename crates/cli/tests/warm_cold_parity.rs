@@ -83,92 +83,89 @@ fn boot(
 #[test]
 fn warm_answers_are_byte_identical_to_cold_under_concurrency() {
     let (a_csv, b_csv) = datasets("parity");
+    // Every family: each serves the daemon's estimates from its own
+    // resident view (Euler from its counts).
+    for kind in ["gh", "ph", "gh-basic", "euler"] {
+        let kind_flag = ["--kind", kind];
+        // Cold path: a full process-shaped run per request, statistics
+        // rebuilt from the CSVs every time.
+        let catalog_estimate = |json: &[&str]| {
+            let mut args = vec!["catalog-estimate", &a_csv, &b_csv, "--level", "4"];
+            args.extend(kind_flag);
+            args.extend(json);
+            run(&argv(&args)).unwrap()
+        };
+        let cold_text = catalog_estimate(&[]);
+        let cold_json = catalog_estimate(&["--json"]);
 
-    // Cold path: a full process-shaped run per request, statistics
-    // rebuilt from the CSVs every time.
-    let cold_text = run(&argv(&["catalog-estimate", &a_csv, &b_csv, "--level", "4"])).unwrap();
-    let cold_json = run(&argv(&[
-        "catalog-estimate",
-        &a_csv,
-        &b_csv,
-        "--level",
-        "4",
-        "--json",
-    ]))
-    .unwrap();
+        // Cold primary estimate over persisted statistics files.
+        let hist = |csv: &str, side: &str| {
+            let out = tmp(&format!("parity_{kind}_{side}.hist"));
+            let mut args = vec!["build-histogram", csv, "--level", "4", "--out", &out];
+            args.extend(kind_flag);
+            run(&argv(&args)).unwrap();
+            out
+        };
+        let (a_hist, b_hist) = (hist(&a_csv, "a"), hist(&b_csv, "b"));
+        let cold_estimate = run(&argv(&["estimate", &a_hist, &b_hist])).unwrap();
 
-    // Cold primary estimate over persisted statistics files.
-    let a_hist = tmp("parity_a.hist");
-    let b_hist = tmp("parity_b.hist");
-    run(&argv(&[
-        "build-histogram",
-        &a_csv,
-        "--level",
-        "4",
-        "--out",
-        &a_hist,
-    ]))
-    .unwrap();
-    run(&argv(&[
-        "build-histogram",
-        &b_csv,
-        "--level",
-        "4",
-        "--out",
-        &b_hist,
-    ]))
-    .unwrap();
-    let cold_estimate = run(&argv(&["estimate", &a_hist, &b_hist])).unwrap();
+        let (addr, daemon) = boot(
+            &[&a_csv, &b_csv],
+            &format!("parity_{kind}_ready.txt"),
+            &kind_flag,
+        );
 
-    let (addr, daemon) = boot(&[&a_csv, &b_csv], "parity_ready.txt", &[]);
+        // Six concurrent clients, each comparing every warm answer
+        // against the cold output bytes.
+        std::thread::scope(|scope| {
+            for _ in 0..6 {
+                let (addr, cold_text, cold_json, cold_estimate) =
+                    (&addr, &cold_text, &cold_json, &cold_estimate);
+                scope.spawn(move || {
+                    for _ in 0..5 {
+                        let warm_text = run(&argv(&[
+                            "client",
+                            "--addr",
+                            addr,
+                            "catalog-estimate",
+                            "parity_a",
+                            "parity_b",
+                        ]))
+                        .unwrap();
+                        assert_eq!(warm_text.stdout, cold_text.stdout, "{kind}: text parity");
+                        assert_eq!(
+                            warm_text.warnings, cold_text.warnings,
+                            "{kind}: warning parity"
+                        );
 
-    // Six concurrent clients, each comparing every warm answer against
-    // the cold output bytes.
-    std::thread::scope(|scope| {
-        for _ in 0..6 {
-            let (addr, cold_text, cold_json, cold_estimate) =
-                (&addr, &cold_text, &cold_json, &cold_estimate);
-            scope.spawn(move || {
-                for _ in 0..5 {
-                    let warm_text = run(&argv(&[
-                        "client",
-                        "--addr",
-                        addr,
-                        "catalog-estimate",
-                        "parity_a",
-                        "parity_b",
-                    ]))
-                    .unwrap();
-                    assert_eq!(warm_text.stdout, cold_text.stdout, "text parity");
-                    assert_eq!(warm_text.warnings, cold_text.warnings, "warning parity");
+                        let warm_json = run(&argv(&[
+                            "client",
+                            "--addr",
+                            addr,
+                            "catalog-estimate",
+                            "parity_a",
+                            "parity_b",
+                            "--json",
+                        ]))
+                        .unwrap();
+                        assert_eq!(warm_json.stdout, cold_json.stdout, "{kind}: json parity");
 
-                    let warm_json = run(&argv(&[
-                        "client",
-                        "--addr",
-                        addr,
-                        "catalog-estimate",
-                        "parity_a",
-                        "parity_b",
-                        "--json",
-                    ]))
-                    .unwrap();
-                    assert_eq!(warm_json.stdout, cold_json.stdout, "json parity");
+                        let warm_estimate = run(&argv(&[
+                            "client", "--addr", addr, "estimate", "parity_a", "parity_b",
+                        ]))
+                        .unwrap();
+                        assert_eq!(
+                            warm_estimate.stdout, cold_estimate.stdout,
+                            "{kind}: estimate parity"
+                        );
+                    }
+                });
+            }
+        });
 
-                    let warm_estimate = run(&argv(&[
-                        "client", "--addr", addr, "estimate", "parity_a", "parity_b",
-                    ]))
-                    .unwrap();
-                    assert_eq!(
-                        warm_estimate.stdout, cold_estimate.stdout,
-                        "estimate parity"
-                    );
-                }
-            });
-        }
-    });
-
-    run(&argv(&["client", "--addr", &addr, "shutdown"])).unwrap();
-    daemon.join().unwrap().unwrap();
+        run(&argv(&["client", "--addr", &addr, "shutdown"])).unwrap();
+        daemon.join().unwrap().unwrap();
+    }
 }
 
 /// The full daemon lifecycle across a restart: mutate, compact (which

@@ -133,15 +133,7 @@ impl GhBasicHistogram {
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn estimate(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
-        let ip = self.intersection_points(other)?;
-        #[allow(clippy::cast_precision_loss)]
-        let denom = (self.n as f64) * (other.n as f64);
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw,
-            self.dataset_len(),
-            other.dataset_len(),
-        ))
+        crate::kernel::GhBasicView::new(self).estimate(&crate::kernel::GhBasicView::new(other))
     }
 
     /// Serializes the histogram file.
@@ -444,15 +436,7 @@ impl GhHistogram {
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
     pub fn estimate(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
-        let ip = self.intersection_points(other)?;
-        #[allow(clippy::cast_precision_loss)]
-        let denom = (self.n as f64) * (other.n as f64);
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw,
-            self.dataset_len(),
-            other.dataset_len(),
-        ))
+        crate::kernel::GhView::new(self).estimate(&crate::kernel::GhView::new(other))
     }
 
     /// **Extension beyond the paper** (its introduction's motivating

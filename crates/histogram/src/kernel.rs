@@ -4,10 +4,16 @@
 //! per statistic already, but the hot estimate loops still pay a
 //! fixed-point decode (`Mass::to_f64`) and an average derivation per
 //! cell *per estimate*. This module provides flat structure-of-arrays
-//! **views** — one contiguous `f64` slice per statistic, decoded once —
-//! plus a per-row occupancy bitmap ([`RowMask`]) so the Eq. 4/5
+//! **views** — one contiguous slice per statistic, decoded once — plus a
+//! per-row occupancy bitmap ([`RowMask`]) so the Eq. 4/5
 //! corner×overlap and edge×edge products run over contiguous slices and
-//! skip empty-cell runs in 64-cell strides.
+//! skip empty-cell runs in 64-cell strides. Masses and averages are
+//! decoded to `f64`; counts stay `u32` and the kernels widen them with
+//! `f64::from`, which is exact, so a view costs less memory to keep
+//! resident ([`ResidentHistogram`]) without changing a result bit. A
+//! view writes only occupied cells into zero-initialised slices: the
+//! kernels never read any other cell, and pages no occupied cell touches
+//! are never made resident.
 //!
 //! Three views cover the gridded families:
 //!
@@ -39,7 +45,10 @@
 use crate::grid::ix;
 use crate::grid::Grid;
 use crate::mass::Mass;
-use crate::{GhBasicHistogram, GhHistogram, HistogramError, PhHistogram, SelectivityEstimate};
+use crate::{
+    GhBasicHistogram, GhHistogram, HistogramDelta, HistogramError, PhHistogram,
+    SelectivityEstimate, SpatialHistogram,
+};
 use sj_geo::{HEdge, Rect, VEdge};
 
 // ---------------------------------------------------------------------
@@ -150,7 +159,7 @@ fn avg(sum: Mass, count: u32) -> f64 {
 /// Flat SoA view of a [`PhHistogram`] for repeated estimation.
 ///
 /// Decodes the per-cell `Cont`/`Isect` statistics into eight contiguous
-/// `f64` slices (counts, coverages and pre-derived `Xavg`/`Yavg`
+/// slices (`u32` counts; `f64` coverages and pre-derived `Xavg`/`Yavg`
 /// averages per group) plus a [`RowMask`], once; every subsequent
 /// [`PhView::estimate`] then runs the four-case `Sa..Sd` sweep over the
 /// slices with empty cells skipped. The result is bit-identical to
@@ -194,12 +203,13 @@ pub struct PhView {
     avg_span: f64,
     cell_area: f64,
     // Cont group: count, coverage, average width, average height.
-    n: Vec<f64>,
+    // Counts stay `u32`; the kernel widens them with `f64::from`.
+    n: Vec<u32>,
     c: Vec<f64>,
     w: Vec<f64>,
     h: Vec<f64>,
     // Isect group, over clipped intersections.
-    nx: Vec<f64>,
+    nx: Vec<u32>,
     cx: Vec<f64>,
     wx: Vec<f64>,
     hx: Vec<f64>,
@@ -221,44 +231,38 @@ impl PhView {
             n_f64,
             avg_span: hist.avg_span(),
             cell_area: grid.cell_area(),
-            n: Vec::with_capacity(cells),
-            c: Vec::with_capacity(cells),
-            w: Vec::with_capacity(cells),
-            h: Vec::with_capacity(cells),
-            nx: Vec::with_capacity(cells),
-            cx: Vec::with_capacity(cells),
-            wx: Vec::with_capacity(cells),
-            hx: Vec::with_capacity(cells),
+            n: vec![0; cells],
+            c: vec![0.0; cells],
+            w: vec![0.0; cells],
+            h: vec![0.0; cells],
+            nx: vec![0; cells],
+            cx: vec![0.0; cells],
+            wx: vec![0.0; cells],
+            hx: vec![0.0; cells],
             occ: RowMask::empty(cpa, cpa),
         };
         for idx in 0..cells {
-            let n = f64::from(hist.num[idx]);
+            let n = hist.num[idx];
             let c = hist.cov[idx].to_f64();
-            let w = avg(hist.xsum[idx], hist.num[idx]);
-            let h = avg(hist.ysum[idx], hist.num[idx]);
-            let nx = f64::from(hist.num_x[idx]);
+            let w = avg(hist.xsum[idx], n);
+            let h = avg(hist.ysum[idx], n);
+            let nx = hist.num_x[idx];
             let cx = hist.cov_x[idx].to_f64();
-            let wx = avg(hist.xsum_x[idx], hist.num_x[idx]);
-            let hx = avg(hist.ysum_x[idx], hist.num_x[idx]);
-            if n != 0.0
+            let wx = avg(hist.xsum_x[idx], nx);
+            let hx = avg(hist.ysum_x[idx], nx);
+            if n != 0
                 || c != 0.0
                 || w != 0.0
                 || h != 0.0
-                || nx != 0.0
+                || nx != 0
                 || cx != 0.0
                 || wx != 0.0
                 || hx != 0.0
             {
                 view.occ.set(idx / cpa, idx % cpa);
+                (view.n[idx], view.c[idx], view.w[idx], view.h[idx]) = (n, c, w, h);
+                (view.nx[idx], view.cx[idx], view.wx[idx], view.hx[idx]) = (nx, cx, wx, hx);
             }
-            view.n.push(n);
-            view.c.push(c);
-            view.w.push(w);
-            view.h.push(h);
-            view.nx.push(nx);
-            view.cx.push(cx);
-            view.wx.push(wx);
-            view.hx.push(hx);
         }
         view
     }
@@ -318,10 +322,12 @@ impl PhView {
         let mut sum_abc = 0.0f64;
         let mut sum_d = 0.0f64;
         for_each_joint(&self.occ, &other.occ, |idx| {
-            let (n1, c1, w1, h1) = (self.n[idx], self.c[idx], self.w[idx], self.h[idx]);
-            let (n1x, c1x, w1x, h1x) = (self.nx[idx], self.cx[idx], self.wx[idx], self.hx[idx]);
-            let (n2, c2, w2, h2) = (other.n[idx], other.c[idx], other.w[idx], other.h[idx]);
-            let (n2x, c2x, w2x, h2x) = (other.nx[idx], other.cx[idx], other.wx[idx], other.hx[idx]);
+            let (n1, n1x) = (f64::from(self.n[idx]), f64::from(self.nx[idx]));
+            let (n2, n2x) = (f64::from(other.n[idx]), f64::from(other.nx[idx]));
+            let (c1, w1, h1) = (self.c[idx], self.w[idx], self.h[idx]);
+            let (c1x, w1x, h1x) = (self.cx[idx], self.wx[idx], self.hx[idx]);
+            let (c2, w2, h2) = (other.c[idx], other.w[idx], other.h[idx]);
+            let (c2x, w2x, h2x) = (other.cx[idx], other.wx[idx], other.hx[idx]);
             // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
             sum_abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
             sum_abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
@@ -349,10 +355,11 @@ impl PhView {
 
 /// Flat SoA view of a [`GhHistogram`] for repeated estimation.
 ///
-/// Decodes `{C, O, H, V}` into four contiguous `f64` slices plus a
-/// [`RowMask`], once; [`GhView::intersection_points`] then runs the
-/// Eq. 5 corner×overlap and edge×edge products over the slices with
-/// empty-cell runs skipped. Bit-identical to
+/// Decodes `{C, O, H, V}` into four contiguous slices (`C` as `u32`
+/// counts, the masses as `f64`) plus a [`RowMask`], once;
+/// [`GhView::intersection_points`] then runs the Eq. 5 corner×overlap
+/// and edge×edge products over the slices with empty-cell runs skipped.
+/// Bit-identical to
 /// [`GhHistogram::intersection_points_scalar`].
 ///
 /// ```
@@ -378,7 +385,8 @@ pub struct GhView {
     grid: Grid,
     len: usize,
     n_f64: f64,
-    c: Vec<f64>,
+    // Corner counts stay `u32`; the kernel widens them with `f64::from`.
+    c: Vec<u32>,
     o: Vec<f64>,
     h: Vec<f64>,
     v: Vec<f64>,
@@ -398,24 +406,21 @@ impl GhView {
             grid,
             len: hist.dataset_len(),
             n_f64,
-            c: Vec::with_capacity(cells),
-            o: Vec::with_capacity(cells),
-            h: Vec::with_capacity(cells),
-            v: Vec::with_capacity(cells),
+            c: vec![0; cells],
+            o: vec![0.0; cells],
+            h: vec![0.0; cells],
+            v: vec![0.0; cells],
             occ: RowMask::empty(cpa, cpa),
         };
         for idx in 0..cells {
-            let c = f64::from(hist.c[idx]);
+            let c = hist.c[idx];
             let o = hist.o[idx].to_f64();
             let h = hist.h[idx].to_f64();
             let v = hist.v[idx].to_f64();
-            if c != 0.0 || o != 0.0 || h != 0.0 || v != 0.0 {
+            if c != 0 || o != 0.0 || h != 0.0 || v != 0.0 {
                 view.occ.set(idx / cpa, idx % cpa);
+                (view.c[idx], view.o[idx], view.h[idx], view.v[idx]) = (c, o, h, v);
             }
-            view.c.push(c);
-            view.o.push(o);
-            view.h.push(h);
-            view.v.push(v);
         }
         view
     }
@@ -448,8 +453,8 @@ impl GhView {
         grid_check(self.grid, other.grid)?;
         let mut total = 0.0f64;
         for_each_joint(&self.occ, &other.occ, |idx| {
-            total += self.c[idx] * other.o[idx]
-                + other.c[idx] * self.o[idx]
+            total += f64::from(self.c[idx]) * other.o[idx]
+                + f64::from(other.c[idx]) * self.o[idx]
                 + self.h[idx] * other.v[idx]
                 + other.h[idx] * self.v[idx];
         });
@@ -509,10 +514,11 @@ pub struct GhBasicView {
     grid: Grid,
     len: usize,
     n_f64: f64,
-    c: Vec<f64>,
-    i: Vec<f64>,
-    v: Vec<f64>,
-    h: Vec<f64>,
+    // All four statistics are counts: stored `u32`, widened by the kernel.
+    c: Vec<u32>,
+    i: Vec<u32>,
+    v: Vec<u32>,
+    h: Vec<u32>,
     occ: RowMask,
 }
 
@@ -529,24 +535,18 @@ impl GhBasicView {
             grid,
             len: hist.dataset_len(),
             n_f64,
-            c: Vec::with_capacity(cells),
-            i: Vec::with_capacity(cells),
-            v: Vec::with_capacity(cells),
-            h: Vec::with_capacity(cells),
+            c: vec![0; cells],
+            i: vec![0; cells],
+            v: vec![0; cells],
+            h: vec![0; cells],
             occ: RowMask::empty(cpa, cpa),
         };
         for idx in 0..cells {
-            let c = f64::from(hist.c[idx]);
-            let i = f64::from(hist.i[idx]);
-            let v = f64::from(hist.v[idx]);
-            let h = f64::from(hist.h[idx]);
-            if c != 0.0 || i != 0.0 || v != 0.0 || h != 0.0 {
+            let (c, i, v, h) = (hist.c[idx], hist.i[idx], hist.v[idx], hist.h[idx]);
+            if c != 0 || i != 0 || v != 0 || h != 0 {
                 view.occ.set(idx / cpa, idx % cpa);
+                (view.c[idx], view.i[idx], view.v[idx], view.h[idx]) = (c, i, v, h);
             }
-            view.c.push(c);
-            view.i.push(i);
-            view.v.push(v);
-            view.h.push(h);
         }
         view
     }
@@ -579,10 +579,10 @@ impl GhBasicView {
         grid_check(self.grid, other.grid)?;
         let mut total = 0.0f64;
         for_each_joint(&self.occ, &other.occ, |idx| {
-            total += self.c[idx] * other.i[idx]
-                + self.i[idx] * other.c[idx]
-                + self.v[idx] * other.h[idx]
-                + self.h[idx] * other.v[idx];
+            total += f64::from(self.c[idx]) * f64::from(other.i[idx])
+                + f64::from(self.i[idx]) * f64::from(other.c[idx])
+                + f64::from(self.v[idx]) * f64::from(other.h[idx])
+                + f64::from(self.h[idx]) * f64::from(other.v[idx]);
         });
         Ok(total)
     }
@@ -600,6 +600,122 @@ impl GhBasicView {
         Ok(SelectivityEstimate::from_selectivity(
             raw, self.len, other.len,
         ))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Resident statistics: a histogram and its view, kept in step
+// ---------------------------------------------------------------------
+
+/// The kernel view of one histogram. Euler's statistics are integer
+/// counts its estimate reads directly, so Euler has no view.
+#[derive(Debug)]
+enum FamilyView {
+    Ph(PhView),
+    GhBasic(GhBasicView),
+    Gh(GhView),
+    Euler,
+}
+
+impl FamilyView {
+    fn of(hist: &dyn SpatialHistogram) -> Self {
+        let any = hist.as_any();
+        if let Some(h) = any.downcast_ref::<GhHistogram>() {
+            Self::Gh(GhView::new(h))
+        } else if let Some(h) = any.downcast_ref::<PhHistogram>() {
+            Self::Ph(PhView::new(h))
+        } else if let Some(h) = any.downcast_ref::<GhBasicHistogram>() {
+            Self::GhBasic(GhBasicView::new(h))
+        } else {
+            Self::Euler
+        }
+    }
+}
+
+/// A histogram that keeps its kernel view resident, for serving many
+/// estimates (DESIGN.md §16.1).
+///
+/// [`SpatialHistogram::estimate_join`] decodes both operands' views on
+/// every call. A `ResidentHistogram` decodes its view when it is built
+/// and again inside [`ResidentHistogram::apply_delta`], the only way to
+/// change the histogram it owns, so the view always describes the
+/// current histogram: there is no cache key to compare and no
+/// invalidation step to forget. [`ResidentHistogram::estimate`] runs the
+/// family's kernel on the two resident views and is bit-identical to
+/// `estimate_join` on the backing histograms.
+///
+/// ```
+/// use sj_geo::{Extent, Rect};
+/// use sj_histogram::kernel::ResidentHistogram;
+/// use sj_histogram::{build_histogram, Grid, HistogramDelta, HistogramKind};
+///
+/// let grid = Grid::new(4, Extent::unit())?;
+/// let a = vec![Rect::new(0.1, 0.1, 0.4, 0.4)];
+/// let b = vec![Rect::new(0.2, 0.2, 0.5, 0.5), Rect::new(0.6, 0.6, 0.7, 0.7)];
+/// let kind = HistogramKind::Gh;
+/// let mut ra = ResidentHistogram::new(build_histogram(kind, grid, &a));
+/// let rb = ResidentHistogram::new(build_histogram(kind, grid, &b));
+///
+/// let cold = ra.histogram().estimate_join(rb.histogram())?;
+/// assert_eq!(ra.estimate(&rb)?.pairs.to_bits(), cold.pairs.to_bits());
+///
+/// // A delta re-derives the view: the answer tracks the new dataset.
+/// let more = [Rect::new(0.65, 0.65, 0.8, 0.8)];
+/// ra.apply_delta(&HistogramDelta::build(kind, grid, &more, &[]))?;
+/// let fresh = build_histogram(kind, grid, &[a[0], more[0]]);
+/// let cold = fresh.estimate_join(rb.histogram())?;
+/// assert_eq!(ra.estimate(&rb)?.pairs.to_bits(), cold.pairs.to_bits());
+/// # Ok::<(), sj_histogram::HistogramError>(())
+/// ```
+#[derive(Debug)]
+pub struct ResidentHistogram {
+    hist: Box<dyn SpatialHistogram>,
+    view: FamilyView,
+}
+
+impl ResidentHistogram {
+    /// Takes ownership of `hist` and decodes its view.
+    #[must_use]
+    pub fn new(hist: Box<dyn SpatialHistogram>) -> Self {
+        let view = FamilyView::of(hist.as_ref());
+        Self { hist, view }
+    }
+
+    /// The histogram the view was decoded from.
+    #[must_use]
+    pub fn histogram(&self) -> &dyn SpatialHistogram {
+        self.hist.as_ref()
+    }
+
+    /// Applies a signed delta to the histogram
+    /// ([`SpatialHistogram::apply_delta`]) and re-derives the view from
+    /// the result.
+    ///
+    /// # Errors
+    /// As [`SpatialHistogram::apply_delta`]; on error neither the
+    /// histogram nor the view has changed.
+    pub fn apply_delta(&mut self, delta: &HistogramDelta) -> Result<(), HistogramError> {
+        self.hist.apply_delta(delta)?;
+        self.view = FamilyView::of(self.hist.as_ref());
+        Ok(())
+    }
+
+    /// Join estimate against `other` from the two resident views;
+    /// bit-identical to [`SpatialHistogram::estimate_join`].
+    ///
+    /// # Errors
+    /// As [`SpatialHistogram::estimate_join`]:
+    /// [`HistogramError::KindMismatch`] across families,
+    /// [`HistogramError::GridMismatch`] across grids.
+    pub fn estimate(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
+        match (&self.view, &other.view) {
+            (FamilyView::Gh(a), FamilyView::Gh(b)) => a.estimate(b),
+            (FamilyView::Ph(a), FamilyView::Ph(b)) => a.estimate(b),
+            (FamilyView::GhBasic(a), FamilyView::GhBasic(b)) => a.estimate(b),
+            // Euler estimates from its counts; two different families
+            // get the trait path's kind-mismatch error.
+            _ => self.hist.estimate_join(other.hist.as_ref()),
+        }
     }
 }
 

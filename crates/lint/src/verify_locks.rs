@@ -23,6 +23,11 @@
 //!    stalls every estimate behind disk latency, which is exactly what
 //!    the daemon's three-phase pipeline exists to prevent.
 //!
+//! After the schedule, the daemon's warm `estimate` and
+//! `catalog_estimate` answers must also equal, bit for bit, the cold
+//! path over the same batches applied serially: a resident view the
+//! concurrent commits left stale is reported as a violation too.
+//!
 //! Every run is deterministic: fixed dataset, fixed batch
 //! schedule, fixed thread count. Fault injection (`--inject`)
 //! sabotages the *observed process* instead of the oracle — acquiring
@@ -38,7 +43,7 @@ use crate::report::Format;
 use sj_core::sync::{self, LockEvent, LockRank, OrderedMutex};
 use sj_geo::{Extent, Rect};
 use sj_query::{Catalog, CompactionPolicy, DegradationPolicy, RealStoreIo, StoreIo};
-use sj_server::{CatalogService, Client, Server};
+use sj_server::{CatalogService, Client, EstimateReply, RemoteOutcome, Server};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -142,6 +147,16 @@ pub enum LockViolation {
         /// Ordinal of the offending thread.
         thread: u64,
     },
+    /// After the schedule, a warm daemon answer differs from the cold
+    /// path over the same batches applied serially.
+    StaleAnswer {
+        /// The request (`estimate` or `catalog_estimate`).
+        request: String,
+        /// The daemon's answer.
+        warm: String,
+        /// The cold path's answer.
+        cold: String,
+    },
 }
 
 impl std::fmt::Display for LockViolation {
@@ -176,6 +191,15 @@ impl std::fmt::Display for LockViolation {
                 "blocking `{op}` on thread {thread} while holding catalog-ranked \
                  `{held_name}` acquired at {held_site}"
             ),
+            LockViolation::StaleAnswer {
+                request,
+                warm,
+                cold,
+            } => write!(
+                f,
+                "warm `{request}` answered {warm}, but the serial schedule's cold \
+                 path answers {cold}"
+            ),
         }
     }
 }
@@ -189,7 +213,8 @@ pub struct LocksReport {
     pub ios: usize,
     /// Distinct lock names observed.
     pub locks_seen: usize,
-    /// Oracle violations, in event order (cycles last).
+    /// Oracle violations, in event order (cycles, then stale answers,
+    /// last).
     pub violations: Vec<LockViolation>,
     /// The sabotage injected after the workload, if any.
     pub fault: Option<LockFault>,
@@ -227,7 +252,8 @@ impl LocksReport {
             out.push_str(&format!(
                 "sj-lint verify-locks: clean ({} acquisitions across {} locks, \
                  {} blocking I/O operations, ranks strictly increasing, order \
-                 graph acyclic, no I/O under the catalog lock)\n",
+                 graph acyclic, no I/O under the catalog lock, warm answers \
+                 equal the cold path)\n",
                 self.acquires, self.locks_seen, self.ios
             ));
         } else {
@@ -248,6 +274,7 @@ impl LocksReport {
                 LockViolation::RankInversion { .. } => "rank-inversion",
                 LockViolation::OrderCycle { .. } => "order-cycle",
                 LockViolation::IoUnderCatalog { .. } => "io-under-catalog",
+                LockViolation::StaleAnswer { .. } => "stale-answer",
             };
             out.push_str(&format!(
                 "    {{\"kind\": \"{kind}\", \"detail\": \"{}\"}}{}\n",
@@ -296,18 +323,8 @@ fn thread_batch(t: usize, r: usize) -> Vec<Rect> {
         .collect()
 }
 
-/// The statistics directory the workload writes under — scoped by pid
-/// so parallel CI jobs cannot collide, and recreated fresh every run.
-fn workload_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("sj-verify-locks-{}", std::process::id()))
-}
-
-/// Runs the seeded concurrent workload against an in-process daemon
-/// with observe mode on, and returns the harvested event log.
-fn run_workload(rounds: usize) -> Result<Vec<LockEvent>, String> {
-    let dir = workload_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-
+/// A catalog holding the workload table with no rounds applied.
+fn base_catalog() -> Result<Catalog, String> {
     let mut catalog = Catalog::with_level(4);
     catalog
         .register(sj_datagen::Dataset::new(
@@ -316,6 +333,86 @@ fn run_workload(rounds: usize) -> Result<Vec<LockEvent>, String> {
             base_rects(),
         ))
         .map_err(|e| format!("registering the workload table: {e}"))?;
+    Ok(catalog)
+}
+
+/// The daemon's answers after the concurrent schedule.
+struct WarmAnswers {
+    estimate: EstimateReply,
+    outcome: RemoteOutcome,
+}
+
+/// Compares the warm answers with the cold path over the same batches
+/// applied on a serial schedule: `estimate_join` decodes fresh views
+/// from the serial catalog's histogram. Histogram statistics are exact
+/// sums, so any interleaving of the batches folds to the same bytes.
+fn stale_answers(rounds: usize, warm: &WarmAnswers) -> Result<Vec<LockViolation>, String> {
+    let mut serial = base_catalog()?;
+    for t in 0..THREADS {
+        for r in 0..rounds {
+            serial
+                .apply_delta(TABLE, &thread_batch(t, r), &[])
+                .map_err(|e| format!("serial schedule: insert: {e}"))?;
+            if r >= 2 {
+                let earlier = thread_batch(t, r - 2);
+                serial
+                    .apply_delta(TABLE, &[], &earlier[..BATCH / 2])
+                    .map_err(|e| format!("serial schedule: delete: {e}"))?;
+            }
+        }
+    }
+    let hist = serial
+        .histogram(TABLE)
+        .map_err(|e| format!("serial schedule: {e}"))?;
+    let cold = hist
+        .estimate_join(hist)
+        .map_err(|e| format!("cold estimate: {e}"))?;
+    let ladder = serial
+        .estimate_join_pairs_detailed(TABLE, TABLE, &DegradationPolicy::default())
+        .map_err(|e| format!("cold catalog estimate: {e}"))?;
+    // The ladder's provenance, carrying the cold numbers.
+    let cold_outcome = RemoteOutcome {
+        pairs: cold.pairs,
+        selectivity: cold.selectivity,
+        ..RemoteOutcome::from_outcome(&ladder)
+    };
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+    let mut stale = Vec::new();
+    if !same(warm.estimate.pairs, cold.pairs) || !same(warm.estimate.selectivity, cold.selectivity)
+    {
+        stale.push(LockViolation::StaleAnswer {
+            request: "estimate".to_string(),
+            warm: format!("{:?}", warm.estimate),
+            cold: format!("{cold:?}"),
+        });
+    }
+    if warm.outcome != cold_outcome
+        || !same(warm.outcome.pairs, cold.pairs)
+        || !same(warm.outcome.selectivity, cold.selectivity)
+    {
+        stale.push(LockViolation::StaleAnswer {
+            request: "catalog_estimate".to_string(),
+            warm: format!("{:?}", warm.outcome),
+            cold: format!("{cold_outcome:?}"),
+        });
+    }
+    Ok(stale)
+}
+
+/// The statistics directory the workload writes under — scoped by pid
+/// so parallel CI jobs cannot collide, and recreated fresh every run.
+fn workload_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("sj-verify-locks-{}", std::process::id()))
+}
+
+/// Runs the seeded concurrent workload against an in-process daemon
+/// with observe mode on, and returns the harvested event log and the
+/// daemon's answers after the schedule.
+fn run_workload(rounds: usize) -> Result<(Vec<LockEvent>, WarmAnswers), String> {
+    let dir = workload_dir();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut catalog = base_catalog()?;
     catalog
         .open_stats_store(&dir, CompactionPolicy::default())
         .map_err(|e| format!("attaching the statistics store: {e}"))?;
@@ -376,6 +473,14 @@ fn run_workload(rounds: usize) -> Result<Vec<LockEvent>, String> {
             Err(_) => worker_err = Some("a workload thread panicked".to_string()),
         }
     }
+    let warm = Client::connect(addr)
+        .and_then(|mut client| {
+            Ok(WarmAnswers {
+                estimate: client.estimate(TABLE, TABLE)?,
+                outcome: client.catalog_estimate(TABLE, TABLE)?,
+            })
+        })
+        .map_err(|e| format!("warm answers after the schedule: {e}"));
     server.initiate_shutdown();
     // Unblock the accept loop so the run thread exits.
     drop(Client::connect(addr));
@@ -393,7 +498,7 @@ fn run_workload(rounds: usize) -> Result<Vec<LockEvent>, String> {
         Ok(Err(e)) => return Err(format!("server loop failed: {e}")),
         Err(_) => return Err("server thread panicked".to_string()),
     }
-    Ok(events)
+    Ok((events, warm?))
 }
 
 /// Injects the selected sabotage while observe mode records it,
@@ -572,7 +677,7 @@ pub fn run_verify_locks(config: &LocksConfig) -> Result<LocksReport, String> {
         return Err("--scale must be a positive, finite number".to_string());
     }
     let rounds = ((BASE_ROUNDS as f64 * config.scale).round() as usize).max(2);
-    let mut events = run_workload(rounds)?;
+    let (mut events, warm) = run_workload(rounds)?;
     if let Some(fault) = config.fault {
         inject(fault, &mut events)?;
     }
@@ -583,7 +688,9 @@ pub fn run_verify_locks(config: &LocksConfig) -> Result<LocksReport, String> {
                 .to_string(),
         );
     }
-    Ok(analyze(&events, config.fault))
+    let mut report = analyze(&events, config.fault);
+    report.violations.extend(stale_answers(rounds, &warm)?);
+    Ok(report)
 }
 
 #[cfg(test)]

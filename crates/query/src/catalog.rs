@@ -3,9 +3,10 @@ use crate::error::QueryError;
 use crate::plan::{ChainJoinQuery, Plan, Planner};
 use sj_datagen::Dataset;
 use sj_geo::{Extent, Rect};
+use sj_histogram::kernel::ResidentHistogram;
 use sj_histogram::{
     build_histogram, load_histogram, parametric_result_size, GhHistogram, Grid, HistogramKind,
-    ParametricInputs, PhHistogram, SpatialHistogram,
+    ParametricInputs, PhHistogram, SelectivityEstimate, SpatialHistogram,
 };
 use sj_rtree::{RTree, RTreeConfig};
 use sj_sampling::{SamplingEstimator, SamplingTechnique};
@@ -45,17 +46,22 @@ impl Default for CatalogConfig {
     }
 }
 
-/// A table's statistics: usable, or recorded as unusable with the reason
-/// (so degraded tables still answer queries through the fallback ladder).
+/// A table's statistics: usable, with the kernel view they estimate
+/// from, or recorded as unusable with the reason (so degraded tables
+/// still answer queries through the fallback ladder).
 pub(crate) enum StatsState {
-    Ready(Box<dyn SpatialHistogram>),
+    Ready(Box<ResidentHistogram>),
     Unavailable { reason: String },
 }
 
 impl StatsState {
-    fn ready(&self) -> Result<&dyn SpatialHistogram, &str> {
+    pub(crate) fn ready_from(histogram: Box<dyn SpatialHistogram>) -> Self {
+        Self::Ready(Box::new(ResidentHistogram::new(histogram)))
+    }
+
+    fn ready(&self) -> Result<&ResidentHistogram, &str> {
         match self {
-            Self::Ready(h) => Ok(h.as_ref()),
+            Self::Ready(h) => Ok(h),
             Self::Unavailable { reason } => Err(reason),
         }
     }
@@ -172,7 +178,7 @@ impl Catalog {
             dataset.name.clone(),
             Table {
                 dataset,
-                stats: StatsState::Ready(histogram),
+                stats: StatsState::ready_from(histogram),
                 rtree: OnceLock::new(),
             },
         );
@@ -232,7 +238,7 @@ impl Catalog {
             name.to_string(),
             Table {
                 dataset,
-                stats: StatsState::Ready(p.histogram),
+                stats: StatsState::ready_from(p.histogram),
                 rtree: OnceLock::new(),
             },
         );
@@ -260,6 +266,10 @@ impl Catalog {
     /// [`QueryError::StatisticsUnavailable`] for tables registered
     /// leniently whose statistics were unusable.
     pub fn histogram(&self, name: &str) -> Result<&dyn SpatialHistogram, QueryError> {
+        Ok(self.statistics(name)?.histogram())
+    }
+
+    fn statistics(&self, name: &str) -> Result<&ResidentHistogram, QueryError> {
         self.table(name)?
             .stats
             .ready()
@@ -267,6 +277,20 @@ impl Catalog {
                 table: name.to_string(),
                 reason: reason.to_string(),
             })
+    }
+
+    /// Join estimate between two tables from their primary statistics
+    /// alone, with no fallback: the kernel runs on the two resident
+    /// views (DESIGN.md §16.1), bit-identical to
+    /// [`SpatialHistogram::estimate_join`] on the tables' histograms.
+    ///
+    /// # Errors
+    /// [`QueryError::UnknownTable`] for unregistered names;
+    /// [`QueryError::StatisticsUnavailable`] for a table without usable
+    /// statistics.
+    pub fn primary_estimate(&self, a: &str, b: &str) -> Result<SelectivityEstimate, QueryError> {
+        let (ha, hb) = (self.statistics(a)?, self.statistics(b)?);
+        Ok(ha.estimate(hb)?)
     }
 
     /// The table's histogram downcast to the revised Geometric
@@ -347,7 +371,7 @@ impl Catalog {
         // Tier 1: the primary statistics of the configured family.
         let primary = EstimateTier::Primary(self.config.kind);
         match (ta.stats.ready(), tb.stats.ready()) {
-            (Ok(ha), Ok(hb)) => match ha.estimate_join(hb) {
+            (Ok(ha), Ok(hb)) => match ha.estimate(hb) {
                 Ok(est) => {
                     return Ok(EstimateOutcome {
                         pairs: est.pairs,
@@ -631,8 +655,11 @@ impl Catalog {
         std::fs::create_dir_all(dir)?;
         for (name, table) in &self.tables {
             // Degraded tables have nothing worth persisting.
-            if let StatsState::Ready(histogram) = &table.stats {
-                std::fs::write(dir.join(format!("{name}.hist")), histogram.persist())?;
+            if let StatsState::Ready(stats) = &table.stats {
+                std::fs::write(
+                    dir.join(format!("{name}.hist")),
+                    stats.histogram().persist(),
+                )?;
             }
         }
         Ok(())
@@ -661,7 +688,7 @@ impl Catalog {
             dataset.name.clone(),
             Table {
                 dataset,
-                stats: StatsState::Ready(histogram),
+                stats: StatsState::ready_from(histogram),
                 rtree: OnceLock::new(),
             },
         );
@@ -687,7 +714,7 @@ impl Catalog {
             return Err(QueryError::DuplicateTable(dataset.name.clone()));
         }
         let (stats, reason) = match self.decode_statistics(dataset.len(), stats_file) {
-            Ok(h) => (StatsState::Ready(h), None),
+            Ok(h) => (StatsState::ready_from(h), None),
             Err(e) => {
                 let reason = e.to_string();
                 (

@@ -973,7 +973,7 @@ impl Catalog {
     ) {
         if let Some(table) = self.tables.get_mut(name) {
             table.dataset.rects = rects;
-            table.stats = StatsState::Ready(histogram);
+            table.stats = StatsState::ready_from(histogram);
             table.rtree = std::sync::OnceLock::new();
         }
         let entry = self.store.table(name);
@@ -994,7 +994,7 @@ impl Catalog {
     fn ensure_stats_ready(&mut self, name: &str) {
         if let Some(table) = self.tables.get_mut(name) {
             if matches!(table.stats, StatsState::Unavailable { .. }) {
-                table.stats = StatsState::Ready(build_histogram(
+                table.stats = StatsState::ready_from(build_histogram(
                     self.config.kind,
                     self.grid,
                     &table.dataset.rects,
@@ -1294,7 +1294,8 @@ impl Catalog {
             deletes_len,
             wal: _,
         } = prepared;
-        // Commit: histogram (atomic apply), dataset, index.
+        // Commit: histogram and its resident view (atomic apply), dataset,
+        // index.
         let table = self
             .tables
             .get_mut(&name)
@@ -1421,7 +1422,7 @@ impl Catalog {
         // page cache lets a power loss surface a torn target — the one
         // corruption the write-new + rename contract promises readers
         // never see.
-        let hist_bytes = h.persist().to_vec();
+        let hist_bytes = h.histogram().persist().to_vec();
         let snap_bytes = encode_snapshot(
             next_seq,
             hist_pair_crc(&hist_bytes),

@@ -373,16 +373,10 @@ impl CatalogService {
 
 impl StatisticsService for CatalogService {
     fn estimate(&self, a: &str, b: &str) -> Result<EstimateReply, ServiceError> {
-        let catalog = self.read();
-        let ha = catalog
-            .histogram(a)
+        let est = self
+            .read()
+            .primary_estimate(a, b)
             .map_err(|e| ServiceError::from_query("estimation failed", &e))?;
-        let hb = catalog
-            .histogram(b)
-            .map_err(|e| ServiceError::from_query("estimation failed", &e))?;
-        let est = ha
-            .estimate_join(hb)
-            .map_err(|e| ServiceError::from_query("estimation failed", &QueryError::from(e)))?;
         Ok(EstimateReply {
             selectivity: est.selectivity,
             pairs: est.pairs,

@@ -9,7 +9,9 @@
 //! deletes only rectangles it inserted itself, so every delete resolves
 //! regardless of interleaving; the dataset is compared as a multiset
 //! (thread arrival order is scheduler-dependent, the *contents* are
-//! not).
+//! not). The daemon's warm `estimate` and `catalog_estimate` answers,
+//! served from views re-derived at every commit, must equal bit for bit
+//! the cold path over the serial schedule's statistics.
 
 #![expect(
     clippy::expect_used,
@@ -19,10 +21,13 @@
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_geo::{Extent, Rect};
 use sj_query::{Catalog, DegradationPolicy};
-use sj_server::{CatalogService, Client, Server};
+use sj_server::{CatalogService, Client, RemoteOutcome, Server};
 use std::sync::Arc;
 
 const TABLE: &str = "t";
+/// A table no client mutates, so warm answers also cover a pair of two
+/// different tables.
+const STATIC: &str = "u";
 const BASE_N: usize = 50;
 const THREADS: usize = 4;
 const ROUNDS: usize = 6;
@@ -58,7 +63,28 @@ fn fresh_catalog() -> Catalog {
         base_rects(),
     ))
     .expect("register");
+    c.register(sj_datagen::Dataset::new(
+        STATIC,
+        Extent::unit(),
+        static_rects(),
+    ))
+    .expect("register");
     c
+}
+
+/// Every ordered pair the warm answers are checked on.
+const PAIRS: [(&str, &str); 3] = [(TABLE, TABLE), (TABLE, STATIC), (STATIC, TABLE)];
+
+/// The static table: large rectangles tiling the extent, so they meet
+/// both the base rectangles and every thread's band.
+fn static_rects() -> Vec<Rect> {
+    (0..20)
+        .map(|i| {
+            let x = (i % 5) as f64 * 0.2;
+            let y = (i / 5) as f64 * 0.25;
+            Rect::new(x, y, x + 0.15, y + 0.2)
+        })
+        .collect()
 }
 
 /// Sorted copy for multiset comparison.
@@ -117,6 +143,17 @@ fn concurrent_mutations_match_the_serial_schedule() {
     for w in workers {
         w.join().expect("worker");
     }
+    let mut client = Client::connect(addr).expect("connect");
+    let warm: Vec<_> = PAIRS
+        .iter()
+        .map(|(a, b)| {
+            (
+                client.estimate(a, b).expect("estimate"),
+                client.catalog_estimate(a, b).expect("catalog_estimate"),
+            )
+        })
+        .collect();
+    drop(client);
     server.initiate_shutdown();
     // Unblock the accept loop so the run thread exits.
     drop(Client::connect(addr));
@@ -153,4 +190,42 @@ fn concurrent_mutations_match_the_serial_schedule() {
         sorted(&serial.dataset(TABLE).expect("ds").rects),
         "dataset contents must match as a multiset"
     );
+
+    // Warm answers against the cold path: `estimate_join` decodes fresh
+    // views from the serial schedule's histograms.
+    for ((a, b), (estimate, outcome)) in PAIRS.iter().zip(&warm) {
+        let (ha, hb) = (
+            serial.histogram(a).expect("stats"),
+            serial.histogram(b).expect("stats"),
+        );
+        let cold = ha.estimate_join(hb).expect("cold estimate");
+        let ladder = serial
+            .estimate_join_pairs_detailed(a, b, &DegradationPolicy::default())
+            .expect("cold ladder");
+        let cold_outcome = RemoteOutcome::from_outcome(&ladder);
+        for (what, got, want) in [
+            ("estimate pairs", estimate.pairs, cold.pairs),
+            (
+                "estimate selectivity",
+                estimate.selectivity,
+                cold.selectivity,
+            ),
+            ("catalog_estimate pairs", outcome.pairs, cold.pairs),
+            (
+                "catalog_estimate selectivity",
+                outcome.selectivity,
+                cold.selectivity,
+            ),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{a}⋈{b}: warm {what} {got} differs from the cold {want}"
+            );
+        }
+        assert_eq!(
+            outcome, &cold_outcome,
+            "{a}⋈{b}: catalog_estimate provenance"
+        );
+    }
 }

@@ -1,0 +1,188 @@
+//! Resident-view freshness (registered under `sj-query`).
+//!
+//! Every catalog table estimates from a kernel view it keeps next to its
+//! histogram (DESIGN.md §16.1), so each path that installs or changes
+//! statistics must leave the view describing the current histogram. For
+//! every family, a seeded sequence of inserts, deletes, an explicit and
+//! a policy-triggered compaction and a store reopen (snapshot install
+//! plus WAL replay, and a deferred table whose statistics are rebuilt
+//! before its WAL replays) runs; after every step each ordered table
+//! pair's warm answer must equal, bit for bit, `estimate_join` on
+//! histograms freshly built over the tables' current datasets.
+
+#![expect(
+    clippy::expect_used,
+    reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
+)]
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use sj_datagen::Dataset;
+use sj_geo::{Extent, Rect};
+use sj_histogram::{build_histogram, Grid, HistogramKind};
+use sj_query::{Catalog, CompactionPolicy, DegradationPolicy, EstimateTier, QueryError};
+
+const LEVEL: u32 = 4;
+const TABLES: [&str; 3] = ["a", "b", "c"];
+
+/// Deterministic rectangles inside the unit extent.
+fn rects(n: usize, seed: u64) -> Vec<Rect> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let x = rng.random_range(0.0..0.9);
+            let y = rng.random_range(0.0..0.9);
+            Rect::new(
+                x,
+                y,
+                x + rng.random_range(0.0..0.1),
+                y + rng.random_range(0.0..0.1),
+            )
+        })
+        .collect()
+}
+
+fn table(name: &str, rects: &[Rect]) -> Dataset {
+    Dataset::new(name, Extent::unit(), rects.to_vec())
+}
+
+/// Every ordered pair's warm answer — the catalog's primary estimate and
+/// the ladder's primary tier — equals the cold path over fresh builds.
+fn assert_fresh(c: &Catalog, kind: HistogramKind, step: &str) {
+    let grid = Grid::new(LEVEL, Extent::unit()).expect("grid");
+    let fresh: Vec<_> = TABLES
+        .iter()
+        .map(|t| build_histogram(kind, grid, &c.dataset(t).expect("table").rects))
+        .collect();
+    for (i, a) in TABLES.iter().enumerate() {
+        for (j, b) in TABLES.iter().enumerate() {
+            let cold = fresh[i]
+                .estimate_join(fresh[j].as_ref())
+                .expect("cold estimate");
+            let warm = c.primary_estimate(a, b).expect("warm estimate");
+            let ladder = c
+                .estimate_join_pairs_detailed(a, b, &DegradationPolicy::default())
+                .expect("ladder estimate");
+            assert_eq!(ladder.tier, EstimateTier::Primary(kind), "{kind} {step}");
+            for (what, got, want) in [
+                ("pairs", warm.pairs, cold.pairs),
+                ("selectivity", warm.selectivity, cold.selectivity),
+                ("ladder pairs", ladder.pairs, cold.pairs),
+                ("ladder selectivity", ladder.selectivity, cold.selectivity),
+            ] {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{kind} after {step}: {a}⋈{b} {what} is {got}, a fresh build gives {want}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_answers_match_fresh_builds_after_every_step() {
+    for kind in HistogramKind::ALL {
+        let seed = 0x5eed_0000 ^ u64::from(kind.tag());
+        let (base_a, base_b, base_c) = (rects(60, seed), rects(45, seed + 1), rects(30, seed + 2));
+        let dir = std::env::temp_dir().join(format!(
+            "sj_resident_freshness_{kind}_{}",
+            std::process::id()
+        ));
+        drop(std::fs::remove_dir_all(&dir));
+        let policy = CompactionPolicy {
+            max_tiers: 3,
+            ..CompactionPolicy::default()
+        };
+
+        let mut c = Catalog::with_kind(kind, LEVEL);
+        for (name, base) in [("a", &base_a), ("b", &base_b), ("c", &base_c)] {
+            c.register(table(name, base)).expect("register");
+        }
+        c.open_stats_store(&dir, policy).expect("open store");
+        assert_fresh(&c, kind, "registration");
+
+        let ins = rects(8, seed + 10);
+        c.apply_delta("a", &ins, &[]).expect("insert");
+        assert_fresh(&c, kind, "an insert into a");
+        c.apply_delta("b", &[], &base_b[..5]).expect("delete");
+        assert_fresh(&c, kind, "a delete from b");
+        c.apply_delta("a", &rects(4, seed + 11), &ins[..3])
+            .expect("mixed batch");
+        assert_fresh(&c, kind, "a mixed batch on a");
+        assert!(c.compact("a").expect("compact").persisted);
+        assert_fresh(&c, kind, "an explicit compaction of a");
+
+        let r = c
+            .apply_delta("b", &rects(3, seed + 12), &[])
+            .expect("insert");
+        assert!(!r.compacted, "{kind}: two tiers stay under the policy");
+        assert_fresh(&c, kind, "a second batch on b");
+        let r = c
+            .apply_delta("b", &rects(3, seed + 13), &base_b[5..7])
+            .expect("mixed batch");
+        assert!(r.compacted, "{kind}: the third tier trips the policy");
+        assert_fresh(&c, kind, "a policy-triggered compaction of b");
+
+        // Batches left pending in the WAL across the reopen; c is never
+        // compacted, so it has no snapshot.
+        c.apply_delta("a", &rects(5, seed + 14), &[])
+            .expect("insert");
+        c.apply_delta("c", &rects(6, seed + 15), &base_c[..2])
+            .expect("mixed batch");
+        assert_fresh(&c, kind, "post-compaction batches");
+        drop(c);
+
+        // a and b come back from their snapshots (install_base, then WAL
+        // replay); c is registered deferred, so its statistics are
+        // rebuilt from the source before its WAL replays.
+        let mut c = Catalog::with_kind(kind, LEVEL);
+        c.register(table("a", &base_a)).expect("register");
+        c.register(table("b", &base_b)).expect("register");
+        c.register_deferred(table("c", &base_c))
+            .expect("register deferred");
+        let recovery = c.open_stats_store(&dir, policy).expect("reopen store");
+        assert_eq!(recovery.installed, 2, "{kind}: two snapshots");
+        assert_eq!(recovery.replayed, 2, "{kind}: two pending batches");
+        assert_fresh(&c, kind, "a reopen");
+
+        c.apply_delta("c", &[], &rects(6, seed + 15)[..2])
+            .expect("delete");
+        assert_fresh(&c, kind, "a delete after the reopen");
+        drop(std::fs::remove_dir_all(&dir));
+    }
+}
+
+#[test]
+fn corrupt_statistics_hold_no_view_and_degrade() {
+    for kind in HistogramKind::ALL {
+        let (base_a, base_b) = (rects(40, 7), rects(30, 8));
+        let mut source = Catalog::with_kind(kind, LEVEL);
+        source.register(table("a", &base_a)).expect("register");
+        let mut bytes = source.histogram("a").expect("stats").persist().to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+
+        let mut c = Catalog::with_kind(kind, LEVEL);
+        let reason = c
+            .register_with_statistics_lenient(table("a", &base_a), &bytes)
+            .expect("lenient registration");
+        assert!(reason.is_some(), "{kind}: the flipped byte must be caught");
+        c.register(table("b", &base_b)).expect("register");
+
+        for (x, y) in [("a", "b"), ("b", "a"), ("a", "a")] {
+            assert!(
+                matches!(
+                    c.primary_estimate(x, y),
+                    Err(QueryError::StatisticsUnavailable { .. })
+                ),
+                "{kind}: {x}⋈{y} has no view to estimate from"
+            );
+        }
+        let out = c
+            .estimate_join_pairs_detailed("a", "b", &DegradationPolicy::default())
+            .expect("ladder");
+        assert_eq!(out.tier, EstimateTier::PhRebuild, "{kind}");
+        assert!(out.pairs > 0.0, "{kind}: the fallback still estimates");
+    }
+}
