@@ -1907,6 +1907,26 @@ mod tests {
                 std::fs::read(&union_hist).unwrap(),
                 "compact diverged from the full rebuild for {kind}"
             );
+            // The saved delta is a version-2 (sparse) envelope, the only
+            // version `compact` reads: the same file stamped version 1
+            // (and re-checksummed) is refused as corrupt.
+            let mut v1 = std::fs::read(&hdelta).unwrap();
+            assert_eq!(v1[4..8], 2u32.to_le_bytes(), "{kind}: .hdelta version");
+            v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+            let body = v1.len() - 4;
+            let crc = sj_core::crc::crc32(&v1[..body]);
+            v1[body..].copy_from_slice(&crc.to_le_bytes());
+            let v1_path = tmp(&format!("delta_v1_{kind}.hdelta"));
+            std::fs::write(&v1_path, v1).unwrap();
+            let err = run(&argv(&[
+                "compact",
+                &base_hist,
+                &v1_path,
+                "--out",
+                &tmp(&format!("delta_v1_{kind}.hist")),
+            ]))
+            .unwrap_err();
+            assert_eq!(err.code, exit_code::CORRUPT, "{}", err.message);
             // Deleting the inserts again restores the base bytes.
             let restored_hist = tmp(&format!("delta_restored_{kind}.hist"));
             run(&argv(&[

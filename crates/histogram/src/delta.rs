@@ -30,12 +30,31 @@
 //! [`HistogramError::DeltaOutOfRange`] and leaves the histogram
 //! untouched — never a debug-panic or a silent wrap.
 //!
+//! A delta is **sparse**: each statistic array keeps only the ascending
+//! indices of the cells whose value changed, with their signed changes.
+//! A batch of small rectangles touches a few hundred cells of a
+//! 16,384-cell level-7 grid, so building, sizing, persisting and
+//! applying a delta costs what the batch touches, not the whole grid.
+//! The sparse form is exactly the support of the dense difference (both
+//! sides are still binned densely, then differenced), so nothing about
+//! exactness changes.
+//!
 //! Deltas persist in their own CRC32-framed `.hdelta` envelope,
-//! structured exactly like the version-2 `.hist` envelope and likewise
-//! covered by the r7 persistence fingerprint:
+//! structured exactly like the version-2 `.hist` envelope and covered by
+//! the r7 persistence fingerprint under their own [`DELTA_VERSION`]:
 //!
 //! ```text
 //! magic "SJHD" u32 | version u32 | kind tag u32 | payload_len u64 | payload | crc32 u32
+//! ```
+//!
+//! The version-2 payload (the only one read):
+//!
+//! ```text
+//! level u32 | extent 4 × f64 | inserts u64 | deletes u64
+//!   | n_scalars u32 | n_scalars × i128
+//!   | n_arrays u32 | per array: tag u8 (0 counts, 1 masses) | cells u64 | nnz u64
+//!       | nnz × index u32 (strictly ascending, < cells)
+//!       | nnz × value (i64 count or 16-byte mass, never zero)
 //! ```
 
 use crate::band::{build_shard_merge, RowBanded};
@@ -52,7 +71,8 @@ use sj_geo::Rect;
 /// Envelope magic for persisted histogram deltas.
 pub const DELTA_MAGIC: u32 = 0x534a_4844; // "SJHD"
 /// Delta envelope format version; bump on incompatible layout changes.
-pub const DELTA_VERSION: u32 = 1;
+/// Version 2 made the per-cell arrays sparse; no other version is read.
+pub const DELTA_VERSION: u32 = 2;
 
 /// Mutable twins of [`crate::diff::CellValues`]: the per-cell statistic
 /// arrays exposed for in-place delta application.
@@ -80,6 +100,12 @@ pub(crate) trait StatInspectMut {
     fn cell_stats_mut(&mut self) -> Vec<StatArrayMut<'_>>;
 }
 
+/// Fixed payload bytes before the scalars: level, extent, the two batch
+/// sizes and the scalar count.
+const HEADER_LEN: usize = 56;
+/// Payload bytes of one array header: tag, cell count, entry count.
+const ARRAY_HEADER_LEN: usize = 17;
+
 /// Signed per-array delta values. Counts widen from the histograms'
 /// `u32` to `i64` so a delete-side excess is representable instead of
 /// underflowing; masses are natively signed.
@@ -91,12 +117,55 @@ enum DeltaValues {
     Masses(Vec<Mass>),
 }
 
-/// One named per-cell delta array, positionally matching the family's
-/// [`StatInspect::cell_stats`] order.
+impl DeltaValues {
+    /// Serialized bytes of one value.
+    fn elem_bytes(&self) -> usize {
+        match self {
+            Self::Counts(_) => 8,
+            Self::Masses(_) => 16,
+        }
+    }
+}
+
+/// One named per-cell delta array in sparse form, positionally matching
+/// the family's [`StatInspect::cell_stats`] order: the strictly
+/// ascending indices of the cells whose statistic changed, and the
+/// non-zero signed change at each.
 #[derive(Debug, Clone, PartialEq)]
 struct DeltaArray {
     name: &'static str,
+    /// Length of the dense statistic array this delta updates.
+    cells: usize,
+    indices: Vec<u32>,
     values: DeltaValues,
+}
+
+impl DeltaArray {
+    /// Serialized bytes of this array: header plus its entries.
+    fn space_bytes(&self) -> usize {
+        ARRAY_HEADER_LEN + self.indices.len() * (4 + self.values.elem_bytes())
+    }
+}
+
+/// The sparse difference `ins − del` of two dense arrays: the ascending
+/// indices whose difference is not zero, and those differences.
+fn sparse_difference<T: Copy, D>(
+    ins: &[T],
+    del: &[T],
+    sub: impl Fn(T, T) -> D,
+    is_zero: impl Fn(&D) -> bool,
+) -> (Vec<u32>, Vec<D>) {
+    let mut indices = Vec::new();
+    let mut values = Vec::new();
+    for (i, (a, b)) in ins.iter().zip(del).enumerate() {
+        let d = sub(*a, *b);
+        if !is_zero(&d) {
+            // Lattices hold at most 4^MAX_LEVEL cells, well inside u32.
+            indices.push(u32::try_from(i).unwrap_or(u32::MAX));
+            values.push(d);
+        }
+    }
+    (indices, values)
 }
 
 /// A signed batch update to one histogram: the exact statistic-wise
@@ -199,23 +268,44 @@ impl HistogramDelta {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.scalars.iter().all(|(_, d)| *d == 0)
-            && self.arrays.iter().all(|a| match &a.values {
-                DeltaValues::Counts(c) => c.iter().all(|d| *d == 0),
-                DeltaValues::Masses(m) => m.iter().all(|d| d.is_zero()),
-            })
+            && self.arrays.iter().all(|a| a.indices.is_empty())
     }
 
-    /// Size of the native serialized delta in bytes.
+    /// Size of the native serialized delta in bytes, counted from the
+    /// number of touched entries without serializing.
     #[must_use]
     pub fn space_bytes(&self) -> usize {
-        self.to_bytes().len()
+        HEADER_LEN
+            + self.scalars.len() * 16
+            + 4
+            + self
+                .arrays
+                .iter()
+                .map(DeltaArray::space_bytes)
+                .sum::<usize>()
+    }
+
+    /// Sorted, de-duplicated flat indices of every cell any per-cell
+    /// statistic of this delta touches. For the gridded families (PH
+    /// and both GH variants) every array shares the grid's lattice, so
+    /// these are the grid cells whose statistics changed.
+    pub(crate) fn touched_cells(&self) -> Vec<usize> {
+        let mut cells: Vec<usize> = self
+            .arrays
+            .iter()
+            .flat_map(|a| a.indices.iter().map(|i| crate::grid::ix(*i)))
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        cells
     }
 
     /// Serializes the native (un-enveloped) delta payload: grid header,
-    /// batch sizes, then scalars and arrays in introspection order.
+    /// batch sizes, then scalars and sparse arrays in introspection
+    /// order (layout in the module docs).
     #[must_use]
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.space_bytes());
         buf.put_u32_le(self.grid.level());
         let e = self.grid.extent().rect();
         for v in [e.xlo, e.ylo, e.xhi, e.yhi] {
@@ -229,17 +319,22 @@ impl HistogramDelta {
         }
         buf.put_u32_le(u32::try_from(self.arrays.len()).unwrap_or(u32::MAX));
         for array in &self.arrays {
+            buf.put_u8(match array.values {
+                DeltaValues::Counts(_) => 0,
+                DeltaValues::Masses(_) => 1,
+            });
+            buf.put_u64_le(array.cells as u64);
+            buf.put_u64_le(array.indices.len() as u64);
+            for i in &array.indices {
+                buf.put_u32_le(*i);
+            }
             match &array.values {
                 DeltaValues::Counts(values) => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(values.len() as u64);
                     for d in values {
                         buf.put_i64_le(*d);
                     }
                 }
                 DeltaValues::Masses(values) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(values.len() as u64);
                     for d in values {
                         d.put_le(&mut buf);
                     }
@@ -251,19 +346,23 @@ impl HistogramDelta {
 
     /// Decodes a native delta payload of a known kind, validating the
     /// statistic shapes (names, representations, array lengths) against
-    /// the family's layout on the decoded grid.
+    /// the family's layout on the decoded grid, and every sparse entry:
+    /// indices strictly ascending and in range, values non-zero.
     ///
     /// # Errors
-    /// [`HistogramError::Corrupt`] on truncation, a bad grid header, or
-    /// a shape that does not match the family's statistics.
+    /// [`HistogramError::Corrupt`] on truncation, a bad grid header, a
+    /// shape that does not match the family's statistics, or an entry
+    /// list that is oversized, unsorted, duplicated, out of range or
+    /// holds a zero value.
     pub fn from_bytes(kind: HistogramKind, mut data: &[u8]) -> Result<Self, HistogramError> {
-        let corrupt = |s: CorruptSection, m: String| HistogramError::corrupt(s, m);
-        if data.remaining() < 60 {
-            return Err(corrupt(
+        let corrupt = |m: String| HistogramError::corrupt(CorruptSection::Payload, m);
+        if data.remaining() < HEADER_LEN + 4 {
+            return Err(HistogramError::corrupt(
                 CorruptSection::Header,
                 format!(
-                    "truncated delta header: {} bytes, need 60",
-                    data.remaining()
+                    "truncated delta header: {} bytes, need {}",
+                    data.remaining(),
+                    HEADER_LEN + 4
                 ),
             ));
         }
@@ -285,20 +384,13 @@ impl HistogramDelta {
         let (expected_scalars, expected_arrays) = inspect_shape(shape.as_ref());
 
         if crate::grid::ix(n_scalars) != expected_scalars.len() {
-            return Err(corrupt(
-                CorruptSection::Payload,
-                format!(
-                    "delta declares {n_scalars} scalars but {} has {}",
-                    kind,
-                    expected_scalars.len()
-                ),
-            ));
+            return Err(corrupt(format!(
+                "delta declares {n_scalars} scalars but {kind} has {}",
+                expected_scalars.len()
+            )));
         }
         if data.remaining() < expected_scalars.len() * 16 + 4 {
-            return Err(corrupt(
-                CorruptSection::Payload,
-                "truncated delta scalar section".to_string(),
-            ));
+            return Err(corrupt("truncated delta scalar section".to_string()));
         }
         let scalars = expected_scalars
             .iter()
@@ -311,59 +403,86 @@ impl HistogramDelta {
 
         let n_arrays = data.get_u32_le();
         if crate::grid::ix(n_arrays) != expected_arrays.len() {
-            return Err(corrupt(
-                CorruptSection::Payload,
-                format!(
-                    "delta declares {n_arrays} cell arrays but {} has {}",
-                    kind,
-                    expected_arrays.len()
-                ),
-            ));
+            return Err(corrupt(format!(
+                "delta declares {n_arrays} cell arrays but {kind} has {}",
+                expected_arrays.len()
+            )));
         }
         let mut arrays = Vec::with_capacity(expected_arrays.len());
         for (name, is_mass, expected_len) in expected_arrays {
-            if data.remaining() < 9 {
-                return Err(corrupt(
-                    CorruptSection::Payload,
-                    format!("truncated delta array header for `{name}`"),
-                ));
+            if data.remaining() < ARRAY_HEADER_LEN {
+                return Err(corrupt(format!(
+                    "truncated delta array header for `{name}`"
+                )));
             }
             let tag = data.get_u8();
-            let len = data.get_u64_le();
-            if (tag == 1) != is_mass {
-                return Err(corrupt(
-                    CorruptSection::Payload,
-                    format!("delta array `{name}` has representation tag {tag}"),
-                ));
+            let cells = data.get_u64_le();
+            let nnz = data.get_u64_le();
+            if (tag == 1) != is_mass || tag > 1 {
+                return Err(corrupt(format!(
+                    "delta array `{name}` has representation tag {tag}"
+                )));
             }
-            if len != expected_len as u64 {
-                return Err(corrupt(
-                    CorruptSection::Payload,
-                    format!("delta array `{name}` has {len} cells, expected {expected_len}"),
-                ));
+            if cells != expected_len as u64 {
+                return Err(corrupt(format!(
+                    "delta array `{name}` has {cells} cells, expected {expected_len}"
+                )));
             }
-            let elem = if is_mass { 16 } else { 8 };
-            if data.remaining() < expected_len * elem {
-                return Err(corrupt(
-                    CorruptSection::Payload,
-                    format!("truncated delta array `{name}`"),
-                ));
-            }
-            let values = if is_mass {
-                DeltaValues::Masses((0..expected_len).map(|_| Mass::get_le(&mut data)).collect())
-            } else {
-                DeltaValues::Counts((0..expected_len).map(|_| data.get_i64_le()).collect())
+            // At most one entry per cell; checked before any size
+            // arithmetic so a forged count cannot overflow it.
+            let nnz = match usize::try_from(nnz) {
+                Ok(n) if n <= expected_len => n,
+                _ => {
+                    return Err(corrupt(format!(
+                        "delta array `{name}` declares {nnz} entries over {expected_len} cells"
+                    )))
+                }
             };
-            arrays.push(DeltaArray { name, values });
+            let elem = if is_mass { 16 } else { 8 };
+            if data.remaining() < nnz * (4 + elem) {
+                return Err(corrupt(format!("truncated delta array `{name}`")));
+            }
+            let mut indices = Vec::with_capacity(nnz);
+            for _ in 0..nnz {
+                let i = data.get_u32_le();
+                if crate::grid::ix(i) >= expected_len {
+                    return Err(corrupt(format!(
+                        "delta array `{name}` index {i} is outside its {expected_len} cells"
+                    )));
+                }
+                if indices.last().is_some_and(|prev| *prev >= i) {
+                    return Err(corrupt(format!(
+                        "delta array `{name}` indices are not strictly ascending at {i}"
+                    )));
+                }
+                indices.push(i);
+            }
+            let zero = || corrupt(format!("delta array `{name}` stores a zero entry"));
+            let values = if is_mass {
+                let values: Vec<Mass> = (0..nnz).map(|_| Mass::get_le(&mut data)).collect();
+                if values.iter().any(|m| m.is_zero()) {
+                    return Err(zero());
+                }
+                DeltaValues::Masses(values)
+            } else {
+                let values: Vec<i64> = (0..nnz).map(|_| data.get_i64_le()).collect();
+                if values.contains(&0) {
+                    return Err(zero());
+                }
+                DeltaValues::Counts(values)
+            };
+            arrays.push(DeltaArray {
+                name,
+                cells: expected_len,
+                indices,
+                values,
+            });
         }
         if data.has_remaining() {
-            return Err(corrupt(
-                CorruptSection::Payload,
-                format!(
-                    "{} trailing bytes after the delta payload",
-                    data.remaining()
-                ),
-            ));
+            return Err(corrupt(format!(
+                "{} trailing bytes after the delta payload",
+                data.remaining()
+            )));
         }
         Ok(Self {
             kind,
@@ -467,26 +586,26 @@ where
         .into_iter()
         .zip(del.cell_stats())
         .map(|(ia, da)| {
-            let values = match (&ia.values, &da.values) {
-                (CellValues::Counts(ic), CellValues::Counts(dc)) => DeltaValues::Counts(
-                    ic.iter()
-                        .zip(dc.iter())
-                        .map(|(a, b)| i64::from(*a) - i64::from(*b))
-                        .collect(),
-                ),
-                (CellValues::Masses(im), CellValues::Masses(dm)) => DeltaValues::Masses(
-                    im.iter()
-                        .zip(dm.iter())
-                        .map(|(a, b)| a.saturating_sub(*b))
-                        .collect(),
-                ),
+            let (cells, (indices, values)) = match (&ia.values, &da.values) {
+                (CellValues::Counts(ic), CellValues::Counts(dc)) => {
+                    let (indices, values) =
+                        sparse_difference(ic, dc, |a, b| i64::from(a) - i64::from(b), |d| *d == 0);
+                    (ic.len(), (indices, DeltaValues::Counts(values)))
+                }
+                (CellValues::Masses(im), CellValues::Masses(dm)) => {
+                    let (indices, values) =
+                        sparse_difference(im, dm, Mass::saturating_sub, |d| d.is_zero());
+                    (im.len(), (indices, DeltaValues::Masses(values)))
+                }
                 // Unreachable: both sides are the same concrete family,
                 // so every position has one representation. An empty
                 // array here would be caught by apply's shape check.
-                _ => DeltaValues::Counts(Vec::new()),
+                _ => (0, (Vec::new(), DeltaValues::Counts(Vec::new()))),
             };
             DeltaArray {
                 name: ia.name,
+                cells,
+                indices,
                 values,
             }
         })
@@ -528,8 +647,10 @@ fn checked_count(
 
 /// Applies a delta to one concrete family, atomically: a pre-flight
 /// pass over the read-only statistics view range-checks every scalar and
-/// counter, and only a fully in-range delta is committed through the
-/// mutable view. On error the histogram is bit-for-bit untouched.
+/// every touched counter (and that every touched index exists), and only
+/// a fully in-range delta is committed through the mutable view, writing
+/// the touched entries alone. On error the histogram is bit-for-bit
+/// untouched.
 pub(crate) fn apply_impl<H>(h: &mut H, delta: &HistogramDelta) -> Result<(), HistogramError>
 where
     H: SpatialHistogram + StatInspect + StatInspectMut,
@@ -570,23 +691,23 @@ where
             return Err(shape_err());
         }
         for (current, update) in arrays.iter().zip(&delta.arrays) {
-            match (&current.values, &update.values) {
+            let len = match (&current.values, &update.values) {
                 (CellValues::Counts(c), DeltaValues::Counts(d)) => {
-                    if c.len() != d.len() {
-                        return Err(shape_err());
-                    }
-                    for (cell, (cur, dd)) in c.iter().zip(d.iter()).enumerate() {
+                    for (i, dd) in update.indices.iter().zip(d) {
+                        let cell = crate::grid::ix(*i);
+                        let cur = c.get(cell).ok_or_else(shape_err)?;
                         checked_count(*cur, *dd, current.name, cell)?;
                     }
+                    c.len()
                 }
-                (CellValues::Masses(m), DeltaValues::Masses(d)) => {
-                    if m.len() != d.len() {
-                        return Err(shape_err());
-                    }
-                    // Masses are signed and saturating by construction;
-                    // no per-cell range check is needed.
-                }
+                // Masses are signed and saturating by construction; no
+                // per-cell range check is needed.
+                (CellValues::Masses(m), DeltaValues::Masses(_)) => m.len(),
                 _ => return Err(shape_err()),
+            };
+            let last = update.indices.last().map(|i| crate::grid::ix(*i));
+            if len != update.cells || last.is_some_and(|i| i >= len) {
+                return Err(shape_err());
             }
         }
     }
@@ -601,21 +722,27 @@ where
         return Err(shape_err());
     }
 
-    // Commit: every update is in range, so the unchecked-looking writes
-    // below cannot fail (the fallbacks keep the path total anyway).
+    // Commit: every update is in range and every index exists (indices
+    // ascend, so the last one bounds them all), so the writes below
+    // cannot fail (the fallbacks keep the path total anyway).
     for ((_, slot), (_, d)) in h.scalar_stats_mut().into_iter().zip(&delta.scalars) {
         *slot = u64::try_from(i128::from(*slot) + d).unwrap_or(*slot);
     }
     for (target, update) in h.cell_stats_mut().into_iter().zip(&delta.arrays) {
+        let cells = update.indices.iter().map(|i| crate::grid::ix(*i));
         match (target.values, &update.values) {
             (CellValuesMut::Counts(c), DeltaValues::Counts(d)) => {
-                for (slot, dd) in c.iter_mut().zip(d.iter()) {
-                    *slot = u32::try_from(i64::from(*slot) + dd).unwrap_or(*slot);
+                for (cell, dd) in cells.zip(d) {
+                    if let Some(slot) = c.get_mut(cell) {
+                        *slot = u32::try_from(i64::from(*slot) + dd).unwrap_or(*slot);
+                    }
                 }
             }
             (CellValuesMut::Masses(m), DeltaValues::Masses(d)) => {
-                for (slot, dd) in m.iter_mut().zip(d.iter()) {
-                    *slot += *dd;
+                for (cell, dd) in cells.zip(d) {
+                    if let Some(slot) = m.get_mut(cell) {
+                        *slot += *dd;
+                    }
                 }
             }
             // Unreachable after the pre-flight shape check.
@@ -717,6 +844,30 @@ mod tests {
             let before = h.persist();
             h.apply_delta(&delta).unwrap();
             assert_eq!(h.persist(), before, "{kind}: empty delta is a no-op");
+        }
+    }
+
+    /// A small batch keeps only the cells it touches, and `space_bytes`
+    /// (a count) is exactly the serialized payload size.
+    #[test]
+    fn small_batches_are_sparse_and_sized_by_count() {
+        let grid = unit_grid(6);
+        for kind in HistogramKind::ALL {
+            let delta = HistogramDelta::build(kind, grid, &uniform(8, 9010, 0.02), &[]);
+            assert_eq!(delta.space_bytes(), delta.to_bytes().len(), "{kind}");
+            for array in &delta.arrays {
+                assert!(
+                    array.indices.len() * 10 < array.cells,
+                    "{kind} `{}`: {} of {} cells kept",
+                    array.name,
+                    array.indices.len(),
+                    array.cells
+                );
+                assert!(array.indices.windows(2).all(|w| w[0] < w[1]), "{kind}");
+            }
+            let empty = HistogramDelta::build(kind, grid, &[], &[]);
+            assert!(empty.is_empty());
+            assert_eq!(empty.space_bytes(), empty.to_bytes().len(), "{kind}");
         }
     }
 

@@ -87,6 +87,21 @@ impl RowMask {
         self.words[row * self.words_per_row + col / 64] |= 1u64 << (col % 64);
     }
 
+    /// Marks cell `(row, col)` empty.
+    pub fn clear(&mut self, row: usize, col: usize) {
+        self.words[row * self.words_per_row + col / 64] &= !(1u64 << (col % 64));
+    }
+
+    /// Sets or clears the bit of the cell at row-major flat index `idx`.
+    fn assign(&mut self, idx: usize, occupied: bool) {
+        let (row, col) = (idx / self.cols, idx % self.cols);
+        if occupied {
+            self.set(row, col);
+        } else {
+            self.clear(row, col);
+        }
+    }
+
     /// `true` when cell `(row, col)` is occupied.
     #[must_use]
     pub fn is_set(&self, row: usize, col: usize) -> bool {
@@ -129,6 +144,12 @@ fn for_each_joint(a: &RowMask, b: &RowMask, mut f: impl FnMut(usize)) {
             bits &= bits - 1;
         }
     }
+}
+
+/// Whether two `f64` slices hold the same bit patterns (`-0.0` and
+/// `+0.0` differ here, unlike under `==`).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn grid_check(a: Grid, b: Grid) -> Result<(), HistogramError> {
@@ -223,13 +244,11 @@ impl PhView {
         let grid = hist.grid();
         let cpa = ix(grid.cells_per_axis());
         let cells = grid.num_cells();
-        #[allow(clippy::cast_precision_loss)]
-        let n_f64 = hist.n as f64;
         let mut view = Self {
             grid,
-            len: hist.dataset_len(),
-            n_f64,
-            avg_span: hist.avg_span(),
+            len: 0,
+            n_f64: 0.0,
+            avg_span: 0.0,
             cell_area: grid.cell_area(),
             n: vec![0; cells],
             c: vec![0.0; cells],
@@ -241,30 +260,78 @@ impl PhView {
             hx: vec![0.0; cells],
             occ: RowMask::empty(cpa, cpa),
         };
+        view.derive_scalars(hist);
         for idx in 0..cells {
-            let n = hist.num[idx];
-            let c = hist.cov[idx].to_f64();
-            let w = avg(hist.xsum[idx], n);
-            let h = avg(hist.ysum[idx], n);
-            let nx = hist.num_x[idx];
-            let cx = hist.cov_x[idx].to_f64();
-            let wx = avg(hist.xsum_x[idx], nx);
-            let hx = avg(hist.ysum_x[idx], nx);
-            if n != 0
-                || c != 0.0
-                || w != 0.0
-                || h != 0.0
-                || nx != 0
-                || cx != 0.0
-                || wx != 0.0
-                || hx != 0.0
-            {
-                view.occ.set(idx / cpa, idx % cpa);
-                (view.n[idx], view.c[idx], view.w[idx], view.h[idx]) = (n, c, w, h);
-                (view.nx[idx], view.cx[idx], view.wx[idx], view.hx[idx]) = (nx, cx, wx, hx);
+            let cell = Self::derive_cell(hist, idx);
+            if cell.is_some() {
+                view.store(idx, cell);
             }
         }
         view
+    }
+
+    /// Re-derives the dataset scalars and the given cells from `hist`
+    /// after a delta touched exactly those cells: the result equals
+    /// [`PhView::new`] on `hist`, bit for bit.
+    fn patch(&mut self, hist: &PhHistogram, cells: &[usize]) {
+        self.derive_scalars(hist);
+        for &idx in cells {
+            self.store(idx, Self::derive_cell(hist, idx));
+        }
+    }
+
+    fn derive_scalars(&mut self, hist: &PhHistogram) {
+        self.len = hist.dataset_len();
+        #[allow(clippy::cast_precision_loss)]
+        let n_f64 = hist.n as f64;
+        self.n_f64 = n_f64;
+        self.avg_span = hist.avg_span();
+    }
+
+    /// The view's `Cont` and `Isect` values of cell `idx`, or `None` when
+    /// every one is zero (the cell is empty).
+    fn derive_cell(hist: &PhHistogram, idx: usize) -> Option<[(u32, f64, f64, f64); 2]> {
+        let n = hist.num[idx];
+        let c = hist.cov[idx].to_f64();
+        let w = avg(hist.xsum[idx], n);
+        let h = avg(hist.ysum[idx], n);
+        let nx = hist.num_x[idx];
+        let cx = hist.cov_x[idx].to_f64();
+        let wx = avg(hist.xsum_x[idx], nx);
+        let hx = avg(hist.ysum_x[idx], nx);
+        let occupied = n != 0
+            || c != 0.0
+            || w != 0.0
+            || h != 0.0
+            || nx != 0
+            || cx != 0.0
+            || wx != 0.0
+            || hx != 0.0;
+        occupied.then_some([(n, c, w, h), (nx, cx, wx, hx)])
+    }
+
+    /// Writes one cell's values and occupancy bit; `None` (an empty
+    /// cell) writes `0`/`+0.0` into every slot and clears the bit.
+    fn store(&mut self, idx: usize, cell: Option<[(u32, f64, f64, f64); 2]>) {
+        self.occ.assign(idx, cell.is_some());
+        let [cont, isect] = cell.unwrap_or_default();
+        (self.n[idx], self.c[idx], self.w[idx], self.h[idx]) = cont;
+        (self.nx[idx], self.cx[idx], self.wx[idx], self.hx[idx]) = isect;
+    }
+
+    /// Bitwise equality of every field (see [`same_bits`]).
+    fn bits_eq(&self, o: &Self) -> bool {
+        self.grid == o.grid
+            && self.len == o.len
+            && same_bits(
+                &[self.n_f64, self.avg_span, self.cell_area],
+                &[o.n_f64, o.avg_span, o.cell_area],
+            )
+            && (self.n == o.n && self.nx == o.nx && self.occ == o.occ)
+            && [&self.c, &self.w, &self.h, &self.cx, &self.wx, &self.hx]
+                .iter()
+                .zip([&o.c, &o.w, &o.h, &o.cx, &o.wx, &o.hx])
+                .all(|(a, b)| same_bits(a, b))
     }
 
     /// The grid the backing histogram was built on.
@@ -400,29 +467,69 @@ impl GhView {
         let grid = hist.grid();
         let cpa = ix(grid.cells_per_axis());
         let cells = grid.num_cells();
-        #[allow(clippy::cast_precision_loss)]
-        let n_f64 = hist.n as f64;
         let mut view = Self {
             grid,
-            len: hist.dataset_len(),
-            n_f64,
+            len: 0,
+            n_f64: 0.0,
             c: vec![0; cells],
             o: vec![0.0; cells],
             h: vec![0.0; cells],
             v: vec![0.0; cells],
             occ: RowMask::empty(cpa, cpa),
         };
+        view.derive_scalars(hist);
         for idx in 0..cells {
-            let c = hist.c[idx];
-            let o = hist.o[idx].to_f64();
-            let h = hist.h[idx].to_f64();
-            let v = hist.v[idx].to_f64();
-            if c != 0 || o != 0.0 || h != 0.0 || v != 0.0 {
-                view.occ.set(idx / cpa, idx % cpa);
-                (view.c[idx], view.o[idx], view.h[idx], view.v[idx]) = (c, o, h, v);
+            let cell = Self::derive_cell(hist, idx);
+            if cell.is_some() {
+                view.store(idx, cell);
             }
         }
         view
+    }
+
+    /// Re-derives the dataset scalars and the given cells from `hist`
+    /// after a delta touched exactly those cells: the result equals
+    /// [`GhView::new`] on `hist`, bit for bit.
+    fn patch(&mut self, hist: &GhHistogram, cells: &[usize]) {
+        self.derive_scalars(hist);
+        for &idx in cells {
+            self.store(idx, Self::derive_cell(hist, idx));
+        }
+    }
+
+    fn derive_scalars(&mut self, hist: &GhHistogram) {
+        self.len = hist.dataset_len();
+        #[allow(clippy::cast_precision_loss)]
+        let n_f64 = hist.n as f64;
+        self.n_f64 = n_f64;
+    }
+
+    /// The view's `{C, O, H, V}` of cell `idx`, or `None` when every one
+    /// is zero (the cell is empty).
+    fn derive_cell(hist: &GhHistogram, idx: usize) -> Option<(u32, f64, f64, f64)> {
+        let c = hist.c[idx];
+        let o = hist.o[idx].to_f64();
+        let h = hist.h[idx].to_f64();
+        let v = hist.v[idx].to_f64();
+        (c != 0 || o != 0.0 || h != 0.0 || v != 0.0).then_some((c, o, h, v))
+    }
+
+    /// Writes one cell's values and occupancy bit; `None` (an empty
+    /// cell) writes `0`/`+0.0` into every slot and clears the bit.
+    fn store(&mut self, idx: usize, cell: Option<(u32, f64, f64, f64)>) {
+        self.occ.assign(idx, cell.is_some());
+        (self.c[idx], self.o[idx], self.h[idx], self.v[idx]) = cell.unwrap_or_default();
+    }
+
+    /// Bitwise equality of every field (see [`same_bits`]).
+    fn bits_eq(&self, o: &Self) -> bool {
+        self.grid == o.grid
+            && self.len == o.len
+            && self.n_f64.to_bits() == o.n_f64.to_bits()
+            && (self.c == o.c && self.occ == o.occ)
+            && same_bits(&self.o, &o.o)
+            && same_bits(&self.h, &o.h)
+            && same_bits(&self.v, &o.v)
     }
 
     /// The grid the backing histogram was built on.
@@ -529,26 +636,63 @@ impl GhBasicView {
         let grid = hist.grid();
         let cpa = ix(grid.cells_per_axis());
         let cells = grid.num_cells();
-        #[allow(clippy::cast_precision_loss)]
-        let n_f64 = hist.n as f64;
         let mut view = Self {
             grid,
-            len: hist.dataset_len(),
-            n_f64,
+            len: 0,
+            n_f64: 0.0,
             c: vec![0; cells],
             i: vec![0; cells],
             v: vec![0; cells],
             h: vec![0; cells],
             occ: RowMask::empty(cpa, cpa),
         };
+        view.derive_scalars(hist);
         for idx in 0..cells {
-            let (c, i, v, h) = (hist.c[idx], hist.i[idx], hist.v[idx], hist.h[idx]);
-            if c != 0 || i != 0 || v != 0 || h != 0 {
-                view.occ.set(idx / cpa, idx % cpa);
-                (view.c[idx], view.i[idx], view.v[idx], view.h[idx]) = (c, i, v, h);
+            let cell = Self::derive_cell(hist, idx);
+            if cell.is_some() {
+                view.store(idx, cell);
             }
         }
         view
+    }
+
+    /// Re-derives the dataset scalars and the given cells from `hist`
+    /// after a delta touched exactly those cells: the result equals
+    /// [`GhBasicView::new`] on `hist`, bit for bit.
+    fn patch(&mut self, hist: &GhBasicHistogram, cells: &[usize]) {
+        self.derive_scalars(hist);
+        for &idx in cells {
+            self.store(idx, Self::derive_cell(hist, idx));
+        }
+    }
+
+    fn derive_scalars(&mut self, hist: &GhBasicHistogram) {
+        self.len = hist.dataset_len();
+        #[allow(clippy::cast_precision_loss)]
+        let n_f64 = hist.n as f64;
+        self.n_f64 = n_f64;
+    }
+
+    /// The view's `{C, I, V, H}` of cell `idx`, or `None` when every one
+    /// is zero (the cell is empty).
+    fn derive_cell(hist: &GhBasicHistogram, idx: usize) -> Option<(u32, u32, u32, u32)> {
+        let cell = (hist.c[idx], hist.i[idx], hist.v[idx], hist.h[idx]);
+        (cell != (0, 0, 0, 0)).then_some(cell)
+    }
+
+    /// Writes one cell's values and occupancy bit; `None` (an empty
+    /// cell) writes `0` into every slot and clears the bit.
+    fn store(&mut self, idx: usize, cell: Option<(u32, u32, u32, u32)>) {
+        self.occ.assign(idx, cell.is_some());
+        (self.c[idx], self.i[idx], self.v[idx], self.h[idx]) = cell.unwrap_or_default();
+    }
+
+    /// Bitwise equality of every field; the slices are all integers.
+    fn bits_eq(&self, o: &Self) -> bool {
+        self.grid == o.grid
+            && self.len == o.len
+            && self.n_f64.to_bits() == o.n_f64.to_bits()
+            && (&self.c, &self.i, &self.v, &self.h, &self.occ) == (&o.c, &o.i, &o.v, &o.h, &o.occ)
     }
 
     /// The grid the backing histogram was built on.
@@ -688,16 +832,55 @@ impl ResidentHistogram {
     }
 
     /// Applies a signed delta to the histogram
-    /// ([`SpatialHistogram::apply_delta`]) and re-derives the view from
-    /// the result.
+    /// ([`SpatialHistogram::apply_delta`]) and re-derives the view's
+    /// dataset scalars and the cells the delta touched. Every other cell
+    /// of the histogram is unchanged, and each view cell is a pure
+    /// function of its histogram cell, so the patched view equals a
+    /// freshly decoded one bit for bit.
     ///
     /// # Errors
     /// As [`SpatialHistogram::apply_delta`]; on error neither the
     /// histogram nor the view has changed.
     pub fn apply_delta(&mut self, delta: &HistogramDelta) -> Result<(), HistogramError> {
         self.hist.apply_delta(delta)?;
-        self.view = FamilyView::of(self.hist.as_ref());
+        let cells = delta.touched_cells();
+        // The view was decoded from this histogram, so each downcast
+        // names the family the view belongs to.
+        let any = self.hist.as_any();
+        match &mut self.view {
+            FamilyView::Ph(v) => {
+                if let Some(h) = any.downcast_ref() {
+                    v.patch(h, &cells);
+                }
+            }
+            FamilyView::GhBasic(v) => {
+                if let Some(h) = any.downcast_ref() {
+                    v.patch(h, &cells);
+                }
+            }
+            FamilyView::Gh(v) => {
+                if let Some(h) = any.downcast_ref() {
+                    v.patch(h, &cells);
+                }
+            }
+            FamilyView::Euler => {}
+        }
         Ok(())
+    }
+
+    /// Whether this view and `other`'s are bitwise identical: grid,
+    /// dataset scalars, every slice compared with `to_bits`, and the
+    /// occupancy words. A test hook for the patched-view contract.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn view_bits_eq(&self, other: &Self) -> bool {
+        match (&self.view, &other.view) {
+            (FamilyView::Ph(a), FamilyView::Ph(b)) => a.bits_eq(b),
+            (FamilyView::GhBasic(a), FamilyView::GhBasic(b)) => a.bits_eq(b),
+            (FamilyView::Gh(a), FamilyView::Gh(b)) => a.bits_eq(b),
+            (FamilyView::Euler, FamilyView::Euler) => true,
+            _ => false,
+        }
     }
 
     /// Join estimate against `other` from the two resident views;
@@ -924,6 +1107,11 @@ mod tests {
         assert_eq!(m.count(), 3);
         assert!(m.is_set(3, 7));
         assert!(!m.is_set(3, 6));
+        m.clear(3, 7);
+        m.clear(3, 6);
+        assert_eq!(m.count(), 2);
+        assert!(!m.is_set(3, 7));
+        assert!(m.is_set(7, 7));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Every `to_bytes` / `from_bytes` function in `sj-histogram` defines
 //! part of the on-disk statistics format, and every one in `sj-server`
 //! defines part of the daemon's wire protocol. Changing one of those
-//! bodies without bumping the owning format version (`ENVELOPE_VERSION`
-//! for `.hist` files, `WIRE_VERSION` for server frames) would silently
+//! bodies without bumping the owning format version (`DELTA_VERSION`
+//! for the `.hdelta` codec in `delta.rs`, `ENVELOPE_VERSION` for every
+//! other histogram codec, `WIRE_VERSION` for server frames) would silently
 //! break files written — or clients built — by older builds, so the
 //! bodies are fingerprinted (CRC32 over comment-stripped,
 //! whitespace-normalized source, string literals included — magic bytes
@@ -88,18 +89,28 @@ fn const_version(ws: &Workspace, krate_name: &str, token: &str) -> Option<u32> {
     None
 }
 
-/// Extracts the current envelope version from sj-histogram's
-/// `const ENVELOPE_VERSION: u32 = N;`.
-#[must_use]
-pub fn envelope_version(ws: &Workspace) -> Option<u32> {
-    const_version(ws, "histogram", "ENVELOPE_VERSION")
+/// The format versions a fingerprint record is taken at, one per
+/// version constant; `None` where the constant is absent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Versions {
+    /// sj-histogram's `ENVELOPE_VERSION` (`.hist` files).
+    pub envelope: Option<u32>,
+    /// sj-server's `WIRE_VERSION` (daemon frames).
+    pub wire: Option<u32>,
+    /// sj-histogram's `DELTA_VERSION` (`.hdelta` files).
+    pub delta: Option<u32>,
 }
 
-/// Extracts the current daemon wire version from sj-server's
-/// `const WIRE_VERSION: u16 = N;`. `None` while the crate is absent.
+/// Extracts the current format versions from the tree's
+/// `const ENVELOPE_VERSION`, `const WIRE_VERSION` and
+/// `const DELTA_VERSION` declarations.
 #[must_use]
-pub fn wire_version(ws: &Workspace) -> Option<u32> {
-    const_version(ws, "server", "WIRE_VERSION")
+pub fn versions(ws: &Workspace) -> Versions {
+    Versions {
+        envelope: const_version(ws, "histogram", "ENVELOPE_VERSION"),
+        wire: const_version(ws, "server", "WIRE_VERSION"),
+        delta: const_version(ws, "histogram", "DELTA_VERSION"),
+    }
 }
 
 /// Computes fingerprints for every schema function in the fingerprinted
@@ -123,6 +134,8 @@ pub fn fingerprint_entries(ws: &Workspace) -> Vec<FpEntry> {
 fn version_const_for(key: &str) -> &'static str {
     if key.starts_with("crates/server/") {
         "WIRE_VERSION"
+    } else if key.starts_with("crates/histogram/src/delta.rs ") {
+        "DELTA_VERSION"
     } else {
         "ENVELOPE_VERSION"
     }
@@ -192,15 +205,18 @@ fn normalize(text: &str) -> String {
 
 /// Renders the fingerprint file contents.
 #[must_use]
-pub fn render(version: Option<u32>, wire: Option<u32>, entries: &[FpEntry]) -> String {
+pub fn render(versions: Versions, entries: &[FpEntry]) -> String {
     let mut out = String::new();
     out.push_str("# sj-lint persistence schema fingerprint (rule R7).\n");
     out.push_str("# Regenerate with: cargo run -p sj-lint -- fingerprint --update\n");
-    if let Some(v) = version {
+    if let Some(v) = versions.envelope {
         out.push_str(&format!("envelope-version {v}\n"));
     }
-    if let Some(v) = wire {
+    if let Some(v) = versions.wire {
         out.push_str(&format!("wire-version {v}\n"));
+    }
+    if let Some(v) = versions.delta {
+        out.push_str(&format!("delta-version {v}\n"));
     }
     for e in entries {
         out.push_str(&format!("fn {:08x} {}\n", e.crc, e.key));
@@ -208,13 +224,11 @@ pub fn render(version: Option<u32>, wire: Option<u32>, entries: &[FpEntry]) -> S
     out
 }
 
-/// Parses a fingerprint file:
-/// `(envelope_version, wire_version, entries)`. Unknown lines are
-/// ignored so the format can grow.
+/// Parses a fingerprint file into its recorded versions and entries.
+/// Unknown lines are ignored so the format can grow.
 #[must_use]
-pub fn parse(text: &str) -> (Option<u32>, Option<u32>, Vec<FpEntry>) {
-    let mut version = None;
-    let mut wire = None;
+pub fn parse(text: &str) -> (Versions, Vec<FpEntry>) {
+    let mut versions = Versions::default();
     let mut entries = Vec::new();
     for line in text.lines() {
         let line = line.trim();
@@ -222,9 +236,11 @@ pub fn parse(text: &str) -> (Option<u32>, Option<u32>, Vec<FpEntry>) {
             continue;
         }
         if let Some(v) = line.strip_prefix("envelope-version ") {
-            version = v.trim().parse().ok();
+            versions.envelope = v.trim().parse().ok();
         } else if let Some(v) = line.strip_prefix("wire-version ") {
-            wire = v.trim().parse().ok();
+            versions.wire = v.trim().parse().ok();
+        } else if let Some(v) = line.strip_prefix("delta-version ") {
+            versions.delta = v.trim().parse().ok();
         } else if let Some(rest) = line.strip_prefix("fn ") {
             let mut parts = rest.splitn(2, ' ');
             let crc = parts.next().and_then(|h| u32::from_str_radix(h, 16).ok());
@@ -238,13 +254,12 @@ pub fn parse(text: &str) -> (Option<u32>, Option<u32>, Vec<FpEntry>) {
             }
         }
     }
-    (version, wire, entries)
+    (versions, entries)
 }
 
 /// R7 check: compares the live fingerprints against the recorded file.
 pub fn check_persistence(ws: &Workspace, out: &mut Vec<Finding>) {
-    let current_version = envelope_version(ws);
-    let current_wire = wire_version(ws);
+    let current_versions = versions(ws);
     let current = fingerprint_entries(ws);
     let finding = |line: usize, path: &str, message: String| Finding {
         rule: RuleId::Persistence,
@@ -265,7 +280,7 @@ pub fn check_persistence(ws: &Workspace, out: &mut Vec<Finding>) {
         ));
         return;
     };
-    let Some(cur_version) = current_version else {
+    let Some(cur_version) = current_versions.envelope else {
         out.push(finding(
             1,
             "crates/histogram/src/traits.rs",
@@ -273,8 +288,8 @@ pub fn check_persistence(ws: &Workspace, out: &mut Vec<Finding>) {
         ));
         return;
     };
-    let (recorded_version, recorded_wire, recorded) = parse(recorded_text);
-    let Some(rec_version) = recorded_version else {
+    let (recorded_versions, recorded) = parse(recorded_text);
+    let Some(rec_version) = recorded_versions.envelope else {
         out.push(finding(
             1,
             SCHEMA_PATH,
@@ -296,19 +311,32 @@ pub fn check_persistence(ws: &Workspace, out: &mut Vec<Finding>) {
         ));
         return;
     }
-    if current_wire != recorded_wire {
-        let show = |v: Option<u32>| v.map_or_else(|| "absent".to_string(), |n| n.to_string());
-        out.push(finding(
-            1,
-            SCHEMA_PATH,
-            format!(
-                "WIRE_VERSION is {} but the schema fingerprint recorded {}; refresh it with \
-                 `cargo run -p sj-lint -- fingerprint --update`",
-                show(current_wire),
-                show(recorded_wire)
-            ),
-        ));
-        return;
+    let show = |v: Option<u32>| v.map_or_else(|| "absent".to_string(), |n| n.to_string());
+    for (name, current_v, recorded_v) in [
+        (
+            "WIRE_VERSION",
+            current_versions.wire,
+            recorded_versions.wire,
+        ),
+        (
+            "DELTA_VERSION",
+            current_versions.delta,
+            recorded_versions.delta,
+        ),
+    ] {
+        if current_v != recorded_v {
+            out.push(finding(
+                1,
+                SCHEMA_PATH,
+                format!(
+                    "{name} is {} but the schema fingerprint recorded {}; refresh it with \
+                     `cargo run -p sj-lint -- fingerprint --update`",
+                    show(current_v),
+                    show(recorded_v)
+                ),
+            ));
+            return;
+        }
     }
     for cur in &current {
         let vconst = version_const_for(&cur.key);
@@ -343,8 +371,9 @@ pub fn check_persistence(ws: &Workspace, out: &mut Vec<Finding>) {
                 SCHEMA_PATH,
                 format!(
                     "persistence function `{}` disappeared from the tree: bump \
-                     ENVELOPE_VERSION and refresh the fingerprint",
-                    rec.key
+                     {} and refresh the fingerprint",
+                    rec.key,
+                    version_const_for(&rec.key)
                 ),
             ));
         }
@@ -377,6 +406,10 @@ mod tests {
             version_const_for("crates/histogram/src/gh.rs to_bytes#0"),
             "ENVELOPE_VERSION"
         );
+        assert_eq!(
+            version_const_for("crates/histogram/src/delta.rs from_bytes#0"),
+            "DELTA_VERSION"
+        );
     }
 
     #[test]
@@ -393,10 +426,14 @@ mod tests {
                 line: 40,
             },
         ];
-        let text = render(Some(2), Some(1), &entries);
-        let (version, wire, parsed) = parse(&text);
-        assert_eq!(version, Some(2));
-        assert_eq!(wire, Some(1));
+        let versions = Versions {
+            envelope: Some(2),
+            wire: Some(1),
+            delta: Some(2),
+        };
+        let text = render(versions, &entries);
+        let (parsed_versions, parsed) = parse(&text);
+        assert_eq!(parsed_versions, versions);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].crc, 0xDEAD_BEEF);
         assert_eq!(parsed[0].key, "crates/histogram/src/ph.rs to_bytes#0");

@@ -337,18 +337,17 @@ fn cmd_verify_locks(cli: &Cli) -> Result<ExitCode, Failure> {
 
 fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, Failure> {
     let (root, ws) = load_workspace(cli)?;
-    let version = fingerprint::envelope_version(&ws);
-    let wire = fingerprint::wire_version(&ws);
+    let versions = fingerprint::versions(&ws);
     let entries = fingerprint::fingerprint_entries(&ws);
-    let rendered = fingerprint::render(version, wire, &entries);
+    let rendered = fingerprint::render(versions, &entries);
     if !cli.update {
         print!("{rendered}");
         return Ok(ExitCode::SUCCESS);
     }
     // Guard the easy path: an --update that changes fingerprints while
-    // both format versions stay the same is usually a forgotten bump.
+    // every format version stays the same is usually a forgotten bump.
     if let Some(old) = &ws.fingerprint {
-        let (old_version, old_wire, old_entries) = fingerprint::parse(old);
+        let (old_versions, old_entries) = fingerprint::parse(old);
         let changed = old_entries.len() != entries.len()
             || entries.iter().any(|e| {
                 old_entries
@@ -356,13 +355,16 @@ fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, Failure> {
                     .find(|o| o.key == e.key)
                     .is_none_or(|o| o.crc != e.crc)
             });
-        if changed && old_version == version && old_wire == wire && !cli.allow_same_version {
+        if changed && old_versions == versions && !cli.allow_same_version {
+            let show = |v: Option<u32>| v.map_or_else(|| "unknown".to_string(), |v| v.to_string());
             return Err(Failure::Usage(format!(
-                "persistence functions changed but ENVELOPE_VERSION is still {} and \
-                 WIRE_VERSION is still {}: bump the owning version first, or pass \
-                 --allow-same-version if the change is provably wire-compatible",
-                version.map_or_else(|| "unknown".to_string(), |v| v.to_string()),
-                wire.map_or_else(|| "unknown".to_string(), |v| v.to_string())
+                "persistence functions changed but ENVELOPE_VERSION is still {}, \
+                 WIRE_VERSION is still {} and DELTA_VERSION is still {}: bump the owning \
+                 version first, or pass --allow-same-version if the change is provably \
+                 wire-compatible",
+                show(versions.envelope),
+                show(versions.wire),
+                show(versions.delta)
             )));
         }
     }
@@ -373,7 +375,9 @@ fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, Failure> {
         "updated {} ({} functions, envelope version {})",
         fingerprint::SCHEMA_PATH,
         entries.len(),
-        version.map_or_else(|| "unknown".to_string(), |v| v.to_string())
+        versions
+            .envelope
+            .map_or_else(|| "unknown".to_string(), |v| v.to_string())
     );
     Ok(ExitCode::SUCCESS)
 }

@@ -208,8 +208,7 @@ fn r6_bad_fixture_flags_all_three_obligations() {
 fn record_for(text: &str) -> String {
     let ws = Workspace::from_sources(&[("crates/histogram/src/ph.rs", text)], None);
     fingerprint::render(
-        fingerprint::envelope_version(&ws),
-        fingerprint::wire_version(&ws),
+        fingerprint::versions(&ws),
         &fingerprint::fingerprint_entries(&ws),
     )
 }
@@ -266,8 +265,7 @@ fn r7_fingerprints_the_server_wire_codec_too() {
     };
     let ws = mount(server_v1);
     let record = fingerprint::render(
-        fingerprint::envelope_version(&ws),
-        fingerprint::wire_version(&ws),
+        fingerprint::versions(&ws),
         &fingerprint::fingerprint_entries(&ws),
     );
     assert!(record.contains("wire-version 1"), "{record}");
@@ -323,8 +321,7 @@ fn r7_wire_version_mismatch_is_a_finding() {
             None,
         );
         fingerprint::render(
-            fingerprint::envelope_version(&ws),
-            fingerprint::wire_version(&ws),
+            fingerprint::versions(&ws),
             &fingerprint::fingerprint_entries(&ws),
         )
     };
@@ -356,6 +353,62 @@ fn r7_version_bump_is_reported_as_stale_record() {
     let f = run_persistence(&bumped, Some(record));
     assert_eq!(f.len(), 1, "{f:?}");
     assert!(f[0].message.contains("recorded at version 2"), "{f:?}");
+}
+
+#[test]
+fn r7_delta_codec_is_owned_by_delta_version() {
+    // The `.hdelta` codec in delta.rs has its own format version: drift
+    // there with DELTA_VERSION unbumped is flagged naming DELTA_VERSION,
+    // and bumping it without refreshing the record is a stale record.
+    let hist = include_str!("fixtures/r7_good.rs");
+    let delta_v2 = "/// Delta version.\n\
+                    pub const DELTA_VERSION: u32 = 2;\n\
+                    /// Encodes a delta.\n\
+                    pub fn to_bytes(x: u32) -> Vec<u8> { x.to_le_bytes().to_vec() }\n";
+    let mount = |delta: &str, record: Option<String>| {
+        Workspace::from_sources(
+            &[
+                ("crates/histogram/src/ph.rs", hist),
+                ("crates/histogram/src/delta.rs", delta),
+            ],
+            record,
+        )
+    };
+    let ws = mount(delta_v2, None);
+    let record = fingerprint::render(
+        fingerprint::versions(&ws),
+        &fingerprint::fingerprint_entries(&ws),
+    );
+    assert!(record.contains("delta-version 2"), "{record}");
+    let run = |delta: &str| {
+        let mut f = Vec::new();
+        run_rule(
+            RuleId::Persistence,
+            &mount(delta, Some(record.clone())),
+            &mut f,
+        );
+        f
+    };
+    assert_eq!(run(delta_v2), Vec::new(), "unchanged delta codec must pass");
+
+    let drift = run(&delta_v2.replace("x.to_le_bytes()", "(x ^ 1).to_le_bytes()"));
+    assert_eq!(drift.len(), 1, "{drift:?}");
+    assert_eq!(drift[0].path, "crates/histogram/src/delta.rs");
+    assert!(
+        drift[0]
+            .message
+            .contains("changed without a format version bump"),
+        "{drift:?}"
+    );
+    assert!(drift[0].message.contains("DELTA_VERSION"), "{drift:?}");
+    assert!(!drift[0].message.contains("ENVELOPE_VERSION"), "{drift:?}");
+
+    let bumped = run(&delta_v2.replace("DELTA_VERSION: u32 = 2", "DELTA_VERSION: u32 = 3"));
+    assert_eq!(bumped.len(), 1, "{bumped:?}");
+    assert!(
+        bumped[0].message.contains("DELTA_VERSION is 3"),
+        "{bumped:?}"
+    );
 }
 
 // ------------------------------------------------------------------

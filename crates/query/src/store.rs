@@ -366,8 +366,9 @@ pub struct PreparedDelta {
     seq: u64,
     delta: HistogramDelta,
     /// Liveness mask over the dataset at prepare time: `false` marks
-    /// the rectangles this batch's deletes resolved to.
-    live: Vec<bool>,
+    /// the rectangles this batch's deletes resolved to. `None` for an
+    /// insert-only batch, which never looks at the dataset.
+    live: Option<Vec<bool>>,
     inserts: Vec<Rect>,
     deletes_len: usize,
     /// WAL destination and encoded record, absent when no statistics
@@ -500,17 +501,11 @@ pub struct WalRecovery {
     pub deduplicated: usize,
 }
 
-/// One pending delta tier: provenance plus the retained signed delta.
-struct Tier {
-    info: TierInfo,
-    #[allow(dead_code)] // retained for inspection; stats are applied live
-    delta: HistogramDelta,
-}
-
-/// Per-table incremental state.
+/// Per-table incremental state. A pending tier keeps only its
+/// provenance: its delta was applied to the live statistics at commit.
 #[derive(Default)]
 struct TableStore {
-    tiers: Vec<Tier>,
+    tiers: Vec<TierInfo>,
     pending_bytes: usize,
     next_seq: u64,
     /// The last [`REMEMBERED_MUTATIONS`] applied stamped mutation IDs,
@@ -826,6 +821,95 @@ fn hist_pair_crc(hist_bytes: &[u8]) -> u32 {
     crc32(hist_bytes.get(..end).unwrap_or(hist_bytes))
 }
 
+/// [`hist_pair_crc`] of an envelope freshly written by `persist()`,
+/// read from its trailer: that trailer is the CRC32 of exactly the bytes
+/// before it, so re-hashing them would only recompute it. Files read
+/// back from disk must be hashed with [`hist_pair_crc`] instead — their
+/// trailer is what is being checked.
+fn persisted_pair_crc(hist_bytes: &[u8]) -> u32 {
+    let trailer = hist_bytes.len().saturating_sub(4);
+    hist_bytes
+        .get(trailer..)
+        .and_then(|t| <[u8; 4]>::try_from(t).ok())
+        .map_or_else(|| hist_pair_crc(hist_bytes), u32::from_le_bytes)
+}
+
+/// Resolves each delete of a batch to one live dataset row in a single
+/// pass over the dataset, returning the liveness mask (`false` on the
+/// resolved rows), or the smallest batch index whose delete matches no
+/// row.
+///
+/// The result is exactly that of resolving the deletes one by one in
+/// batch order, each taking the first still-live row equal to it (the
+/// reference loop in the tests): rows equal to one delete are equal to
+/// every delete of its equal-value class and to no other class, so the
+/// k-th delete of a class takes the k-th matching row in dataset order.
+/// Rows are pre-filtered on a small bitmap keyed by each delete's
+/// canonical `xlo` bits (`-0.0` maps to `+0.0`, as `==` identifies
+/// them), then confirmed with `Rect ==`.
+fn resolve_deletes(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<bool>, usize> {
+    /// Bits of `x` with `-0.0` folded onto `+0.0`: equal (non-NaN)
+    /// coordinates get equal keys.
+    fn canon(x: f64) -> u64 {
+        if x == 0.0 {
+            0
+        } else {
+            x.to_bits()
+        }
+    }
+    fn key(r: &Rect) -> [u64; 4] {
+        [canon(r.xlo), canon(r.ylo), canon(r.xhi), canon(r.yhi)]
+    }
+    let bits = (deletes.len() * 64).next_power_of_two().clamp(64, 1 << 20);
+    let slot = |r: &Rect| {
+        // Fibonacci hashing of the canonical `xlo` bits into the bitmap.
+        let h = canon(r.xlo).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        usize::try_from(h).unwrap_or(0) & (bits - 1)
+    };
+    let mut filter = vec![0u64; bits / 64];
+    // Equal-value classes, keyed canonically: `pending` lists a class's
+    // batch indices in order and `taken` counts the rows it has claimed.
+    // A delete with a NaN coordinate equals nothing, so `Rect ==` never
+    // lets its class claim a row and it reports as missing.
+    let mut classes: BTreeMap<[u64; 4], usize> = BTreeMap::new();
+    let mut pending: Vec<Vec<usize>> = Vec::new();
+    for (index, del) in deletes.iter().enumerate() {
+        let class = *classes.entry(key(del)).or_insert_with(|| {
+            pending.push(Vec::new());
+            pending.len() - 1
+        });
+        pending[class].push(index);
+        let s = slot(del);
+        filter[s / 64] |= 1 << (s % 64);
+    }
+    let mut taken = vec![0usize; pending.len()];
+    let mut live = vec![true; rects.len()];
+    for (row, r) in rects.iter().enumerate() {
+        let s = slot(r);
+        if filter[s / 64] & (1 << (s % 64)) == 0 {
+            continue;
+        }
+        let Some(&class) = classes.get(&key(r)) else {
+            continue;
+        };
+        if let Some(&first) = pending[class].get(taken[class]) {
+            if *r == deletes[first] {
+                live[row] = false;
+                taken[class] += 1;
+            }
+        }
+    }
+    let missing = pending
+        .iter()
+        .zip(&taken)
+        .filter_map(|(indices, &n)| indices.get(n).copied())
+        .min();
+    match missing {
+        Some(index) => Err(index),
+        None => Ok(live),
+    }
+}
+
 // CRC32 (IEEE, reflected) — the workspace's single shared
 // implementation, the same polynomial and table as the histogram
 // envelopes whose trailers these records sit next to on disk.
@@ -1042,34 +1126,20 @@ impl Catalog {
                 recovery.skipped += 1;
                 continue;
             }
-            // Mirror apply_delta_inner exactly: first match wins, order
-            // preserved, inserts appended — so the reconstructed dataset
-            // is byte-for-byte what the crashed process held.
-            let mut live = vec![true; rects.len()];
-            for del in &record.deletes {
-                match rects
-                    .iter()
-                    .enumerate()
-                    .position(|(i, r)| live[i] && r == del)
-                {
-                    Some(i) => live[i] = false,
-                    None => {
-                        return Err(corrupt(format!(
-                            "WAL batch {} deletes a rectangle absent from table {name:?}'s \
-                             snapshotted dataset",
-                            record.seq
-                        )))
-                    }
-                }
-            }
-            let mut kept: Vec<Rect> = rects
-                .iter()
-                .zip(&live)
-                .filter(|(_, keep)| **keep)
-                .map(|(r, _)| *r)
-                .collect();
-            kept.extend_from_slice(&record.inserts);
-            rects = kept;
+            // Mirror commit_prepared exactly: the same delete
+            // resolution, order preserved, inserts appended — so the
+            // reconstructed dataset is byte-for-byte what the crashed
+            // process held.
+            let live = resolve_deletes(&rects, &record.deletes).map_err(|_| {
+                corrupt(format!(
+                    "WAL batch {} deletes a rectangle absent from table {name:?}'s \
+                     snapshotted dataset",
+                    record.seq
+                ))
+            })?;
+            let mut keep = live.into_iter();
+            rects.retain(|_| keep.next().unwrap_or(true));
+            rects.extend_from_slice(&record.inserts);
             next_seq = record.seq + 1;
             if record.id.is_stamped() {
                 ids.push(record.id);
@@ -1227,24 +1297,17 @@ impl Catalog {
         }
         // Resolve each delete to one currently-live object, first match
         // wins; duplicates in the batch consume duplicates in the data.
-        let mut live: Vec<bool> = vec![true; table.dataset.rects.len()];
-        for (index, del) in deletes.iter().enumerate() {
-            let found = table
-                .dataset
-                .rects
-                .iter()
-                .enumerate()
-                .position(|(i, r)| live[i] && r == del);
-            match found {
-                Some(i) => live[i] = false,
-                None => {
-                    return Err(QueryError::DeleteNotFound {
-                        table: name.to_string(),
-                        index,
-                    })
+        let live = if deletes.is_empty() {
+            None
+        } else {
+            let live = resolve_deletes(&table.dataset.rects, deletes).map_err(|index| {
+                QueryError::DeleteNotFound {
+                    table: name.to_string(),
+                    index,
                 }
-            }
-        }
+            })?;
+            Some(live)
+        };
 
         // Exact signed delta for this batch: both sides run through the
         // same shard driver as every other build in the workspace.
@@ -1303,18 +1366,14 @@ impl Catalog {
         if let StatsState::Ready(h) = &mut table.stats {
             h.apply_delta(&delta)?;
         }
-        let mut rects = Vec::with_capacity(table.dataset.rects.len() - deletes_len + inserts.len());
-        rects.extend(
-            table
-                .dataset
-                .rects
-                .iter()
-                .zip(&live)
-                .filter(|(_, keep)| **keep)
-                .map(|(r, _)| *r),
-        );
+        // Surviving rows keep their order and inserts follow them, in
+        // place: an insert-only batch never walks the dataset.
+        let rects = &mut table.dataset.rects;
+        if let Some(live) = live {
+            let mut keep = live.into_iter();
+            rects.retain(|_| keep.next().unwrap_or(true));
+        }
         rects.extend_from_slice(&inserts);
-        table.dataset.rects = rects;
         table.rtree = std::sync::OnceLock::new();
 
         // Tier bookkeeping. The ID is remembered only now: a batch that
@@ -1325,14 +1384,11 @@ impl Catalog {
         entry.next_seq = seq + 1;
         let bytes = delta.space_bytes();
         entry.pending_bytes += bytes;
-        entry.tiers.push(Tier {
-            info: TierInfo {
-                seq,
-                inserts: inserts.len() as u64,
-                deletes: deletes_len as u64,
-                bytes,
-            },
-            delta,
+        entry.tiers.push(TierInfo {
+            seq,
+            inserts: inserts.len() as u64,
+            deletes: deletes_len as u64,
+            bytes,
         });
         Ok(DeltaReceipt {
             inserts: inserts.len(),
@@ -1425,7 +1481,7 @@ impl Catalog {
         let hist_bytes = h.histogram().persist().to_vec();
         let snap_bytes = encode_snapshot(
             next_seq,
-            hist_pair_crc(&hist_bytes),
+            persisted_pair_crc(&hist_bytes),
             &table.dataset.rects,
             &ids,
         );
@@ -1465,10 +1521,7 @@ impl Catalog {
             return Err(QueryError::UnknownTable(name.to_string()));
         }
         let (pending, pending_bytes) = match self.store.tables.get(name) {
-            Some(t) => (
-                t.tiers.iter().map(|tier| tier.info).collect(),
-                t.pending_bytes,
-            ),
+            Some(t) => (t.tiers.clone(), t.pending_bytes),
             None => (Vec::new(), 0),
         };
         Ok(StatsProvenance {
@@ -1562,6 +1615,81 @@ mod tests {
         let err = c.apply_delta("t", &[], &[r, r]).unwrap_err();
         assert!(matches!(err, QueryError::DeleteNotFound { index: 1, .. }));
         assert_eq!(c.table_len("t").unwrap(), 1, "failed batch must not apply");
+    }
+
+    /// The one-delete-at-a-time resolution [`resolve_deletes`] replaces:
+    /// each delete, in batch order, takes the first still-live equal row.
+    fn resolve_deletes_reference(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<bool>, usize> {
+        let mut live = vec![true; rects.len()];
+        for (index, del) in deletes.iter().enumerate() {
+            match rects
+                .iter()
+                .enumerate()
+                .position(|(i, r)| live[i] && r == del)
+            {
+                Some(i) => live[i] = false,
+                None => return Err(index),
+            }
+        }
+        Ok(live)
+    }
+
+    /// Seeded property: the one-pass resolution returns exactly the
+    /// reference loop's liveness mask or failing batch index, over
+    /// batches and datasets full of duplicates, `±0.0` coordinates, a
+    /// NaN coordinate and deletes that match nothing.
+    #[test]
+    fn one_pass_delete_resolution_matches_the_reference_loop() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let r = |xlo: f64, ylo: f64, xhi: f64, yhi: f64| Rect { xlo, ylo, xhi, yhi };
+        // A small pool, so draws collide often; pool[0..3] are equal
+        // under `==` (signed zeros) but not bitwise, pool[7] has a NaN.
+        let pool = [
+            r(0.0, 0.0, 0.5, 0.5),
+            r(-0.0, 0.0, 0.5, 0.5),
+            r(0.0, -0.0, 0.5, 0.5),
+            r(0.25, 0.25, 0.75, 0.75),
+            r(0.25, 0.25, 0.75, 0.8),
+            r(-0.0, -0.0, -0.0, -0.0),
+            r(0.1, 0.2, 0.3, 0.4),
+            r(0.1, f64::NAN, 0.3, 0.4),
+            r(0.9, 0.9, 1.0, 1.0),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x0de1_e7e5);
+        let mut outcomes = [0usize; 2];
+        for _ in 0..4000 {
+            let n = rng.random_range(0..40usize);
+            let m = rng.random_range(0..12usize);
+            // Deletes draw from the whole pool; data from a random prefix
+            // of it, so some deletes match nothing.
+            let data_pool = rng.random_range(1..=pool.len());
+            let data: Vec<Rect> = (0..n)
+                .map(|_| pool[rng.random_range(0..data_pool)])
+                .collect();
+            let deletes: Vec<Rect> = (0..m)
+                .map(|_| pool[rng.random_range(0..pool.len())])
+                .collect();
+            let got = resolve_deletes(&data, &deletes);
+            let want = resolve_deletes_reference(&data, &deletes);
+            assert_eq!(got, want, "data {data:?}, deletes {deletes:?}");
+            outcomes[usize::from(want.is_err())] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&k| k > 500),
+            "both outcomes must be exercised: {outcomes:?}"
+        );
+    }
+
+    /// The pair CRC a compaction takes from the trailer `persist()` just
+    /// wrote equals re-hashing the envelope, for every family.
+    #[test]
+    fn persisted_pair_crc_equals_rehashing_every_kind() {
+        let grid = sj_histogram::Grid::new(4, Extent::unit()).unwrap();
+        for kind in HistogramKind::ALL {
+            let bytes = build_histogram(kind, grid, &rects(30, 0.1)).persist();
+            assert_eq!(persisted_pair_crc(&bytes), hist_pair_crc(&bytes), "{kind}");
+        }
     }
 
     #[test]

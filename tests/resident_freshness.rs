@@ -9,6 +9,12 @@
 //! before its WAL replays) runs; after every step each ordered table
 //! pair's warm answer must equal, bit for bit, `estimate_join` on
 //! histograms freshly built over the tables' current datasets.
+//!
+//! A commit patches only the view cells its delta touched; a second test
+//! checks that the patched view itself — every slice compared with
+//! `to_bits`, and the occupancy words — equals a freshly decoded one
+//! after every step, including a delete that empties cells and a
+//! rejected delete.
 
 #![expect(
     clippy::expect_used,
@@ -19,7 +25,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sj_datagen::Dataset;
 use sj_geo::{Extent, Rect};
-use sj_histogram::{build_histogram, Grid, HistogramKind};
+use sj_histogram::kernel::ResidentHistogram;
+use sj_histogram::{
+    build_histogram, load_histogram, GhHistogram, Grid, HistogramDelta, HistogramError,
+    HistogramKind,
+};
 use sj_query::{Catalog, CompactionPolicy, DegradationPolicy, EstimateTier, QueryError};
 
 const LEVEL: u32 = 4;
@@ -184,5 +194,118 @@ fn corrupt_statistics_hold_no_view_and_degrade() {
             .expect("ladder");
         assert_eq!(out.tier, EstimateTier::PhRebuild, "{kind}");
         assert!(out.pairs > 0.0, "{kind}: the fallback still estimates");
+    }
+}
+
+/// Rectangles confined to `[lo, lo + span]²`.
+fn rects_in(n: usize, seed: u64, lo: f64, span: f64) -> Vec<Rect> {
+    rects(n, seed)
+        .iter()
+        .map(|r| {
+            Rect::new(
+                lo + r.xlo * span,
+                lo + r.ylo * span,
+                lo + r.xhi * span,
+                lo + r.yhi * span,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn patched_views_equal_fresh_views_bit_for_bit() {
+    let grid = Grid::new(LEVEL, Extent::unit()).expect("grid");
+    for kind in [HistogramKind::Ph, HistogramKind::GhBasic, HistogramKind::Gh] {
+        let seed = 0xfee1_0000 ^ u64::from(kind.tag());
+        // A cluster in the lower-left quarter and a few isolated
+        // rectangles far from it, alone in their cells.
+        let cluster = rects_in(70, seed, 0.0, 0.45);
+        let isolated = rects_in(4, seed + 1, 0.62, 0.3);
+        let mut data: Vec<Rect> = cluster.iter().chain(&isolated).copied().collect();
+        let mut resident = ResidentHistogram::new(build_histogram(kind, grid, &data));
+
+        let check = |resident: &ResidentHistogram, data: &[Rect], step: &str| {
+            let fresh = build_histogram(kind, grid, data);
+            assert_eq!(
+                resident.histogram().persist(),
+                fresh.persist(),
+                "{kind} after {step}: histogram"
+            );
+            assert!(
+                resident.view_bits_eq(&ResidentHistogram::new(fresh)),
+                "{kind} after {step}: the patched view differs from a fresh decode"
+            );
+        };
+        let step = |resident: &mut ResidentHistogram,
+                    data: &mut Vec<Rect>,
+                    ins: &[Rect],
+                    del: &[Rect],
+                    what: &str| {
+            resident
+                .apply_delta(&HistogramDelta::build(kind, grid, ins, del))
+                .expect("delta applies");
+            for d in del {
+                let at = data
+                    .iter()
+                    .position(|r| r == d)
+                    .expect("deleted row exists");
+                data.remove(at);
+            }
+            data.extend_from_slice(ins);
+            check(resident, data, what);
+        };
+
+        let r = &mut resident;
+        step(
+            r,
+            &mut data,
+            &rects_in(9, seed + 2, 0.1, 0.3),
+            &[],
+            "an insert",
+        );
+        let without: Vec<Rect> = data
+            .iter()
+            .filter(|r| !isolated.contains(r))
+            .copied()
+            .collect();
+        let occupied = |data: &[Rect]| GhHistogram::build(grid, data).occupied_cells();
+        assert!(
+            occupied(&without) < occupied(&data),
+            "the isolated rectangles own cells"
+        );
+        step(r, &mut data, &[], &isolated, "a delete that empties cells");
+        let mixed = rects_in(5, seed + 3, 0.5, 0.4);
+        step(r, &mut data, &mixed, &cluster[..6], "a mixed batch");
+
+        // A delete of rectangles the histogram never held underflows:
+        // rejected typed, and neither the histogram nor its view moves.
+        let before = ResidentHistogram::new(
+            load_histogram(&resident.histogram().persist()).expect("reload"),
+        );
+        let phantom = rects_in(6, seed + 4, 0.8, 0.15);
+        let err = resident
+            .apply_delta(&HistogramDelta::build(kind, grid, &[], &phantom))
+            .expect_err("phantom delete must be rejected");
+        assert!(
+            matches!(err, HistogramError::DeltaOutOfRange { .. }),
+            "{kind}: {err:?}"
+        );
+        assert_eq!(
+            resident.histogram().persist(),
+            before.histogram().persist(),
+            "{kind}: a rejected delete must not move the histogram"
+        );
+        assert!(
+            resident.view_bits_eq(&before),
+            "{kind}: a rejected delete must not move the view"
+        );
+        let late = rects_in(3, seed + 5, 0.7, 0.2);
+        step(
+            &mut resident,
+            &mut data,
+            &late,
+            &[],
+            "an insert after the rejection",
+        );
     }
 }
