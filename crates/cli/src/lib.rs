@@ -52,7 +52,7 @@ use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
     build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram, presets,
     Dataset, DatasetError, Extent, GhHistogram, Grid, HistogramError, HistogramKind, JoinBaseline,
-    Parallelism, RTreeConfig, Rect, SpatialHistogram, ValidationPolicy,
+    Parallelism, RTreeConfig, Rect, SpatialHistogram, ValidationPolicy, SPARSE_MAGIC,
 };
 use sj_query::{Catalog, CatalogConfig, CompactionPolicy, DegradationPolicy, QueryError};
 use sj_server::{CatalogService, Client, ClientError, RemoteOutcome, Server, ServerConfig};
@@ -548,25 +548,18 @@ fn cmd_build_histogram(args: &[String]) -> Result<CliOutput, CliError> {
     ))
 }
 
-/// Little-endian bytes of the versioned envelope magic ("SJSH").
-const ENVELOPE_MAGIC_LE: [u8; 4] = 0x534a_5348u32.to_le_bytes();
-
-/// Decodes a histogram file: the checksummed envelope of any kind, or —
-/// for a file without the envelope magic — the bare sparse GH format
-/// that `build-histogram --sparse` writes. No other layout is read, so
-/// every decode failure is the typed error of the one decoder the file
-/// claims.
+/// Decodes a histogram file by its magic: the checksummed sparse GH file
+/// that `build-histogram --sparse` writes, or otherwise the checksummed
+/// envelope of any kind. No other layout is read, so every decode
+/// failure is the typed error of the one reader the magic names.
 fn decode_histogram(path: &str, bytes: &[u8]) -> Result<Box<dyn SpatialHistogram>, CliError> {
-    if bytes.get(..4) == Some(ENVELOPE_MAGIC_LE.as_slice()) {
-        return load_histogram(bytes).map_err(|e| CliError::from_histogram(path, &e));
-    }
-    match GhHistogram::from_sparse_bytes(bytes) {
-        Ok(h) => Ok(Box::new(h)),
-        Err(e) => Err(CliError::from_histogram(
-            &format!("{path} (no envelope magic, read as sparse GH)"),
-            &e,
-        )),
-    }
+    let magic = bytes.get(..4).and_then(|m| m.try_into().ok());
+    let decoded = if magic == Some(SPARSE_MAGIC.to_le_bytes()) {
+        GhHistogram::from_sparse_bytes(bytes).map(|h| Box::new(h) as Box<dyn SpatialHistogram>)
+    } else {
+        load_histogram(bytes)
+    };
+    decoded.map_err(|e| CliError::from_histogram(path, &e))
 }
 
 fn cmd_estimate(args: &[String]) -> Result<CliOutput, CliError> {
@@ -2377,6 +2370,21 @@ mod format_tests {
         ]))
         .unwrap();
         assert!(wc.contains("estimated objects"), "{wc}");
+        // The magic picks the reader: a damaged sparse file fails its
+        // checksum, and the unframed layout of earlier builds (magic
+        // "SJGS", no checksum) is refused, both as corrupt input.
+        let bytes = std::fs::read(&sparse).unwrap();
+        let mut flipped = bytes.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x01;
+        let mut unframed = 0x534a_4753u32.to_le_bytes().to_vec();
+        unframed.extend_from_slice(&bytes[20..bytes.len() - 4]);
+        for (name, damaged) in [("sp_flipped.hist", flipped), ("sp_unframed.hist", unframed)] {
+            let path = tmp(name);
+            std::fs::write(&path, damaged).unwrap();
+            let err = run(&argv(&["estimate", &path, &dense])).unwrap_err();
+            assert_eq!(err.code, exit_code::CORRUPT, "{name}: {}", err.message);
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use sj_histogram::{
     build_histogram, build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram,
     parametric_selectivity, CorruptSection, EulerHistogram, GhBasicHistogram, GhHistogram, Grid,
     HistogramDelta, HistogramError, HistogramKind, ParametricInputs, PhHistogram,
-    SelectivityEstimate, SpatialHistogram,
+    SelectivityEstimate, SpatialHistogram, SPARSE_MAGIC,
 };
 pub use sj_rtree::{
     join_count, join_count_parallel, join_pairs, mindist, RTree, RTreeConfig, SplitAlgorithm,

@@ -14,28 +14,25 @@
 //!
 //! Because every per-cell statistic is accumulated exactly (integers, or
 //! [`crate::mass::Mass`] fixed point), merging the band histograms with
-//! the families' ordinary `merge` reproduces the serial build
+//! the one declared-statistics merge (`schema.rs`) reproduces the serial build
 //! *bit-for-bit* at every thread count — the serial build is just the
 //! single-band case of the same code path. The same argument covers
 //! rect-range sharding: exact addition is associative, so any partition
 //! of the input rectangles merges to the identical histogram.
 
 use crate::grid::Grid;
+use crate::schema::{merge_same_grid, Family};
 use sj_geo::Rect;
 
-/// A histogram family buildable from a row-restricted accumulation pass
-/// and mergeable with another same-grid instance. Implemented by all four
-/// families; [`build_shard_merge`] is their shared build driver.
-pub(crate) trait RowBanded: Sized + Send {
+/// A histogram family buildable from a row-restricted accumulation pass.
+/// Implemented by all four families — `build_rows` is the only build
+/// code a family writes; [`build_shard_merge`] is their shared driver.
+pub(crate) trait RowBanded: Family + Send {
     /// Builds the histogram of `rects` on `grid`, keeping only
     /// contributions landing in grid rows `lo..hi` and attributing
     /// per-rectangle scalar statistics (counts, span sums) to the band
     /// containing each rectangle's bottom row.
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self;
-
-    /// Adds `other`'s statistics into `self`; both are same-grid by
-    /// construction here.
-    fn merge_same_grid(&mut self, other: &Self);
 }
 
 /// Builds a histogram by sharding the grid rows across `threads` band
@@ -53,7 +50,7 @@ pub(crate) fn build_shard_merge<H: RowBanded>(grid: Grid, rects: &[Rect], thread
         None => H::build_rows(grid, rects, 0, grid.cells_per_axis()),
     };
     for band in bands {
-        acc.merge_same_grid(&band);
+        merge_same_grid(&mut acc, &band);
     }
     acc
 }

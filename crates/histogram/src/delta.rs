@@ -20,8 +20,9 @@
 //! — the identity `sj-lint verify-equivalence` proves dynamically
 //! across the same matrix as the shard merges. The insert and delete sides are built
 //! with the ordinary `band.rs` shard driver (an insert batch is just
-//! another shard), then differenced statistic-by-statistic through the
-//! same introspection order `first_divergence` walks.
+//! another shard), then differenced statistic-by-statistic in the
+//! family's declared order (`schema.rs`), the order `first_divergence`
+//! walks too.
 //!
 //! Signedness is what makes deletes safe: unsigned `u32` cell counters
 //! widen to `i64` inside the delta, and application range-checks every
@@ -58,13 +59,9 @@
 //! ```
 
 use crate::band::{build_shard_merge, RowBanded};
-use crate::crc::crc32;
-use crate::diff::{CellValues, StatInspect};
 use crate::mass::Mass;
-use crate::{
-    CorruptSection, EulerHistogram, GhBasicHistogram, GhHistogram, Grid, HistogramError,
-    HistogramKind, PhHistogram, SpatialHistogram,
-};
+use crate::schema::{Column, ColumnMut, Family, Repr, Schema};
+use crate::{CorruptSection, Grid, HistogramError, HistogramKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sj_geo::Rect;
 
@@ -73,32 +70,6 @@ pub const DELTA_MAGIC: u32 = 0x534a_4844; // "SJHD"
 /// Delta envelope format version; bump on incompatible layout changes.
 /// Version 2 made the per-cell arrays sparse; no other version is read.
 pub const DELTA_VERSION: u32 = 2;
-
-/// Mutable twins of [`crate::diff::CellValues`]: the per-cell statistic
-/// arrays exposed for in-place delta application.
-pub(crate) enum CellValuesMut<'a> {
-    /// Integer counters.
-    Counts(&'a mut [u32]),
-    /// Exact fixed-point masses.
-    Masses(&'a mut [Mass]),
-}
-
-/// One named mutable per-cell statistic array.
-pub(crate) struct StatArrayMut<'a> {
-    pub(crate) name: &'static str,
-    pub(crate) values: CellValuesMut<'a>,
-}
-
-/// Mutable statistics introspection, implemented by each family next to
-/// its read-only [`StatInspect`] impl and in the identical order. Delta
-/// application walks both views in lockstep: the read-only view for the
-/// pre-flight range check, the mutable view for the commit.
-pub(crate) trait StatInspectMut {
-    /// Dataset-level scalar statistics, mutably, in serialization order.
-    fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)>;
-    /// Per-cell statistic arrays, mutably, in serialization order.
-    fn cell_stats_mut(&mut self) -> Vec<StatArrayMut<'_>>;
-}
 
 /// Fixed payload bytes before the scalars: level, extent, the two batch
 /// sizes and the scalar count.
@@ -128,7 +99,7 @@ impl DeltaValues {
 }
 
 /// One named per-cell delta array in sparse form, positionally matching
-/// the family's [`StatInspect::cell_stats`] order: the strictly
+/// the family's declared array order ([`Schema::arrays`]): the strictly
 /// ascending indices of the cells whose statistic changed, and the
 /// non-zero signed change at each.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,16 +193,7 @@ impl HistogramDelta {
         deletes: &[Rect],
         threads: usize,
     ) -> Self {
-        match kind {
-            HistogramKind::Ph => build_impl::<PhHistogram>(kind, grid, inserts, deletes, threads),
-            HistogramKind::GhBasic => {
-                build_impl::<GhBasicHistogram>(kind, grid, inserts, deletes, threads)
-            }
-            HistogramKind::Gh => build_impl::<GhHistogram>(kind, grid, inserts, deletes, threads),
-            HistogramKind::Euler => {
-                build_impl::<EulerHistogram>(kind, grid, inserts, deletes, threads)
-            }
-        }
+        crate::traits::with_family!(kind, H => build_impl::<H>(grid, inserts, deletes, threads))
     }
 
     /// The family this delta updates.
@@ -378,10 +340,11 @@ impl HistogramDelta {
         let deletes = data.get_u64_le();
         let n_scalars = data.get_u32_le();
 
-        // The expected shape is fixed by (kind, grid): take it from an
-        // empty histogram of the family.
-        let shape = crate::build_histogram(kind, grid, &[]);
-        let (expected_scalars, expected_arrays) = inspect_shape(shape.as_ref());
+        // The expected shape is fixed by (kind, grid): read it off the
+        // family's declaration, allocating nothing before the payload
+        // proves it holds the entries it declares.
+        let schema = Schema::of(kind);
+        let (expected_scalars, expected_arrays) = (schema.scalars, schema.arrays);
 
         if crate::grid::ix(n_scalars) != expected_scalars.len() {
             return Err(corrupt(format!(
@@ -409,7 +372,9 @@ impl HistogramDelta {
             )));
         }
         let mut arrays = Vec::with_capacity(expected_arrays.len());
-        for (name, is_mass, expected_len) in expected_arrays {
+        for stat in expected_arrays {
+            let (name, is_mass) = (stat.name, stat.repr == Repr::Mass);
+            let expected_len = stat.lattice.len(&grid);
             if data.remaining() < ARRAY_HEADER_LEN {
                 return Err(corrupt(format!(
                     "truncated delta array header for `{name}`"
@@ -501,48 +466,7 @@ impl HistogramDelta {
     /// version-2 `.hist` envelope.
     #[must_use]
     pub fn persist(&self) -> Bytes {
-        let payload = self.to_bytes();
-        let mut buf = BytesMut::with_capacity(24 + payload.len());
-        buf.put_u32_le(DELTA_MAGIC);
-        buf.put_u32_le(DELTA_VERSION);
-        buf.put_u32_le(self.kind.tag());
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
-        let checksum = crc32(&buf);
-        buf.put_u32_le(checksum);
-        buf.freeze()
-    }
-}
-
-/// The expected statistic shape of a family on a grid: scalar names,
-/// then `(name, is_mass, cells)` per array, in serialization order.
-#[allow(clippy::type_complexity)]
-fn inspect_shape(
-    h: &dyn SpatialHistogram,
-) -> (Vec<&'static str>, Vec<(&'static str, bool, usize)>) {
-    fn of<H: StatInspect + 'static>(
-        h: &dyn SpatialHistogram,
-    ) -> (Vec<&'static str>, Vec<(&'static str, bool, usize)>) {
-        let Some(h) = h.as_any().downcast_ref::<H>() else {
-            // Unreachable: the caller dispatched on the concrete kind.
-            return (Vec::new(), Vec::new());
-        };
-        let scalars = h.scalar_stats().iter().map(|(name, _)| *name).collect();
-        let arrays = h
-            .cell_stats()
-            .iter()
-            .map(|a| match &a.values {
-                CellValues::Counts(c) => (a.name, false, c.len()),
-                CellValues::Masses(m) => (a.name, true, m.len()),
-            })
-            .collect();
-        (scalars, arrays)
-    }
-    match h.kind() {
-        HistogramKind::Ph => of::<PhHistogram>(h),
-        HistogramKind::GhBasic => of::<GhBasicHistogram>(h),
-        HistogramKind::Gh => of::<GhHistogram>(h),
-        HistogramKind::Euler => of::<EulerHistogram>(h),
+        crate::traits::seal_envelope(DELTA_MAGIC, DELTA_VERSION, self.kind, &self.to_bytes())
     }
 }
 
@@ -562,48 +486,47 @@ pub fn load_delta(full: &[u8]) -> Result<HistogramDelta, HistogramError> {
 
 /// Builds the delta for one concrete family: both batch sides go through
 /// the shared row-band shard driver, then every statistic is differenced
-/// in introspection order.
+/// in declaration order.
 pub(crate) fn build_impl<H>(
-    kind: HistogramKind,
     grid: Grid,
     inserts: &[Rect],
     deletes: &[Rect],
     threads: usize,
 ) -> HistogramDelta
 where
-    H: RowBanded + StatInspect,
+    H: RowBanded + Family,
 {
     let ins: H = build_shard_merge(grid, inserts, threads);
     let del: H = build_shard_merge(grid, deletes, threads);
-    let scalars = ins
-        .scalar_stats()
+    let scalars = H::SCHEMA
+        .scalars
         .iter()
-        .zip(&del.scalar_stats())
-        .map(|((name, iv), (_, dv))| (*name, i128::from(*iv) - i128::from(*dv)))
+        .zip(ins.scalars())
+        .zip(del.scalars())
+        .map(|((name, iv), dv)| (*name, i128::from(iv) - i128::from(dv)))
         .collect();
-    let arrays = ins
-        .cell_stats()
-        .into_iter()
-        .zip(del.cell_stats())
-        .map(|(ia, da)| {
-            let (cells, (indices, values)) = match (&ia.values, &da.values) {
-                (CellValues::Counts(ic), CellValues::Counts(dc)) => {
+    let arrays = H::SCHEMA
+        .arrays
+        .iter()
+        .zip(ins.columns().into_iter().zip(del.columns()))
+        .map(|(stat, pair)| {
+            let (cells, (indices, values)) = match pair {
+                (Column::Count(ic), Column::Count(dc)) => {
                     let (indices, values) =
                         sparse_difference(ic, dc, |a, b| i64::from(a) - i64::from(b), |d| *d == 0);
                     (ic.len(), (indices, DeltaValues::Counts(values)))
                 }
-                (CellValues::Masses(im), CellValues::Masses(dm)) => {
+                (Column::Mass(im), Column::Mass(dm)) => {
                     let (indices, values) =
                         sparse_difference(im, dm, Mass::saturating_sub, |d| d.is_zero());
                     (im.len(), (indices, DeltaValues::Masses(values)))
                 }
-                // Unreachable: both sides are the same concrete family,
-                // so every position has one representation. An empty
-                // array here would be caught by apply's shape check.
+                // Unreachable: both sides come from one declaration, so
+                // every position has one representation.
                 _ => (0, (Vec::new(), DeltaValues::Counts(Vec::new()))),
             };
             DeltaArray {
-                name: ia.name,
+                name: stat.name,
                 cells,
                 indices,
                 values,
@@ -611,7 +534,7 @@ where
         })
         .collect();
     HistogramDelta {
-        kind,
+        kind: H::SCHEMA.kind,
         grid,
         inserts: inserts.len() as u64,
         deletes: deletes.len() as u64,
@@ -646,18 +569,19 @@ fn checked_count(
 }
 
 /// Applies a delta to one concrete family, atomically: a pre-flight
-/// pass over the read-only statistics view range-checks every scalar and
+/// pass over the read-only statistics range-checks every scalar and
 /// every touched counter (and that every touched index exists), and only
-/// a fully in-range delta is committed through the mutable view, writing
-/// the touched entries alone. On error the histogram is bit-for-bit
-/// untouched.
-pub(crate) fn apply_impl<H>(h: &mut H, delta: &HistogramDelta) -> Result<(), HistogramError>
-where
-    H: SpatialHistogram + StatInspect + StatInspectMut,
-{
-    if h.kind() != delta.kind {
+/// a fully in-range delta is committed through the writable statistics
+/// — the same declaration, so the same order — writing the touched
+/// entries alone. On error the histogram is bit-for-bit untouched.
+pub(crate) fn apply_impl<H: Family>(
+    h: &mut H,
+    delta: &HistogramDelta,
+) -> Result<(), HistogramError> {
+    let schema = &H::SCHEMA;
+    if schema.kind != delta.kind {
         return Err(HistogramError::KindMismatch {
-            left: h.kind(),
+            left: schema.kind,
             right: delta.kind,
         });
     }
@@ -669,76 +593,59 @@ where
         });
     }
 
-    // Pre-flight: every checked update must be in range (shape mismatch
-    // surfaces as Corrupt — only a hand-forged delta can get here with
-    // the wrong shape, since from_bytes and build fix it by kind+grid).
+    // Pre-flight: every checked update must be in range. `build` and
+    // `from_bytes` fix a delta's shape by kind and grid, so a shape
+    // mismatch is unreachable; it stays a typed error all the same.
     let shape_err = || {
         HistogramError::corrupt(
             CorruptSection::Payload,
             "delta statistic shape does not match the histogram".to_string(),
         )
     };
-    {
-        let scalars = h.scalar_stats();
-        if scalars.len() != delta.scalars.len() {
-            return Err(shape_err());
-        }
-        for ((name, current), (_, d)) in scalars.iter().zip(&delta.scalars) {
-            checked_scalar(*current, *d, name)?;
-        }
-        let arrays = h.cell_stats();
-        if arrays.len() != delta.arrays.len() {
-            return Err(shape_err());
-        }
-        for (current, update) in arrays.iter().zip(&delta.arrays) {
-            let len = match (&current.values, &update.values) {
-                (CellValues::Counts(c), DeltaValues::Counts(d)) => {
-                    for (i, dd) in update.indices.iter().zip(d) {
-                        let cell = crate::grid::ix(*i);
-                        let cur = c.get(cell).ok_or_else(shape_err)?;
-                        checked_count(*cur, *dd, current.name, cell)?;
-                    }
-                    c.len()
-                }
-                // Masses are signed and saturating by construction; no
-                // per-cell range check is needed.
-                (CellValues::Masses(m), DeltaValues::Masses(_)) => m.len(),
-                _ => return Err(shape_err()),
-            };
-            let last = update.indices.last().map(|i| crate::grid::ix(*i));
-            if len != update.cells || last.is_some_and(|i| i >= len) {
-                return Err(shape_err());
-            }
-        }
-    }
-    // The mutable view must list statistics in the exact order the
-    // read-only pre-flight just validated — a desynchronized family
-    // impl is refused before any write, keeping application atomic.
-    if h.cell_stats_mut()
-        .iter()
-        .zip(&delta.arrays)
-        .any(|(m, u)| m.name != u.name)
-    {
+    if delta.scalars.len() != schema.scalars.len() || delta.arrays.len() != schema.arrays.len() {
         return Err(shape_err());
+    }
+    for (current, (name, d)) in h.scalars().into_iter().zip(&delta.scalars) {
+        checked_scalar(current, *d, name)?;
+    }
+    for (current, update) in h.columns().into_iter().zip(&delta.arrays) {
+        let len = match (current, &update.values) {
+            (Column::Count(c), DeltaValues::Counts(d)) => {
+                for (i, dd) in update.indices.iter().zip(d) {
+                    let cell = crate::grid::ix(*i);
+                    let cur = c.get(cell).ok_or_else(shape_err)?;
+                    checked_count(*cur, *dd, update.name, cell)?;
+                }
+                c.len()
+            }
+            // Masses are signed and saturating by construction; no
+            // per-cell range check is needed.
+            (Column::Mass(m), DeltaValues::Masses(_)) => m.len(),
+            _ => return Err(shape_err()),
+        };
+        let last = update.indices.last().map(|i| crate::grid::ix(*i));
+        if len != update.cells || last.is_some_and(|i| i >= len) {
+            return Err(shape_err());
+        }
     }
 
     // Commit: every update is in range and every index exists (indices
     // ascend, so the last one bounds them all), so the writes below
     // cannot fail (the fallbacks keep the path total anyway).
-    for ((_, slot), (_, d)) in h.scalar_stats_mut().into_iter().zip(&delta.scalars) {
+    for (slot, (_, d)) in h.scalars_mut().into_iter().zip(&delta.scalars) {
         *slot = u64::try_from(i128::from(*slot) + d).unwrap_or(*slot);
     }
-    for (target, update) in h.cell_stats_mut().into_iter().zip(&delta.arrays) {
+    for (target, update) in h.columns_mut().into_iter().zip(&delta.arrays) {
         let cells = update.indices.iter().map(|i| crate::grid::ix(*i));
-        match (target.values, &update.values) {
-            (CellValuesMut::Counts(c), DeltaValues::Counts(d)) => {
+        match (target, &update.values) {
+            (ColumnMut::Count(c), DeltaValues::Counts(d)) => {
                 for (cell, dd) in cells.zip(d) {
                     if let Some(slot) = c.get_mut(cell) {
                         *slot = u32::try_from(i64::from(*slot) + dd).unwrap_or(*slot);
                     }
                 }
             }
-            (CellValuesMut::Masses(m), DeltaValues::Masses(d)) => {
+            (ColumnMut::Mass(m), DeltaValues::Masses(d)) => {
                 for (cell, dd) in cells.zip(d) {
                     if let Some(slot) = m.get_mut(cell) {
                         *slot += *dd;

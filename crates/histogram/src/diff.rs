@@ -8,7 +8,8 @@
 //! cell — so `sj-lint verify-equivalence` (and any other conformance harness)
 //! can print "cell (3, 7) of `cov_x` differs" instead of "bytes differ".
 //!
-//! The statistic names match the struct fields of the four families:
+//! The statistic names are the ones each family declares in its
+//! `histogram_family!` list (`schema.rs`), which are its struct fields:
 //!
 //! * PH — scalars `n`, `span_total`, `span_rects`; per-cell `num`,
 //!   `num_x` (counts) and `cov`, `xsum`, `ysum`, `cov_x`, `xsum_x`,
@@ -24,10 +25,8 @@
 //! approximate decimal rendering alongside.
 
 use crate::mass::Mass;
-use crate::{
-    EulerHistogram, GhBasicHistogram, GhHistogram, HistogramError, HistogramKind, PhHistogram,
-    SpatialHistogram,
-};
+use crate::schema::{Column, Family};
+use crate::{HistogramError, SpatialHistogram};
 
 /// Grid location of a diverging per-cell statistic.
 ///
@@ -88,31 +87,6 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Per-cell values of one named statistic.
-pub(crate) enum CellValues<'a> {
-    /// Integer counters.
-    Counts(&'a [u32]),
-    /// Exact fixed-point masses.
-    Masses(&'a [Mass]),
-}
-
-/// One named per-cell statistic array, with the width of its row-major
-/// lattice (cells per row) so indices decompose into `(col, row)`.
-pub(crate) struct StatArray<'a> {
-    pub(crate) name: &'static str,
-    pub(crate) width: usize,
-    pub(crate) values: CellValues<'a>,
-}
-
-/// Introspection hooks each family implements next to its field
-/// definitions: the mergeable statistics in serialization order.
-pub(crate) trait StatInspect {
-    /// Dataset-level scalar statistics, in serialization order.
-    fn scalar_stats(&self) -> Vec<(&'static str, u64)>;
-    /// Per-cell statistic arrays, in serialization order.
-    fn cell_stats(&self) -> Vec<StatArray<'_>>;
-}
-
 /// Exact rendering of a mass: raw fixed-point units plus an approximate
 /// decimal value.
 fn render_mass(m: Mass) -> String {
@@ -133,10 +107,30 @@ fn locate(index: usize, width: usize) -> CellLocation {
     }
 }
 
-/// First divergence between two same-family histograms, walking scalars
-/// then per-cell arrays in serialization order.
-fn compare<H: StatInspect>(left: &H, right: &H) -> Option<Divergence> {
-    for ((name, lv), (_, rv)) in left.scalar_stats().iter().zip(&right.scalar_stats()) {
+/// The first index where `left` and `right` differ, with both values
+/// rendered.
+fn first_difference<T: Copy + PartialEq>(
+    left: &[T],
+    right: &[T],
+    render: impl Fn(T) -> String,
+) -> Option<(usize, String, String)> {
+    left.iter()
+        .zip(right)
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+        .map(|(i, (a, b))| (i, render(*a), render(*b)))
+}
+
+/// First divergence between two same-family histograms, walking the
+/// declared scalars then per-cell arrays in file order.
+fn compare<H: Family>(left: &H, right: &H) -> Option<Divergence> {
+    let schema = &H::SCHEMA;
+    for ((name, lv), rv) in schema
+        .scalars
+        .iter()
+        .zip(left.scalars())
+        .zip(right.scalars())
+    {
         if lv != rv {
             return Some(Divergence {
                 statistic: name,
@@ -146,56 +140,32 @@ fn compare<H: StatInspect>(left: &H, right: &H) -> Option<Divergence> {
             });
         }
     }
-    for (ls, rs) in left.cell_stats().iter().zip(&right.cell_stats()) {
-        match (&ls.values, &rs.values) {
-            (CellValues::Counts(lc), CellValues::Counts(rc)) => {
-                if let Some((i, (a, b))) = lc
-                    .iter()
-                    .zip(rc.iter())
-                    .enumerate()
-                    .find(|(_, (a, b))| a != b)
-                {
-                    return Some(Divergence {
-                        statistic: ls.name,
-                        cell: Some(locate(i, ls.width)),
-                        left: a.to_string(),
-                        right: b.to_string(),
-                    });
-                }
-            }
-            (CellValues::Masses(lm), CellValues::Masses(rm)) => {
-                if let Some((i, (a, b))) = lm
-                    .iter()
-                    .zip(rm.iter())
-                    .enumerate()
-                    .find(|(_, (a, b))| a != b)
-                {
-                    return Some(Divergence {
-                        statistic: ls.name,
-                        cell: Some(locate(i, ls.width)),
-                        left: render_mass(*a),
-                        right: render_mass(*b),
-                    });
-                }
-            }
-            // Mixed representations cannot happen for same-kind
-            // histograms; treat it as a whole-array divergence anyway
-            // rather than silently reporting equality.
-            _ => {
-                return Some(Divergence {
-                    statistic: ls.name,
-                    cell: None,
-                    left: "count array".to_string(),
-                    right: "mass array".to_string(),
-                });
-            }
+    let grid = left.grid();
+    for (stat, (l, r)) in schema
+        .arrays
+        .iter()
+        .zip(left.columns().into_iter().zip(right.columns()))
+    {
+        let found = match (l, r) {
+            (Column::Count(l), Column::Count(r)) => first_difference(l, r, |v| v.to_string()),
+            (Column::Mass(l), Column::Mass(r)) => first_difference(l, r, render_mass),
+            // Unreachable: both sides come from one declaration.
+            _ => None,
+        };
+        if let Some((index, left, right)) = found {
+            return Some(Divergence {
+                statistic: stat.name,
+                cell: Some(locate(index, stat.lattice.dims(&grid).0)),
+                left,
+                right,
+            });
         }
     }
     None
 }
 
 /// Downcasts both sides to `H` and compares their statistics.
-fn compare_as<H: StatInspect + 'static>(
+fn compare_as<H: Family + 'static>(
     left: &dyn SpatialHistogram,
     right: &dyn SpatialHistogram,
 ) -> Option<Divergence> {
@@ -258,18 +228,13 @@ pub fn first_divergence(
             right_level: rg.level(),
         });
     }
-    Ok(match left.kind() {
-        HistogramKind::Ph => compare_as::<PhHistogram>(left, right),
-        HistogramKind::GhBasic => compare_as::<GhBasicHistogram>(left, right),
-        HistogramKind::Gh => compare_as::<GhHistogram>(left, right),
-        HistogramKind::Euler => compare_as::<EulerHistogram>(left, right),
-    })
+    Ok(crate::traits::with_family!(left.kind(), H => compare_as::<H>(left, right)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_histogram, Grid};
+    use crate::{build_histogram, Grid, HistogramKind};
     use sj_geo::{Extent, Rect};
 
     fn unit_grid(level: u32) -> Grid {

@@ -24,11 +24,9 @@
 
 use crate::band::RowBanded;
 use crate::grid::Grid;
-use crate::{CorruptSection, HistogramError, SelectivityEstimate};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::schema::Family;
+use crate::{HistogramError, SelectivityEstimate};
 use sj_geo::Rect;
-
-const MAGIC: u32 = 0x534a_4555; // "SJEU"
 
 /// An Euler histogram over a grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,33 +45,18 @@ pub struct EulerHistogram {
     vertices: Vec<u32>,
 }
 
+crate::schema::histogram_family! {
+    EulerHistogram: Euler, magic 0x534a_4555, // "SJEU"
+    scalars [n],
+    arrays [
+        faces: Count @ Cells,
+        v_edges: Count @ VEdges,
+        h_edges: Count @ HEdges,
+        vertices: Count @ Vertices,
+    ],
+}
+
 impl EulerHistogram {
-    /// Builds the Euler histogram of `rects` on `grid`.
-    #[must_use]
-    pub fn build(grid: Grid, rects: &[Rect]) -> Self {
-        Self::build_parallel(grid, rects, 1)
-    }
-
-    /// Builds like [`Self::build`] with grid rows banded across `threads`
-    /// scoped worker threads and the band histograms merged; equal to the
-    /// serial build for every thread count (see the row-band driver in `band.rs`).
-    #[must_use]
-    pub fn build_parallel(grid: Grid, rects: &[Rect], threads: usize) -> Self {
-        crate::band::build_shard_merge(grid, rects, threads)
-    }
-
-    /// The grid the histogram was built on.
-    #[must_use]
-    pub fn grid(&self) -> Grid {
-        self.grid
-    }
-
-    /// Cardinality of the summarized dataset.
-    #[must_use]
-    pub fn dataset_len(&self) -> usize {
-        usize::try_from(self.n).unwrap_or(usize::MAX)
-    }
-
     /// Counts the objects whose cell blocks intersect the cell block of
     /// `window`. **Exact** when both the data MBRs and the window are
     /// aligned to cell boundaries; otherwise exact at cell resolution
@@ -173,93 +156,13 @@ impl EulerHistogram {
             other.dataset_len(),
         ))
     }
-
-    /// Serializes the histogram file.
-    #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.size_bytes());
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(self.grid.level());
-        let e = self.grid.extent().rect();
-        for v in [e.xlo, e.ylo, e.xhi, e.yhi] {
-            buf.put_f64_le(v);
-        }
-        buf.put_u64_le(self.n);
-        for arr in [&self.faces, &self.v_edges, &self.h_edges, &self.vertices] {
-            for x in arr.iter() {
-                buf.put_u32_le(*x);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a histogram file produced by [`Self::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::Corrupt`] on malformed input.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, HistogramError> {
-        let corrupt = |s: CorruptSection, m: &str| HistogramError::corrupt(s, m);
-        if data.remaining() < 48 {
-            return Err(corrupt(CorruptSection::Header, "truncated header"));
-        }
-        if data.get_u32_le() != MAGIC {
-            return Err(corrupt(CorruptSection::Header, "bad magic"));
-        }
-        let level = data.get_u32_le();
-        let coords = (
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-        );
-        let grid = crate::grid::grid_from_header(level, coords)?;
-        let n = data.get_u64_le();
-        let cells = crate::grid::ix(grid.cells_per_axis());
-        let [sz_faces, sz_v_edges, sz_h_edges, sz_vertices] = [
-            cells * cells,
-            cells.saturating_sub(1) * cells,
-            cells * cells.saturating_sub(1),
-            cells.saturating_sub(1) * cells.saturating_sub(1),
-        ];
-        if data.remaining() != (sz_faces + sz_v_edges + sz_h_edges + sz_vertices) * 4 {
-            return Err(corrupt(CorruptSection::Payload, "payload size mismatch"));
-        }
-        let read = |len: usize, data: &mut &[u8]| -> Vec<u32> {
-            (0..len).map(|_| data.get_u32_le()).collect()
-        };
-        let faces = read(sz_faces, &mut data);
-        let v_edges = read(sz_v_edges, &mut data);
-        let h_edges = read(sz_h_edges, &mut data);
-        let vertices = read(sz_vertices, &mut data);
-        Ok(Self {
-            grid,
-            n,
-            faces,
-            v_edges,
-            h_edges,
-            vertices,
-        })
-    }
-
-    /// Histogram file size in bytes (level-dependent only).
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        4 + 4
-            + 32
-            + 8
-            + 4 * (self.faces.len() + self.v_edges.len() + self.h_edges.len() + self.vertices.len())
-    }
 }
 
 impl RowBanded for EulerHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
         let n = crate::grid::ix(grid.cells_per_axis());
         let (lo, hi) = (crate::grid::ix(lo), crate::grid::ix(hi));
-        let mut count = 0u64;
-        let mut faces = vec![0u32; n * n];
-        let mut v_edges = vec![0u32; n.saturating_sub(1) * n];
-        let mut h_edges = vec![0u32; n * n.saturating_sub(1)];
-        let mut vertices = vec![0u32; n.saturating_sub(1) * n.saturating_sub(1)];
+        let mut h = Self::zeroed(grid);
         for r in rects {
             let (c0, c1, r0, r1) = grid.cell_range(r);
             let (c0, c1, r0, r1) = (
@@ -272,98 +175,28 @@ impl RowBanded for EulerHistogram {
                 continue;
             }
             if (lo..hi).contains(&r0) {
-                count += 1;
+                h.n += 1;
             }
             for row in r0.max(lo)..=r1.min(hi - 1) {
                 for col in c0..=c1 {
-                    faces[row * n + col] += 1;
+                    h.faces[row * n + col] += 1;
                 }
                 for col in c0..c1 {
-                    v_edges[row * (n - 1) + col] += 1;
+                    h.v_edges[row * (n - 1) + col] += 1;
                 }
             }
             // Horizontal edges and vertices live on row boundaries r0..r1,
             // always below the last grid row.
             for row in r0.max(lo)..r1.min(hi) {
                 for col in c0..=c1 {
-                    h_edges[row * n + col] += 1;
+                    h.h_edges[row * n + col] += 1;
                 }
                 for col in c0..c1 {
-                    vertices[row * (n - 1) + col] += 1;
+                    h.vertices[row * (n - 1) + col] += 1;
                 }
             }
         }
-        Self {
-            grid,
-            n: count,
-            faces,
-            v_edges,
-            h_edges,
-            vertices,
-        }
-    }
-
-    fn merge_same_grid(&mut self, other: &Self) {
-        self.n += other.n;
-        for (into, from) in [
-            (&mut self.faces, &other.faces),
-            (&mut self.v_edges, &other.v_edges),
-            (&mut self.h_edges, &other.h_edges),
-            (&mut self.vertices, &other.vertices),
-        ] {
-            for (a, b) in into.iter_mut().zip(from) {
-                *a += *b;
-            }
-        }
-    }
-}
-
-impl crate::diff::StatInspect for EulerHistogram {
-    fn scalar_stats(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n)]
-    }
-
-    fn cell_stats(&self) -> Vec<crate::diff::StatArray<'_>> {
-        use crate::diff::{CellValues, StatArray};
-        // Each face class lives on its own lattice: interior edge and
-        // vertex arrays are one narrower/shorter than the cell grid.
-        let axis = crate::grid::ix(self.grid.cells_per_axis());
-        let interior = axis.saturating_sub(1);
-        [
-            ("faces", &self.faces, axis),
-            ("v_edges", &self.v_edges, interior),
-            ("h_edges", &self.h_edges, axis),
-            ("vertices", &self.vertices, interior),
-        ]
-        .into_iter()
-        .map(|(name, data, width)| StatArray {
-            name,
-            width,
-            values: CellValues::Counts(data),
-        })
-        .collect()
-    }
-}
-
-impl crate::delta::StatInspectMut for EulerHistogram {
-    fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
-        vec![("n", &mut self.n)]
-    }
-
-    fn cell_stats_mut(&mut self) -> Vec<crate::delta::StatArrayMut<'_>> {
-        use crate::delta::{CellValuesMut, StatArrayMut};
-        [
-            ("faces", &mut self.faces),
-            ("v_edges", &mut self.v_edges),
-            ("h_edges", &mut self.h_edges),
-            ("vertices", &mut self.vertices),
-        ]
-        .into_iter()
-        .map(|(name, data)| StatArrayMut {
-            name,
-            values: CellValuesMut::Counts(data),
-        })
-        .collect()
+        h
     }
 }
 

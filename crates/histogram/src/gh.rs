@@ -22,12 +22,9 @@
 use crate::band::RowBanded;
 use crate::grid::Grid;
 use crate::mass::Mass;
-use crate::{CorruptSection, HistogramError, SelectivityEstimate};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::schema::Family;
+use crate::{HistogramError, SelectivityEstimate};
 use sj_geo::Rect;
-
-const MAGIC_BASIC: u32 = 0x534a_4742; // "SJGB"
-const MAGIC_REVISED: u32 = 0x534a_4748; // "SJGH"
 
 /// Basic Geometric Histogram: per-cell integer counts (paper Eq. 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -46,33 +43,13 @@ pub struct GhBasicHistogram {
     pub(crate) h: Vec<u32>,
 }
 
+crate::schema::histogram_family! {
+    GhBasicHistogram: GhBasic, magic 0x534a_4742, // "SJGB"
+    scalars [n],
+    arrays [c: Count @ Cells, i: Count @ Cells, v: Count @ Cells, h: Count @ Cells],
+}
+
 impl GhBasicHistogram {
-    /// Builds the basic GH histogram of `rects` on `grid`.
-    #[must_use]
-    pub fn build(grid: Grid, rects: &[Rect]) -> Self {
-        Self::build_parallel(grid, rects, 1)
-    }
-
-    /// Builds like [`Self::build`] with grid rows banded across `threads`
-    /// scoped worker threads and the band histograms merged; equal to the
-    /// serial build for every thread count (see the row-band driver in `band.rs`).
-    #[must_use]
-    pub fn build_parallel(grid: Grid, rects: &[Rect], threads: usize) -> Self {
-        crate::band::build_shard_merge(grid, rects, threads)
-    }
-
-    /// The grid the histogram was built on.
-    #[must_use]
-    pub fn grid(&self) -> Grid {
-        self.grid
-    }
-
-    /// Cardinality of the summarized dataset.
-    #[must_use]
-    pub fn dataset_len(&self) -> usize {
-        usize::try_from(self.n).unwrap_or(usize::MAX)
-    }
-
     /// Estimated number of intersection points against `other` (Eq. 4).
     ///
     /// Dispatches through the SoA kernel layer
@@ -135,83 +112,12 @@ impl GhBasicHistogram {
     pub fn estimate(&self, other: &Self) -> Result<SelectivityEstimate, HistogramError> {
         crate::kernel::GhBasicView::new(self).estimate(&crate::kernel::GhBasicView::new(other))
     }
-
-    /// Serializes the histogram file.
-    #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.size_bytes());
-        buf.put_u32_le(MAGIC_BASIC);
-        buf.put_u32_le(self.grid.level());
-        let e = self.grid.extent().rect();
-        for v in [e.xlo, e.ylo, e.xhi, e.yhi] {
-            buf.put_f64_le(v);
-        }
-        buf.put_u64_le(self.n);
-        for arr in [&self.c, &self.i, &self.v, &self.h] {
-            for x in arr.iter() {
-                buf.put_u32_le(*x);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a histogram file produced by [`Self::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::Corrupt`] on malformed input.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, HistogramError> {
-        let corrupt = |s: CorruptSection, m: &str| HistogramError::corrupt(s, m);
-        if data.remaining() < 48 {
-            return Err(corrupt(CorruptSection::Header, "truncated header"));
-        }
-        if data.get_u32_le() != MAGIC_BASIC {
-            return Err(corrupt(CorruptSection::Header, "bad magic"));
-        }
-        let level = data.get_u32_le();
-        let coords = (
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-        );
-        let grid = crate::grid::grid_from_header(level, coords)?;
-        let n = data.get_u64_le();
-        let cells = grid.num_cells();
-        if data.remaining() != cells * 16 {
-            return Err(corrupt(CorruptSection::Payload, "payload size mismatch"));
-        }
-        let read =
-            |data: &mut &[u8]| -> Vec<u32> { (0..cells).map(|_| data.get_u32_le()).collect() };
-        let c = read(&mut data);
-        let i = read(&mut data);
-        let v = read(&mut data);
-        let h = read(&mut data);
-        Ok(Self {
-            grid,
-            n,
-            c,
-            i,
-            v,
-            h,
-        })
-    }
-
-    /// Histogram file size in bytes (level-dependent only).
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        4 + 4 + 32 + 8 + self.c.len() * 16
-    }
 }
 
 impl RowBanded for GhBasicHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
-        let cells = grid.num_cells();
         let bg = crate::kernel::BinGrid::new(&grid);
-        let mut n = 0u64;
-        let mut c = vec![0u32; cells];
-        let mut i = vec![0u32; cells];
-        let mut v = vec![0u32; cells];
-        let mut h = vec![0u32; cells];
+        let mut h = Self::zeroed(grid);
         for r in rects {
             // Every contribution of `r` lands in rows r0..=r1 (corner and
             // h-edge rows are r0 or r1), so rects outside the band are
@@ -222,96 +128,29 @@ impl RowBanded for GhBasicHistogram {
                 continue;
             }
             if (lo..hi).contains(&r0) {
-                n += 1;
+                h.n += 1;
             }
             for corner in r.corners() {
                 let (col, row) = grid.cell_of_point(corner);
                 if (lo..hi).contains(&row) {
-                    c[grid.flat_index(col, row)] += 1;
+                    h.c[grid.flat_index(col, row)] += 1;
                 }
             }
-            crate::kernel::bin_count_block(&bg, (c0, c1), (r0.max(lo), r1.min(hi - 1)), &mut i);
+            crate::kernel::bin_count_block(&bg, (c0, c1), (r0.max(lo), r1.min(hi - 1)), &mut h.i);
             // Two vertical edges: each occupies one column, rows r0..=r1.
             for edge in r.v_edges() {
                 let col = grid.col_of(edge.x);
-                crate::kernel::bin_count_col(&bg, col, (r0.max(lo), r1.min(hi - 1)), &mut v);
+                crate::kernel::bin_count_col(&bg, col, (r0.max(lo), r1.min(hi - 1)), &mut h.v);
             }
             // Two horizontal edges: each occupies one row, cols c0..=c1.
             for edge in r.h_edges() {
                 let row = grid.row_of(edge.y);
                 if (lo..hi).contains(&row) {
-                    crate::kernel::bin_count_row(&bg, (c0, c1), row, &mut h);
+                    crate::kernel::bin_count_row(&bg, (c0, c1), row, &mut h.h);
                 }
             }
         }
-        Self {
-            grid,
-            n,
-            c,
-            i,
-            v,
-            h,
-        }
-    }
-
-    fn merge_same_grid(&mut self, other: &Self) {
-        self.n += other.n;
-        for (into, from) in [
-            (&mut self.c, &other.c),
-            (&mut self.i, &other.i),
-            (&mut self.v, &other.v),
-            (&mut self.h, &other.h),
-        ] {
-            for (a, b) in into.iter_mut().zip(from) {
-                *a += *b;
-            }
-        }
-    }
-}
-
-impl crate::diff::StatInspect for GhBasicHistogram {
-    fn scalar_stats(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n)]
-    }
-
-    fn cell_stats(&self) -> Vec<crate::diff::StatArray<'_>> {
-        use crate::diff::{CellValues, StatArray};
-        let width = crate::grid::ix(self.grid.cells_per_axis());
-        [
-            ("c", &self.c),
-            ("i", &self.i),
-            ("v", &self.v),
-            ("h", &self.h),
-        ]
-        .into_iter()
-        .map(|(name, data)| StatArray {
-            name,
-            width,
-            values: CellValues::Counts(data),
-        })
-        .collect()
-    }
-}
-
-impl crate::delta::StatInspectMut for GhBasicHistogram {
-    fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
-        vec![("n", &mut self.n)]
-    }
-
-    fn cell_stats_mut(&mut self) -> Vec<crate::delta::StatArrayMut<'_>> {
-        use crate::delta::{CellValuesMut, StatArrayMut};
-        [
-            ("c", &mut self.c),
-            ("i", &mut self.i),
-            ("v", &mut self.v),
-            ("h", &mut self.h),
-        ]
-        .into_iter()
-        .map(|(name, data)| StatArrayMut {
-            name,
-            values: CellValuesMut::Counts(data),
-        })
-        .collect()
+        h
     }
 }
 
@@ -347,34 +186,13 @@ pub struct GhHistogram {
     pub(crate) v: Vec<Mass>,
 }
 
+crate::schema::histogram_family! {
+    GhHistogram: Gh, magic 0x534a_4748, // "SJGH"
+    scalars [n],
+    arrays [c: Count @ Cells, o: Mass @ Cells, h: Mass @ Cells, v: Mass @ Cells],
+}
+
 impl GhHistogram {
-    /// Builds the revised GH histogram of `rects` on `grid`.
-    #[must_use]
-    pub fn build(grid: Grid, rects: &[Rect]) -> Self {
-        Self::build_parallel(grid, rects, 1)
-    }
-
-    /// Builds like [`Self::build`] with grid rows banded across `threads`
-    /// scoped worker threads and the band histograms merged. Each cell's
-    /// masses accumulate exactly (fixed point), so the result is
-    /// *bit-identical* to the serial build for every thread count.
-    #[must_use]
-    pub fn build_parallel(grid: Grid, rects: &[Rect], threads: usize) -> Self {
-        crate::band::build_shard_merge(grid, rects, threads)
-    }
-
-    /// The grid the histogram was built on.
-    #[must_use]
-    pub fn grid(&self) -> Grid {
-        self.grid
-    }
-
-    /// Cardinality of the summarized dataset.
-    #[must_use]
-    pub fn dataset_len(&self) -> usize {
-        usize::try_from(self.n).unwrap_or(usize::MAX)
-    }
-
     /// Estimated number of intersection points against `other` (Eq. 5):
     /// `IP = Σ C₁·O₂ + C₂·O₁ + H₁·V₂ + H₂·V₁`.
     ///
@@ -544,77 +362,6 @@ impl GhHistogram {
         Ok((total / 4.0).max(0.0))
     }
 
-    /// Serializes the histogram file.
-    #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.size_bytes());
-        buf.put_u32_le(MAGIC_REVISED);
-        buf.put_u32_le(self.grid.level());
-        let e = self.grid.extent().rect();
-        for v in [e.xlo, e.ylo, e.xhi, e.yhi] {
-            buf.put_f64_le(v);
-        }
-        buf.put_u64_le(self.n);
-        for x in &self.c {
-            buf.put_u32_le(*x);
-        }
-        for arr in [&self.o, &self.h, &self.v] {
-            for x in arr.iter() {
-                x.put_le(&mut buf);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a histogram file produced by [`Self::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::Corrupt`] on malformed input.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, HistogramError> {
-        let corrupt = |s: CorruptSection, m: &str| HistogramError::corrupt(s, m);
-        if data.remaining() < 48 {
-            return Err(corrupt(CorruptSection::Header, "truncated header"));
-        }
-        if data.get_u32_le() != MAGIC_REVISED {
-            return Err(corrupt(CorruptSection::Header, "bad magic"));
-        }
-        let level = data.get_u32_le();
-        let coords = (
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-        );
-        let grid = crate::grid::grid_from_header(level, coords)?;
-        let n = data.get_u64_le();
-        let cells = grid.num_cells();
-        if data.remaining() != cells * (4 + 48) {
-            return Err(corrupt(CorruptSection::Payload, "payload size mismatch"));
-        }
-        let c: Vec<u32> = (0..cells).map(|_| data.get_u32_le()).collect();
-        let read =
-            |data: &mut &[u8]| -> Vec<Mass> { (0..cells).map(|_| Mass::get_le(data)).collect() };
-        let o = read(&mut data);
-        let h = read(&mut data);
-        let v = read(&mut data);
-        Ok(Self {
-            grid,
-            n,
-            c,
-            o,
-            h,
-            v,
-        })
-    }
-
-    /// Histogram file size in bytes (level-dependent only). Note: smaller
-    /// than [`crate::PhHistogram::size_bytes`] at the same level — one of
-    /// the paper's arguments for GH over PH.
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        4 + 4 + 32 + 8 + self.c.len() * (4 + 48)
-    }
-
     #[cfg(test)]
     pub(crate) fn masses(&self, grid: &Grid, col: u32, row: u32) -> (u32, f64, f64, f64) {
         let idx = grid.flat_index(col, row);
@@ -629,119 +376,38 @@ impl GhHistogram {
 
 impl RowBanded for GhHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
-        let cells = grid.num_cells();
         // Flattened grid geometry: cell sizes and row bases hoisted out of
         // the per-cell binning loops (same expressions, so bit-identical).
         let bg = crate::kernel::BinGrid::new(&grid);
-        let mut n = 0u64;
-        let mut c = vec![0u32; cells];
-        let mut o = vec![Mass::ZERO; cells];
-        let mut h = vec![Mass::ZERO; cells];
-        let mut v = vec![Mass::ZERO; cells];
+        let mut h = Self::zeroed(grid);
         for r in rects {
             let (c0, c1, r0, r1) = grid.cell_range(r);
             if r1 < lo || r0 >= hi {
                 continue;
             }
             if (lo..hi).contains(&r0) {
-                n += 1;
+                h.n += 1;
             }
             for corner in r.corners() {
                 let (col, row) = grid.cell_of_point(corner);
                 if (lo..hi).contains(&row) {
-                    c[grid.flat_index(col, row)] += 1;
+                    h.c[grid.flat_index(col, row)] += 1;
                 }
             }
-            crate::kernel::bin_gh_overlap(&bg, r, (c0, c1), (r0.max(lo), r1.min(hi - 1)), &mut o);
+            let rows = (r0.max(lo), r1.min(hi - 1));
+            crate::kernel::bin_gh_overlap(&bg, r, (c0, c1), rows, &mut h.o);
             for edge in r.h_edges() {
                 let row = grid.row_of(edge.y);
                 if (lo..hi).contains(&row) {
-                    crate::kernel::bin_gh_hedge(&bg, &edge, (c0, c1), row, &mut h);
+                    crate::kernel::bin_gh_hedge(&bg, &edge, (c0, c1), row, &mut h.h);
                 }
             }
             for edge in r.v_edges() {
                 let col = grid.col_of(edge.x);
-                crate::kernel::bin_gh_vedge(&bg, &edge, col, (r0.max(lo), r1.min(hi - 1)), &mut v);
+                crate::kernel::bin_gh_vedge(&bg, &edge, col, rows, &mut h.v);
             }
         }
-        Self {
-            grid,
-            n,
-            c,
-            o,
-            h,
-            v,
-        }
-    }
-
-    fn merge_same_grid(&mut self, other: &Self) {
-        self.n += other.n;
-        for (a, b) in self.c.iter_mut().zip(&other.c) {
-            *a += *b;
-        }
-        for (into, from) in [
-            (&mut self.o, &other.o),
-            (&mut self.h, &other.h),
-            (&mut self.v, &other.v),
-        ] {
-            for (a, b) in into.iter_mut().zip(from) {
-                *a += *b;
-            }
-        }
-    }
-}
-
-impl crate::diff::StatInspect for GhHistogram {
-    fn scalar_stats(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n)]
-    }
-
-    fn cell_stats(&self) -> Vec<crate::diff::StatArray<'_>> {
-        use crate::diff::{CellValues, StatArray};
-        let width = crate::grid::ix(self.grid.cells_per_axis());
-        let masses = |name, data| StatArray {
-            name,
-            width,
-            values: CellValues::Masses(data),
-        };
-        vec![
-            StatArray {
-                name: "c",
-                width,
-                values: CellValues::Counts(&self.c),
-            },
-            masses("o", &self.o),
-            masses("h", &self.h),
-            masses("v", &self.v),
-        ]
-    }
-}
-
-impl crate::delta::StatInspectMut for GhHistogram {
-    fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
-        vec![("n", &mut self.n)]
-    }
-
-    fn cell_stats_mut(&mut self) -> Vec<crate::delta::StatArrayMut<'_>> {
-        use crate::delta::{CellValuesMut, StatArrayMut};
-        vec![
-            StatArrayMut {
-                name: "c",
-                values: CellValuesMut::Counts(&mut self.c),
-            },
-            StatArrayMut {
-                name: "o",
-                values: CellValuesMut::Masses(&mut self.o),
-            },
-            StatArrayMut {
-                name: "h",
-                values: CellValuesMut::Masses(&mut self.h),
-            },
-            StatArrayMut {
-                name: "v",
-                values: CellValuesMut::Masses(&mut self.v),
-            },
-        ]
+        h
     }
 }
 
@@ -1331,149 +997,13 @@ mod window_count_tests {
     }
 }
 
-/// Sparse histogram-file format for [`GhHistogram`].
-///
-/// The paper observes that the (dense) histogram file size depends only
-/// on the grid level and spikes build times once it no longer fits in
-/// memory. On clustered data most cells are empty at high levels, so a
-/// sparse encoding — only cells with non-zero mass, keyed by flat index —
-/// can be far smaller. Estimation still runs on the dense in-memory form;
-/// sparsity is purely a storage/interchange concern.
-const MAGIC_SPARSE: u32 = 0x534a_4753; // "SJGS"
-
-impl GhHistogram {
-    /// Number of cells with any non-zero mass.
-    #[must_use]
-    pub fn occupied_cells(&self) -> usize {
-        (0..self.c.len())
-            .filter(|&i| {
-                self.c[i] != 0
-                    || !self.o[i].is_zero()
-                    || !self.h[i].is_zero()
-                    || !self.v[i].is_zero()
-            })
-            .count()
-    }
-
-    /// Serializes only occupied cells. Decodable by
-    /// [`Self::from_sparse_bytes`]; byte-for-byte equivalent histograms
-    /// result.
-    #[must_use]
-    pub fn to_sparse_bytes(&self) -> Bytes {
-        let occupied = self.occupied_cells();
-        let mut buf = BytesMut::with_capacity(56 + occupied * 56);
-        buf.put_u32_le(MAGIC_SPARSE);
-        buf.put_u32_le(self.grid.level());
-        let e = self.grid.extent().rect();
-        for val in [e.xlo, e.ylo, e.xhi, e.yhi] {
-            buf.put_f64_le(val);
-        }
-        buf.put_u64_le(self.n);
-        buf.put_u64_le(occupied as u64);
-        for i in 0..self.c.len() {
-            if self.c[i] != 0
-                || !self.o[i].is_zero()
-                || !self.h[i].is_zero()
-                || !self.v[i].is_zero()
-            {
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "cell index < 4^MAX_LEVEL < 2^32"
-                )]
-                buf.put_u32_le(i as u32);
-                buf.put_u32_le(self.c[i]);
-                self.o[i].put_le(&mut buf);
-                self.h[i].put_le(&mut buf);
-                self.v[i].put_le(&mut buf);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Size of the sparse encoding in bytes (data-dependent, unlike
-    /// [`Self::size_bytes`]).
-    #[must_use]
-    pub fn sparse_size_bytes(&self) -> usize {
-        4 + 4 + 32 + 8 + 8 + self.occupied_cells() * (4 + 4 + 48)
-    }
-
-    /// Decodes a sparse histogram file produced by
-    /// [`Self::to_sparse_bytes`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::Corrupt`] on malformed input.
-    pub fn from_sparse_bytes(mut data: &[u8]) -> Result<Self, HistogramError> {
-        let corrupt = |s: CorruptSection, m: &str| HistogramError::corrupt(s, m);
-        if data.remaining() < 56 {
-            return Err(corrupt(CorruptSection::Header, "truncated header"));
-        }
-        if data.get_u32_le() != MAGIC_SPARSE {
-            return Err(corrupt(CorruptSection::Header, "bad magic"));
-        }
-        let level = data.get_u32_le();
-        let coords = (
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-        );
-        let grid = crate::grid::grid_from_header(level, coords)?;
-        let n = data.get_u64_le();
-        let occupied = data.get_u64_le();
-        let cells = grid.num_cells();
-        if occupied > cells as u64 {
-            return Err(corrupt(
-                CorruptSection::Payload,
-                "occupied count exceeds cell count",
-            ));
-        }
-        let occupied_cells = usize::try_from(occupied)
-            .map_err(|_| corrupt(CorruptSection::Payload, "occupied count overflows usize"))?;
-        if data.remaining() != occupied_cells * 56 {
-            return Err(corrupt(CorruptSection::Payload, "payload size mismatch"));
-        }
-        let mut c = vec![0u32; cells];
-        let mut o = vec![Mass::ZERO; cells];
-        let mut h = vec![Mass::ZERO; cells];
-        let mut v = vec![Mass::ZERO; cells];
-        let mut last_idx: Option<u32> = None;
-        for _ in 0..occupied {
-            let idx = data.get_u32_le();
-            let slot = crate::grid::ix(idx);
-            let (Some(cs), Some(os), Some(hs), Some(vs)) = (
-                c.get_mut(slot),
-                o.get_mut(slot),
-                h.get_mut(slot),
-                v.get_mut(slot),
-            ) else {
-                return Err(corrupt(CorruptSection::Payload, "cell index out of range"));
-            };
-            if last_idx.is_some_and(|prev| idx <= prev) {
-                return Err(corrupt(
-                    CorruptSection::Payload,
-                    "cell indices must be strictly increasing",
-                ));
-            }
-            last_idx = Some(idx);
-            *cs = data.get_u32_le();
-            *os = Mass::get_le(&mut data);
-            *hs = Mass::get_le(&mut data);
-            *vs = Mass::get_le(&mut data);
-        }
-        Ok(Self {
-            grid,
-            n,
-            c,
-            o,
-            h,
-            v,
-        })
-    }
-}
-
 #[cfg(test)]
 mod sparse_tests {
     use super::*;
+    use crate::crc::crc32;
+    use crate::sparse::{PAYLOAD_HEADER_LEN, RECORD_LEN, SPARSE_MAGIC, SPARSE_VERSION};
+    use crate::traits::seal_envelope;
+    use crate::{CorruptSection, HistogramKind};
     use sj_geo::{Extent, Point};
 
     fn clustered(n: usize, seed: u64) -> Vec<Rect> {
@@ -1487,6 +1017,11 @@ mod sparse_tests {
                 Rect::centered(Point::new(x, y), 0.002, 0.002)
             })
             .collect()
+    }
+
+    /// Re-frames `payload` as a sparse file of `kind` with a valid CRC.
+    fn reframe(kind: HistogramKind, payload: &[u8]) -> Vec<u8> {
+        seal_envelope(SPARSE_MAGIC, SPARSE_VERSION, kind, payload).to_vec()
     }
 
     #[test]
@@ -1534,9 +1069,48 @@ mod sparse_tests {
         let mut bad_magic = bytes.to_vec();
         bad_magic[0] ^= 1;
         assert!(GhHistogram::from_sparse_bytes(&bad_magic).is_err());
+        // A flipped record byte fails the checksum.
+        let mut flipped = bytes.to_vec();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x04;
+        assert!(matches!(
+            GhHistogram::from_sparse_bytes(&flipped),
+            Err(HistogramError::Corrupt {
+                section: CorruptSection::Checksum,
+                ..
+            })
+        ));
         // A dense file is not a sparse file and vice versa.
         assert!(GhHistogram::from_sparse_bytes(&h.to_bytes()).is_err());
         assert!(GhHistogram::from_bytes(&h.to_sparse_bytes()).is_err());
+        // Another kind tag is refused even with a valid checksum.
+        let payload = &bytes[20..bytes.len() - 4];
+        assert!(matches!(
+            GhHistogram::from_sparse_bytes(&reframe(HistogramKind::Ph, payload)),
+            Err(HistogramError::Corrupt {
+                section: CorruptSection::Envelope,
+                ..
+            })
+        ));
+    }
+
+    /// The unframed layout of earlier builds — magic "SJGS" followed by
+    /// the same fields, no frame or checksum — is a typed error.
+    #[test]
+    fn unframed_sparse_files_are_typed_errors() {
+        let g = Grid::new(3, Extent::unit()).unwrap();
+        let h = GhHistogram::build(g, &clustered(30, 84));
+        let bytes = h.to_sparse_bytes();
+        let mut legacy = 0x534a_4753u32.to_le_bytes().to_vec();
+        legacy.extend_from_slice(&bytes[20..bytes.len() - 4]);
+        assert!(matches!(
+            GhHistogram::from_sparse_bytes(&legacy),
+            Err(HistogramError::Corrupt {
+                section: CorruptSection::Envelope,
+                ..
+            })
+        ));
+        assert!(crate::load_histogram(&legacy).is_err());
     }
 
     #[test]
@@ -1544,16 +1118,26 @@ mod sparse_tests {
         let rects = clustered(50, 83);
         let g = Grid::new(3, Extent::unit()).unwrap();
         let h = GhHistogram::build(g, &rects);
-        let mut bytes = h.to_sparse_bytes().to_vec();
+        let bytes = h.to_sparse_bytes();
+        let mut payload = bytes[20..bytes.len() - 4].to_vec();
         // Duplicate the first cell record over the second (indices no
-        // longer strictly increasing).
-        let header = 56;
-        let record = 56;
-        if bytes.len() >= header + 2 * record {
-            let (first, rest) = bytes.split_at_mut(header + record);
-            rest[..record].copy_from_slice(&first[header..header + record]);
-            assert!(GhHistogram::from_sparse_bytes(&bytes).is_err());
-        }
+        // longer strictly increasing), then re-frame with a valid CRC.
+        let (header, record) = (PAYLOAD_HEADER_LEN, RECORD_LEN);
+        assert!(payload.len() >= header + 2 * record, "two occupied cells");
+        let (first, rest) = payload.split_at_mut(header + record);
+        rest[..record].copy_from_slice(&first[header..header + record]);
+        let forged = reframe(HistogramKind::Gh, &payload);
+        assert_eq!(
+            u32::from_le_bytes(forged[forged.len() - 4..].try_into().unwrap()),
+            crc32(&forged[..forged.len() - 4])
+        );
+        assert!(matches!(
+            GhHistogram::from_sparse_bytes(&forged),
+            Err(HistogramError::Corrupt {
+                section: CorruptSection::Payload,
+                ..
+            })
+        ));
     }
 
     #[test]

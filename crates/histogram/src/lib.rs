@@ -22,8 +22,13 @@
 //!   headline "GH" of the paper.
 //!
 //! All histograms serialize to a compact *histogram file* byte format
-//! ([`PhHistogram::to_bytes`] etc.) whose size — dependent only on the
+//! ([`SpatialHistogram::to_bytes`]) whose size — dependent only on the
 //! grid level, never on the dataset — is the paper's space-cost metric.
+//! Each family declares its statistics once (name, count or mass,
+//! lattice, file order); that one declaration drives the file codec, its
+//! size, the exact merge, [`first_divergence`] and [`HistogramDelta`].
+//! Revised GH also has a sparse, checksummed file
+//! ([`GhHistogram::to_sparse_bytes`]) that stores only occupied cells.
 //!
 //! All four families additionally implement the [`SpatialHistogram`]
 //! trait: they are *mergeable sketches* whose per-cell statistics are
@@ -49,6 +54,8 @@ pub mod kernel;
 mod mass;
 mod parametric;
 mod ph;
+mod schema;
+mod sparse;
 mod traits;
 
 pub use delta::{load_delta, HistogramDelta, DELTA_MAGIC, DELTA_VERSION};
@@ -60,6 +67,7 @@ pub use grid::Grid;
 pub use mass::Mass;
 pub use parametric::{parametric_result_size, parametric_selectivity, ParametricInputs};
 pub use ph::PhHistogram;
+pub use sparse::{SPARSE_MAGIC, SPARSE_VERSION};
 pub use traits::{
     build_histogram, build_histogram_parallel, build_histogram_sharded, load_histogram,
     HistogramKind, SpatialHistogram,

@@ -18,12 +18,9 @@
 use crate::band::RowBanded;
 use crate::grid::Grid;
 use crate::mass::Mass;
-use crate::{CorruptSection, HistogramError, SelectivityEstimate};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::schema::Family;
+use crate::{HistogramError, SelectivityEstimate};
 use sj_geo::Rect;
-
-/// Histogram-file magic for PH.
-const MAGIC: u32 = 0x534a_5048; // "SJPH"
 
 /// Per-dataset Parametric Histogram.
 ///
@@ -54,33 +51,22 @@ pub struct PhHistogram {
     pub(crate) ysum_x: Vec<Mass>,
 }
 
+crate::schema::histogram_family! {
+    PhHistogram: Ph, magic 0x534a_5048, // "SJPH"
+    scalars [n, span_total, span_rects],
+    arrays [
+        num: Count @ Cells,
+        num_x: Count @ Cells,
+        cov: Mass @ Cells,
+        xsum: Mass @ Cells,
+        ysum: Mass @ Cells,
+        cov_x: Mass @ Cells,
+        xsum_x: Mass @ Cells,
+        ysum_x: Mass @ Cells,
+    ],
+}
+
 impl PhHistogram {
-    /// Builds the PH histogram of `rects` on `grid`.
-    #[must_use]
-    pub fn build(grid: Grid, rects: &[Rect]) -> Self {
-        Self::build_parallel(grid, rects, 1)
-    }
-
-    /// Builds like [`Self::build`] with grid rows banded across `threads`
-    /// scoped worker threads and the band histograms merged; bit-identical
-    /// to the serial build for every thread count.
-    #[must_use]
-    pub fn build_parallel(grid: Grid, rects: &[Rect], threads: usize) -> Self {
-        crate::band::build_shard_merge(grid, rects, threads)
-    }
-
-    /// The grid the histogram was built on.
-    #[must_use]
-    pub fn grid(&self) -> Grid {
-        self.grid
-    }
-
-    /// Cardinality of the summarized dataset.
-    #[must_use]
-    pub fn dataset_len(&self) -> usize {
-        usize::try_from(self.n).unwrap_or(usize::MAX)
-    }
-
     /// `AvgSpan`: mean number of cells spanned by boundary-crossing MBRs;
     /// `1.0` when no MBR crosses a cell boundary.
     #[must_use]
@@ -226,103 +212,6 @@ impl PhHistogram {
         ))
     }
 
-    /// Serializes the histogram file.
-    #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.size_bytes());
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(self.grid.level());
-        let e = self.grid.extent().rect();
-        for v in [e.xlo, e.ylo, e.xhi, e.yhi] {
-            buf.put_f64_le(v);
-        }
-        buf.put_u64_le(self.n);
-        buf.put_u64_le(self.span_total);
-        buf.put_u64_le(self.span_rects);
-        for v in &self.num {
-            buf.put_u32_le(*v);
-        }
-        for v in &self.num_x {
-            buf.put_u32_le(*v);
-        }
-        for arr in [
-            &self.cov,
-            &self.xsum,
-            &self.ysum,
-            &self.cov_x,
-            &self.xsum_x,
-            &self.ysum_x,
-        ] {
-            for v in arr.iter() {
-                v.put_le(&mut buf);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a histogram file produced by [`Self::to_bytes`].
-    ///
-    /// # Errors
-    /// Returns [`HistogramError::Corrupt`] on malformed input.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, HistogramError> {
-        let corrupt = |s: CorruptSection, msg: &str| HistogramError::corrupt(s, msg);
-        if data.remaining() < 4 + 4 + 32 + 8 + 8 + 8 {
-            return Err(corrupt(CorruptSection::Header, "truncated header"));
-        }
-        if data.get_u32_le() != MAGIC {
-            return Err(corrupt(CorruptSection::Header, "bad magic"));
-        }
-        let level = data.get_u32_le();
-        let coords = (
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-            data.get_f64_le(),
-        );
-        let grid = crate::grid::grid_from_header(level, coords)?;
-        let n = data.get_u64_le();
-        let span_total = data.get_u64_le();
-        let span_rects = data.get_u64_le();
-        let cells = grid.num_cells();
-        let need = cells * (2 * 4 + 6 * 16);
-        if data.remaining() != need {
-            return Err(corrupt(CorruptSection::Payload, "payload size mismatch"));
-        }
-        let read_u32s =
-            |data: &mut &[u8]| -> Vec<u32> { (0..cells).map(|_| data.get_u32_le()).collect() };
-        let num = read_u32s(&mut data);
-        let num_x = read_u32s(&mut data);
-        let read_masses =
-            |data: &mut &[u8]| -> Vec<Mass> { (0..cells).map(|_| Mass::get_le(data)).collect() };
-        let cov = read_masses(&mut data);
-        let xsum = read_masses(&mut data);
-        let ysum = read_masses(&mut data);
-        let cov_x = read_masses(&mut data);
-        let xsum_x = read_masses(&mut data);
-        let ysum_x = read_masses(&mut data);
-        Ok(Self {
-            grid,
-            n,
-            span_total,
-            span_rects,
-            num,
-            cov,
-            xsum,
-            ysum,
-            num_x,
-            cov_x,
-            xsum_x,
-            ysum_x,
-        })
-    }
-
-    /// Size of the histogram file in bytes — the paper's space-cost
-    /// numerator. Depends only on the grid level.
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        4 + 4 + 32 + 8 + 8 + 8 + self.grid.num_cells() * (2 * 4 + 6 * 16)
-    }
-
     #[cfg(test)]
     pub(crate) fn cont_count(&self, col: u32, row: u32) -> u32 {
         self.num[self.grid.flat_index(col, row)]
@@ -336,21 +225,10 @@ impl PhHistogram {
 
 impl RowBanded for PhHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
-        let cells = grid.num_cells();
         // Flattened grid geometry: cell sizes and row bases hoisted out of
         // the per-cell binning loops (same expressions, so bit-identical).
         let bg = crate::kernel::BinGrid::new(&grid);
-        let mut n = 0u64;
-        let mut span_total = 0u64;
-        let mut span_rects = 0u64;
-        let mut num = vec![0u32; cells];
-        let mut cov = vec![Mass::ZERO; cells];
-        let mut xsum = vec![Mass::ZERO; cells];
-        let mut ysum = vec![Mass::ZERO; cells];
-        let mut num_x = vec![0u32; cells];
-        let mut cov_x = vec![Mass::ZERO; cells];
-        let mut xsum_x = vec![Mass::ZERO; cells];
-        let mut ysum_x = vec![Mass::ZERO; cells];
+        let mut h = Self::zeroed(grid);
         for r in rects {
             let (c0, c1, r0, r1) = grid.cell_range(r);
             if r1 < lo || r0 >= hi {
@@ -359,16 +237,23 @@ impl RowBanded for PhHistogram {
             // Scalar statistics go to the band owning the bottom row, so
             // band builds partition them exactly.
             if (lo..hi).contains(&r0) {
-                n += 1;
+                h.n += 1;
                 if !(c0 == c1 && r0 == r1) {
-                    span_total += u64::from(c1 - c0 + 1) * u64::from(r1 - r0 + 1);
-                    span_rects += 1;
+                    h.span_total += u64::from(c1 - c0 + 1) * u64::from(r1 - r0 + 1);
+                    h.span_rects += 1;
                 }
             }
             if c0 == c1 && r0 == r1 {
                 if (lo..hi).contains(&r0) {
                     crate::kernel::bin_ph_cont(
-                        &bg, r, c0, r0, &mut num, &mut cov, &mut xsum, &mut ysum,
+                        &bg,
+                        r,
+                        c0,
+                        r0,
+                        &mut h.num,
+                        &mut h.cov,
+                        &mut h.xsum,
+                        &mut h.ysum,
                     );
                 }
             } else {
@@ -377,117 +262,14 @@ impl RowBanded for PhHistogram {
                     r,
                     (c0, c1),
                     (r0.max(lo), r1.min(hi - 1)),
-                    &mut num_x,
-                    &mut cov_x,
-                    &mut xsum_x,
-                    &mut ysum_x,
+                    &mut h.num_x,
+                    &mut h.cov_x,
+                    &mut h.xsum_x,
+                    &mut h.ysum_x,
                 );
             }
         }
-        Self {
-            grid,
-            n,
-            span_total,
-            span_rects,
-            num,
-            cov,
-            xsum,
-            ysum,
-            num_x,
-            cov_x,
-            xsum_x,
-            ysum_x,
-        }
-    }
-
-    fn merge_same_grid(&mut self, other: &Self) {
-        self.n += other.n;
-        self.span_total += other.span_total;
-        self.span_rects += other.span_rects;
-        for (into, from) in [(&mut self.num, &other.num), (&mut self.num_x, &other.num_x)] {
-            for (a, b) in into.iter_mut().zip(from) {
-                *a += *b;
-            }
-        }
-        for (into, from) in [
-            (&mut self.cov, &other.cov),
-            (&mut self.xsum, &other.xsum),
-            (&mut self.ysum, &other.ysum),
-            (&mut self.cov_x, &other.cov_x),
-            (&mut self.xsum_x, &other.xsum_x),
-            (&mut self.ysum_x, &other.ysum_x),
-        ] {
-            for (a, b) in into.iter_mut().zip(from) {
-                *a += *b;
-            }
-        }
-    }
-}
-
-impl crate::diff::StatInspect for PhHistogram {
-    fn scalar_stats(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("n", self.n),
-            ("span_total", self.span_total),
-            ("span_rects", self.span_rects),
-        ]
-    }
-
-    fn cell_stats(&self) -> Vec<crate::diff::StatArray<'_>> {
-        use crate::diff::{CellValues, StatArray};
-        let width = crate::grid::ix(self.grid.cells_per_axis());
-        let counts = |name, data| StatArray {
-            name,
-            width,
-            values: CellValues::Counts(data),
-        };
-        let masses = |name, data| StatArray {
-            name,
-            width,
-            values: CellValues::Masses(data),
-        };
-        vec![
-            counts("num", &self.num),
-            counts("num_x", &self.num_x),
-            masses("cov", &self.cov),
-            masses("xsum", &self.xsum),
-            masses("ysum", &self.ysum),
-            masses("cov_x", &self.cov_x),
-            masses("xsum_x", &self.xsum_x),
-            masses("ysum_x", &self.ysum_x),
-        ]
-    }
-}
-
-impl crate::delta::StatInspectMut for PhHistogram {
-    fn scalar_stats_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
-        vec![
-            ("n", &mut self.n),
-            ("span_total", &mut self.span_total),
-            ("span_rects", &mut self.span_rects),
-        ]
-    }
-
-    fn cell_stats_mut(&mut self) -> Vec<crate::delta::StatArrayMut<'_>> {
-        use crate::delta::{CellValuesMut, StatArrayMut};
-        let counts = |name, data| StatArrayMut {
-            name,
-            values: CellValuesMut::Counts(data),
-        };
-        let masses = |name, data| StatArrayMut {
-            name,
-            values: CellValuesMut::Masses(data),
-        };
-        vec![
-            counts("num", &mut self.num),
-            counts("num_x", &mut self.num_x),
-            masses("cov", &mut self.cov),
-            masses("xsum", &mut self.xsum),
-            masses("ysum", &mut self.ysum),
-            masses("cov_x", &mut self.cov_x),
-            masses("xsum_x", &mut self.xsum_x),
-            masses("ysum_x", &mut self.ysum_x),
-        ]
+        h
     }
 }
 

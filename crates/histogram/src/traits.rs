@@ -24,9 +24,9 @@
 //! of panics or silently-wrong statistics. Any other version is rejected
 //! the same way.
 
-use crate::band::RowBanded;
 use crate::crc::crc32;
 use crate::delta::HistogramDelta;
+use crate::schema::Family;
 use crate::{
     CorruptSection, EulerHistogram, GhBasicHistogram, GhHistogram, Grid, HistogramError,
     PhHistogram, SelectivityEstimate,
@@ -231,16 +231,12 @@ pub trait SpatialHistogram: std::fmt::Debug + Send + Sync {
     /// version, kind tag, payload length), the native payload, and a
     /// trailing CRC32 over everything before it.
     fn persist(&self) -> Bytes {
-        let payload = self.to_bytes();
-        let mut buf = BytesMut::with_capacity(24 + payload.len());
-        buf.put_u32_le(ENVELOPE_MAGIC);
-        buf.put_u32_le(ENVELOPE_VERSION);
-        buf.put_u32_le(self.kind().tag());
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
-        let checksum = crc32(&buf);
-        buf.put_u32_le(checksum);
-        buf.freeze()
+        seal_envelope(
+            ENVELOPE_MAGIC,
+            ENVELOPE_VERSION,
+            self.kind(),
+            &self.to_bytes(),
+        )
     }
 }
 
@@ -265,29 +261,54 @@ fn same_kind<H: SpatialHistogram + 'static>(
 }
 
 /// Shared [`SpatialHistogram::merge`] implementation: kind check, grid
-/// check, then the family's exact statistic addition.
+/// check, then the declared statistics' exact addition.
 fn merge_impl<H>(this: &mut H, other: &dyn SpatialHistogram) -> Result<(), HistogramError>
 where
-    H: SpatialHistogram + RowBanded + 'static,
+    H: SpatialHistogram + Family + 'static,
 {
-    let kind = this.kind();
-    let other = same_kind::<H>(kind, other)?;
-    let (left, right) = (this.grid(), SpatialHistogram::grid(other));
+    let other = same_kind::<H>(H::SCHEMA.kind, other)?;
+    let (left, right) = (Family::grid(this), Family::grid(other));
     if !left.compatible(&right) {
         return Err(HistogramError::GridMismatch {
             left_level: left.level(),
             right_level: right.level(),
         });
     }
-    this.merge_same_grid(other);
+    crate::schema::merge_same_grid(this, other);
     Ok(())
 }
 
+/// Evaluates `$body` with `$H` naming the concrete family type of
+/// `$kind` — the one dispatch from a [`HistogramKind`] to its type.
+macro_rules! with_family {
+    ($kind:expr, $H:ident => $body:expr) => {
+        match $kind {
+            $crate::HistogramKind::Ph => {
+                type $H = $crate::PhHistogram;
+                $body
+            }
+            $crate::HistogramKind::GhBasic => {
+                type $H = $crate::GhBasicHistogram;
+                $body
+            }
+            $crate::HistogramKind::Gh => {
+                type $H = $crate::GhHistogram;
+                $body
+            }
+            $crate::HistogramKind::Euler => {
+                type $H = $crate::EulerHistogram;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_family;
+
 macro_rules! impl_spatial_histogram {
-    ($ty:ty, $kind:expr) => {
+    ($ty:ty) => {
         impl SpatialHistogram for $ty {
             fn kind(&self) -> HistogramKind {
-                $kind
+                <$ty as Family>::SCHEMA.kind
             }
 
             fn grid(&self) -> Grid {
@@ -314,7 +335,7 @@ macro_rules! impl_spatial_histogram {
                 &self,
                 other: &dyn SpatialHistogram,
             ) -> Result<SelectivityEstimate, HistogramError> {
-                let other = same_kind::<$ty>($kind, other)?;
+                let other = same_kind::<$ty>(self.kind(), other)?;
                 self.estimate(other)
             }
 
@@ -335,16 +356,16 @@ macro_rules! impl_spatial_histogram {
             }
 
             fn build_delta(grid: Grid, inserts: &[Rect], deletes: &[Rect]) -> HistogramDelta {
-                crate::delta::build_impl::<$ty>($kind, grid, inserts, deletes, 1)
+                crate::delta::build_impl::<$ty>(grid, inserts, deletes, 1)
             }
         }
     };
 }
 
-impl_spatial_histogram!(PhHistogram, HistogramKind::Ph);
-impl_spatial_histogram!(GhBasicHistogram, HistogramKind::GhBasic);
-impl_spatial_histogram!(GhHistogram, HistogramKind::Gh);
-impl_spatial_histogram!(EulerHistogram, HistogramKind::Euler);
+impl_spatial_histogram!(PhHistogram);
+impl_spatial_histogram!(GhBasicHistogram);
+impl_spatial_histogram!(GhHistogram);
+impl_spatial_histogram!(EulerHistogram);
 
 /// Builds a boxed histogram of the given `kind` (serial).
 #[must_use]
@@ -366,12 +387,7 @@ pub fn build_histogram_parallel(
     rects: &[Rect],
     threads: usize,
 ) -> Box<dyn SpatialHistogram> {
-    match kind {
-        HistogramKind::Ph => Box::new(PhHistogram::build_parallel(grid, rects, threads)),
-        HistogramKind::GhBasic => Box::new(GhBasicHistogram::build_parallel(grid, rects, threads)),
-        HistogramKind::Gh => Box::new(GhHistogram::build_parallel(grid, rects, threads)),
-        HistogramKind::Euler => Box::new(EulerHistogram::build_parallel(grid, rects, threads)),
-    }
+    with_family!(kind, H => Box::new(H::build_parallel(grid, rects, threads)))
 }
 
 /// Builds each rectangle shard independently and merges the shard
@@ -384,34 +400,16 @@ pub fn build_histogram_sharded(
     grid: Grid,
     shards: &[&[Rect]],
 ) -> Box<dyn SpatialHistogram> {
-    fn sharded<H: RowBanded + SpatialHistogram + Sized>(grid: Grid, shards: &[&[Rect]]) -> H {
+    fn sharded<H: SpatialHistogram + Family>(grid: Grid, shards: &[&[Rect]]) -> H {
         let mut acc = H::build_from(grid, shards.first().copied().unwrap_or(&[]));
         for shard in shards.iter().skip(1) {
             // Same kind and grid by construction, so the checked `merge`
             // entry point is unnecessary (and its error path unreachable).
-            acc.merge_same_grid(&H::build_from(grid, shard));
+            crate::schema::merge_same_grid(&mut acc, &H::build_from(grid, shard));
         }
         acc
     }
-    match kind {
-        HistogramKind::Ph => Box::new(sharded::<PhHistogram>(grid, shards)),
-        HistogramKind::GhBasic => Box::new(sharded::<GhBasicHistogram>(grid, shards)),
-        HistogramKind::Gh => Box::new(sharded::<GhHistogram>(grid, shards)),
-        HistogramKind::Euler => Box::new(sharded::<EulerHistogram>(grid, shards)),
-    }
-}
-
-/// Decodes the payload of a known kind into a boxed histogram.
-fn load_payload(
-    kind: HistogramKind,
-    data: &[u8],
-) -> Result<Box<dyn SpatialHistogram>, HistogramError> {
-    Ok(match kind {
-        HistogramKind::Ph => Box::new(PhHistogram::from_bytes(data)?),
-        HistogramKind::GhBasic => Box::new(GhBasicHistogram::from_bytes(data)?),
-        HistogramKind::Gh => Box::new(GhHistogram::from_bytes(data)?),
-        HistogramKind::Euler => Box::new(EulerHistogram::from_bytes(data)?),
-    })
+    with_family!(kind, H => Box::new(sharded::<H>(grid, shards)))
 }
 
 /// Decodes a histogram of any kind from the envelope written by
@@ -424,10 +422,30 @@ fn load_payload(
 /// mismatch, or a failed checksum.
 pub fn load_histogram(full: &[u8]) -> Result<Box<dyn SpatialHistogram>, HistogramError> {
     let (kind, payload) = open_envelope(full, ENVELOPE_MAGIC, ENVELOPE_VERSION, "envelope")?;
-    load_payload(kind, payload)
+    with_family!(kind, H => Ok(Box::new(crate::schema::from_bytes::<H>(payload)?)))
 }
 
-/// Opens the framing shared by `.hist` and `.hdelta` envelopes —
+/// Writes the framing shared by `.hist`, `.hdelta` and sparse GH files:
+/// `magic u32 | version u32 | kind tag u32 | payload_len u64 | payload |
+/// crc32 u32`, the CRC32 covering every byte before it.
+pub(crate) fn seal_envelope(
+    magic: u32,
+    version: u32,
+    kind: HistogramKind,
+    payload: &[u8],
+) -> Bytes {
+    let mut buf = BytesMut::with_capacity(24 + payload.len());
+    buf.put_u32_le(magic);
+    buf.put_u32_le(version);
+    buf.put_u32_le(kind.tag());
+    buf.put_u64_le(payload.len() as u64);
+    buf.put_slice(payload);
+    let checksum = crc32(&buf);
+    buf.put_u32_le(checksum);
+    buf.freeze()
+}
+
+/// Opens the framing written by [`seal_envelope`] —
 /// `magic u32 | version u32 | kind tag u32 | payload_len u64 | payload |
 /// crc32 u32` — and returns the kind and payload once the magic, the
 /// version (exactly `version`: no other is read), the kind tag, the

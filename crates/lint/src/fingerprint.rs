@@ -4,8 +4,9 @@
 //! part of the on-disk statistics format, and every one in `sj-server`
 //! defines part of the daemon's wire protocol. Changing one of those
 //! bodies without bumping the owning format version (`DELTA_VERSION`
-//! for the `.hdelta` codec in `delta.rs`, `ENVELOPE_VERSION` for every
-//! other histogram codec, `WIRE_VERSION` for server frames) would silently
+//! for the `.hdelta` codec in `delta.rs`, `SPARSE_VERSION` for the sparse
+//! GH codec in `sparse.rs`, `ENVELOPE_VERSION` for every other histogram
+//! codec, `WIRE_VERSION` for server frames) would silently
 //! break files written — or clients built — by older builds, so the
 //! bodies are fingerprinted (CRC32 over comment-stripped,
 //! whitespace-normalized source, string literals included — magic bytes
@@ -99,17 +100,20 @@ pub struct Versions {
     pub wire: Option<u32>,
     /// sj-histogram's `DELTA_VERSION` (`.hdelta` files).
     pub delta: Option<u32>,
+    /// sj-histogram's `SPARSE_VERSION` (sparse GH files).
+    pub sparse: Option<u32>,
 }
 
 /// Extracts the current format versions from the tree's
-/// `const ENVELOPE_VERSION`, `const WIRE_VERSION` and
-/// `const DELTA_VERSION` declarations.
+/// `const ENVELOPE_VERSION`, `const WIRE_VERSION`, `const DELTA_VERSION`
+/// and `const SPARSE_VERSION` declarations.
 #[must_use]
 pub fn versions(ws: &Workspace) -> Versions {
     Versions {
         envelope: const_version(ws, "histogram", "ENVELOPE_VERSION"),
         wire: const_version(ws, "server", "WIRE_VERSION"),
         delta: const_version(ws, "histogram", "DELTA_VERSION"),
+        sparse: const_version(ws, "histogram", "SPARSE_VERSION"),
     }
 }
 
@@ -136,6 +140,8 @@ fn version_const_for(key: &str) -> &'static str {
         "WIRE_VERSION"
     } else if key.starts_with("crates/histogram/src/delta.rs ") {
         "DELTA_VERSION"
+    } else if key.starts_with("crates/histogram/src/sparse.rs ") {
+        "SPARSE_VERSION"
     } else {
         "ENVELOPE_VERSION"
     }
@@ -218,6 +224,9 @@ pub fn render(versions: Versions, entries: &[FpEntry]) -> String {
     if let Some(v) = versions.delta {
         out.push_str(&format!("delta-version {v}\n"));
     }
+    if let Some(v) = versions.sparse {
+        out.push_str(&format!("sparse-version {v}\n"));
+    }
     for e in entries {
         out.push_str(&format!("fn {:08x} {}\n", e.crc, e.key));
     }
@@ -241,6 +250,8 @@ pub fn parse(text: &str) -> (Versions, Vec<FpEntry>) {
             versions.wire = v.trim().parse().ok();
         } else if let Some(v) = line.strip_prefix("delta-version ") {
             versions.delta = v.trim().parse().ok();
+        } else if let Some(v) = line.strip_prefix("sparse-version ") {
+            versions.sparse = v.trim().parse().ok();
         } else if let Some(rest) = line.strip_prefix("fn ") {
             let mut parts = rest.splitn(2, ' ');
             let crc = parts.next().and_then(|h| u32::from_str_radix(h, 16).ok());
@@ -322,6 +333,11 @@ pub fn check_persistence(ws: &Workspace, out: &mut Vec<Finding>) {
             "DELTA_VERSION",
             current_versions.delta,
             recorded_versions.delta,
+        ),
+        (
+            "SPARSE_VERSION",
+            current_versions.sparse,
+            recorded_versions.sparse,
         ),
     ] {
         if current_v != recorded_v {
@@ -410,6 +426,10 @@ mod tests {
             version_const_for("crates/histogram/src/delta.rs from_bytes#0"),
             "DELTA_VERSION"
         );
+        assert_eq!(
+            version_const_for("crates/histogram/src/sparse.rs to_bytes#0"),
+            "SPARSE_VERSION"
+        );
     }
 
     #[test]
@@ -430,6 +450,7 @@ mod tests {
             envelope: Some(2),
             wire: Some(1),
             delta: Some(2),
+            sparse: Some(1),
         };
         let text = render(versions, &entries);
         let (parsed_versions, parsed) = parse(&text);

@@ -359,12 +359,13 @@ fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, Failure> {
             let show = |v: Option<u32>| v.map_or_else(|| "unknown".to_string(), |v| v.to_string());
             return Err(Failure::Usage(format!(
                 "persistence functions changed but ENVELOPE_VERSION is still {}, \
-                 WIRE_VERSION is still {} and DELTA_VERSION is still {}: bump the owning \
-                 version first, or pass --allow-same-version if the change is provably \
-                 wire-compatible",
+                 WIRE_VERSION is still {}, DELTA_VERSION is still {} and SPARSE_VERSION \
+                 is still {}: bump the owning version first, or pass \
+                 --allow-same-version if the change is provably wire-compatible",
                 show(versions.envelope),
                 show(versions.wire),
-                show(versions.delta)
+                show(versions.delta),
+                show(versions.sparse)
             )));
         }
     }

@@ -72,6 +72,65 @@ fn r2_kernel_estimate_views_are_out_of_scope() {
     assert_eq!(f, Vec::new());
 }
 
+/// Inserts `line` after every line of `src` containing `after`, and
+/// returns the edited source with the 1-based numbers of the inserts.
+fn insert_after(src: &str, after: &str, line: &str) -> (String, Vec<usize>) {
+    let mut lines: Vec<&str> = Vec::new();
+    let mut inserted = Vec::new();
+    for l in src.lines() {
+        lines.push(l);
+        if l.contains(after) {
+            lines.push(line);
+            inserted.push(lines.len());
+        }
+    }
+    (lines.join("\n"), inserted)
+}
+
+#[test]
+fn r2_covers_the_generic_merge_of_the_real_schema() {
+    // The one merge every family uses is written once in schema.rs; an
+    // f64 accumulation slipped into it must be flagged where it lands,
+    // and the file as committed must be clean.
+    let path = "crates/histogram/src/schema.rs";
+    let real = include_str!("../../histogram/src/schema.rs");
+    assert_eq!(run_fixture(RuleId::FixedPoint, path, real), Vec::new());
+    let (edited, lines) = insert_after(
+        real,
+        "fn merge_same_grid<H: Family>(",
+        "    let mut drift = 0.0f64; drift += 0.5;",
+    );
+    assert_eq!(lines.len(), 1, "one generic merge");
+    let f = run_fixture(RuleId::FixedPoint, path, &edited);
+    assert_eq!(lines_of(&f), lines, "{f:?}");
+}
+
+#[test]
+fn r2_covers_every_family_build_rows() {
+    for (path, real) in [
+        (
+            "crates/histogram/src/ph.rs",
+            include_str!("../../histogram/src/ph.rs"),
+        ),
+        (
+            "crates/histogram/src/gh.rs",
+            include_str!("../../histogram/src/gh.rs"),
+        ),
+        (
+            "crates/histogram/src/euler.rs",
+            include_str!("../../histogram/src/euler.rs"),
+        ),
+    ] {
+        assert_eq!(run_fixture(RuleId::FixedPoint, path, real), Vec::new());
+        // A float after every build_rows header (gh.rs holds two).
+        let (edited, expected) =
+            insert_after(real, "fn build_rows(", "        let weight = 0.5f64;");
+        assert!(!expected.is_empty(), "{path} has a build_rows");
+        let f = run_fixture(RuleId::FixedPoint, path, &edited);
+        assert_eq!(lines_of(&f), expected, "{path}: {f:?}");
+    }
+}
+
 #[test]
 fn r2_floats_outside_merge_scope_are_fine() {
     // The same float-heavy source under a non-merge path/function name is
@@ -407,6 +466,59 @@ fn r7_delta_codec_is_owned_by_delta_version() {
     assert_eq!(bumped.len(), 1, "{bumped:?}");
     assert!(
         bumped[0].message.contains("DELTA_VERSION is 3"),
+        "{bumped:?}"
+    );
+}
+
+#[test]
+fn r7_sparse_codec_is_owned_by_sparse_version() {
+    // The sparse GH codec in sparse.rs has its own format version, like
+    // the `.hdelta` codec: drift there names SPARSE_VERSION.
+    let hist = include_str!("fixtures/r7_good.rs");
+    let sparse_v1 = "/// Sparse version.\n\
+                     pub const SPARSE_VERSION: u32 = 1;\n\
+                     /// Encodes a sparse file.\n\
+                     fn to_bytes(x: u32) -> Vec<u8> { x.to_le_bytes().to_vec() }\n";
+    let mount = |sparse: &str, record: Option<String>| {
+        Workspace::from_sources(
+            &[
+                ("crates/histogram/src/ph.rs", hist),
+                ("crates/histogram/src/sparse.rs", sparse),
+            ],
+            record,
+        )
+    };
+    let ws = mount(sparse_v1, None);
+    let record = fingerprint::render(
+        fingerprint::versions(&ws),
+        &fingerprint::fingerprint_entries(&ws),
+    );
+    assert!(record.contains("sparse-version 1"), "{record}");
+    let run = |sparse: &str| {
+        let mut f = Vec::new();
+        run_rule(
+            RuleId::Persistence,
+            &mount(sparse, Some(record.clone())),
+            &mut f,
+        );
+        f
+    };
+    assert_eq!(
+        run(sparse_v1),
+        Vec::new(),
+        "unchanged sparse codec must pass"
+    );
+
+    let drift = run(&sparse_v1.replace("x.to_le_bytes()", "(x ^ 1).to_le_bytes()"));
+    assert_eq!(drift.len(), 1, "{drift:?}");
+    assert_eq!(drift[0].path, "crates/histogram/src/sparse.rs");
+    assert!(drift[0].message.contains("SPARSE_VERSION"), "{drift:?}");
+    assert!(!drift[0].message.contains("ENVELOPE_VERSION"), "{drift:?}");
+
+    let bumped = run(&sparse_v1.replace("SPARSE_VERSION: u32 = 1", "SPARSE_VERSION: u32 = 2"));
+    assert_eq!(bumped.len(), 1, "{bumped:?}");
+    assert!(
+        bumped[0].message.contains("SPARSE_VERSION is 2"),
         "{bumped:?}"
     );
 }

@@ -3,7 +3,8 @@
 //!
 //! Systematically corrupts persisted `.hist` envelopes — truncation at
 //! every byte offset (which subsumes every section boundary) and random
-//! bit-flips — for **every** [`HistogramKind`], and asserts the only
+//! bit-flips — for **every** [`HistogramKind`], and sparse GH files the
+//! same way, and asserts the only
 //! possible outcomes are (a) the original histogram, bit-for-bit, or
 //! (b) a typed [`HistogramError`]. Never a panic, never a silently
 //! different histogram. Also pins the catalog-level behavior: a corrupt
@@ -21,7 +22,7 @@ use rand::{RngExt, SeedableRng};
 use sj_geo::{Extent, Rect};
 use sj_histogram::crc::crc32;
 use sj_histogram::{
-    build_histogram, load_delta, load_histogram, CorruptSection, Grid, HistogramDelta,
+    build_histogram, load_delta, load_histogram, CorruptSection, GhHistogram, Grid, HistogramDelta,
     HistogramError, HistogramKind, DELTA_MAGIC, DELTA_VERSION,
 };
 use sj_query::{Catalog, DegradationPolicy, EstimateTier};
@@ -59,6 +60,15 @@ fn envelope_for(kind: HistogramKind, level: u32, n: usize, seed: u64) -> Vec<u8>
         .to_vec()
 }
 
+/// A sparse GH file (`build-histogram --sparse`), framed like the
+/// envelope.
+fn sparse_file_for(level: u32, n: usize, seed: u64) -> Vec<u8> {
+    let grid = Grid::new(level, Extent::unit()).expect("level in range");
+    GhHistogram::build(grid, &fixture_rects(n, seed))
+        .to_sparse_bytes()
+        .to_vec()
+}
+
 /// The v2 envelope's section boundaries: magic | version | kind tag |
 /// payload length | payload | CRC32.
 fn section_boundaries(envelope_len: usize) -> Vec<usize> {
@@ -86,6 +96,21 @@ fn truncation_at_every_offset_is_a_typed_error() {
         let back = load_histogram(&bytes).expect("pristine envelope loads");
         assert_eq!(back.persist().to_vec(), bytes, "{kind}: lossless reload");
     }
+    // Sparse GH files carry the same frame.
+    let bytes = sparse_file_for(3, 60, 0x5eed);
+    for cut in 0..bytes.len() {
+        match GhHistogram::from_sparse_bytes(&bytes[..cut]) {
+            Err(HistogramError::Corrupt { .. }) => {}
+            Err(other) => panic!("sparse: truncation at {cut} gave non-Corrupt {other:?}"),
+            Ok(_) => panic!("sparse: truncation at {cut} silently loaded"),
+        }
+    }
+    let back = GhHistogram::from_sparse_bytes(&bytes).expect("pristine sparse file loads");
+    assert_eq!(
+        back.to_sparse_bytes().to_vec(),
+        bytes,
+        "sparse: lossless reload"
+    );
 }
 
 /// ≥64 random single-bit flips per kind: every flip must surface as a
@@ -119,6 +144,20 @@ fn random_bit_flips_never_load_silently() {
                     );
                     panic!("{kind}: flip {trial} at {pos}:{bit} was not detected");
                 }
+            }
+        }
+    }
+    // Sparse GH files: every single-bit flip anywhere in the file — the
+    // unframed layout loaded most payload flips as a different histogram.
+    let bytes = sparse_file_for(3, 60, 0xf11b);
+    for pos in 0..bytes.len() {
+        for bit in 0..8u32 {
+            let mut mutated = bytes.clone();
+            mutated[pos] ^= 1u8 << bit;
+            match GhHistogram::from_sparse_bytes(&mutated) {
+                Err(HistogramError::Corrupt { .. }) => {}
+                Err(other) => panic!("sparse: flip at {pos}:{bit} gave {other:?}"),
+                Ok(_) => panic!("sparse: flip at {pos}:{bit} was not detected"),
             }
         }
     }
@@ -464,6 +503,11 @@ fn forged_sparse_hdelta_payloads_are_typed_errors() {
         let mut p = payload.to_vec();
         p[values_at..values_at + a.elem].fill(0);
         forgeries.push(("zero entry", p));
+        // A level-11 header and nothing after it: refused from its length
+        // alone, before anything grid-sized is allocated.
+        let mut p = payload[..60].to_vec();
+        p[..4].copy_from_slice(&11u32.to_le_bytes());
+        forgeries.push(("level-11 header without statistics", p));
 
         for (what, forged) in forgeries {
             match load_delta(&reframe(kind, &forged)) {
