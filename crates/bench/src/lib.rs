@@ -26,37 +26,6 @@ use std::fmt::Write as _;
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
-/// Top-level sections of `BENCH_5.json`, in serialization order.
-///
-/// `BENCH_<n>.json` naming rule: each PR that adds a perf section bumps
-/// `<n>`, and the new file carries **every prior section forward
-/// unchanged** so reports stay comparable release over release.
-/// `BENCH_3.json` is the one gap on disk: the mutation-path PR pointed
-/// the bench binary at that name (adding `mutation_path`) but never
-/// committed the artifact, and the next PR bumped the default to
-/// `BENCH_4.json` (adding `sync_layer`) — so the number is skipped in
-/// the repo root but not in the schema lineage.
-///
-/// docs/KERNELS.md documents every section; a docs-sync test in this
-/// crate diffs its section table against this list, and the bench
-/// binary asserts at run time that the JSON it writes has exactly these
-/// top-level keys in this order.
-pub const BENCH5_SECTIONS: [&str; 13] = [
-    "bench",
-    "workload",
-    "statistics_build",
-    "cold_cli",
-    "warm_server",
-    "batch",
-    "merge",
-    "speedup_p50",
-    "meets_5x_floor",
-    "delta",
-    "mutation_path",
-    "sync_layer",
-    "kernels",
-];
-
 /// Parsed command-line configuration shared by the harness binaries.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {

@@ -17,8 +17,8 @@
 //! verifier can rebuild the observed lock-order graph after the
 //! workload. In release builds the wrappers compile down to the bare
 //! `std::sync` lock plus poison recovery — no rank field, no
-//! thread-local, no event log (`BENCH_4.json` asserts the overhead is
-//! ≤ 2% on the hot path).
+//! thread-local, no event log (`latency_server`'s sync gate requires
+//! the overhead to stay ≤ 2% on the hot path).
 //!
 //! Poison recovery is part of the wrapper contract: a panic under a
 //! guard must never wedge the next acquirer, so `lock()`/`read()`/

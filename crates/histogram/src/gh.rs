@@ -66,8 +66,8 @@ impl GhBasicHistogram {
     /// The retained scalar reference loop of
     /// [`Self::intersection_points`]: iterates every cell of the dense
     /// count vectors directly. Kept (and exercised by the
-    /// `kernel_agreement` test plus the BENCH_5 `kernels` section) as the
-    /// oracle the kernel path must match bit-for-bit.
+    /// `kernel_agreement` test) as the oracle the kernel path must match
+    /// bit-for-bit.
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
@@ -210,7 +210,7 @@ impl GhHistogram {
     /// [`Self::intersection_points`]: iterates every cell of the dense
     /// mass vectors directly, decoding the fixed-point masses on the fly.
     /// Kept (and exercised by the `kernel_agreement` test plus the
-    /// BENCH_5 `kernels` section) as the oracle the kernel path must
+    /// `latency_server` kernel gate) as the oracle the kernel path must
     /// match bit-for-bit.
     ///
     /// # Errors

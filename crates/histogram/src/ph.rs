@@ -110,8 +110,8 @@ impl PhHistogram {
 
     /// The retained scalar reference loop of [`Self::estimate`]: iterates
     /// every cell of the dense per-statistic vectors directly. Kept (and
-    /// exercised by the `kernel_agreement` test plus the BENCH_5 `kernels`
-    /// section) as the oracle the kernel path must match bit-for-bit.
+    /// exercised by the `kernel_agreement` test) as the oracle the kernel
+    /// path must match bit-for-bit.
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] when the histograms were

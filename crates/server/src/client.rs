@@ -281,11 +281,13 @@ impl Client {
     /// The optimizer's plan for a chain join, as text.
     ///
     /// # Errors
-    /// [`ClientError`] on wire or remote failure.
+    /// [`ClientError`] on wire or remote failure;
+    /// [`WireError::BadPayload`] before sending when `tables` has more
+    /// than `u16::MAX` entries.
     pub fn explain(&mut self, tables: &[String]) -> Result<String, ClientError> {
         let mut p = Vec::new();
-        wire::put_u16(&mut p, u16::try_from(tables.len()).unwrap_or(u16::MAX));
-        for t in tables.iter().take(usize::from(u16::MAX)) {
+        wire::put_u16(&mut p, item_count(tables.len(), "tables")?);
+        for t in tables {
             wire::put_str(&mut p, t);
         }
         let body = self.call(Opcode::Explain, p)?;
@@ -316,20 +318,29 @@ impl Client {
     /// # Errors
     /// [`ClientError`] when the batch itself fails; per-item failures
     /// come back as `Err(RemoteFailure)` entries.
+    /// [`WireError::BadPayload`] before sending when `pairs` has more
+    /// than `u16::MAX` entries; [`ClientError::Protocol`] when the reply
+    /// carries a different number of items than `pairs`.
     #[allow(clippy::type_complexity)]
     pub fn batch_estimate(
         &mut self,
         pairs: &[(String, String)],
     ) -> Result<Vec<Result<EstimateReply, RemoteFailure>>, ClientError> {
         let mut p = Vec::new();
-        wire::put_u16(&mut p, u16::try_from(pairs.len()).unwrap_or(u16::MAX));
-        for (a, b) in pairs.iter().take(usize::from(u16::MAX)) {
+        wire::put_u16(&mut p, item_count(pairs.len(), "pairs")?);
+        for (a, b) in pairs {
             wire::put_str(&mut p, a);
             wire::put_str(&mut p, b);
         }
         let body = self.call(Opcode::BatchEstimate, p)?;
         let mut r = PayloadReader::new(&body);
         let n = usize::from(r.u16()?);
+        if n != pairs.len() {
+            return Err(ClientError::Protocol(format!(
+                "batch reply carries {n} items for {} pairs",
+                pairs.len()
+            )));
+        }
         let mut items = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let code = r.u8()?;
@@ -507,6 +518,17 @@ fn mutation_payload(table: &str, id: MutationId, rects: &[Rect]) -> Vec<u8> {
         wire::put_f64(&mut p, r.yhi);
     }
     p
+}
+
+/// The `u16` item count of a list request. A longer list is refused
+/// before anything is sent, never truncated to fit.
+fn item_count(len: usize, what: &str) -> Result<u16, ClientError> {
+    u16::try_from(len).map_err(|_| {
+        ClientError::Wire(WireError::BadPayload(format!(
+            "{len} {what} exceed the {} one request can carry",
+            u16::MAX
+        )))
+    })
 }
 
 /// Decodes the shared `insert-batch`/`delete-batch` response payload.

@@ -11,7 +11,7 @@
     reason = "integration-test helpers run outside #[test] fns; a failed setup step must fail the test loudly"
 )]
 
-use sj_server::wire::{self, put_str, HEADER_LEN};
+use sj_server::wire::{self, put_str, WireError, HEADER_LEN};
 use sj_server::{
     Client, ClientError, CompactReply, EstimateReply, Frame, MutationId, MutationReply, Opcode,
     RemoteOutcome, Server, ServerConfig, ServiceError, StatisticsService,
@@ -294,6 +294,60 @@ fn client_surfaces_remote_errors_typed() {
     // The connection survived the typed failure.
     c.ping().expect("ping after remote error");
     stop();
+}
+
+#[test]
+fn list_requests_past_the_wire_count_are_refused_before_sending() {
+    let (addr, stop) = start();
+    let mut c = Client::connect(addr).expect("connect");
+    let pairs = vec![("a".to_string(), "b".to_string()); usize::from(u16::MAX) + 1];
+    let err = c.batch_estimate(&pairs).expect_err("65,536 pairs");
+    assert!(
+        matches!(err, ClientError::Wire(WireError::BadPayload(_))),
+        "{err:?}"
+    );
+    let tables = vec!["a".to_string(); usize::from(u16::MAX) + 1];
+    let err = c.explain(&tables).expect_err("65,536 tables");
+    assert!(
+        matches!(err, ClientError::Wire(WireError::BadPayload(_))),
+        "{err:?}"
+    );
+    // Nothing was sent, so the same connection still answers, and the
+    // largest batch the wire can carry comes back whole.
+    c.ping().expect("ping after the refused requests");
+    let items = c.batch_estimate(&pairs[1..]).expect("u16::MAX pairs");
+    assert_eq!(items.len(), usize::from(u16::MAX));
+    stop();
+}
+
+#[test]
+fn a_batch_reply_with_the_wrong_item_count_is_a_protocol_error() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local_addr");
+    let canned = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept");
+        let request = Frame::read_from(&mut s).expect("request frame");
+        assert_eq!(request.opcode, Opcode::BatchEstimate.code());
+        // A well-formed OK reply carrying one item.
+        let mut p = Vec::new();
+        wire::put_u8(&mut p, wire::status::OK);
+        wire::put_u16(&mut p, 1);
+        wire::put_u8(&mut p, wire::status::OK);
+        wire::put_f64(&mut p, 0.125);
+        wire::put_f64(&mut p, 1024.0);
+        let reply = Frame {
+            opcode: Opcode::BatchEstimate.response(),
+            payload: p,
+        };
+        reply.write_to(&mut s).expect("write reply");
+    });
+    let mut c = Client::connect(addr).expect("connect");
+    let pairs = vec![("a".to_string(), "b".to_string()); 2];
+    let err = c
+        .batch_estimate(&pairs)
+        .expect_err("one item for two pairs");
+    assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
+    canned.join().expect("join canned server");
 }
 
 #[test]
