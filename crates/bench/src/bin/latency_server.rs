@@ -6,8 +6,9 @@
 //!
 //! - **residency** — A: in-process `sjsel catalog-estimate` runs (CSV
 //!   parse + histogram build + estimate); B: warm `estimate` calls over
-//!   a socket to a daemon that loaded the catalog once. p50 A/B ≥ 5×:
-//!   residency is the entire point of the daemon.
+//!   a socket to a daemon that loaded the catalog once, which answers
+//!   the repeated pair from its pair memo. p50 A/B ≥ 5×: residency is
+//!   the entire point of the daemon.
 //! - **delta** — A: a full GH rebuild over the mutated dataset; B: one
 //!   incremental operation (`HistogramDelta::build` + `apply_delta`).
 //!   Mean A/B ≥ 10× at the largest scale: constant-in-|D| maintenance
@@ -26,7 +27,8 @@
 //! - **kernel** — A: the retained scalar reference loop
 //!   (`estimate_scalar`); B: the GH SoA kernel (DESIGN.md §16) with its
 //!   views built once and reused, as a warm server holds them. p50 A/B
-//!   ≥ 1.5× at the densest scale, where the bitmap skip helps least.
+//!   ≥ 1.5× at the densest scale, where skipping empty mask words helps
+//!   least.
 //!
 //! Before anything is timed, the GH kernel estimate is asserted
 //! bit-identical to the scalar loop and one forward-then-inverse delta

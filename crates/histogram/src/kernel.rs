@@ -5,9 +5,9 @@
 //! fixed-point decode (`Mass::to_f64`) and an average derivation per
 //! cell *per estimate*. This module provides flat structure-of-arrays
 //! **views** — one contiguous slice per statistic, decoded once — plus a
-//! per-row occupancy bitmap ([`RowMask`]) so the Eq. 4/5
-//! corner×overlap and edge×edge products run over contiguous slices and
-//! skip empty-cell runs in 64-cell strides. Masses and averages are
+//! per-row occupancy bitmap ([`RowMask`]) so the Eq. 3–5 products run
+//! as dense loops over contiguous 64-cell runs and skip every 64-cell
+//! stretch the two operands do not share. Masses and averages are
 //! decoded to `f64`; counts stay `u32` and the kernels widen them with
 //! `f64::from`, which is exact, so a view costs less memory to keep
 //! resident ([`ResidentHistogram`]) without changing a result bit. A
@@ -28,10 +28,14 @@
 //! result is **bit-identical** to the retained scalar reference loops
 //! ([`crate::PhHistogram::estimate_scalar`] and friends): the views
 //! pre-compute exactly the `f64` values the scalar loop derives per
-//! cell, cells are visited in the same ascending flat-index order, and
-//! the only cells skipped are those whose contribution is exactly
-//! `+0.0` (adding `+0.0` to the non-negative accumulator cannot change
-//! its bits). DESIGN.md §16 spells the argument out; the
+//! cell, and cells are visited in the same ascending flat-index order.
+//! A kernel runs every cell of each 64-cell word in which both operands
+//! have a bit set, occupied or not: an empty view cell stores
+//! `0`/`+0.0` in every slot and every stored value is finite, so a cell
+//! that one operand lacks contributes exactly `±0.0`, and adding `±0.0`
+//! to an accumulator that started at `+0.0` cannot change its bits. The
+//! words it skips hold no jointly occupied cell, so everything they
+//! would add is `±0.0` too. DESIGN.md §16 spells the argument out; the
 //! `kernel_agreement` integration test pins it across the
 //! verify-equivalence scenario matrix.
 //!
@@ -62,7 +66,8 @@ use sj_geo::{HEdge, Rect, VEdge};
 /// concatenated in ascending order, so for grids of 64+ columns the
 /// encoding coincides with a flat row-major bitmap. The estimate
 /// kernels AND the two operands' masks word-by-word: a zero word skips
-/// 64 cells at once, a full word runs a branch-free contiguous pass.
+/// its cells at once, any other word runs all of them as one contiguous
+/// pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowMask {
     cols: usize,
@@ -115,34 +120,30 @@ impl RowMask {
     }
 }
 
-/// Calls `f` with the flat index of every cell occupied in **both**
-/// masks, in ascending flat-index order.
+/// Calls `f` with every cell of each *joint run*, in ascending flat
+/// order: for each mask word in which both operands have a bit set, the
+/// contiguous range `base..min(base + 64, row_end)` of the cells that
+/// word covers.
 ///
-/// This is the shared sweep of all three estimate kernels: zero words
-/// (empty 64-cell runs) are skipped without touching the statistic
-/// slices, and all-ones words take a contiguous branch-free inner loop.
-fn for_each_joint(a: &RowMask, b: &RowMask, mut f: impl FnMut(usize)) {
+/// This is the shared sweep of all three estimate kernels. A word with
+/// no joint bit is skipped without touching the statistic slices; a
+/// word with one runs all of its cells, including those that only one
+/// operand (or neither) occupies. Such a cell adds exactly `±0.0` to the
+/// kernel's accumulator: every slot of an empty view cell holds
+/// `0`/`+0.0` and every stored value is finite, so each product has a
+/// zero factor, and adding `±0.0` to an accumulator that started at
+/// `+0.0` never changes its bits (DESIGN.md §16.4).
+fn for_each_run(a: &RowMask, b: &RowMask, mut f: impl FnMut(std::ops::Range<usize>)) {
     debug_assert_eq!(a.cols, b.cols);
     debug_assert_eq!(a.words.len(), b.words.len());
     let wpr = a.words_per_row.max(1);
     for (w_idx, (wa, wb)) in a.words.iter().zip(&b.words).enumerate() {
-        let mut bits = wa & wb;
-        if bits == 0 {
+        if wa & wb == 0 {
             continue;
         }
-        let row = w_idx / wpr;
-        let word_in_row = w_idx % wpr;
-        let base = row * a.cols + word_in_row * 64;
-        if bits == u64::MAX {
-            for idx in base..base + 64 {
-                f(idx);
-            }
-            continue;
-        }
-        while bits != 0 {
-            f(base + ix(bits.trailing_zeros()));
-            bits &= bits - 1;
-        }
+        let col = (w_idx % wpr) * 64;
+        let base = (w_idx / wpr) * a.cols + col;
+        f(base..base + (a.cols - col).min(64));
     }
 }
 
@@ -183,7 +184,7 @@ fn avg(sum: Mass, count: u32) -> f64 {
 /// slices (`u32` counts; `f64` coverages and pre-derived `Xavg`/`Yavg`
 /// averages per group) plus a [`RowMask`], once; every subsequent
 /// [`PhView::estimate`] then runs the four-case `Sa..Sd` sweep over the
-/// slices with empty cells skipped. The result is bit-identical to
+/// slices' joint 64-cell runs. The result is bit-identical to
 /// [`PhHistogram::estimate_scalar`] on the backing histograms.
 ///
 /// ```
@@ -388,19 +389,21 @@ impl PhView {
         };
         let mut sum_abc = 0.0f64;
         let mut sum_d = 0.0f64;
-        for_each_joint(&self.occ, &other.occ, |idx| {
-            let (n1, n1x) = (f64::from(self.n[idx]), f64::from(self.nx[idx]));
-            let (n2, n2x) = (f64::from(other.n[idx]), f64::from(other.nx[idx]));
-            let (c1, w1, h1) = (self.c[idx], self.w[idx], self.h[idx]);
-            let (c1x, w1x, h1x) = (self.cx[idx], self.wx[idx], self.hx[idx]);
-            let (c2, w2, h2) = (other.c[idx], other.w[idx], other.h[idx]);
-            let (c2x, w2x, h2x) = (other.cx[idx], other.wx[idx], other.hx[idx]);
-            // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
-            sum_abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
-            sum_abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
-            sum_abc += kernel(n1x, c1x, w1x, h1x, n2, c2, w2, h2);
-            // Sd: Isect1 × Isect2 — the only multi-counted case.
-            sum_d += kernel(n1x, c1x, w1x, h1x, n2x, c2x, w2x, h2x);
+        for_each_run(&self.occ, &other.occ, |run| {
+            for idx in run {
+                let (n1, n1x) = (f64::from(self.n[idx]), f64::from(self.nx[idx]));
+                let (n2, n2x) = (f64::from(other.n[idx]), f64::from(other.nx[idx]));
+                let (c1, w1, h1) = (self.c[idx], self.w[idx], self.h[idx]);
+                let (c1x, w1x, h1x) = (self.cx[idx], self.wx[idx], self.hx[idx]);
+                let (c2, w2, h2) = (other.c[idx], other.w[idx], other.h[idx]);
+                let (c2x, w2x, h2x) = (other.cx[idx], other.wx[idx], other.hx[idx]);
+                // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
+                sum_abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
+                sum_abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
+                sum_abc += kernel(n1x, c1x, w1x, h1x, n2, c2, w2, h2);
+                // Sd: Isect1 × Isect2 — the only multi-counted case.
+                sum_d += kernel(n1x, c1x, w1x, h1x, n2x, c2x, w2x, h2x);
+            }
         });
         let span_correction = if correct_spans {
             (self.avg_span + other.avg_span) / 2.0
@@ -425,7 +428,7 @@ impl PhView {
 /// Decodes `{C, O, H, V}` into four contiguous slices (`C` as `u32`
 /// counts, the masses as `f64`) plus a [`RowMask`], once;
 /// [`GhView::intersection_points`] then runs the Eq. 5 corner×overlap
-/// and edge×edge products over the slices with empty-cell runs skipped.
+/// and edge×edge products over the slices' joint 64-cell runs.
 /// Bit-identical to
 /// [`GhHistogram::intersection_points_scalar`].
 ///
@@ -559,11 +562,17 @@ impl GhView {
     pub fn intersection_points(&self, other: &GhView) -> Result<f64, HistogramError> {
         grid_check(self.grid, other.grid)?;
         let mut total = 0.0f64;
-        for_each_joint(&self.occ, &other.occ, |idx| {
-            total += f64::from(self.c[idx]) * other.o[idx]
-                + f64::from(other.c[idx]) * self.o[idx]
-                + self.h[idx] * other.v[idx]
-                + other.h[idx] * self.v[idx];
+        for_each_run(&self.occ, &other.occ, |run| {
+            let (c1, o1) = (&self.c[run.clone()], &self.o[run.clone()]);
+            let (h1, v1) = (&self.h[run.clone()], &self.v[run.clone()]);
+            let (c2, o2) = (&other.c[run.clone()], &other.o[run.clone()]);
+            let (h2, v2) = (&other.h[run.clone()], &other.v[run]);
+            for k in 0..c1.len() {
+                total += f64::from(c1[k]) * o2[k]
+                    + f64::from(c2[k]) * o1[k]
+                    + h1[k] * v2[k]
+                    + h2[k] * v1[k];
+            }
         });
         Ok(total)
     }
@@ -722,11 +731,17 @@ impl GhBasicView {
     pub fn intersection_points(&self, other: &GhBasicView) -> Result<f64, HistogramError> {
         grid_check(self.grid, other.grid)?;
         let mut total = 0.0f64;
-        for_each_joint(&self.occ, &other.occ, |idx| {
-            total += f64::from(self.c[idx]) * f64::from(other.i[idx])
-                + f64::from(self.i[idx]) * f64::from(other.c[idx])
-                + f64::from(self.v[idx]) * f64::from(other.h[idx])
-                + f64::from(self.h[idx]) * f64::from(other.v[idx]);
+        for_each_run(&self.occ, &other.occ, |run| {
+            let (c1, i1) = (&self.c[run.clone()], &self.i[run.clone()]);
+            let (v1, h1) = (&self.v[run.clone()], &self.h[run.clone()]);
+            let (c2, i2) = (&other.c[run.clone()], &other.i[run.clone()]);
+            let (v2, h2) = (&other.v[run.clone()], &other.h[run]);
+            for k in 0..c1.len() {
+                total += f64::from(c1[k]) * f64::from(i2[k])
+                    + f64::from(i1[k]) * f64::from(c2[k])
+                    + f64::from(v1[k]) * f64::from(h2[k])
+                    + f64::from(h1[k]) * f64::from(v2[k]);
+            }
         });
         Ok(total)
     }
@@ -1114,35 +1129,52 @@ mod tests {
         assert!(m.is_set(7, 7));
     }
 
-    #[test]
-    fn joint_iteration_is_ascending_and_intersects() {
-        let mut a = RowMask::empty(3, 70); // two words per row
-        let mut b = RowMask::empty(3, 70);
-        for col in [0usize, 1, 63, 64, 69] {
-            a.set(1, col);
-        }
-        for col in [1usize, 63, 64, 65] {
-            b.set(1, col);
-        }
-        a.set(0, 5);
-        b.set(2, 5);
+    fn runs(a: &RowMask, b: &RowMask) -> Vec<std::ops::Range<usize>> {
         let mut seen = Vec::new();
-        for_each_joint(&a, &b, |idx| seen.push(idx));
-        // Row 1 starts at flat index 70.
-        assert_eq!(seen, vec![71, 133, 134]);
+        for_each_run(a, b, |run| seen.push(run));
+        seen
     }
 
     #[test]
-    fn joint_iteration_dense_word_fast_path() {
-        let mut a = RowMask::empty(2, 64);
-        let mut b = RowMask::empty(2, 64);
-        for col in 0..64 {
-            a.set(0, col);
-            b.set(0, col);
-        }
-        let mut seen = Vec::new();
-        for_each_joint(&a, &b, |idx| seen.push(idx));
-        assert_eq!(seen, (0..64).collect::<Vec<_>>());
+    fn runs_cover_joint_words_in_ascending_order() {
+        let mut a = RowMask::empty(3, 130); // three words per row, the last partial
+        let mut b = RowMask::empty(3, 130);
+        // Row 0: word 0 joint at one cell only; word 1 set in `a` alone.
+        a.set(0, 5);
+        b.set(0, 5);
+        a.set(0, 70);
+        // Row 1: word 1 joint; word 2 (cols 128..130) joint at its last cell.
+        a.set(1, 64);
+        b.set(1, 127);
+        b.set(1, 64);
+        a.set(1, 129);
+        b.set(1, 129);
+        // Row 2: each operand sets a different cell of word 0.
+        a.set(2, 0);
+        b.set(2, 1);
+        // A joint word runs all of its cells, whoever occupies them; the
+        // last word of a row stops at the row end.
+        assert_eq!(runs(&a, &b), vec![0..64, 194..258, 258..260]);
+    }
+
+    #[test]
+    fn runs_stop_at_the_row_end_below_64_columns() {
+        let mut a = RowMask::empty(4, 8); // one partial word per row
+        let mut b = RowMask::empty(4, 8);
+        a.set(1, 7);
+        b.set(1, 7);
+        a.set(2, 3);
+        b.set(3, 3);
+        b.set(3, 0);
+        a.set(3, 0);
+        assert_eq!(runs(&a, &b), vec![8..16, 24..32]);
+        // A single cell per row, as at level 0.
+        let (mut a, mut b) = (RowMask::empty(1, 1), RowMask::empty(1, 1));
+        assert_eq!(runs(&a, &b), vec![]);
+        a.set(0, 0);
+        assert_eq!(runs(&a, &b), vec![], "a word set in one operand only");
+        b.set(0, 0);
+        assert_eq!(runs(&a, &b), vec![0..1]);
     }
 
     #[test]

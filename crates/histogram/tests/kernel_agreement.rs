@@ -1,9 +1,13 @@
 //! Old-vs-new agreement: the SoA kernel estimate path must be
 //! **bit-identical** to the retained scalar reference loops across the
-//! verify-equivalence scenario matrix (all gridded families, levels {3, 6},
-//! every ordered dataset pair including self-joins and an empty
-//! dataset). This is the pin for DESIGN.md §16's bit-identity argument;
-//! CI runs it as its own named step.
+//! verify-equivalence scenario matrix (all gridded families, every
+//! ordered dataset pair including self-joins and an empty dataset), at
+//! levels {0, 3, 6, 7}: one cell, a partial mask word per row, exactly
+//! one word per row, and two words per row (the level the daemon
+//! serves). A pair of striped datasets whose occupancy is mostly
+//! disjoint makes the dense-run kernels sum many `±0.0` terms. This is
+//! the pin for DESIGN.md §16's bit-identity argument; CI runs it as its
+//! own named step, in debug and in release.
 
 #![expect(
     clippy::unwrap_used,
@@ -19,7 +23,7 @@ use sj_histogram::{
 };
 
 const SCALE: f64 = 0.5;
-const LEVELS: [u32; 2] = [3, 6];
+const LEVELS: [u32; 4] = [0, 3, 6, 7];
 
 fn bits(e: SelectivityEstimate) -> (u64, u64) {
     (e.selectivity.to_bits(), e.pairs.to_bits())
@@ -148,6 +152,65 @@ fn gh_basic_kernel_is_bit_identical_to_scalar() {
                     "view path diverged: {ctx}"
                 );
             }
+        }
+    }
+}
+
+/// Small rectangles inside the cells of every column `col` with
+/// `keep(col)`, one per cell, at `level`.
+fn striped(level: u32, keep: impl Fn(u32) -> bool) -> Vec<Rect> {
+    let cpa = 1u32 << level;
+    let w = 1.0 / f64::from(cpa);
+    let mut out = Vec::new();
+    for row in 0..cpa {
+        for col in (0..cpa).filter(|&c| keep(c)) {
+            let (x, y) = (f64::from(col) * w, f64::from(row) * w);
+            out.push(Rect::new(
+                x + 0.3 * w,
+                y + 0.2 * w,
+                x + 0.6 * w,
+                y + 0.7 * w,
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn mostly_disjoint_occupancy_is_bit_identical() {
+    for level in LEVELS {
+        let grid = unit_grid(level);
+        // The two operands share only every sixteenth column, so every
+        // joint 64-cell run is mostly cells that one side lacks.
+        let a = striped(level, |c| c % 4 == 0);
+        let b = striped(level, |c| c % 4 != 0 || c % 16 == 0);
+        for (x, y, ctx) in [(&a, &b, "a x b"), (&b, &a, "b x a")] {
+            let ctx = format!("level {level}, {ctx}");
+            let (px, py) = (PhHistogram::build(grid, x), PhHistogram::build(grid, y));
+            assert_eq!(
+                bits(px.estimate(&py).unwrap()),
+                bits(px.estimate_scalar(&py).unwrap()),
+                "PH diverged: {ctx}"
+            );
+            let (gx, gy) = (GhHistogram::build(grid, x), GhHistogram::build(grid, y));
+            assert_eq!(
+                gx.intersection_points(&gy).unwrap().to_bits(),
+                gx.intersection_points_scalar(&gy).unwrap().to_bits(),
+                "GH diverged: {ctx}"
+            );
+            let (bx, by) = (
+                GhBasicHistogram::build(grid, x),
+                GhBasicHistogram::build(grid, y),
+            );
+            assert_eq!(
+                bx.intersection_points(&by).unwrap().to_bits(),
+                bx.intersection_points_scalar(&by).unwrap().to_bits(),
+                "GH-basic diverged: {ctx}"
+            );
+            assert!(
+                gx.intersection_points(&gy).unwrap() > 0.0,
+                "{ctx}: shared cells"
+            );
         }
     }
 }

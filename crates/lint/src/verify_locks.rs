@@ -25,8 +25,12 @@
 //!
 //! After the schedule, the daemon's warm `estimate` and
 //! `catalog_estimate` answers must also equal, bit for bit, the cold
-//! path over the same batches applied serially: a resident view the
-//! concurrent commits left stale is reported as a violation too.
+//! path over the same batches applied serially, for all four ordered
+//! pairs of the mutated table and a second table that is never mutated:
+//! a resident view or a pair-memo slot (DESIGN.md §16.6) the concurrent
+//! commits left stale is reported as a violation too. The workers ask
+//! all four pairs every round, so a memo reset that cleared only the
+//! mutated table's row, or only its diagonal cell, leaves a stale slot.
 //!
 //! Every run is deterministic: fixed dataset, fixed batch
 //! schedule, fixed thread count. Fault injection (`--inject`)
@@ -50,6 +54,15 @@ use std::sync::Arc;
 
 /// Table name used by the workload.
 const TABLE: &str = "locks";
+/// A second table the workload estimates against but never mutates.
+const FIXED: &str = "fixed";
+/// Every ordered pair of the two tables, each its own memo slot.
+const PAIRS: [(&str, &str); 4] = [
+    (TABLE, TABLE),
+    (TABLE, FIXED),
+    (FIXED, TABLE),
+    (FIXED, FIXED),
+];
 /// Concurrent client threads.
 const THREADS: usize = 3;
 /// Base rectangles seeded into the table before the workload.
@@ -150,7 +163,8 @@ pub enum LockViolation {
     /// After the schedule, a warm daemon answer differs from the cold
     /// path over the same batches applied serially.
     StaleAnswer {
-        /// The request (`estimate` or `catalog_estimate`).
+        /// The request and its ordered pair (`estimate a b` or
+        /// `catalog_estimate a b`).
         request: String,
         /// The daemon's answer.
         warm: String,
@@ -311,6 +325,18 @@ fn base_rects() -> Vec<Rect> {
         .collect()
 }
 
+/// The never-mutated table: a lattice over the whole unit square, so it
+/// overlaps every batch the workload inserts.
+fn fixed_rects() -> Vec<Rect> {
+    (0..36)
+        .map(|i| {
+            let x = (i % 6) as f64 * 0.16 + 0.01;
+            let y = (i / 6) as f64 * 0.16 + 0.01;
+            Rect::new(x, y, x + 0.12, y + 0.12)
+        })
+        .collect()
+}
+
 /// Thread `t`'s insert batch for round `r`, confined to the thread's
 /// own y-band so batches never collide.
 fn thread_batch(t: usize, r: usize) -> Vec<Rect> {
@@ -323,28 +349,24 @@ fn thread_batch(t: usize, r: usize) -> Vec<Rect> {
         .collect()
 }
 
-/// A catalog holding the workload table with no rounds applied.
+/// A catalog holding both tables with no rounds applied.
 fn base_catalog() -> Result<Catalog, String> {
     let mut catalog = Catalog::with_level(4);
-    catalog
-        .register(sj_datagen::Dataset::new(
-            TABLE,
-            Extent::unit(),
-            base_rects(),
-        ))
-        .map_err(|e| format!("registering the workload table: {e}"))?;
+    for (name, rects) in [(TABLE, base_rects()), (FIXED, fixed_rects())] {
+        catalog
+            .register(sj_datagen::Dataset::new(name, Extent::unit(), rects))
+            .map_err(|e| format!("registering table {name}: {e}"))?;
+    }
     Ok(catalog)
 }
 
-/// The daemon's answers after the concurrent schedule.
-struct WarmAnswers {
-    estimate: EstimateReply,
-    outcome: RemoteOutcome,
-}
+/// The daemon's answers for each of [`PAIRS`] after the concurrent
+/// schedule, in that order.
+type WarmAnswers = Vec<(EstimateReply, RemoteOutcome)>;
 
 /// Compares the warm answers with the cold path over the same batches
 /// applied on a serial schedule: `estimate_join` decodes fresh views
-/// from the serial catalog's histogram. Histogram statistics are exact
+/// from the serial catalog's histograms. Histogram statistics are exact
 /// sums, so any interleaving of the batches folds to the same bytes.
 fn stale_answers(rounds: usize, warm: &WarmAnswers) -> Result<Vec<LockViolation>, String> {
     let mut serial = base_catalog()?;
@@ -361,40 +383,43 @@ fn stale_answers(rounds: usize, warm: &WarmAnswers) -> Result<Vec<LockViolation>
             }
         }
     }
-    let hist = serial
-        .histogram(TABLE)
-        .map_err(|e| format!("serial schedule: {e}"))?;
-    let cold = hist
-        .estimate_join(hist)
-        .map_err(|e| format!("cold estimate: {e}"))?;
-    let ladder = serial
-        .estimate_join_pairs_detailed(TABLE, TABLE, &DegradationPolicy::default())
-        .map_err(|e| format!("cold catalog estimate: {e}"))?;
-    // The ladder's provenance, carrying the cold numbers.
-    let cold_outcome = RemoteOutcome {
-        pairs: cold.pairs,
-        selectivity: cold.selectivity,
-        ..RemoteOutcome::from_outcome(&ladder)
-    };
     let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
     let mut stale = Vec::new();
-    if !same(warm.estimate.pairs, cold.pairs) || !same(warm.estimate.selectivity, cold.selectivity)
-    {
-        stale.push(LockViolation::StaleAnswer {
-            request: "estimate".to_string(),
-            warm: format!("{:?}", warm.estimate),
-            cold: format!("{cold:?}"),
-        });
-    }
-    if warm.outcome != cold_outcome
-        || !same(warm.outcome.pairs, cold.pairs)
-        || !same(warm.outcome.selectivity, cold.selectivity)
-    {
-        stale.push(LockViolation::StaleAnswer {
-            request: "catalog_estimate".to_string(),
-            warm: format!("{:?}", warm.outcome),
-            cold: format!("{cold_outcome:?}"),
-        });
+    for ((a, b), (estimate, outcome)) in PAIRS.into_iter().zip(warm) {
+        let histogram = |name| {
+            serial
+                .histogram(name)
+                .map_err(|e| format!("serial schedule: {e}"))
+        };
+        let cold = histogram(a)?
+            .estimate_join(histogram(b)?)
+            .map_err(|e| format!("cold estimate: {e}"))?;
+        let ladder = serial
+            .estimate_join_pairs_detailed(a, b, &DegradationPolicy::default())
+            .map_err(|e| format!("cold catalog estimate: {e}"))?;
+        // The ladder's provenance, carrying the cold numbers.
+        let cold_outcome = RemoteOutcome {
+            pairs: cold.pairs,
+            selectivity: cold.selectivity,
+            ..RemoteOutcome::from_outcome(&ladder)
+        };
+        if !same(estimate.pairs, cold.pairs) || !same(estimate.selectivity, cold.selectivity) {
+            stale.push(LockViolation::StaleAnswer {
+                request: format!("estimate {a} {b}"),
+                warm: format!("{estimate:?}"),
+                cold: format!("{cold:?}"),
+            });
+        }
+        if *outcome != cold_outcome
+            || !same(outcome.pairs, cold.pairs)
+            || !same(outcome.selectivity, cold.selectivity)
+        {
+            stale.push(LockViolation::StaleAnswer {
+                request: format!("catalog_estimate {a} {b}"),
+                warm: format!("{outcome:?}"),
+                cold: format!("{cold_outcome:?}"),
+            });
+        }
     }
     Ok(stale)
 }
@@ -444,9 +469,11 @@ fn run_workload(rounds: usize) -> Result<(Vec<LockEvent>, WarmAnswers), String> 
                     client
                         .insert_batch_with_retry(TABLE, &batch)
                         .map_err(|e| format!("thread {t} round {r}: insert: {e}"))?;
-                    client
-                        .estimate(TABLE, TABLE)
-                        .map_err(|e| format!("thread {t} round {r}: estimate: {e}"))?;
+                    for (a, b) in PAIRS {
+                        client
+                            .estimate(a, b)
+                            .map_err(|e| format!("thread {t} round {r}: estimate: {e}"))?;
+                    }
                     if r + 1 == rounds / 2 && t == 0 {
                         // Mid-workload compaction while the other
                         // threads keep mutating and estimating.
@@ -475,10 +502,10 @@ fn run_workload(rounds: usize) -> Result<(Vec<LockEvent>, WarmAnswers), String> 
     }
     let warm = Client::connect(addr)
         .and_then(|mut client| {
-            Ok(WarmAnswers {
-                estimate: client.estimate(TABLE, TABLE)?,
-                outcome: client.catalog_estimate(TABLE, TABLE)?,
-            })
+            PAIRS
+                .into_iter()
+                .map(|(a, b)| Ok((client.estimate(a, b)?, client.catalog_estimate(a, b)?)))
+                .collect::<Result<WarmAnswers, _>>()
         })
         .map_err(|e| format!("warm answers after the schedule: {e}"));
     server.initiate_shutdown();

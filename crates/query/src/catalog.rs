@@ -69,8 +69,61 @@ impl StatsState {
 
 pub(crate) struct Table {
     pub(crate) dataset: Dataset,
-    pub(crate) stats: StatsState,
+    /// Written only through [`Catalog::stats_mut`], which forgets the
+    /// memoized answers that read these statistics.
+    stats: StatsState,
+    /// The table's row and column in the [`PairMemo`]; dense, in
+    /// registration order.
+    slot: usize,
     pub(crate) rtree: OnceLock<RTree>,
+}
+
+impl Table {
+    pub(crate) fn stats(&self) -> &StatsState {
+        &self.stats
+    }
+}
+
+/// Primary-tier answers per ordered table pair (DESIGN.md §16.6): an
+/// `n × n` array of write-once slots, row `a`, column `b` holding the
+/// estimate of `a ⋈ b`. `(a, b)` and `(b, a)` are separate slots:
+/// swapping the operands reassociates Eq. 5's sums, so the two answers
+/// may differ in the last bit.
+#[derive(Default)]
+struct PairMemo {
+    n: usize,
+    slots: Vec<OnceLock<SelectivityEstimate>>,
+}
+
+impl PairMemo {
+    fn slot(&self, a: usize, b: usize) -> &OnceLock<SelectivityEstimate> {
+        &self.slots[a * self.n + b]
+    }
+
+    /// Adds an empty row and column for one more table; every answer
+    /// already held stays.
+    fn grow(&mut self) {
+        let (old_n, n) = (self.n, self.n + 1);
+        let mut old = std::mem::take(&mut self.slots).into_iter();
+        self.slots = (0..n * n)
+            .map(|i| {
+                if i / n < old_n && i % n < old_n {
+                    old.next().unwrap_or_default()
+                } else {
+                    OnceLock::new()
+                }
+            })
+            .collect();
+        self.n = n;
+    }
+
+    /// Empties row `t` and column `t`, the answers that read table `t`.
+    fn forget(&mut self, t: usize) {
+        for k in 0..self.n {
+            self.slots[t * self.n + k].take();
+            self.slots[k * self.n + t].take();
+        }
+    }
 }
 
 /// A table still being assembled from shards (see
@@ -98,6 +151,7 @@ pub struct Catalog {
     pub(crate) grid: Grid,
     pub(crate) tables: BTreeMap<String, Table>,
     pending: BTreeMap<String, PendingTable>,
+    memo: PairMemo,
     pub(crate) store: crate::store::StatsStore,
 }
 
@@ -133,6 +187,7 @@ impl Catalog {
             grid,
             tables: BTreeMap::new(),
             pending: BTreeMap::new(),
+            memo: PairMemo::default(),
             store: crate::store::StatsStore::default(),
         })
     }
@@ -174,14 +229,7 @@ impl Catalog {
             return Err(QueryError::DuplicateTable(dataset.name.clone()));
         }
         let histogram = build_histogram(self.config.kind, self.grid, &dataset.rects);
-        self.tables.insert(
-            dataset.name.clone(),
-            Table {
-                dataset,
-                stats: StatsState::ready_from(histogram),
-                rtree: OnceLock::new(),
-            },
-        );
+        self.insert_table(dataset, StatsState::ready_from(histogram));
         Ok(())
     }
 
@@ -234,14 +282,7 @@ impl Catalog {
             .remove(name)
             .ok_or_else(|| QueryError::UnknownTable(name.to_string()))?;
         let dataset = Dataset::new(name, self.config.extent, p.rects);
-        self.tables.insert(
-            name.to_string(),
-            Table {
-                dataset,
-                stats: StatsState::ready_from(p.histogram),
-                rtree: OnceLock::new(),
-            },
-        );
+        self.insert_table(dataset, StatsState::ready_from(p.histogram));
         Ok(())
     }
 
@@ -266,22 +307,26 @@ impl Catalog {
     /// [`QueryError::StatisticsUnavailable`] for tables registered
     /// leniently whose statistics were unusable.
     pub fn histogram(&self, name: &str) -> Result<&dyn SpatialHistogram, QueryError> {
-        Ok(self.statistics(name)?.histogram())
+        Ok(self.statistics(name)?.1.histogram())
     }
 
-    fn statistics(&self, name: &str) -> Result<&ResidentHistogram, QueryError> {
-        self.table(name)?
+    /// A table and its usable statistics.
+    fn statistics(&self, name: &str) -> Result<(&Table, &ResidentHistogram), QueryError> {
+        let table = self.table(name)?;
+        let stats = table
             .stats
             .ready()
             .map_err(|reason| QueryError::StatisticsUnavailable {
                 table: name.to_string(),
                 reason: reason.to_string(),
-            })
+            })?;
+        Ok((table, stats))
     }
 
     /// Join estimate between two tables from their primary statistics
-    /// alone, with no fallback: the kernel runs on the two resident
-    /// views (DESIGN.md §16.1), bit-identical to
+    /// alone, with no fallback: the pair memo's answer (DESIGN.md
+    /// §16.6), or the kernel on the two resident views (§16.1), which
+    /// then fills the memo. Bit-identical to
     /// [`SpatialHistogram::estimate_join`] on the tables' histograms.
     ///
     /// # Errors
@@ -289,8 +334,41 @@ impl Catalog {
     /// [`QueryError::StatisticsUnavailable`] for a table without usable
     /// statistics.
     pub fn primary_estimate(&self, a: &str, b: &str) -> Result<SelectivityEstimate, QueryError> {
-        let (ha, hb) = (self.statistics(a)?, self.statistics(b)?);
-        Ok(ha.estimate(hb)?)
+        let ((ta, ha), (tb, hb)) = (self.statistics(a)?, self.statistics(b)?);
+        Ok(self.memo_estimate(ta, ha, tb, hb)?)
+    }
+
+    /// The primary-tier answer for `ta ⋈ tb` from the pair memo, or one
+    /// kernel pass over the two resident views whose answer fills the
+    /// memo. Only successes are stored. Two readers that find the slot
+    /// empty at once both run the kernel over the same views, so both
+    /// compute the same bits and either `set` may win.
+    fn memo_estimate(
+        &self,
+        ta: &Table,
+        ha: &ResidentHistogram,
+        tb: &Table,
+        hb: &ResidentHistogram,
+    ) -> Result<SelectivityEstimate, sj_histogram::HistogramError> {
+        let slot = self.memo.slot(ta.slot, tb.slot);
+        if let Some(est) = slot.get() {
+            return Ok(*est);
+        }
+        let est = ha.estimate(hb)?;
+        // A racing reader may have filled the slot with the same bits.
+        let _ = slot.set(est);
+        Ok(est)
+    }
+
+    /// Whether the pair memo holds an answer for `a ⋈ b`. A test hook
+    /// for the memo's fill and reset rules.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn memo_holds(&self, a: &str, b: &str) -> bool {
+        match (self.tables.get(a), self.tables.get(b)) {
+            (Some(ta), Some(tb)) => self.memo.slot(ta.slot, tb.slot).get().is_some(),
+            _ => false,
+        }
     }
 
     /// The table's histogram downcast to the revised Geometric
@@ -371,7 +449,7 @@ impl Catalog {
         // Tier 1: the primary statistics of the configured family.
         let primary = EstimateTier::Primary(self.config.kind);
         match (ta.stats.ready(), tb.stats.ready()) {
-            (Ok(ha), Ok(hb)) => match ha.estimate(hb) {
+            (Ok(ha), Ok(hb)) => match self.memo_estimate(ta, ha, tb, hb) {
                 Ok(est) => {
                     return Ok(EstimateOutcome {
                         pairs: est.pairs,
@@ -496,6 +574,33 @@ impl Catalog {
         self.tables
             .get(name)
             .ok_or_else(|| QueryError::UnknownTable(name.to_string()))
+    }
+
+    /// Registers `dataset` under its name with the given statistics, in
+    /// the next memo slot: its row and column start empty. Callers have
+    /// already rejected a duplicate name.
+    fn insert_table(&mut self, dataset: Dataset, stats: StatsState) {
+        let slot = self.tables.len();
+        self.memo.grow();
+        self.tables.insert(
+            dataset.name.clone(),
+            Table {
+                dataset,
+                stats,
+                slot,
+                rtree: OnceLock::new(),
+            },
+        );
+    }
+
+    /// The one write access to a registered table's statistics. It
+    /// first empties the table's row and column of the pair memo — every
+    /// answer that read the statistics about to change — so no stale
+    /// answer outlives the write. `None` for an unregistered name.
+    pub(crate) fn stats_mut(&mut self, name: &str) -> Option<&mut StatsState> {
+        let table = self.tables.get_mut(name)?;
+        self.memo.forget(table.slot);
+        Some(&mut table.stats)
     }
 }
 
@@ -684,14 +789,7 @@ impl Catalog {
             return Err(QueryError::DuplicateTable(dataset.name.clone()));
         }
         let histogram = self.decode_statistics(dataset.len(), stats_file)?;
-        self.tables.insert(
-            dataset.name.clone(),
-            Table {
-                dataset,
-                stats: StatsState::ready_from(histogram),
-                rtree: OnceLock::new(),
-            },
-        );
+        self.insert_table(dataset, StatsState::ready_from(histogram));
         Ok(())
     }
 
@@ -725,14 +823,7 @@ impl Catalog {
                 )
             }
         };
-        self.tables.insert(
-            dataset.name.clone(),
-            Table {
-                dataset,
-                stats,
-                rtree: OnceLock::new(),
-            },
-        );
+        self.insert_table(dataset, stats);
         Ok(reason)
     }
 
@@ -751,18 +842,12 @@ impl Catalog {
         if self.tables.contains_key(&dataset.name) {
             return Err(QueryError::DuplicateTable(dataset.name.clone()));
         }
-        self.tables.insert(
-            dataset.name.clone(),
-            Table {
-                dataset,
-                stats: StatsState::Unavailable {
-                    reason: "statistics deferred to the statistics store \
-                             (compaction snapshot not installed)"
-                        .to_string(),
-                },
-                rtree: OnceLock::new(),
-            },
-        );
+        let stats = StatsState::Unavailable {
+            reason: "statistics deferred to the statistics store \
+                     (compaction snapshot not installed)"
+                .to_string(),
+        };
+        self.insert_table(dataset, stats);
         Ok(())
     }
 

@@ -1055,9 +1055,11 @@ impl Catalog {
         next_seq: u64,
         ids: &[MutationId],
     ) {
+        if let Some(stats) = self.stats_mut(name) {
+            *stats = StatsState::ready_from(histogram);
+        }
         if let Some(table) = self.tables.get_mut(name) {
             table.dataset.rects = rects;
-            table.stats = StatsState::ready_from(histogram);
             table.rtree = std::sync::OnceLock::new();
         }
         let entry = self.store.table(name);
@@ -1076,15 +1078,18 @@ impl Catalog {
     /// treats that dataset as the base state, so statistics over it are
     /// exactly what the pending batches expect to apply to.
     fn ensure_stats_ready(&mut self, name: &str) {
+        let Some(table) = self.tables.get(name) else {
+            return;
+        };
+        if !matches!(table.stats(), StatsState::Unavailable { .. }) {
+            return;
+        }
+        let histogram = build_histogram(self.config.kind, self.grid, &table.dataset.rects);
+        if let Some(stats) = self.stats_mut(name) {
+            *stats = StatsState::ready_from(histogram);
+        }
         if let Some(table) = self.tables.get_mut(name) {
-            if matches!(table.stats, StatsState::Unavailable { .. }) {
-                table.stats = StatsState::ready_from(build_histogram(
-                    self.config.kind,
-                    self.grid,
-                    &table.dataset.rects,
-                ));
-                table.rtree = std::sync::OnceLock::new();
-            }
+            table.rtree = std::sync::OnceLock::new();
         }
     }
 
@@ -1289,7 +1294,7 @@ impl Catalog {
                 deduplicated: true,
             }));
         }
-        if let StatsState::Unavailable { reason } = &table.stats {
+        if let StatsState::Unavailable { reason } = table.stats() {
             return Err(QueryError::StatisticsUnavailable {
                 table: name.to_string(),
                 reason: reason.clone(),
@@ -1359,13 +1364,16 @@ impl Catalog {
         } = prepared;
         // Commit: histogram and its resident view (atomic apply), dataset,
         // index.
+        let stats = self
+            .stats_mut(&name)
+            .ok_or_else(|| QueryError::UnknownTable(name.clone()))?;
+        if let StatsState::Ready(h) = stats {
+            h.apply_delta(&delta)?;
+        }
         let table = self
             .tables
             .get_mut(&name)
             .ok_or_else(|| QueryError::UnknownTable(name.clone()))?;
-        if let StatsState::Ready(h) = &mut table.stats {
-            h.apply_delta(&delta)?;
-        }
         // Surviving rows keep their order and inserts follow them, in
         // place: an insert-only batch never walks the dataset.
         let rects = &mut table.dataset.rects;
@@ -1470,7 +1478,7 @@ impl Catalog {
             .get(name)
             .map(|t| t.recent_ids.iter().copied().collect())
             .unwrap_or_default();
-        let (Some(dir), StatsState::Ready(h)) = (&self.store.dir, &table.stats) else {
+        let (Some(dir), StatsState::Ready(h)) = (&self.store.dir, table.stats()) else {
             return Ok(None);
         };
         // fsync before each rename (in persist): rename is atomic in

@@ -1,14 +1,20 @@
-//! Resident-view freshness (registered under `sj-query`).
+//! Resident-view and pair-memo freshness (registered under `sj-query`).
 //!
 //! Every catalog table estimates from a kernel view it keeps next to its
-//! histogram (DESIGN.md §16.1), so each path that installs or changes
-//! statistics must leave the view describing the current histogram. For
-//! every family, a seeded sequence of inserts, deletes, an explicit and
-//! a policy-triggered compaction and a store reopen (snapshot install
+//! histogram (DESIGN.md §16.1), and the catalog memoizes each ordered
+//! pair's primary answer (§16.6), so each path that installs or changes
+//! statistics must leave the view describing the current histogram and
+//! forget every memoized answer that read the old one. For every family,
+//! a seeded sequence of inserts, deletes, a rejected delete, an explicit
+//! and a policy-triggered compaction, a store reopen (snapshot install
 //! plus WAL replay, and a deferred table whose statistics are rebuilt
-//! before its WAL replays) runs; after every step each ordered table
-//! pair's warm answer must equal, bit for bit, `estimate_join` on
-//! histograms freshly built over the tables' current datasets.
+//! before its WAL replays), a table registered after the memo is warm
+//! and a lenient registration with corrupt statistics runs; after every
+//! step each ordered table pair's warm answer must equal, bit for bit,
+//! `estimate_join` on histograms freshly built over the tables' current
+//! datasets. Between steps, the memo must have emptied exactly the
+//! written table's row and column, and it must never hold a fallback
+//! tier's answer.
 //!
 //! A commit patches only the view cells its delta touched; a second test
 //! checks that the patched view itself — every slice compared with
@@ -34,6 +40,7 @@ use sj_query::{Catalog, CompactionPolicy, DegradationPolicy, EstimateTier, Query
 
 const LEVEL: u32 = 4;
 const TABLES: [&str; 3] = ["a", "b", "c"];
+const FOUR: [&str; 4] = ["a", "b", "c", "d"];
 
 /// Deterministic rectangles inside the unit extent.
 fn rects(n: usize, seed: u64) -> Vec<Rect> {
@@ -58,14 +65,15 @@ fn table(name: &str, rects: &[Rect]) -> Dataset {
 
 /// Every ordered pair's warm answer — the catalog's primary estimate and
 /// the ladder's primary tier — equals the cold path over fresh builds.
-fn assert_fresh(c: &Catalog, kind: HistogramKind, step: &str) {
+/// Afterwards the memo holds every pair of `tables`.
+fn assert_fresh(c: &Catalog, kind: HistogramKind, tables: &[&str], step: &str) {
     let grid = Grid::new(LEVEL, Extent::unit()).expect("grid");
-    let fresh: Vec<_> = TABLES
+    let fresh: Vec<_> = tables
         .iter()
         .map(|t| build_histogram(kind, grid, &c.dataset(t).expect("table").rects))
         .collect();
-    for (i, a) in TABLES.iter().enumerate() {
-        for (j, b) in TABLES.iter().enumerate() {
+    for (i, a) in tables.iter().enumerate() {
+        for (j, b) in tables.iter().enumerate() {
             let cold = fresh[i]
                 .estimate_join(fresh[j].as_ref())
                 .expect("cold estimate");
@@ -90,6 +98,29 @@ fn assert_fresh(c: &Catalog, kind: HistogramKind, step: &str) {
     }
 }
 
+/// After one write to `written` (or none) on a memo that held every
+/// pair of `tables`, the memo holds exactly the pairs that do not read
+/// `written`: its row and column, the diagonal cell included, are empty
+/// and every other slot is intact.
+fn assert_forgot(
+    c: &Catalog,
+    kind: HistogramKind,
+    tables: &[&str],
+    written: Option<&str>,
+    step: &str,
+) {
+    for a in tables {
+        for b in tables {
+            let reads = written.is_some_and(|w| w == *a || w == *b);
+            assert_eq!(
+                c.memo_holds(a, b),
+                !reads,
+                "{kind} after {step}: memo slot {a}⋈{b} (written: {written:?})"
+            );
+        }
+    }
+}
+
 #[test]
 fn warm_answers_match_fresh_builds_after_every_step() {
     for kind in HistogramKind::ALL {
@@ -110,29 +141,42 @@ fn warm_answers_match_fresh_builds_after_every_step() {
             c.register(table(name, base)).expect("register");
         }
         c.open_stats_store(&dir, policy).expect("open store");
-        assert_fresh(&c, kind, "registration");
+        assert_fresh(&c, kind, &TABLES, "registration");
+        // Each step below writes (at most) one table of a warm memo.
+        let step = |c: &Catalog, written: Option<&str>, what: &str| {
+            assert_forgot(c, kind, &TABLES, written, what);
+            assert_fresh(c, kind, &TABLES, what);
+        };
 
         let ins = rects(8, seed + 10);
         c.apply_delta("a", &ins, &[]).expect("insert");
-        assert_fresh(&c, kind, "an insert into a");
+        step(&c, Some("a"), "an insert into a");
         c.apply_delta("b", &[], &base_b[..5]).expect("delete");
-        assert_fresh(&c, kind, "a delete from b");
+        step(&c, Some("b"), "a delete from b");
+        let err = c
+            .apply_delta("a", &[], &rects(2, seed + 99))
+            .expect_err("a delete of absent rows must be rejected");
+        assert!(
+            matches!(err, QueryError::DeleteNotFound { .. }),
+            "{kind}: {err:?}"
+        );
+        step(&c, None, "a rejected delete on a");
         c.apply_delta("a", &rects(4, seed + 11), &ins[..3])
             .expect("mixed batch");
-        assert_fresh(&c, kind, "a mixed batch on a");
+        step(&c, Some("a"), "a mixed batch on a");
         assert!(c.compact("a").expect("compact").persisted);
-        assert_fresh(&c, kind, "an explicit compaction of a");
+        step(&c, None, "an explicit compaction of a");
 
         let r = c
             .apply_delta("b", &rects(3, seed + 12), &[])
             .expect("insert");
         assert!(!r.compacted, "{kind}: two tiers stay under the policy");
-        assert_fresh(&c, kind, "a second batch on b");
+        step(&c, Some("b"), "a second batch on b");
         let r = c
             .apply_delta("b", &rects(3, seed + 13), &base_b[5..7])
             .expect("mixed batch");
         assert!(r.compacted, "{kind}: the third tier trips the policy");
-        assert_fresh(&c, kind, "a policy-triggered compaction of b");
+        step(&c, Some("b"), "a policy-triggered compaction of b");
 
         // Batches left pending in the WAL across the reopen; c is never
         // compacted, so it has no snapshot.
@@ -140,25 +184,58 @@ fn warm_answers_match_fresh_builds_after_every_step() {
             .expect("insert");
         c.apply_delta("c", &rects(6, seed + 15), &base_c[..2])
             .expect("mixed batch");
-        assert_fresh(&c, kind, "post-compaction batches");
+        assert_fresh(&c, kind, &TABLES, "post-compaction batches");
         drop(c);
 
         // a and b come back from their snapshots (install_base, then WAL
         // replay); c is registered deferred, so its statistics are
-        // rebuilt from the source before its WAL replays.
+        // rebuilt from the source before its WAL replays. The memo holds
+        // a and b's answers over their registration sources first, so
+        // an install that kept them would serve stale bits.
         let mut c = Catalog::with_kind(kind, LEVEL);
         c.register(table("a", &base_a)).expect("register");
         c.register(table("b", &base_b)).expect("register");
         c.register_deferred(table("c", &base_c))
             .expect("register deferred");
+        assert_fresh(&c, kind, &["a", "b"], "re-registration");
         let recovery = c.open_stats_store(&dir, policy).expect("reopen store");
         assert_eq!(recovery.installed, 2, "{kind}: two snapshots");
         assert_eq!(recovery.replayed, 2, "{kind}: two pending batches");
-        assert_fresh(&c, kind, "a reopen");
+        assert_fresh(&c, kind, &TABLES, "a reopen");
 
         c.apply_delta("c", &[], &rects(6, seed + 15)[..2])
             .expect("delete");
-        assert_fresh(&c, kind, "a delete after the reopen");
+        step(&c, Some("c"), "a delete after the reopen");
+
+        // A fourth table joins a warm memo: it brings an empty row and
+        // column, and every answer already held stays.
+        c.register(table("d", &rects(25, seed + 16)))
+            .expect("register");
+        assert_forgot(&c, kind, &FOUR, Some("d"), "a fourth registration");
+        assert_fresh(&c, kind, &FOUR, "a fourth registration");
+        c.apply_delta("d", &rects(4, seed + 17), &[])
+            .expect("insert");
+        assert_forgot(&c, kind, &FOUR, Some("d"), "an insert into d");
+        assert_fresh(&c, kind, &FOUR, "an insert into d");
+
+        // Corrupt statistics: the ladder answers from a fallback tier,
+        // and the memo never stores that answer.
+        let mut bytes = c.histogram("a").expect("stats").persist().to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        let reason = c
+            .register_with_statistics_lenient(table("e", &c.dataset("a").expect("a").rects), &bytes)
+            .expect("lenient registration");
+        assert!(reason.is_some(), "{kind}: the flipped byte must be caught");
+        for (x, y) in [("e", "a"), ("a", "e"), ("e", "e")] {
+            let out = c
+                .estimate_join_pairs_detailed(x, y, &DegradationPolicy::default())
+                .expect("ladder");
+            assert_ne!(out.tier, EstimateTier::Primary(kind), "{kind}: {x}⋈{y}");
+        }
+        let five = ["a", "b", "c", "d", "e"];
+        assert_forgot(&c, kind, &five, Some("e"), "fallback answers for e");
+        assert_fresh(&c, kind, &FOUR, "fallback answers for e");
         drop(std::fs::remove_dir_all(&dir));
     }
 }
