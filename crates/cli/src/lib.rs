@@ -147,7 +147,7 @@ impl CliError {
                 code: exit_code::CORRUPT,
             },
             QueryError::TooFewTables(_) => Self::usage(format!("{context}: {e}")),
-            QueryError::DeleteNotFound { .. } => Self {
+            QueryError::DeleteNotFound { .. } | QueryError::InvalidRect { .. } => Self {
                 message: format!("{context}: {e}"),
                 code: exit_code::INVALID_DATA,
             },
@@ -749,10 +749,8 @@ fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
     .map_err(|e| CliError::from_query("bad catalog configuration", &e))?;
 
     // Register each table from `<stem>.hist` in --stats-dir when there is
-    // one. A `<stem>.base` compaction snapshot means the daemon has
-    // folded mutations into that histogram, so it no longer describes
-    // the CSV; this cold path estimates the CSVs as given and builds
-    // fresh.
+    // one. The daemon's compactions write only `<stem>.base`, so a saved
+    // `.hist` keeps describing the CSV it was built from.
     for (path, ds) in [(a_path, a), (b_path, b)] {
         let stem = Path::new(path).file_stem().map_or_else(
             || "dataset".to_string(),
@@ -760,9 +758,7 @@ fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
         );
         let stats_file = stats_dir
             .as_deref()
-            .map(Path::new)
-            .filter(|dir| !dir.join(format!("{stem}.base")).exists())
-            .map(|dir| dir.join(format!("{stem}.hist")));
+            .map(|dir| Path::new(dir).join(format!("{stem}.hist")));
         register_with_saved_statistics(&mut catalog, ds, stats_file.as_deref(), &mut warnings)?;
     }
 
@@ -1023,10 +1019,11 @@ fn cmd_serve(args: &[String]) -> Result<CliOutput, CliError> {
         let mut ds = load_dataset(path, validate, &mut warnings)?;
         let table = table_name_for(path);
         ds.name.clone_from(&table);
-        // A compaction snapshot marks a table whose authoritative state
-        // lives in the statistics store (folded mutations mean the CSV
-        // and the saved histogram no longer agree): defer statistics and
-        // let open_stats_store below install the snapshotted pair.
+        // A compacted base marks a table whose authoritative state lives
+        // in the statistics store (folded mutations mean the CSV no
+        // longer describes it): defer statistics, which open_stats_store
+        // below installs from the base file, instead of loading or
+        // building statistics it would replace.
         let dir = stats_dir.as_deref().map(Path::new);
         if dir.is_some_and(|d| d.join(format!("{table}.base")).exists()) {
             catalog
@@ -2082,12 +2079,31 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, exit_code::INVALID_DATA, "{}", err.message);
 
+        // So is a rectangle outside the catalog extent.
+        let far = tmp("mut_far.csv");
+        std::fs::write(&far, "5,5,6,6\n").unwrap();
+        let err = run(&argv(&[
+            "client",
+            "--addr",
+            &addr,
+            "insert-batch",
+            "mut_a",
+            &far,
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, exit_code::INVALID_DATA, "{}", err.message);
+        assert!(err.message.contains("outside"), "{}", err.message);
+
         // Compaction folds the pending tiers and rewrites the base file.
         let comp = run(&argv(&["client", "--addr", &addr, "compact", "mut_a"])).unwrap();
         assert!(comp.contains("compacted mut_a"), "{comp}");
         assert!(
-            Path::new(&stats_dir).join("mut_a.hist").exists(),
-            "compaction did not persist the statistics file"
+            Path::new(&stats_dir).join("mut_a.base").exists(),
+            "compaction did not persist the base file"
+        );
+        assert!(
+            !Path::new(&stats_dir).join("mut_a.hist").exists(),
+            "compaction must write no statistics file beside the base file"
         );
         assert!(!wal.exists(), "compaction did not truncate the WAL");
 

@@ -264,6 +264,7 @@ fn warm_server_reuses_saved_statistics_files() {
     let (a_csv, b_csv) = datasets("parity2");
     // Persist statistics under the file-stem naming convention.
     let stats_dir = tmp("parity_stats");
+    drop(std::fs::remove_dir_all(&stats_dir));
     std::fs::create_dir_all(&stats_dir).unwrap();
     for (csv, stem) in [(&a_csv, "parity2_a"), (&b_csv, "parity2_b")] {
         run(&argv(&[
@@ -328,6 +329,44 @@ fn warm_server_reuses_saved_statistics_files() {
     .unwrap();
     assert_eq!(warm.stdout, cold.stdout);
     assert!(warm.stdout.contains("tier primary"), "{}", warm.stdout);
+
+    // A mutation and a compaction write only the daemon's base file: the
+    // saved `.hist` keeps describing its CSV, so the cold path still
+    // loads it and answers exactly as before.
+    let saved = std::fs::read(format!("{stats_dir}/parity2_a.hist")).unwrap();
+    let batch = tmp("parity2_batch.csv");
+    let b_text = std::fs::read_to_string(&b_csv).unwrap();
+    let slice: Vec<&str> = b_text.lines().take(50).collect();
+    std::fs::write(&batch, format!("{}\n", slice.join("\n"))).unwrap();
+    for op in [
+        &["insert-batch", "parity2_a", batch.as_str()][..],
+        &["compact", "parity2_a"][..],
+    ] {
+        let mut args = vec!["client", "--addr", &addr];
+        args.extend_from_slice(op);
+        run(&argv(&args)).unwrap();
+    }
+    assert!(
+        std::fs::read(format!("{stats_dir}/parity2_a.hist")).unwrap() == saved,
+        "compaction must not rewrite the saved statistics file"
+    );
+    let cold_after = run(&argv(&[
+        "catalog-estimate",
+        &a_csv,
+        &b_csv,
+        "--level",
+        "4",
+        "--stats-dir",
+        &stats_dir,
+    ]))
+    .unwrap();
+    assert!(
+        cold_after.stdout.contains("tier primary"),
+        "{}",
+        cold_after.stdout
+    );
+    assert!(cold_after.warnings.is_empty(), "{:?}", cold_after.warnings);
+    assert_eq!(cold_after.stdout, cold.stdout);
 
     run(&argv(&["client", "--addr", &addr, "shutdown"])).unwrap();
     daemon.join().unwrap().unwrap();

@@ -828,13 +828,10 @@ impl Catalog {
     }
 
     /// Registers a dataset *without* building statistics: the table is
-    /// degraded until statistics are installed by
-    /// [`Catalog::open_stats_store`] from a compaction snapshot
-    /// (`<table>.base`). Callers that find such a snapshot should prefer
-    /// this over building statistics the snapshot will supersede, and
-    /// over [`Catalog::register_with_statistics_lenient`] with the
-    /// paired histogram (whose cardinality reflects folded mutations,
-    /// not the registration source).
+    /// degraded until [`Catalog::open_stats_store`] installs the dataset
+    /// and statistics of its compacted base (`<table>.base`). Callers
+    /// that find such a file should prefer this over building or loading
+    /// statistics the base file will replace anyway.
     ///
     /// # Errors
     /// Returns [`QueryError::DuplicateTable`] if the name is taken.

@@ -1,3 +1,4 @@
+use sj_geo::RectIssue;
 use sj_histogram::HistogramError;
 use std::fmt;
 
@@ -45,6 +46,19 @@ pub enum QueryError {
         /// Position of the unmatched rectangle within the delete batch.
         index: usize,
     },
+    /// A mutation batch carried a rectangle that registration under
+    /// the strict validation policy would reject (non-finite, inverted
+    /// or outside the catalog extent); the whole batch is rejected
+    /// without mutating anything or writing a WAL record.
+    InvalidRect {
+        /// The table the batch targeted.
+        table: String,
+        /// Position of the rectangle within the batch, inserts first,
+        /// then deletes (the order of a WAL record).
+        index: usize,
+        /// What is wrong with it.
+        issue: RectIssue,
+    },
     /// A filesystem operation failed (statistics directory, WAL append,
     /// compaction swap).
     Io(String),
@@ -85,6 +99,15 @@ impl fmt::Display for QueryError {
             QueryError::DeleteNotFound { table, index } => write!(
                 f,
                 "delete batch entry {index} matches no object in table {table:?}; \
+                 nothing was applied"
+            ),
+            QueryError::InvalidRect {
+                table,
+                index,
+                issue,
+            } => write!(
+                f,
+                "batch entry {index} for table {table:?} is invalid ({issue}); \
                  nothing was applied"
             ),
             QueryError::Io(detail) => write!(f, "statistics I/O failure: {detail}"),

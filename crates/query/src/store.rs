@@ -9,26 +9,29 @@
 //!    ([`Catalog::open_stats_store`]), the raw batch is appended to
 //!    `<dir>/<table>.wal` *before* the in-memory state changes, so a
 //!    crash between mutation and compaction loses nothing: on the next
-//!    open, pending records replay on top of the base `.hist` envelope.
+//!    open, pending records replay on top of the compacted base (or the
+//!    registered statistics, before the first compaction).
 //! 2. **Tiers** — the batch's signed [`HistogramDelta`] is applied to
 //!    the table's live histogram (exactly: the result is byte-identical
 //!    to a full rebuild) and retained as a pending tier with provenance
 //!    ([`TierInfo`]): sequence number, batch sizes, delta bytes.
 //! 3. **Compaction** — when the [`CompactionPolicy`] thresholds trip
 //!    (tier count or pending delta bytes), or on an explicit
-//!    [`Catalog::compact`], the effective histogram is written to
-//!    `<table>.hist.tmp` and atomically renamed over the base envelope,
-//!    a *dataset snapshot* (`<table>.base`) capturing the exact
-//!    rectangles that envelope describes is swapped in the same way,
-//!    the WAL is deleted, and the tiers are cleared. Readers never see
-//!    a torn base file: every swap is write-new + rename.
+//!    [`Catalog::compact`], one file, `<table>.base`, is written to
+//!    `<table>.base.tmp`, fsynced and atomically renamed into place; it
+//!    holds the exact rectangles of the compacted state followed by the
+//!    effective histogram envelope. The WAL is then deleted and the
+//!    tiers are cleared. Readers never see a torn base file: the swap
+//!    is write-new + rename.
 //!
-//! The snapshot is what makes recovery independent of the caller's
+//! The `.base` file is what makes recovery independent of the caller's
 //! registration source: after a compaction has folded inserts into the
 //! base, the original source files no longer match the statistics, so
-//! [`Catalog::open_stats_store`] installs the snapshot's dataset and the
-//! paired histogram over whatever was registered, then replays only the
-//! WAL records the snapshot's sequence fence has not folded yet.
+//! [`Catalog::open_stats_store`] installs the file's dataset and
+//! statistics over whatever was registered, then replays only the WAL
+//! records its sequence fence has not folded yet. A saved
+//! `<table>.hist` is never written here: it keeps describing the source
+//! it was built from.
 //!
 //! Read paths need no changes — the live histogram *is* base ⊕ pending
 //! deltas at all times — but [`Catalog::stats_provenance`] exposes the
@@ -56,23 +59,23 @@
 //! reply arrived) cannot double-apply it — see
 //! [`Catalog::apply_delta_idempotent`].
 //!
-//! Snapshot file layout (`<table>.base`, little-endian):
+//! Base file layout (`<table>.base`, little-endian):
 //!
 //! ```text
-//! magic "SJSB" u32 | version u32 (= 2) | next_seq u64 | hist_crc u32
+//! magic "SJSB" u32 | version u32 (= 3) | next_seq u64
 //!   | n u64 | n rects × 4 f64 | n_ids u32 | n_ids × (token u64, seq u64)
 //!   | crc32 u32
+//!   | statistics envelope (the histogram's `persist()` bytes)
 //! ```
 //!
-//! `next_seq` is the first WAL sequence number *not* folded into the
-//! paired `<table>.hist`; `hist_crc` is the CRC32 of that file's bytes
-//! minus its own CRC trailer (see [`hist_pair_crc`] for why the trailer
-//! must be excluded), tying the pair together so a crash between the
-//! two renames is detected (and finished) on the next open instead of
-//! silently mixing generations. The trailing ID section persists the
-//! mutation-ID dedup ring: compaction deletes the WAL, so without it a
-//! retry that straddles a compaction would lose its duplicate guard.
-//! As with the WAL, version 2 is the only layout read.
+//! The first CRC32 covers the snapshot section before it; the envelope
+//! after it carries its own length frame and CRC trailer, checked when
+//! it is decoded, so each byte is hashed once on write and once on
+//! read. `next_seq` is the first WAL sequence number *not* folded into
+//! the envelope. The ID section persists the mutation-ID dedup ring:
+//! compaction deletes the WAL, so without it a retry that straddles a
+//! compaction would lose its duplicate guard. As with the WAL, one
+//! version (3) is read; any other is a typed corruption error.
 //!
 //! All file I/O in this module flows through the [`StoreIo`] trait
 //! ([`RealStoreIo`] in production), so a fault-injecting implementation
@@ -98,15 +101,15 @@ pub(crate) const WAL_VERSION: u32 = 2;
 /// Fixed bytes of a WAL record before its rectangles: magic, version,
 /// sequence number, the 16-byte mutation ID, and the two batch lengths.
 const WAL_HEADER_LEN: usize = 40;
-/// Magic prefix of a dataset snapshot (`<table>.base`) file.
+/// Magic prefix of a `<table>.base` file.
 pub(crate) const SNAPSHOT_MAGIC: u32 = 0x534a_5342; // "SJSB"
 /// Snapshot format version; bump on incompatible layout changes.
-/// Version 2 appended the mutation-ID dedup ring; snapshots of any
-/// other version are rejected.
-pub(crate) const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 carries the statistics envelope after the snapshot
+/// section; files of any other version are rejected.
+pub(crate) const SNAPSHOT_VERSION: u32 = 3;
 /// Fixed bytes of a snapshot before its rectangles: magic, version,
-/// sequence fence, paired-histogram CRC, and the rectangle count.
-const SNAPSHOT_HEADER_LEN: usize = 28;
+/// sequence fence, and the rectangle count.
+const SNAPSHOT_HEADER_LEN: usize = 24;
 /// How many applied mutation IDs each table remembers for retry
 /// deduplication. A retry lands within the client's bounded
 /// `RETRY_BACKOFF` window, so a ring this deep outlives any plausible
@@ -329,7 +332,7 @@ pub struct DeltaReceipt {
 pub struct CompactReceipt {
     /// Pending tiers folded into the base envelope.
     pub tiers_folded: usize,
-    /// Whether a new base `.hist` envelope was atomically swapped in
+    /// Whether a new `<table>.base` file was atomically swapped in
     /// (`false` when no statistics directory is attached).
     pub persisted: bool,
 }
@@ -405,7 +408,7 @@ impl PreparedDelta {
 /// three-phase compaction path (DESIGN.md §15).
 ///
 /// Produced under a shared catalog borrow by
-/// [`Catalog::plan_compaction`]; owns byte-exact copies of everything
+/// [`Catalog::plan_compaction`]; owns the exact bytes
 /// [`CompactionPlan::persist`] writes, so the fsync-heavy persistence
 /// runs without any catalog borrow. The caller must serialize
 /// mutations/compactions across the phases so the snapshot cannot go
@@ -414,15 +417,15 @@ pub struct CompactionPlan {
     table: String,
     io: Arc<dyn StoreIo>,
     dir: PathBuf,
-    hist_bytes: Vec<u8>,
-    snap_bytes: Vec<u8>,
+    /// The whole `<table>.base` file: snapshot section, then envelope.
+    bytes: Vec<u8>,
 }
 
 impl CompactionPlan {
-    /// Phase 2 of the compaction path: writes the compacted histogram
-    /// envelope and dataset snapshot (each write-new + fsync + atomic
-    /// rename), best-effort-syncs the directory, then removes the
-    /// now-folded WAL (tolerating its absence).
+    /// Phase 2 of the compaction path: writes `<table>.base.tmp`,
+    /// fsyncs it, atomically renames it over `<table>.base`,
+    /// best-effort-syncs the directory, then removes the now-folded WAL
+    /// (tolerating its absence).
     ///
     /// The operation order is load-bearing: the fault-injection matrix
     /// in `verify-recovery` kills the process at every one of these I/O
@@ -430,29 +433,18 @@ impl CompactionPlan {
     /// them changes the crash surface.
     ///
     /// # Errors
-    /// [`QueryError::Io`] on any filesystem failure; the old base pair
-    /// stays intact (every swap is write-new + rename) and the catalog
-    /// is unchanged until [`Catalog::finish_compaction`] runs.
+    /// [`QueryError::Io`] on any filesystem failure; the old base file
+    /// stays intact (the swap is write-new + rename) and the catalog is
+    /// unchanged until [`Catalog::finish_compaction`] runs.
     pub fn persist(&self) -> Result<(), QueryError> {
-        let name = &self.table;
-        let io = &self.io;
-        let dir = &self.dir;
-        let tmp = dir.join(format!("{name}.hist.tmp"));
-        let dst = dir.join(format!("{name}.hist"));
-        io.write(&tmp, &self.hist_bytes)
-            .map_err(|e| io_err("writing compacted statistics", &e))?;
+        let (io, dir, name) = (&self.io, &self.dir, &self.table);
+        let tmp = dir.join(format!("{name}.base.tmp"));
+        io.write(&tmp, &self.bytes)
+            .map_err(|e| io_err("writing compacted base", &e))?;
         io.sync_file(&tmp)
-            .map_err(|e| io_err("syncing compacted statistics", &e))?;
-        io.rename(&tmp, &dst)
-            .map_err(|e| io_err("swapping compacted statistics", &e))?;
-        let snap_tmp = dir.join(format!("{name}.base.tmp"));
-        let snap_dst = dir.join(format!("{name}.base"));
-        io.write(&snap_tmp, &self.snap_bytes)
-            .map_err(|e| io_err("writing dataset snapshot", &e))?;
-        io.sync_file(&snap_tmp)
-            .map_err(|e| io_err("syncing dataset snapshot", &e))?;
-        io.rename(&snap_tmp, &snap_dst)
-            .map_err(|e| io_err("swapping dataset snapshot", &e))?;
+            .map_err(|e| io_err("syncing compacted base", &e))?;
+        io.rename(&tmp, &dir.join(format!("{name}.base")))
+            .map_err(|e| io_err("swapping compacted base", &e))?;
         let _ = io.sync_dir(dir);
         match io.remove(&dir.join(format!("{name}.wal"))) {
             Ok(()) => {}
@@ -490,10 +482,10 @@ pub struct WalRecovery {
     pub torn_tails: usize,
     /// Records skipped because a snapshot's sequence fence showed them
     /// already folded into the compacted base (a stale WAL left by a
-    /// crash between the snapshot swap and the WAL unlink).
+    /// crash between the base file swap and the WAL unlink).
     pub skipped: usize,
     /// Tables whose dataset and statistics were installed from a
-    /// compaction snapshot (`<table>.base`), superseding whatever the
+    /// compacted base (`<table>.base`), superseding whatever the
     /// caller registered them with.
     pub installed: usize,
     /// Records skipped because their [`MutationId`] was already applied
@@ -699,28 +691,28 @@ fn le_rects(data: &[u8], at: usize, n: usize) -> Option<Vec<Rect>> {
         .collect()
 }
 
-/// A decoded dataset snapshot: the exact rectangles the paired
-/// compacted histogram describes, plus the data fencing the stale part
-/// of a surviving WAL off the already-folded part.
-struct Snapshot {
-    /// First WAL sequence number *not* folded into the paired base.
+/// A decoded `<table>.base` file: the exact rectangles the compacted
+/// statistics describe, the data fencing the stale part of a surviving
+/// WAL off the already-folded part, and the statistics envelope itself.
+struct Snapshot<'a> {
+    /// First WAL sequence number *not* folded into the envelope.
     next_seq: u64,
-    /// [`hist_pair_crc`] of the `<table>.hist` bytes written by the
-    /// same compaction.
-    hist_crc: u32,
     rects: Vec<Rect>,
     /// The mutation-ID dedup ring at compaction time, oldest first.
     ids: Vec<MutationId>,
+    /// The statistics envelope after the snapshot section, checked by
+    /// its own length frame and CRC trailer when it is decoded.
+    envelope: &'a [u8],
 }
 
-/// Encodes a dataset snapshot (`<table>.base`).
-fn encode_snapshot(next_seq: u64, hist_crc: u32, rects: &[Rect], ids: &[MutationId]) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(SNAPSHOT_HEADER_LEN + rects.len() * 32 + 4 + ids.len() * 16 + 4);
+/// Encodes a `<table>.base` file: the snapshot section and its CRC32,
+/// then the statistics envelope.
+fn encode_snapshot(next_seq: u64, rects: &[Rect], ids: &[MutationId], envelope: &[u8]) -> Vec<u8> {
+    let section = SNAPSHOT_HEADER_LEN + rects.len() * 32 + 4 + ids.len() * 16 + 4;
+    let mut buf = Vec::with_capacity(section + envelope.len());
     buf.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
     buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     buf.extend_from_slice(&next_seq.to_le_bytes());
-    buf.extend_from_slice(&hist_crc.to_le_bytes());
     buf.extend_from_slice(&(rects.len() as u64).to_le_bytes());
     for r in rects {
         for v in [r.xlo, r.ylo, r.xhi, r.yhi] {
@@ -734,13 +726,16 @@ fn encode_snapshot(next_seq: u64, hist_crc: u32, rects: &[Rect], ids: &[Mutation
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
+    buf.extend_from_slice(envelope);
     buf
 }
 
-/// Decodes a dataset snapshot. Unlike the WAL, a snapshot is written
-/// atomically (write-new + rename), so *any* damage — truncation, bad
-/// magic, failed CRC — is a typed corruption error, never tolerated.
-fn decode_snapshot(data: &[u8]) -> Result<Snapshot, QueryError> {
+/// Decodes the snapshot section of a `<table>.base` file and returns
+/// the envelope after it undecoded. Unlike the WAL, the file is written
+/// atomically (write-new + rename), so *any* damage to the section —
+/// truncation, bad magic, failed CRC — is a typed corruption error,
+/// never tolerated; damage to the envelope is caught when it decodes.
+fn decode_snapshot(data: &[u8]) -> Result<Snapshot<'_>, QueryError> {
     let corrupt = |detail: String| {
         QueryError::Histogram(HistogramError::corrupt(
             CorruptSection::Payload,
@@ -759,8 +754,7 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot, QueryError> {
         return Err(corrupt(format!("has unsupported version {version}")));
     }
     let next_seq = le_u64(data, 8).unwrap_or(0);
-    let hist_crc = le_u32(data, 16).unwrap_or(0);
-    let n = usize::try_from(le_u64(data, 20).unwrap_or(0))
+    let n = usize::try_from(le_u64(data, 16).unwrap_or(0))
         .map_err(|_| corrupt("declares an absurd rectangle count".to_string()))?;
     let Some(rects_end) = n
         .checked_mul(32)
@@ -775,18 +769,14 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot, QueryError> {
     let Some(body_len) = rects_end.checked_add(4 + n_ids * 16) else {
         return Err(corrupt("declares an absurd mutation-ID count".to_string()));
     };
-    if body_len.checked_add(4) != Some(data.len()) {
+    let (Some(body), Some(stored)) = (data.get(..body_len), le_u32(data, body_len)) else {
         return Err(corrupt(format!(
-            "length mismatch: {n} rectangles and {n_ids} mutation IDs need {} bytes, \
+            "is truncated: {n} rectangles and {n_ids} mutation IDs need {} bytes, \
              file has {}",
             body_len + 4,
             data.len()
         )));
-    }
-    let body = data
-        .get(..body_len)
-        .ok_or_else(|| corrupt("slice out of bounds".to_string()))?;
-    let stored = le_u32(data, body_len).unwrap_or(0);
+    };
     let computed = crc32(body);
     if stored != computed {
         return Err(corrupt(format!(
@@ -805,33 +795,10 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot, QueryError> {
     }
     Ok(Snapshot {
         next_seq,
-        hist_crc,
         rects,
         ids,
+        envelope: data.get(body_len + 4..).unwrap_or_default(),
     })
-}
-
-/// The CRC binding a snapshot to its paired histogram file. Histogram
-/// envelopes end with their own CRC32 trailer, and any message suffixed
-/// with its own CRC has the same constant overall CRC (the residue
-/// property), so hashing the whole file could not tell one generation
-/// from another — hash everything *before* the trailer instead.
-fn hist_pair_crc(hist_bytes: &[u8]) -> u32 {
-    let end = hist_bytes.len().saturating_sub(4);
-    crc32(hist_bytes.get(..end).unwrap_or(hist_bytes))
-}
-
-/// [`hist_pair_crc`] of an envelope freshly written by `persist()`,
-/// read from its trailer: that trailer is the CRC32 of exactly the bytes
-/// before it, so re-hashing them would only recompute it. Files read
-/// back from disk must be hashed with [`hist_pair_crc`] instead — their
-/// trailer is what is being checked.
-fn persisted_pair_crc(hist_bytes: &[u8]) -> u32 {
-    let trailer = hist_bytes.len().saturating_sub(4);
-    hist_bytes
-        .get(trailer..)
-        .and_then(|t| <[u8; 4]>::try_from(t).ok())
-        .map_or_else(|| hist_pair_crc(hist_bytes), u32::from_le_bytes)
 }
 
 /// Resolves each delete of a batch to one live dataset row in a single
@@ -919,28 +886,27 @@ impl Catalog {
     /// Attaches a statistics directory and recovers each registered
     /// table to its exact pre-shutdown state:
     ///
-    /// 1. When a compaction snapshot (`<table>.base`) exists, its
-    ///    dataset and the paired `<table>.hist` statistics are installed
-    ///    over whatever the caller registered — after a compaction has
-    ///    folded inserts into the base, the original source files no
-    ///    longer describe the statistics, so the snapshot is the only
-    ///    trustworthy base state. A crash that interrupted the
-    ///    compaction between its two renames is detected by the
-    ///    snapshot's recorded histogram CRC and finished here.
+    /// 1. When a compacted base (`<table>.base`) exists, the dataset
+    ///    and statistics it carries are installed over whatever the
+    ///    caller registered — after a compaction has folded inserts into
+    ///    the base, the original source files no longer describe the
+    ///    statistics, so the base file is the only trustworthy state.
     /// 2. Pending WAL records then re-apply their insert/delete batches
-    ///    (without re-logging); records the snapshot's sequence fence
+    ///    (without re-logging); records the base file's sequence fence
     ///    shows as already folded are skipped.
     ///
     /// Also directs future [`Catalog::apply_delta`] calls to log to
     /// `<dir>/<table>.wal` and future compactions to atomically rewrite
-    /// the `<dir>/<table>.hist` + `<dir>/<table>.base` pair.
+    /// `<dir>/<table>.base`. A saved `<dir>/<table>.hist` is only ever
+    /// read by the caller's registration, never written.
     ///
     /// # Errors
     /// [`QueryError::Io`] on filesystem failures, or a typed corruption
-    /// error when a WAL record before the tail fails its checksum, a
-    /// snapshot is damaged, or a snapshot and its paired statistics
-    /// disagree. A torn final WAL record (crash mid-append) is tolerated
-    /// and counted in the returned [`WalRecovery`].
+    /// error when a WAL record before the tail fails its checksum, or a
+    /// base file is damaged or its statistics do not cover its dataset.
+    /// A base file of another family or grid is a typed mismatch. A
+    /// torn final WAL record (crash mid-append) is tolerated and counted
+    /// in the returned [`WalRecovery`].
     pub fn open_stats_store(
         &mut self,
         dir: impl AsRef<Path>,
@@ -979,32 +945,20 @@ impl Catalog {
             let mut fence = None;
             let base_path = dir.join(format!("{name}.base"));
             if io.exists(&base_path) {
-                let snap_bytes = io
+                let bytes = io
                     .read(&base_path)
-                    .map_err(|e| io_err("reading dataset snapshot", &e))?;
-                let snapshot = decode_snapshot(&snap_bytes)?;
-                let hist_bytes = io
-                    .read(&dir.join(format!("{name}.hist")))
-                    .map_err(|e| io_err("reading snapshotted base statistics", &e))?;
+                    .map_err(|e| io_err("reading compacted base", &e))?;
+                let snapshot = decode_snapshot(&bytes)?;
+                let histogram = self.decode_statistics(snapshot.rects.len(), snapshot.envelope)?;
                 recovery.installed += 1;
-                if hist_pair_crc(&hist_bytes) == snapshot.hist_crc {
-                    let histogram = self.decode_statistics(snapshot.rects.len(), &hist_bytes)?;
-                    self.install_base(
-                        &name,
-                        snapshot.rects,
-                        histogram,
-                        snapshot.next_seq,
-                        &snapshot.ids,
-                    );
-                    fence = Some(snapshot.next_seq);
-                } else {
-                    // Crash between the histogram swap and the snapshot
-                    // swap: the histogram is one fold AHEAD of the
-                    // snapshot, and the WAL still holds the batches that
-                    // fold consumed.
-                    self.recover_mid_compaction(&name, dir, snapshot, &hist_bytes, &mut recovery)?;
-                    continue;
-                }
+                self.install_base(
+                    &name,
+                    snapshot.rects,
+                    histogram,
+                    snapshot.next_seq,
+                    &snapshot.ids,
+                );
+                fence = Some(snapshot.next_seq);
             }
             let wal = dir.join(format!("{name}.wal"));
             if !io.exists(&wal) {
@@ -1016,8 +970,8 @@ impl Catalog {
             // With no snapshot the WAL's base state is the registered
             // dataset itself. Replay needs live statistics to apply
             // batches to, so if registration left them unusable (e.g. a
-            // lenient registration over a half-compacted histogram),
-            // rebuild them from that dataset.
+            // lenient registration over a stale or damaged saved
+            // `.hist`), rebuild them from that dataset.
             if !records.is_empty() && fence.is_none() {
                 self.ensure_stats_ready(&name);
             }
@@ -1043,8 +997,8 @@ impl Catalog {
         Ok(recovery)
     }
 
-    /// Installs a recovered base state: the snapshot's dataset, the
-    /// paired statistics, a reset lazy index, the sequence fence, and
+    /// Installs a recovered base state: the base file's dataset and
+    /// statistics, a reset lazy index, the sequence fence, and
     /// the snapshotted mutation-ID dedup ring — with no pending tiers
     /// (the base is, by construction, compacted).
     fn install_base(
@@ -1093,72 +1047,6 @@ impl Catalog {
         }
     }
 
-    /// Finishes a compaction that crashed between renaming the new
-    /// histogram and renaming its snapshot: the on-disk histogram
-    /// already contains the folded batches, the snapshot is one fold
-    /// behind, and the WAL still holds exactly the batches in between.
-    /// Reconstructs the dataset by applying those batches (dataset
-    /// only — the statistics come from the new histogram wholesale),
-    /// cross-checks the result against the histogram's cardinality, and
-    /// re-runs the compaction to leave the directory consistent.
-    fn recover_mid_compaction(
-        &mut self,
-        name: &str,
-        dir: &Path,
-        snapshot: Snapshot,
-        hist_bytes: &[u8],
-        recovery: &mut WalRecovery,
-    ) -> Result<(), QueryError> {
-        let corrupt = |detail: String| {
-            QueryError::Histogram(HistogramError::corrupt(CorruptSection::Payload, detail))
-        };
-        let io = Arc::clone(&self.store.io);
-        let wal_path = dir.join(format!("{name}.wal"));
-        if !io.exists(&wal_path) {
-            return Err(corrupt(format!(
-                "snapshot for table {name:?} does not match its base statistics \
-                 and no WAL remains to reconcile them"
-            )));
-        }
-        let data = io.read(&wal_path).map_err(|e| io_err("reading WAL", &e))?;
-        let (records, torn) = decode_wal(&data)?;
-        recovery.torn_tails += torn;
-        let mut rects = snapshot.rects;
-        let mut next_seq = snapshot.next_seq;
-        let mut ids = snapshot.ids;
-        for record in &records {
-            if record.seq < snapshot.next_seq {
-                recovery.skipped += 1;
-                continue;
-            }
-            // Mirror commit_prepared exactly: the same delete
-            // resolution, order preserved, inserts appended — so the
-            // reconstructed dataset is byte-for-byte what the crashed
-            // process held.
-            let live = resolve_deletes(&rects, &record.deletes).map_err(|_| {
-                corrupt(format!(
-                    "WAL batch {} deletes a rectangle absent from table {name:?}'s \
-                     snapshotted dataset",
-                    record.seq
-                ))
-            })?;
-            let mut keep = live.into_iter();
-            rects.retain(|_| keep.next().unwrap_or(true));
-            rects.extend_from_slice(&record.inserts);
-            next_seq = record.seq + 1;
-            if record.id.is_stamped() {
-                ids.push(record.id);
-            }
-            recovery.replayed += 1;
-        }
-        let histogram = self.decode_statistics(rects.len(), hist_bytes)?;
-        self.install_base(name, rects, histogram, next_seq, &ids);
-        // Resume the interrupted compaction: rewrite the snapshot to
-        // pair with the already-swapped histogram and drop the WAL.
-        self.compact(name)?;
-        Ok(())
-    }
-
     /// The active compaction policy.
     #[must_use]
     pub fn compaction_policy(&self) -> CompactionPolicy {
@@ -1180,9 +1068,11 @@ impl Catalog {
     /// # Errors
     /// [`QueryError::UnknownTable`] for unregistered names;
     /// [`QueryError::StatisticsUnavailable`] when the table carries no
-    /// usable statistics; [`QueryError::DeleteNotFound`] when a delete
-    /// rectangle matches no object; [`QueryError::Io`] on WAL append
-    /// failures; [`QueryError::Histogram`] when the delta cannot apply.
+    /// usable statistics; [`QueryError::InvalidRect`] when a rectangle
+    /// is non-finite, inverted or outside the catalog extent;
+    /// [`QueryError::DeleteNotFound`] when a delete rectangle matches no
+    /// object; [`QueryError::Io`] on WAL append failures;
+    /// [`QueryError::Histogram`] when the delta cannot apply.
     pub fn apply_delta(
         &mut self,
         name: &str,
@@ -1299,6 +1189,15 @@ impl Catalog {
                 table: name.to_string(),
                 reason: reason.clone(),
             });
+        }
+        // Registration's strict rule, on every rectangle of the batch.
+        for (index, r) in inserts.iter().chain(deletes).enumerate() {
+            sj_geo::check_raw_rect((r.xlo, r.ylo, r.xhi, r.yhi), Some(&self.config.extent))
+                .map_err(|issue| QueryError::InvalidRect {
+                    table: name.to_string(),
+                    index,
+                    issue,
+                })?;
         }
         // Resolve each delete to one currently-live object, first match
         // wins; duplicates in the batch consume duplicates in the data.
@@ -1418,21 +1317,18 @@ impl Catalog {
         })
     }
 
-    /// Folds a table's pending delta tiers into its base envelope. The
+    /// Folds a table's pending delta tiers into its compacted base. The
     /// live histogram already *is* base ⊕ pending deltas, so folding
-    /// persists it: the effective envelope is written to
-    /// `<dir>/<table>.hist.tmp` and atomically renamed over
-    /// `<dir>/<table>.hist`, a dataset snapshot is swapped into
-    /// `<dir>/<table>.base` the same way, the WAL is deleted, and the
-    /// tiers are cleared. Without an attached statistics directory only
-    /// the in-memory tiers are cleared.
+    /// persists it: the dataset snapshot and the effective envelope are
+    /// written to `<dir>/<table>.base.tmp` and atomically renamed over
+    /// `<dir>/<table>.base`, the WAL is deleted, and the tiers are
+    /// cleared. Without an attached statistics directory only the
+    /// in-memory tiers are cleared.
     ///
     /// A crash anywhere in that sequence recovers exactly on the next
-    /// [`Catalog::open_stats_store`]: before the histogram rename the
-    /// old hist/base pair plus the WAL reproduce the state; between the
-    /// two renames the snapshot's recorded histogram CRC no longer
-    /// matches and the fold is finished from the surviving WAL; after
-    /// the snapshot rename a stale WAL is fenced off by sequence number.
+    /// [`Catalog::open_stats_store`]: before the rename the old base (if
+    /// any) plus the WAL reproduce the state; after it a stale WAL is
+    /// fenced off by the new base's sequence number.
     ///
     /// # Errors
     /// [`QueryError::UnknownTable`] for unregistered names;
@@ -1453,10 +1349,9 @@ impl Catalog {
         Ok(self.finish_compaction(name, persisted))
     }
 
-    /// Phase 1 of the compaction path: snapshots everything
-    /// [`CompactionPlan::persist`] will write — the effective histogram
-    /// envelope and the dataset snapshot bytes — under a shared catalog
-    /// borrow. Returns `Ok(None)` when there is nothing to persist (no
+    /// Phase 1 of the compaction path: encodes the `<table>.base` file
+    /// [`CompactionPlan::persist`] will write — the dataset snapshot and
+    /// the effective histogram envelope — under a shared catalog borrow. Returns `Ok(None)` when there is nothing to persist (no
     /// statistics directory attached, or the table's statistics are
     /// unavailable); the caller still runs
     /// [`Catalog::finish_compaction`] to clear the in-memory tiers.
@@ -1481,24 +1376,22 @@ impl Catalog {
         let (Some(dir), StatsState::Ready(h)) = (&self.store.dir, table.stats()) else {
             return Ok(None);
         };
-        // fsync before each rename (in persist): rename is atomic in
+        // fsync before the rename (in persist): rename is atomic in
         // the namespace, but renaming a file whose data is still in the
         // page cache lets a power loss surface a torn target — the one
         // corruption the write-new + rename contract promises readers
         // never see.
-        let hist_bytes = h.histogram().persist().to_vec();
-        let snap_bytes = encode_snapshot(
+        let bytes = encode_snapshot(
             next_seq,
-            persisted_pair_crc(&hist_bytes),
             &table.dataset.rects,
             &ids,
+            &h.histogram().persist(),
         );
         Ok(Some(CompactionPlan {
             table: name.to_string(),
             io: Arc::clone(&self.store.io),
             dir: dir.clone(),
-            hist_bytes,
-            snap_bytes,
+            bytes,
         }))
     }
 
@@ -1611,6 +1504,54 @@ mod tests {
         assert!(c.stats_provenance("t").unwrap().is_compacted());
     }
 
+    /// A mutation batch obeys registration's strict rule: every
+    /// [`sj_geo::RectIssue`], as an insert or a delete, in every family,
+    /// is a typed error naming the batch position (inserts first), and
+    /// nothing is applied, logged or evicted from the pair memo.
+    #[test]
+    fn invalid_rectangles_are_typed_and_mutate_nothing() {
+        use sj_geo::RectIssue;
+        let r = |xlo: f64, ylo: f64, xhi: f64, yhi: f64| Rect { xlo, ylo, xhi, yhi };
+        let cases = [
+            (
+                r(0.1, 0.1, f64::INFINITY, 0.2),
+                RectIssue::NonFinite { field: "xhi" },
+            ),
+            (
+                r(f64::NAN, 0.1, 0.2, 0.2),
+                RectIssue::NonFinite { field: "xlo" },
+            ),
+            (r(0.3, 0.1, 0.2, 0.2), RectIssue::Inverted { axis: 'x' }),
+            (r(0.1, 0.3, 0.2, 0.25), RectIssue::Inverted { axis: 'y' }),
+            (r(5.0, 5.0, 6.0, 6.0), RectIssue::OutOfExtent),
+        ];
+        let good = Rect::new(0.1, 0.1, 0.2, 0.2);
+        for kind in HistogramKind::ALL {
+            let dir = temp_dir(&format!("invalid_{kind}"));
+            let mut c = catalog_with("t", 10, kind);
+            c.open_stats_store(&dir, CompactionPolicy::default())
+                .unwrap();
+            c.primary_estimate("t", "t").unwrap();
+            let before = c.histogram("t").unwrap().to_bytes();
+            for (bad, issue) in cases {
+                let want = QueryError::InvalidRect {
+                    table: "t".to_string(),
+                    index: 1,
+                    issue,
+                };
+                let as_insert = c.apply_delta("t", &[good, bad], &[]).unwrap_err();
+                assert_eq!(as_insert, want, "{kind}: insert {bad:?}");
+                let as_delete = c.apply_delta("t", &[good], &[bad]).unwrap_err();
+                assert_eq!(as_delete, want, "{kind}: delete {bad:?}");
+            }
+            assert_eq!(c.histogram("t").unwrap().to_bytes(), before, "{kind}");
+            assert_eq!(c.table_len("t").unwrap(), 10, "{kind}");
+            assert!(c.memo_holds("t", "t"), "{kind}: memo evicted");
+            assert!(!dir.join("t.wal").exists(), "{kind}: WAL written");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn duplicate_objects_are_deleted_one_per_delete() {
         let r = Rect::new(0.2, 0.2, 0.3, 0.3);
@@ -1689,17 +1630,6 @@ mod tests {
         );
     }
 
-    /// The pair CRC a compaction takes from the trailer `persist()` just
-    /// wrote equals re-hashing the envelope, for every family.
-    #[test]
-    fn persisted_pair_crc_equals_rehashing_every_kind() {
-        let grid = sj_histogram::Grid::new(4, Extent::unit()).unwrap();
-        for kind in HistogramKind::ALL {
-            let bytes = build_histogram(kind, grid, &rects(30, 0.1)).persist();
-            assert_eq!(persisted_pair_crc(&bytes), hist_pair_crc(&bytes), "{kind}");
-        }
-    }
-
     #[test]
     fn tiers_accumulate_and_policy_compacts() {
         let mut c = catalog_with("t", 30, HistogramKind::Gh);
@@ -1735,11 +1665,13 @@ mod tests {
             !dir.join("t.wal").exists(),
             "compaction must delete the WAL"
         );
-        assert!(dir.join("t.hist").exists());
-        assert!(!dir.join("t.hist.tmp").exists(), "swap must be atomic");
+        assert!(
+            !dir.join("t.hist").exists(),
+            "compaction writes only the base file"
+        );
         assert!(
             dir.join("t.base").exists(),
-            "compaction must snapshot the dataset"
+            "compaction must write the base file"
         );
         assert!(!dir.join("t.base.tmp").exists(), "swap must be atomic");
         std::fs::remove_dir_all(&dir).ok();
@@ -1791,54 +1723,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Crash between the histogram swap and the snapshot swap: the
-    /// snapshot's recorded CRC no longer matches the histogram, and the
-    /// fold is reconstructed from the surviving WAL and finished.
-    #[test]
-    fn crash_between_histogram_and_snapshot_swap_is_finished_on_open() {
-        let dir = temp_dir("midcompact");
-        let mut c1 = catalog_with("t", 30, HistogramKind::Gh);
-        c1.open_stats_store(&dir, CompactionPolicy::default())
-            .unwrap();
-        c1.apply_delta("t", &rects(5, 0.1), &[]).unwrap();
-        c1.compact("t").unwrap();
-        // One more mixed batch, then a compaction that "crashes" after
-        // swapping the histogram but before swapping the snapshot:
-        // simulated by overwriting the base with the live histogram
-        // while keeping the old snapshot and the WAL.
-        let del: Vec<Rect> = rects(30, 0.0).into_iter().step_by(11).collect();
-        c1.apply_delta("t", &rects(4, 0.2), &del).unwrap();
-        let expected = c1.histogram("t").unwrap().to_bytes();
-        let expected_rects = c1.dataset("t").unwrap().rects.clone();
-        std::fs::write(dir.join("t.hist"), c1.histogram("t").unwrap().persist()).unwrap();
-        drop(c1);
-
-        let mut c2 = Catalog::with_kind(HistogramKind::Gh, 4);
-        c2.register_deferred(Dataset::new("t", Extent::unit(), rects(30, 0.0)))
-            .unwrap();
-        let recovery = c2
-            .open_stats_store(&dir, CompactionPolicy::default())
-            .unwrap();
-        assert_eq!(recovery.installed, 1);
-        assert_eq!(recovery.replayed, 1);
-        assert_eq!(c2.dataset("t").unwrap().rects, expected_rects);
-        assert_eq!(c2.histogram("t").unwrap().to_bytes(), expected);
-        // The interrupted compaction was finished: the WAL is gone and
-        // the snapshot now pairs with the histogram, so a further
-        // reopen has nothing to replay.
-        assert!(!dir.join("t.wal").exists());
-        let mut c3 = Catalog::with_kind(HistogramKind::Gh, 4);
-        c3.register_deferred(Dataset::new("t", Extent::unit(), rects(30, 0.0)))
-            .unwrap();
-        let r3 = c3
-            .open_stats_store(&dir, CompactionPolicy::default())
-            .unwrap();
-        assert_eq!((r3.replayed, r3.skipped), (0, 0));
-        assert_eq!(c3.histogram("t").unwrap().to_bytes(), expected);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Crash between the snapshot swap and the WAL unlink: the folded
+    /// Crash between the base file swap and the WAL unlink: the folded
     /// WAL survives, and every record in it is fenced off by sequence
     /// number instead of being applied twice.
     #[test]
@@ -1866,10 +1751,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A first-ever compaction crashing between its renames leaves a
-    /// folded histogram with no snapshot at all; the WAL then still
-    /// holds every batch since registration, so rebuilding statistics
-    /// from the registered dataset and replaying recovers exactly.
+    /// A saved `.hist` that is stale (here: it already covers the WAL's
+    /// batch) or damaged next to a WAL and no base file: the WAL holds
+    /// every batch since registration, so rebuilding statistics from the
+    /// registered dataset and replaying recovers exactly.
     #[test]
     fn half_compacted_histogram_without_snapshot_recovers_from_source() {
         let dir = temp_dir("firstcrash");
@@ -1881,8 +1766,8 @@ mod tests {
         std::fs::write(dir.join("t.hist"), c1.histogram("t").unwrap().persist()).unwrap();
         drop(c1);
 
-        // A lenient registration rejects the half-compacted histogram
-        // (it covers 25 objects, the source has 20) ...
+        // A lenient registration rejects the stale histogram (it covers
+        // 25 objects, the source has 20) ...
         let mut c2 = Catalog::with_kind(HistogramKind::Gh, 4);
         let reason = c2
             .register_with_statistics_lenient(
@@ -1902,8 +1787,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Snapshots are swapped atomically, so unlike the WAL any damage —
-    /// a flipped byte, a short file — is a typed error, never tolerated.
+    /// Base files are swapped atomically, so unlike the WAL any damage —
+    /// a flipped byte, a short file — is a typed error, never tolerated,
+    /// and so is the retired version-2 layout (a snapshot paired with a
+    /// separate `.hist` by CRC), sealed with a valid checksum.
     #[test]
     fn corrupt_snapshot_is_a_typed_error() {
         let dir = temp_dir("badsnap");
@@ -1915,42 +1802,64 @@ mod tests {
         drop(c1);
         let good = std::fs::read(dir.join("t.base")).unwrap();
 
-        let reopen = |dir: &std::path::Path| {
-            let mut c = Catalog::with_kind(HistogramKind::Gh, 4);
-            c.register_deferred(Dataset::new("t", Extent::unit(), rects(20, 0.0)))
-                .unwrap();
-            c.open_stats_store(dir, CompactionPolicy::default())
-        };
         let mut flipped = good.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
-        std::fs::write(dir.join("t.base"), &flipped).unwrap();
-        let err = reopen(&dir).unwrap_err();
-        assert!(
-            matches!(err, QueryError::Histogram(HistogramError::Corrupt { .. })),
-            "flipped snapshot byte must be typed, got {err:?}"
-        );
+        // Version 2: the same fields with a `hist_crc` after `next_seq`
+        // and nothing after the section's own CRC32.
+        let n = usize::try_from(u64::from_le_bytes(good[16..24].try_into().unwrap())).unwrap();
+        let section = SNAPSHOT_HEADER_LEN + n * 32 + 4;
+        let mut v2 = good[..16].to_vec();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&0u32.to_le_bytes());
+        v2.extend_from_slice(&good[16..section]);
+        let crc = crc32(&v2);
+        v2.extend_from_slice(&crc.to_le_bytes());
+        for (what, bytes) in [
+            ("flipped byte", flipped),
+            ("truncated", good[..good.len() - 9].to_vec()),
+            ("version 2", v2),
+        ] {
+            std::fs::write(dir.join("t.base"), &bytes).unwrap();
+            let mut c = Catalog::with_kind(HistogramKind::Gh, 4);
+            c.register_deferred(Dataset::new("t", Extent::unit(), rects(20, 0.0)))
+                .unwrap();
+            let err = c
+                .open_stats_store(&dir, CompactionPolicy::default())
+                .unwrap_err();
+            assert!(
+                matches!(err, QueryError::Histogram(HistogramError::Corrupt { .. })),
+                "{what} base file must be typed, got {err:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        std::fs::write(dir.join("t.base"), &good[..good.len() - 9]).unwrap();
-        let err = reopen(&dir).unwrap_err();
-        assert!(
-            matches!(err, QueryError::Histogram(HistogramError::Corrupt { .. })),
-            "truncated snapshot must be typed, got {err:?}"
-        );
-
-        // The retired version-1 layout (no mutation-ID section),
-        // CRC-sealed, is rejected like any unknown version.
-        let n = usize::try_from(u64::from_le_bytes(good[20..28].try_into().unwrap())).unwrap();
-        let mut v1 = good[..SNAPSHOT_HEADER_LEN + n * 32].to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let crc = crc32(&v1);
-        v1.extend_from_slice(&crc.to_le_bytes());
-        std::fs::write(dir.join("t.base"), &v1).unwrap();
-        let err = reopen(&dir).unwrap_err();
-        assert!(
-            matches!(err, QueryError::Histogram(HistogramError::Corrupt { .. })),
-            "version-1 snapshot must be typed, got {err:?}"
-        );
+    /// The version-3 base file is pinned by length and by the CRC32 of
+    /// everything before its final trailer (as `format_golden.rs` pins
+    /// `.hist` envelopes): the snapshot section, its CRC32 and the
+    /// envelope, for a fixed table after one stamped batch.
+    #[test]
+    fn base_file_layout_is_byte_stable() {
+        let dir = temp_dir("golden");
+        let mut c = Catalog::with_kind(HistogramKind::Gh, 1);
+        c.register(Dataset::new("t", Extent::unit(), rects(6, 0.0)))
+            .unwrap();
+        c.open_stats_store(&dir, CompactionPolicy::default())
+            .unwrap();
+        c.apply_delta_idempotent("t", &rects(2, 0.1), &[], MutationId::new(7, 1))
+            .unwrap();
+        c.compact("t").unwrap();
+        let bytes = std::fs::read(dir.join("t.base")).unwrap();
+        let envelope = c.histogram("t").unwrap().persist();
+        let section = bytes.len() - envelope.len();
+        assert_eq!(section, SNAPSHOT_HEADER_LEN + 8 * 32 + 4 + 16 + 4);
+        assert_eq!(&bytes[section..], &envelope[..]);
+        let snapshot = decode_snapshot(&bytes).unwrap();
+        assert_eq!(snapshot.next_seq, 1);
+        assert_eq!(snapshot.ids, vec![MutationId::new(7, 1)]);
+        let pinned = (bytes.len(), crc32(&bytes[..bytes.len() - 4]));
+        assert_eq!(pinned, (584, 0x68f5_17ed), "v3 base bytes drifted");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2295,16 +2204,13 @@ mod tests {
             ops,
             vec![
                 "append t.wal",
-                "write t.hist.tmp",
-                "sync t.hist.tmp",
-                "rename t.hist",
                 "write t.base.tmp",
                 "sync t.base.tmp",
                 "rename t.base",
                 "syncdir sj_store_test_synced",
                 "remove t.wal",
             ],
-            "every tmp file must be fsynced before its rename"
+            "one file, fsynced before its rename; no `.hist` is touched"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -425,9 +425,11 @@ fn serve_opcode<S: StatisticsService>(
 /// Parses the shared `insert-batch`/`delete-batch` request payload
 /// (wire v3): table name, mutation-id token and sequence (all-zero =
 /// unstamped, no dedup), rectangle count, then that many `(xlo, ylo,
-/// xhi, yhi)` quadruples. The 16 MiB frame cap already bounds the
-/// count; the capacity pre-allocation is clamped anyway so a lying
-/// prefix cannot balloon memory before the reader hits truncation.
+/// xhi, yhi)` quadruples, kept raw (not normalized by [`Rect::new`]) so
+/// the catalog's validation sees exactly what the peer sent. The 16 MiB
+/// frame cap already bounds the count; the capacity pre-allocation is
+/// clamped anyway so a lying prefix cannot balloon memory before the
+/// reader hits truncation.
 fn read_mutation(
     r: &mut PayloadReader<'_>,
 ) -> Result<(String, MutationId, Vec<Rect>), RequestError> {
@@ -436,8 +438,8 @@ fn read_mutation(
     let n = r.u32()? as usize;
     let mut rects = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        let (x0, y0, x1, y1) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-        rects.push(Rect::new(x0, y0, x1, y1));
+        let (xlo, ylo, xhi, yhi) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+        rects.push(Rect { xlo, ylo, xhi, yhi });
     }
     r.finish()?;
     Ok((table, id, rects))
@@ -659,6 +661,45 @@ mod tests {
         let (resp, _) = handle_request(&Stub, &Frame::request(Opcode::DeleteBatch, p));
         assert_eq!(resp.opcode, Opcode::DeleteBatch.response());
         assert_eq!(status_of(&resp), status::INVALID_DATA);
+    }
+
+    /// Rectangles reach the catalog exactly as sent: a NaN, infinite,
+    /// inverted or out-of-extent one is refused with INVALID_DATA, and
+    /// the table's statistics and pair memo are left as they were.
+    #[test]
+    fn invalid_mutation_rectangles_are_refused_and_apply_nothing() {
+        use crate::service::CatalogService;
+        use sj_core::sync::OrderedRwLock;
+        use sj_query::{Catalog, DegradationPolicy};
+        let mut catalog = Catalog::with_level(3);
+        let rects = vec![Rect::new(0.1, 0.1, 0.3, 0.3), Rect::new(0.5, 0.5, 0.7, 0.6)];
+        catalog
+            .register(sj_datagen::Dataset::new("t", sj_geo::Extent::unit(), rects))
+            .unwrap();
+        let catalog = std::sync::Arc::new(OrderedRwLock::new(LockRank::Catalog, "test", catalog));
+        let service = CatalogService::new(
+            std::sync::Arc::clone(&catalog),
+            DegradationPolicy::default(),
+        );
+        service.estimate("t", "t").unwrap();
+        let before = catalog.read().histogram("t").unwrap().to_bytes();
+        for quad in [
+            (f64::NAN, 0.1, 0.2, 0.2),
+            (0.1, 0.1, f64::INFINITY, 0.2),
+            (0.3, 0.1, 0.2, 0.2),
+            (0.1, 0.3, 0.2, 0.2),
+            (5.0, 5.0, 6.0, 6.0),
+        ] {
+            for op in [Opcode::InsertBatch, Opcode::DeleteBatch] {
+                let p = mutation_payload("t", MutationId::UNSTAMPED, &[(0.1, 0.1, 0.2, 0.2), quad]);
+                let (resp, _) = handle_request(&service, &Frame::request(op, p));
+                assert_eq!(status_of(&resp), status::INVALID_DATA, "{op:?} {quad:?}");
+            }
+        }
+        let after = catalog.read();
+        assert_eq!(after.histogram("t").unwrap().to_bytes(), before);
+        assert_eq!(after.table_len("t").unwrap(), 2);
+        assert!(after.memo_holds("t", "t"), "the pair memo must survive");
     }
 
     #[test]

@@ -149,7 +149,9 @@ impl ServiceError {
             QueryError::EstimatorsExhausted(_) => status::EXHAUSTED,
             QueryError::StatisticsUnavailable { .. } => status::CORRUPT,
             QueryError::TooFewTables(_) => status::USAGE,
-            QueryError::DeleteNotFound { .. } => status::INVALID_DATA,
+            QueryError::DeleteNotFound { .. } | QueryError::InvalidRect { .. } => {
+                status::INVALID_DATA
+            }
             QueryError::Io(_) => status::IO,
             QueryError::UnknownTable(_)
             | QueryError::DuplicateTable(_)
@@ -481,6 +483,14 @@ mod tests {
                     reason: "corrupt".to_string(),
                 },
                 status::CORRUPT,
+            ),
+            (
+                QueryError::InvalidRect {
+                    table: "t".to_string(),
+                    index: 0,
+                    issue: sj_geo::RectIssue::OutOfExtent,
+                },
+                status::INVALID_DATA,
             ),
         ];
         for (err, want) in cases {

@@ -7,9 +7,12 @@
 //! same way, and asserts the only
 //! possible outcomes are (a) the original histogram, bit-for-bit, or
 //! (b) a typed [`HistogramError`]. Never a panic, never a silently
-//! different histogram. Also pins the catalog-level behavior: a corrupt
-//! statistics file degrades the estimate to a lower tier with full
-//! provenance instead of failing the query.
+//! different histogram. Compacted `<table>.base` files (a dataset
+//! snapshot followed by the envelope) are truncated and bit-flipped the
+//! same way through `Catalog::open_stats_store`, which must answer a
+//! typed corruption error. Also pins the catalog-level behavior: a
+//! corrupt statistics file degrades the estimate to a lower tier with
+//! full provenance instead of failing the query.
 
 #![expect(
     clippy::expect_used,
@@ -25,7 +28,9 @@ use sj_histogram::{
     build_histogram, load_delta, load_histogram, CorruptSection, GhHistogram, Grid, HistogramDelta,
     HistogramError, HistogramKind, DELTA_MAGIC, DELTA_VERSION,
 };
-use sj_query::{Catalog, DegradationPolicy, EstimateTier};
+use sj_query::{
+    Catalog, CompactionPolicy, DegradationPolicy, EstimateTier, MutationId, QueryError,
+};
 
 /// A deterministic non-trivial rectangle set (clustered + scattered, with
 /// degenerate points) so every family has non-empty per-cell statistics.
@@ -536,5 +541,104 @@ fn forged_sparse_hdelta_payloads_are_typed_errors() {
             ),
             "{kind}: a v1 delta envelope must be rejected"
         );
+    }
+}
+
+// ------------------------------------------------------------------
+// Compacted `<table>.base` files: snapshot section, then envelope
+// ------------------------------------------------------------------
+
+/// The rectangles table `t` is registered from in the `.base` cases.
+fn base_source() -> sj_datagen::Dataset {
+    sj_datagen::Dataset::new("t", Extent::unit(), fixture_rects(40, 0xba5e))
+}
+
+/// A statistics directory, unique to `tag` and this process, holding
+/// one compacted `t.base` of `kind` (a stamped batch folded in, the WAL
+/// removed). Returns the directory, the file's bytes and the length of
+/// its snapshot section.
+fn compacted_base(kind: HistogramKind, tag: &str) -> (std::path::PathBuf, Vec<u8>, usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "sj_fault_base_{tag}_{}_{}",
+        kind.name(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut c = Catalog::with_kind(kind, 3);
+    c.register(base_source()).expect("register");
+    c.open_stats_store(&dir, CompactionPolicy::default())
+        .expect("open store");
+    c.apply_delta_idempotent("t", &fixture_rects(6, 0x1), &[], MutationId::new(1, 1))
+        .expect("insert");
+    c.compact("t").expect("compact");
+    let bytes = std::fs::read(dir.join("t.base")).expect("base written");
+    let envelope = c.histogram("t").expect("stats").persist().len();
+    let section = bytes.len() - envelope;
+    (dir, bytes, section)
+}
+
+/// Reopens the directory with `bytes` as `t.base` and requires a typed
+/// corruption error.
+fn assert_base_corrupt(kind: HistogramKind, dir: &std::path::Path, bytes: &[u8], what: &str) {
+    std::fs::write(dir.join("t.base"), bytes).expect("write base");
+    let mut c = Catalog::with_kind(kind, 3);
+    c.register_deferred(base_source()).expect("register");
+    let result = c.open_stats_store(dir, CompactionPolicy::default());
+    assert!(
+        matches!(
+            result,
+            Err(QueryError::Histogram(HistogramError::Corrupt { .. }))
+        ),
+        "{kind}: {what} must be a typed corruption error, got {result:?}"
+    );
+}
+
+/// Truncating a compacted base at every offset of its snapshot section
+/// and at sampled offsets inside its envelope (both section ends
+/// included) never opens: the snapshot's length checks and CRC32, then
+/// the envelope's length frame, reject every proper prefix.
+#[test]
+fn base_truncation_is_a_typed_error() {
+    for kind in HistogramKind::ALL {
+        let (dir, bytes, section) = compacted_base(kind, "cut");
+        let sampled = (section..bytes.len()).step_by(61).chain([
+            section + 4,
+            section + 24,
+            bytes.len() - 4,
+            bytes.len() - 1,
+        ]);
+        for cut in (0..section).chain(sampled) {
+            assert_base_corrupt(kind, &dir, &bytes[..cut], &format!("truncation at {cut}"));
+        }
+        // The untruncated file still opens onto the compacted state.
+        std::fs::write(dir.join("t.base"), &bytes).expect("restore base");
+        let mut c = Catalog::with_kind(kind, 3);
+        c.register_deferred(base_source()).expect("register");
+        let recovery = c
+            .open_stats_store(&dir, CompactionPolicy::default())
+            .expect("pristine base opens");
+        assert_eq!(recovery.installed, 1);
+        assert_eq!(c.table_len("t").expect("table"), 46, "{kind}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Random single-bit flips in the snapshot section and in the envelope
+/// of a compacted base never open: never a panic, never a silently
+/// different table.
+#[test]
+fn base_bit_flips_never_open_silently() {
+    for kind in HistogramKind::ALL {
+        let (dir, bytes, section) = compacted_base(kind, "flip");
+        let mut rng = StdRng::seed_from_u64(0xba5e_f11b ^ u64::from(kind.tag()));
+        for (part, range) in [("snapshot", 0..section), ("envelope", section..bytes.len())] {
+            for _ in 0..48 {
+                let mut mutated = bytes.clone();
+                let pos = rng.random_range(range.clone());
+                mutated[pos] ^= 1u8 << rng.random_range(0..8u32);
+                assert_base_corrupt(kind, &dir, &mutated, &format!("{part} flip at {pos}"));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
