@@ -1262,10 +1262,28 @@ mod tests {
         parts.iter().map(|s| (*s).to_string()).collect()
     }
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("sjsel_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_string_lossy().into_owned()
+    /// A scratch directory private to one test of one process, so
+    /// concurrent runs never share files; removed when dropped.
+    pub(super) struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        pub(super) fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("sjsel-{}-{test}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        /// The path of `name` inside the scratch directory.
+        pub(super) fn file(&self, name: &str) -> String {
+            self.0.join(name).to_string_lossy().into_owned()
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
     }
 
     #[test]
@@ -1279,7 +1297,8 @@ mod tests {
 
     #[test]
     fn generate_stats_roundtrip() {
-        let csv = tmp("scrc_small.csv");
+        let scratch = Scratch::new("generate_stats_roundtrip");
+        let csv = scratch.file("scrc_small.csv");
         let out = run(&argv(&[
             "generate", "scrc", "--scale", "0.001", "--out", &csv,
         ]))
@@ -1292,8 +1311,9 @@ mod tests {
 
     #[test]
     fn full_pipeline_generate_build_estimate() {
-        let a_csv = tmp("pipe_a.csv");
-        let b_csv = tmp("pipe_b.csv");
+        let scratch = Scratch::new("full_pipeline_generate_build_estimate");
+        let a_csv = scratch.file("pipe_a.csv");
+        let b_csv = scratch.file("pipe_b.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.01", "--out", &a_csv,
         ]))
@@ -1303,8 +1323,8 @@ mod tests {
         ]))
         .unwrap();
 
-        let a_hist = tmp("pipe_a.hist");
-        let b_hist = tmp("pipe_b.hist");
+        let a_hist = scratch.file("pipe_a.hist");
+        let b_hist = scratch.file("pipe_b.hist");
         run(&argv(&[
             "build-histogram",
             &a_csv,
@@ -1342,12 +1362,13 @@ mod tests {
 
     #[test]
     fn window_count_command() {
-        let csv = tmp("wc.csv");
+        let scratch = Scratch::new("window_count_command");
+        let csv = scratch.file("wc.csv");
         run(&argv(&[
             "generate", "sura", "--scale", "0.01", "--out", &csv,
         ]))
         .unwrap();
-        let hist = tmp("wc.hist");
+        let hist = scratch.file("wc.hist");
         run(&argv(&[
             "build-histogram",
             &csv,
@@ -1363,13 +1384,14 @@ mod tests {
 
     #[test]
     fn scheme_mismatch_is_an_error() {
-        let csv = tmp("mix.csv");
+        let scratch = Scratch::new("scheme_mismatch_is_an_error");
+        let csv = scratch.file("mix.csv");
         run(&argv(&[
             "generate", "sura", "--scale", "0.005", "--out", &csv,
         ]))
         .unwrap();
-        let gh = tmp("mix_gh.hist");
-        let ph = tmp("mix_ph.hist");
+        let gh = scratch.file("mix_gh.hist");
+        let ph = scratch.file("mix_ph.hist");
         run(&argv(&[
             "build-histogram",
             &csv,
@@ -1431,7 +1453,8 @@ mod tests {
 
     #[test]
     fn threads_zero_is_a_clean_usage_error() {
-        let csv = tmp("t0.csv");
+        let scratch = Scratch::new("threads_zero_is_a_clean_usage_error");
+        let csv = scratch.file("t0.csv");
         run(&argv(&[
             "generate", "sura", "--scale", "0.002", "--out", &csv,
         ]))
@@ -1445,7 +1468,7 @@ mod tests {
                 "--threads",
                 "0",
                 "--out",
-                &tmp("t0.hist"),
+                &scratch.file("t0.hist"),
             ]),
             argv(&["exact-join", &csv, &csv, "--threads", "0"]),
         ] {
@@ -1492,12 +1515,13 @@ mod tests {
 
     #[test]
     fn corrupt_histogram_files_exit_with_corrupt_code() {
-        let csv = tmp("cor.csv");
+        let scratch = Scratch::new("corrupt_histogram_files_exit_with_corrupt_code");
+        let csv = scratch.file("cor.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.005", "--out", &csv,
         ]))
         .unwrap();
-        let hist = tmp("cor.hist");
+        let hist = scratch.file("cor.hist");
         run(&argv(&[
             "build-histogram",
             &csv,
@@ -1512,7 +1536,7 @@ mod tests {
         let mut bytes = std::fs::read(&hist).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
-        let flipped = tmp("cor_flipped.hist");
+        let flipped = scratch.file("cor_flipped.hist");
         std::fs::write(&flipped, &bytes).unwrap();
         let err = run(&argv(&["estimate", &flipped, &hist])).unwrap_err();
         assert_eq!(err.code, exit_code::CORRUPT, "{}", err.message);
@@ -1520,7 +1544,7 @@ mod tests {
 
         // Truncation breaks the length frame, exit code 4.
         let full = std::fs::read(&hist).unwrap();
-        let truncated = tmp("cor_trunc.hist");
+        let truncated = scratch.file("cor_trunc.hist");
         std::fs::write(&truncated, &full[..full.len() / 2]).unwrap();
         let err = run(&argv(&["window-count", &truncated, "--window", "0,0,1,1"])).unwrap_err();
         assert_eq!(err.code, exit_code::CORRUPT, "{}", err.message);
@@ -1532,7 +1556,8 @@ mod tests {
 
     #[test]
     fn invalid_datasets_exit_with_data_code_and_location() {
-        let bad = tmp("bad_field.csv");
+        let scratch = Scratch::new("invalid_datasets_exit_with_data_code_and_location");
+        let bad = scratch.file("bad_field.csv");
         std::fs::write(&bad, "0,0,1,1\n0.1,0.2,oops,0.4\n").unwrap();
         let err = run(&argv(&["stats", &bad])).unwrap_err();
         assert_eq!(err.code, exit_code::INVALID_DATA);
@@ -1542,13 +1567,13 @@ mod tests {
             err.message
         );
 
-        let inverted = tmp("bad_inverted.csv");
+        let inverted = scratch.file("bad_inverted.csv");
         std::fs::write(&inverted, "0,0,1,1\n0.9,0.0,0.1,1.0\n").unwrap();
         let err = run(&argv(&["stats", &inverted])).unwrap_err();
         assert_eq!(err.code, exit_code::INVALID_DATA);
         assert!(err.message.contains("line 2"), "{}", err.message);
 
-        let empty = tmp("empty.csv");
+        let empty = scratch.file("empty.csv");
         std::fs::write(&empty, "\n\n").unwrap();
         let err = run(&argv(&["stats", &empty])).unwrap_err();
         assert_eq!(err.code, exit_code::INVALID_DATA);
@@ -1557,7 +1582,8 @@ mod tests {
 
     #[test]
     fn validation_policies_repair_and_skip_with_warnings() {
-        let path = tmp("val_mixed.csv");
+        let scratch = Scratch::new("validation_policies_repair_and_skip_with_warnings");
+        let path = scratch.file("val_mixed.csv");
         std::fs::write(&path, "0,0,1,1\n0.9,0.0,0.1,1.0\nnan,0,1,1\n").unwrap();
 
         let out = run(&argv(&["stats", &path, "--validate", "repair"])).unwrap();
@@ -1579,8 +1605,9 @@ mod tests {
 
     #[test]
     fn catalog_estimate_healthy_serves_primary() {
-        let a_csv = tmp("ce_a.csv");
-        let b_csv = tmp("ce_b.csv");
+        let scratch = Scratch::new("catalog_estimate_healthy_serves_primary");
+        let a_csv = scratch.file("ce_a.csv");
+        let b_csv = scratch.file("ce_b.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.01", "--out", &a_csv,
         ]))
@@ -1615,8 +1642,9 @@ mod tests {
 
     #[test]
     fn catalog_estimate_degrades_on_corrupt_statistics() {
-        let a_csv = tmp("ced_a.csv");
-        let b_csv = tmp("ced_b.csv");
+        let scratch = Scratch::new("catalog_estimate_degrades_on_corrupt_statistics");
+        let a_csv = scratch.file("ced_a.csv");
+        let b_csv = scratch.file("ced_b.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.01", "--out", &a_csv,
         ]))
@@ -1627,7 +1655,7 @@ mod tests {
         .unwrap();
 
         // A statistics directory whose `ced_a.hist` is bit-flipped.
-        let stats_dir = tmp("ced_stats");
+        let stats_dir = scratch.file("ced_stats");
         std::fs::create_dir_all(&stats_dir).unwrap();
         let a_hist = format!("{stats_dir}/ced_a.hist");
         let b_hist = format!("{stats_dir}/ced_b.hist");
@@ -1730,8 +1758,9 @@ mod tests {
 
     #[test]
     fn serve_and_client_round_trip() {
-        let a_csv = tmp("srv_a.csv");
-        let b_csv = tmp("srv_b.csv");
+        let scratch = Scratch::new("serve_and_client_round_trip");
+        let a_csv = scratch.file("srv_a.csv");
+        let b_csv = scratch.file("srv_b.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.01", "--out", &a_csv,
         ]))
@@ -1741,8 +1770,7 @@ mod tests {
         ]))
         .unwrap();
 
-        let ready = tmp("srv_ready.txt");
-        drop(std::fs::remove_file(&ready));
+        let ready = scratch.file("srv_ready.txt");
         let serve_args = argv(&[
             "serve",
             &a_csv,
@@ -1827,8 +1855,9 @@ mod tests {
 
     #[test]
     fn apply_delta_and_compact_match_full_rebuild() {
-        let base_csv = tmp("delta_base.csv");
-        let extra_csv = tmp("delta_extra.csv");
+        let scratch = Scratch::new("apply_delta_and_compact_match_full_rebuild");
+        let base_csv = scratch.file("delta_base.csv");
+        let extra_csv = scratch.file("delta_extra.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.01", "--out", &base_csv,
         ]))
@@ -1839,7 +1868,7 @@ mod tests {
         .unwrap();
         // The ground truth: a histogram built from base ∪ extra in one go
         // (the CSV format is headerless rows, so concatenation unions).
-        let union_csv = tmp("delta_union.csv");
+        let union_csv = scratch.file("delta_union.csv");
         let both = format!(
             "{}{}",
             std::fs::read_to_string(&base_csv).unwrap(),
@@ -1847,10 +1876,10 @@ mod tests {
         );
         std::fs::write(&union_csv, both).unwrap();
         for kind in ["ph", "gh-basic", "gh", "euler"] {
-            let base_hist = tmp(&format!("delta_base_{kind}.hist"));
-            let union_hist = tmp(&format!("delta_union_{kind}.hist"));
-            let updated_hist = tmp(&format!("delta_updated_{kind}.hist"));
-            let hdelta = tmp(&format!("delta_{kind}.hdelta"));
+            let base_hist = scratch.file(&format!("delta_base_{kind}.hist"));
+            let union_hist = scratch.file(&format!("delta_union_{kind}.hist"));
+            let updated_hist = scratch.file(&format!("delta_updated_{kind}.hist"));
+            let hdelta = scratch.file(&format!("delta_{kind}.hdelta"));
             for (src, out) in [(&base_csv, &base_hist), (&union_csv, &union_hist)] {
                 run(&argv(&[
                     "build-histogram",
@@ -1883,7 +1912,7 @@ mod tests {
             );
             // Folding the persisted .hdelta into the base file offline
             // reaches the same bytes.
-            let compacted_hist = tmp(&format!("delta_compacted_{kind}.hist"));
+            let compacted_hist = scratch.file(&format!("delta_compacted_{kind}.hist"));
             run(&argv(&[
                 "compact",
                 &base_hist,
@@ -1906,19 +1935,19 @@ mod tests {
             let body = v1.len() - 4;
             let crc = sj_core::crc::crc32(&v1[..body]);
             v1[body..].copy_from_slice(&crc.to_le_bytes());
-            let v1_path = tmp(&format!("delta_v1_{kind}.hdelta"));
+            let v1_path = scratch.file(&format!("delta_v1_{kind}.hdelta"));
             std::fs::write(&v1_path, v1).unwrap();
             let err = run(&argv(&[
                 "compact",
                 &base_hist,
                 &v1_path,
                 "--out",
-                &tmp(&format!("delta_v1_{kind}.hist")),
+                &scratch.file(&format!("delta_v1_{kind}.hist")),
             ]))
             .unwrap_err();
             assert_eq!(err.code, exit_code::CORRUPT, "{}", err.message);
             // Deleting the inserts again restores the base bytes.
-            let restored_hist = tmp(&format!("delta_restored_{kind}.hist"));
+            let restored_hist = scratch.file(&format!("delta_restored_{kind}.hist"));
             run(&argv(&[
                 "apply-delta",
                 &updated_hist,
@@ -1938,12 +1967,13 @@ mod tests {
 
     #[test]
     fn apply_delta_underflow_is_typed() {
-        let base_csv = tmp("uflow_base.csv");
+        let scratch = Scratch::new("apply_delta_underflow_is_typed");
+        let base_csv = scratch.file("uflow_base.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.005", "--out", &base_csv,
         ]))
         .unwrap();
-        let base_hist = tmp("uflow_base.hist");
+        let base_hist = scratch.file("uflow_base.hist");
         run(&argv(&[
             "build-histogram",
             &base_csv,
@@ -1960,7 +1990,7 @@ mod tests {
             std::fs::read_to_string(&base_csv).unwrap(),
             std::fs::read_to_string(&base_csv).unwrap()
         );
-        let doubled_csv = tmp("uflow_doubled.csv");
+        let doubled_csv = scratch.file("uflow_doubled.csv");
         std::fs::write(&doubled_csv, doubled).unwrap();
         let err = run(&argv(&[
             "apply-delta",
@@ -1968,7 +1998,7 @@ mod tests {
             "--deletes",
             &doubled_csv,
             "--out",
-            &tmp("uflow_out.hist"),
+            &scratch.file("uflow_out.hist"),
         ]))
         .unwrap_err();
         assert_eq!(err.code, exit_code::INVALID_DATA, "{}", err.message);
@@ -1981,8 +2011,9 @@ mod tests {
 
     #[test]
     fn serve_absorbs_mutations_without_restart() {
-        let a_csv = tmp("mut_a.csv");
-        let b_csv = tmp("mut_b.csv");
+        let scratch = Scratch::new("serve_absorbs_mutations_without_restart");
+        let a_csv = scratch.file("mut_a.csv");
+        let b_csv = scratch.file("mut_b.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.01", "--out", &a_csv,
         ]))
@@ -1991,10 +2022,8 @@ mod tests {
             "generate", "sura", "--scale", "0.005", "--out", &b_csv,
         ]))
         .unwrap();
-        let stats_dir = tmp("mut_stats");
-        drop(std::fs::remove_dir_all(&stats_dir));
-        let ready = tmp("mut_ready.txt");
-        drop(std::fs::remove_file(&ready));
+        let stats_dir = scratch.file("mut_stats");
+        let ready = scratch.file("mut_ready.txt");
         let serve_args = argv(&[
             "serve",
             &a_csv,
@@ -2080,7 +2109,7 @@ mod tests {
         assert_eq!(err.code, exit_code::INVALID_DATA, "{}", err.message);
 
         // So is a rectangle outside the catalog extent.
-        let far = tmp("mut_far.csv");
+        let far = scratch.file("mut_far.csv");
         std::fs::write(&far, "5,5,6,6\n").unwrap();
         let err = run(&argv(&[
             "client",
@@ -2143,13 +2172,14 @@ mod tests {
 
     #[test]
     fn every_kind_builds_and_estimates() {
-        let csv = tmp("kinds.csv");
+        let scratch = Scratch::new("every_kind_builds_and_estimates");
+        let csv = scratch.file("kinds.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.005", "--out", &csv,
         ]))
         .unwrap();
         for kind in ["ph", "gh-basic", "gh", "euler"] {
-            let hist = tmp(&format!("kinds_{kind}.hist"));
+            let hist = scratch.file(&format!("kinds_{kind}.hist"));
             let out = run(&argv(&[
                 "build-histogram",
                 &csv,
@@ -2173,7 +2203,7 @@ mod tests {
             "--kind",
             "voronoi",
             "--out",
-            &tmp("nope.hist"),
+            &scratch.file("nope.hist"),
         ]))
         .unwrap_err();
         assert_eq!(err.code, exit_code::USAGE);
@@ -2181,14 +2211,15 @@ mod tests {
 
     #[test]
     fn sharded_build_writes_identical_file() {
-        let csv = tmp("shards.csv");
+        let scratch = Scratch::new("sharded_build_writes_identical_file");
+        let csv = scratch.file("shards.csv");
         run(&argv(&[
             "generate", "sura", "--scale", "0.01", "--out", &csv,
         ]))
         .unwrap();
         for kind in ["ph", "gh-basic", "gh", "euler"] {
-            let direct = tmp(&format!("shards_{kind}_direct.hist"));
-            let merged = tmp(&format!("shards_{kind}_merged.hist"));
+            let direct = scratch.file(&format!("shards_{kind}_direct.hist"));
+            let merged = scratch.file(&format!("shards_{kind}_merged.hist"));
             run(&argv(&[
                 "build-histogram",
                 &csv,
@@ -2223,12 +2254,13 @@ mod tests {
 
     #[test]
     fn merge_histogram_command() {
-        let csv = tmp("mh.csv");
+        let scratch = Scratch::new("merge_histogram_command");
+        let csv = scratch.file("mh.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.005", "--out", &csv,
         ]))
         .unwrap();
-        let hist = tmp("mh.hist");
+        let hist = scratch.file("mh.hist");
         run(&argv(&[
             "build-histogram",
             &csv,
@@ -2239,7 +2271,7 @@ mod tests {
         ]))
         .unwrap();
         // Merging a histogram with itself doubles the object count.
-        let merged = tmp("mh_merged.hist");
+        let merged = scratch.file("mh_merged.hist");
         let out = run(&argv(&["merge-histogram", &hist, &hist, "--out", &merged])).unwrap();
         assert!(out.contains("merged 2 GH histograms"), "{out}");
         assert!(out.contains("1000 objects"), "{out}");
@@ -2247,7 +2279,7 @@ mod tests {
         assert!(est.contains("selectivity"), "{est}");
 
         // Mixed kinds refuse to merge with the mismatch exit code.
-        let ph = tmp("mh_ph.hist");
+        let ph = scratch.file("mh_ph.hist");
         run(&argv(&[
             "build-histogram",
             &csv,
@@ -2274,12 +2306,13 @@ mod tests {
 
     #[test]
     fn window_count_rejects_non_gh_kinds() {
-        let csv = tmp("wc_euler.csv");
+        let scratch = Scratch::new("window_count_rejects_non_gh_kinds");
+        let csv = scratch.file("wc_euler.csv");
         run(&argv(&[
             "generate", "sura", "--scale", "0.005", "--out", &csv,
         ]))
         .unwrap();
-        let hist = tmp("wc_euler.hist");
+        let hist = scratch.file("wc_euler.hist");
         run(&argv(&[
             "build-histogram",
             &csv,
@@ -2303,21 +2336,17 @@ mod tests {
 
 #[cfg(test)]
 mod format_tests {
+    use super::tests::Scratch;
     use super::*;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_string()).collect()
     }
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("sjsel_format_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_string_lossy().into_owned()
-    }
-
     #[test]
     fn binary_dataset_pipeline() {
-        let bin = tmp("ds.bin");
+        let scratch = Scratch::new("binary_dataset_pipeline");
+        let bin = scratch.file("ds.bin");
         run(&argv(&[
             "generate", "sura", "--scale", "0.005", "--out", &bin,
         ]))
@@ -2325,7 +2354,7 @@ mod format_tests {
         let stats = run(&argv(&["stats", &bin])).unwrap();
         assert!(stats.contains("count          500"), "{stats}");
         // Binary file feeds histogram building and exact joins too.
-        let hist = tmp("ds.hist");
+        let hist = scratch.file("ds.hist");
         run(&argv(&[
             "build-histogram",
             &bin,
@@ -2341,13 +2370,14 @@ mod format_tests {
 
     #[test]
     fn sparse_and_dense_gh_files_estimate_identically() {
-        let csv = tmp("sp.csv");
+        let scratch = Scratch::new("sparse_and_dense_gh_files_estimate_identically");
+        let csv = scratch.file("sp.csv");
         run(&argv(&[
             "generate", "scrc", "--scale", "0.005", "--out", &csv,
         ]))
         .unwrap();
-        let dense = tmp("sp_dense.hist");
-        let sparse = tmp("sp_sparse.hist");
+        let dense = scratch.file("sp_dense.hist");
+        let sparse = scratch.file("sp_sparse.hist");
         run(&argv(&[
             "build-histogram",
             &csv,
@@ -2396,7 +2426,7 @@ mod format_tests {
         let mut unframed = 0x534a_4753u32.to_le_bytes().to_vec();
         unframed.extend_from_slice(&bytes[20..bytes.len() - 4]);
         for (name, damaged) in [("sp_flipped.hist", flipped), ("sp_unframed.hist", unframed)] {
-            let path = tmp(name);
+            let path = scratch.file(name);
             std::fs::write(&path, damaged).unwrap();
             let err = run(&argv(&["estimate", &path, &dense])).unwrap_err();
             assert_eq!(err.code, exit_code::CORRUPT, "{name}: {}", err.message);
@@ -2405,7 +2435,8 @@ mod format_tests {
 
     #[test]
     fn sparse_rejected_for_other_schemes() {
-        let csv = tmp("ph.csv");
+        let scratch = Scratch::new("sparse_rejected_for_other_schemes");
+        let csv = scratch.file("ph.csv");
         run(&argv(&[
             "generate", "sura", "--scale", "0.002", "--out", &csv,
         ]))
@@ -2419,7 +2450,7 @@ mod format_tests {
             "ph",
             "--sparse",
             "--out",
-            &tmp("ph.hist"),
+            &scratch.file("ph.hist"),
         ]))
         .unwrap_err();
         assert_eq!(err.code, exit_code::USAGE);

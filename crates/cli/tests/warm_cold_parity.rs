@@ -19,17 +19,35 @@ fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| (*s).to_string()).collect()
 }
 
-fn tmp(name: &str) -> String {
-    let dir = std::env::temp_dir().join("sjsel_parity_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name).to_string_lossy().into_owned()
+/// A scratch directory private to one test of one process (tests in
+/// this binary, and concurrent runs of it, must not race on shared
+/// files); removed when dropped.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("sjsel-parity-{}-{test}", std::process::id()));
+        drop(std::fs::remove_dir_all(&dir));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    /// The path of `name` inside the scratch directory.
+    fn file(&self, name: &str) -> String {
+        self.0.join(name).to_string_lossy().into_owned()
+    }
 }
 
-/// Generates two datasets under a per-test prefix (tests in this binary
-/// run concurrently and must not race on shared files).
-fn datasets(prefix: &str) -> (String, String) {
-    let a_csv = tmp(&format!("{prefix}_a.csv"));
-    let b_csv = tmp(&format!("{prefix}_b.csv"));
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        drop(std::fs::remove_dir_all(&self.0));
+    }
+}
+
+/// Generates two datasets, tables `<prefix>_a` and `<prefix>_b`.
+fn datasets(scratch: &Scratch, prefix: &str) -> (String, String) {
+    let a_csv = scratch.file(&format!("{prefix}_a.csv"));
+    let b_csv = scratch.file(&format!("{prefix}_b.csv"));
     run(&argv(&[
         "generate", "scrc", "--scale", "0.01", "--out", &a_csv,
     ]))
@@ -44,6 +62,7 @@ fn datasets(prefix: &str) -> (String, String) {
 /// Boots a daemon over the given datasets on an OS-assigned port and
 /// waits for readiness; returns the address and a join handle.
 fn boot(
+    scratch: &Scratch,
     files: &[&str],
     ready_name: &str,
     extra: &[&str],
@@ -51,8 +70,7 @@ fn boot(
     String,
     std::thread::JoinHandle<Result<sj_cli::CliOutput, sj_cli::CliError>>,
 ) {
-    let ready = tmp(ready_name);
-    drop(std::fs::remove_file(&ready));
+    let ready = scratch.file(ready_name);
     let mut args = vec!["serve".to_string()];
     args.extend(files.iter().map(|f| (*f).to_string()));
     args.extend(argv(&[
@@ -82,7 +100,8 @@ fn boot(
 
 #[test]
 fn warm_answers_are_byte_identical_to_cold_under_concurrency() {
-    let (a_csv, b_csv) = datasets("parity");
+    let scratch = Scratch::new("warm_cold");
+    let (a_csv, b_csv) = datasets(&scratch, "parity");
     // Every family: each serves the daemon's estimates from its own
     // resident view (Euler from its counts).
     for kind in ["gh", "ph", "gh-basic", "euler"] {
@@ -100,7 +119,7 @@ fn warm_answers_are_byte_identical_to_cold_under_concurrency() {
 
         // Cold primary estimate over persisted statistics files.
         let hist = |csv: &str, side: &str| {
-            let out = tmp(&format!("parity_{kind}_{side}.hist"));
+            let out = scratch.file(&format!("parity_{kind}_{side}.hist"));
             let mut args = vec!["build-histogram", csv, "--level", "4", "--out", &out];
             args.extend(kind_flag);
             run(&argv(&args)).unwrap();
@@ -110,6 +129,7 @@ fn warm_answers_are_byte_identical_to_cold_under_concurrency() {
         let cold_estimate = run(&argv(&["estimate", &a_hist, &b_hist])).unwrap();
 
         let (addr, daemon) = boot(
+            &scratch,
             &[&a_csv, &b_csv],
             &format!("parity_{kind}_ready.txt"),
             &kind_flag,
@@ -176,18 +196,23 @@ fn warm_answers_are_byte_identical_to_cold_under_concurrency() {
 /// startup with "statistics cover N objects but the dataset has M".
 #[test]
 fn daemon_restart_after_mutations_and_compaction_recovers() {
-    let (a_csv, b_csv) = datasets("parity3");
-    let stats_dir = tmp("parity3_stats");
-    drop(std::fs::remove_dir_all(&stats_dir));
+    let scratch = Scratch::new("restart");
+    let (a_csv, b_csv) = datasets(&scratch, "parity3");
+    let stats_dir = scratch.file("stats");
     // Batch file: a slice of b's rectangles (guaranteed-valid data),
     // inserted before the restart and deleted again after it.
-    let batch = tmp("parity3_batch.csv");
+    let batch = scratch.file("parity3_batch.csv");
     let b_text = std::fs::read_to_string(&b_csv).unwrap();
     let slice: Vec<&str> = b_text.lines().take(50).collect();
     std::fs::write(&batch, format!("{}\n", slice.join("\n"))).unwrap();
 
     let stats_flag = ["--stats-dir", &stats_dir];
-    let (addr, daemon) = boot(&[&a_csv, &b_csv], "parity3_ready.txt", &stats_flag);
+    let (addr, daemon) = boot(
+        &scratch,
+        &[&a_csv, &b_csv],
+        "parity3_ready.txt",
+        &stats_flag,
+    );
     let estimate = |addr: &str| {
         run(&argv(&[
             "client",
@@ -236,7 +261,12 @@ fn daemon_restart_after_mutations_and_compaction_recovers() {
 
     // Restart over the original CSVs: table a's statistics no longer
     // describe them (the folded inserts live only in the snapshot).
-    let (addr, daemon) = boot(&[&a_csv, &b_csv], "parity3_ready2.txt", &stats_flag);
+    let (addr, daemon) = boot(
+        &scratch,
+        &[&a_csv, &b_csv],
+        "parity3_ready2.txt",
+        &stats_flag,
+    );
     assert_eq!(
         estimate(&addr).stdout,
         pre_restart.stdout,
@@ -261,10 +291,10 @@ fn daemon_restart_after_mutations_and_compaction_recovers() {
 
 #[test]
 fn warm_server_reuses_saved_statistics_files() {
-    let (a_csv, b_csv) = datasets("parity2");
+    let scratch = Scratch::new("saved_stats");
+    let (a_csv, b_csv) = datasets(&scratch, "parity2");
     // Persist statistics under the file-stem naming convention.
-    let stats_dir = tmp("parity_stats");
-    drop(std::fs::remove_dir_all(&stats_dir));
+    let stats_dir = scratch.file("stats");
     std::fs::create_dir_all(&stats_dir).unwrap();
     for (csv, stem) in [(&a_csv, "parity2_a"), (&b_csv, "parity2_b")] {
         run(&argv(&[
@@ -278,8 +308,7 @@ fn warm_server_reuses_saved_statistics_files() {
         .unwrap();
     }
 
-    let ready = tmp("parity_stats_ready.txt");
-    drop(std::fs::remove_file(&ready));
+    let ready = scratch.file("ready.txt");
     let args = argv(&[
         "serve",
         &a_csv,
@@ -334,7 +363,7 @@ fn warm_server_reuses_saved_statistics_files() {
     // saved `.hist` keeps describing its CSV, so the cold path still
     // loads it and answers exactly as before.
     let saved = std::fs::read(format!("{stats_dir}/parity2_a.hist")).unwrap();
-    let batch = tmp("parity2_batch.csv");
+    let batch = scratch.file("parity2_batch.csv");
     let b_text = std::fs::read_to_string(&b_csv).unwrap();
     let slice: Vec<&str> = b_text.lines().take(50).collect();
     std::fs::write(&batch, format!("{}\n", slice.join("\n"))).unwrap();

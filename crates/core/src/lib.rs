@@ -68,7 +68,7 @@ pub use sj_histogram::{
     SelectivityEstimate, SpatialHistogram, SPARSE_MAGIC,
 };
 pub use sj_rtree::{
-    join_count, join_count_parallel, join_pairs, mindist, RTree, RTreeConfig, SplitAlgorithm,
+    join_count, join_count_parallel, join_pairs, RTree, RTreeConfig, SplitAlgorithm,
 };
 pub use sj_sampling::{
     draw_sample, JoinBackend, SamplingEstimator, SamplingOutcome, SamplingTechnique,

@@ -430,7 +430,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("sj_datagen_test");
+        let dir = std::env::temp_dir().join(format!("sj_datagen_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.csv");
         let ds = sample();
@@ -438,7 +438,7 @@ mod tests {
         let back = Dataset::load_csv(&path).unwrap();
         assert_eq!(back.name, "sample");
         assert_eq!(back.rects, ds.rects);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -587,7 +587,7 @@ mod bin_format_tests {
 
     #[test]
     fn bin_file_roundtrip() {
-        let dir = std::env::temp_dir().join("sj_datagen_bin_test");
+        let dir = std::env::temp_dir().join(format!("sj_datagen_bin_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.bin");
         let ds = sample();
@@ -595,7 +595,7 @@ mod bin_format_tests {
         let back = Dataset::load_bin(&path).unwrap();
         assert_eq!(back.name, "sample");
         assert_eq!(back.rects, ds.rects);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! and the statistics store. The workspace vendors no checksum crate,
 //! and it needs only the one classic variant, so the lookup tables are
 //! built at compile time right here — this module is the workspace's
-//! single CRC32 implementation, re-exported as `sj_core::crc` (the
-//! self-contained copy in `sj_lint::fingerprint` is deliberate: the
-//! checker of this code must not depend on it).
+//! single CRC32 implementation, re-exported as `sj_core::crc`.
 //!
 //! The loop is slicing-by-8: table `k` maps a byte to its CRC after `k`
 //! further zero bytes, so eight lookups fold one 8-byte word into the

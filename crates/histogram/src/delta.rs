@@ -41,8 +41,9 @@
 //! exactness changes.
 //!
 //! Deltas persist in their own CRC32-framed `.hdelta` envelope,
-//! structured exactly like the version-2 `.hist` envelope and covered by
-//! the r7 persistence fingerprint under their own [`DELTA_VERSION`]:
+//! structured exactly like the version-2 `.hist` envelope, under their
+//! own [`DELTA_VERSION`] (the byte goldens of
+//! `crates/server/tests/format_golden.rs` pin each family's `.hdelta`):
 //!
 //! ```text
 //! magic "SJHD" u32 | version u32 | kind tag u32 | payload_len u64 | payload | crc32 u32

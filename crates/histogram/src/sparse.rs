@@ -11,8 +11,8 @@
 //! The file uses the framing of the `.hist` and `.hdelta` envelopes
 //! (`traits.rs`), with its own magic and [`SPARSE_VERSION`], so
 //! truncation and bit-flips are typed errors, never a different
-//! histogram. The r7 persistence fingerprint covers this file's codec
-//! under `SPARSE_VERSION`. All little-endian:
+//! histogram. `crates/server/tests/format_golden.rs` pins this file's
+//! bytes under `SPARSE_VERSION`. All little-endian:
 //!
 //! ```text
 //! magic "SJSP" u32 | version u32 | kind tag u32 (GH) | payload_len u64 | payload | crc32 u32

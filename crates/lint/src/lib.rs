@@ -5,9 +5,8 @@
 //! trees and mechanically enforces the reproducibility and robustness
 //! rules the estimator stack relies on and clippy cannot express: no
 //! floats in shard-merge paths, no unchecked indexing in statistics
-//! decoders, suppression and error-taxonomy hygiene, I/O and
-//! atomic-ordering discipline around locks, and a fingerprinted
-//! persistence schema tied to the envelope version. The wall-clock ban,
+//! decoders, suppression and error-taxonomy hygiene, and I/O and
+//! atomic-ordering discipline around locks. The wall-clock ban,
 //! the raw-lock ban, unwrap/expect/panic freedom, cast discipline, the
 //! `unsafe` ban and doc coverage are rustc's and clippy's, configured in
 //! the workspace `clippy.toml`, `[workspace.lints]` and the sj-histogram
@@ -35,7 +34,6 @@
 //! external crate APIs verbatim and are exercised only through the
 //! workspace crates that this checker does cover.
 
-pub mod fingerprint;
 pub mod report;
 pub mod rules;
 pub mod scan;
@@ -63,13 +61,10 @@ pub struct CrateView {
 pub struct Workspace {
     /// Scanned crates, in name order.
     pub crates: Vec<CrateView>,
-    /// Contents of the checked-in schema fingerprint file, if present.
-    pub fingerprint: Option<String>,
 }
 
 impl Workspace {
-    /// Loads and scans every `crates/*/src/**/*.rs` under `root`, plus
-    /// the schema fingerprint file.
+    /// Loads and scans every `crates/*/src/**/*.rs` under `root`.
     ///
     /// # Errors
     /// Propagates I/O failures reading the tree.
@@ -97,18 +92,14 @@ impl Workspace {
             }
             crates.push(CrateView { name, files });
         }
-        let fingerprint = fs::read_to_string(root.join(fingerprint::SCHEMA_PATH)).ok();
-        Ok(Workspace {
-            crates,
-            fingerprint,
-        })
+        Ok(Workspace { crates })
     }
 
     /// Builds a workspace from in-memory sources — fixture tests use
     /// this with pseudo-paths like `crates/histogram/src/band.rs` to
     /// exercise rule scoping without touching the filesystem.
     #[must_use]
-    pub fn from_sources(sources: &[(&str, &str)], fingerprint: Option<String>) -> Workspace {
+    pub fn from_sources(sources: &[(&str, &str)]) -> Workspace {
         let mut crates: Vec<CrateView> = Vec::new();
         for (path, text) in sources {
             let name = path
@@ -126,10 +117,7 @@ impl Workspace {
             }
         }
         crates.sort_by(|a, b| a.name.cmp(&b.name));
-        Workspace {
-            crates,
-            fingerprint,
-        }
+        Workspace { crates }
     }
 }
 
@@ -220,7 +208,6 @@ pub fn run_rule(rule: RuleId, ws: &Workspace, out: &mut Vec<Finding>) {
         RuleId::PanicFree => rules::check_panic_free(ws, out),
         RuleId::Hygiene => rules::check_hygiene(ws, out),
         RuleId::ErrorTaxonomy => rules::check_error_taxonomy(ws, out),
-        RuleId::Persistence => fingerprint::check_persistence(ws, out),
         RuleId::IoUnderLock => rules::check_io_under_lock(ws, out),
         RuleId::AtomicOrdering => rules::check_atomic_ordering(ws, out),
     }
@@ -230,7 +217,7 @@ pub fn run_rule(rule: RuleId, ws: &Workspace, out: &mut Vec<Finding>) {
 /// fixture-test entry point.
 #[must_use]
 pub fn check_sources(rule: RuleId, sources: &[(&str, &str)]) -> Vec<Finding> {
-    let ws = Workspace::from_sources(sources, None);
+    let ws = Workspace::from_sources(sources);
     let mut out = Vec::new();
     run_rule(rule, &ws, &mut out);
     out

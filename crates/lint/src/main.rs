@@ -1,6 +1,5 @@
-//! `sj-lint` binary: `check`, `rules`, `fingerprint`,
-//! `verify-equivalence`, `verify-recovery` and `verify-locks`
-//! subcommands.
+//! `sj-lint` binary: `check`, `rules`, `verify-equivalence`,
+//! `verify-recovery` and `verify-locks` subcommands.
 //!
 //! Exit codes: `0` clean, `1` deny-severity findings (or verifier
 //! divergences), `2` usage error, `3` I/O error.
@@ -10,7 +9,7 @@ use sj_lint::rules::{RuleId, Severity};
 use sj_lint::verify::{run_verify, Fault, VerifyConfig};
 use sj_lint::verify_locks::{run_verify_locks, LockFault, LocksConfig};
 use sj_lint::verify_recovery::{run_verify_recovery, RecoveryConfig, RecoveryFault};
-use sj_lint::{find_workspace_root, fingerprint, run_check, Selection, Workspace};
+use sj_lint::{find_workspace_root, run_check, Selection, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -21,7 +20,6 @@ USAGE:
     sj-lint check [--root <dir>] [--format human|json] [--rule <r,..>]
                   [--deny <r,..|all>] [--warn <r,..|all>]
     sj-lint rules
-    sj-lint fingerprint [--update] [--allow-same-version] [--root <dir>]
     sj-lint verify-equivalence [--format human|json] [--scale <f>]
                                [--levels <l,..>] [--shards <n,..>]
                                [--inject drop-last-rect|nudge-first-rect]
@@ -33,9 +31,10 @@ USAGE:
 
 Rules are named by code or slug (see `sj-lint rules`; r1, r4, r8 and r9
 are retired: rustc and clippy enforce them from the workspace lint
-configuration). Suppress a single line
-with `// sj-lint: allow(<rule>, <reason>)` — the reason is mandatory. A
-flag the chosen subcommand does not read is a usage error.
+configuration; r7 is retired: byte goldens pin the persisted formats).
+Suppress a single line with `// sj-lint: allow(<rule>, <reason>)` — the
+reason is mandatory. A flag the chosen subcommand does not read is a
+usage error.
 
 verify-equivalence  every histogram family, built a second way (sharded
                     and merged, or through a signed delta), must be
@@ -77,8 +76,7 @@ fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
 enum Failure {
     /// Bad command line or configuration: exit 2.
     Usage(String),
-    /// The workspace tree or the fingerprint file could not be read or
-    /// written: exit 3.
+    /// The workspace tree could not be read: exit 3.
     Io(String),
 }
 
@@ -111,8 +109,6 @@ struct Cli {
     rules: Option<Vec<RuleId>>,
     deny: Vec<String>,
     warn: Vec<String>,
-    update: bool,
-    allow_same_version: bool,
     scale: Option<f64>,
     levels: Option<Vec<u32>>,
     shards: Option<Vec<usize>>,
@@ -173,8 +169,6 @@ fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Cli,
             "--rule" => cli.rules = Some(parse_rule_list(&value_of()?)?),
             "--deny" => cli.deny.push(value_of()?),
             "--warn" => cli.warn.push(value_of()?),
-            "--update" => cli.update = true,
-            "--allow-same-version" => cli.allow_same_version = true,
             "--scale" => {
                 let value = value_of()?;
                 cli.scale = Some(
@@ -221,7 +215,6 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             Ok(ExitCode::SUCCESS)
         }
         "check" => cmd_check(&cli),
-        "fingerprint" => cmd_fingerprint(&cli),
         "verify-equivalence" => cmd_verify_equivalence(&cli),
         "verify-recovery" => cmd_verify_recovery(&cli),
         "verify-locks" => cmd_verify_locks(&cli),
@@ -249,7 +242,7 @@ fn fault<F>(cli: &Cli, parse: fn(&str) -> Option<F>, known: &str) -> Result<Opti
 }
 
 /// Loads the workspace from `--root` or by ascending from the cwd.
-fn load_workspace(cli: &Cli) -> Result<(PathBuf, Workspace), Failure> {
+fn load_workspace(cli: &Cli) -> Result<Workspace, Failure> {
     let root = match &cli.root {
         Some(r) => r.clone(),
         None => {
@@ -259,13 +252,12 @@ fn load_workspace(cli: &Cli) -> Result<(PathBuf, Workspace), Failure> {
                 .ok_or_else(|| Failure::Io("no workspace root found (pass --root)".to_string()))?
         }
     };
-    let ws = Workspace::load(&root)
-        .map_err(|e| Failure::Io(format!("failed to scan {}: {e}", root.display())))?;
-    Ok((root, ws))
+    Workspace::load(&root)
+        .map_err(|e| Failure::Io(format!("failed to scan {}: {e}", root.display())))
 }
 
 fn cmd_check(cli: &Cli) -> Result<ExitCode, Failure> {
-    let (_root, ws) = load_workspace(cli)?;
+    let ws = load_workspace(cli)?;
     let mut selection = Selection {
         enabled: cli.rules.clone().unwrap_or_else(|| RuleId::ALL.to_vec()),
         ..Selection::default()
@@ -333,52 +325,4 @@ fn cmd_verify_locks(cli: &Cli) -> Result<ExitCode, Failure> {
     let report = run_verify_locks(&config)?;
     print!("{}", report.render(cli.format));
     Ok(verdict(report.is_clean()))
-}
-
-fn cmd_fingerprint(cli: &Cli) -> Result<ExitCode, Failure> {
-    let (root, ws) = load_workspace(cli)?;
-    let versions = fingerprint::versions(&ws);
-    let entries = fingerprint::fingerprint_entries(&ws);
-    let rendered = fingerprint::render(versions, &entries);
-    if !cli.update {
-        print!("{rendered}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    // Guard the easy path: an --update that changes fingerprints while
-    // every format version stays the same is usually a forgotten bump.
-    if let Some(old) = &ws.fingerprint {
-        let (old_versions, old_entries) = fingerprint::parse(old);
-        let changed = old_entries.len() != entries.len()
-            || entries.iter().any(|e| {
-                old_entries
-                    .iter()
-                    .find(|o| o.key == e.key)
-                    .is_none_or(|o| o.crc != e.crc)
-            });
-        if changed && old_versions == versions && !cli.allow_same_version {
-            let show = |v: Option<u32>| v.map_or_else(|| "unknown".to_string(), |v| v.to_string());
-            return Err(Failure::Usage(format!(
-                "persistence functions changed but ENVELOPE_VERSION is still {}, \
-                 WIRE_VERSION is still {}, DELTA_VERSION is still {} and SPARSE_VERSION \
-                 is still {}: bump the owning version first, or pass \
-                 --allow-same-version if the change is provably wire-compatible",
-                show(versions.envelope),
-                show(versions.wire),
-                show(versions.delta),
-                show(versions.sparse)
-            )));
-        }
-    }
-    let path = root.join(fingerprint::SCHEMA_PATH);
-    std::fs::write(&path, rendered)
-        .map_err(|e| Failure::Io(format!("cannot write {}: {e}", path.display())))?;
-    println!(
-        "updated {} ({} functions, envelope version {})",
-        fingerprint::SCHEMA_PATH,
-        entries.len(),
-        versions
-            .envelope
-            .map_or_else(|| "unknown".to_string(), |v| v.to_string())
-    );
-    Ok(ExitCode::SUCCESS)
 }

@@ -5,7 +5,9 @@
 //! codes r1, r4, r8 and r9, and the unwrap/expect/panic half of r3, are
 //! retired and never reused: `clippy.toml`, `[workspace.lints]` and the
 //! cast lints at the sj-histogram and sj-query roots enforce them (see
-//! DESIGN.md §10).
+//! DESIGN.md §10). Code r7 is retired too: the byte goldens of
+//! `crates/server/tests/format_golden.rs` pin every persisted format by
+//! its bytes.
 //!
 //! * **R2 fixed-point** — merge paths accumulate only through the exact
 //!   128-bit `Mass` type; a stray `f64 +=` silently breaks bit-identical
@@ -17,9 +19,6 @@
 //!   live rule.
 //! * **R6 error taxonomy** — public error enums are `#[non_exhaustive]`
 //!   and implement `Display` + `Error`.
-//! * **R7 persistence discipline** — `to_bytes`/`from_bytes` bodies are
-//!   fingerprinted; changing one without bumping the envelope version
-//!   fails the check (see [`crate::fingerprint`]).
 //! * **R10 I/O under lock** — no blocking file/socket I/O lexically
 //!   inside a live lock-guard region; fsyncs under the catalog lock
 //!   stall every reader.
@@ -41,8 +40,6 @@ pub enum RuleId {
     Hygiene,
     /// R6: public error enums are non_exhaustive + Display + Error.
     ErrorTaxonomy,
-    /// R7: persistence schema fingerprint matches the envelope version.
-    Persistence,
     /// R10: no blocking file/socket I/O inside a live lock-guard region.
     IoUnderLock,
     /// R11: atomic `Ordering::` arguments are `SeqCst` or justified.
@@ -51,17 +48,16 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 6] = [
         RuleId::FixedPoint,
         RuleId::PanicFree,
         RuleId::Hygiene,
         RuleId::ErrorTaxonomy,
-        RuleId::Persistence,
         RuleId::IoUnderLock,
         RuleId::AtomicOrdering,
     ];
 
-    /// Short code (`r2`..`r11`; r1, r4, r8 and r9 are retired).
+    /// Short code (`r2`..`r11`; r1, r4, r7, r8 and r9 are retired).
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
@@ -69,7 +65,6 @@ impl RuleId {
             RuleId::PanicFree => "r3",
             RuleId::Hygiene => "r5",
             RuleId::ErrorTaxonomy => "r6",
-            RuleId::Persistence => "r7",
             RuleId::IoUnderLock => "r10",
             RuleId::AtomicOrdering => "r11",
         }
@@ -83,7 +78,6 @@ impl RuleId {
             RuleId::PanicFree => "panic",
             RuleId::Hygiene => "hygiene",
             RuleId::ErrorTaxonomy => "error-taxonomy",
-            RuleId::Persistence => "persistence",
             RuleId::IoUnderLock => "io-under-lock",
             RuleId::AtomicOrdering => "atomic-ordering",
         }
@@ -102,9 +96,6 @@ impl RuleId {
             RuleId::Hygiene => "every sj-lint: allow(..) suppression names a live rule",
             RuleId::ErrorTaxonomy => {
                 "public *Error enums are #[non_exhaustive] and implement Display + Error"
-            }
-            RuleId::Persistence => {
-                "to_bytes/from_bytes bodies match the checked-in schema fingerprint for the current envelope version"
             }
             RuleId::IoUnderLock => {
                 "no blocking I/O (File::, TcpStream::, sync_all, read_to_end, write_all) inside a live lock-guard region"

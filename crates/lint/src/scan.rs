@@ -26,9 +26,6 @@ pub struct Line {
     /// Line text with comments *and* string/char literal contents
     /// replaced by spaces; token searches run against this.
     pub code: String,
-    /// Line text with comments blanked but string literals kept —
-    /// used for schema fingerprinting, where magic bytes matter.
-    pub nocomment: String,
     /// Comment text appearing on this line (suppression parsing).
     pub comment: String,
     /// The line carries a doc comment (`///`, `//!` or `#[doc`).
@@ -120,7 +117,6 @@ enum LexState {
 struct LexedLine {
     raw: String,
     code: String,
-    nocomment: String,
     comment: String,
     is_doc: bool,
 }
@@ -130,7 +126,6 @@ fn lex(source: &str) -> Vec<LexedLine> {
     let mut out = Vec::new();
     let mut raw = String::new();
     let mut code = String::new();
-    let mut nocomment = String::new();
     let mut comment = String::new();
     let mut state = LexState::Normal;
     let mut chars = source.chars().peekable();
@@ -142,7 +137,7 @@ fn lex(source: &str) -> Vec<LexedLine> {
             if matches!(state, LexState::LineComment) {
                 state = LexState::Normal;
             }
-            push_line(&mut out, &mut raw, &mut code, &mut nocomment, &mut comment);
+            push_line(&mut out, &mut raw, &mut code, &mut comment);
             continue;
         }
         raw.push(c);
@@ -155,19 +150,16 @@ fn lex(source: &str) -> Vec<LexedLine> {
                     // Capture the rest of the comment text for
                     // suppression parsing and doc detection.
                     code.push_str("  ");
-                    nocomment.push_str("  ");
                     state = LexState::LineComment;
                 }
                 '/' if chars.peek() == Some(&'*') => {
                     raw.push('*');
                     chars.next();
                     code.push_str("  ");
-                    nocomment.push_str("  ");
                     state = LexState::BlockComment(1);
                 }
                 '"' => {
                     code.push(' ');
-                    nocomment.push('"');
                     state = LexState::Str { raw_hashes: None };
                 }
                 'r' | 'b' => {
@@ -176,15 +168,13 @@ fn lex(source: &str) -> Vec<LexedLine> {
                     // `raw`; sync_prefix pads the blanked buffers.
                     if let Some(hashes) = raw_string_start(c, &mut chars, &mut raw) {
                         code.push(' ');
-                        nocomment.push(c);
-                        sync_prefix(&raw, &mut code, &mut nocomment);
+                        sync_prefix(&raw, &mut code);
                         state = LexState::Str {
                             raw_hashes: Some(hashes),
                         };
                     } else {
                         code.push(c);
-                        nocomment.push(c);
-                        sync_prefix(&raw, &mut code, &mut nocomment);
+                        sync_prefix(&raw, &mut code);
                     }
                 }
                 '\'' => {
@@ -193,37 +183,28 @@ fn lex(source: &str) -> Vec<LexedLine> {
                     // closing quote. Peek to decide.
                     if is_char_literal_start(&mut chars) {
                         code.push(' ');
-                        nocomment.push('\'');
                         state = LexState::Char;
                     } else {
                         code.push('\'');
-                        nocomment.push('\'');
                     }
                 }
-                _ => {
-                    code.push(c);
-                    nocomment.push(c);
-                }
+                _ => code.push(c),
             },
             LexState::LineComment => {
                 comment.push(c);
                 code.push(' ');
-                nocomment.push(' ');
             }
             LexState::BlockComment(depth) => {
                 code.push(' ');
-                nocomment.push(' ');
                 if c == '/' && chars.peek() == Some(&'*') {
                     raw.push('*');
                     chars.next();
                     code.push(' ');
-                    nocomment.push(' ');
                     state = LexState::BlockComment(depth + 1);
                 } else if c == '*' && chars.peek() == Some(&'/') {
                     raw.push('/');
                     chars.next();
                     code.push(' ');
-                    nocomment.push(' ');
                     state = if depth > 1 {
                         LexState::BlockComment(depth - 1)
                     } else {
@@ -233,13 +214,11 @@ fn lex(source: &str) -> Vec<LexedLine> {
             }
             LexState::Str { raw_hashes: None } => {
                 code.push(' ');
-                nocomment.push(c);
                 if c == '\\' {
                     if let Some(&esc) = chars.peek() {
                         raw.push(esc);
                         chars.next();
                         code.push(' ');
-                        nocomment.push(esc);
                     }
                 } else if c == '"' {
                     state = LexState::Normal;
@@ -249,21 +228,17 @@ fn lex(source: &str) -> Vec<LexedLine> {
                 raw_hashes: Some(h),
             } => {
                 code.push(' ');
-                nocomment.push(c);
-                if c == '"' && closes_raw_string(&mut chars, h, &mut raw, &mut code, &mut nocomment)
-                {
+                if c == '"' && closes_raw_string(&mut chars, h, &mut raw, &mut code) {
                     state = LexState::Normal;
                 }
             }
             LexState::Char => {
                 code.push(' ');
-                nocomment.push(c);
                 if c == '\\' {
                     if let Some(&esc) = chars.peek() {
                         raw.push(esc);
                         chars.next();
                         code.push(' ');
-                        nocomment.push(esc);
                     }
                 } else if c == '\'' {
                     state = LexState::Normal;
@@ -272,19 +247,13 @@ fn lex(source: &str) -> Vec<LexedLine> {
         }
     }
     if !raw.is_empty() || !out.is_empty() {
-        push_line(&mut out, &mut raw, &mut code, &mut nocomment, &mut comment);
+        push_line(&mut out, &mut raw, &mut code, &mut comment);
     }
     out
 }
 
 /// Pushes the accumulated line buffers as one [`LexedLine`].
-fn push_line(
-    out: &mut Vec<LexedLine>,
-    raw: &mut String,
-    code: &mut String,
-    nocomment: &mut String,
-    comment: &mut String,
-) {
+fn push_line(out: &mut Vec<LexedLine>, raw: &mut String, code: &mut String, comment: &mut String) {
     let trimmed = raw.trim_start();
     let is_doc = trimmed.starts_with("///")
         || trimmed.starts_with("//!")
@@ -295,7 +264,6 @@ fn push_line(
     out.push(LexedLine {
         raw: std::mem::take(raw),
         code: std::mem::take(code),
-        nocomment: std::mem::take(nocomment),
         comment: std::mem::take(comment),
         is_doc,
     });
@@ -365,16 +333,13 @@ fn raw_string_start(
     }
 }
 
-/// Pads `code`/`nocomment` with spaces until they match `raw`'s char
-/// length (keeps the three per-line buffers aligned after multi-char
-/// consumption such as raw-string openers).
-fn sync_prefix(raw: &str, code: &mut String, nocomment: &mut String) {
+/// Pads `code` with spaces until it matches `raw`'s char length (keeps
+/// the per-line buffers aligned after multi-char consumption such as
+/// raw-string openers).
+fn sync_prefix(raw: &str, code: &mut String) {
     let raw_len = raw.chars().count();
     while code.chars().count() < raw_len {
         code.push(' ');
-    }
-    while nocomment.chars().count() < raw_len {
-        nocomment.push(' ');
     }
 }
 
@@ -397,7 +362,6 @@ fn closes_raw_string(
     hashes: u32,
     raw: &mut String,
     code: &mut String,
-    nocomment: &mut String,
 ) -> bool {
     let mut clone = chars.clone();
     for _ in 0..hashes {
@@ -409,7 +373,6 @@ fn closes_raw_string(
         chars.next();
         raw.push('#');
         code.push(' ');
-        nocomment.push('#');
     }
     true
 }
@@ -518,7 +481,6 @@ fn attribute_regions(lexed: Vec<LexedLine>) -> Vec<Line> {
         lines.push(Line {
             raw: lx.raw,
             code,
-            nocomment: lx.nocomment,
             comment: lx.comment,
             is_doc: lx.is_doc,
             in_test: start_test || stack.iter().any(|c| c.test),
@@ -633,10 +595,6 @@ mod tests {
         let src = "let m = b\"SJH1\";\nlet r = r#\"as u32\"#;\n";
         let f = SourceFile::scan("crates/x/src/lib.rs", src);
         assert!(!f.lines[0].code.contains("SJH1"));
-        assert!(
-            f.lines[0].nocomment.contains("SJH1"),
-            "fingerprint keeps bytes"
-        );
         assert!(!f.lines[1].code.contains("as u32"));
     }
 

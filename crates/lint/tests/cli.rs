@@ -21,17 +21,15 @@ fn sj_lint(args: &[&str]) -> Output {
 fn unreadable_workspace_is_an_io_error() {
     let missing = std::env::temp_dir().join("sj-lint-no-such-workspace");
     let missing = missing.to_str().expect("utf-8 temp path");
-    for command in ["check", "fingerprint"] {
-        let out = sj_lint(&[command, "--root", missing]);
-        assert_eq!(out.status.code(), Some(3), "{command}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("failed to scan"), "{command}: {stderr}");
-    }
+    let out = sj_lint(&["check", "--root", missing]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("failed to scan"), "{stderr}");
 }
 
 /// A flag the chosen subcommand does not read is a usage error, never
 /// silently ignored; so is a second level for the single-level crash
-/// matrix.
+/// matrix, and so is the retired `fingerprint` subcommand.
 #[test]
 fn flags_a_subcommand_does_not_read_are_usage_errors() {
     let cases: [(&[&str], &str); 9] = [
@@ -56,10 +54,7 @@ fn flags_a_subcommand_does_not_read_are_usage_errors() {
             &["check", "--scale", "0.5"],
             "`--scale` is not an option of `check`",
         ),
-        (
-            &["fingerprint", "--format", "json"],
-            "`--format` is not an option of `fingerprint`",
-        ),
+        (&["fingerprint"], "unknown command `fingerprint`"),
         (
             &["rules", "--deny", "all"],
             "`--deny` is not an option of `rules`",

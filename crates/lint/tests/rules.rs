@@ -5,7 +5,7 @@
 //! the repository itself is the ultimate "good" fixture.
 
 use sj_lint::rules::{Finding, RuleId};
-use sj_lint::{check_sources, fingerprint, run_rule, Selection, Workspace};
+use sj_lint::{check_sources, Selection, Workspace};
 
 /// Findings of `rule` over a single fixture mounted at `path`.
 fn run_fixture(rule: RuleId, path: &str, text: &str) -> Vec<Finding> {
@@ -213,9 +213,16 @@ fn r5_bad_fixture_flags_an_unknown_rule() {
 
 #[test]
 fn r5_flags_suppressions_of_the_retired_rules() {
-    // r1, r4, r8 and r9 moved to rustc and clippy: a leftover suppression
-    // naming them is an unknown rule, so nothing migrates silently.
-    let retired = ["determinism", "lock-discipline", "cast", "docs"];
+    // r1, r4, r8 and r9 moved to rustc and clippy, and r7 gave way to
+    // the byte goldens: a leftover suppression naming any of them is an
+    // unknown rule, so nothing migrates silently.
+    let retired = [
+        "determinism",
+        "lock-discipline",
+        "cast",
+        "persistence",
+        "docs",
+    ];
     let src: String = std::iter::once("//! Crate.\n".to_string())
         .chain(
             retired
@@ -224,7 +231,7 @@ fn r5_flags_suppressions_of_the_retired_rules() {
         )
         .collect();
     let f = run_fixture(RuleId::Hygiene, "crates/widget/src/lib.rs", &src);
-    assert_eq!(lines_of(&f), vec![2, 3, 4, 5], "{f:?}");
+    assert_eq!(lines_of(&f), vec![2, 3, 4, 5, 6], "{f:?}");
     for (finding, rule) in f.iter().zip(retired) {
         let unknown = format!("unknown rule `{rule}`");
         assert!(finding.message.contains(&unknown), "{finding:?}");
@@ -256,271 +263,6 @@ fn r6_bad_fixture_flags_all_three_obligations() {
     assert!(f[0].message.contains("non_exhaustive"));
     assert!(f[1].message.contains("Display"));
     assert!(f[2].message.contains("std::error::Error"));
-}
-
-// ------------------------------------------------------------------
-// R7 — persistence fingerprints
-// ------------------------------------------------------------------
-
-/// Renders the fingerprint record matching `text` mounted at the
-/// canonical pseudo-path, exactly as `fingerprint --update` would.
-fn record_for(text: &str) -> String {
-    let ws = Workspace::from_sources(&[("crates/histogram/src/ph.rs", text)], None);
-    fingerprint::render(
-        fingerprint::versions(&ws),
-        &fingerprint::fingerprint_entries(&ws),
-    )
-}
-
-fn run_persistence(text: &str, record: Option<String>) -> Vec<Finding> {
-    let ws = Workspace::from_sources(&[("crates/histogram/src/ph.rs", text)], record);
-    let mut out = Vec::new();
-    run_rule(RuleId::Persistence, &ws, &mut out);
-    out
-}
-
-#[test]
-fn r7_good_fixture_matches_its_record() {
-    let good = include_str!("fixtures/r7_good.rs");
-    let f = run_persistence(good, Some(record_for(good)));
-    assert_eq!(f, Vec::new(), "unchanged schema fns must pass");
-}
-
-#[test]
-fn r7_bad_fixture_drifts_without_a_version_bump() {
-    // The record was taken from the good fixture; the bad fixture edits
-    // both wire functions while keeping ENVELOPE_VERSION at 2.
-    let record = record_for(include_str!("fixtures/r7_good.rs"));
-    let f = run_persistence(include_str!("fixtures/r7_bad.rs"), Some(record));
-    assert_eq!(f.len(), 2, "{f:?}");
-    for finding in &f {
-        assert!(
-            finding
-                .message
-                .contains("changed without a format version bump"),
-            "{finding:?}"
-        );
-        assert!(finding.message.contains("ENVELOPE_VERSION"), "{finding:?}");
-    }
-}
-
-#[test]
-fn r7_fingerprints_the_server_wire_codec_too() {
-    // A schema fn in crates/server is fingerprinted, and drift there
-    // names WIRE_VERSION (not ENVELOPE_VERSION) as the const to bump.
-    let hist = include_str!("fixtures/r7_good.rs");
-    let server_v1 = "/// Wire version.\n\
-                     pub const WIRE_VERSION: u16 = 1;\n\
-                     /// Encodes a frame.\n\
-                     pub fn to_bytes(x: u32) -> Vec<u8> { x.to_le_bytes().to_vec() }\n";
-    let mount = |srv: &str| {
-        Workspace::from_sources(
-            &[
-                ("crates/histogram/src/ph.rs", hist),
-                ("crates/server/src/wire.rs", srv),
-            ],
-            None,
-        )
-    };
-    let ws = mount(server_v1);
-    let record = fingerprint::render(
-        fingerprint::versions(&ws),
-        &fingerprint::fingerprint_entries(&ws),
-    );
-    assert!(record.contains("wire-version 1"), "{record}");
-    assert!(
-        record.contains("crates/server/src/wire.rs to_bytes#0"),
-        "{record}"
-    );
-
-    // Unchanged tree against its own record: clean.
-    let ws_same = Workspace::from_sources(
-        &[
-            ("crates/histogram/src/ph.rs", hist),
-            ("crates/server/src/wire.rs", server_v1),
-        ],
-        Some(record.clone()),
-    );
-    let mut clean = Vec::new();
-    run_rule(RuleId::Persistence, &ws_same, &mut clean);
-    assert_eq!(clean, Vec::new(), "unchanged wire codec must pass");
-
-    // Edit the codec body without bumping WIRE_VERSION: one finding
-    // pointing at the server file and naming WIRE_VERSION.
-    let server_drift = server_v1.replace("x.to_le_bytes()", "(x ^ 1).to_le_bytes()");
-    let ws_drift = Workspace::from_sources(
-        &[
-            ("crates/histogram/src/ph.rs", hist),
-            ("crates/server/src/wire.rs", &server_drift),
-        ],
-        Some(record),
-    );
-    let mut f = Vec::new();
-    run_rule(RuleId::Persistence, &ws_drift, &mut f);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].path, "crates/server/src/wire.rs");
-    assert!(f[0].message.contains("WIRE_VERSION"), "{f:?}");
-}
-
-#[test]
-fn r7_wire_version_mismatch_is_a_finding() {
-    // Record says wire-version 1; the tree bumped to 2 without
-    // refreshing the record.
-    let hist = include_str!("fixtures/r7_good.rs");
-    let srv = "/// Wire version.\npub const WIRE_VERSION: u16 = 2;\n";
-    let record_v1 = {
-        let ws = Workspace::from_sources(
-            &[
-                ("crates/histogram/src/ph.rs", hist),
-                (
-                    "crates/server/src/wire.rs",
-                    "/// Wire version.\npub const WIRE_VERSION: u16 = 1;\n",
-                ),
-            ],
-            None,
-        );
-        fingerprint::render(
-            fingerprint::versions(&ws),
-            &fingerprint::fingerprint_entries(&ws),
-        )
-    };
-    let ws = Workspace::from_sources(
-        &[
-            ("crates/histogram/src/ph.rs", hist),
-            ("crates/server/src/wire.rs", srv),
-        ],
-        Some(record_v1),
-    );
-    let mut f = Vec::new();
-    run_rule(RuleId::Persistence, &ws, &mut f);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert!(f[0].message.contains("WIRE_VERSION is 2"), "{f:?}");
-}
-
-#[test]
-fn r7_missing_record_is_a_finding() {
-    let f = run_persistence(include_str!("fixtures/r7_good.rs"), None);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert!(f[0].message.contains("is missing"));
-}
-
-#[test]
-fn r7_version_bump_is_reported_as_stale_record() {
-    let record = record_for(include_str!("fixtures/r7_good.rs"));
-    let bumped = include_str!("fixtures/r7_good.rs")
-        .replace("ENVELOPE_VERSION: u32 = 2", "ENVELOPE_VERSION: u32 = 3");
-    let f = run_persistence(&bumped, Some(record));
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert!(f[0].message.contains("recorded at version 2"), "{f:?}");
-}
-
-#[test]
-fn r7_delta_codec_is_owned_by_delta_version() {
-    // The `.hdelta` codec in delta.rs has its own format version: drift
-    // there with DELTA_VERSION unbumped is flagged naming DELTA_VERSION,
-    // and bumping it without refreshing the record is a stale record.
-    let hist = include_str!("fixtures/r7_good.rs");
-    let delta_v2 = "/// Delta version.\n\
-                    pub const DELTA_VERSION: u32 = 2;\n\
-                    /// Encodes a delta.\n\
-                    pub fn to_bytes(x: u32) -> Vec<u8> { x.to_le_bytes().to_vec() }\n";
-    let mount = |delta: &str, record: Option<String>| {
-        Workspace::from_sources(
-            &[
-                ("crates/histogram/src/ph.rs", hist),
-                ("crates/histogram/src/delta.rs", delta),
-            ],
-            record,
-        )
-    };
-    let ws = mount(delta_v2, None);
-    let record = fingerprint::render(
-        fingerprint::versions(&ws),
-        &fingerprint::fingerprint_entries(&ws),
-    );
-    assert!(record.contains("delta-version 2"), "{record}");
-    let run = |delta: &str| {
-        let mut f = Vec::new();
-        run_rule(
-            RuleId::Persistence,
-            &mount(delta, Some(record.clone())),
-            &mut f,
-        );
-        f
-    };
-    assert_eq!(run(delta_v2), Vec::new(), "unchanged delta codec must pass");
-
-    let drift = run(&delta_v2.replace("x.to_le_bytes()", "(x ^ 1).to_le_bytes()"));
-    assert_eq!(drift.len(), 1, "{drift:?}");
-    assert_eq!(drift[0].path, "crates/histogram/src/delta.rs");
-    assert!(
-        drift[0]
-            .message
-            .contains("changed without a format version bump"),
-        "{drift:?}"
-    );
-    assert!(drift[0].message.contains("DELTA_VERSION"), "{drift:?}");
-    assert!(!drift[0].message.contains("ENVELOPE_VERSION"), "{drift:?}");
-
-    let bumped = run(&delta_v2.replace("DELTA_VERSION: u32 = 2", "DELTA_VERSION: u32 = 3"));
-    assert_eq!(bumped.len(), 1, "{bumped:?}");
-    assert!(
-        bumped[0].message.contains("DELTA_VERSION is 3"),
-        "{bumped:?}"
-    );
-}
-
-#[test]
-fn r7_sparse_codec_is_owned_by_sparse_version() {
-    // The sparse GH codec in sparse.rs has its own format version, like
-    // the `.hdelta` codec: drift there names SPARSE_VERSION.
-    let hist = include_str!("fixtures/r7_good.rs");
-    let sparse_v1 = "/// Sparse version.\n\
-                     pub const SPARSE_VERSION: u32 = 1;\n\
-                     /// Encodes a sparse file.\n\
-                     fn to_bytes(x: u32) -> Vec<u8> { x.to_le_bytes().to_vec() }\n";
-    let mount = |sparse: &str, record: Option<String>| {
-        Workspace::from_sources(
-            &[
-                ("crates/histogram/src/ph.rs", hist),
-                ("crates/histogram/src/sparse.rs", sparse),
-            ],
-            record,
-        )
-    };
-    let ws = mount(sparse_v1, None);
-    let record = fingerprint::render(
-        fingerprint::versions(&ws),
-        &fingerprint::fingerprint_entries(&ws),
-    );
-    assert!(record.contains("sparse-version 1"), "{record}");
-    let run = |sparse: &str| {
-        let mut f = Vec::new();
-        run_rule(
-            RuleId::Persistence,
-            &mount(sparse, Some(record.clone())),
-            &mut f,
-        );
-        f
-    };
-    assert_eq!(
-        run(sparse_v1),
-        Vec::new(),
-        "unchanged sparse codec must pass"
-    );
-
-    let drift = run(&sparse_v1.replace("x.to_le_bytes()", "(x ^ 1).to_le_bytes()"));
-    assert_eq!(drift.len(), 1, "{drift:?}");
-    assert_eq!(drift[0].path, "crates/histogram/src/sparse.rs");
-    assert!(drift[0].message.contains("SPARSE_VERSION"), "{drift:?}");
-    assert!(!drift[0].message.contains("ENVELOPE_VERSION"), "{drift:?}");
-
-    let bumped = run(&sparse_v1.replace("SPARSE_VERSION: u32 = 1", "SPARSE_VERSION: u32 = 2"));
-    assert_eq!(bumped.len(), 1, "{bumped:?}");
-    assert!(
-        bumped[0].message.contains("SPARSE_VERSION is 2"),
-        "{bumped:?}"
-    );
 }
 
 // ------------------------------------------------------------------

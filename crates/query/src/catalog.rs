@@ -908,7 +908,8 @@ mod persistence_tests {
     #[test]
     fn save_and_reload_statistics_every_kind() {
         for kind in HistogramKind::ALL {
-            let dir = std::env::temp_dir().join(format!("sj_query_stats_test_{kind}"));
+            let dir = std::env::temp_dir()
+                .join(format!("sj_query_stats_test-{}-{kind}", std::process::id()));
             let mut c1 = Catalog::with_kind(kind, 4);
             c1.register(tiny("alpha", 40)).unwrap();
             c1.register(tiny("beta", 30)).unwrap();

