@@ -105,12 +105,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half-perimeter, the R-tree "margin" metric.
-    #[must_use]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Center point.
     #[must_use]
     pub fn center(&self) -> Point {
@@ -365,7 +359,6 @@ mod tests {
         assert_eq!(a.width(), 3.0);
         assert_eq!(a.height(), 4.0);
         assert_eq!(a.area(), 12.0);
-        assert_eq!(a.margin(), 7.0);
         assert_eq!(a.center(), Point::new(2.5, 4.0));
         assert!(!a.is_degenerate());
         assert!(Rect::from_point(Point::new(1.0, 1.0)).is_degenerate());

@@ -65,9 +65,11 @@ impl GhBasicHistogram {
 
     /// The retained scalar reference loop of
     /// [`Self::intersection_points`]: iterates every cell of the dense
-    /// count vectors directly. Kept (and exercised by the
-    /// `kernel_agreement` test) as the oracle the kernel path must match
-    /// bit-for-bit.
+    /// count vectors directly, in the kernel's blocked order — one
+    /// partial per 64-cell mask word from `+0.0`, then the partials in
+    /// ascending word order (DESIGN.md §16.3). Kept (and exercised by
+    /// the `kernel_agreement` test) as the oracle the kernel path must
+    /// match bit-for-bit.
     ///
     /// # Errors
     /// Returns [`HistogramError::GridMismatch`] on incompatible grids.
@@ -79,11 +81,15 @@ impl GhBasicHistogram {
             });
         }
         let mut total = 0.0f64;
-        for idx in 0..self.c.len() {
-            total += f64::from(self.c[idx]) * f64::from(other.i[idx])
-                + f64::from(self.i[idx]) * f64::from(other.c[idx])
-                + f64::from(self.v[idx]) * f64::from(other.h[idx])
-                + f64::from(self.h[idx]) * f64::from(other.v[idx]);
+        for run in crate::kernel::word_runs(&self.grid) {
+            let mut partial = 0.0f64;
+            for idx in run {
+                partial += f64::from(self.c[idx]) * f64::from(other.i[idx])
+                    + f64::from(self.i[idx]) * f64::from(other.c[idx])
+                    + f64::from(self.v[idx]) * f64::from(other.h[idx])
+                    + f64::from(self.h[idx]) * f64::from(other.v[idx]);
+            }
+            total += partial;
         }
         Ok(total)
     }
@@ -208,8 +214,10 @@ impl GhHistogram {
 
     /// The retained scalar reference loop of
     /// [`Self::intersection_points`]: iterates every cell of the dense
-    /// mass vectors directly, decoding the fixed-point masses on the fly.
-    /// Kept (and exercised by the `kernel_agreement` test plus the
+    /// mass vectors directly, decoding the fixed-point masses on the fly,
+    /// in the kernel's blocked order — one partial per 64-cell mask word
+    /// from `+0.0`, then the partials in ascending word order (DESIGN.md
+    /// §16.3). Kept (and exercised by the `kernel_agreement` test plus the
     /// `latency_server` kernel gate) as the oracle the kernel path must
     /// match bit-for-bit.
     ///
@@ -223,11 +231,15 @@ impl GhHistogram {
             });
         }
         let mut total = 0.0f64;
-        for idx in 0..self.c.len() {
-            total += f64::from(self.c[idx]) * other.o[idx].to_f64()
-                + f64::from(other.c[idx]) * self.o[idx].to_f64()
-                + self.h[idx].to_f64() * other.v[idx].to_f64()
-                + other.h[idx].to_f64() * self.v[idx].to_f64();
+        for run in crate::kernel::word_runs(&self.grid) {
+            let mut partial = 0.0f64;
+            for idx in run {
+                partial += f64::from(self.c[idx]) * other.o[idx].to_f64()
+                    + f64::from(other.c[idx]) * self.o[idx].to_f64()
+                    + self.h[idx].to_f64() * other.v[idx].to_f64()
+                    + other.h[idx].to_f64() * self.v[idx].to_f64();
+            }
+            total += partial;
         }
         Ok(total)
     }

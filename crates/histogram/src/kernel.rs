@@ -28,16 +28,27 @@
 //! result is **bit-identical** to the retained scalar reference loops
 //! ([`crate::PhHistogram::estimate_scalar`] and friends): the views
 //! pre-compute exactly the `f64` values the scalar loop derives per
-//! cell, and cells are visited in the same ascending flat-index order.
-//! A kernel runs every cell of each 64-cell word in which both operands
-//! have a bit set, occupied or not: an empty view cell stores
-//! `0`/`+0.0` in every slot and every stored value is finite, so a cell
-//! that one operand lacks contributes exactly `±0.0`, and adding `±0.0`
-//! to an accumulator that started at `+0.0` cannot change its bits. The
-//! words it skips hold no jointly occupied cell, so everything they
-//! would add is `±0.0` too. DESIGN.md §16 spells the argument out; the
+//! cell, and both sum in the same **blocked** order. Each accumulator
+//! (one for GH and GH-basic, `sum_abc` and `sum_d` for PH) gets one
+//! partial per 64-cell mask word, summed from `+0.0` in ascending cell
+//! order; the partials are then added in ascending word order, and the
+//! family's scalar tail follows. A kernel runs every cell of each word
+//! in which both operands have a bit set, occupied or not: an empty view
+//! cell stores `0`/`+0.0` in every slot and every stored value is
+//! finite, so a cell that one operand lacks contributes exactly `±0.0`,
+//! and adding `±0.0` to a sum that started at `+0.0` cannot change its
+//! bits. The words it skips hold no jointly occupied cell, so their
+//! partials are `+0.0` too. DESIGN.md §16.4 spells the argument out; the
 //! `kernel_agreement` integration test pins it across the
-//! verify-equivalence scenario matrix.
+//! verify-equivalence scenario matrix, against an independent blocked
+//! reference.
+//!
+//! The same order lets the catalog's pair memo keep an answer across
+//! writes: [`ResidentHistogram::estimate_with_partials`] keeps the
+//! per-word partials ([`WordPartials`]), and
+//! [`ResidentHistogram::repatch`] recomputes only the words a delta
+//! touched and re-sums, which gives the cold answer's bits (DESIGN.md
+//! §16.6).
 //!
 //! The build side is served by the crate-internal `BinGrid`, a
 //! flattened view of the grid geometry (hoisted cell sizes, row-base
@@ -54,6 +65,7 @@ use crate::{
     SelectivityEstimate, SpatialHistogram,
 };
 use sj_geo::{HEdge, Rect, VEdge};
+use std::ops::Range;
 
 // ---------------------------------------------------------------------
 // Occupancy bitmaps
@@ -118,33 +130,135 @@ impl RowMask {
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| ix(w.count_ones())).sum()
     }
+
+    /// The flat cell range word `w` covers: `base..min(base + 64,
+    /// row_end)`.
+    fn run(&self, w: usize) -> Range<usize> {
+        let wpr = self.words_per_row.max(1);
+        let col = (w % wpr) * 64;
+        let base = (w / wpr) * self.cols + col;
+        base..base + (self.cols - col).min(64)
+    }
 }
 
-/// Calls `f` with every cell of each *joint run*, in ascending flat
-/// order: for each mask word in which both operands have a bit set, the
-/// contiguous range `base..min(base + 64, row_end)` of the cells that
-/// word covers.
+/// The mask word holding flat cell `idx` of a grid `cols` cells wide
+/// (the [`RowMask`] encoding).
+fn mask_word(cols: usize, idx: usize) -> usize {
+    (idx / cols) * cols.div_ceil(64) + (idx % cols) / 64
+}
+
+/// Every mask word's flat cell range on `grid`, in ascending order: the
+/// blocks of the blocked reduction, for the scalar reference loops.
+pub(crate) fn word_runs(grid: &Grid) -> impl Iterator<Item = Range<usize>> {
+    let cols = ix(grid.cells_per_axis());
+    (0..cols).flat_map(move |row| {
+        (0..cols).step_by(64).map(move |col| {
+            let base = row * cols + col;
+            base..base + (cols - col).min(64)
+        })
+    })
+}
+
+/// Calls `f` with the index and the cells of each *joint run*, in
+/// ascending flat order: for each mask word `w` in which both operands
+/// have a bit set, the contiguous range `base..min(base + 64, row_end)`
+/// of the cells that word covers.
 ///
 /// This is the shared sweep of all three estimate kernels. A word with
 /// no joint bit is skipped without touching the statistic slices; a
 /// word with one runs all of its cells, including those that only one
 /// operand (or neither) occupies. Such a cell adds exactly `±0.0` to the
-/// kernel's accumulator: every slot of an empty view cell holds
-/// `0`/`+0.0` and every stored value is finite, so each product has a
-/// zero factor, and adding `±0.0` to an accumulator that started at
-/// `+0.0` never changes its bits (DESIGN.md §16.4).
-fn for_each_run(a: &RowMask, b: &RowMask, mut f: impl FnMut(std::ops::Range<usize>)) {
+/// word's partial: every slot of an empty view cell holds `0`/`+0.0`
+/// and every stored value is finite, so each product has a zero factor,
+/// and adding `±0.0` to a partial that started at `+0.0` never changes
+/// its bits (DESIGN.md §16.4).
+fn for_each_run(a: &RowMask, b: &RowMask, mut f: impl FnMut(usize, Range<usize>)) {
     debug_assert_eq!(a.cols, b.cols);
     debug_assert_eq!(a.words.len(), b.words.len());
-    let wpr = a.words_per_row.max(1);
-    for (w_idx, (wa, wb)) in a.words.iter().zip(&b.words).enumerate() {
-        if wa & wb == 0 {
-            continue;
+    for (w, (wa, wb)) in a.words.iter().zip(&b.words).enumerate() {
+        if wa & wb != 0 {
+            f(w, a.run(w));
         }
-        let col = (w_idx % wpr) * 64;
-        let base = (w_idx / wpr) * a.cols + col;
-        f(base..base + (a.cols - col).min(64));
     }
+}
+
+// ---------------------------------------------------------------------
+// Blocked reduction
+// ---------------------------------------------------------------------
+
+/// A view kernel as a blocked reduction (DESIGN.md §16.3): `K`
+/// accumulators, each summed per 64-cell mask word from `+0.0` in
+/// ascending cell order; the answer adds the words' partials in
+/// ascending word order, then applies the family's scalar tail.
+trait WordKernel<const K: usize> {
+    /// The occupancy mask the joint sweep reads.
+    fn occ(&self) -> &RowMask;
+
+    /// The `K` partials of one joint run against `other`.
+    fn run_partials(&self, other: &Self, run: Range<usize>) -> [f64; K];
+}
+
+/// The kernel's sums: every joint word's partials, added from `+0.0`
+/// in ascending word order. A skipped word's partial is `+0.0`, which
+/// never changes such a sum, so this equals [`patch_sums`] over every
+/// word without allocating.
+fn blocked_sums<const K: usize, V: WordKernel<K>>(a: &V, b: &V) -> [f64; K] {
+    let mut sums = [0.0; K];
+    for_each_run(a.occ(), b.occ(), |_, run| {
+        for (s, p) in sums.iter_mut().zip(a.run_partials(b, run)) {
+            *s += p;
+        }
+    });
+    sums
+}
+
+/// Brings the partials of `a ⋈ b` (`K` per word, word-major) up to
+/// date, then adds them from `+0.0` in ascending word order: every word
+/// when `parts` is empty, else only `words`, each recomputed from the
+/// current views (`+0.0` for a word with no joint bit). `None` when
+/// `parts` or `words` does not fit the grid.
+fn patch_sums<const K: usize, V: WordKernel<K>>(
+    a: &V,
+    b: &V,
+    parts: &mut Vec<f64>,
+    words: &[usize],
+) -> Option<[f64; K]> {
+    let (ma, mb) = (a.occ(), b.occ());
+    let n = ma.words.len();
+    let fresh = parts.is_empty();
+    if fresh {
+        parts.resize(n * K, 0.0);
+    } else if parts.len() != n * K || words.iter().any(|&w| w >= n) {
+        return None;
+    }
+    let mut recompute = |w: usize| {
+        let p = if ma.words[w] & mb.words[w] == 0 {
+            [0.0; K]
+        } else {
+            a.run_partials(b, ma.run(w))
+        };
+        parts[w * K..][..K].copy_from_slice(&p);
+    };
+    if fresh {
+        (0..n).for_each(&mut recompute);
+    } else {
+        words.iter().for_each(|&w| recompute(w));
+    }
+    let mut sums = [0.0; K];
+    for word in parts.chunks_exact(K) {
+        for (s, p) in sums.iter_mut().zip(word) {
+            *s += p;
+        }
+    }
+    Some(sums)
+}
+
+/// The shared GH / GH-basic tail: `IP / 4 / (N₁·N₂)`, from each side's
+/// `(N as f64, dataset length)`.
+fn ip_estimate(ip: f64, (n1, len1): (f64, usize), (n2, len2): (f64, usize)) -> SelectivityEstimate {
+    let denom = n1 * n2;
+    let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
+    SelectivityEstimate::from_selectivity(raw, len1, len2)
 }
 
 /// Whether two `f64` slices hold the same bit patterns (`-0.0` and
@@ -375,36 +489,26 @@ impl PhView {
         self.estimate_with(other, false)
     }
 
+    /// The blocked PH reduction (DESIGN.md §16.3): `sum_abc` and `sum_d`
+    /// each summed per joint word, then over words in ascending order,
+    /// then [`PhView::tail`].
     pub(crate) fn estimate_with(
         &self,
         other: &PhView,
         correct_spans: bool,
     ) -> Result<SelectivityEstimate, HistogramError> {
         grid_check(self.grid, other.grid)?;
-        let cell_area = self.cell_area;
-        // The parametric kernel of Eq. 1 — identical expression (and
-        // therefore rounding) to the scalar reference loop.
-        let kernel = |n1: f64, c1: f64, w1: f64, h1: f64, n2: f64, c2: f64, w2: f64, h2: f64| {
-            n1 * c2 + c1 * n2 + n1 * n2 * (w1 * h2 + w2 * h1) / cell_area
-        };
-        let mut sum_abc = 0.0f64;
-        let mut sum_d = 0.0f64;
-        for_each_run(&self.occ, &other.occ, |run| {
-            for idx in run {
-                let (n1, n1x) = (f64::from(self.n[idx]), f64::from(self.nx[idx]));
-                let (n2, n2x) = (f64::from(other.n[idx]), f64::from(other.nx[idx]));
-                let (c1, w1, h1) = (self.c[idx], self.w[idx], self.h[idx]);
-                let (c1x, w1x, h1x) = (self.cx[idx], self.wx[idx], self.hx[idx]);
-                let (c2, w2, h2) = (other.c[idx], other.w[idx], other.h[idx]);
-                let (c2x, w2x, h2x) = (other.cx[idx], other.wx[idx], other.hx[idx]);
-                // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
-                sum_abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
-                sum_abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
-                sum_abc += kernel(n1x, c1x, w1x, h1x, n2, c2, w2, h2);
-                // Sd: Isect1 × Isect2 — the only multi-counted case.
-                sum_d += kernel(n1x, c1x, w1x, h1x, n2x, c2x, w2x, h2x);
-            }
-        });
+        Ok(self.tail(other, blocked_sums(self, other), correct_spans))
+    }
+
+    /// The scalar tail: Eq. 3's `sum_abc + sum_d / span_correction`, over
+    /// `N₁·N₂`.
+    fn tail(
+        &self,
+        other: &PhView,
+        [sum_abc, sum_d]: [f64; 2],
+        correct_spans: bool,
+    ) -> SelectivityEstimate {
         let span_correction = if correct_spans {
             (self.avg_span + other.avg_span) / 2.0
         } else {
@@ -413,9 +517,39 @@ impl PhView {
         let size = sum_abc + sum_d / span_correction;
         let denom = self.n_f64 * other.n_f64;
         let raw = if denom == 0.0 { 0.0 } else { size / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw, self.len, other.len,
-        ))
+        SelectivityEstimate::from_selectivity(raw, self.len, other.len)
+    }
+}
+
+impl WordKernel<2> for PhView {
+    fn occ(&self) -> &RowMask {
+        &self.occ
+    }
+
+    /// `[sum_abc, sum_d]` of one run: Eq. 1's parametric kernel over the
+    /// four `Cont`/`Isect` cases, the scalar reference loop's expressions.
+    fn run_partials(&self, other: &Self, run: Range<usize>) -> [f64; 2] {
+        let cell_area = self.cell_area;
+        let kernel = |n1: f64, c1: f64, w1: f64, h1: f64, n2: f64, c2: f64, w2: f64, h2: f64| {
+            n1 * c2 + c1 * n2 + n1 * n2 * (w1 * h2 + w2 * h1) / cell_area
+        };
+        let mut sum_abc = 0.0f64;
+        let mut sum_d = 0.0f64;
+        for idx in run {
+            let (n1, n1x) = (f64::from(self.n[idx]), f64::from(self.nx[idx]));
+            let (n2, n2x) = (f64::from(other.n[idx]), f64::from(other.nx[idx]));
+            let (c1, w1, h1) = (self.c[idx], self.w[idx], self.h[idx]);
+            let (c1x, w1x, h1x) = (self.cx[idx], self.wx[idx], self.hx[idx]);
+            let (c2, w2, h2) = (other.c[idx], other.w[idx], other.h[idx]);
+            let (c2x, w2x, h2x) = (other.cx[idx], other.wx[idx], other.hx[idx]);
+            // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
+            sum_abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
+            sum_abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
+            sum_abc += kernel(n1x, c1x, w1x, h1x, n2, c2, w2, h2);
+            // Sd: Isect1 × Isect2 — the only multi-counted case.
+            sum_d += kernel(n1x, c1x, w1x, h1x, n2x, c2x, w2x, h2x);
+        }
+        [sum_abc, sum_d]
     }
 }
 
@@ -553,7 +687,10 @@ impl GhView {
         self.occ.count()
     }
 
-    /// Kernel-path Eq. 5 intersection-point total; bit-identical to
+    /// Kernel-path Eq. 5 intersection-point total, a blocked reduction
+    /// (DESIGN.md §16.3): one partial per joint 64-cell word, summed from
+    /// `+0.0` in ascending cell order, then the partials in ascending
+    /// word order. Bit-identical to
     /// [`GhHistogram::intersection_points_scalar`].
     ///
     /// # Errors
@@ -561,20 +698,8 @@ impl GhView {
     /// histograms were built on different grids.
     pub fn intersection_points(&self, other: &GhView) -> Result<f64, HistogramError> {
         grid_check(self.grid, other.grid)?;
-        let mut total = 0.0f64;
-        for_each_run(&self.occ, &other.occ, |run| {
-            let (c1, o1) = (&self.c[run.clone()], &self.o[run.clone()]);
-            let (h1, v1) = (&self.h[run.clone()], &self.v[run.clone()]);
-            let (c2, o2) = (&other.c[run.clone()], &other.o[run.clone()]);
-            let (h2, v2) = (&other.h[run.clone()], &other.v[run]);
-            for k in 0..c1.len() {
-                total += f64::from(c1[k]) * o2[k]
-                    + f64::from(c2[k]) * o1[k]
-                    + h1[k] * v2[k]
-                    + h2[k] * v1[k];
-            }
-        });
-        Ok(total)
+        let [ip] = blocked_sums(self, other);
+        Ok(ip)
     }
 
     /// Kernel-path revised-GH estimate: `IP / 4 / (N₁·N₂)`;
@@ -585,11 +710,31 @@ impl GhView {
     /// histograms were built on different grids.
     pub fn estimate(&self, other: &GhView) -> Result<SelectivityEstimate, HistogramError> {
         let ip = self.intersection_points(other)?;
-        let denom = self.n_f64 * other.n_f64;
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw, self.len, other.len,
-        ))
+        Ok(self.tail(other, [ip]))
+    }
+
+    fn tail(&self, other: &GhView, [ip]: [f64; 1]) -> SelectivityEstimate {
+        ip_estimate(ip, (self.n_f64, self.len), (other.n_f64, other.len))
+    }
+}
+
+impl WordKernel<1> for GhView {
+    fn occ(&self) -> &RowMask {
+        &self.occ
+    }
+
+    /// Eq. 5's corner×overlap and edge×edge products over one run.
+    fn run_partials(&self, other: &Self, run: Range<usize>) -> [f64; 1] {
+        let (c1, o1) = (&self.c[run.clone()], &self.o[run.clone()]);
+        let (h1, v1) = (&self.h[run.clone()], &self.v[run.clone()]);
+        let (c2, o2) = (&other.c[run.clone()], &other.o[run.clone()]);
+        let (h2, v2) = (&other.h[run.clone()], &other.v[run]);
+        let mut partial = 0.0f64;
+        for k in 0..c1.len() {
+            partial +=
+                f64::from(c1[k]) * o2[k] + f64::from(c2[k]) * o1[k] + h1[k] * v2[k] + h2[k] * v1[k];
+        }
+        [partial]
     }
 }
 
@@ -722,7 +867,8 @@ impl GhBasicView {
         self.occ.count()
     }
 
-    /// Kernel-path Eq. 4 intersection-point total; bit-identical to
+    /// Kernel-path Eq. 4 intersection-point total, the same blocked
+    /// reduction as [`GhView::intersection_points`]; bit-identical to
     /// [`GhBasicHistogram::intersection_points_scalar`].
     ///
     /// # Errors
@@ -730,20 +876,8 @@ impl GhBasicView {
     /// histograms were built on different grids.
     pub fn intersection_points(&self, other: &GhBasicView) -> Result<f64, HistogramError> {
         grid_check(self.grid, other.grid)?;
-        let mut total = 0.0f64;
-        for_each_run(&self.occ, &other.occ, |run| {
-            let (c1, i1) = (&self.c[run.clone()], &self.i[run.clone()]);
-            let (v1, h1) = (&self.v[run.clone()], &self.h[run.clone()]);
-            let (c2, i2) = (&other.c[run.clone()], &other.i[run.clone()]);
-            let (v2, h2) = (&other.v[run.clone()], &other.h[run]);
-            for k in 0..c1.len() {
-                total += f64::from(c1[k]) * f64::from(i2[k])
-                    + f64::from(i1[k]) * f64::from(c2[k])
-                    + f64::from(v1[k]) * f64::from(h2[k])
-                    + f64::from(h1[k]) * f64::from(v2[k]);
-            }
-        });
-        Ok(total)
+        let [ip] = blocked_sums(self, other);
+        Ok(ip)
     }
 
     /// Kernel-path basic-GH estimate: `IP / 4 / (N₁·N₂)`;
@@ -754,11 +888,33 @@ impl GhBasicView {
     /// histograms were built on different grids.
     pub fn estimate(&self, other: &GhBasicView) -> Result<SelectivityEstimate, HistogramError> {
         let ip = self.intersection_points(other)?;
-        let denom = self.n_f64 * other.n_f64;
-        let raw = if denom == 0.0 { 0.0 } else { ip / 4.0 / denom };
-        Ok(SelectivityEstimate::from_selectivity(
-            raw, self.len, other.len,
-        ))
+        Ok(self.tail(other, [ip]))
+    }
+
+    fn tail(&self, other: &GhBasicView, [ip]: [f64; 1]) -> SelectivityEstimate {
+        ip_estimate(ip, (self.n_f64, self.len), (other.n_f64, other.len))
+    }
+}
+
+impl WordKernel<1> for GhBasicView {
+    fn occ(&self) -> &RowMask {
+        &self.occ
+    }
+
+    /// Eq. 4's `c₁·i₂ + i₁·c₂ + v₁·h₂ + h₁·v₂` over one run.
+    fn run_partials(&self, other: &Self, run: Range<usize>) -> [f64; 1] {
+        let (c1, i1) = (&self.c[run.clone()], &self.i[run.clone()]);
+        let (v1, h1) = (&self.v[run.clone()], &self.h[run.clone()]);
+        let (c2, i2) = (&other.c[run.clone()], &other.i[run.clone()]);
+        let (v2, h2) = (&other.v[run.clone()], &other.h[run]);
+        let mut partial = 0.0f64;
+        for k in 0..c1.len() {
+            partial += f64::from(c1[k]) * f64::from(i2[k])
+                + f64::from(i1[k]) * f64::from(c2[k])
+                + f64::from(v1[k]) * f64::from(h2[k])
+                + f64::from(h1[k]) * f64::from(v2[k]);
+        }
+        [partial]
     }
 }
 
@@ -853,10 +1009,14 @@ impl ResidentHistogram {
     /// function of its histogram cell, so the patched view equals a
     /// freshly decoded one bit for bit.
     ///
+    /// Returns the mask words (the [`RowMask`] encoding) that hold a
+    /// touched cell, ascending: the only words whose partials
+    /// ([`ResidentHistogram::repatch`]) the delta can have changed.
+    ///
     /// # Errors
     /// As [`SpatialHistogram::apply_delta`]; on error neither the
     /// histogram nor the view has changed.
-    pub fn apply_delta(&mut self, delta: &HistogramDelta) -> Result<(), HistogramError> {
+    pub fn apply_delta(&mut self, delta: &HistogramDelta) -> Result<Vec<usize>, HistogramError> {
         self.hist.apply_delta(delta)?;
         let cells = delta.touched_cells();
         // The view was decoded from this histogram, so each downcast
@@ -880,7 +1040,11 @@ impl ResidentHistogram {
             }
             FamilyView::Euler => {}
         }
-        Ok(())
+        // Cells ascend, and so do their words.
+        let cols = ix(self.hist.grid().cells_per_axis());
+        let mut words: Vec<usize> = cells.iter().map(|&idx| mask_word(cols, idx)).collect();
+        words.dedup();
+        Ok(words)
     }
 
     /// Whether this view and `other`'s are bitwise identical: grid,
@@ -914,6 +1078,87 @@ impl ResidentHistogram {
             // get the trait path's kind-mismatch error.
             _ => self.hist.estimate_join(other.hist.as_ref()),
         }
+    }
+
+    /// [`ResidentHistogram::estimate`] together with the per-word
+    /// partials it sums, for a memo that keeps the answer across writes
+    /// ([`ResidentHistogram::repatch`]). The answer is bit-identical to
+    /// [`ResidentHistogram::estimate`]. Euler has no view kernel, so its
+    /// partials are `None`.
+    ///
+    /// # Errors
+    /// As [`ResidentHistogram::estimate`].
+    pub fn estimate_with_partials(
+        &self,
+        other: &Self,
+    ) -> Result<(SelectivityEstimate, Option<WordPartials>), HistogramError> {
+        let mut partials = WordPartials(Vec::new());
+        match self.repatch(other, &mut partials, &[]) {
+            // Euler, and two different families.
+            Err(HistogramError::KindMismatch { .. }) => Ok((self.estimate(other)?, None)),
+            est => Ok((est?, Some(partials))),
+        }
+    }
+
+    /// Brings an answer of [`ResidentHistogram::estimate_with_partials`]
+    /// up to date after writes: recomputes the partials of `words` from
+    /// the current views, then re-sums every partial in ascending word
+    /// order and applies the tail. It never adds a change to the old
+    /// total, so when `words` covers every word the writes since touched
+    /// ([`ResidentHistogram::apply_delta`] returns them), the answer and
+    /// the partials equal a fresh
+    /// [`ResidentHistogram::estimate_with_partials`] bit for bit.
+    ///
+    /// # Errors
+    /// [`HistogramError::GridMismatch`] across grids;
+    /// [`HistogramError::KindMismatch`] when the two have no common view
+    /// kernel, or `partials` or `words` do not fit it.
+    pub fn repatch(
+        &self,
+        other: &Self,
+        partials: &mut WordPartials,
+        words: &[usize],
+    ) -> Result<SelectivityEstimate, HistogramError> {
+        let p = &mut partials.0;
+        let est = match (&self.view, &other.view) {
+            (FamilyView::Gh(a), FamilyView::Gh(b)) => {
+                grid_check(a.grid, b.grid)?;
+                patch_sums(a, b, p, words).map(|sums| a.tail(b, sums))
+            }
+            (FamilyView::Ph(a), FamilyView::Ph(b)) => {
+                grid_check(a.grid, b.grid)?;
+                patch_sums(a, b, p, words).map(|sums| a.tail(b, sums, true))
+            }
+            (FamilyView::GhBasic(a), FamilyView::GhBasic(b)) => {
+                grid_check(a.grid, b.grid)?;
+                patch_sums(a, b, p, words).map(|sums| a.tail(b, sums))
+            }
+            _ => None,
+        };
+        est.ok_or(HistogramError::KindMismatch {
+            left: self.hist.kind(),
+            right: other.hist.kind(),
+        })
+    }
+}
+
+/// The per-word partials of one kernel estimate, kept next to a memoized
+/// answer so that a write re-derives only the words it touched
+/// (DESIGN.md §16.6). Each is one 64-cell mask word's share of one
+/// accumulator, summed from `+0.0` in ascending cell order; a word with
+/// no jointly occupied cell holds `+0.0`. They take
+/// `8 B × words × accumulators`: one accumulator for GH and GH-basic,
+/// two for PH (`sum_abc`, `sum_d`).
+#[derive(Debug, Clone)]
+pub struct WordPartials(Vec<f64>);
+
+impl WordPartials {
+    /// Whether both hold the same partials, compared with `to_bits`. A
+    /// test hook for the patched-memo contract.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn bits_eq(&self, other: &Self) -> bool {
+        same_bits(&self.0, &other.0)
     }
 }
 
@@ -1131,7 +1376,7 @@ mod tests {
 
     fn runs(a: &RowMask, b: &RowMask) -> Vec<std::ops::Range<usize>> {
         let mut seen = Vec::new();
-        for_each_run(a, b, |run| seen.push(run));
+        for_each_run(a, b, |_, run| seen.push(run));
         seen
     }
 
@@ -1201,5 +1446,49 @@ mod tests {
         let view = GhView::new(&gh);
         assert_eq!(view.occupied_cells(), gh.occupied_cells());
         assert!(view.occupied_cells() < grid.num_cells());
+    }
+
+    #[test]
+    fn word_runs_match_the_mask_encoding() {
+        for level in 0..=7 {
+            let grid = Grid::new(level, Extent::unit()).unwrap();
+            let cols = ix(grid.cells_per_axis());
+            let mask = RowMask::empty(cols, cols);
+            let runs: Vec<_> = word_runs(&grid).collect();
+            assert_eq!(runs.len(), mask.words.len(), "level {level}");
+            for (w, run) in runs.into_iter().enumerate() {
+                assert_eq!(run, mask.run(w), "level {level}, word {w}");
+                assert!(run.clone().all(|idx| mask_word(cols, idx) == w));
+            }
+        }
+    }
+
+    #[test]
+    fn a_word_with_no_joint_bit_has_a_positive_zero_partial() {
+        // Level 7: two words per row. Both operands occupy row 0's first
+        // word; only `a` occupies its second, only `b` row 1's first.
+        let grid = Grid::new(7, Extent::unit()).unwrap();
+        let w = 1.0 / 128.0;
+        let cell =
+            |col: f64, row: f64| Rect::new(col * w, row * w, (col + 0.5) * w, (row + 0.5) * w);
+        let a = GhView::new(&GhHistogram::build(
+            grid,
+            &[cell(3.0, 0.0), cell(70.0, 0.0)],
+        ));
+        let b = GhView::new(&GhHistogram::build(grid, &[cell(3.0, 0.0), cell(5.0, 1.0)]));
+        let mut parts = Vec::new();
+        let [ip] = patch_sums(&a, &b, &mut parts, &[]).unwrap();
+        assert_eq!(parts.len(), 256, "one partial per word");
+        assert!(parts[0] > 0.0, "the joint word sums its products");
+        for word in [1, 2, 3] {
+            assert_eq!(parts[word].to_bits(), 0.0f64.to_bits(), "word {word}");
+        }
+        assert_eq!(ip.to_bits(), a.intersection_points(&b).unwrap().to_bits());
+        // Recomputing a word with no joint bit stores `+0.0` as well.
+        parts[1] = -0.0;
+        let [again] = patch_sums(&a, &b, &mut parts, &[1]).unwrap();
+        assert_eq!(parts[1].to_bits(), 0.0f64.to_bits());
+        assert_eq!(again.to_bits(), ip.to_bits());
+        assert!(patch_sums::<1, _>(&a, &b, &mut parts, &[256]).is_none());
     }
 }

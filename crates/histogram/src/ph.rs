@@ -109,7 +109,10 @@ impl PhHistogram {
     }
 
     /// The retained scalar reference loop of [`Self::estimate`]: iterates
-    /// every cell of the dense per-statistic vectors directly. Kept (and
+    /// every cell of the dense per-statistic vectors directly, in the
+    /// kernel's blocked order — `sum_abc` and `sum_d` each get one partial
+    /// per 64-cell mask word from `+0.0`, added in ascending word order
+    /// before the span-correction tail (DESIGN.md §16.3). Kept (and
     /// exercised by the `kernel_agreement` test) as the oracle the kernel
     /// path must match bit-for-bit.
     ///
@@ -164,37 +167,42 @@ impl PhHistogram {
         };
         let mut sum_abc = 0.0f64;
         let mut sum_d = 0.0f64;
-        for idx in 0..self.grid.num_cells() {
-            let (n1, c1, w1, h1) = (
-                f64::from(self.num[idx]),
-                self.cov[idx].to_f64(),
-                avg(self.xsum[idx], self.num[idx]),
-                avg(self.ysum[idx], self.num[idx]),
-            );
-            let (n1x, c1x, w1x, h1x) = (
-                f64::from(self.num_x[idx]),
-                self.cov_x[idx].to_f64(),
-                avg(self.xsum_x[idx], self.num_x[idx]),
-                avg(self.ysum_x[idx], self.num_x[idx]),
-            );
-            let (n2, c2, w2, h2) = (
-                f64::from(other.num[idx]),
-                other.cov[idx].to_f64(),
-                avg(other.xsum[idx], other.num[idx]),
-                avg(other.ysum[idx], other.num[idx]),
-            );
-            let (n2x, c2x, w2x, h2x) = (
-                f64::from(other.num_x[idx]),
-                other.cov_x[idx].to_f64(),
-                avg(other.xsum_x[idx], other.num_x[idx]),
-                avg(other.ysum_x[idx], other.num_x[idx]),
-            );
-            // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
-            sum_abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
-            sum_abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
-            sum_abc += kernel(n1x, c1x, w1x, h1x, n2, c2, w2, h2);
-            // Sd: Isect1 × Isect2 — the only multi-counted case.
-            sum_d += kernel(n1x, c1x, w1x, h1x, n2x, c2x, w2x, h2x);
+        for run in crate::kernel::word_runs(&self.grid) {
+            let (mut abc, mut d) = (0.0f64, 0.0f64);
+            for idx in run {
+                let (n1, c1, w1, h1) = (
+                    f64::from(self.num[idx]),
+                    self.cov[idx].to_f64(),
+                    avg(self.xsum[idx], self.num[idx]),
+                    avg(self.ysum[idx], self.num[idx]),
+                );
+                let (n1x, c1x, w1x, h1x) = (
+                    f64::from(self.num_x[idx]),
+                    self.cov_x[idx].to_f64(),
+                    avg(self.xsum_x[idx], self.num_x[idx]),
+                    avg(self.ysum_x[idx], self.num_x[idx]),
+                );
+                let (n2, c2, w2, h2) = (
+                    f64::from(other.num[idx]),
+                    other.cov[idx].to_f64(),
+                    avg(other.xsum[idx], other.num[idx]),
+                    avg(other.ysum[idx], other.num[idx]),
+                );
+                let (n2x, c2x, w2x, h2x) = (
+                    f64::from(other.num_x[idx]),
+                    other.cov_x[idx].to_f64(),
+                    avg(other.xsum_x[idx], other.num_x[idx]),
+                    avg(other.ysum_x[idx], other.num_x[idx]),
+                );
+                // Sa: Cont1 × Cont2; Sb: Cont1 × Isect2; Sc: Isect1 × Cont2.
+                abc += kernel(n1, c1, w1, h1, n2, c2, w2, h2);
+                abc += kernel(n1, c1, w1, h1, n2x, c2x, w2x, h2x);
+                abc += kernel(n1x, c1x, w1x, h1x, n2, c2, w2, h2);
+                // Sd: Isect1 × Isect2 — the only multi-counted case.
+                d += kernel(n1x, c1x, w1x, h1x, n2x, c2x, w2x, h2x);
+            }
+            sum_abc += abc;
+            sum_d += d;
         }
         let span_correction = if correct_spans {
             (self.avg_span() + other.avg_span()) / 2.0

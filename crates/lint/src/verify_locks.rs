@@ -29,8 +29,9 @@
 //! pairs of the mutated table and a second table that is never mutated:
 //! a resident view or a pair-memo slot (DESIGN.md §16.6) the concurrent
 //! commits left stale is reported as a violation too. The workers ask
-//! all four pairs every round, so a memo reset that cleared only the
-//! mutated table's row, or only its diagonal cell, leaves a stale slot.
+//! all four pairs every round, so every slot is held when a commit
+//! patches the mutated table's row and column: a patch that skipped a
+//! slot, or one touched word of it, leaves a stale answer.
 //!
 //! Every run is deterministic: fixed dataset, fixed batch
 //! schedule, fixed thread count. Fault injection (`--inject`)

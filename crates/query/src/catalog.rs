@@ -3,10 +3,10 @@ use crate::error::QueryError;
 use crate::plan::{ChainJoinQuery, Plan, Planner};
 use sj_datagen::Dataset;
 use sj_geo::{Extent, Rect};
-use sj_histogram::kernel::ResidentHistogram;
+use sj_histogram::kernel::{ResidentHistogram, WordPartials};
 use sj_histogram::{
-    build_histogram, load_histogram, parametric_result_size, GhHistogram, Grid, HistogramKind,
-    ParametricInputs, PhHistogram, SelectivityEstimate, SpatialHistogram,
+    build_histogram, load_histogram, parametric_result_size, GhHistogram, Grid, HistogramDelta,
+    HistogramKind, ParametricInputs, PhHistogram, SelectivityEstimate, SpatialHistogram,
 };
 use sj_rtree::{RTree, RTreeConfig};
 use sj_sampling::{SamplingEstimator, SamplingTechnique};
@@ -70,7 +70,8 @@ impl StatsState {
 pub(crate) struct Table {
     pub(crate) dataset: Dataset,
     /// Written only through [`Catalog::stats_mut`], which forgets the
-    /// memoized answers that read these statistics.
+    /// memoized answers that read these statistics, and
+    /// [`Catalog::apply_stats_delta`], which patches them.
     stats: StatsState,
     /// The table's row and column in the [`PairMemo`]; dense, in
     /// registration order.
@@ -84,6 +85,13 @@ impl Table {
     }
 }
 
+/// One memoized primary-tier answer, and for the view families the
+/// per-word partials it was summed from (`None` for Euler).
+struct MemoEntry {
+    est: SelectivityEstimate,
+    partials: Option<WordPartials>,
+}
+
 /// Primary-tier answers per ordered table pair (DESIGN.md §16.6): an
 /// `n × n` array of write-once slots, row `a`, column `b` holding the
 /// estimate of `a ⋈ b`. `(a, b)` and `(b, a)` are separate slots:
@@ -92,11 +100,11 @@ impl Table {
 #[derive(Default)]
 struct PairMemo {
     n: usize,
-    slots: Vec<OnceLock<SelectivityEstimate>>,
+    slots: Vec<OnceLock<MemoEntry>>,
 }
 
 impl PairMemo {
-    fn slot(&self, a: usize, b: usize) -> &OnceLock<SelectivityEstimate> {
+    fn slot(&self, a: usize, b: usize) -> &OnceLock<MemoEntry> {
         &self.slots[a * self.n + b]
     }
 
@@ -122,6 +130,32 @@ impl PairMemo {
         for k in 0..self.n {
             self.slots[t * self.n + k].take();
             self.slots[k * self.n + t].take();
+        }
+    }
+
+    /// Brings row `t` and column `t` up to date after a delta touched
+    /// `words` of table `t`'s view: each held answer recomputes those
+    /// words' partials and re-sums ([`ResidentHistogram::repatch`]), so
+    /// it equals a cold estimate bit for bit. `stats[k]` is the usable
+    /// statistics of the table in slot `k`. An answer without partials
+    /// (Euler) is emptied instead.
+    fn patch(&mut self, t: usize, stats: &[Option<&ResidentHistogram>], words: &[usize]) {
+        let n = self.n;
+        let row = (0..n).map(|k| (t, k));
+        let column = (0..n).filter(|&k| k != t).map(|k| (k, t));
+        for (a, b) in row.chain(column) {
+            let slot = &mut self.slots[a * n + b];
+            let Some(entry) = slot.get_mut() else {
+                continue;
+            };
+            let patched = match (&mut entry.partials, stats[a], stats[b]) {
+                (Some(partials), Some(ha), Some(hb)) => ha.repatch(hb, partials, words).ok(),
+                _ => None,
+            };
+            match patched {
+                Some(est) => entry.est = est,
+                None => drop(slot.take()),
+            }
         }
     }
 }
@@ -339,10 +373,11 @@ impl Catalog {
     }
 
     /// The primary-tier answer for `ta ⋈ tb` from the pair memo, or one
-    /// kernel pass over the two resident views whose answer fills the
-    /// memo. Only successes are stored. Two readers that find the slot
-    /// empty at once both run the kernel over the same views, so both
-    /// compute the same bits and either `set` may win.
+    /// kernel pass over the two resident views whose answer and per-word
+    /// partials fill the memo. Only successes are stored. Two readers
+    /// that find the slot empty at once both run the kernel over the
+    /// same views, so both compute the same bits and either `set` may
+    /// win.
     fn memo_estimate(
         &self,
         ta: &Table,
@@ -351,12 +386,12 @@ impl Catalog {
         hb: &ResidentHistogram,
     ) -> Result<SelectivityEstimate, sj_histogram::HistogramError> {
         let slot = self.memo.slot(ta.slot, tb.slot);
-        if let Some(est) = slot.get() {
-            return Ok(*est);
+        if let Some(entry) = slot.get() {
+            return Ok(entry.est);
         }
-        let est = ha.estimate(hb)?;
+        let (est, partials) = ha.estimate_with_partials(hb)?;
         // A racing reader may have filled the slot with the same bits.
-        let _ = slot.set(est);
+        let _ = slot.set(MemoEntry { est, partials });
         Ok(est)
     }
 
@@ -365,10 +400,21 @@ impl Catalog {
     #[doc(hidden)]
     #[must_use]
     pub fn memo_holds(&self, a: &str, b: &str) -> bool {
-        match (self.tables.get(a), self.tables.get(b)) {
-            (Some(ta), Some(tb)) => self.memo.slot(ta.slot, tb.slot).get().is_some(),
-            _ => false,
-        }
+        self.memo_entry(a, b).is_some()
+    }
+
+    /// The pair memo's answer for `a ⋈ b` and the per-word partials it
+    /// keeps, if it holds one. A test hook for the patch rule.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn memo_entry(
+        &self,
+        a: &str,
+        b: &str,
+    ) -> Option<(SelectivityEstimate, Option<&WordPartials>)> {
+        let (ta, tb) = (self.tables.get(a)?, self.tables.get(b)?);
+        let entry = self.memo.slot(ta.slot, tb.slot).get()?;
+        Some((entry.est, entry.partials.as_ref()))
     }
 
     /// The table's histogram downcast to the revised Geometric
@@ -593,14 +639,46 @@ impl Catalog {
         );
     }
 
-    /// The one write access to a registered table's statistics. It
-    /// first empties the table's row and column of the pair memo — every
-    /// answer that read the statistics about to change — so no stale
-    /// answer outlives the write. `None` for an unregistered name.
+    /// Write access that replaces a registered table's statistics
+    /// wholesale. It first empties the table's row and column of the
+    /// pair memo — every answer that read the statistics about to
+    /// change — so no stale answer outlives the write. `None` for an
+    /// unregistered name.
     pub(crate) fn stats_mut(&mut self, name: &str) -> Option<&mut StatsState> {
         let table = self.tables.get_mut(name)?;
         self.memo.forget(table.slot);
         Some(&mut table.stats)
+    }
+
+    /// Applies a committed delta to a table's statistics and patches the
+    /// pair memo's row and column for it (DESIGN.md §16.6): each held
+    /// answer re-derives only the mask words the delta touched. A table
+    /// without usable statistics changes nothing, and holds no answers.
+    ///
+    /// # Errors
+    /// [`QueryError::UnknownTable`] for an unregistered name;
+    /// [`QueryError::Histogram`] when the delta cannot apply, in which
+    /// case neither the statistics nor the memo changed.
+    pub(crate) fn apply_stats_delta(
+        &mut self,
+        name: &str,
+        delta: &HistogramDelta,
+    ) -> Result<(), QueryError> {
+        let table = self
+            .tables
+            .get_mut(name)
+            .ok_or_else(|| QueryError::UnknownTable(name.to_string()))?;
+        let StatsState::Ready(stats) = &mut table.stats else {
+            return Ok(());
+        };
+        let words = stats.apply_delta(delta)?;
+        let t = table.slot;
+        let mut by_slot = vec![None; self.tables.len()];
+        for table in self.tables.values() {
+            by_slot[table.slot] = table.stats.ready().ok();
+        }
+        self.memo.patch(t, &by_slot, &words);
+        Ok(())
     }
 }
 

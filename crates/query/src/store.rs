@@ -1047,12 +1047,6 @@ impl Catalog {
         }
     }
 
-    /// The active compaction policy.
-    #[must_use]
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.store.policy
-    }
-
     /// Applies an insert/delete batch to a table incrementally: the
     /// batch is WAL-logged (when a statistics directory is attached),
     /// its signed [`HistogramDelta`] is applied to the live histogram —
@@ -1261,14 +1255,9 @@ impl Catalog {
             deletes_len,
             wal: _,
         } = prepared;
-        // Commit: histogram and its resident view (atomic apply), dataset,
-        // index.
-        let stats = self
-            .stats_mut(&name)
-            .ok_or_else(|| QueryError::UnknownTable(name.clone()))?;
-        if let StatsState::Ready(h) = stats {
-            h.apply_delta(&delta)?;
-        }
+        // Commit: histogram, its resident view and the memoized answers
+        // that read it (atomic apply), dataset, index.
+        self.apply_stats_delta(&name, &delta)?;
         let table = self
             .tables
             .get_mut(&name)

@@ -44,12 +44,6 @@ impl Node {
         self.len() == 0
     }
 
-    /// `true` if this is a leaf node.
-    #[must_use]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf(_))
-    }
-
     /// The MBR covering every entry in this node, or `None` when empty.
     #[must_use]
     pub fn mbr(&self) -> Option<Rect> {

@@ -152,12 +152,6 @@ impl Client {
         self.token = token;
     }
 
-    /// The mutation-id token stamped on this client's mutations.
-    #[must_use]
-    pub fn mutation_token(&self) -> u64 {
-        self.token
-    }
-
     /// Stamps the next mutation id in this client's sequence.
     fn next_mutation_id(&mut self) -> MutationId {
         let id = MutationId::new(self.token, self.next_seq);

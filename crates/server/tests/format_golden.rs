@@ -147,15 +147,15 @@ const ROWS: &[Row] = &[
     (Format::Wire, 3, "Ping request", 16, 0xb7443c02),
     (Format::Wire, 3, "Ping reply", 17, 0x89cd09df),
     (Format::Wire, 3, "Estimate request", 22, 0xdc84f9e7),
-    (Format::Wire, 3, "Estimate reply", 33, 0xe5d56467),
+    (Format::Wire, 3, "Estimate reply", 33, 0x8717f568),
     (Format::Wire, 3, "WindowCount request", 51, 0xc83f5fcf),
     (Format::Wire, 3, "WindowCount reply", 25, 0x4784a219),
     (Format::Wire, 3, "Explain request", 24, 0x54d8bd22),
     (Format::Wire, 3, "Explain reply", 99, 0xf713b840),
     (Format::Wire, 3, "CatalogEstimate request", 22, 0xa81c1068),
-    (Format::Wire, 3, "CatalogEstimate reply", 59, 0xfa0165b6),
+    (Format::Wire, 3, "CatalogEstimate reply", 59, 0x7fbab06e),
     (Format::Wire, 3, "BatchEstimate request", 36, 0x412cb858),
-    (Format::Wire, 3, "BatchEstimate reply", 92, 0x322a21b2),
+    (Format::Wire, 3, "BatchEstimate reply", 92, 0x13145fb3),
     (Format::Wire, 3, "Tables request", 16, 0x611ddf1f),
     (Format::Wire, 3, "Tables reply", 25, 0xee6308e1),
     (Format::Wire, 3, "InsertBatch request", 295, 0x8b2f6c02),

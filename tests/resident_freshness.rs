@@ -2,19 +2,24 @@
 //!
 //! Every catalog table estimates from a kernel view it keeps next to its
 //! histogram (DESIGN.md §16.1), and the catalog memoizes each ordered
-//! pair's primary answer (§16.6), so each path that installs or changes
-//! statistics must leave the view describing the current histogram and
-//! forget every memoized answer that read the old one. For every family,
-//! a seeded sequence of inserts, deletes, a rejected delete, an explicit
-//! and a policy-triggered compaction, a store reopen (snapshot install
-//! plus WAL replay, and a deferred table whose statistics are rebuilt
-//! before its WAL replays), a table registered after the memo is warm
-//! and a lenient registration with corrupt statistics runs; after every
-//! step each ordered table pair's warm answer must equal, bit for bit,
-//! `estimate_join` on histograms freshly built over the tables' current
-//! datasets. Between steps, the memo must have emptied exactly the
-//! written table's row and column, and it must never hold a fallback
-//! tier's answer.
+//! pair's primary answer with its per-word partials (§16.6), so each
+//! path that installs or changes statistics must leave the view
+//! describing the current histogram and every memoized answer equal to a
+//! cold one. For every family, a seeded sequence of inserts, deletes, a
+//! rejected delete, an explicit and a policy-triggered compaction, a
+//! store reopen (snapshot install plus WAL replay, and a deferred table
+//! whose statistics are rebuilt before its WAL replays), a table
+//! registered after the memo is warm and a lenient registration with
+//! corrupt statistics runs. After every step, each answer the memo still
+//! holds — a commit patches the written table's row and column — must
+//! equal, answer and partials bit for bit, the kernel over views decoded
+//! from histograms freshly built over the tables' current datasets; then
+//! each ordered pair's warm answer must equal `estimate_join` on those
+//! histograms. The memo must keep every answer across a PH, GH or
+//! GH-basic commit, empty exactly the written table's row and column on
+//! an Euler commit (Euler has no view kernel to patch) and on a
+//! wholesale install (a reopen's snapshot, a rebuild of unusable
+//! statistics), and never hold a fallback tier's answer.
 //!
 //! A commit patches only the view cells its delta touched; a second test
 //! checks that the patched view itself — every slice compared with
@@ -98,27 +103,65 @@ fn assert_fresh(c: &Catalog, kind: HistogramKind, tables: &[&str], step: &str) {
     }
 }
 
-/// After one write to `written` (or none) on a memo that held every
-/// pair of `tables`, the memo holds exactly the pairs that do not read
-/// `written`: its row and column, the diagonal cell included, are empty
-/// and every other slot is intact.
-fn assert_forgot(
-    c: &Catalog,
-    kind: HistogramKind,
-    tables: &[&str],
-    written: Option<&str>,
-    step: &str,
-) {
+/// Every answer the memo holds among `tables` — and, for the view
+/// families, its per-word partials — equals the kernel's over views
+/// decoded from fresh builds, bit for bit.
+fn assert_patched(c: &Catalog, kind: HistogramKind, tables: &[&str], step: &str) {
+    let grid = Grid::new(LEVEL, Extent::unit()).expect("grid");
+    let fresh: Vec<_> = tables
+        .iter()
+        .map(|t| {
+            let rects = &c.dataset(t).expect("table").rects;
+            ResidentHistogram::new(build_histogram(kind, grid, rects))
+        })
+        .collect();
+    for (i, a) in tables.iter().enumerate() {
+        for (j, b) in tables.iter().enumerate() {
+            let Some((est, partials)) = c.memo_entry(a, b) else {
+                continue;
+            };
+            let (cold, cold_partials) = fresh[i]
+                .estimate_with_partials(&fresh[j])
+                .expect("cold estimate");
+            let what = format!("{kind} after {step}: memoized {a}⋈{b}");
+            assert_eq!(est.pairs.to_bits(), cold.pairs.to_bits(), "{what}: pairs");
+            assert_eq!(
+                est.selectivity.to_bits(),
+                cold.selectivity.to_bits(),
+                "{what}: selectivity"
+            );
+            match (partials, cold_partials) {
+                (Some(p), Some(q)) => assert!(p.bits_eq(&q), "{what}: partials {p:?} vs {q:?}"),
+                (p, q) => assert!(
+                    p.is_none() && q.is_none() && kind == HistogramKind::Euler,
+                    "{what}: partials {p:?}, cold {q:?}"
+                ),
+            }
+        }
+    }
+}
+
+/// After one write (or none) on a memo that held every pair of
+/// `tables`, the memo holds exactly the pairs that do not read `reset`:
+/// its row and column, the diagonal cell included, are empty and every
+/// other slot is intact.
+fn assert_memo(c: &Catalog, kind: HistogramKind, tables: &[&str], reset: Option<&str>, step: &str) {
     for a in tables {
         for b in tables {
-            let reads = written.is_some_and(|w| w == *a || w == *b);
+            let reads = reset.is_some_and(|w| w == *a || w == *b);
             assert_eq!(
                 c.memo_holds(a, b),
                 !reads,
-                "{kind} after {step}: memo slot {a}⋈{b} (written: {written:?})"
+                "{kind} after {step}: memo slot {a}⋈{b} (reset: {reset:?})"
             );
         }
     }
+}
+
+/// The row and column a commit to `written` empties: none for a view
+/// family, whose answers are patched, and `written`'s for Euler.
+fn commit_reset(kind: HistogramKind, written: &str) -> Option<&str> {
+    (kind == HistogramKind::Euler).then_some(written)
 }
 
 #[test]
@@ -142,9 +185,12 @@ fn warm_answers_match_fresh_builds_after_every_step() {
         }
         c.open_stats_store(&dir, policy).expect("open store");
         assert_fresh(&c, kind, &TABLES, "registration");
-        // Each step below writes (at most) one table of a warm memo.
+        // Each step below writes (at most) one table of a warm memo, and
+        // `written` names it when the write is a commit.
         let step = |c: &Catalog, written: Option<&str>, what: &str| {
-            assert_forgot(c, kind, &TABLES, written, what);
+            let reset = written.and_then(|w| commit_reset(kind, w));
+            assert_memo(c, kind, &TABLES, reset, what);
+            assert_patched(c, kind, &TABLES, what);
             assert_fresh(c, kind, &TABLES, what);
         };
 
@@ -184,6 +230,7 @@ fn warm_answers_match_fresh_builds_after_every_step() {
             .expect("insert");
         c.apply_delta("c", &rects(6, seed + 15), &base_c[..2])
             .expect("mixed batch");
+        assert_patched(&c, kind, &TABLES, "post-compaction batches");
         assert_fresh(&c, kind, &TABLES, "post-compaction batches");
         drop(c);
 
@@ -201,6 +248,13 @@ fn warm_answers_match_fresh_builds_after_every_step() {
         let recovery = c.open_stats_store(&dir, policy).expect("reopen store");
         assert_eq!(recovery.installed, 2, "{kind}: two snapshots");
         assert_eq!(recovery.replayed, 2, "{kind}: two pending batches");
+        // Both snapshot installs emptied their rows and columns, which
+        // held every answer; the replays had nothing left to patch.
+        for x in TABLES {
+            for y in TABLES {
+                assert!(!c.memo_holds(x, y), "{kind} after a reopen: {x}⋈{y}");
+            }
+        }
         assert_fresh(&c, kind, &TABLES, "a reopen");
 
         c.apply_delta("c", &[], &rects(6, seed + 15)[..2])
@@ -211,11 +265,14 @@ fn warm_answers_match_fresh_builds_after_every_step() {
         // column, and every answer already held stays.
         c.register(table("d", &rects(25, seed + 16)))
             .expect("register");
-        assert_forgot(&c, kind, &FOUR, Some("d"), "a fourth registration");
+        assert_memo(&c, kind, &FOUR, Some("d"), "a fourth registration");
+        assert_patched(&c, kind, &FOUR, "a fourth registration");
         assert_fresh(&c, kind, &FOUR, "a fourth registration");
         c.apply_delta("d", &rects(4, seed + 17), &[])
             .expect("insert");
-        assert_forgot(&c, kind, &FOUR, Some("d"), "an insert into d");
+        let reset = commit_reset(kind, "d");
+        assert_memo(&c, kind, &FOUR, reset, "an insert into d");
+        assert_patched(&c, kind, &FOUR, "an insert into d");
         assert_fresh(&c, kind, &FOUR, "an insert into d");
 
         // Corrupt statistics: the ladder answers from a fallback tier,
@@ -234,8 +291,73 @@ fn warm_answers_match_fresh_builds_after_every_step() {
             assert_ne!(out.tier, EstimateTier::Primary(kind), "{kind}: {x}⋈{y}");
         }
         let five = ["a", "b", "c", "d", "e"];
-        assert_forgot(&c, kind, &five, Some("e"), "fallback answers for e");
+        assert_memo(&c, kind, &five, Some("e"), "fallback answers for e");
         assert_fresh(&c, kind, &FOUR, "fallback answers for e");
+        drop(std::fs::remove_dir_all(&dir));
+    }
+}
+
+/// The two writes that replace statistics wholesale keep the reset: a
+/// reopen's snapshot install empties the row and column of a table the
+/// memo held answers for, and a table whose unusable statistics are
+/// rebuilt before its WAL replays has an empty row and column after the
+/// replay. Every answer afterwards equals a cold one.
+#[test]
+fn wholesale_installs_empty_the_row_and_column() {
+    for kind in HistogramKind::ALL {
+        let seed = 0x1a57_0000 ^ u64::from(kind.tag());
+        let (base_a, base_b, base_c) = (rects(40, seed), rects(35, seed + 1), rects(30, seed + 2));
+        let dir = std::env::temp_dir().join(format!(
+            "sj_resident_wholesale_{kind}_{}",
+            std::process::id()
+        ));
+        drop(std::fs::remove_dir_all(&dir));
+        let policy = CompactionPolicy::default();
+
+        // a gets a pending WAL batch; b is compacted into a snapshot.
+        let mut c = Catalog::with_kind(kind, LEVEL);
+        for (name, base) in [("a", &base_a), ("b", &base_b)] {
+            c.register(table(name, base)).expect("register");
+        }
+        c.open_stats_store(&dir, policy).expect("open store");
+        c.apply_delta("a", &rects(6, seed + 10), &[])
+            .expect("insert");
+        c.apply_delta("b", &rects(5, seed + 11), &[])
+            .expect("insert");
+        assert!(c.compact("b").expect("compact").persisted);
+        let a_stats = c.histogram("a").expect("stats").persist().to_vec();
+        drop(c);
+
+        // a comes back with corrupt statistics, so the reopen rebuilds
+        // them from the registered dataset before replaying its WAL; b
+        // and c are warm in the memo when the reopen installs b's
+        // snapshot.
+        let mut corrupt = a_stats;
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0xFF;
+        let mut c = Catalog::with_kind(kind, LEVEL);
+        let reason = c
+            .register_with_statistics_lenient(table("a", &base_a), &corrupt)
+            .expect("lenient registration");
+        assert!(reason.is_some(), "{kind}: the flipped byte must be caught");
+        c.register(table("b", &base_b)).expect("register");
+        c.register(table("c", &base_c)).expect("register");
+        assert_fresh(&c, kind, &["b", "c"], "registration");
+        let recovery = c.open_stats_store(&dir, policy).expect("reopen store");
+        assert_eq!(recovery.installed, 1, "{kind}: b's snapshot");
+        assert_eq!(recovery.replayed, 1, "{kind}: a's pending batch");
+        for x in TABLES {
+            for y in TABLES {
+                let held = x == "c" && y == "c";
+                assert_eq!(
+                    c.memo_holds(x, y),
+                    held,
+                    "{kind} after a reopen: {x}⋈{y} (only c⋈c reads neither a nor b)"
+                );
+            }
+        }
+        assert_patched(&c, kind, &TABLES, "a reopen");
+        assert_fresh(&c, kind, &TABLES, "a reopen");
         drop(std::fs::remove_dir_all(&dir));
     }
 }
