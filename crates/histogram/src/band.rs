@@ -19,20 +19,34 @@
 //! single-band case of the same code path. The same argument covers
 //! rect-range sharding: exact addition is associative, so any partition
 //! of the input rectangles merges to the identical histogram.
+//!
+//! A band writes through a [`Sink`]: the band histogram's own dense
+//! arrays here, or the touched-cell accumulator a delta build uses
+//! (`delta.rs`). Every lattice is row-major and a band only writes its
+//! own rows, so a band's touched cells all sort after the previous
+//! band's: the delta build concatenates its bands in row order.
 
 use crate::grid::Grid;
-use crate::schema::{merge_same_grid, Family};
+use crate::schema::{merge_same_grid, Family, Sink};
 use sj_geo::Rect;
 
 /// A histogram family buildable from a row-restricted accumulation pass.
 /// Implemented by all four families — `build_rows` is the only build
-/// code a family writes; [`build_shard_merge`] is their shared driver.
-pub(crate) trait RowBanded: Family + Send {
-    /// Builds the histogram of `rects` on `grid`, keeping only
-    /// contributions landing in grid rows `lo..hi` and attributing
+/// code a family writes; [`build_shard_merge`] and the delta build are
+/// its drivers.
+pub(crate) trait RowBanded: Family + Sink + Send {
+    /// Adds the statistics of `rects` on `grid` into `sink`, keeping
+    /// only contributions landing in grid rows `lo..hi` and attributing
     /// per-rectangle scalar statistics (counts, span sums) to the band
     /// containing each rectangle's bottom row.
-    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self;
+    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink);
+}
+
+/// The dense histogram of one band: a zeroed family binned into itself.
+fn dense_rows<H: RowBanded>(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> H {
+    let mut h = H::zeroed(grid);
+    H::build_rows(grid, rects, lo, hi, &mut h);
+    h
 }
 
 /// Builds a histogram by sharding the grid rows across `threads` band
@@ -40,14 +54,14 @@ pub(crate) trait RowBanded: Family + Send {
 /// (single-band) build for every thread count.
 pub(crate) fn build_shard_merge<H: RowBanded>(grid: Grid, rects: &[Rect], threads: usize) -> H {
     let bands = map_row_bands(grid.cells_per_axis(), threads, |lo, hi| {
-        H::build_rows(grid, rects, lo, hi)
+        dense_rows::<H>(grid, rects, lo, hi)
     });
     let mut bands = bands.into_iter();
     // map_row_bands always yields at least one band; the fallback keeps
     // this path panic-free regardless.
     let mut acc = match bands.next() {
         Some(first) => first,
-        None => H::build_rows(grid, rects, 0, grid.cells_per_axis()),
+        None => dense_rows::<H>(grid, rects, 0, grid.cells_per_axis()),
     };
     for band in bands {
         merge_same_grid(&mut acc, &band);

@@ -10,6 +10,22 @@
 //! running CRC at once; a tail shorter than eight bytes takes the
 //! classic bytewise step. Both steps are exact rewritings of the
 //! bytewise recurrence, so every checksum is unchanged.
+//!
+//! One sliced loop is a single dependency chain: each word waits for
+//! the CRC of the word before it. An input longer than `LANE_FLOOR`
+//! (64 KiB: a compacted `<table>.base` or a level-7 `.hist` envelope,
+//! not the wire frame, WAL record or delta of an ordinary batch) is cut
+//! into three equal lanes of whole words plus a tail, and one loop folds
+//! a word of each lane per step, so three independent chains overlap in
+//! the CPU. The lanes are then joined exactly. The CRC register update
+//! is linear over GF(2) in the register and the input together, so the
+//! register after `A ‖ B` is the register after `A`, advanced over `|B|`
+//! zero bytes, XOR the register after `B` started from zero. Advancing
+//! over `n` zero bytes is multiplication by `x^(8n) mod P` in the
+//! reflected representation — the identity behind zlib's
+//! `crc32_combine`. The lanes therefore give the bytewise loop's
+//! checksum bit for bit, at every length and alignment (the tests check
+//! both).
 
 /// Reflected CRC32 polynomial (IEEE 802.3 / zlib / PNG).
 const POLY: u32 = 0xEDB8_8320;
@@ -55,27 +71,120 @@ fn lookup(k: usize, x: u32) -> u32 {
     TABLES[k][(x & 0xFF) as usize]
 }
 
-/// CRC32 checksum of `data` (init `0xFFFF_FFFF`, final XOR, reflected).
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for word in &mut words {
-        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
-        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
-        crc = lookup(7, lo)
-            ^ lookup(6, lo >> 8)
-            ^ lookup(5, lo >> 16)
-            ^ lookup(4, lo >> 24)
-            ^ lookup(3, hi)
-            ^ lookup(2, hi >> 8)
-            ^ lookup(1, hi >> 16)
-            ^ lookup(0, hi >> 24);
+/// Inputs longer than this many bytes fold in three lanes. Below it
+/// the lane join (a few hundred shifts and XORs) is not worth paying.
+const LANE_FLOOR: usize = 64 * 1024;
+
+/// `a · b mod P` over GF(2), both in the reflected representation
+/// (bit 31 is `x^0`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0u32;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
     }
-    for &byte in words.remainder() {
+    product
+}
+
+/// `X2N[k] = x^(2^k) mod P`, reflected: squaring `x` repeatedly.
+const fn build_x2n() -> [u32; 64] {
+    let mut table = [0u32; 64];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0usize;
+    while k < 64 {
+        table[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    table
+}
+
+static X2N: [u32; 64] = build_x2n();
+
+/// `x^(8n) mod P`, reflected: the operator that advances a CRC register
+/// over `n` zero bytes (`8n = n · 2^3`, so bit `j` of `n` selects
+/// `x^(2^(j+3))`).
+fn zero_bytes_operator(mut n: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut k = 3usize;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k % 64], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// Folds one 8-byte word into the running register.
+fn fold_word(crc: u32, word: &[u8; 8]) -> u32 {
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = *word;
+    let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
+    let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+    lookup(7, lo)
+        ^ lookup(6, lo >> 8)
+        ^ lookup(5, lo >> 16)
+        ^ lookup(4, lo >> 24)
+        ^ lookup(3, hi)
+        ^ lookup(2, hi >> 8)
+        ^ lookup(1, hi >> 16)
+        ^ lookup(0, hi >> 24)
+}
+
+/// The register after `data`, starting from `crc`: whole words sliced,
+/// then the tail bytewise.
+fn sliced(mut crc: u32, data: &[u8]) -> u32 {
+    let (words, tail) = data.as_chunks::<8>();
+    for word in words {
+        crc = fold_word(crc, word);
+    }
+    for &byte in tail {
         crc = (crc >> 8) ^ lookup(0, crc ^ u32::from(byte));
     }
-    !crc
+    crc
+}
+
+/// The register after `data`, starting from `crc`, with the input cut
+/// into three lanes of `len / 24` words each, folded side by side and
+/// joined (module docs), then the tail sliced. Exact at every length.
+fn laned(crc: u32, data: &[u8]) -> u32 {
+    let lane = data.len() / 24 * 8;
+    let (a, rest) = data.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, tail) = rest.split_at(lane);
+    let (mut ra, mut rb, mut rc) = (crc, 0u32, 0u32);
+    for ((wa, wb), wc) in a
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .zip(b.as_chunks::<8>().0)
+        .zip(c.as_chunks::<8>().0)
+    {
+        ra = fold_word(ra, wa);
+        rb = fold_word(rb, wb);
+        rc = fold_word(rc, wc);
+    }
+    let shift = zero_bytes_operator(lane);
+    let joined = multmodp(shift, multmodp(shift, ra) ^ rb) ^ rc;
+    sliced(joined, tail)
+}
+
+/// CRC32 checksum of `data` (init `0xFFFF_FFFF`, final XOR, reflected).
+/// Inputs longer than 64 KiB fold in three lanes; the checksum
+/// is the same either way.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
+    let init = 0xFFFF_FFFFu32;
+    if data.len() > LANE_FLOOR {
+        !laned(init, data)
+    } else {
+        !sliced(init, data)
+    }
 }
 
 #[cfg(test)]
@@ -126,24 +235,99 @@ mod tests {
         !crc
     }
 
-    /// Slicing-by-8 is bit-identical to the bytewise loop at every
-    /// length (each tail length, many whole words) and every start
-    /// offset within a word.
-    #[test]
-    fn sliced_matches_bytewise_at_every_length_and_offset() {
+    /// `len` xorshift bytes.
+    fn xorshift_bytes(len: usize) -> Vec<u8> {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let data: Vec<u8> = (0..1024 + 8)
+        (0..len)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 state.to_le_bytes()[0]
             })
-            .collect();
+            .collect()
+    }
+
+    /// The bytewise checksum of every prefix `data[..len]`, one pass.
+    fn bytewise_prefixes(data: &[u8]) -> Vec<u32> {
+        let mut crc = 0xFFFF_FFFFu32;
+        let mut out = vec![!crc];
+        for &byte in data {
+            crc = (crc >> 8) ^ lookup(0, crc ^ u32::from(byte));
+            out.push(!crc);
+        }
+        out
+    }
+
+    /// Slicing-by-8 is bit-identical to the bytewise loop at every
+    /// length (each tail length, many whole words) and every start
+    /// offset within a word.
+    #[test]
+    fn sliced_matches_bytewise_at_every_length_and_offset() {
+        let data = xorshift_bytes(1024 + 8);
         for offset in 0..8 {
             for len in 0..=1024 {
                 let slice = &data[offset..offset + len];
                 assert_eq!(crc32(slice), bytewise(slice), "offset {offset}, len {len}");
+            }
+        }
+    }
+
+    /// The three-lane fold equals the bytewise loop at every length
+    /// from 0 to a few words past three lanes of 128 words (every lane
+    /// length, every tail length, lanes of zero words) and at every
+    /// start offset within a word. `laned` has no floor of its own, so
+    /// a small span covers every way a length splits into lanes.
+    #[test]
+    fn laned_matches_bytewise_at_every_length_and_offset() {
+        let span = 3 * 1024 + 5 * 8;
+        let data = xorshift_bytes(span + 8);
+        for offset in 0..8 {
+            let want = bytewise_prefixes(&data[offset..]);
+            for len in 0..=span {
+                let got = !laned(0xFFFF_FFFF, &data[offset..offset + len]);
+                assert_eq!(got, want[len], "offset {offset}, len {len}");
+            }
+        }
+    }
+
+    /// `crc32` itself at every length within a few words of the lane
+    /// floor and of three times it — where it switches to lanes and
+    /// where the lanes first hold more than a floor's worth — at every
+    /// start offset.
+    #[test]
+    fn crc32_matches_bytewise_around_the_lane_floor() {
+        let data = xorshift_bytes(3 * LANE_FLOOR + 64 + 8);
+        for offset in 0..8 {
+            let want = bytewise_prefixes(&data[offset..]);
+            for centre in [LANE_FLOOR, 3 * LANE_FLOOR] {
+                for len in centre - 40..=centre + 40 {
+                    let got = crc32(&data[offset..offset + len]);
+                    assert_eq!(got, want[len], "offset {offset}, len {len}");
+                }
+            }
+        }
+    }
+
+    /// A compacted base's size: 6 MB through the lanes.
+    #[test]
+    fn crc32_matches_bytewise_on_six_megabytes() {
+        let data = xorshift_bytes(6 << 20);
+        assert_eq!(crc32(&data), bytewise(&data));
+        assert_eq!(crc32(&data[3..]), bytewise(&data[3..]));
+    }
+
+    /// The join operator: advancing over `n` zero bytes equals folding
+    /// `n` zero bytes bytewise, from any register.
+    #[test]
+    fn zero_bytes_operator_advances_over_zeros() {
+        for n in [0usize, 1, 7, 8, 9, 100, 4096, 65_537] {
+            for start in [0u32, 1, 0xFFFF_FFFF, 0x1234_5678] {
+                let mut want = start;
+                for _ in 0..n {
+                    want = (want >> 8) ^ lookup(0, want);
+                }
+                assert_eq!(multmodp(zero_bytes_operator(n), start), want, "n {n}");
             }
         }
     }

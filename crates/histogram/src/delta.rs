@@ -18,11 +18,12 @@
 //! ```
 //!
 //! — the identity `sj-lint verify-equivalence` proves dynamically
-//! across the same matrix as the shard merges. The insert and delete sides are built
-//! with the ordinary `band.rs` shard driver (an insert batch is just
-//! another shard), then differenced statistic-by-statistic in the
-//! family's declared order (`schema.rs`), the order `first_divergence`
-//! walks too.
+//! across the same matrix as the shard merges. Each side of the batch
+//! is binned by the family's one `build_rows` pass (an insert batch is
+//! just another shard) into a touched-cell accumulator instead of a
+//! dense grid, then the sides are differenced statistic by statistic in
+//! the family's declared order (`schema.rs`), the order
+//! `first_divergence` walks too.
 //!
 //! Signedness is what makes deletes safe: unsigned `u32` cell counters
 //! widen to `i64` inside the delta, and application range-checks every
@@ -36,9 +37,28 @@
 //! A batch of small rectangles touches a few hundred cells of a
 //! 16,384-cell level-7 grid, so building, sizing, persisting and
 //! applying a delta costs what the batch touches, not the whole grid.
-//! The sparse form is exactly the support of the dense difference (both
-//! sides are still binned densely, then differenced), so nothing about
-//! exactness changes.
+//!
+//! A small batch's build never allocates a grid either. A side's
+//! binning pass records each contribution as a `(cell, value)` pair in
+//! emission order; a stable sort by cell then sums each cell's pairs in
+//! that same order, which is the order a dense build adds them in.
+//! Every contribution is a count of one or an exact [`Mass`], so each
+//! touched cell's sum equals the dense array's entry, and a cell no
+//! rectangle reaches is zero on both sides — exactly the entries a
+//! dense difference drops. A side whose rectangles could record more
+//! pairs in one array than the grid has cells (whole dataset files
+//! through `sjsel apply-delta`, or a few grid-spanning rectangles) is
+//! binned densely instead, as registration bins a table, and its
+//! non-zero cells taken: the same cells with the same sums, so the
+//! build's memory is bounded by the grid whatever the batch, and a
+//! large batch costs what a dense build costs. Subtracting the two
+//! sides cell by cell, as the dense difference did, and dropping zero
+//! results therefore gives the dense difference's support and values
+//! bit for bit (the reference in the tests keeps the dense two-sided
+//! difference to prove it). With `threads` row bands each band sorts
+//! its own cells; a band writes only its own rows of row-major
+//! lattices, so the bands concatenate in ascending index order and
+//! every thread count gives the same delta.
 //!
 //! Deltas persist in their own CRC32-framed `.hdelta` envelope,
 //! structured exactly like the version-2 `.hist` envelope, under their
@@ -59,12 +79,14 @@
 //!       | nnz × value (i64 count or 16-byte mass, never zero)
 //! ```
 
-use crate::band::{build_shard_merge, RowBanded};
+use crate::band::{build_shard_merge, map_row_bands, RowBanded};
+use crate::grid::ix;
 use crate::mass::Mass;
-use crate::schema::{Column, ColumnMut, Family, Repr, Schema};
+use crate::schema::{Column, ColumnMut, Family, Repr, Schema, Sink};
 use crate::{CorruptSection, Grid, HistogramError, HistogramKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sj_geo::Rect;
+use std::ops::AddAssign;
 
 /// Envelope magic for persisted histogram deltas.
 pub const DELTA_MAGIC: u32 = 0x534a_4844; // "SJHD"
@@ -119,21 +141,214 @@ impl DeltaArray {
     }
 }
 
-/// The sparse difference `ins − del` of two dense arrays: the ascending
-/// indices whose difference is not zero, and those differences.
-fn sparse_difference<T: Copy, D>(
-    ins: &[T],
-    del: &[T],
+/// The touched cells of one per-cell array: during a binning pass, the
+/// `(cell, value)` contributions in emission order (a count
+/// contribution is always one); once settled, the strictly ascending
+/// cells any contribution reached, with each cell's exact sum. A
+/// settled list may leave out a cell whose sum is zero: it differences
+/// like a cell nothing touched.
+enum Touched {
+    Counts(Vec<(u32, u32)>),
+    Masses(Vec<(u32, Mass)>),
+}
+
+/// A [`Sink`] that records only what a binning pass touches: the
+/// scalars, and per declared array its [`Touched`] cells.
+struct TouchedBins {
+    scalars: Vec<u64>,
+    arrays: Vec<Touched>,
+}
+
+impl TouchedBins {
+    /// No contributions yet, shaped by `schema`.
+    fn new(schema: &Schema) -> Self {
+        Self {
+            scalars: vec![0; schema.scalars.len()],
+            arrays: schema
+                .arrays
+                .iter()
+                .map(|stat| match stat.repr {
+                    Repr::Count => Touched::Counts(Vec::new()),
+                    Repr::Mass => Touched::Masses(Vec::new()),
+                })
+                .collect(),
+        }
+    }
+
+    /// The settled cells of a dense histogram: its scalars, and each
+    /// array's non-zero cells.
+    fn of_dense<H: Family>(h: &H) -> Self {
+        Self {
+            scalars: h.scalars(),
+            arrays: h
+                .columns()
+                .into_iter()
+                .map(|column| match column {
+                    Column::Count(values) => Touched::Counts(non_zero(values)),
+                    Column::Mass(values) => Touched::Masses(non_zero(values)),
+                })
+                .collect(),
+        }
+    }
+
+    /// Sorts each array's contributions by cell (stably, so a cell's
+    /// contributions keep their emission order) and sums each cell's
+    /// run, leaving one entry per touched cell.
+    fn settle(&mut self) {
+        for array in &mut self.arrays {
+            match array {
+                Touched::Counts(entries) => sum_runs(entries),
+                Touched::Masses(entries) => sum_runs(entries),
+            }
+        }
+    }
+
+    /// Appends `band`'s settled cells, all above this one's.
+    fn append(&mut self, band: TouchedBins) {
+        for (a, b) in self.scalars.iter_mut().zip(band.scalars) {
+            *a += b;
+        }
+        for (a, b) in self.arrays.iter_mut().zip(band.arrays) {
+            match (a, b) {
+                (Touched::Counts(a), Touched::Counts(b)) => a.extend(b),
+                (Touched::Masses(a), Touched::Masses(b)) => a.extend(b),
+                // Both come from one schema: positions share a repr.
+                _ => {}
+            }
+        }
+    }
+}
+
+impl Sink for TouchedBins {
+    fn add_scalar(&mut self, k: usize, v: u64) {
+        if let Some(slot) = self.scalars.get_mut(k) {
+            *slot += v;
+        }
+    }
+
+    fn add_count(&mut self, array: usize, cell: usize) {
+        if let Some(Touched::Counts(entries)) = self.arrays.get_mut(array) {
+            entries.push((cell_index(cell), 1));
+        }
+    }
+
+    fn add_mass(&mut self, array: usize, cell: usize, v: Mass) {
+        if let Some(Touched::Masses(entries)) = self.arrays.get_mut(array) {
+            entries.push((cell_index(cell), v));
+        }
+    }
+}
+
+/// A lattice index as stored in a delta. Lattices hold at most
+/// 4^MAX_LEVEL cells, well inside `u32`.
+fn cell_index(cell: usize) -> u32 {
+    u32::try_from(cell).unwrap_or(u32::MAX)
+}
+
+/// The non-zero entries of a dense array, ascending.
+fn non_zero<T: Copy + Default + PartialEq>(values: &[T]) -> Vec<(u32, T)> {
+    values
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| **v != T::default())
+        .map(|(cell, v)| (cell_index(cell), *v))
+        .collect()
+}
+
+/// Stable-sorts `(cell, value)` contributions by cell and folds each
+/// cell's run into one entry, adding in emission order.
+fn sum_runs<T: Copy + AddAssign>(entries: &mut Vec<(u32, T)>) {
+    entries.sort_by_key(|(cell, _)| *cell);
+    entries.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+}
+
+/// An upper bound on the contributions one binning pass of `rects`
+/// makes to any single array of any family, counted only until it
+/// passes `cap`: a rectangle adds at most one per cell of its block
+/// (overlap, intersection, face and count arrays), two per cell along
+/// the block's rows or columns (its two vertical or two horizontal
+/// edges), or four (its corners).
+fn contributions_bound(grid: &Grid, rects: &[Rect], cap: usize) -> usize {
+    let mut bound = 0;
+    for r in rects {
+        if bound > cap {
+            break;
+        }
+        let (c0, c1, r0, r1) = grid.cell_range(r);
+        bound += 2 * ix(c1 - c0 + 1) * ix(r1 - r0 + 1) + 4;
+    }
+    bound
+}
+
+/// The touched cells of `rects` on `grid` for family `H`: one binning
+/// pass per row band, each settled, concatenated in band order. A batch
+/// that could record more contributions to one array than the grid has
+/// cells is binned densely instead, the way registration bins a table,
+/// and its non-zero cells taken: recording stays within about twice a
+/// dense array's bytes whatever the batch, and a large batch costs what a
+/// dense build costs.
+fn touched<H: RowBanded>(grid: Grid, rects: &[Rect], threads: usize) -> TouchedBins {
+    let cells = grid.num_cells();
+    if contributions_bound(&grid, rects, cells) > cells {
+        return TouchedBins::of_dense(&build_shard_merge::<H>(grid, rects, threads));
+    }
+    let bands = map_row_bands(grid.cells_per_axis(), threads, |lo, hi| {
+        let mut bins = TouchedBins::new(&H::SCHEMA);
+        H::build_rows(grid, rects, lo, hi, &mut bins);
+        bins.settle();
+        bins
+    });
+    let mut all = TouchedBins::new(&H::SCHEMA);
+    for band in bands {
+        all.append(band);
+    }
+    all
+}
+
+/// The sparse difference `ins − del` of two touched-cell lists: a merge
+/// over the union of their cells, where a cell one side did not touch
+/// is zero (`T::default()`) there. Keeps the ascending cells whose
+/// difference is not zero, and those differences.
+fn touched_difference<T: Copy + Default, D>(
+    ins: &[(u32, T)],
+    del: &[(u32, T)],
     sub: impl Fn(T, T) -> D,
     is_zero: impl Fn(&D) -> bool,
 ) -> (Vec<u32>, Vec<D>) {
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for (i, (a, b)) in ins.iter().zip(del).enumerate() {
-        let d = sub(*a, *b);
+    let mut indices = Vec::with_capacity(ins.len().max(del.len()));
+    let mut values = Vec::with_capacity(ins.len().max(del.len()));
+    let (mut ins, mut del) = (ins.iter().peekable(), del.iter().peekable());
+    let zero = T::default();
+    loop {
+        let (cell, a, b) = match (ins.peek(), del.peek()) {
+            (None, None) => break,
+            (Some(&&(i, a)), Some(&&(j, b))) if i == j => {
+                ins.next();
+                del.next();
+                (i, a, b)
+            }
+            (Some(&&(i, a)), Some(&&(j, _))) if i < j => {
+                ins.next();
+                (i, a, zero)
+            }
+            (Some(&&(i, a)), None) => {
+                ins.next();
+                (i, a, zero)
+            }
+            (_, Some(&&(j, b))) => {
+                del.next();
+                (j, zero, b)
+            }
+        };
+        let d = sub(a, b);
         if !is_zero(&d) {
-            // Lattices hold at most 4^MAX_LEVEL cells, well inside u32.
-            indices.push(u32::try_from(i).unwrap_or(u32::MAX));
+            indices.push(cell);
             values.push(d);
         }
     }
@@ -147,7 +362,7 @@ fn sparse_difference<T: Copy, D>(
 /// # Examples
 /// ```
 /// use sj_geo::{Extent, Rect};
-/// use sj_histogram::{Grid, GhHistogram, HistogramDelta, SpatialHistogram};
+/// use sj_histogram::{Grid, GhHistogram, HistogramDelta, HistogramKind, SpatialHistogram};
 ///
 /// let grid = Grid::new(3, Extent::unit())?;
 /// let base = vec![
@@ -159,7 +374,7 @@ fn sparse_difference<T: Copy, D>(
 ///
 /// // Incremental maintenance equals a full rebuild, bit for bit.
 /// let mut maintained = GhHistogram::build_from(grid, &base);
-/// maintained.apply_delta(&GhHistogram::build_delta(grid, &ins, &del))?;
+/// maintained.apply_delta(&HistogramDelta::build(HistogramKind::Gh, grid, &ins, &del))?;
 /// let rebuilt = GhHistogram::build_from(grid, &[base[0], ins[0]]);
 /// assert_eq!(maintained.to_bytes(), rebuilt.to_bytes());
 /// # Ok::<(), sj_histogram::HistogramError>(())
@@ -485,50 +700,46 @@ pub fn load_delta(full: &[u8]) -> Result<HistogramDelta, HistogramError> {
     HistogramDelta::from_bytes(kind, payload)
 }
 
-/// Builds the delta for one concrete family: both batch sides go through
-/// the shared row-band shard driver, then every statistic is differenced
+/// Builds the delta for one concrete family: both batch sides are
+/// binned into touched-cell lists, then every statistic is differenced
 /// in declaration order.
-pub(crate) fn build_impl<H>(
+fn build_impl<H: RowBanded>(
     grid: Grid,
     inserts: &[Rect],
     deletes: &[Rect],
     threads: usize,
-) -> HistogramDelta
-where
-    H: RowBanded + Family,
-{
-    let ins: H = build_shard_merge(grid, inserts, threads);
-    let del: H = build_shard_merge(grid, deletes, threads);
+) -> HistogramDelta {
+    let ins = touched::<H>(grid, inserts, threads);
+    let del = touched::<H>(grid, deletes, threads);
     let scalars = H::SCHEMA
         .scalars
         .iter()
-        .zip(ins.scalars())
-        .zip(del.scalars())
-        .map(|((name, iv), dv)| (*name, i128::from(iv) - i128::from(dv)))
+        .zip(ins.scalars.iter().zip(&del.scalars))
+        .map(|(name, (iv, dv))| (*name, i128::from(*iv) - i128::from(*dv)))
         .collect();
     let arrays = H::SCHEMA
         .arrays
         .iter()
-        .zip(ins.columns().into_iter().zip(del.columns()))
+        .zip(ins.arrays.iter().zip(&del.arrays))
         .map(|(stat, pair)| {
-            let (cells, (indices, values)) = match pair {
-                (Column::Count(ic), Column::Count(dc)) => {
-                    let (indices, values) =
-                        sparse_difference(ic, dc, |a, b| i64::from(a) - i64::from(b), |d| *d == 0);
-                    (ic.len(), (indices, DeltaValues::Counts(values)))
+            let (indices, values) = match pair {
+                (Touched::Counts(ic), Touched::Counts(dc)) => {
+                    let sub = |a: u32, b: u32| i64::from(a) - i64::from(b);
+                    let (indices, values) = touched_difference(ic, dc, sub, |d| *d == 0);
+                    (indices, DeltaValues::Counts(values))
                 }
-                (Column::Mass(im), Column::Mass(dm)) => {
+                (Touched::Masses(im), Touched::Masses(dm)) => {
                     let (indices, values) =
-                        sparse_difference(im, dm, Mass::saturating_sub, |d| d.is_zero());
-                    (im.len(), (indices, DeltaValues::Masses(values)))
+                        touched_difference(im, dm, Mass::saturating_sub, |d| d.is_zero());
+                    (indices, DeltaValues::Masses(values))
                 }
                 // Unreachable: both sides come from one declaration, so
                 // every position has one representation.
-                _ => (0, (Vec::new(), DeltaValues::Counts(Vec::new()))),
+                _ => (Vec::new(), DeltaValues::Counts(Vec::new())),
             };
             DeltaArray {
                 name: stat.name,
-                cells,
+                cells: stat.lattice.len(&grid),
                 indices,
                 values,
             }
@@ -832,6 +1043,210 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// The dense two-sided difference the touched-cell build replaced,
+    /// kept as its reference: both sides binned into full grids by the
+    /// row-band shard driver, then every cell of every array
+    /// differenced.
+    fn dense_reference<H: RowBanded>(
+        grid: Grid,
+        inserts: &[Rect],
+        deletes: &[Rect],
+        threads: usize,
+    ) -> HistogramDelta {
+        /// `ins − del` over two dense arrays: the ascending indices
+        /// whose difference is not zero, and those differences.
+        fn sparse_difference<T: Copy, D>(
+            ins: &[T],
+            del: &[T],
+            sub: impl Fn(T, T) -> D,
+            is_zero: impl Fn(&D) -> bool,
+        ) -> (Vec<u32>, Vec<D>) {
+            let mut indices = Vec::new();
+            let mut values = Vec::new();
+            for (i, (a, b)) in ins.iter().zip(del).enumerate() {
+                let d = sub(*a, *b);
+                if !is_zero(&d) {
+                    indices.push(u32::try_from(i).unwrap());
+                    values.push(d);
+                }
+            }
+            (indices, values)
+        }
+        let ins: H = build_shard_merge(grid, inserts, threads);
+        let del: H = build_shard_merge(grid, deletes, threads);
+        let scalars = H::SCHEMA
+            .scalars
+            .iter()
+            .zip(ins.scalars())
+            .zip(del.scalars())
+            .map(|((name, iv), dv)| (*name, i128::from(iv) - i128::from(dv)))
+            .collect();
+        let arrays = H::SCHEMA
+            .arrays
+            .iter()
+            .zip(ins.columns().into_iter().zip(del.columns()))
+            .map(|(stat, pair)| {
+                let (cells, (indices, values)) = match pair {
+                    (Column::Count(ic), Column::Count(dc)) => {
+                        let sub = |a: u32, b: u32| i64::from(a) - i64::from(b);
+                        let (indices, values) = sparse_difference(ic, dc, sub, |d| *d == 0);
+                        (ic.len(), (indices, DeltaValues::Counts(values)))
+                    }
+                    (Column::Mass(im), Column::Mass(dm)) => {
+                        let (indices, values) =
+                            sparse_difference(im, dm, Mass::saturating_sub, |d| d.is_zero());
+                        (im.len(), (indices, DeltaValues::Masses(values)))
+                    }
+                    _ => panic!("one declaration, one representation"),
+                };
+                DeltaArray {
+                    name: stat.name,
+                    cells,
+                    indices,
+                    values,
+                }
+            })
+            .collect();
+        HistogramDelta {
+            kind: H::SCHEMA.kind,
+            grid,
+            inserts: inserts.len() as u64,
+            deletes: deletes.len() as u64,
+            scalars,
+            arrays,
+        }
+    }
+
+    /// Rectangles on cell boundaries at every level the matrix uses
+    /// (dyadic coordinates), degenerate ones, and ones on the extent's
+    /// max edge.
+    fn boundary_rects() -> Vec<Rect> {
+        vec![
+            Rect::new(0.25, 0.25, 0.5, 0.375),
+            Rect::new(0.125, 0.0, 0.125, 0.625),
+            Rect::new(0.0, 0.5, 0.75, 0.5),
+            Rect::new(0.5, 0.5, 0.5, 0.5),
+            Rect::new(0.875, 0.9, 1.0, 1.0),
+            Rect::new(1.0, 0.0, 1.0, 1.0),
+            Rect::new(0.0, 1.0, 1.0, 1.0),
+            Rect::new(1.0, 1.0, 1.0, 1.0),
+            Rect::new(0.0, 0.0, 1.0, 1.0),
+        ]
+    }
+
+    /// The touched-cell build equals the dense two-sided difference bit
+    /// for bit — kind, grid, batch sizes, scalars, indices, values and
+    /// `persist()` bytes — for every family at levels 0, 3 and 7 and
+    /// every thread count, on batches whose inserts and deletes cancel
+    /// in some cells (those cells must drop out), on cell-boundary and
+    /// max-edge rectangles, and with either side empty.
+    #[test]
+    fn touched_cell_build_matches_the_dense_difference() {
+        let a = uniform(40, 9011, 0.05);
+        let b = uniform(25, 9012, 0.2);
+        let c = uniform(30, 9013, 0.01);
+        let edges = boundary_rects();
+        let cancel_ins: Vec<Rect> = a.iter().chain(&b).copied().collect();
+        let cancel_del: Vec<Rect> = c.iter().chain(&a).copied().collect();
+        let edge_del: Vec<Rect> = edges.iter().step_by(2).copied().collect();
+        // Batches that outgrow the pending lists: grid-spanning
+        // rectangles, and many large ones, on one side or both.
+        let full = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let full_ins: Vec<Rect> = [full, full, full].iter().chain(&c).copied().collect();
+        let large_ins = uniform(100, 9014, 0.5);
+        let large_del: Vec<Rect> = uniform(60, 9015, 0.5)
+            .into_iter()
+            .chain(c.clone())
+            .collect();
+        let batches: [(&str, &[Rect], &[Rect]); 11] = [
+            ("full extent", &full_ins, &[full]),
+            ("many large", &large_ins, &large_del),
+            ("large inserts", &large_ins, &c),
+            ("large deletes", &a, &large_del),
+            ("mixed", &a, &c),
+            ("cancelling", &cancel_ins, &cancel_del),
+            ("identical", &b, &b),
+            ("boundaries", &edges, &edge_del),
+            ("no deletes", &edges, &[]),
+            ("no inserts", &[], &b),
+            ("empty", &[], &[]),
+        ];
+        for kind in HistogramKind::ALL {
+            for level in [0, 3, 7] {
+                let grid = unit_grid(level);
+                for (what, ins, del) in batches {
+                    for threads in [1usize, 2, 5] {
+                        let got = HistogramDelta::build_parallel(kind, grid, ins, del, threads);
+                        let want = crate::traits::with_family!(kind, H => {
+                            dense_reference::<H>(grid, ins, del, threads)
+                        });
+                        let at = format!("{kind} level {level} {what} x{threads}");
+                        assert_eq!(got.scalars, want.scalars, "{at}: scalars");
+                        for (g, w) in got.arrays.iter().zip(&want.arrays) {
+                            assert_eq!(g.indices, w.indices, "{at}: `{}` indices", w.name);
+                            assert_eq!(g.values, w.values, "{at}: `{}` values", w.name);
+                        }
+                        assert_eq!(got, want, "{at}");
+                        assert_eq!(got.persist(), want.persist(), "{at}: persist bytes");
+                    }
+                }
+            }
+        }
+        // The cancelling batch really cancels somewhere: `a`'s cells
+        // are touched on both sides, yet a dense difference drops
+        // every cell only `a` reaches.
+        let grid = unit_grid(7);
+        let only_a = HistogramDelta::build(HistogramKind::Gh, grid, &a, &[]);
+        let cancelled = HistogramDelta::build(HistogramKind::Gh, grid, &cancel_ins, &cancel_del);
+        let kept: Vec<usize> = cancelled.touched_cells();
+        assert!(
+            only_a
+                .touched_cells()
+                .iter()
+                .any(|cell| kept.binary_search(cell).is_err()),
+            "some cell touched only by `a` must cancel out"
+        );
+    }
+
+    /// `contributions_bound` bounds what one binning pass records in any
+    /// array, for every family and level, on small, large and boundary
+    /// batches; at level 7 a small batch stays under the grid's cell
+    /// count (recorded sparsely) and a large one exceeds it (binned
+    /// densely).
+    #[test]
+    fn contributions_bound_covers_every_array() {
+        fn most_recorded<H: RowBanded>(grid: Grid, rects: &[Rect]) -> usize {
+            let mut bins = TouchedBins::new(&H::SCHEMA);
+            H::build_rows(grid, rects, 0, grid.cells_per_axis(), &mut bins);
+            bins.arrays
+                .iter()
+                .map(|array| match array {
+                    Touched::Counts(entries) => entries.len(),
+                    Touched::Masses(entries) => entries.len(),
+                })
+                .max()
+                .unwrap_or(0)
+        }
+        let small = uniform(8, 9021, 0.01);
+        let large = uniform(60, 9022, 0.5);
+        let edges = boundary_rects();
+        for kind in HistogramKind::ALL {
+            for level in [0, 3, 7] {
+                let grid = unit_grid(level);
+                for rects in [&small, &large, &edges] {
+                    let most =
+                        crate::traits::with_family!(kind, H => most_recorded::<H>(grid, rects));
+                    let bound = contributions_bound(&grid, rects, usize::MAX);
+                    assert!(most <= bound, "{kind} level {level}: {most} > {bound}");
+                }
+            }
+        }
+        let grid = unit_grid(7);
+        let cells = grid.num_cells();
+        assert!(contributions_bound(&grid, &small, cells) <= cells);
+        assert!(contributions_bound(&grid, &large, cells) > cells);
     }
 
     /// Applying a delta of the wrong kind or grid is a typed mismatch.

@@ -24,7 +24,7 @@
 
 use crate::band::RowBanded;
 use crate::grid::Grid;
-use crate::schema::Family;
+use crate::schema::{Family, Schema, Sink};
 use crate::{HistogramError, SelectivityEstimate};
 use sj_geo::Rect;
 
@@ -159,10 +159,15 @@ impl EulerHistogram {
 }
 
 impl RowBanded for EulerHistogram {
-    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
+    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
+        const SCHEMA: &Schema = &EulerHistogram::SCHEMA;
+        const N: usize = SCHEMA.scalar("n");
+        const FACES: usize = SCHEMA.array("faces");
+        const V_EDGES: usize = SCHEMA.array("v_edges");
+        const H_EDGES: usize = SCHEMA.array("h_edges");
+        const VERTICES: usize = SCHEMA.array("vertices");
         let n = crate::grid::ix(grid.cells_per_axis());
         let (lo, hi) = (crate::grid::ix(lo), crate::grid::ix(hi));
-        let mut h = Self::zeroed(grid);
         for r in rects {
             let (c0, c1, r0, r1) = grid.cell_range(r);
             let (c0, c1, r0, r1) = (
@@ -175,28 +180,27 @@ impl RowBanded for EulerHistogram {
                 continue;
             }
             if (lo..hi).contains(&r0) {
-                h.n += 1;
+                sink.add_scalar(N, 1);
             }
             for row in r0.max(lo)..=r1.min(hi - 1) {
                 for col in c0..=c1 {
-                    h.faces[row * n + col] += 1;
+                    sink.add_count(FACES, row * n + col);
                 }
                 for col in c0..c1 {
-                    h.v_edges[row * (n - 1) + col] += 1;
+                    sink.add_count(V_EDGES, row * (n - 1) + col);
                 }
             }
             // Horizontal edges and vertices live on row boundaries r0..r1,
             // always below the last grid row.
             for row in r0.max(lo)..r1.min(hi) {
                 for col in c0..=c1 {
-                    h.h_edges[row * n + col] += 1;
+                    sink.add_count(H_EDGES, row * n + col);
                 }
                 for col in c0..c1 {
-                    h.vertices[row * (n - 1) + col] += 1;
+                    sink.add_count(VERTICES, row * (n - 1) + col);
                 }
             }
         }
-        h
     }
 }
 

@@ -22,7 +22,7 @@
 use crate::band::RowBanded;
 use crate::grid::Grid;
 use crate::mass::Mass;
-use crate::schema::Family;
+use crate::schema::{Family, Schema, Sink};
 use crate::{HistogramError, SelectivityEstimate};
 use sj_geo::Rect;
 
@@ -121,9 +121,14 @@ impl GhBasicHistogram {
 }
 
 impl RowBanded for GhBasicHistogram {
-    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
+    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
+        const SCHEMA: &Schema = &GhBasicHistogram::SCHEMA;
+        const N: usize = SCHEMA.scalar("n");
+        const C: usize = SCHEMA.array("c");
+        const I: usize = SCHEMA.array("i");
+        const V: usize = SCHEMA.array("v");
+        const H: usize = SCHEMA.array("h");
         let bg = crate::kernel::BinGrid::new(&grid);
-        let mut h = Self::zeroed(grid);
         for r in rects {
             // Every contribution of `r` lands in rows r0..=r1 (corner and
             // h-edge rows are r0 or r1), so rects outside the band are
@@ -134,29 +139,29 @@ impl RowBanded for GhBasicHistogram {
                 continue;
             }
             if (lo..hi).contains(&r0) {
-                h.n += 1;
+                sink.add_scalar(N, 1);
             }
             for corner in r.corners() {
                 let (col, row) = grid.cell_of_point(corner);
                 if (lo..hi).contains(&row) {
-                    h.c[grid.flat_index(col, row)] += 1;
+                    sink.add_count(C, grid.flat_index(col, row));
                 }
             }
-            crate::kernel::bin_count_block(&bg, (c0, c1), (r0.max(lo), r1.min(hi - 1)), &mut h.i);
+            let rows = (r0.max(lo), r1.min(hi - 1));
+            crate::kernel::bin_count_block(&bg, (c0, c1), rows, sink, I);
             // Two vertical edges: each occupies one column, rows r0..=r1.
             for edge in r.v_edges() {
                 let col = grid.col_of(edge.x);
-                crate::kernel::bin_count_col(&bg, col, (r0.max(lo), r1.min(hi - 1)), &mut h.v);
+                crate::kernel::bin_count_col(&bg, col, rows, sink, V);
             }
             // Two horizontal edges: each occupies one row, cols c0..=c1.
             for edge in r.h_edges() {
                 let row = grid.row_of(edge.y);
                 if (lo..hi).contains(&row) {
-                    crate::kernel::bin_count_row(&bg, (c0, c1), row, &mut h.h);
+                    crate::kernel::bin_count_row(&bg, (c0, c1), row, sink, H);
                 }
             }
         }
-        h
     }
 }
 
@@ -387,39 +392,43 @@ impl GhHistogram {
 }
 
 impl RowBanded for GhHistogram {
-    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
+    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
+        const SCHEMA: &Schema = &GhHistogram::SCHEMA;
+        const N: usize = SCHEMA.scalar("n");
+        const C: usize = SCHEMA.array("c");
+        const O: usize = SCHEMA.array("o");
+        const H: usize = SCHEMA.array("h");
+        const V: usize = SCHEMA.array("v");
         // Flattened grid geometry: cell sizes and row bases hoisted out of
         // the per-cell binning loops (same expressions, so bit-identical).
         let bg = crate::kernel::BinGrid::new(&grid);
-        let mut h = Self::zeroed(grid);
         for r in rects {
             let (c0, c1, r0, r1) = grid.cell_range(r);
             if r1 < lo || r0 >= hi {
                 continue;
             }
             if (lo..hi).contains(&r0) {
-                h.n += 1;
+                sink.add_scalar(N, 1);
             }
             for corner in r.corners() {
                 let (col, row) = grid.cell_of_point(corner);
                 if (lo..hi).contains(&row) {
-                    h.c[grid.flat_index(col, row)] += 1;
+                    sink.add_count(C, grid.flat_index(col, row));
                 }
             }
             let rows = (r0.max(lo), r1.min(hi - 1));
-            crate::kernel::bin_gh_overlap(&bg, r, (c0, c1), rows, &mut h.o);
+            crate::kernel::bin_gh_overlap(&bg, r, (c0, c1), rows, sink, O);
             for edge in r.h_edges() {
                 let row = grid.row_of(edge.y);
                 if (lo..hi).contains(&row) {
-                    crate::kernel::bin_gh_hedge(&bg, &edge, (c0, c1), row, &mut h.h);
+                    crate::kernel::bin_gh_hedge(&bg, &edge, (c0, c1), row, sink, H);
                 }
             }
             for edge in r.v_edges() {
                 let col = grid.col_of(edge.x);
-                crate::kernel::bin_gh_vedge(&bg, &edge, col, rows, &mut h.v);
+                crate::kernel::bin_gh_vedge(&bg, &edge, col, rows, sink, V);
             }
         }
-        h
     }
 }
 

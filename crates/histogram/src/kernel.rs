@@ -60,6 +60,7 @@
 use crate::grid::ix;
 use crate::grid::Grid;
 use crate::mass::Mass;
+use crate::schema::Sink;
 use crate::{
     GhBasicHistogram, GhHistogram, HistogramDelta, HistogramError, PhHistogram,
     SelectivityEstimate, SpatialHistogram,
@@ -1229,37 +1230,34 @@ impl BinGrid {
     }
 }
 
-/// PH `Cont` binning of one fully-contained rect into cell `(col, row)`.
-#[allow(clippy::too_many_arguments)]
+/// PH `Cont` binning of one fully-contained rect into cell `(col, row)`:
+/// `num`, `cov`, `xsum`, `ysum` are the four arrays' sink positions.
+#[inline]
 pub(crate) fn bin_ph_cont(
     bg: &BinGrid,
     r: &Rect,
-    col: u32,
-    row: u32,
-    num: &mut [u32],
-    cov: &mut [Mass],
-    xsum: &mut [Mass],
-    ysum: &mut [Mass],
+    (col, row): (u32, u32),
+    sink: &mut impl Sink,
+    [num, cov, xsum, ysum]: [usize; 4],
 ) {
     let idx = bg.row_base(row) + ix(col);
-    num[idx] += 1;
-    cov[idx] += Mass::from_f64(bg.area_ratio(r));
-    xsum[idx] += Mass::from_f64(r.width());
-    ysum[idx] += Mass::from_f64(r.height());
+    sink.add_count(num, idx);
+    sink.add_mass(cov, idx, Mass::from_f64(bg.area_ratio(r)));
+    sink.add_mass(xsum, idx, Mass::from_f64(r.width()));
+    sink.add_mass(ysum, idx, Mass::from_f64(r.height()));
 }
 
 /// PH `Isect` binning of one boundary-crossing rect over the banded
-/// cell block `(c0..=c1) × (row_lo..=row_hi)`.
-#[allow(clippy::too_many_arguments)]
+/// cell block `(c0..=c1) × (row_lo..=row_hi)`, into the sink positions
+/// of `num_x`, `cov_x`, `xsum_x`, `ysum_x`.
+#[inline]
 pub(crate) fn bin_ph_isect(
     bg: &BinGrid,
     r: &Rect,
     (c0, c1): (u32, u32),
     (row_lo, row_hi): (u32, u32),
-    num_x: &mut [u32],
-    cov_x: &mut [Mass],
-    xsum_x: &mut [Mass],
-    ysum_x: &mut [Mass],
+    sink: &mut impl Sink,
+    [num_x, cov_x, xsum_x, ysum_x]: [usize; 4],
 ) {
     for row in row_lo..=row_hi {
         let base = bg.row_base(row);
@@ -1271,84 +1269,122 @@ pub(crate) fn bin_ph_isect(
             let clip = r
                 .intersection(&cell)
                 .unwrap_or_else(|| Rect::from_point(cell.center()));
-            num_x[idx] += 1;
-            cov_x[idx] += Mass::from_f64(bg.area_ratio(&clip));
-            xsum_x[idx] += Mass::from_f64(clip.width());
-            ysum_x[idx] += Mass::from_f64(clip.height());
+            sink.add_count(num_x, idx);
+            sink.add_mass(cov_x, idx, Mass::from_f64(bg.area_ratio(&clip)));
+            sink.add_mass(xsum_x, idx, Mass::from_f64(clip.width()));
+            sink.add_mass(ysum_x, idx, Mass::from_f64(clip.height()));
         }
     }
 }
 
-/// Revised-GH overlap-mass binning of one rect over a banded block.
+/// Revised-GH overlap-mass binning of one rect over a banded block into
+/// mass array `o`.
+#[inline]
 pub(crate) fn bin_gh_overlap(
     bg: &BinGrid,
     r: &Rect,
     (c0, c1): (u32, u32),
     (row_lo, row_hi): (u32, u32),
-    o: &mut [Mass],
+    sink: &mut impl Sink,
+    o: usize,
 ) {
     for row in row_lo..=row_hi {
         let base = bg.row_base(row);
         for col in c0..=c1 {
-            o[base + ix(col)] += Mass::from_f64(bg.overlap_ratio(r, col, row));
+            sink.add_mass(
+                o,
+                base + ix(col),
+                Mass::from_f64(bg.overlap_ratio(r, col, row)),
+            );
         }
     }
 }
 
-/// Revised-GH horizontal-edge binning along one row.
+/// Revised-GH horizontal-edge binning along one row into mass array `h`.
+#[inline]
 pub(crate) fn bin_gh_hedge(
     bg: &BinGrid,
     edge: &HEdge,
     (c0, c1): (u32, u32),
     row: u32,
-    h: &mut [Mass],
+    sink: &mut impl Sink,
+    h: usize,
 ) {
     let base = bg.row_base(row);
     for col in c0..=c1 {
-        h[base + ix(col)] += Mass::from_f64(bg.h_ratio(edge, col, row));
+        sink.add_mass(
+            h,
+            base + ix(col),
+            Mass::from_f64(bg.h_ratio(edge, col, row)),
+        );
     }
 }
 
-/// Revised-GH vertical-edge binning along one banded column.
+/// Revised-GH vertical-edge binning along one banded column into mass
+/// array `v`.
+#[inline]
 pub(crate) fn bin_gh_vedge(
     bg: &BinGrid,
     edge: &VEdge,
     col: u32,
     (row_lo, row_hi): (u32, u32),
-    v: &mut [Mass],
+    sink: &mut impl Sink,
+    v: usize,
 ) {
     for row in row_lo..=row_hi {
-        v[bg.row_base(row) + ix(col)] += Mass::from_f64(bg.v_ratio(edge, col, row));
+        sink.add_mass(
+            v,
+            bg.row_base(row) + ix(col),
+            Mass::from_f64(bg.v_ratio(edge, col, row)),
+        );
     }
 }
 
-/// Counter binning over a banded block (basic GH `I`).
+/// Counter binning over a banded block (basic GH `I`) into count array
+/// `out`.
+#[inline]
 pub(crate) fn bin_count_block(
     bg: &BinGrid,
     (c0, c1): (u32, u32),
     (row_lo, row_hi): (u32, u32),
-    out: &mut [u32],
+    sink: &mut impl Sink,
+    out: usize,
 ) {
     for row in row_lo..=row_hi {
         let base = bg.row_base(row);
         for col in c0..=c1 {
-            out[base + ix(col)] += 1;
+            sink.add_count(out, base + ix(col));
         }
     }
 }
 
-/// Counter binning along one row (basic GH `H`).
-pub(crate) fn bin_count_row(bg: &BinGrid, (c0, c1): (u32, u32), row: u32, out: &mut [u32]) {
+/// Counter binning along one row (basic GH `H`) into count array `out`.
+#[inline]
+pub(crate) fn bin_count_row(
+    bg: &BinGrid,
+    (c0, c1): (u32, u32),
+    row: u32,
+    sink: &mut impl Sink,
+    out: usize,
+) {
     let base = bg.row_base(row);
     for col in c0..=c1 {
-        out[base + ix(col)] += 1;
+        sink.add_count(out, base + ix(col));
     }
 }
 
-/// Counter binning along one banded column (basic GH `V`).
-pub(crate) fn bin_count_col(bg: &BinGrid, col: u32, (row_lo, row_hi): (u32, u32), out: &mut [u32]) {
+/// Counter binning along one banded column (basic GH `V`) into count
+/// array `out`.
+#[inline]
+pub(crate) fn bin_count_col(
+    bg: &BinGrid,
+    col: u32,
+    (row_lo, row_hi): (u32, u32),
+    sink: &mut impl Sink,
+    out: usize,
+) {
     for row in row_lo..=row_hi {
-        out[bg.row_base(row) + ix(col)] += 1;
+        sink.add_count(out, bg.row_base(row) + ix(col));
     }
 }
 

@@ -18,7 +18,7 @@
 use crate::band::RowBanded;
 use crate::grid::Grid;
 use crate::mass::Mass;
-use crate::schema::Family;
+use crate::schema::{Family, Schema, Sink};
 use crate::{HistogramError, SelectivityEstimate};
 use sj_geo::Rect;
 
@@ -232,11 +232,26 @@ impl PhHistogram {
 }
 
 impl RowBanded for PhHistogram {
-    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32) -> Self {
+    fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
+        const SCHEMA: &Schema = &PhHistogram::SCHEMA;
+        const N: usize = SCHEMA.scalar("n");
+        const SPAN_TOTAL: usize = SCHEMA.scalar("span_total");
+        const SPAN_RECTS: usize = SCHEMA.scalar("span_rects");
+        const CONT: [usize; 4] = [
+            SCHEMA.array("num"),
+            SCHEMA.array("cov"),
+            SCHEMA.array("xsum"),
+            SCHEMA.array("ysum"),
+        ];
+        const ISECT: [usize; 4] = [
+            SCHEMA.array("num_x"),
+            SCHEMA.array("cov_x"),
+            SCHEMA.array("xsum_x"),
+            SCHEMA.array("ysum_x"),
+        ];
         // Flattened grid geometry: cell sizes and row bases hoisted out of
         // the per-cell binning loops (same expressions, so bit-identical).
         let bg = crate::kernel::BinGrid::new(&grid);
-        let mut h = Self::zeroed(grid);
         for r in rects {
             let (c0, c1, r0, r1) = grid.cell_range(r);
             if r1 < lo || r0 >= hi {
@@ -245,39 +260,21 @@ impl RowBanded for PhHistogram {
             // Scalar statistics go to the band owning the bottom row, so
             // band builds partition them exactly.
             if (lo..hi).contains(&r0) {
-                h.n += 1;
+                sink.add_scalar(N, 1);
                 if !(c0 == c1 && r0 == r1) {
-                    h.span_total += u64::from(c1 - c0 + 1) * u64::from(r1 - r0 + 1);
-                    h.span_rects += 1;
+                    sink.add_scalar(SPAN_TOTAL, u64::from(c1 - c0 + 1) * u64::from(r1 - r0 + 1));
+                    sink.add_scalar(SPAN_RECTS, 1);
                 }
             }
             if c0 == c1 && r0 == r1 {
                 if (lo..hi).contains(&r0) {
-                    crate::kernel::bin_ph_cont(
-                        &bg,
-                        r,
-                        c0,
-                        r0,
-                        &mut h.num,
-                        &mut h.cov,
-                        &mut h.xsum,
-                        &mut h.ysum,
-                    );
+                    crate::kernel::bin_ph_cont(&bg, r, (c0, r0), sink, CONT);
                 }
             } else {
-                crate::kernel::bin_ph_isect(
-                    &bg,
-                    r,
-                    (c0, c1),
-                    (r0.max(lo), r1.min(hi - 1)),
-                    &mut h.num_x,
-                    &mut h.cov_x,
-                    &mut h.xsum_x,
-                    &mut h.ysum_x,
-                );
+                let rows = (r0.max(lo), r1.min(hi - 1));
+                crate::kernel::bin_ph_isect(&bg, r, (c0, c1), rows, sink, ISECT);
             }
         }
-        h
     }
 }
 

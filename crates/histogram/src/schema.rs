@@ -16,7 +16,10 @@
 //!   size, [`Schema::size_bytes`];
 //! * the exact merge, [`merge_same_grid`];
 //! * `first_divergence` (`diff.rs`);
-//! * `HistogramDelta` build, decode and apply (`delta.rs`).
+//! * `HistogramDelta` build, decode and apply (`delta.rs`);
+//! * the [`Sink`] every binning pass writes through: the family's own
+//!   dense arrays when it is registered, a sparse touched-cell
+//!   accumulator when a delta is built.
 //!
 //! The `.hist` payload (wrapped by the envelope of `traits.rs`), all
 //! little-endian:
@@ -29,7 +32,7 @@
 use crate::grid::{ix, Grid};
 use crate::mass::Mass;
 use crate::{CorruptSection, HistogramError, HistogramKind};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::ops::AddAssign;
 
 /// How one per-cell statistic is stored.
@@ -137,6 +140,110 @@ impl Schema {
     pub(crate) fn size_bytes(&self, grid: &Grid) -> usize {
         self.header_bytes() + self.arrays_bytes(grid)
     }
+
+    /// Position of the scalar `name` in file order — the [`Sink`]
+    /// address a binning pass adds it at. Evaluated in `const` items
+    /// only, so a name the family does not declare fails to compile.
+    pub(crate) const fn scalar(&self, name: &str) -> usize {
+        let mut at = 0;
+        while at < self.scalars.len() {
+            if str_eq(self.scalars[at], name) {
+                return at;
+            }
+            at += 1;
+        }
+        undeclared()
+    }
+
+    /// Position of the per-cell array `name` in file order, as
+    /// [`Self::scalar`].
+    pub(crate) const fn array(&self, name: &str) -> usize {
+        let mut at = 0;
+        while at < self.arrays.len() {
+            if str_eq(self.arrays[at].name, name) {
+                return at;
+            }
+            at += 1;
+        }
+        undeclared()
+    }
+}
+
+/// `a == b`, usable in `const` evaluation.
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// The compile error of a [`Schema::scalar`] or [`Schema::array`] lookup
+/// of an undeclared name.
+#[expect(
+    clippy::panic,
+    reason = "reached only in const evaluation, where it is a compile error"
+)]
+const fn undeclared() -> usize {
+    panic!("statistic not declared by the family's schema")
+}
+
+/// Where one binning pass adds its contributions. Statistics are
+/// addressed by their position in the family's declaration
+/// ([`Schema::scalar`], [`Schema::array`]); every per-cell contribution
+/// is a count of one or an exact [`Mass`], so each is an exact sum
+/// whichever sink collects it. Two sinks exist: the family's own dense
+/// arrays ([`histogram_family!`] implements this trait for it), which
+/// registration fills exactly as it always has, and the touched-cell
+/// accumulator of `delta.rs`, which records only the cells a batch
+/// reaches.
+pub(crate) trait Sink {
+    /// Adds `v` to scalar `k`.
+    fn add_scalar(&mut self, k: usize, v: u64);
+
+    /// Adds one to cell `cell` of count array `array`.
+    fn add_count(&mut self, array: usize, cell: usize);
+
+    /// Adds `v` to cell `cell` of mass array `array`.
+    fn add_mass(&mut self, array: usize, cell: usize, v: Mass);
+}
+
+/// One dense statistic array as a [`Sink`] target. A position of the
+/// other representation is never addressed (positions come from the
+/// schema by name), so that arm does nothing.
+pub(crate) trait DenseCells {
+    /// `self[cell] += 1` on a count array.
+    fn add_count(&mut self, cell: usize);
+
+    /// `self[cell] += v` on a mass array.
+    fn add_mass(&mut self, cell: usize, v: Mass);
+}
+
+impl DenseCells for Vec<u32> {
+    #[inline]
+    fn add_count(&mut self, cell: usize) {
+        self[cell] += 1;
+    }
+
+    #[inline]
+    fn add_mass(&mut self, _: usize, _: Mass) {}
+}
+
+impl DenseCells for Vec<Mass> {
+    #[inline]
+    fn add_count(&mut self, _: usize) {}
+
+    #[inline]
+    fn add_mass(&mut self, cell: usize, v: Mass) {
+        self[cell] += v;
+    }
 }
 
 /// One per-cell statistic array, read-only.
@@ -187,8 +294,10 @@ pub(crate) trait Family: Sized {
 /// `size_bytes`. The struct must hold exactly `grid: Grid`, the listed
 /// `u64` scalars (the first being the cardinality `n`) and the listed
 /// arrays (`Vec<u32>` for `Count`, `Vec<Mass>` for `Mass`); a field of
-/// the wrong type fails to compile. The family also implements
-/// `RowBanded`, whose `build_rows` is the only per-family build code.
+/// the wrong type fails to compile. The macro also makes the family its
+/// own dense [`Sink`]: each position resolves to its field, a constant
+/// branch once inlined. The family also implements `RowBanded`, whose
+/// `build_rows` is the only per-family build code.
 macro_rules! histogram_family {
     (
         $ty:ident: $kind:ident, magic $magic:literal,
@@ -236,6 +345,35 @@ macro_rules! histogram_family {
 
             fn columns_mut(&mut self) -> Vec<$crate::schema::ColumnMut<'_>> {
                 vec![$($crate::schema::ColumnMut::$repr(&mut self.$array)),+]
+            }
+        }
+
+        impl $crate::schema::Sink for $ty {
+            #[inline]
+            fn add_scalar(&mut self, k: usize, v: u64) {
+                $(if k == const {
+                    <$ty as $crate::schema::Family>::SCHEMA.scalar(stringify!($scalar))
+                } {
+                    self.$scalar += v;
+                })+
+            }
+
+            #[inline]
+            fn add_count(&mut self, array: usize, cell: usize) {
+                $(if array == const {
+                    <$ty as $crate::schema::Family>::SCHEMA.array(stringify!($array))
+                } {
+                    $crate::schema::DenseCells::add_count(&mut self.$array, cell);
+                })+
+            }
+
+            #[inline]
+            fn add_mass(&mut self, array: usize, cell: usize, v: $crate::mass::Mass) {
+                $(if array == const {
+                    <$ty as $crate::schema::Family>::SCHEMA.array(stringify!($array))
+                } {
+                    $crate::schema::DenseCells::add_mass(&mut self.$array, cell, v);
+                })+
             }
         }
 
@@ -297,35 +435,43 @@ macro_rules! histogram_family {
 }
 pub(crate) use histogram_family;
 
-/// Serializes a family's `.hist` payload: the header, the scalars, then
-/// every declared array in file order.
+/// Serializes a family's `.hist` payload into a fresh buffer
+/// ([`encode_into`]).
 pub(crate) fn to_bytes<H: Family>(h: &H) -> Bytes {
+    let mut out = Vec::with_capacity(H::SCHEMA.size_bytes(&h.grid()));
+    encode_into(h, &mut out);
+    Bytes::from(out)
+}
+
+/// Appends a family's `.hist` payload to `out`: the header, the
+/// scalars, then every declared array in file order, each entry one
+/// fixed-width little-endian chunk.
+pub(crate) fn encode_into<H: Family>(h: &H, out: &mut Vec<u8>) {
     let grid = h.grid();
-    let mut buf = BytesMut::with_capacity(H::SCHEMA.size_bytes(&grid));
-    buf.put_u32_le(H::SCHEMA.magic);
-    buf.put_u32_le(grid.level());
+    out.reserve(H::SCHEMA.size_bytes(&grid));
+    out.put_u32_le(H::SCHEMA.magic);
+    out.put_u32_le(grid.level());
     let e = grid.extent().rect();
     for v in [e.xlo, e.ylo, e.xhi, e.yhi] {
-        buf.put_f64_le(v);
+        out.put_f64_le(v);
     }
     for v in h.scalars() {
-        buf.put_u64_le(v);
+        out.put_u64_le(v);
     }
     for column in h.columns() {
         match column {
             Column::Count(values) => {
                 for v in values {
-                    buf.put_u32_le(*v);
+                    out.put_u32_le(*v);
                 }
             }
             Column::Mass(values) => {
                 for v in values {
-                    v.put_le(&mut buf);
+                    v.put_le(out);
                 }
             }
         }
     }
-    buf.freeze()
 }
 
 /// Decodes a family's `.hist` payload written by [`to_bytes`]. The

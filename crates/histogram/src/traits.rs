@@ -31,7 +31,7 @@ use crate::{
     CorruptSection, EulerHistogram, GhBasicHistogram, GhHistogram, Grid, HistogramError,
     PhHistogram, SelectivityEstimate,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use sj_geo::Rect;
 use std::any::Any;
 
@@ -217,26 +217,28 @@ pub trait SpatialHistogram: std::fmt::Debug + Send + Sync {
     where
         Self: Sized;
 
-    /// Builds the signed delta of an insert/delete batch for this
-    /// family on `grid` — the statistic-wise difference
-    /// `build(inserts) − build(deletes)`, suitable for
-    /// [`Self::apply_delta`].
-    #[must_use]
-    fn build_delta(grid: Grid, inserts: &[Rect], deletes: &[Rect]) -> HistogramDelta
-    where
-        Self: Sized;
+    /// Appends the envelope [`Self::persist`] returns to `out`, encoding
+    /// the payload in place and checksumming it there: no intermediate
+    /// payload buffer and no copy. A caller that embeds the envelope in
+    /// a larger file (a compacted `<table>.base`) sizes `out` with
+    /// [`Self::persist_len`] first.
+    fn persist_into(&self, out: &mut Vec<u8>);
+
+    /// Length in bytes of the envelope [`Self::persist`] returns: the
+    /// payload ([`Self::space_bytes`]) plus the 24 bytes of framing.
+    fn persist_len(&self) -> usize {
+        ENVELOPE_FRAMING + self.space_bytes()
+    }
 
     /// Serializes into the versioned kind-tagged envelope decodable by
     /// [`load_histogram`], regardless of family: a 20-byte header (magic,
     /// version, kind tag, payload length), the native payload, and a
-    /// trailing CRC32 over everything before it.
+    /// trailing CRC32 over everything before it. The encoder of
+    /// [`Self::persist_into`], writing into a fresh buffer.
     fn persist(&self) -> Bytes {
-        seal_envelope(
-            ENVELOPE_MAGIC,
-            ENVELOPE_VERSION,
-            self.kind(),
-            &self.to_bytes(),
-        )
+        let mut out = Vec::with_capacity(self.persist_len());
+        self.persist_into(&mut out);
+        Bytes::from(out)
     }
 }
 
@@ -327,6 +329,12 @@ macro_rules! impl_spatial_histogram {
                 <$ty>::to_bytes(self)
             }
 
+            fn persist_into(&self, out: &mut Vec<u8>) {
+                seal_envelope_into(out, ENVELOPE_MAGIC, ENVELOPE_VERSION, self.kind(), |out| {
+                    crate::schema::encode_into(self, out)
+                });
+            }
+
             fn merge(&mut self, other: &dyn SpatialHistogram) -> Result<(), HistogramError> {
                 merge_impl(self, other)
             }
@@ -353,10 +361,6 @@ macro_rules! impl_spatial_histogram {
 
             fn build_from(grid: Grid, rects: &[Rect]) -> Self {
                 <$ty>::build(grid, rects)
-            }
-
-            fn build_delta(grid: Grid, inserts: &[Rect], deletes: &[Rect]) -> HistogramDelta {
-                crate::delta::build_impl::<$ty>(grid, inserts, deletes, 1)
             }
         }
     };
@@ -425,6 +429,10 @@ pub fn load_histogram(full: &[u8]) -> Result<Box<dyn SpatialHistogram>, Histogra
     with_family!(kind, H => Ok(Box::new(crate::schema::from_bytes::<H>(payload)?)))
 }
 
+/// Bytes an envelope adds around its payload: a 20-byte header and a
+/// 4-byte CRC32 trailer.
+const ENVELOPE_FRAMING: usize = 24;
+
 /// Writes the framing shared by `.hist`, `.hdelta` and sparse GH files:
 /// `magic u32 | version u32 | kind tag u32 | payload_len u64 | payload |
 /// crc32 u32`, the CRC32 covering every byte before it.
@@ -434,15 +442,36 @@ pub(crate) fn seal_envelope(
     kind: HistogramKind,
     payload: &[u8],
 ) -> Bytes {
-    let mut buf = BytesMut::with_capacity(24 + payload.len());
-    buf.put_u32_le(magic);
-    buf.put_u32_le(version);
-    buf.put_u32_le(kind.tag());
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_slice(payload);
-    let checksum = crc32(&buf);
-    buf.put_u32_le(checksum);
-    buf.freeze()
+    let mut out = Vec::with_capacity(ENVELOPE_FRAMING + payload.len());
+    seal_envelope_into(&mut out, magic, version, kind, |out| {
+        out.extend_from_slice(payload);
+    });
+    Bytes::from(out)
+}
+
+/// Appends the [`seal_envelope`] framing to `out` around the payload
+/// `write_payload` appends in place: the header goes first with a zero
+/// length, the length is patched once the payload is written, and the
+/// CRC32 runs over the envelope's own bytes in `out`.
+pub(crate) fn seal_envelope_into(
+    out: &mut Vec<u8>,
+    magic: u32,
+    version: u32,
+    kind: HistogramKind,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    out.put_u32_le(magic);
+    out.put_u32_le(version);
+    out.put_u32_le(kind.tag());
+    out.put_u64_le(0);
+    write_payload(out);
+    let payload_len = (out.len() - start - 20) as u64;
+    if let Some(frame) = out.get_mut(start + 12..start + 20) {
+        frame.copy_from_slice(&payload_len.to_le_bytes());
+    }
+    let checksum = crc32(out.get(start..).unwrap_or_default());
+    out.put_u32_le(checksum);
 }
 
 /// Opens the framing written by [`seal_envelope`] —

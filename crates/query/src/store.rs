@@ -87,7 +87,9 @@ use crate::catalog::StatsState;
 use crate::error::QueryError;
 use crate::Catalog;
 use sj_geo::Rect;
-use sj_histogram::{build_histogram, CorruptSection, HistogramDelta, HistogramError};
+use sj_histogram::{
+    build_histogram, CorruptSection, HistogramDelta, HistogramError, SpatialHistogram,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -348,7 +350,7 @@ pub enum PreparedOutcome {
     Duplicate(DeltaReceipt),
     /// The batch validated; drive it through
     /// [`PreparedDelta::append_wal`] and [`Catalog::commit_prepared`].
-    /// Boxed: the staged batch (delta, liveness mask, WAL record) dwarfs
+    /// Boxed: the staged batch (delta, deleted rows, WAL record) dwarfs
     /// the duplicate receipt.
     Fresh(Box<PreparedDelta>),
 }
@@ -368,10 +370,10 @@ pub struct PreparedDelta {
     id: MutationId,
     seq: u64,
     delta: HistogramDelta,
-    /// Liveness mask over the dataset at prepare time: `false` marks
-    /// the rectangles this batch's deletes resolved to. `None` for an
-    /// insert-only batch, which never looks at the dataset.
-    live: Option<Vec<bool>>,
+    /// Ascending positions of the dataset rows this batch's deletes
+    /// resolved to at prepare time. Empty for an insert-only batch,
+    /// which never looks at the dataset.
+    deleted_rows: Vec<usize>,
     inserts: Vec<Rect>,
     deletes_len: usize,
     /// WAL destination and encoded record, absent when no statistics
@@ -567,13 +569,22 @@ fn encode_wal_record(seq: u64, id: MutationId, inserts: &[Rect], deletes: &[Rect
     buf.extend_from_slice(&(u32::try_from(inserts.len()).unwrap_or(u32::MAX)).to_le_bytes());
     buf.extend_from_slice(&(u32::try_from(deletes.len()).unwrap_or(u32::MAX)).to_le_bytes());
     for r in inserts.iter().chain(deletes) {
-        for v in [r.xlo, r.ylo, r.xhi, r.yhi] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        buf.extend_from_slice(&rect_bytes(r));
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
+}
+
+/// One rectangle as WAL records and `.base` files store it: its four
+/// coordinates as little-endian `f64`, one 32-byte chunk.
+fn rect_bytes(r: &Rect) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    let (coords, _) = out.as_chunks_mut::<8>();
+    for (dst, v) in coords.iter_mut().zip([r.xlo, r.ylo, r.xhi, r.yhi]) {
+        *dst = v.to_le_bytes();
+    }
+    out
 }
 
 /// One decoded WAL record.
@@ -705,19 +716,24 @@ struct Snapshot<'a> {
     envelope: &'a [u8],
 }
 
-/// Encodes a `<table>.base` file: the snapshot section and its CRC32,
-/// then the statistics envelope.
-fn encode_snapshot(next_seq: u64, rects: &[Rect], ids: &[MutationId], envelope: &[u8]) -> Vec<u8> {
+/// Encodes a `<table>.base` file in one pass into one buffer sized up
+/// front: the snapshot section (each rectangle one 32-byte chunk) and
+/// its CRC32, then the statistics envelope, encoded and checksummed in
+/// place by [`SpatialHistogram::persist_into`].
+fn encode_base(
+    next_seq: u64,
+    rects: &[Rect],
+    ids: &[MutationId],
+    stats: &dyn SpatialHistogram,
+) -> Vec<u8> {
     let section = SNAPSHOT_HEADER_LEN + rects.len() * 32 + 4 + ids.len() * 16 + 4;
-    let mut buf = Vec::with_capacity(section + envelope.len());
+    let mut buf = Vec::with_capacity(section + stats.persist_len());
     buf.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
     buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     buf.extend_from_slice(&next_seq.to_le_bytes());
     buf.extend_from_slice(&(rects.len() as u64).to_le_bytes());
     for r in rects {
-        for v in [r.xlo, r.ylo, r.xhi, r.yhi] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        buf.extend_from_slice(&rect_bytes(r));
     }
     buf.extend_from_slice(&(u32::try_from(ids.len()).unwrap_or(u32::MAX)).to_le_bytes());
     for id in ids {
@@ -726,7 +742,7 @@ fn encode_snapshot(next_seq: u64, rects: &[Rect], ids: &[MutationId], envelope: 
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf.extend_from_slice(envelope);
+    stats.persist_into(&mut buf);
     buf
 }
 
@@ -802,9 +818,9 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot<'_>, QueryError> {
 }
 
 /// Resolves each delete of a batch to one live dataset row in a single
-/// pass over the dataset, returning the liveness mask (`false` on the
-/// resolved rows), or the smallest batch index whose delete matches no
-/// row.
+/// pass over the dataset, returning the ascending positions of the rows
+/// it claimed (one per delete), or the smallest batch index whose
+/// delete matches no row.
 ///
 /// The result is exactly that of resolving the deletes one by one in
 /// batch order, each taking the first still-live row equal to it (the
@@ -814,7 +830,7 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot<'_>, QueryError> {
 /// Rows are pre-filtered on a small bitmap keyed by each delete's
 /// canonical `xlo` bits (`-0.0` maps to `+0.0`, as `==` identifies
 /// them), then confirmed with `Rect ==`.
-fn resolve_deletes(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<bool>, usize> {
+fn resolve_deletes(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<usize>, usize> {
     /// Bits of `x` with `-0.0` folded onto `+0.0`: equal (non-NaN)
     /// coordinates get equal keys.
     fn canon(x: f64) -> u64 {
@@ -850,7 +866,7 @@ fn resolve_deletes(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<bool>, usize>
         filter[s / 64] |= 1 << (s % 64);
     }
     let mut taken = vec![0usize; pending.len()];
-    let mut live = vec![true; rects.len()];
+    let mut claimed = Vec::with_capacity(deletes.len());
     for (row, r) in rects.iter().enumerate() {
         let s = slot(r);
         if filter[s / 64] & (1 << (s % 64)) == 0 {
@@ -861,7 +877,7 @@ fn resolve_deletes(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<bool>, usize>
         };
         if let Some(&first) = pending[class].get(taken[class]) {
             if *r == deletes[first] {
-                live[row] = false;
+                claimed.push(row);
                 taken[class] += 1;
             }
         }
@@ -873,8 +889,29 @@ fn resolve_deletes(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<bool>, usize>
         .min();
     match missing {
         Some(index) => Err(index),
-        None => Ok(live),
+        None => Ok(claimed),
     }
+}
+
+/// Removes the rows at `rows` (strictly ascending positions, as
+/// [`resolve_deletes`] returns them) in one pass: rows before the first
+/// position stay where they are, and each run of survivors after it
+/// moves down once. Survivors keep their order.
+fn remove_rows(rects: &mut Vec<Rect>, rows: &[usize]) {
+    let Some(&first) = rows.first() else {
+        return;
+    };
+    debug_assert!(
+        rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_some_and(|&r| r < rects.len()),
+        "row positions must be strictly ascending and in range"
+    );
+    let mut write = first;
+    for (k, &row) in rows.iter().enumerate() {
+        let end = rows.get(k + 1).copied().unwrap_or(rects.len());
+        rects.copy_within(row + 1..end, write);
+        write += end - row - 1;
+    }
+    rects.truncate(write);
 }
 
 // CRC32 (IEEE, reflected) — the workspace's single shared
@@ -1195,16 +1232,15 @@ impl Catalog {
         }
         // Resolve each delete to one currently-live object, first match
         // wins; duplicates in the batch consume duplicates in the data.
-        let live = if deletes.is_empty() {
-            None
+        let deleted_rows = if deletes.is_empty() {
+            Vec::new()
         } else {
-            let live = resolve_deletes(&table.dataset.rects, deletes).map_err(|index| {
+            resolve_deletes(&table.dataset.rects, deletes).map_err(|index| {
                 QueryError::DeleteNotFound {
                     table: name.to_string(),
                     index,
                 }
-            })?;
-            Some(live)
+            })?
         };
 
         // Exact signed delta for this batch: both sides run through the
@@ -1225,7 +1261,7 @@ impl Catalog {
             id,
             seq,
             delta,
-            live,
+            deleted_rows,
             inserts: inserts.to_vec(),
             deletes_len: deletes.len(),
             wal,
@@ -1250,7 +1286,7 @@ impl Catalog {
             id,
             seq,
             delta,
-            live,
+            deleted_rows,
             inserts,
             deletes_len,
             wal: _,
@@ -1263,12 +1299,10 @@ impl Catalog {
             .get_mut(&name)
             .ok_or_else(|| QueryError::UnknownTable(name.clone()))?;
         // Surviving rows keep their order and inserts follow them, in
-        // place: an insert-only batch never walks the dataset.
+        // place: the removal starts at the first deleted row, and an
+        // insert-only batch never walks the dataset.
         let rects = &mut table.dataset.rects;
-        if let Some(live) = live {
-            let mut keep = live.into_iter();
-            rects.retain(|_| keep.next().unwrap_or(true));
-        }
+        remove_rows(rects, &deleted_rows);
         rects.extend_from_slice(&inserts);
         table.rtree = std::sync::OnceLock::new();
 
@@ -1370,12 +1404,7 @@ impl Catalog {
         // page cache lets a power loss surface a torn target — the one
         // corruption the write-new + rename contract promises readers
         // never see.
-        let bytes = encode_snapshot(
-            next_seq,
-            &table.dataset.rects,
-            &ids,
-            &h.histogram().persist(),
-        );
+        let bytes = encode_base(next_seq, &table.dataset.rects, &ids, h.histogram());
         Ok(Some(CompactionPlan {
             table: name.to_string(),
             io: Arc::clone(&self.store.io),
@@ -1557,25 +1586,34 @@ mod tests {
 
     /// The one-delete-at-a-time resolution [`resolve_deletes`] replaces:
     /// each delete, in batch order, takes the first still-live equal row.
-    fn resolve_deletes_reference(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<bool>, usize> {
+    /// Deletes one at a time in batch order, each claiming the first
+    /// still-live equal row; the claimed positions, ascending.
+    fn resolve_deletes_reference(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<usize>, usize> {
         let mut live = vec![true; rects.len()];
+        let mut claimed = Vec::new();
         for (index, del) in deletes.iter().enumerate() {
             match rects
                 .iter()
                 .enumerate()
                 .position(|(i, r)| live[i] && r == del)
             {
-                Some(i) => live[i] = false,
+                Some(i) => {
+                    live[i] = false;
+                    claimed.push(i);
+                }
                 None => return Err(index),
             }
         }
-        Ok(live)
+        claimed.sort_unstable();
+        Ok(claimed)
     }
 
     /// Seeded property: the one-pass resolution returns exactly the
-    /// reference loop's liveness mask or failing batch index, over
-    /// batches and datasets full of duplicates, `±0.0` coordinates, a
-    /// NaN coordinate and deletes that match nothing.
+    /// reference loop's claimed row positions or failing batch index,
+    /// over batches and datasets full of duplicates, `±0.0`
+    /// coordinates, a NaN coordinate and deletes that match nothing;
+    /// and removing those rows by position leaves exactly the rows a
+    /// liveness-mask filter keeps, in order.
     #[test]
     fn one_pass_delete_resolution_matches_the_reference_loop() {
         use rand::rngs::StdRng;
@@ -1612,6 +1650,24 @@ mod tests {
             let want = resolve_deletes_reference(&data, &deletes);
             assert_eq!(got, want, "data {data:?}, deletes {deletes:?}");
             outcomes[usize::from(want.is_err())] += 1;
+            if let Ok(rows) = want {
+                let mut removed = data.clone();
+                remove_rows(&mut removed, &rows);
+                let kept: Vec<Rect> = data
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| rows.binary_search(i).is_err())
+                    .map(|(_, r)| *r)
+                    .collect();
+                // Compared bitwise: `==` would identify the signed zeros
+                // and never match the NaN row.
+                let bits = |v: &[Rect]| -> Vec<[u64; 4]> {
+                    v.iter()
+                        .map(|r| [r.xlo, r.ylo, r.xhi, r.yhi].map(f64::to_bits))
+                        .collect()
+                };
+                assert_eq!(bits(&removed), bits(&kept), "rows {rows:?} of {data:?}");
+            }
         }
         assert!(
             outcomes.iter().all(|&k| k > 500),
