@@ -26,8 +26,6 @@
 //! * `apply-delta BASE.hist --inserts I.csv --deletes D.csv --out OUT` —
 //!   fold a signed insert/delete statistics delta into a histogram file
 //!   offline, byte-identical to a full rebuild over the mutated data.
-//! * `compact BASE.hist DELTA.hdelta [...] --out OUT` — fold persisted
-//!   delta envelopes into a base histogram file.
 //! * `serve FILES... [--addr HOST:PORT] [--stats-dir DIR]` — load the
 //!   catalog once and answer estimate requests over TCP until a client
 //!   sends `shutdown` (the paper's estimates are cheap only once the
@@ -50,8 +48,8 @@
 
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
-    build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram, presets,
-    Dataset, DatasetError, Extent, GhHistogram, Grid, HistogramError, HistogramKind, JoinBaseline,
+    build_histogram_parallel, build_histogram_sharded, load_histogram, presets, Dataset,
+    DatasetError, Extent, GhHistogram, Grid, HistogramError, HistogramKind, JoinBaseline,
     Parallelism, RTreeConfig, Rect, SpatialHistogram, ValidationPolicy, SPARSE_MAGIC,
 };
 use sj_query::{Catalog, CatalogConfig, CompactionPolicy, DegradationPolicy, QueryError};
@@ -239,7 +237,6 @@ pub fn run(args: &[String]) -> Result<CliOutput, CliError> {
         "exact-join" => cmd_exact_join(rest),
         "window-count" => cmd_window_count(rest),
         "apply-delta" => cmd_apply_delta(rest),
-        "compact" => cmd_compact(rest),
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "--help" | "-h" | "help" => Ok(CliOutput::new(USAGE)),
@@ -268,9 +265,7 @@ USAGE:
   sjsel exact-join A.csv B.csv [--backend rtree|sweep] [--threads N] [--validate P]
   sjsel window-count FILE.hist --window x0,y0,x1,y1
   sjsel apply-delta BASE.hist --out FILE.hist [--inserts FILE.csv]
-        [--deletes FILE.csv] [--save-delta FILE.hdelta] [--threads N]
-        [--validate P]
-  sjsel compact BASE.hist DELTA.hdelta [MORE.hdelta ...] --out FILE.hist
+        [--deletes FILE.csv] [--threads N] [--validate P]
   sjsel serve FILE.csv [MORE.csv ...] [--addr HOST:PORT] [--kind K] [--level L]
         [--stats-dir DIR] [--validate P] [--ready-file PATH]
         [--max-connections N] [--io-timeout-ms MS]
@@ -292,11 +287,11 @@ failures exit with the cold path's exit code.
 
 apply-delta builds the signed statistics delta of an insert/delete
 batch and folds it into a histogram file — byte-identical to a full
-rebuild over the mutated dataset; compact folds persisted .hdelta
-files into a base envelope the same way. client insert-batch /
-delete-batch / compact apply the same operations to a live daemon's
-tables without a restart; with --stats-dir the daemon write-ahead-logs
-every batch and replays the log on the next start.
+rebuild over the mutated dataset. client insert-batch /
+delete-batch apply the same batches to a live daemon's tables without
+a restart, and client compact folds a table's logged batches into its
+base file; with --stats-dir the daemon write-ahead-logs every batch
+and replays the log on the next start.
 
 --threads defaults to the machine's available parallelism (must be >= 1);
 results are identical at every thread count.
@@ -888,7 +883,6 @@ fn cmd_apply_delta(args: &[String]) -> Result<CliOutput, CliError> {
         .ok_or_else(|| CliError::usage("apply-delta requires --out"))?;
     let inserts_path = take_flag(&mut args, "--inserts")?;
     let deletes_path = take_flag(&mut args, "--deletes")?;
-    let save_delta = take_flag(&mut args, "--save-delta")?;
     let par = take_threads(&mut args)?;
     let policy = take_validation(&mut args)?;
     let [base_path] = args.as_slice() else {
@@ -920,10 +914,6 @@ fn cmd_apply_delta(args: &[String]) -> Result<CliOutput, CliError> {
     );
     hist.apply_delta(&delta)
         .map_err(|e| CliError::from_histogram(base_path, &e))?;
-    if let Some(dp) = &save_delta {
-        std::fs::write(dp, delta.persist())
-            .map_err(|e| CliError::io(format!("failed to write {dp}: {e}")))?;
-    }
     let out_bytes = hist.persist();
     std::fs::write(&out, &out_bytes)
         .map_err(|e| CliError::io(format!("failed to write {out}: {e}")))?;
@@ -937,43 +927,6 @@ fn cmd_apply_delta(args: &[String]) -> Result<CliOutput, CliError> {
         ),
         warnings,
     ))
-}
-
-fn cmd_compact(args: &[String]) -> Result<CliOutput, CliError> {
-    let mut args = args.to_vec();
-    let out =
-        take_flag(&mut args, "--out")?.ok_or_else(|| CliError::usage("compact requires --out"))?;
-    let Some((base_path, delta_paths)) = args.split_first() else {
-        return Err(CliError::usage(
-            "compact takes a base histogram path and at least one .hdelta path",
-        ));
-    };
-    if delta_paths.is_empty() {
-        return Err(CliError::usage("compact takes at least one .hdelta path"));
-    }
-    let bytes = std::fs::read(base_path)
-        .map_err(|e| CliError::io(format!("failed to read {base_path}: {e}")))?;
-    let mut hist = decode_histogram(base_path, &bytes)?;
-    let mut inserts = 0u64;
-    let mut deletes = 0u64;
-    for dp in delta_paths {
-        let bytes =
-            std::fs::read(dp).map_err(|e| CliError::io(format!("failed to read {dp}: {e}")))?;
-        let delta = load_delta(&bytes).map_err(|e| CliError::from_histogram(dp, &e))?;
-        hist.apply_delta(&delta)
-            .map_err(|e| CliError::from_histogram(dp, &e))?;
-        inserts += delta.inserts();
-        deletes += delta.deletes();
-    }
-    let out_bytes = hist.persist();
-    std::fs::write(&out, &out_bytes)
-        .map_err(|e| CliError::io(format!("failed to write {out}: {e}")))?;
-    Ok(CliOutput::new(format!(
-        "compacted {} delta file(s) (+{inserts} -{deletes} rects) into {} ({} bytes) -> {out}",
-        delta_paths.len(),
-        kind_label(hist.kind()),
-        out_bytes.len()
-    )))
 }
 
 fn cmd_serve(args: &[String]) -> Result<CliOutput, CliError> {
@@ -1854,8 +1807,8 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_and_compact_match_full_rebuild() {
-        let scratch = Scratch::new("apply_delta_and_compact_match_full_rebuild");
+    fn apply_delta_matches_full_rebuild() {
+        let scratch = Scratch::new("apply_delta_matches_full_rebuild");
         let base_csv = scratch.file("delta_base.csv");
         let extra_csv = scratch.file("delta_extra.csv");
         run(&argv(&[
@@ -1879,7 +1832,6 @@ mod tests {
             let base_hist = scratch.file(&format!("delta_base_{kind}.hist"));
             let union_hist = scratch.file(&format!("delta_union_{kind}.hist"));
             let updated_hist = scratch.file(&format!("delta_updated_{kind}.hist"));
-            let hdelta = scratch.file(&format!("delta_{kind}.hdelta"));
             for (src, out) in [(&base_csv, &base_hist), (&union_csv, &union_hist)] {
                 run(&argv(&[
                     "build-histogram",
@@ -1900,8 +1852,6 @@ mod tests {
                 &extra_csv,
                 "--out",
                 &updated_hist,
-                "--save-delta",
-                &hdelta,
             ]))
             .unwrap();
             assert!(out.contains("applied delta"), "{out}");
@@ -1910,42 +1860,6 @@ mod tests {
                 std::fs::read(&union_hist).unwrap(),
                 "apply-delta diverged from the full rebuild for {kind}"
             );
-            // Folding the persisted .hdelta into the base file offline
-            // reaches the same bytes.
-            let compacted_hist = scratch.file(&format!("delta_compacted_{kind}.hist"));
-            run(&argv(&[
-                "compact",
-                &base_hist,
-                &hdelta,
-                "--out",
-                &compacted_hist,
-            ]))
-            .unwrap();
-            assert_eq!(
-                std::fs::read(&compacted_hist).unwrap(),
-                std::fs::read(&union_hist).unwrap(),
-                "compact diverged from the full rebuild for {kind}"
-            );
-            // The saved delta is a version-2 (sparse) envelope, the only
-            // version `compact` reads: the same file stamped version 1
-            // (and re-checksummed) is refused as corrupt.
-            let mut v1 = std::fs::read(&hdelta).unwrap();
-            assert_eq!(v1[4..8], 2u32.to_le_bytes(), "{kind}: .hdelta version");
-            v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-            let body = v1.len() - 4;
-            let crc = sj_core::crc::crc32(&v1[..body]);
-            v1[body..].copy_from_slice(&crc.to_le_bytes());
-            let v1_path = scratch.file(&format!("delta_v1_{kind}.hdelta"));
-            std::fs::write(&v1_path, v1).unwrap();
-            let err = run(&argv(&[
-                "compact",
-                &base_hist,
-                &v1_path,
-                "--out",
-                &scratch.file(&format!("delta_v1_{kind}.hist")),
-            ]))
-            .unwrap_err();
-            assert_eq!(err.code, exit_code::CORRUPT, "{}", err.message);
             // Deleting the inserts again restores the base bytes.
             let restored_hist = scratch.file(&format!("delta_restored_{kind}.hist"));
             run(&argv(&[
@@ -2007,6 +1921,49 @@ mod tests {
             "{}",
             err.message
         );
+    }
+
+    /// Batches are kept only as rectangles: there is no statistics-delta
+    /// file to save or to fold offline, so both spellings are usage
+    /// errors that write nothing.
+    #[test]
+    fn delta_files_are_not_a_cli_format() {
+        let scratch = Scratch::new("delta_files_are_not_a_cli_format");
+        let csv = scratch.file("nodelta.csv");
+        let hist = scratch.file("nodelta.hist");
+        run(&argv(&[
+            "generate", "scrc", "--scale", "0.001", "--out", &csv,
+        ]))
+        .unwrap();
+        run(&argv(&[
+            "build-histogram",
+            &csv,
+            "--level",
+            "3",
+            "--out",
+            &hist,
+        ]))
+        .unwrap();
+        let saved = scratch.file("nodelta.delta");
+        let out = scratch.file("nodelta_out.hist");
+        let err = run(&argv(&[
+            "apply-delta",
+            &hist,
+            "--inserts",
+            &csv,
+            "--out",
+            &out,
+            "--save-delta",
+            &saved,
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
+        let err = run(&argv(&["compact", &hist, &saved, "--out", &out])).unwrap_err();
+        assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
+        assert!(err.message.contains("unknown command"), "{}", err.message);
+        for path in [&saved, &out] {
+            assert!(!Path::new(path).exists(), "{path} was written");
+        }
     }
 
     #[test]

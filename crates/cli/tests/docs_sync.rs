@@ -159,7 +159,6 @@ fn every_documented_subcommand_is_in_the_usage_text_and_vice_versa() {
         "estimate",
         "catalog-estimate",
         "apply-delta",
-        "compact",
     ] {
         assert!(
             documented.contains(&sub),

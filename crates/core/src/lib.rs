@@ -62,7 +62,7 @@ pub use sj_geo::{
     ValidationReport,
 };
 pub use sj_histogram::{
-    build_histogram, build_histogram_parallel, build_histogram_sharded, load_delta, load_histogram,
+    build_histogram, build_histogram_parallel, build_histogram_sharded, load_histogram,
     parametric_selectivity, CorruptSection, EulerHistogram, GhBasicHistogram, GhHistogram, Grid,
     HistogramDelta, HistogramError, HistogramKind, ParametricInputs, PhHistogram,
     SelectivityEstimate, SpatialHistogram, SPARSE_MAGIC,

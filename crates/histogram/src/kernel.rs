@@ -140,6 +140,23 @@ impl RowMask {
         let base = (w / wpr) * self.cols + col;
         base..base + (self.cols - col).min(64)
     }
+
+    /// The *joint run* of word `w` against `other`: when both masks set
+    /// a bit in it, the contiguous range `base..min(base + 64, row_end)`
+    /// of the cells the word covers; else `None`.
+    ///
+    /// This is the sweep of all three estimate kernels. A word with no
+    /// joint bit is skipped without touching the statistic slices; a
+    /// word with one runs all of its cells, including those that only
+    /// one operand (or neither) occupies. Such a cell adds exactly
+    /// `±0.0` to the word's partial: every slot of an empty view cell
+    /// holds `0`/`+0.0` and every stored value is finite, so each
+    /// product has a zero factor, and adding `±0.0` to a partial that
+    /// started at `+0.0` never changes its bits (DESIGN.md §16.4).
+    fn joint_run(&self, other: &RowMask, w: usize) -> Option<Range<usize>> {
+        debug_assert_eq!(self.cols, other.cols);
+        (self.words[w] & other.words[w] != 0).then(|| self.run(w))
+    }
 }
 
 /// The mask word holding flat cell `idx` of a grid `cols` cells wide
@@ -160,29 +177,6 @@ pub(crate) fn word_runs(grid: &Grid) -> impl Iterator<Item = Range<usize>> {
     })
 }
 
-/// Calls `f` with the index and the cells of each *joint run*, in
-/// ascending flat order: for each mask word `w` in which both operands
-/// have a bit set, the contiguous range `base..min(base + 64, row_end)`
-/// of the cells that word covers.
-///
-/// This is the shared sweep of all three estimate kernels. A word with
-/// no joint bit is skipped without touching the statistic slices; a
-/// word with one runs all of its cells, including those that only one
-/// operand (or neither) occupies. Such a cell adds exactly `±0.0` to the
-/// word's partial: every slot of an empty view cell holds `0`/`+0.0`
-/// and every stored value is finite, so each product has a zero factor,
-/// and adding `±0.0` to a partial that started at `+0.0` never changes
-/// its bits (DESIGN.md §16.4).
-fn for_each_run(a: &RowMask, b: &RowMask, mut f: impl FnMut(usize, Range<usize>)) {
-    debug_assert_eq!(a.cols, b.cols);
-    debug_assert_eq!(a.words.len(), b.words.len());
-    for (w, (wa, wb)) in a.words.iter().zip(&b.words).enumerate() {
-        if wa & wb != 0 {
-            f(w, a.run(w));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Blocked reduction
 // ---------------------------------------------------------------------
@@ -199,25 +193,12 @@ trait WordKernel<const K: usize> {
     fn run_partials(&self, other: &Self, run: Range<usize>) -> [f64; K];
 }
 
-/// The kernel's sums: every joint word's partials, added from `+0.0`
-/// in ascending word order. A skipped word's partial is `+0.0`, which
-/// never changes such a sum, so this equals [`patch_sums`] over every
-/// word without allocating.
-fn blocked_sums<const K: usize, V: WordKernel<K>>(a: &V, b: &V) -> [f64; K] {
-    let mut sums = [0.0; K];
-    for_each_run(a.occ(), b.occ(), |_, run| {
-        for (s, p) in sums.iter_mut().zip(a.run_partials(b, run)) {
-            *s += p;
-        }
-    });
-    sums
-}
-
 /// Brings the partials of `a ⋈ b` (`K` per word, word-major) up to
 /// date, then adds them from `+0.0` in ascending word order: every word
 /// when `parts` is empty, else only `words`, each recomputed from the
 /// current views (`+0.0` for a word with no joint bit). `None` when
-/// `parts` or `words` does not fit the grid.
+/// `parts` or `words` does not fit the grid; never for empty `parts`,
+/// which is how a cold estimate, one with no memo to keep, calls it.
 fn patch_sums<const K: usize, V: WordKernel<K>>(
     a: &V,
     b: &V,
@@ -233,11 +214,9 @@ fn patch_sums<const K: usize, V: WordKernel<K>>(
         return None;
     }
     let mut recompute = |w: usize| {
-        let p = if ma.words[w] & mb.words[w] == 0 {
-            [0.0; K]
-        } else {
-            a.run_partials(b, ma.run(w))
-        };
+        let p = ma
+            .joint_run(mb, w)
+            .map_or([0.0; K], |run| a.run_partials(b, run));
         parts[w * K..][..K].copy_from_slice(&p);
     };
     if fresh {
@@ -499,7 +478,8 @@ impl PhView {
         correct_spans: bool,
     ) -> Result<SelectivityEstimate, HistogramError> {
         grid_check(self.grid, other.grid)?;
-        Ok(self.tail(other, blocked_sums(self, other), correct_spans))
+        let sums = patch_sums(self, other, &mut Vec::new(), &[]).unwrap_or_default();
+        Ok(self.tail(other, sums, correct_spans))
     }
 
     /// The scalar tail: Eq. 3's `sum_abc + sum_d / span_correction`, over
@@ -699,7 +679,7 @@ impl GhView {
     /// histograms were built on different grids.
     pub fn intersection_points(&self, other: &GhView) -> Result<f64, HistogramError> {
         grid_check(self.grid, other.grid)?;
-        let [ip] = blocked_sums(self, other);
+        let [ip] = patch_sums(self, other, &mut Vec::new(), &[]).unwrap_or_default();
         Ok(ip)
     }
 
@@ -877,7 +857,7 @@ impl GhBasicView {
     /// histograms were built on different grids.
     pub fn intersection_points(&self, other: &GhBasicView) -> Result<f64, HistogramError> {
         grid_check(self.grid, other.grid)?;
-        let [ip] = blocked_sums(self, other);
+        let [ip] = patch_sums(self, other, &mut Vec::new(), &[]).unwrap_or_default();
         Ok(ip)
     }
 
@@ -1411,9 +1391,9 @@ mod tests {
     }
 
     fn runs(a: &RowMask, b: &RowMask) -> Vec<std::ops::Range<usize>> {
-        let mut seen = Vec::new();
-        for_each_run(a, b, |_, run| seen.push(run));
-        seen
+        (0..a.words.len())
+            .filter_map(|w| a.joint_run(b, w))
+            .collect()
     }
 
     #[test]

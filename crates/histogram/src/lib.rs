@@ -58,7 +58,7 @@ mod schema;
 mod sparse;
 mod traits;
 
-pub use delta::{load_delta, HistogramDelta, DELTA_MAGIC, DELTA_VERSION};
+pub use delta::HistogramDelta;
 pub use diff::{first_divergence, CellLocation, Divergence};
 pub use error::{CorruptSection, HistogramError};
 pub use euler::EulerHistogram;

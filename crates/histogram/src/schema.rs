@@ -117,11 +117,6 @@ pub(crate) struct Schema {
 }
 
 impl Schema {
-    /// The declared schema of `kind`.
-    pub(crate) fn of(kind: HistogramKind) -> &'static Schema {
-        crate::traits::with_family!(kind, H => &<H as Family>::SCHEMA)
-    }
-
     /// Payload bytes before the arrays: magic, level, extent, scalars.
     fn header_bytes(&self) -> usize {
         4 + 4 + 32 + 8 * self.scalars.len()

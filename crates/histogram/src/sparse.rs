@@ -8,10 +8,9 @@
 //! can be far smaller. Estimation still runs on the dense in-memory form;
 //! sparsity is purely a storage and interchange concern.
 //!
-//! The file uses the framing of the `.hist` and `.hdelta` envelopes
-//! (`traits.rs`), with its own magic and [`SPARSE_VERSION`], so
-//! truncation and bit-flips are typed errors, never a different
-//! histogram. `crates/server/tests/format_golden.rs` pins this file's
+//! The file uses the framing of the `.hist` envelope (`traits.rs`),
+//! with its own magic and [`SPARSE_VERSION`], so truncation and
+//! bit-flips are typed errors, never a different histogram. `crates/server/tests/format_golden.rs` pins this file's
 //! bytes under `SPARSE_VERSION`. All little-endian:
 //!
 //! ```text

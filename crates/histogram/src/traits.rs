@@ -207,8 +207,8 @@ pub trait SpatialHistogram: std::fmt::Debug + Send + Sync {
     /// [`HistogramError::DeltaOutOfRange`] when an update would push a
     /// counter or scalar outside its representable range (e.g. a
     /// delete batch covering objects this histogram never counted);
-    /// [`HistogramError::Corrupt`] when a hand-forged delta's statistic
-    /// shape does not match the family.
+    /// [`HistogramError::Corrupt`] when the delta's statistic shape does
+    /// not match the family (unreachable once kind and grid match).
     fn apply_delta(&mut self, delta: &HistogramDelta) -> Result<(), HistogramError>;
 
     /// Builds the histogram of `rects` on `grid` (serial).
@@ -433,7 +433,7 @@ pub fn load_histogram(full: &[u8]) -> Result<Box<dyn SpatialHistogram>, Histogra
 /// 4-byte CRC32 trailer.
 const ENVELOPE_FRAMING: usize = 24;
 
-/// Writes the framing shared by `.hist`, `.hdelta` and sparse GH files:
+/// Writes the framing shared by `.hist` and sparse GH files:
 /// `magic u32 | version u32 | kind tag u32 | payload_len u64 | payload |
 /// crc32 u32`, the CRC32 covering every byte before it.
 pub(crate) fn seal_envelope(

@@ -488,13 +488,10 @@ impl StoreIo for FaultIo {
 /// The table name every trial uses.
 const TABLE: &str = "verify-uniform";
 
-/// Compaction policy of every trial: two tiers force an automatic
+/// Compaction policy of every trial: two records force an automatic
 /// compaction inside step 2, so the matrix covers the auto-compact path
 /// as well as the explicit one.
-const POLICY: CompactionPolicy = CompactionPolicy {
-    max_tiers: 2,
-    max_pending_bytes: 1 << 20,
-};
+const POLICY: CompactionPolicy = CompactionPolicy { max_tiers: 2 };
 
 /// Number of workload steps (each acknowledged by a receipt).
 const STEPS: usize = 4;

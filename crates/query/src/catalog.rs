@@ -2,7 +2,7 @@ use crate::degrade::{DegradationPolicy, EstimateOutcome, EstimateTier, SkippedTi
 use crate::error::QueryError;
 use crate::plan::{ChainJoinQuery, Plan, Planner};
 use sj_datagen::Dataset;
-use sj_geo::{Extent, Rect};
+use sj_geo::Extent;
 use sj_histogram::kernel::{ResidentHistogram, WordPartials};
 use sj_histogram::{
     build_histogram, load_histogram, parametric_result_size, GhHistogram, Grid, HistogramDelta,
@@ -10,7 +10,6 @@ use sj_histogram::{
 };
 use sj_rtree::{RTree, RTreeConfig};
 use sj_sampling::{SamplingEstimator, SamplingTechnique};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -160,31 +159,16 @@ impl PairMemo {
     }
 }
 
-/// A table still being assembled from shards (see
-/// [`Catalog::register_shard`]).
-struct PendingTable {
-    rects: Vec<Rect>,
-    histogram: Box<dyn SpatialHistogram>,
-}
-
 /// A catalog of named spatial tables with precomputed statistics.
 ///
 /// Registration builds the configured histogram file immediately (the
 /// cheap, always-useful statistic); R-trees are built lazily the first
 /// time a plan needs one, mirroring how an SDBMS separates statistics
 /// collection from index builds.
-///
-/// Tables can also arrive in *shards* ([`Catalog::register_shard`] +
-/// [`Catalog::merge_shards`]): each shard's histogram is built
-/// independently and merged, and — because every family is a mergeable
-/// sketch with exact accumulation — the merged statistics are
-/// byte-identical to a direct [`Catalog::register`] over the
-/// concatenated shards.
 pub struct Catalog {
     pub(crate) config: CatalogConfig,
     pub(crate) grid: Grid,
     pub(crate) tables: BTreeMap<String, Table>,
-    pending: BTreeMap<String, PendingTable>,
     memo: PairMemo,
     pub(crate) store: crate::store::StatsStore,
 }
@@ -220,7 +204,6 @@ impl Catalog {
             config,
             grid,
             tables: BTreeMap::new(),
-            pending: BTreeMap::new(),
             memo: PairMemo::default(),
             store: crate::store::StatsStore::default(),
         })
@@ -264,59 +247,6 @@ impl Catalog {
         }
         let histogram = build_histogram(self.config.kind, self.grid, &dataset.rects);
         self.insert_table(dataset, StatsState::ready_from(histogram));
-        Ok(())
-    }
-
-    /// Adds one shard of a table that is being loaded piecewise: builds
-    /// the shard's histogram and merges it into the pending statistics
-    /// for `name`. Finish with [`Catalog::merge_shards`].
-    ///
-    /// Shard-and-merge registration produces statistics byte-identical
-    /// to a single [`Catalog::register`] over the concatenated shards,
-    /// in any shard order that preserves rectangle order.
-    ///
-    /// # Errors
-    /// Returns [`QueryError::DuplicateTable`] if a *finalized* table
-    /// already has this name, or propagates a histogram merge error.
-    pub fn register_shard(&mut self, name: &str, rects: &[Rect]) -> Result<(), QueryError> {
-        if self.tables.contains_key(name) {
-            return Err(QueryError::DuplicateTable(name.to_string()));
-        }
-        let shard = build_histogram(self.config.kind, self.grid, rects);
-        match self.pending.entry(name.to_string()) {
-            Entry::Occupied(mut e) => {
-                let p = e.get_mut();
-                p.histogram.merge(shard.as_ref())?;
-                p.rects.extend_from_slice(rects);
-            }
-            Entry::Vacant(v) => {
-                v.insert(PendingTable {
-                    rects: rects.to_vec(),
-                    histogram: shard,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Finalizes a table assembled via [`Catalog::register_shard`]: the
-    /// merged histogram becomes the table's statistics and the
-    /// concatenated shards become its dataset.
-    ///
-    /// # Errors
-    /// [`QueryError::UnknownTable`] if no shards were registered under
-    /// `name`, [`QueryError::DuplicateTable`] if a finalized table took
-    /// the name in the meantime.
-    pub fn merge_shards(&mut self, name: &str) -> Result<(), QueryError> {
-        if self.tables.contains_key(name) {
-            return Err(QueryError::DuplicateTable(name.to_string()));
-        }
-        let p = self
-            .pending
-            .remove(name)
-            .ok_or_else(|| QueryError::UnknownTable(name.to_string()))?;
-        let dataset = Dataset::new(name, self.config.extent, p.rects);
-        self.insert_table(dataset, StatsState::ready_from(p.histogram));
         Ok(())
     }
 
@@ -768,57 +698,6 @@ mod tests {
             Err(QueryError::Histogram(
                 sj_histogram::HistogramError::KindMismatch { .. }
             ))
-        ));
-    }
-
-    #[test]
-    fn sharded_registration_matches_direct() {
-        let rects: Vec<Rect> = (0..60)
-            .map(|i| {
-                let t = f64::from(i) / 60.0;
-                Rect::new(
-                    t * 0.9,
-                    (1.0 - t) * 0.8,
-                    t * 0.9 + 0.05,
-                    (1.0 - t) * 0.8 + 0.07,
-                )
-            })
-            .collect();
-        for kind in HistogramKind::ALL {
-            let mut direct = Catalog::with_kind(kind, 4);
-            direct.register(tiny("t", rects.clone())).unwrap();
-
-            let mut sharded = Catalog::with_kind(kind, 4);
-            for chunk in rects.chunks(17) {
-                sharded.register_shard("t", chunk).unwrap();
-            }
-            sharded.merge_shards("t").unwrap();
-
-            assert_eq!(
-                sharded.histogram("t").unwrap().to_bytes(),
-                direct.histogram("t").unwrap().to_bytes(),
-                "{kind}: shard-and-merge must be byte-identical to direct registration"
-            );
-            assert_eq!(sharded.table_len("t").unwrap(), rects.len());
-        }
-    }
-
-    #[test]
-    fn merge_shards_without_shards_is_an_error() {
-        let mut c = Catalog::with_level(3);
-        assert!(matches!(
-            c.merge_shards("ghost"),
-            Err(QueryError::UnknownTable(_))
-        ));
-    }
-
-    #[test]
-    fn shard_name_conflicts_with_finalized_table() {
-        let mut c = Catalog::with_level(3);
-        c.register(tiny("a", vec![])).unwrap();
-        assert!(matches!(
-            c.register_shard("a", &[]),
-            Err(QueryError::DuplicateTable(_))
         ));
     }
 }

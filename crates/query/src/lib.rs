@@ -52,8 +52,7 @@ pub use degrade::{DegradationPolicy, EstimateOutcome, EstimateTier, SkippedTier}
 pub use error::QueryError;
 pub use store::{
     wal_record_ends, CompactReceipt, CompactionPlan, CompactionPolicy, DeltaReceipt, MutationId,
-    PreparedDelta, PreparedOutcome, RealStoreIo, StatsProvenance, StoreIo, TierInfo, WalRecovery,
-    REMEMBERED_MUTATIONS,
+    PreparedDelta, PreparedOutcome, RealStoreIo, StoreIo, WalRecovery, REMEMBERED_MUTATIONS,
 };
 // Re-exported so downstream crates (sj-server) can match the histogram
 // failure modes wrapped inside QueryError without a direct dependency.

@@ -1,28 +1,29 @@
-//! Incremental statistics maintenance for the catalog: write-ahead
-//! delta logging, in-memory delta tiers, and LSM-style compaction.
+//! Incremental statistics maintenance for the catalog: a write-ahead
+//! log of batches and a compacted base file per table.
 //!
 //! Registration still builds each table's base histogram in one shot,
 //! but the catalog no longer has to rebuild on every mutation. Instead,
-//! an insert/delete batch flows through three layers:
+//! an insert/delete batch flows through three steps:
 //!
 //! 1. **WAL** — when a statistics directory is attached
-//!    ([`Catalog::open_stats_store`]), the raw batch is appended to
-//!    `<dir>/<table>.wal` *before* the in-memory state changes, so a
-//!    crash between mutation and compaction loses nothing: on the next
-//!    open, pending records replay on top of the compacted base (or the
-//!    registered statistics, before the first compaction).
-//! 2. **Tiers** — the batch's signed [`HistogramDelta`] is applied to
+//!    ([`Catalog::open_stats_store`]), the batch's rectangles are
+//!    appended to `<dir>/<table>.wal` *before* the in-memory state
+//!    changes, so a crash between mutation and compaction loses
+//!    nothing: on the next open, pending records replay on top of the
+//!    compacted base (or the registered statistics, before the first
+//!    compaction).
+//! 2. **Apply** — the batch's signed [`HistogramDelta`] is applied to
 //!    the table's live histogram (exactly: the result is byte-identical
-//!    to a full rebuild) and retained as a pending tier with provenance
-//!    ([`TierInfo`]): sequence number, batch sizes, delta bytes.
-//! 3. **Compaction** — when the [`CompactionPolicy`] thresholds trip
-//!    (tier count or pending delta bytes), or on an explicit
+//!    to a full rebuild) and then dropped; the table counts the records
+//!    applied since its last compaction.
+//! 3. **Compaction** — when that count reaches
+//!    [`CompactionPolicy::max_tiers`], or on an explicit
 //!    [`Catalog::compact`], one file, `<table>.base`, is written to
 //!    `<table>.base.tmp`, fsynced and atomically renamed into place; it
 //!    holds the exact rectangles of the compacted state followed by the
 //!    effective histogram envelope. The WAL is then deleted and the
-//!    tiers are cleared. Readers never see a torn base file: the swap
-//!    is write-new + rename.
+//!    count reset. Readers never see a torn base file: the swap is
+//!    write-new + rename.
 //!
 //! The `.base` file is what makes recovery independent of the caller's
 //! registration source: after a compaction has folded inserts into the
@@ -33,10 +34,8 @@
 //! `<table>.hist` is never written here: it keeps describing the source
 //! it was built from.
 //!
-//! Read paths need no changes — the live histogram *is* base ⊕ pending
-//! deltas at all times — but [`Catalog::stats_provenance`] exposes the
-//! tier structure so callers can tell a freshly-compacted table from one
-//! carrying uncheckpointed writes.
+//! Read paths need no changes: the live histogram *is* the base plus
+//! every applied batch at all times.
 //!
 //! WAL record layout (little-endian, one record per applied batch):
 //!
@@ -153,7 +152,7 @@ impl MutationId {
 
 /// The filesystem surface of the statistics store.
 ///
-/// Every file operation the store performs — WAL appends, tier folds,
+/// Every file operation the store performs — WAL appends, compactions,
 /// tmp-file writes, renames, fsyncs — goes through this trait, so a
 /// test harness can substitute an implementation that injects crashes,
 /// torn writes, and lost unsynced data at deterministic points
@@ -278,38 +277,19 @@ impl StoreIo for RealStoreIo {
     }
 }
 
-/// When pending delta tiers fold into the base envelope.
-///
-/// Both thresholds are checked after every applied batch; crossing
-/// either triggers an automatic [`Catalog::compact`] of that table.
+/// When a table's applied batches fold into its base file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Compact when a table accumulates this many pending tiers.
+    /// Compact when this many records have been applied to a table
+    /// since its last compaction (or base install); checked after every
+    /// applied batch.
     pub max_tiers: usize,
-    /// Compact when a table's pending deltas exceed this many bytes.
-    pub max_pending_bytes: usize,
 }
 
 impl Default for CompactionPolicy {
     fn default() -> Self {
-        Self {
-            max_tiers: 4,
-            max_pending_bytes: 1 << 20,
-        }
+        Self { max_tiers: 4 }
     }
-}
-
-/// Provenance of one pending delta tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierInfo {
-    /// Monotone per-table sequence number (also recorded in the WAL).
-    pub seq: u64,
-    /// Rectangles inserted by this batch.
-    pub inserts: u64,
-    /// Rectangles deleted by this batch.
-    pub deletes: u64,
-    /// Serialized size of the tier's delta.
-    pub bytes: usize,
 }
 
 /// What [`Catalog::apply_delta`] did.
@@ -319,8 +299,8 @@ pub struct DeltaReceipt {
     pub inserts: usize,
     /// Rectangles deleted.
     pub deletes: usize,
-    /// Pending tiers on the table after this batch (0 right after an
-    /// automatic compaction).
+    /// Records applied to the table since its last compaction, after
+    /// this batch (0 right after an automatic compaction).
     pub pending_tiers: usize,
     /// Whether the batch tripped the compaction policy.
     pub compacted: bool,
@@ -332,7 +312,7 @@ pub struct DeltaReceipt {
 /// What [`Catalog::compact`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactReceipt {
-    /// Pending tiers folded into the base envelope.
+    /// Applied records folded into the base envelope.
     pub tiers_folded: usize,
     /// Whether a new `<table>.base` file was atomically swapped in
     /// (`false` when no statistics directory is attached).
@@ -457,24 +437,6 @@ impl CompactionPlan {
     }
 }
 
-/// Tier structure of one table's statistics, from
-/// [`Catalog::stats_provenance`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsProvenance {
-    /// Pending (uncompacted) tiers, oldest first.
-    pub pending: Vec<TierInfo>,
-    /// Total serialized bytes across the pending tiers.
-    pub pending_bytes: usize,
-}
-
-impl StatsProvenance {
-    /// Whether every applied batch has been folded into the base.
-    #[must_use]
-    pub fn is_compacted(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
 /// Result of replaying write-ahead logs in [`Catalog::open_stats_store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalRecovery {
@@ -495,12 +457,11 @@ pub struct WalRecovery {
     pub deduplicated: usize,
 }
 
-/// Per-table incremental state. A pending tier keeps only its
-/// provenance: its delta was applied to the live statistics at commit.
+/// Per-table incremental state.
 #[derive(Default)]
 struct TableStore {
-    tiers: Vec<TierInfo>,
-    pending_bytes: usize,
+    /// Records applied since the last compaction or base install.
+    pending: usize,
     next_seq: u64,
     /// The last [`REMEMBERED_MUTATIONS`] applied stamped mutation IDs,
     /// oldest first, with a set index for O(log n) duplicate checks.
@@ -529,7 +490,7 @@ impl TableStore {
 }
 
 /// The catalog's incremental-statistics layer: an optional on-disk
-/// directory (base envelopes + WALs) and per-table pending tiers.
+/// directory (base files + WALs) and per-table pending counts.
 pub(crate) struct StatsStore {
     dir: Option<PathBuf>,
     policy: CompactionPolicy,
@@ -1036,7 +997,7 @@ impl Catalog {
 
     /// Installs a recovered base state: the base file's dataset and
     /// statistics, a reset lazy index, the sequence fence, and
-    /// the snapshotted mutation-ID dedup ring — with no pending tiers
+    /// the snapshotted mutation-ID dedup ring — with no pending records
     /// (the base is, by construction, compacted).
     fn install_base(
         &mut self,
@@ -1055,8 +1016,7 @@ impl Catalog {
         }
         let entry = self.store.table(name);
         entry.next_seq = next_seq;
-        entry.tiers.clear();
-        entry.pending_bytes = 0;
+        entry.pending = 0;
         entry.recent_ids.clear();
         entry.id_index.clear();
         for id in ids {
@@ -1088,8 +1048,8 @@ impl Catalog {
     /// batch is WAL-logged (when a statistics directory is attached),
     /// its signed [`HistogramDelta`] is applied to the live histogram —
     /// byte-identical to a full rebuild over the mutated dataset — the
-    /// raw dataset and lazy index are updated, and the delta is retained
-    /// as a pending tier. Crossing the [`CompactionPolicy`] thresholds
+    /// raw dataset and lazy index are updated, and the table's pending
+    /// count grows by one. Reaching [`CompactionPolicy::max_tiers`]
     /// triggers an automatic [`Catalog::compact`].
     ///
     /// Every rectangle in `deletes` must currently exist in the table
@@ -1152,7 +1112,10 @@ impl Catalog {
         };
         prepared.append_wal()?;
         let mut receipt = self.commit_prepared(prepared)?;
-        if self.compaction_needed(name) {
+        // Replay never compacts: a compaction deletes the WAL, so the
+        // records replayed after it would live only in memory. The
+        // first logged batch after the reopen compacts instead.
+        if log_to_wal && self.compaction_needed(name) {
             self.compact(name)?;
             receipt.pending_tiers = 0;
             receipt.compacted = true;
@@ -1210,7 +1173,7 @@ impl Catalog {
             return Ok(PreparedOutcome::Duplicate(DeltaReceipt {
                 inserts: inserts.len(),
                 deletes: deletes.len(),
-                pending_tiers: self.store.tables.get(name).map_or(0, |t| t.tiers.len()),
+                pending_tiers: self.store.tables.get(name).map_or(0, |t| t.pending),
                 compacted: false,
                 deduplicated: true,
             }));
@@ -1269,7 +1232,7 @@ impl Catalog {
     }
 
     /// Phase 3 of the mutation path: folds a [`PreparedDelta`] into the
-    /// live statistics, dataset and tier bookkeeping. Pure in-memory
+    /// live statistics, dataset and pending count. Pure in-memory
     /// work — no file I/O — so the daemon can run it under the catalog
     /// write lock without blocking readers behind an fsync. Never
     /// compacts; the caller checks [`Catalog::compaction_needed`]
@@ -1306,47 +1269,41 @@ impl Catalog {
         rects.extend_from_slice(&inserts);
         table.rtree = std::sync::OnceLock::new();
 
-        // Tier bookkeeping. The ID is remembered only now: a batch that
+        // Store bookkeeping. The ID is remembered only now: a batch that
         // failed validation in prepare must stay retryable under the
         // same ID.
         let entry = self.store.table(&name);
         entry.remember(id);
         entry.next_seq = seq + 1;
-        let bytes = delta.space_bytes();
-        entry.pending_bytes += bytes;
-        entry.tiers.push(TierInfo {
-            seq,
-            inserts: inserts.len() as u64,
-            deletes: deletes_len as u64,
-            bytes,
-        });
+        entry.pending += 1;
         Ok(DeltaReceipt {
             inserts: inserts.len(),
             deletes: deletes_len,
-            pending_tiers: entry.tiers.len(),
+            pending_tiers: entry.pending,
             compacted: false,
             deduplicated: false,
         })
     }
 
-    /// Whether the table's pending tiers have crossed the
-    /// [`CompactionPolicy`] thresholds and [`Catalog::compact`] should
-    /// run. Unregistered or tier-free tables answer `false`.
+    /// Whether the table's pending count has reached
+    /// [`CompactionPolicy::max_tiers`] and [`Catalog::compact`] should
+    /// run. Tables no batch has reached answer `false`.
     #[must_use]
     pub fn compaction_needed(&self, name: &str) -> bool {
-        let policy = self.store.policy;
-        self.store.tables.get(name).is_some_and(|t| {
-            t.tiers.len() >= policy.max_tiers || t.pending_bytes >= policy.max_pending_bytes
-        })
+        let max = self.store.policy.max_tiers;
+        self.store
+            .tables
+            .get(name)
+            .is_some_and(|t| t.pending >= max)
     }
 
-    /// Folds a table's pending delta tiers into its compacted base. The
-    /// live histogram already *is* base ⊕ pending deltas, so folding
-    /// persists it: the dataset snapshot and the effective envelope are
-    /// written to `<dir>/<table>.base.tmp` and atomically renamed over
-    /// `<dir>/<table>.base`, the WAL is deleted, and the tiers are
-    /// cleared. Without an attached statistics directory only the
-    /// in-memory tiers are cleared.
+    /// Folds a table's applied batches into its compacted base. The
+    /// live histogram already *is* the base plus every applied batch,
+    /// so folding persists it: the dataset snapshot and the effective
+    /// envelope are written to `<dir>/<table>.base.tmp` and atomically
+    /// renamed over `<dir>/<table>.base`, the WAL is deleted, and the
+    /// pending count is reset. Without an attached statistics directory
+    /// only the count is reset.
     ///
     /// A crash anywhere in that sequence recovers exactly on the next
     /// [`Catalog::open_stats_store`]: before the rename the old base (if
@@ -1377,7 +1334,7 @@ impl Catalog {
     /// the effective histogram envelope — under a shared catalog borrow. Returns `Ok(None)` when there is nothing to persist (no
     /// statistics directory attached, or the table's statistics are
     /// unavailable); the caller still runs
-    /// [`Catalog::finish_compaction`] to clear the in-memory tiers.
+    /// [`Catalog::finish_compaction`] to reset the pending count.
     ///
     /// The caller must serialize mutations/compactions across all three
     /// phases; the plan is only valid against the state observed here.
@@ -1413,7 +1370,7 @@ impl Catalog {
         }))
     }
 
-    /// Phase 3 of the compaction path: clears the table's pending tiers
+    /// Phase 3 of the compaction path: resets the table's pending count
     /// after the plan was persisted (or skipped). Pure in-memory work —
     /// infallible, so the daemon can run it under the catalog write
     /// lock without blocking readers behind file I/O. `persisted` is
@@ -1421,32 +1378,10 @@ impl Catalog {
     /// persist.
     pub fn finish_compaction(&mut self, name: &str, persisted: bool) -> CompactReceipt {
         let entry = self.store.table(name);
-        let tiers_folded = entry.tiers.len();
-        entry.tiers.clear();
-        entry.pending_bytes = 0;
         CompactReceipt {
-            tiers_folded,
+            tiers_folded: std::mem::take(&mut entry.pending),
             persisted,
         }
-    }
-
-    /// The tier structure behind a table's statistics: which applied
-    /// batches are still pending (uncompacted), oldest first.
-    ///
-    /// # Errors
-    /// [`QueryError::UnknownTable`] for unregistered names.
-    pub fn stats_provenance(&self, name: &str) -> Result<StatsProvenance, QueryError> {
-        if !self.tables.contains_key(name) {
-            return Err(QueryError::UnknownTable(name.to_string()));
-        }
-        let (pending, pending_bytes) = match self.store.tables.get(name) {
-            Some(t) => (t.tiers.clone(), t.pending_bytes),
-            None => (Vec::new(), 0),
-        };
-        Ok(StatsProvenance {
-            pending,
-            pending_bytes,
-        })
     }
 }
 
@@ -1519,7 +1454,8 @@ mod tests {
         assert!(matches!(err, QueryError::DeleteNotFound { index: 0, .. }));
         assert_eq!(c.histogram("t").unwrap().to_bytes(), before);
         assert_eq!(c.table_len("t").unwrap(), 10);
-        assert!(c.stats_provenance("t").unwrap().is_compacted());
+        assert!(!c.compaction_needed("t"));
+        assert_eq!(c.compact("t").unwrap().tiers_folded, 0, "nothing applied");
     }
 
     /// A mutation batch obeys registration's strict rule: every
@@ -1679,14 +1615,8 @@ mod tests {
     fn tiers_accumulate_and_policy_compacts() {
         let mut c = catalog_with("t", 30, HistogramKind::Gh);
         let dir = temp_dir("policy");
-        c.open_stats_store(
-            &dir,
-            CompactionPolicy {
-                max_tiers: 3,
-                max_pending_bytes: usize::MAX,
-            },
-        )
-        .unwrap();
+        c.open_stats_store(&dir, CompactionPolicy { max_tiers: 3 })
+            .unwrap();
         for round in 0..2 {
             let receipt = c
                 .apply_delta("t", &rects(3, 0.02 * f64::from(round)), &[])
@@ -1694,18 +1624,14 @@ mod tests {
             assert!(!receipt.compacted);
             assert_eq!(receipt.pending_tiers, usize::try_from(round).unwrap() + 1);
         }
-        let prov = c.stats_provenance("t").unwrap();
-        assert_eq!(prov.pending.len(), 2);
-        assert_eq!(prov.pending[0].seq, 0);
-        assert_eq!(prov.pending[1].seq, 1);
-        assert!(prov.pending_bytes > 0);
+        assert!(!c.compaction_needed("t"));
         assert!(dir.join("t.wal").exists());
 
-        // The third tier trips max_tiers: automatic compaction.
+        // The third record trips max_tiers: automatic compaction.
         let receipt = c.apply_delta("t", &rects(3, 0.06), &[]).unwrap();
         assert!(receipt.compacted);
         assert_eq!(receipt.pending_tiers, 0);
-        assert!(c.stats_provenance("t").unwrap().is_compacted());
+        assert!(!c.compaction_needed("t"));
         assert!(
             !dir.join("t.wal").exists(),
             "compaction must delete the WAL"
@@ -1720,6 +1646,85 @@ mod tests {
         );
         assert!(!dir.join("t.base.tmp").exists(), "swap must be atomic");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Compaction counts records, not what their deltas touch: one
+    /// rectangle spanning the extent changes every cell of a level-7 PH
+    /// grid, yet compacts only as the `max_tiers`-th record, like any
+    /// batch.
+    #[test]
+    fn a_grid_spanning_batch_compacts_on_the_record_count() {
+        let dir = temp_dir("spanning");
+        let mut c = Catalog::with_kind(HistogramKind::Ph, 7);
+        c.register(Dataset::new("t", Extent::unit(), rects(20, 0.0)))
+            .unwrap();
+        c.open_stats_store(&dir, CompactionPolicy::default())
+            .unwrap();
+        let span = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let max = CompactionPolicy::default().max_tiers;
+        for record in 1..max {
+            let receipt = c.apply_delta("t", &[span], &[]).unwrap();
+            assert!(!receipt.compacted, "record {record} compacted");
+            assert_eq!(receipt.pending_tiers, record);
+        }
+        assert!(!dir.join("t.base").exists());
+        let receipt = c.apply_delta("t", &[span], &[]).unwrap();
+        assert!(receipt.compacted, "record {max} must compact");
+        assert_eq!(receipt.pending_tiers, 0);
+        assert!(dir.join("t.base").exists());
+        assert!(!dir.join("t.wal").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// WAL replay counts toward the pending records: after a reopen
+    /// that replays k records, the next batch is record k + 1, and the
+    /// `max_tiers`-th compacts. Replay itself never compacts, so a WAL
+    /// longer than `max_tiers` (written under a larger one) keeps every
+    /// record until the next logged batch compacts them all.
+    #[test]
+    fn replayed_records_count_toward_compaction() {
+        let max = CompactionPolicy::default().max_tiers;
+        let reopen = |dir: &Path| {
+            let mut c = Catalog::with_kind(HistogramKind::Gh, 4);
+            c.register_with_statistics(
+                Dataset::new("t", Extent::unit(), rects(30, 0.0)),
+                &std::fs::read(dir.join("t.hist")).unwrap(),
+            )
+            .unwrap();
+            let recovery = c
+                .open_stats_store(dir, CompactionPolicy::default())
+                .unwrap();
+            (c, recovery.replayed)
+        };
+        for k in 1..=max + 1 {
+            let dir = temp_dir(&format!("pending{k}"));
+            let mut c1 = catalog_with("t", 30, HistogramKind::Gh);
+            c1.save_statistics(&dir).unwrap();
+            let unbounded = CompactionPolicy {
+                max_tiers: usize::MAX,
+            };
+            c1.open_stats_store(&dir, unbounded).unwrap();
+            for i in 0..k {
+                c1.apply_delta("t", &rects(2, 0.01 * i as f64), &[])
+                    .unwrap();
+            }
+            let want = c1.histogram("t").unwrap().to_bytes();
+            drop(c1);
+            let (c2, replayed) = reopen(&dir);
+            assert_eq!(replayed, k);
+            assert!(!dir.join("t.base").exists(), "k = {k}: replay compacted");
+            drop(c2);
+            // A second reopen, as after a crash, still finds every record.
+            let (mut c3, replayed) = reopen(&dir);
+            assert_eq!(replayed, k);
+            assert_eq!(c3.histogram("t").unwrap().to_bytes(), want, "k = {k}");
+            let receipt = c3.apply_delta("t", &rects(2, 0.07), &[]).unwrap();
+            let compacted = k + 1 >= max;
+            assert_eq!(receipt.compacted, compacted, "k = {k}");
+            let pending = if compacted { 0 } else { k + 1 };
+            assert_eq!(receipt.pending_tiers, pending, "k = {k}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// The restart hazard the snapshot exists to prevent: once a

@@ -469,8 +469,9 @@ impl Client {
         Err(last)
     }
 
-    /// Forces a compaction: pending delta tiers fold into the table's
-    /// base statistics and the write-ahead log is truncated.
+    /// Forces a compaction: the batches applied since the last one fold
+    /// into the table's base statistics and the write-ahead log is
+    /// truncated.
     ///
     /// # Errors
     /// [`ClientError`] on wire or remote failure.

@@ -244,7 +244,8 @@ pub trait StatisticsService: Send + Sync {
 pub struct MutationReply {
     /// Rectangles applied by the batch.
     pub applied: u32,
-    /// Pending delta tiers on the table afterwards.
+    /// Records applied to the table since its last compaction,
+    /// afterwards.
     pub pending_tiers: u16,
     /// Whether the batch tripped an automatic compaction.
     pub compacted: bool,
@@ -256,7 +257,7 @@ pub struct MutationReply {
 /// What a [`StatisticsService::compact`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactReply {
-    /// Pending tiers folded into the base envelope.
+    /// Applied records folded into the base envelope.
     pub tiers_folded: u16,
     /// Whether a new base envelope was atomically swapped onto disk.
     pub persisted: bool,

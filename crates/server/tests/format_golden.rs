@@ -14,9 +14,9 @@
 //! * a version other than the row's fails with "re-record `<row>` at
 //!   vN": the constant was bumped on purpose and the row is stale;
 //! * the same version with another length or CRC fails and names the
-//!   constant to bump (`ENVELOPE_VERSION`, `DELTA_VERSION`,
-//!   `SPARSE_VERSION`, `SNAPSHOT_VERSION`, `WAL_VERSION`, `BIN_VERSION`
-//!   or `WIRE_VERSION`).
+//!   constant to bump (`ENVELOPE_VERSION`, `SPARSE_VERSION`,
+//!   `SNAPSHOT_VERSION`, `WAL_VERSION`, `BIN_VERSION` or
+//!   `WIRE_VERSION`).
 //!
 //! A refactor that leaves the bytes alone passes, however much source
 //! it moves. A failure prints the current row for every drifted case.
@@ -36,7 +36,7 @@ use sj_core::crc::crc32;
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_datagen::Dataset;
 use sj_geo::{Extent, Rect};
-use sj_histogram::{build_histogram, GhHistogram, Grid, HistogramDelta, HistogramKind};
+use sj_histogram::{build_histogram, GhHistogram, Grid, HistogramKind};
 use sj_query::{wal_record_ends, Catalog, CompactionPolicy, DegradationPolicy, MutationId};
 use sj_server::wire::{HEADER_LEN, TRAILER_LEN};
 use sj_server::{handle_request, CatalogService, Client, Frame, Opcode};
@@ -50,8 +50,6 @@ use std::sync::Arc;
 enum Format {
     /// A `.hist` envelope (`persist()` of any of the four families).
     Hist,
-    /// A `.hdelta` envelope.
-    Delta,
     /// A sparse GH file.
     Sparse,
     /// A compacted `<table>.base` file.
@@ -68,7 +66,6 @@ impl Format {
     fn name(self) -> &'static str {
         match self {
             Format::Hist => ".hist",
-            Format::Delta => ".hdelta",
             Format::Sparse => "sparse GH",
             Format::Base => ".base",
             Format::Wal => "WAL record",
@@ -81,7 +78,6 @@ impl Format {
     fn constant(self) -> &'static str {
         match self {
             Format::Hist => "ENVELOPE_VERSION",
-            Format::Delta => "DELTA_VERSION",
             Format::Sparse => "SPARSE_VERSION",
             Format::Base => "SNAPSHOT_VERSION",
             Format::Wal => "WAL_VERSION",
@@ -132,10 +128,6 @@ const ROWS: &[Row] = &[
     (Format::Hist, 2, "euler L0 seeded", 76, 0x7c1967d7),
     (Format::Hist, 2, "euler L3 empty", 972, 0x116c9876),
     (Format::Hist, 2, "euler L3 seeded", 972, 0xa04c16ea),
-    (Format::Delta, 2, "ph L3 mixed", 4684, 0x088206ec),
-    (Format::Delta, 2, "gh-basic L3 mixed", 2328, 0xe6d8082c),
-    (Format::Delta, 2, "gh L3 mixed", 3708, 0x5aa808b6),
-    (Format::Delta, 2, "euler L3 mixed", 1236, 0x14139c9a),
     (Format::Sparse, 1, "gh L0 empty", 76, 0x99852477),
     (Format::Sparse, 1, "gh L3 seeded", 3548, 0x39c8cb9f),
     (Format::Base, 3, "gh L1 compacted", 584, 0x68f517ed),
@@ -333,25 +325,6 @@ fn persisted_histograms_are_byte_stable() {
         ));
     }
     verify(&[Format::Hist, Format::Sparse], &produced);
-}
-
-/// Every family's `.hdelta` of one mixed insert/delete batch at level 3.
-#[test]
-fn persisted_deltas_are_byte_stable() {
-    let inserts = seeded_rects(40, 0xde17);
-    let deletes: Vec<Rect> = seeded_rects(150, 0x601d).into_iter().step_by(4).collect();
-    let produced: Vec<_> = HistogramKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let delta = HistogramDelta::build(kind, grid(3), &inserts, &deletes);
-            (
-                Format::Delta,
-                format!("{kind} L3 mixed"),
-                delta.persist().to_vec(),
-            )
-        })
-        .collect();
-    verify(&[Format::Delta], &produced);
 }
 
 /// The `.base` file and one WAL record of each kind (a stamped insert,

@@ -6,20 +6,16 @@
 //! the result must be byte-identical to a fresh full rebuild over the
 //! mutated dataset — the group-structure identity
 //! `apply_delta(build(D), Δ) ≡ build(D ∪ Δ⁺ ∖ Δ⁻)` that the whole
-//! incremental-statistics path (WAL replay, tier folding, compaction)
-//! rests on. A second property attacks the persisted `.hdelta`
-//! envelope with truncation and bit flips: the only allowed outcomes
-//! are a typed [`HistogramError::Corrupt`] or a bit-for-bit identical
-//! reload. Never a panic, never a silently different delta.
+//! incremental-statistics path (apply, WAL replay, compaction) rests
+//! on. Inverse batches must restore the base exactly, and deletes of
+//! objects a histogram never counted must be a typed error that leaves
+//! it untouched.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sj_geo::{Extent, Rect};
-use sj_histogram::{
-    build_histogram, load_delta, CorruptSection, Grid, HistogramDelta, HistogramError,
-    HistogramKind,
-};
+use sj_histogram::{build_histogram, Grid, HistogramDelta, HistogramError, HistogramKind};
 
 /// Deterministic rectangle batch inside the unit extent.
 fn rects(n: usize, seed: u64, side: f64) -> Vec<Rect> {
@@ -58,8 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random batches, every family: incremental maintenance equals a
-    /// full rebuild bit-for-bit, at every shard count, and the delta's
-    /// `.hdelta` envelope round-trips losslessly.
+    /// full rebuild bit-for-bit, at every shard count.
     #[test]
     fn prop_apply_delta_matches_fresh_rebuild(
         seed in 0u64..10_000,
@@ -89,10 +84,6 @@ proptest! {
             rebuilt.persist(),
             "{} x{}: incremental update diverged from full rebuild", kind, threads
         );
-
-        // The persisted envelope is lossless.
-        let revived = load_delta(&delta.persist()).expect("pristine envelope loads");
-        prop_assert_eq!(revived, delta);
     }
 
     /// Inverting a batch (swap insert and delete sides) restores the
@@ -145,91 +136,5 @@ proptest! {
             other => prop_assert!(false, "{}: expected DeltaOutOfRange, got {:?}", kind, other),
         }
         prop_assert_eq!(h.persist(), before, "{}: failed apply must not mutate", kind);
-    }
-
-    /// Arbitrary `.hdelta` corruption — truncation at any offset, any
-    /// byte XORed with any nonzero mask — either fails with a typed
-    /// [`HistogramError::Corrupt`] or reloads the identical delta.
-    #[test]
-    fn prop_corrupt_hdelta_is_loud_or_lossless(
-        seed in 0u64..10_000,
-        kind_idx in 0usize..4,
-        cut_frac in 0.0f64..1.0,
-        flip_frac in 0.0f64..1.0,
-        xor in 1u8..=255,
-    ) {
-        let kind = HistogramKind::ALL[kind_idx];
-        let grid = Grid::new(3, Extent::unit()).expect("level in range");
-        let delta = HistogramDelta::build(
-            kind,
-            grid,
-            &rects(50, seed, 0.07),
-            &rects(15, seed ^ 0x7777, 0.07),
-        );
-        let bytes = delta.persist();
-
-        // Truncation: the length frame makes every proper prefix
-        // detectable, so a typed Corrupt is the only allowed outcome.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let cut = (((bytes.len() - 1) as f64) * cut_frac) as usize;
-        match load_delta(&bytes[..cut]) {
-            Err(HistogramError::Corrupt { .. }) => {}
-            Err(other) => prop_assert!(false, "non-Corrupt truncation error {:?}", other),
-            Ok(_) => prop_assert!(false, "truncation at {} of {} loaded", cut, bytes.len()),
-        }
-
-        // Bit flips: a nonzero XOR changes the bytes, so loading must
-        // fail typed (the CRC32 trailer or an envelope check bites).
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let pos = (((bytes.len() - 1) as f64) * flip_frac) as usize;
-        let mut mutated = bytes.to_vec();
-        mutated[pos] ^= xor;
-        match load_delta(&mutated) {
-            Err(HistogramError::Corrupt { .. }) => {}
-            Err(other) => prop_assert!(false, "non-Corrupt flip error {:?}", other),
-            Ok(loaded) => prop_assert_eq!(
-                loaded,
-                delta,
-                "byte {} ^ {:#04x} loaded a DIFFERENT delta", pos, xor
-            ),
-        }
-    }
-}
-
-/// Payload flips specifically must be caught by the checksum section,
-/// pinning that the CRC32 trailer covers the whole payload.
-#[test]
-fn payload_flips_fail_the_delta_checksum() {
-    for kind in HistogramKind::ALL {
-        let grid = Grid::new(3, Extent::unit()).expect("level in range");
-        let delta = HistogramDelta::build(kind, grid, &rects(40, 0xc4c, 0.07), &[]);
-        let bytes = delta.persist();
-        let payload_range = 20..bytes.len() - 4;
-        let mut rng = StdRng::seed_from_u64(0xcc32 ^ u64::from(kind.tag()));
-        for _ in 0..16 {
-            let mut mutated = bytes.to_vec();
-            let pos = rng.random_range(payload_range.clone());
-            mutated[pos] ^= 0x80;
-            match load_delta(&mutated) {
-                Err(HistogramError::Corrupt {
-                    section: CorruptSection::Checksum,
-                    ..
-                }) => {}
-                other => panic!("{kind}: payload flip at {pos} gave {other:?}"),
-            }
-        }
-    }
-}
-
-/// Whole-file garbage (not even a magic number) is a typed error.
-#[test]
-fn garbage_hdelta_files_are_typed_errors() {
-    let mut rng = StdRng::seed_from_u64(0xdead);
-    for len in [0usize, 1, 4, 11, 12, 20, 24, 64, 1024] {
-        let garbage: Vec<u8> = (0..len).map(|_| rng.random_range(0..=255u8)).collect();
-        assert!(
-            load_delta(&garbage).is_err(),
-            "{len}-byte garbage must not decode as a delta"
-        );
     }
 }

@@ -23,10 +23,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sj_geo::{Extent, Rect};
-use sj_histogram::crc::crc32;
 use sj_histogram::{
-    build_histogram, load_delta, load_histogram, CorruptSection, GhHistogram, Grid, HistogramDelta,
-    HistogramError, HistogramKind, DELTA_MAGIC, DELTA_VERSION,
+    build_histogram, load_histogram, CorruptSection, GhHistogram, Grid, HistogramError,
+    HistogramKind,
 };
 use sj_query::{
     Catalog, CompactionPolicy, DegradationPolicy, EstimateTier, MutationId, QueryError,
@@ -348,199 +347,6 @@ fn garbage_files_are_typed_errors_everywhere() {
             .register_with_statistics_lenient(ds, &garbage)
             .expect("lenient registration absorbs garbage");
         assert!(reason.is_some(), "{len}-byte garbage must be recorded");
-    }
-}
-
-// ------------------------------------------------------------------
-// Sparse `.hdelta` (version 2) envelopes
-// ------------------------------------------------------------------
-
-/// A persisted sparse delta with both batch sides non-empty.
-fn hdelta_for(kind: HistogramKind, seed: u64) -> Vec<u8> {
-    let grid = Grid::new(3, Extent::unit()).expect("level in range");
-    let (ins, del) = (fixture_rects(40, seed), fixture_rects(12, seed + 1));
-    HistogramDelta::build(kind, grid, &ins, &del)
-        .persist()
-        .to_vec()
-}
-
-/// Wraps a (possibly forged) payload in a well-formed v2 envelope with a
-/// correct CRC, so only the payload decoder can reject it.
-fn reframe(kind: HistogramKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&DELTA_MAGIC.to_le_bytes());
-    out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.tag().to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Location of one sparse array inside a delta payload.
-struct SparseArray {
-    /// Offset of the array's `cells u64` field.
-    cells_at: usize,
-    cells: u64,
-    nnz: usize,
-    /// Offset of its first index; the values follow the indices.
-    indices_at: usize,
-    elem: usize,
-}
-
-/// Walks a delta payload's array headers (layout in `delta.rs`).
-fn sparse_arrays(payload: &[u8]) -> Vec<SparseArray> {
-    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().expect("u32"));
-    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("u64"));
-    let n_scalars = u32_at(52) as usize;
-    let mut at = 56 + 16 * n_scalars;
-    let n_arrays = u32_at(at) as usize;
-    at += 4;
-    (0..n_arrays)
-        .map(|_| {
-            let elem = if payload[at] == 1 { 16 } else { 8 };
-            let nnz = usize::try_from(u64_at(at + 9)).expect("nnz");
-            let array = SparseArray {
-                cells_at: at + 1,
-                cells: u64_at(at + 1),
-                nnz,
-                indices_at: at + 17,
-                elem,
-            };
-            at += 17 + nnz * (4 + elem);
-            array
-        })
-        .collect()
-}
-
-#[test]
-fn hdelta_truncation_at_every_offset_is_a_typed_error() {
-    for kind in HistogramKind::ALL {
-        let bytes = hdelta_for(kind, 0x5eed);
-        for cut in 0..bytes.len() {
-            match load_delta(&bytes[..cut]) {
-                Err(HistogramError::Corrupt { .. }) => {}
-                Err(other) => panic!("{kind}: truncation at {cut} gave non-Corrupt {other:?}"),
-                Ok(_) => panic!("{kind}: truncation at {cut} silently loaded"),
-            }
-        }
-        let back = load_delta(&bytes).expect("pristine envelope loads");
-        assert_eq!(back.persist().to_vec(), bytes, "{kind}: lossless reload");
-    }
-}
-
-#[test]
-fn hdelta_random_bit_flips_never_load_silently() {
-    for kind in HistogramKind::ALL {
-        let bytes = hdelta_for(kind, 0xf11b);
-        let mut rng = StdRng::seed_from_u64(0xde17_a5ed ^ u64::from(kind.tag()));
-        for trial in 0..96 {
-            let mut mutated = bytes.clone();
-            let pos = rng.random_range(0..mutated.len());
-            let bit = rng.random_range(0..8u32);
-            mutated[pos] ^= 1u8 << bit;
-            match load_delta(&mutated) {
-                Err(HistogramError::Corrupt { .. }) => {}
-                Err(other) => panic!("{kind}: flip {trial} at {pos}:{bit} gave {other:?}"),
-                Ok(_) => panic!("{kind}: flip {trial} at {pos}:{bit} was not detected"),
-            }
-        }
-    }
-}
-
-/// Payloads that pass the CRC (re-framed after forging) but break the
-/// sparse invariants are typed payload corruption, never a panic and
-/// never a delta that would write outside the histogram.
-#[test]
-fn forged_sparse_hdelta_payloads_are_typed_errors() {
-    for kind in HistogramKind::ALL {
-        let bytes = hdelta_for(kind, 0xf0f0);
-        let payload = &bytes[20..bytes.len() - 4];
-        assert_eq!(
-            load_delta(&reframe(kind, payload)).expect("re-framing is faithful"),
-            load_delta(&bytes).expect("pristine envelope loads"),
-            "{kind}"
-        );
-        let arrays = sparse_arrays(payload);
-        let a = arrays
-            .iter()
-            .find(|a| a.nnz >= 2)
-            .expect("some array has two entries");
-        let index = |i: usize| a.indices_at + 4 * i;
-        let put_u32 = |p: &mut Vec<u8>, at: usize, v: u32| {
-            p[at..at + 4].copy_from_slice(&v.to_le_bytes());
-        };
-        let put_u64 = |p: &mut Vec<u8>, at: usize, v: u64| {
-            p[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        };
-        let read_u32 = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().expect("u32"));
-        let (first, second) = (read_u32(index(0)), read_u32(index(1)));
-        let cells = u32::try_from(a.cells).expect("cells fit u32");
-        let values_at = a.indices_at + 4 * a.nnz;
-
-        let mut forgeries: Vec<(&str, Vec<u8>)> = Vec::new();
-        let mut p = payload.to_vec();
-        put_u32(&mut p, index(0), second);
-        put_u32(&mut p, index(1), first);
-        forgeries.push(("unsorted indices", p));
-        let mut p = payload.to_vec();
-        put_u32(&mut p, index(1), first);
-        forgeries.push(("duplicate index", p));
-        let mut p = payload.to_vec();
-        put_u32(&mut p, index(a.nnz - 1), cells);
-        forgeries.push(("index out of range", p));
-        let mut p = payload.to_vec();
-        put_u32(&mut p, index(a.nnz - 1), u32::MAX);
-        forgeries.push(("index u32::MAX", p));
-        let mut p = payload.to_vec();
-        put_u64(&mut p, a.cells_at + 8, a.cells + 1);
-        forgeries.push(("more entries than cells", p));
-        let mut p = payload.to_vec();
-        put_u64(&mut p, a.cells_at + 8, u64::MAX);
-        forgeries.push(("entry count u64::MAX", p));
-        let mut p = payload.to_vec();
-        put_u64(&mut p, a.cells_at + 8, a.nnz as u64 + 1);
-        forgeries.push(("entry count past the payload", p));
-        let mut p = payload.to_vec();
-        put_u64(&mut p, a.cells_at, a.cells + 1);
-        forgeries.push(("wrong cell count", p));
-        let mut p = payload.to_vec();
-        p[values_at..values_at + a.elem].fill(0);
-        forgeries.push(("zero entry", p));
-        // A level-11 header and nothing after it: refused from its length
-        // alone, before anything grid-sized is allocated.
-        let mut p = payload[..60].to_vec();
-        p[..4].copy_from_slice(&11u32.to_le_bytes());
-        forgeries.push(("level-11 header without statistics", p));
-
-        for (what, forged) in forgeries {
-            match load_delta(&reframe(kind, &forged)) {
-                Err(HistogramError::Corrupt {
-                    section: CorruptSection::Payload,
-                    ..
-                }) => {}
-                Err(other) => panic!("{kind}: {what} gave {other:?}"),
-                Ok(_) => panic!("{kind}: {what} loaded"),
-            }
-        }
-
-        // A version-1 header is refused before its payload is read.
-        let mut v1 = reframe(kind, payload);
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let body = v1.len() - 4;
-        let crc = crc32(&v1[..body]);
-        v1[body..].copy_from_slice(&crc.to_le_bytes());
-        assert!(
-            matches!(
-                load_delta(&v1),
-                Err(HistogramError::Corrupt {
-                    section: CorruptSection::Envelope,
-                    ..
-                })
-            ),
-            "{kind}: a v1 delta envelope must be rejected"
-        );
     }
 }
 

@@ -174,10 +174,7 @@ fn warm_answers_match_fresh_builds_after_every_step() {
             std::process::id()
         ));
         drop(std::fs::remove_dir_all(&dir));
-        let policy = CompactionPolicy {
-            max_tiers: 3,
-            ..CompactionPolicy::default()
-        };
+        let policy = CompactionPolicy { max_tiers: 3 };
 
         let mut c = Catalog::with_kind(kind, LEVEL);
         for (name, base) in [("a", &base_a), ("b", &base_b), ("c", &base_c)] {

@@ -87,7 +87,6 @@ fn scratch(tag: &str) -> PathBuf {
 /// reach it.
 const KEEP_WAL: CompactionPolicy = CompactionPolicy {
     max_tiers: usize::MAX,
-    max_pending_bytes: usize::MAX,
 };
 
 const BASE_N: usize = 60;
