@@ -499,22 +499,29 @@ const STEPS: usize = 4;
 /// The insert/delete batch of workload step `step` (1-based), derived
 /// from the base data by fixed index strides. Delete strides use
 /// disjoint residue classes so no rectangle is deleted twice across
-/// steps.
+/// steps. Step 1 also inserts a copy of `base[0]` and step 3 deletes
+/// one copy: first-match resolution claims the original row, so a
+/// replay that claimed the copy would leave the rows in another order.
 fn step_batch(step: usize, base: &[Rect], extent: Rect) -> (Vec<Rect>, Vec<Rect>) {
-    let inserts: Vec<Rect> = base
+    let mut inserts: Vec<Rect> = base
         .iter()
         .skip(step * 5)
         .step_by(97)
         .take(8)
         .map(|r| reflect(*r, extent))
         .collect();
-    let deletes: Vec<Rect> = base
+    let mut deletes: Vec<Rect> = base
         .iter()
         .enumerate()
         .filter(|(i, _)| i % 13 == step)
         .map(|(_, r)| *r)
         .take(6)
         .collect();
+    match (step, base.first()) {
+        (1, Some(&first)) => inserts.push(first),
+        (3, Some(&first)) => deletes.push(first),
+        _ => {}
+    }
     (inserts, deletes)
 }
 

@@ -76,6 +76,22 @@ pub(crate) struct Table {
     /// registration order.
     slot: usize,
     pub(crate) rtree: OnceLock<RTree>,
+    /// The exact delete index (`crate::delete_index`): every row number
+    /// once, sorted by the row's canonical key (the four coordinates'
+    /// bits, `-0.0` folded onto `+0.0`), rows ascending within a key.
+    /// Equal rows share a key, so the rows a delete can match are one
+    /// run in dataset order and its k-th row is the k-th first match.
+    ///
+    /// Built lazily by the first delete's prepare, under the catalog
+    /// read lock. A commit keeps it through `get_mut`: it drops the
+    /// claimed entries, renumbers the survivors above the first deleted
+    /// row and merges the inserted rows in after their equal keys.
+    /// Installing a recovered base resets it; a compaction leaves it
+    /// alone, as it reorders no row. Entries are `u32`, 4 B per row: a
+    /// batch whose inserts would take the table past `u32::MAX` rows is
+    /// a typed [`QueryError::TooManyRows`], so no row number is
+    /// truncated.
+    pub(crate) delete_index: OnceLock<Vec<u32>>,
 }
 
 impl Table {
@@ -565,6 +581,7 @@ impl Catalog {
                 stats,
                 slot,
                 rtree: OnceLock::new(),
+                delete_index: OnceLock::new(),
             },
         );
     }

@@ -46,6 +46,15 @@ pub enum QueryError {
         /// Position of the unmatched rectangle within the delete batch.
         index: usize,
     },
+    /// A mutation batch's inserts would take a table past the rows its
+    /// delete index can number (`u32::MAX`); the whole batch is
+    /// rejected without mutating anything.
+    TooManyRows {
+        /// The table the batch targeted.
+        table: String,
+        /// Rows the table would hold with the batch's inserts added.
+        rows: usize,
+    },
     /// A mutation batch carried a rectangle that registration under
     /// the strict validation policy would reject (non-finite, inverted
     /// or outside the catalog extent); the whole batch is rejected
@@ -100,6 +109,12 @@ impl fmt::Display for QueryError {
                 f,
                 "delete batch entry {index} matches no object in table {table:?}; \
                  nothing was applied"
+            ),
+            QueryError::TooManyRows { table, rows } => write!(
+                f,
+                "table {table:?} would hold {rows} rows, more than the {} a table \
+                 can index; nothing was applied",
+                u32::MAX
             ),
             QueryError::InvalidRect {
                 table,

@@ -42,6 +42,7 @@
 
 mod catalog;
 mod degrade;
+mod delete_index;
 mod error;
 mod exec;
 mod plan;

@@ -83,6 +83,7 @@
 //! `sj-lint -- verify-recovery` does.
 
 use crate::catalog::StatsState;
+use crate::delete_index;
 use crate::error::QueryError;
 use crate::Catalog;
 use sj_geo::Rect;
@@ -778,86 +779,10 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot<'_>, QueryError> {
     })
 }
 
-/// Resolves each delete of a batch to one live dataset row in a single
-/// pass over the dataset, returning the ascending positions of the rows
-/// it claimed (one per delete), or the smallest batch index whose
-/// delete matches no row.
-///
-/// The result is exactly that of resolving the deletes one by one in
-/// batch order, each taking the first still-live row equal to it (the
-/// reference loop in the tests): rows equal to one delete are equal to
-/// every delete of its equal-value class and to no other class, so the
-/// k-th delete of a class takes the k-th matching row in dataset order.
-/// Rows are pre-filtered on a small bitmap keyed by each delete's
-/// canonical `xlo` bits (`-0.0` maps to `+0.0`, as `==` identifies
-/// them), then confirmed with `Rect ==`.
-fn resolve_deletes(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<usize>, usize> {
-    /// Bits of `x` with `-0.0` folded onto `+0.0`: equal (non-NaN)
-    /// coordinates get equal keys.
-    fn canon(x: f64) -> u64 {
-        if x == 0.0 {
-            0
-        } else {
-            x.to_bits()
-        }
-    }
-    fn key(r: &Rect) -> [u64; 4] {
-        [canon(r.xlo), canon(r.ylo), canon(r.xhi), canon(r.yhi)]
-    }
-    let bits = (deletes.len() * 64).next_power_of_two().clamp(64, 1 << 20);
-    let slot = |r: &Rect| {
-        // Fibonacci hashing of the canonical `xlo` bits into the bitmap.
-        let h = canon(r.xlo).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-        usize::try_from(h).unwrap_or(0) & (bits - 1)
-    };
-    let mut filter = vec![0u64; bits / 64];
-    // Equal-value classes, keyed canonically: `pending` lists a class's
-    // batch indices in order and `taken` counts the rows it has claimed.
-    // A delete with a NaN coordinate equals nothing, so `Rect ==` never
-    // lets its class claim a row and it reports as missing.
-    let mut classes: BTreeMap<[u64; 4], usize> = BTreeMap::new();
-    let mut pending: Vec<Vec<usize>> = Vec::new();
-    for (index, del) in deletes.iter().enumerate() {
-        let class = *classes.entry(key(del)).or_insert_with(|| {
-            pending.push(Vec::new());
-            pending.len() - 1
-        });
-        pending[class].push(index);
-        let s = slot(del);
-        filter[s / 64] |= 1 << (s % 64);
-    }
-    let mut taken = vec![0usize; pending.len()];
-    let mut claimed = Vec::with_capacity(deletes.len());
-    for (row, r) in rects.iter().enumerate() {
-        let s = slot(r);
-        if filter[s / 64] & (1 << (s % 64)) == 0 {
-            continue;
-        }
-        let Some(&class) = classes.get(&key(r)) else {
-            continue;
-        };
-        if let Some(&first) = pending[class].get(taken[class]) {
-            if *r == deletes[first] {
-                claimed.push(row);
-                taken[class] += 1;
-            }
-        }
-    }
-    let missing = pending
-        .iter()
-        .zip(&taken)
-        .filter_map(|(indices, &n)| indices.get(n).copied())
-        .min();
-    match missing {
-        Some(index) => Err(index),
-        None => Ok(claimed),
-    }
-}
-
 /// Removes the rows at `rows` (strictly ascending positions, as
-/// [`resolve_deletes`] returns them) in one pass: rows before the first
-/// position stay where they are, and each run of survivors after it
-/// moves down once. Survivors keep their order.
+/// [`delete_index::resolve`] returns them) in one pass: rows before the
+/// first position stay where they are, and each run of survivors after
+/// it moves down once. Survivors keep their order.
 fn remove_rows(rects: &mut Vec<Rect>, rows: &[usize]) {
     let Some(&first) = rows.first() else {
         return;
@@ -996,9 +921,9 @@ impl Catalog {
     }
 
     /// Installs a recovered base state: the base file's dataset and
-    /// statistics, a reset lazy index, the sequence fence, and
-    /// the snapshotted mutation-ID dedup ring — with no pending records
-    /// (the base is, by construction, compacted).
+    /// statistics, a reset lazy R-tree and delete index, the sequence
+    /// fence, and the snapshotted mutation-ID dedup ring — with no
+    /// pending records (the base is, by construction, compacted).
     fn install_base(
         &mut self,
         name: &str,
@@ -1013,6 +938,7 @@ impl Catalog {
         if let Some(table) = self.tables.get_mut(name) {
             table.dataset.rects = rects;
             table.rtree = std::sync::OnceLock::new();
+            table.delete_index = std::sync::OnceLock::new();
         }
         let entry = self.store.table(name);
         entry.next_seq = next_seq;
@@ -1062,7 +988,8 @@ impl Catalog {
     /// usable statistics; [`QueryError::InvalidRect`] when a rectangle
     /// is non-finite, inverted or outside the catalog extent;
     /// [`QueryError::DeleteNotFound`] when a delete rectangle matches no
-    /// object; [`QueryError::Io`] on WAL append failures;
+    /// object; [`QueryError::TooManyRows`] when the table would outgrow
+    /// its delete index; [`QueryError::Io`] on WAL append failures;
     /// [`QueryError::Histogram`] when the delta cannot apply.
     pub fn apply_delta(
         &mut self,
@@ -1193,12 +1120,26 @@ impl Catalog {
                     issue,
                 })?;
         }
+        // The delete index numbers rows with `u32`, and the commit holds
+        // the table's rows and the inserts together before the deletes
+        // leave, so all of them must fit.
+        let rows = table.dataset.rects.len().saturating_add(inserts.len());
+        if !delete_index::fits(rows) {
+            return Err(QueryError::TooManyRows {
+                table: name.to_string(),
+                rows,
+            });
+        }
         // Resolve each delete to one currently-live object, first match
         // wins; duplicates in the batch consume duplicates in the data.
         let deleted_rows = if deletes.is_empty() {
             Vec::new()
         } else {
-            resolve_deletes(&table.dataset.rects, deletes).map_err(|index| {
+            let rects = &table.dataset.rects;
+            let index = table
+                .delete_index
+                .get_or_init(|| delete_index::build(rects));
+            delete_index::resolve(index, rects, deletes).map_err(|index| {
                 QueryError::DeleteNotFound {
                     table: name.to_string(),
                     index,
@@ -1255,7 +1196,7 @@ impl Catalog {
             wal: _,
         } = prepared;
         // Commit: histogram, its resident view and the memoized answers
-        // that read it (atomic apply), dataset, index.
+        // that read it (atomic apply), dataset, indexes.
         self.apply_stats_delta(&name, &delta)?;
         let table = self
             .tables
@@ -1268,6 +1209,11 @@ impl Catalog {
         remove_rows(rects, &deleted_rows);
         rects.extend_from_slice(&inserts);
         table.rtree = std::sync::OnceLock::new();
+        if let Some(index) = table.delete_index.get_mut() {
+            if !delete_index::commit(index, rects, &deleted_rows, inserts.len()) {
+                table.delete_index = std::sync::OnceLock::new();
+            }
+        }
 
         // Store bookkeeping. The ID is remembered only now: a batch that
         // failed validation in prepare must stay retryable under the
@@ -1520,10 +1466,9 @@ mod tests {
         assert_eq!(c.table_len("t").unwrap(), 1, "failed batch must not apply");
     }
 
-    /// The one-delete-at-a-time resolution [`resolve_deletes`] replaces:
-    /// each delete, in batch order, takes the first still-live equal row.
-    /// Deletes one at a time in batch order, each claiming the first
-    /// still-live equal row; the claimed positions, ascending.
+    /// The oracle for delete resolution: deletes one at a time in batch
+    /// order, each claiming the first still-live equal row; the claimed
+    /// positions, ascending, or the first delete that matches nothing.
     fn resolve_deletes_reference(rects: &[Rect], deletes: &[Rect]) -> Result<Vec<usize>, usize> {
         let mut live = vec![true; rects.len()];
         let mut claimed = Vec::new();
@@ -1544,20 +1489,14 @@ mod tests {
         Ok(claimed)
     }
 
-    /// Seeded property: the one-pass resolution returns exactly the
-    /// reference loop's claimed row positions or failing batch index,
-    /// over batches and datasets full of duplicates, `±0.0`
-    /// coordinates, a NaN coordinate and deletes that match nothing;
-    /// and removing those rows by position leaves exactly the rows a
-    /// liveness-mask filter keeps, in order.
-    #[test]
-    fn one_pass_delete_resolution_matches_the_reference_loop() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let r = |xlo: f64, ylo: f64, xhi: f64, yhi: f64| Rect { xlo, ylo, xhi, yhi };
-        // A small pool, so draws collide often; pool[0..3] are equal
-        // under `==` (signed zeros) but not bitwise, pool[7] has a NaN.
-        let pool = [
+    fn r(xlo: f64, ylo: f64, xhi: f64, yhi: f64) -> Rect {
+        Rect { xlo, ylo, xhi, yhi }
+    }
+
+    /// A small pool, so draws collide often; `[0..3]` are equal under
+    /// `==` (signed zeros) but not bitwise, `[7]` has a NaN.
+    fn delete_pool() -> [Rect; 9] {
+        [
             r(0.0, 0.0, 0.5, 0.5),
             r(-0.0, 0.0, 0.5, 0.5),
             r(0.0, -0.0, 0.5, 0.5),
@@ -1567,48 +1506,269 @@ mod tests {
             r(0.1, 0.2, 0.3, 0.4),
             r(0.1, f64::NAN, 0.3, 0.4),
             r(0.9, 0.9, 1.0, 1.0),
-        ];
+        ]
+    }
+
+    /// Compared bitwise: `==` would identify the signed zeros and never
+    /// match a NaN row.
+    fn bits(v: &[Rect]) -> Vec<[u64; 4]> {
+        v.iter()
+            .map(|r| [r.xlo, r.ylo, r.xhi, r.yhi].map(f64::to_bits))
+            .collect()
+    }
+
+    /// A random batch from `pool`: insert-only, delete-only or mixed.
+    /// Inserts draw from `pool[..data_pool]`, deletes from the whole
+    /// pool, so some deletes match nothing.
+    fn random_batch(
+        rng: &mut rand::rngs::StdRng,
+        pool: &[Rect],
+        data_pool: usize,
+        max: usize,
+    ) -> (Vec<Rect>, Vec<Rect>) {
+        use rand::RngExt;
+        let kind = rng.random_range(0..3u8);
+        let n_ins = if kind == 1 {
+            0
+        } else {
+            rng.random_range(0..max)
+        };
+        let n_del = if kind == 0 {
+            0
+        } else {
+            rng.random_range(0..max)
+        };
+        let inserts = (0..n_ins)
+            .map(|_| pool[rng.random_range(0..data_pool)])
+            .collect();
+        let deletes = (0..n_del)
+            .map(|_| pool[rng.random_range(0..pool.len())])
+            .collect();
+        (inserts, deletes)
+    }
+
+    /// The kept delete index of table `t`, when a delete has built it.
+    fn kept_index(c: &Catalog) -> Option<&Vec<u32>> {
+        c.tables.get("t").and_then(|t| t.delete_index.get())
+    }
+
+    /// Seeded property over sequences of insert, delete and mixed
+    /// batches on datasets full of duplicates, `±0.0` coordinates, a NaN
+    /// coordinate and deletes that match nothing: the indexed
+    /// resolution returns exactly the reference loop's claimed rows or
+    /// failing batch index; removing those rows by position leaves
+    /// exactly the rows a liveness-mask filter keeps, in order; and the
+    /// index a commit keeps equals a fresh build, bit for bit.
+    #[test]
+    fn one_pass_delete_resolution_matches_the_reference_loop() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let pool = delete_pool();
         let mut rng = StdRng::seed_from_u64(0x0de1_e7e5);
         let mut outcomes = [0usize; 2];
-        for _ in 0..4000 {
-            let n = rng.random_range(0..40usize);
-            let m = rng.random_range(0..12usize);
-            // Deletes draw from the whole pool; data from a random prefix
-            // of it, so some deletes match nothing.
+        for _ in 0..400 {
+            // Data draws from a random prefix of the pool.
             let data_pool = rng.random_range(1..=pool.len());
-            let data: Vec<Rect> = (0..n)
+            let n = rng.random_range(0..40usize);
+            let mut data: Vec<Rect> = (0..n)
                 .map(|_| pool[rng.random_range(0..data_pool)])
                 .collect();
-            let deletes: Vec<Rect> = (0..m)
-                .map(|_| pool[rng.random_range(0..pool.len())])
-                .collect();
-            let got = resolve_deletes(&data, &deletes);
-            let want = resolve_deletes_reference(&data, &deletes);
-            assert_eq!(got, want, "data {data:?}, deletes {deletes:?}");
-            outcomes[usize::from(want.is_err())] += 1;
-            if let Ok(rows) = want {
-                let mut removed = data.clone();
-                remove_rows(&mut removed, &rows);
+            let mut index = delete_index::build(&data);
+            for _ in 0..10 {
+                let (inserts, deletes) = random_batch(&mut rng, &pool, data_pool, 12);
+                let want = resolve_deletes_reference(&data, &deletes);
+                let got = delete_index::resolve(&index, &data, &deletes);
+                assert_eq!(got, want, "data {data:?}, deletes {deletes:?}");
+                outcomes[usize::from(want.is_err())] += 1;
+                let Ok(rows) = want else {
+                    continue;
+                };
                 let kept: Vec<Rect> = data
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| rows.binary_search(i).is_err())
                     .map(|(_, r)| *r)
                     .collect();
-                // Compared bitwise: `==` would identify the signed zeros
-                // and never match the NaN row.
-                let bits = |v: &[Rect]| -> Vec<[u64; 4]> {
-                    v.iter()
-                        .map(|r| [r.xlo, r.ylo, r.xhi, r.yhi].map(f64::to_bits))
-                        .collect()
-                };
-                assert_eq!(bits(&removed), bits(&kept), "rows {rows:?} of {data:?}");
+                let before = data.clone();
+                remove_rows(&mut data, &rows);
+                assert_eq!(bits(&data), bits(&kept), "rows {rows:?} of {before:?}");
+                data.extend_from_slice(&inserts);
+                assert!(delete_index::commit(
+                    &mut index,
+                    &data,
+                    &rows,
+                    inserts.len()
+                ));
+                assert_eq!(
+                    index,
+                    delete_index::build(&data),
+                    "kept index after deleting rows {rows:?} of {before:?} and inserting {inserts:?}"
+                );
             }
         }
         assert!(
             outcomes.iter().all(|&k| k > 500),
             "both outcomes must be exercised: {outcomes:?}"
         );
+    }
+
+    /// The same property through the catalog, with compactions and
+    /// reopens between the batches: every prepared batch claims the
+    /// reference's rows or fails at its batch index, the recovered
+    /// dataset is bitwise the tracked one, the kept index equals a
+    /// fresh build after every step, and a rejected batch leaves it as
+    /// it was. Registration rejects NaN rows and validation NaN deletes,
+    /// so this draws from the pool's finite rectangles.
+    #[test]
+    fn kept_delete_index_survives_commits_compactions_and_reopens() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let pool = delete_pool();
+        let finite: Vec<Rect> = pool.iter().copied().filter(Rect::is_finite).collect();
+        let dir = temp_dir("delete_index");
+        let mut rng = StdRng::seed_from_u64(0x1d3e_11de);
+        let registered: Vec<Rect> = (0..30)
+            .map(|_| finite[rng.random_range(0..finite.len())])
+            .collect();
+        let open = |rows: &[Rect]| {
+            let mut c = Catalog::with_level(3);
+            c.register(Dataset::new("t", Extent::unit(), rows.to_vec()))
+                .unwrap();
+            c.open_stats_store(&dir, CompactionPolicy::default())
+                .unwrap();
+            c
+        };
+        let mut c = open(&registered);
+        let mut data = registered.clone();
+        let mut counts = [0usize; 4];
+        for step in 0..300 {
+            match rng.random_range(0..10u8) {
+                0 => {
+                    c.compact("t").unwrap();
+                    counts[2] += 1;
+                }
+                1 => {
+                    drop(c);
+                    c = open(&registered);
+                    counts[3] += 1;
+                }
+                _ => {
+                    let (inserts, mut deletes) = random_batch(&mut rng, &finite, finite.len(), 6);
+                    if rng.random_range(0..8u8) == 0 {
+                        deletes.push(r(0.6, 0.6, 0.7, 0.7));
+                    }
+                    let before = kept_index(&c).cloned();
+                    let want = resolve_deletes_reference(&data, &deletes);
+                    let prepared = c.prepare_delta("t", &inserts, &deletes, MutationId::UNSTAMPED);
+                    match (prepared, &want) {
+                        (Ok(PreparedOutcome::Fresh(p)), Ok(rows)) => {
+                            assert_eq!(&p.deleted_rows, rows, "step {step}: {deletes:?}");
+                        }
+                        (Err(QueryError::DeleteNotFound { index, .. }), Err(at)) => {
+                            assert_eq!(index, *at, "step {step}: {deletes:?}");
+                        }
+                        (got, _) => {
+                            panic!("step {step}: prepared {:?}, reference {want:?}", got.err())
+                        }
+                    }
+                    match (c.apply_delta("t", &inserts, &deletes), want) {
+                        (Ok(_), Ok(rows)) => {
+                            remove_rows(&mut data, &rows);
+                            data.extend_from_slice(&inserts);
+                            counts[0] += 1;
+                        }
+                        (Err(QueryError::DeleteNotFound { .. }), Err(_)) => {
+                            if before.is_some() {
+                                assert_eq!(kept_index(&c), before.as_ref(), "step {step}");
+                            }
+                            counts[1] += 1;
+                        }
+                        (got, want) => panic!("step {step}: {got:?}, reference {want:?}"),
+                    }
+                }
+            }
+            let rows = &c.dataset("t").unwrap().rects;
+            assert_eq!(bits(rows), bits(&data), "step {step}");
+            if let Some(index) = kept_index(&c) {
+                assert_eq!(index, &delete_index::build(rows), "step {step}");
+            }
+        }
+        assert!(
+            counts.iter().all(|&k| k > 10),
+            "applied, rejected, compacted, reopened: {counts:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The delete index numbers rows with `u32`: a table may hold
+    /// `u32::MAX` rows, and a batch that would take it past them (or
+    /// overflow the count) is refused before anything changes.
+    #[test]
+    fn the_row_bound_is_u32_max() {
+        let max = usize::try_from(u32::MAX).unwrap();
+        assert!(delete_index::fits(0) && delete_index::fits(max));
+        assert!(!delete_index::fits(max + 1));
+        assert!(!delete_index::fits(usize::MAX.saturating_add(1)));
+    }
+
+    /// A reopen replays logged deletes of duplicated rectangles through
+    /// the index: they claim the reference's rows and leave the same
+    /// dataset bytes. The index a decoy registration built before the
+    /// reopen is reset by the base install, not carried over.
+    #[test]
+    fn replayed_duplicate_deletes_claim_the_reference_rows() {
+        let dir = temp_dir("replay_duplicates");
+        let policy = CompactionPolicy { max_tiers: 16 };
+        let (a, b) = (r(0.1, 0.1, 0.2, 0.2), r(0.3, 0.3, 0.4, 0.4));
+        let (z, nz) = (r(0.0, 0.0, 0.5, 0.5), r(-0.0, 0.0, 0.5, 0.5));
+        let base = vec![a, z, b, a, nz, a, b, z];
+        let batches = [
+            (vec![a, z], vec![a, z]),
+            (vec![], vec![a, a, nz]),
+            (vec![b, nz], vec![b, z, a]),
+        ];
+
+        // Session 1: compact the base rows into `t.base`, then log the
+        // batches to the WAL and "crash".
+        let mut c1 = Catalog::with_level(3);
+        c1.register(Dataset::new("t", Extent::unit(), base.clone()))
+            .unwrap();
+        c1.open_stats_store(&dir, policy).unwrap();
+        assert!(c1.compact("t").unwrap().persisted);
+        let mut expected = base;
+        for (inserts, deletes) in &batches {
+            let rows = resolve_deletes_reference(&expected, deletes).unwrap();
+            remove_rows(&mut expected, &rows);
+            expected.extend_from_slice(inserts);
+            c1.apply_delta("t", inserts, deletes).unwrap();
+        }
+        assert_eq!(bits(&c1.dataset("t").unwrap().rects), bits(&expected));
+        let statistics = c1.histogram("t").unwrap().to_bytes();
+        drop(c1);
+
+        // Session 2: a decoy registration whose index a failed delete
+        // builds; the reopen installs the base and replays the WAL.
+        let decoy = vec![b, b, a, a, z];
+        let mut c2 = Catalog::with_level(3);
+        c2.register(Dataset::new("t", Extent::unit(), decoy.clone()))
+            .unwrap();
+        let err = c2.apply_delta("t", &[], &[r(0.6, 0.6, 0.7, 0.7)]);
+        assert!(matches!(
+            err,
+            Err(QueryError::DeleteNotFound { index: 0, .. })
+        ));
+        assert_eq!(kept_index(&c2), Some(&delete_index::build(&decoy)));
+        let recovery = c2.open_stats_store(&dir, policy).unwrap();
+        assert_eq!((recovery.installed, recovery.replayed), (1, 3));
+        let rows = &c2.dataset("t").unwrap().rects;
+        assert_eq!(
+            bits(rows),
+            bits(&expected),
+            "replay must claim the reference rows"
+        );
+        assert_eq!(kept_index(&c2), Some(&delete_index::build(rows)));
+        assert_eq!(c2.histogram("t").unwrap().to_bytes(), statistics);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
