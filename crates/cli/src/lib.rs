@@ -48,11 +48,13 @@
 
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
-    build_histogram_parallel, build_histogram_sharded, load_histogram, presets, Dataset,
-    DatasetError, Extent, GhHistogram, Grid, HistogramError, HistogramKind, JoinBaseline,
+    build_histogram_parallel, build_histogram_sharded, load_histogram, parallel_map, presets,
+    Dataset, DatasetError, Extent, GhHistogram, Grid, HistogramError, HistogramKind, JoinBaseline,
     Parallelism, RTreeConfig, Rect, SpatialHistogram, ValidationPolicy, SPARSE_MAGIC,
 };
-use sj_query::{Catalog, CatalogConfig, CompactionPolicy, DegradationPolicy, QueryError};
+use sj_query::{
+    Catalog, CatalogConfig, CompactionPolicy, DegradationPolicy, PreparedTable, QueryError,
+};
 use sj_server::{CatalogService, Client, ClientError, RemoteOutcome, Server, ServerConfig};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -652,31 +654,84 @@ fn outcome_warning(outcome: &RemoteOutcome) -> Option<String> {
     ))
 }
 
-/// Registers `ds` with the saved statistics in `stats_file` when that
-/// file exists — leniently, so unusable statistics become a warning and
-/// a degraded table instead of a failure — and with freshly built
-/// statistics otherwise.
-fn register_with_saved_statistics(
+/// Where `serve` and `catalog-estimate` look for a table's saved
+/// statistics.
+#[derive(Clone, Copy)]
+struct SavedStatistics<'a> {
+    /// `--stats-dir`: a `<stem>.hist` there is read, leniently, instead
+    /// of building statistics.
+    dir: Option<&'a Path>,
+    /// `serve` only: a `<stem>.base` there means the table's
+    /// authoritative state lives in the statistics store (folded
+    /// mutations mean the dataset file no longer describes it), so its
+    /// statistics are deferred to `open_stats_store`, which installs them
+    /// from the base file, instead of being loaded or built only to be
+    /// replaced.
+    defer_to_base: bool,
+}
+
+/// One table's start-up work, everything that depends on its own file
+/// alone: reads and validates the dataset, then builds its statistics,
+/// reads its saved `.hist` (unusable statistics become a warning and a
+/// degraded table, not a failure) or defers to its `.base`. Returns the
+/// prepared table and its warnings in the order they arose.
+fn prepare_table(
+    catalog: &Catalog,
+    path: &str,
+    name: String,
+    validate: ValidationPolicy,
+    saved: SavedStatistics<'_>,
+) -> Result<(PreparedTable, Vec<String>), CliError> {
+    let mut warnings = Vec::new();
+    let mut ds = load_dataset(path, validate, &mut warnings)?;
+    ds.name = name;
+    let Some(dir) = saved.dir else {
+        return Ok((catalog.prepare_table(ds), warnings));
+    };
+    let stem = table_name_for(path);
+    if saved.defer_to_base && dir.join(format!("{stem}.base")).exists() {
+        return Ok((Catalog::prepare_deferred(ds), warnings));
+    }
+    let file = dir.join(format!("{stem}.hist"));
+    if !file.exists() {
+        return Ok((catalog.prepare_table(ds), warnings));
+    }
+    let bytes = std::fs::read(&file)
+        .map_err(|e| CliError::io(format!("failed to read {}: {e}", file.display())))?;
+    let (prepared, reason) = catalog.prepare_with_statistics_lenient(ds, &bytes);
+    if let Some(reason) = reason {
+        warnings.push(format!(
+            "statistics {} unusable for table {:?}: {reason}; estimation will degrade",
+            file.display(),
+            prepared.name()
+        ));
+    }
+    Ok((prepared, warnings))
+}
+
+/// Loads `(path, table name)` pairs into `catalog`: each path's
+/// [`prepare_table`] runs on a worker of `par` (DESIGN.md §6a), then the
+/// tables are inserted in argument order. Table slots, the warnings and
+/// the error returned are the serial order's at every thread count: the
+/// first failing path in argument order decides the error.
+fn load_tables(
     catalog: &mut Catalog,
-    ds: Dataset,
-    stats_file: Option<&Path>,
+    tables: Vec<(&str, String)>,
+    validate: ValidationPolicy,
+    saved: SavedStatistics<'_>,
+    par: Parallelism,
     warnings: &mut Vec<String>,
 ) -> Result<(), CliError> {
-    let failed = |e: QueryError| CliError::from_query("registration failed", &e);
-    let Some(file) = stats_file.filter(|f| f.exists()) else {
-        return catalog.register(ds).map_err(failed);
-    };
-    let bytes = std::fs::read(file)
-        .map_err(|e| CliError::io(format!("failed to read {}: {e}", file.display())))?;
-    let table = ds.name.clone();
-    if let Some(reason) = catalog
-        .register_with_statistics_lenient(ds, &bytes)
-        .map_err(failed)?
-    {
-        warnings.push(format!(
-            "statistics {} unusable for table {table:?}: {reason}; estimation will degrade",
-            file.display()
-        ));
+    let shared = &*catalog;
+    let prepared = parallel_map(tables, par, |(path, name)| {
+        prepare_table(shared, path, name, validate, saved)
+    });
+    for result in prepared {
+        let (table, table_warnings) = result?;
+        warnings.extend(table_warnings);
+        catalog
+            .insert_prepared(table)
+            .map_err(|e| CliError::from_query("registration failed", &e))?;
     }
     Ok(())
 }
@@ -727,35 +782,31 @@ fn cmd_catalog_estimate(args: &[String]) -> Result<CliOutput, CliError> {
         ));
     };
 
-    let mut warnings = Vec::new();
-    let mut a = load_dataset(a_path, validate, &mut warnings)?;
-    let mut b = load_dataset(b_path, validate, &mut warnings)?;
-    // Joining a dataset file against itself is legitimate; keep the
-    // catalog names unique.
-    a.name = format!("{}#a", a.name);
-    b.name = format!("{}#b", b.name);
-    let (name_a, name_b) = (a.name.clone(), b.name.clone());
-
     let mut catalog = Catalog::try_new(CatalogConfig {
         kind,
         grid_level: level,
         ..CatalogConfig::default()
     })
     .map_err(|e| CliError::from_query("bad catalog configuration", &e))?;
-
-    // Register each table from `<stem>.hist` in --stats-dir when there is
-    // one. The daemon's compactions write only `<stem>.base`, so a saved
-    // `.hist` keeps describing the CSV it was built from.
-    for (path, ds) in [(a_path, a), (b_path, b)] {
-        let stem = Path::new(path).file_stem().map_or_else(
-            || "dataset".to_string(),
-            |s| s.to_string_lossy().into_owned(),
-        );
-        let stats_file = stats_dir
-            .as_deref()
-            .map(|dir| Path::new(dir).join(format!("{stem}.hist")));
-        register_with_saved_statistics(&mut catalog, ds, stats_file.as_deref(), &mut warnings)?;
-    }
+    // Joining a dataset file against itself is legitimate; keep the
+    // catalog names unique. A table's saved statistics are
+    // `<stem>.hist` in --stats-dir. The daemon's compactions write only
+    // `<stem>.base`, so a saved `.hist` keeps describing the dataset file
+    // it was built from, and no `.base` is consulted here.
+    let name_a = format!("{}#a", table_name_for(a_path));
+    let name_b = format!("{}#b", table_name_for(b_path));
+    let mut warnings = Vec::new();
+    load_tables(
+        &mut catalog,
+        vec![(a_path, name_a.clone()), (b_path, name_b.clone())],
+        validate,
+        SavedStatistics {
+            dir: stats_dir.as_deref().map(Path::new),
+            defer_to_base: false,
+        },
+        Parallelism::available(),
+        &mut warnings,
+    )?;
 
     let outcome = catalog
         .estimate_join_pairs_detailed(&name_a, &name_b, &policy)
@@ -959,8 +1010,10 @@ fn cmd_serve(args: &[String]) -> Result<CliOutput, CliError> {
         return Err(CliError::usage("serve takes at least one dataset path"));
     }
 
-    // Load the catalog ONCE — the entire point of the daemon: every
-    // request after this point pays only the estimation arithmetic.
+    // Load the catalog ONCE, the entire point of the daemon: every
+    // request after this point pays only the estimation arithmetic. The
+    // tables load and build concurrently, one worker per core, and are
+    // inserted in argument order, so the catalog is the serial one.
     let mut warnings = Vec::new();
     let mut catalog = Catalog::try_new(CatalogConfig {
         kind,
@@ -968,25 +1021,19 @@ fn cmd_serve(args: &[String]) -> Result<CliOutput, CliError> {
         ..CatalogConfig::default()
     })
     .map_err(|e| CliError::from_query("bad catalog configuration", &e))?;
-    for path in &args {
-        let mut ds = load_dataset(path, validate, &mut warnings)?;
-        let table = table_name_for(path);
-        ds.name.clone_from(&table);
-        // A compacted base marks a table whose authoritative state lives
-        // in the statistics store (folded mutations mean the CSV no
-        // longer describes it): defer statistics, which open_stats_store
-        // below installs from the base file, instead of loading or
-        // building statistics it would replace.
-        let dir = stats_dir.as_deref().map(Path::new);
-        if dir.is_some_and(|d| d.join(format!("{table}.base")).exists()) {
-            catalog
-                .register_deferred(ds)
-                .map_err(|e| CliError::from_query("registration failed", &e))?;
-            continue;
-        }
-        let stats_file = dir.map(|d| d.join(format!("{table}.hist")));
-        register_with_saved_statistics(&mut catalog, ds, stats_file.as_deref(), &mut warnings)?;
-    }
+    load_tables(
+        &mut catalog,
+        args.iter()
+            .map(|p| (p.as_str(), table_name_for(p)))
+            .collect(),
+        validate,
+        SavedStatistics {
+            dir: stats_dir.as_deref().map(Path::new),
+            defer_to_base: true,
+        },
+        Parallelism::available(),
+        &mut warnings,
+    )?;
 
     // With a statistics directory the daemon keeps a per-table
     // write-ahead delta log there: mutations survive a crash and are
@@ -2411,5 +2458,149 @@ mod format_tests {
         ]))
         .unwrap_err();
         assert_eq!(err.code, exit_code::USAGE);
+    }
+}
+
+#[cfg(test)]
+mod startup_tests {
+    use super::tests::Scratch;
+    use super::*;
+    use std::hash::{Hash as _, Hasher as _};
+    use std::io::Write as _;
+
+    /// What a loaded catalog answers: each table's length and persisted
+    /// statistics (or why it has none), and every ordered pair's
+    /// primary estimate.
+    fn snapshot(catalog: &Catalog) -> Vec<String> {
+        let names = catalog.table_names();
+        let mut out = Vec::new();
+        for a in &names {
+            let stats = catalog.histogram(a).map(|h| {
+                let mut hasher = std::hash::DefaultHasher::new();
+                h.persist().hash(&mut hasher);
+                hasher.finish()
+            });
+            out.push(format!("{a} {:?} {stats:?}", catalog.table_len(a)));
+            for b in &names {
+                out.push(format!("{a} x {b} {:?}", catalog.primary_estimate(a, b)));
+            }
+        }
+        out
+    }
+
+    type Loaded = Result<(Vec<String>, Vec<String>), (i32, String)>;
+
+    /// `serve`'s start-up over `paths` at `par`: the catalog's snapshot
+    /// and the warnings, or the error's code and message.
+    fn start(paths: &[String], stats_dir: &str, par: Parallelism) -> Loaded {
+        let mut catalog = Catalog::with_level(4);
+        let mut warnings = Vec::new();
+        load_tables(
+            &mut catalog,
+            paths
+                .iter()
+                .map(|p| (p.as_str(), table_name_for(p)))
+                .collect(),
+            ValidationPolicy::Repair,
+            SavedStatistics {
+                dir: Some(Path::new(stats_dir)),
+                defer_to_base: true,
+            },
+            par,
+            &mut warnings,
+        )
+        .map_err(|e| (e.code, e.message))?;
+        Ok((snapshot(&catalog), warnings))
+    }
+
+    fn write_csv(path: &str, ds: &Dataset, tail: &str) {
+        let mut f = std::fs::File::create(path).unwrap();
+        ds.write_csv(&mut f).unwrap();
+        f.write_all(tail.as_bytes()).unwrap();
+    }
+
+    #[test]
+    fn startup_is_the_same_at_every_thread_count() {
+        let scratch = Scratch::new("startup_is_the_same_at_every_thread_count");
+        let stats = scratch.file("stats");
+        std::fs::create_dir_all(scratch.file("other")).unwrap();
+        std::fs::create_dir_all(&stats).unwrap();
+        // The first table is the slowest to load and build, so at two or
+        // more threads the later ones finish before it.
+        let big = sj_core::presets::ts(0.1);
+        let small = sj_core::presets::sura(0.01);
+        let repaired = scratch.file("repaired.csv");
+        write_csv(&repaired, &big, "0.9,0.2,0.8,0.3\n");
+        let bin = scratch.file("binary.bin");
+        small.save_bin(Path::new(&bin)).unwrap();
+        let saved = scratch.file("saved.csv");
+        write_csv(&saved, &small, "");
+        let mut builder = Catalog::with_level(4);
+        builder
+            .register(Dataset::new("saved", small.extent, small.rects.clone()))
+            .unwrap();
+        builder.save_statistics(Path::new(&stats)).unwrap();
+        let unusable = scratch.file("unusable.csv");
+        write_csv(&unusable, &small, "");
+        std::fs::write(format!("{stats}/unusable.hist"), b"not statistics").unwrap();
+        let deferred = scratch.file("deferred.csv");
+        write_csv(&deferred, &small, "");
+        std::fs::write(format!("{stats}/deferred.base"), b"").unwrap();
+        let same_stem = scratch.file("other/repaired.csv");
+        write_csv(&same_stem, &small, "");
+        // Two bad files: one that fails at its last line, late, and one
+        // that fails at once.
+        let bad_late = scratch.file("bad_late.csv");
+        write_csv(&bad_late, &big, "0.1,0.1,oops,0.2\n");
+        let bad_early = scratch.file("bad_early.csv");
+        std::fs::write(&bad_early, "0.1,0.1\n").unwrap();
+
+        let good = [&repaired, &bin, &saved, &unusable, &deferred];
+        let with = |before: &[&String], after: &[&String]| -> Vec<String> {
+            before
+                .iter()
+                .chain(&good)
+                .chain(after)
+                .map(|p| (*p).clone())
+                .collect()
+        };
+        let cases = [
+            with(&[], &[]),
+            with(&[], &[&same_stem]),
+            with(&[], &[&same_stem, &bad_early]),
+            with(&[&bad_late, &bad_early], &[]),
+            with(&[&bad_late], &[&bad_early]),
+        ];
+        for paths in &cases {
+            let serial = start(paths, &stats, Parallelism::serial());
+            for threads in [2, 3, 8] {
+                let par = Parallelism::saturating_new(threads);
+                assert_eq!(
+                    start(paths, &stats, par),
+                    serial,
+                    "{threads} threads over {paths:?}"
+                );
+            }
+        }
+
+        // The serial oracle itself: tables, warnings and errors as the
+        // inputs ask.
+        let (tables, warnings) = start(&cases[0], &stats, Parallelism::serial()).unwrap();
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert!(warnings[0].contains("1 record(s) repaired"), "{warnings:?}");
+        assert!(
+            warnings[1].contains("unusable for table \"unusable\""),
+            "{warnings:?}"
+        );
+        let table = |name: &str| tables.iter().find(|t| t.starts_with(name)).unwrap();
+        assert!(table("deferred Ok(").contains("deferred to the statistics store"));
+        assert!(table("saved Ok(").contains(") Ok("));
+        let first_error = |paths| start(paths, &stats, Parallelism::serial()).unwrap_err();
+        let (code, message) = first_error(&cases[2]);
+        assert_eq!(code, exit_code::RUNTIME, "{message}");
+        assert!(message.contains("repaired"), "{message}");
+        let (code, message) = first_error(&cases[3]);
+        assert_eq!(code, exit_code::INVALID_DATA, "{message}");
+        assert!(message.contains("bad_late.csv"), "{message}");
     }
 }

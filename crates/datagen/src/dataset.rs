@@ -27,6 +27,32 @@ fn parse_csv_fields(lineno: usize, line: &str) -> Result<(f64, f64, f64, f64), D
     Ok((vals[0], vals[1], vals[2], vals[3]))
 }
 
+/// Calls `f(lineno, line)` for every non-blank line of `r`, reading
+/// into one reused buffer. Line numbers are 1-based and count blank
+/// lines; a trailing `\n` or `\r\n` is stripped, as
+/// [`BufRead::lines`] does, and a line that is not UTF-8 fails with its
+/// error.
+fn for_each_line<R: BufRead, E: From<io::Error>>(
+    mut r: R,
+    mut f: impl FnMut(usize, &str) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut buf = String::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if r.read_line(&mut buf)? == 0 {
+            return Ok(());
+        }
+        lineno += 1;
+        let line = buf
+            .strip_suffix('\n')
+            .map_or(buf.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
+        if !line.trim().is_empty() {
+            f(lineno, line)?;
+        }
+    }
+}
+
 /// A named collection of MBRs living in an extent.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -140,13 +166,8 @@ impl Dataset {
     /// Returns `InvalidData` on malformed lines and propagates I/O errors.
     pub fn read_csv<R: BufRead>(name: impl Into<String>, r: R) -> io::Result<Self> {
         let mut rects = Vec::new();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let lineno = i + 1;
-            let (xlo, ylo, xhi, yhi) = parse_csv_fields(lineno, &line).map_err(io::Error::from)?;
+        for_each_line(r, |lineno, line| {
+            let (xlo, ylo, xhi, yhi) = parse_csv_fields(lineno, line).map_err(io::Error::from)?;
             for (field, v) in CSV_FIELDS.iter().zip([xlo, ylo, xhi, yhi]) {
                 if !v.is_finite() {
                     return Err(io::Error::new(
@@ -156,7 +177,8 @@ impl Dataset {
                 }
             }
             rects.push(Rect::new(xlo, ylo, xhi, yhi));
-        }
+            Ok(())
+        })?;
         let extent = Extent::of_rects(&rects).unwrap_or_else(Extent::unit);
         Ok(Self::new(name, extent, rects))
     }
@@ -180,13 +202,8 @@ impl Dataset {
     ) -> Result<(Self, ValidationReport), DatasetError> {
         let mut rects = Vec::new();
         let mut report = ValidationReport::default();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let lineno = i + 1;
-            let raw = parse_csv_fields(lineno, &line)?;
+        for_each_line(r, |lineno, line| {
+            let raw = parse_csv_fields(lineno, line)?;
             report.checked += 1;
             match apply_policy(policy, raw, extent.as_ref()) {
                 Ok(Validated::Accepted(rect)) => {
@@ -205,7 +222,8 @@ impl Dataset {
                     })
                 }
             }
-        }
+            Ok(())
+        })?;
         if rects.is_empty() {
             return Err(DatasetError::Empty);
         }
@@ -307,6 +325,63 @@ mod tests {
         ds.write_csv(&mut buf).unwrap();
         let back = Dataset::read_csv("sample", &buf[..]).unwrap();
         assert_eq!(back.rects, ds.rects);
+    }
+
+    /// `read_csv_validated` under `Repair`, as `(rects, checked)`.
+    fn read_repaired(input: &[u8]) -> Result<(Vec<Rect>, usize), DatasetError> {
+        Dataset::read_csv_validated("x", input, ValidationPolicy::Repair, None)
+            .map(|(ds, report)| (ds.rects, report.checked))
+    }
+
+    #[test]
+    fn csv_line_endings_and_blank_lines() {
+        let want = vec![
+            Rect::new(0.0, 0.0, 0.5, 0.5),
+            Rect::new(0.25, 0.5, 1.0, 1.0),
+        ];
+        for input in [
+            "0,0,0.5,0.5\n0.25,0.5,1,1\n",
+            "0,0,0.5,0.5\r\n0.25,0.5,1,1\r\n",
+            "0,0,0.5,0.5\n0.25,0.5,1,1",
+            "0,0,0.5,0.5\r\n0.25,0.5,1,1\r",
+            "\n0,0,0.5,0.5\n   \n\r\n0.25,0.5,1,1\n\n",
+        ] {
+            let plain = Dataset::read_csv("x", input.as_bytes()).unwrap();
+            assert_eq!(plain.rects, want, "{input:?}");
+            assert_eq!(read_repaired(input.as_bytes()).unwrap(), (want.clone(), 2));
+        }
+        // Blank lines keep their numbers: the bad record is line 4.
+        let input = "0,0,1,1\n\n  \r\n0,0,oops,1\r\n";
+        let err = Dataset::read_csv("x", input.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 4, field xhi"), "{err}");
+        match read_repaired(input.as_bytes()).unwrap_err() {
+            DatasetError::Parse { line: 4, field, .. } => assert_eq!(field, "xhi"),
+            other => panic!("expected a parse error at line 4, got {other}"),
+        }
+        // Only blank lines: nothing read, which the validated reader rejects.
+        assert!(Dataset::read_csv("x", "\n\r\n \n".as_bytes())
+            .unwrap()
+            .is_empty());
+        assert!(matches!(
+            read_repaired(b"\n\r\n \n"),
+            Err(DatasetError::Empty)
+        ));
+    }
+
+    #[test]
+    fn csv_non_utf8_line_is_the_readers_error() {
+        let input: &[u8] = b"0,0,1,1\n0,0,\xff,1\n";
+        let reference = input.lines().nth(1).unwrap().unwrap_err();
+        let err = Dataset::read_csv("x", input).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), reference.to_string());
+        match read_repaired(input).unwrap_err() {
+            DatasetError::Io(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(e.to_string(), reference.to_string());
+            }
+            other => panic!("expected the reader's I/O error, got {other}"),
+        }
     }
 
     #[test]

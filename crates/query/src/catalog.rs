@@ -100,6 +100,26 @@ impl Table {
     }
 }
 
+/// A table built but not yet registered: the build step of
+/// registration, split from the insert so independent tables can build
+/// on separate threads against a shared catalog (DESIGN.md §6a).
+///
+/// Produced under a shared borrow by [`Catalog::prepare_table`] and its
+/// siblings; [`Catalog::insert_prepared`] is the exclusive step that
+/// adds it.
+pub struct PreparedTable {
+    dataset: Dataset,
+    stats: StatsState,
+}
+
+impl PreparedTable {
+    /// The name the table will register under.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.dataset.name
+    }
+}
+
 /// One memoized primary-tier answer, and for the view families the
 /// per-word partials it was summed from (`None` for Euler).
 struct MemoEntry {
@@ -253,16 +273,60 @@ impl Catalog {
     }
 
     /// Registers a dataset under its own name, building its histogram
-    /// file.
+    /// file: [`Catalog::prepare_table`] then [`Catalog::insert_prepared`].
     ///
     /// # Errors
     /// Returns [`QueryError::DuplicateTable`] if the name is taken.
     pub fn register(&mut self, dataset: Dataset) -> Result<(), QueryError> {
-        if self.tables.contains_key(&dataset.name) {
-            return Err(QueryError::DuplicateTable(dataset.name.clone()));
-        }
+        self.ensure_unregistered(&dataset.name)?;
+        let prepared = self.prepare_table(dataset);
+        self.insert_prepared(prepared)
+    }
+
+    /// The build step of [`Catalog::register`]: the configured histogram
+    /// of `dataset` and its resident kernel view. Reads only the
+    /// catalog's configuration, so tables can prepare concurrently.
+    #[must_use]
+    pub fn prepare_table(&self, dataset: Dataset) -> PreparedTable {
         let histogram = build_histogram(self.config.kind, self.grid, &dataset.rects);
-        self.insert_table(dataset, StatsState::ready_from(histogram));
+        PreparedTable {
+            dataset,
+            stats: StatsState::ready_from(histogram),
+        }
+    }
+
+    /// The insert step of registration: adds a prepared table in the
+    /// next memo slot, its row and column empty.
+    ///
+    /// # Errors
+    /// [`QueryError::DuplicateTable`] if the name is taken;
+    /// [`QueryError::Histogram`] when the table was prepared by a
+    /// catalog of another histogram family or grid.
+    pub fn insert_prepared(&mut self, table: PreparedTable) -> Result<(), QueryError> {
+        self.ensure_unregistered(&table.dataset.name)?;
+        if let StatsState::Ready(stats) = &table.stats {
+            self.check_family(stats.histogram())?;
+        }
+        let PreparedTable { dataset, stats } = table;
+        let slot = self.tables.len();
+        self.memo.grow();
+        self.tables.insert(
+            dataset.name.clone(),
+            Table {
+                dataset,
+                stats,
+                slot,
+                rtree: OnceLock::new(),
+                delete_index: OnceLock::new(),
+            },
+        );
+        Ok(())
+    }
+
+    fn ensure_unregistered(&self, name: &str) -> Result<(), QueryError> {
+        if self.tables.contains_key(name) {
+            return Err(QueryError::DuplicateTable(name.to_string()));
+        }
         Ok(())
     }
 
@@ -568,24 +632,6 @@ impl Catalog {
             .ok_or_else(|| QueryError::UnknownTable(name.to_string()))
     }
 
-    /// Registers `dataset` under its name with the given statistics, in
-    /// the next memo slot: its row and column start empty. Callers have
-    /// already rejected a duplicate name.
-    fn insert_table(&mut self, dataset: Dataset, stats: StatsState) {
-        let slot = self.tables.len();
-        self.memo.grow();
-        self.tables.insert(
-            dataset.name.clone(),
-            Table {
-                dataset,
-                stats,
-                slot,
-                rtree: OnceLock::new(),
-                delete_index: OnceLock::new(),
-            },
-        );
-    }
-
     /// Write access that replaces a registered table's statistics
     /// wholesale. It first empties the table's row and column of the
     /// pair memo — every answer that read the statistics about to
@@ -664,6 +710,55 @@ mod tests {
             c.register(tiny("a", vec![])),
             Err(QueryError::DuplicateTable(_))
         ));
+    }
+
+    #[test]
+    fn prepared_tables_insert_as_registered() {
+        let a = || tiny("a", vec![Rect::new(0.1, 0.1, 0.4, 0.2)]);
+        let b = || tiny("b", vec![Rect::new(0.15, 0.15, 0.3, 0.3)]);
+        let mut registered = Catalog::with_level(3);
+        registered.register(a()).unwrap();
+        registered.register(b()).unwrap();
+        // Prepared on two threads against one shared catalog, inserted
+        // in the other order.
+        let mut c = Catalog::with_level(3);
+        let (pa, pb) = std::thread::scope(|s| {
+            let shared = &c;
+            let pa = s.spawn(move || shared.prepare_table(a()));
+            let pb = s.spawn(move || shared.prepare_table(b()));
+            (pa.join().unwrap(), pb.join().unwrap())
+        });
+        assert_eq!(pa.name(), "a");
+        c.insert_prepared(pb).unwrap();
+        c.insert_prepared(pa).unwrap();
+        for (x, y) in [("a", "b"), ("b", "a"), ("a", "a")] {
+            assert_eq!(
+                c.primary_estimate(x, y).unwrap(),
+                registered.primary_estimate(x, y).unwrap()
+            );
+        }
+        assert!(matches!(
+            c.insert_prepared(c.prepare_table(a())),
+            Err(QueryError::DuplicateTable(_))
+        ));
+        // A table prepared for another grid or family is refused.
+        let finer = Catalog::with_level(4).prepare_table(tiny("f", vec![]));
+        assert!(matches!(
+            c.insert_prepared(finer),
+            Err(QueryError::Histogram(
+                sj_histogram::HistogramError::GridMismatch { .. }
+            ))
+        ));
+        let ph = Catalog::with_kind(HistogramKind::Ph, 3).prepare_table(tiny("p", vec![]));
+        assert!(matches!(
+            c.insert_prepared(ph),
+            Err(QueryError::Histogram(
+                sj_histogram::HistogramError::KindMismatch { .. }
+            ))
+        ));
+        c.insert_prepared(Catalog::prepare_deferred(tiny("d", vec![])))
+            .unwrap();
+        assert_eq!(c.table_names(), vec!["a", "b", "d"]);
     }
 
     #[test]
@@ -759,12 +854,12 @@ impl Catalog {
         dataset: Dataset,
         stats_file: &[u8],
     ) -> Result<(), QueryError> {
-        if self.tables.contains_key(&dataset.name) {
-            return Err(QueryError::DuplicateTable(dataset.name.clone()));
-        }
+        self.ensure_unregistered(&dataset.name)?;
         let histogram = self.decode_statistics(dataset.len(), stats_file)?;
-        self.insert_table(dataset, StatsState::ready_from(histogram));
-        Ok(())
+        self.insert_prepared(PreparedTable {
+            dataset,
+            stats: StatsState::ready_from(histogram),
+        })
     }
 
     /// Like [`Catalog::register_with_statistics`], but unusable
@@ -782,9 +877,20 @@ impl Catalog {
         dataset: Dataset,
         stats_file: &[u8],
     ) -> Result<Option<String>, QueryError> {
-        if self.tables.contains_key(&dataset.name) {
-            return Err(QueryError::DuplicateTable(dataset.name.clone()));
-        }
+        let (prepared, reason) = self.prepare_with_statistics_lenient(dataset, stats_file);
+        self.insert_prepared(prepared)?;
+        Ok(reason)
+    }
+
+    /// The build step of [`Catalog::register_with_statistics_lenient`]:
+    /// decodes and checks the saved statistics, and returns the reason
+    /// they are unusable, if they are, beside the prepared table.
+    #[must_use]
+    pub fn prepare_with_statistics_lenient(
+        &self,
+        dataset: Dataset,
+        stats_file: &[u8],
+    ) -> (PreparedTable, Option<String>) {
         let (stats, reason) = match self.decode_statistics(dataset.len(), stats_file) {
             Ok(h) => (StatsState::ready_from(h), None),
             Err(e) => {
@@ -797,8 +903,7 @@ impl Catalog {
                 )
             }
         };
-        self.insert_table(dataset, stats);
-        Ok(reason)
+        (PreparedTable { dataset, stats }, reason)
     }
 
     /// Registers a dataset *without* building statistics: the table is
@@ -810,16 +915,19 @@ impl Catalog {
     /// # Errors
     /// Returns [`QueryError::DuplicateTable`] if the name is taken.
     pub fn register_deferred(&mut self, dataset: Dataset) -> Result<(), QueryError> {
-        if self.tables.contains_key(&dataset.name) {
-            return Err(QueryError::DuplicateTable(dataset.name.clone()));
-        }
+        self.insert_prepared(Self::prepare_deferred(dataset))
+    }
+
+    /// The build step of [`Catalog::register_deferred`]: nothing is
+    /// built, so it needs no catalog.
+    #[must_use]
+    pub fn prepare_deferred(dataset: Dataset) -> PreparedTable {
         let stats = StatsState::Unavailable {
             reason: "statistics deferred to the statistics store \
                      (compaction snapshot not installed)"
                 .to_string(),
         };
-        self.insert_table(dataset, stats);
-        Ok(())
+        PreparedTable { dataset, stats }
     }
 
     /// Decodes and cross-checks a statistics file against this catalog's
@@ -831,23 +939,7 @@ impl Catalog {
         stats_file: &[u8],
     ) -> Result<Box<dyn SpatialHistogram>, QueryError> {
         let histogram = load_histogram(stats_file)?;
-        if histogram.kind() != self.config.kind {
-            return Err(QueryError::Histogram(
-                sj_histogram::HistogramError::KindMismatch {
-                    left: histogram.kind(),
-                    right: self.config.kind,
-                },
-            ));
-        }
-        let expected_grid = self.grid;
-        if !histogram.grid().compatible(&expected_grid) {
-            return Err(QueryError::Histogram(
-                sj_histogram::HistogramError::GridMismatch {
-                    left_level: histogram.grid().level(),
-                    right_level: expected_grid.level(),
-                },
-            ));
-        }
+        self.check_family(histogram.as_ref())?;
         if histogram.dataset_len() != expected_len {
             return Err(QueryError::Histogram(
                 sj_histogram::HistogramError::corrupt(
@@ -860,6 +952,27 @@ impl Catalog {
             ));
         }
         Ok(histogram)
+    }
+
+    /// Rejects statistics of another family or grid than this catalog's.
+    fn check_family(&self, histogram: &dyn SpatialHistogram) -> Result<(), QueryError> {
+        if histogram.kind() != self.config.kind {
+            return Err(QueryError::Histogram(
+                sj_histogram::HistogramError::KindMismatch {
+                    left: histogram.kind(),
+                    right: self.config.kind,
+                },
+            ));
+        }
+        if !histogram.grid().compatible(&self.grid) {
+            return Err(QueryError::Histogram(
+                sj_histogram::HistogramError::GridMismatch {
+                    left_level: histogram.grid().level(),
+                    right_level: self.grid.level(),
+                },
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -48,7 +48,7 @@ mod exec;
 mod plan;
 mod store;
 
-pub use catalog::{Catalog, CatalogConfig};
+pub use catalog::{Catalog, CatalogConfig, PreparedTable};
 pub use degrade::{DegradationPolicy, EstimateOutcome, EstimateTier, SkippedTier};
 pub use error::QueryError;
 pub use store::{
