@@ -1,13 +1,17 @@
 //! The mutation path's in-process cost on a paper-scale table: the
 //! prepare and commit phases of a 32-rectangle delete and insert on TS
-//! (194,971 rows) in a GH level-7 catalog, and a delete's cold first
-//! prepare, which builds the table's delete index (DESIGN.md §13.2).
+//! (194,971 rows) in a GH level-7 catalog, a delete's cold first
+//! prepare, which builds the table's delete index (DESIGN.md §13.2),
+//! and the encode of a compaction's `<table>.base` file (§13.3).
 //!
 //! Reading the rows: `prepare/delete_32` is a delete's resolution
 //! against the built index; `first_prepare/delete_32` minus it is the
 //! index build; `commit/insert_32` minus `commit/insert_32_unindexed`
-//! is the index upkeep an insert pays. `--test` runs every benchmark
-//! once on TS at scale 0.01.
+//! is the index upkeep an insert pays. `compaction/plan` encodes the
+//! file after a 32-rectangle insert, so it hashes only those rows past
+//! the cached prefix; `compaction/plan_cold` follows a delete of row 0,
+//! which drops the prefix, so it hashes every row. `--test` runs every
+//! benchmark once on TS at scale 0.01.
 
 #![expect(
     missing_docs,
@@ -19,7 +23,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sj_core::presets;
 use sj_datagen::Dataset;
 use sj_geo::Rect;
-use sj_query::{Catalog, MutationId, PreparedDelta, PreparedOutcome};
+use sj_query::{Catalog, CompactionPolicy, MutationId, PreparedDelta, PreparedOutcome};
 use std::cell::{Cell, RefCell};
 use std::hint::black_box;
 
@@ -129,7 +133,51 @@ fn bench_delete_resolution(c: &mut Criterion) {
             BatchSize::PerIteration,
         );
     });
+
+    // A compaction needs a statistics directory; the timed plan only
+    // encodes, and every file the setups write is removed at the end.
+    // The policy never compacts on its own, so each setup decides what
+    // the plan finds cached.
+    let dir = std::env::temp_dir().join(format!("sj-bench-compaction-{}", std::process::id()));
+    let store = RefCell::new(catalog(&ts));
+    let policy = CompactionPolicy {
+        max_tiers: usize::MAX,
+    };
+    store
+        .borrow_mut()
+        .open_stats_store(&dir, policy)
+        .expect("opening the statistics store");
+    let plan = |cat: &Catalog| cat.plan_compaction("TS").expect("planning").is_some();
+    undo.set(false);
+    g.bench_function("compaction/plan", |b| {
+        b.iter_batched(
+            || {
+                let mut cat = store.borrow_mut();
+                if undo.replace(true) {
+                    cat.apply_delta("TS", &[], &fresh).expect("undo");
+                }
+                cat.compact("TS").expect("compacting");
+                cat.apply_delta("TS", &fresh, &[]).expect("insert");
+            },
+            |()| black_box(plan(&store.borrow())),
+            BatchSize::PerIteration,
+        );
+    });
+    g.bench_function("compaction/plan_cold", |b| {
+        b.iter_batched(
+            || {
+                let mut cat = store.borrow_mut();
+                cat.compact("TS").expect("compacting");
+                let first = cat.dataset("TS").expect("TS").rects[0];
+                cat.apply_delta("TS", &[], &[first]).expect("delete row 0");
+                cat.apply_delta("TS", &[first], &[]).expect("re-insert it");
+            },
+            |()| black_box(plan(&store.borrow())),
+            BatchSize::PerIteration,
+        );
+    });
     g.finish();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 criterion_group!(benches, bench_delete_resolution);

@@ -26,6 +26,12 @@
 //! `crc32_combine`. The lanes therefore give the bytewise loop's
 //! checksum bit for bit, at every length and alignment (the tests check
 //! both).
+//!
+//! The same identity is public as two functions: [`resume`] continues a
+//! raw register over more input, and [`shift`] advances one over zero
+//! bytes. A caller that keeps the register of bytes that have not
+//! changed since it last hashed them (the row section of a compacted
+//! `<table>.base`, DESIGN.md §13.3) hashes only the bytes that did.
 
 /// Reflected CRC32 polynomial (IEEE 802.3 / zlib / PNG).
 const POLY: u32 = 0xEDB8_8320;
@@ -176,15 +182,33 @@ fn laned(crc: u32, data: &[u8]) -> u32 {
 
 /// CRC32 checksum of `data` (init `0xFFFF_FFFF`, final XOR, reflected).
 /// Inputs longer than 64 KiB fold in three lanes; the checksum
-/// is the same either way.
+/// is the same either way. `!crc32(a)` is the raw register after `a`,
+/// which [`resume`] continues.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    let init = 0xFFFF_FFFFu32;
+    !resume(0xFFFF_FFFF, data)
+}
+
+/// The raw register (no final XOR) after `data`, continuing from
+/// `register`: `!resume(!crc32(a), b)` is `crc32` of `a ‖ b`, and
+/// `resume(0, b)` is the register of `b` alone, which [`shift`] joins
+/// to the register before it.
+#[must_use]
+pub fn resume(register: u32, data: &[u8]) -> u32 {
     if data.len() > LANE_FLOOR {
-        !laned(init, data)
+        laned(register, data)
     } else {
-        !sliced(init, data)
+        sliced(register, data)
     }
+}
+
+/// `register` advanced over `n` zero bytes. The register after `a ‖ b`
+/// is `shift(register after a, |b|) ^ resume(0, b)` (module docs), so a
+/// cached register of `b` joins whatever comes before it without
+/// rehashing `b`.
+#[must_use]
+pub fn shift(register: u32, n: usize) -> u32 {
+    multmodp(zero_bytes_operator(n), register)
 }
 
 #[cfg(test)]
@@ -327,7 +351,64 @@ mod tests {
                 for _ in 0..n {
                     want = (want >> 8) ^ lookup(0, want);
                 }
-                assert_eq!(multmodp(zero_bytes_operator(n), start), want, "n {n}");
+                assert_eq!(shift(start, n), want, "n {n}");
+            }
+        }
+    }
+
+    /// `a ‖ b` two ways from its parts: `resume` continuing the
+    /// register of `a` over `b`, and `shift` joining the register of
+    /// `b` alone to it. Both must give `crc32` of the whole.
+    fn assert_split_composes(data: &[u8], at: usize, want: u32) {
+        let (a, b) = data.split_at(at);
+        let head = !crc32(a);
+        assert_eq!(
+            !resume(head, b),
+            want,
+            "resume, len {}, split {at}",
+            data.len()
+        );
+        let joined = shift(head, b.len()) ^ resume(0, b);
+        assert_eq!(!joined, want, "shift, len {}, split {at}", data.len());
+    }
+
+    /// Every split of every length up to a few words past three lanes
+    /// of a short input composes exactly.
+    #[test]
+    fn every_split_of_short_inputs_composes() {
+        let data = xorshift_bytes(200);
+        let want = bytewise_prefixes(&data);
+        for len in 0..=data.len() {
+            for at in 0..=len {
+                assert_split_composes(&data[..len], at, want[len]);
+            }
+        }
+    }
+
+    /// Splits whose parts sit on either side of the lane floor and of
+    /// the three-lane cut of the whole or of either part: wherever
+    /// `resume` switches between one chain and three, the parts still
+    /// compose to the whole.
+    #[test]
+    fn splits_around_the_lane_floor_and_cut_compose() {
+        for len in [LANE_FLOOR + 1, 2 * LANE_FLOOR + 33, 3 * LANE_FLOOR + 64] {
+            let data = xorshift_bytes(len);
+            let want = crc32(&data);
+            assert_eq!(want, bytewise(&data), "len {len}");
+            let cut = len / 24 * 8;
+            let mut points = vec![0, len];
+            for centre in [
+                LANE_FLOOR,
+                len - LANE_FLOOR,
+                cut,
+                2 * cut,
+                3 * cut,
+                len - cut,
+            ] {
+                points.extend(centre.saturating_sub(9)..=(centre + 9).min(len));
+            }
+            for at in points {
+                assert_split_composes(&data, at, want);
             }
         }
     }

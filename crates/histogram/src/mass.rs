@@ -114,7 +114,12 @@ impl Mass {
 
     /// Serializes as 16 little-endian bytes.
     pub(crate) fn put_le(self, buf: &mut impl BufMut) {
-        buf.put_slice(&self.0.to_le_bytes());
+        buf.put_slice(&self.to_le_bytes());
+    }
+
+    /// The 16 little-endian bytes [`Self::put_le`] writes.
+    pub(crate) fn to_le_bytes(self) -> [u8; 16] {
+        self.0.to_le_bytes()
     }
 
     /// Reads 16 little-endian bytes written by [`Self::put_le`].

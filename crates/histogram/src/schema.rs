@@ -440,7 +440,8 @@ pub(crate) fn to_bytes<H: Family>(h: &H) -> Bytes {
 
 /// Appends a family's `.hist` payload to `out`: the header, the
 /// scalars, then every declared array in file order, each entry one
-/// fixed-width little-endian chunk.
+/// fixed-width little-endian chunk, filled in place into space the
+/// column takes up front.
 pub(crate) fn encode_into<H: Family>(h: &H, out: &mut Vec<u8>) {
     let grid = h.grid();
     out.reserve(H::SCHEMA.size_bytes(&grid));
@@ -455,17 +456,20 @@ pub(crate) fn encode_into<H: Family>(h: &H, out: &mut Vec<u8>) {
     }
     for column in h.columns() {
         match column {
-            Column::Count(values) => {
-                for v in values {
-                    out.put_u32_le(*v);
-                }
-            }
-            Column::Mass(values) => {
-                for v in values {
-                    v.put_le(out);
-                }
-            }
+            Column::Count(values) => put_chunks(out, values, |v| v.to_le_bytes()),
+            Column::Mass(values) => put_chunks(out, values, Mass::to_le_bytes),
         }
+    }
+}
+
+/// Appends one `N`-byte chunk per value: the space is taken in one
+/// step, then each chunk is written into it.
+fn put_chunks<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], le: impl Fn(T) -> [u8; N]) {
+    let start = out.len();
+    out.resize(start + values.len() * N, 0);
+    let (chunks, _) = out[start..].as_chunks_mut::<N>();
+    for (dst, &v) in chunks.iter_mut().zip(values) {
+        *dst = le(v);
     }
 }
 

@@ -69,8 +69,12 @@
 //!
 //! The first CRC32 covers the snapshot section before it; the envelope
 //! after it carries its own length frame and CRC trailer, checked when
-//! it is decoded, so each byte is hashed once on write and once on
-//! read. `next_seq` is the first WAL sequence number *not* folded into
+//! it is decoded. A read hashes each byte once. A write hashes the
+//! header, the ID section, the envelope and only the rows appended
+//! since the table's previous compaction: each table keeps the CRC32
+//! register of the rows that compaction encoded, and joins it to the
+//! header's register instead of rehashing them (DESIGN.md §13.3).
+//! `next_seq` is the first WAL sequence number *not* folded into
 //! the envelope. The ID section persists the mutation-ID dedup ring:
 //! compaction deletes the WAL, so without it a retry that straddles a
 //! compaction would lose its duplicate guard. As with the WAL, one
@@ -92,6 +96,7 @@ use sj_histogram::{
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Magic prefix of every WAL record.
@@ -468,9 +473,32 @@ struct TableStore {
     /// oldest first, with a set index for O(log n) duplicate checks.
     recent_ids: VecDeque<MutationId>,
     id_index: BTreeSet<MutationId>,
+    /// The checksummed prefix of the table's rows (DESIGN.md §13.3): a
+    /// row count `k` in the high half and, in the low half, the raw
+    /// CRC32 register, started from zero, of the first `k` rows as a
+    /// `<table>.base` encodes them. Zero is the empty prefix. Set by
+    /// [`Catalog::plan_compaction`], which runs under a shared borrow;
+    /// zeroed when a delete claims a row below `k`.
+    prefix: AtomicU64,
 }
 
 impl TableStore {
+    /// The cached `(k, register)` pair.
+    fn cached_prefix(&self) -> (usize, u32) {
+        let [r0, r1, r2, r3, k0, k1, k2, k3] = self.prefix.load(Ordering::SeqCst).to_le_bytes();
+        (
+            u32::from_le_bytes([k0, k1, k2, k3]) as usize,
+            u32::from_le_bytes([r0, r1, r2, r3]),
+        )
+    }
+
+    /// Caches the register of the first `rows` rows. The delete index
+    /// caps a table at `u32::MAX` rows; a count past it caches nothing.
+    fn cache_prefix(&self, rows: usize, register: u32) {
+        let packed = u32::try_from(rows).map_or(0, |k| u64::from(k) << 32 | u64::from(register));
+        self.prefix.store(packed, Ordering::SeqCst);
+    }
+
     /// Whether a stamped ID has already been applied.
     fn is_applied(&self, id: MutationId) -> bool {
         id.is_stamped() && self.id_index.contains(&id)
@@ -654,14 +682,22 @@ fn le_u64(data: &[u8], at: usize) -> Option<u64> {
 }
 
 /// `n` rectangles stored from `at` as four little-endian `f64` each, or
-/// `None` if any runs past the end of `data`.
+/// `None` if any runs past the end of `data`. The bytes are checked
+/// once, then each 32-byte chunk decodes into a vector sized up front.
 fn le_rects(data: &[u8], at: usize, n: usize) -> Option<Vec<Rect>> {
-    (0..n)
-        .map(|i| {
-            let coord = |k: usize| le_u64(data, at + i * 32 + k * 8).map(f64::from_bits);
-            Some(Rect::new(coord(0)?, coord(1)?, coord(2)?, coord(3)?))
-        })
-        .collect()
+    let bytes = data.get(at..at.checked_add(n.checked_mul(32)?)?)?;
+    let (chunks, _) = bytes.as_chunks::<32>();
+    Some(chunks.iter().map(rect_from_bytes).collect())
+}
+
+/// The rectangle [`rect_bytes`] encoded.
+fn rect_from_bytes(chunk: &[u8; 32]) -> Rect {
+    let mut coords = [0f64; 4];
+    for (v, c) in coords.iter_mut().zip(chunk.as_chunks::<8>().0) {
+        *v = f64::from_le_bytes(*c);
+    }
+    let [xlo, ylo, xhi, yhi] = coords;
+    Rect::new(xlo, ylo, xhi, yhi)
 }
 
 /// A decoded `<table>.base` file: the exact rectangles the compacted
@@ -678,34 +714,54 @@ struct Snapshot<'a> {
     envelope: &'a [u8],
 }
 
-/// Encodes a `<table>.base` file in one pass into one buffer sized up
-/// front: the snapshot section (each rectangle one 32-byte chunk) and
-/// its CRC32, then the statistics envelope, encoded and checksummed in
-/// place by [`SpatialHistogram::persist_into`].
+/// Encodes a `<table>.base` file into one buffer sized up front: the
+/// snapshot section (each rectangle one 32-byte chunk, filled in place)
+/// and its CRC32, then the statistics envelope, encoded and checksummed
+/// in place by [`SpatialHistogram::persist_into`].
+///
+/// `prefix` is a table's cached `(k, register)` pair: the raw CRC32
+/// register, started from zero, of the first `k` rows, which must not
+/// have changed since it was taken. Only the rows after them are
+/// hashed; their register is shifted past the header's and joined to it
+/// (DESIGN.md §13.3). Returns the file and the register of all rows,
+/// the next call's prefix.
 fn encode_base(
     next_seq: u64,
     rects: &[Rect],
     ids: &[MutationId],
     stats: &dyn SpatialHistogram,
-) -> Vec<u8> {
-    let section = SNAPSHOT_HEADER_LEN + rects.len() * 32 + 4 + ids.len() * 16 + 4;
+    prefix: (usize, u32),
+) -> (Vec<u8>, u32) {
+    let rows_end = SNAPSHOT_HEADER_LEN + rects.len() * 32;
+    let section = rows_end + 4 + ids.len() * 16 + 4;
     let mut buf = Vec::with_capacity(section + stats.persist_len());
     buf.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
     buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     buf.extend_from_slice(&next_seq.to_le_bytes());
     buf.extend_from_slice(&(rects.len() as u64).to_le_bytes());
-    for r in rects {
-        buf.extend_from_slice(&rect_bytes(r));
+    buf.resize(rows_end, 0);
+    let (rows, _) = buf[SNAPSHOT_HEADER_LEN..].as_chunks_mut::<32>();
+    for (dst, r) in rows.iter_mut().zip(rects) {
+        *dst = rect_bytes(r);
     }
+    let (k, register) = if prefix.0 <= rects.len() {
+        prefix
+    } else {
+        (0, 0)
+    };
+    let rows_register = crc::resume(register, &buf[SNAPSHOT_HEADER_LEN + k * 32..]);
+    let header_register = !crc32(&buf[..SNAPSHOT_HEADER_LEN]);
+    let rows_crc = crc::shift(header_register, rects.len() * 32) ^ rows_register;
     buf.extend_from_slice(&(u32::try_from(ids.len()).unwrap_or(u32::MAX)).to_le_bytes());
     for id in ids {
         buf.extend_from_slice(&id.token.to_le_bytes());
         buf.extend_from_slice(&id.seq.to_le_bytes());
     }
-    let crc = crc32(&buf);
+    let crc = !crc::resume(rows_crc, &buf[rows_end..]);
+    debug_assert_eq!(crc, crc32(&buf), "the cached row prefix went stale");
     buf.extend_from_slice(&crc.to_le_bytes());
     stats.persist_into(&mut buf);
-    buf
+    (buf, rows_register)
 }
 
 /// Decodes the snapshot section of a `<table>.base` file and returns
@@ -803,7 +859,7 @@ fn remove_rows(rects: &mut Vec<Rect>, rows: &[usize]) {
 // CRC32 (IEEE, reflected) — the workspace's single shared
 // implementation, the same polynomial and table as the histogram
 // envelopes whose trailers these records sit next to on disk.
-use sj_core::crc::crc32;
+use sj_core::crc::{self, crc32};
 
 impl Catalog {
     /// Attaches a statistics directory and recovers each registered
@@ -941,10 +997,10 @@ impl Catalog {
             table.delete_index = std::sync::OnceLock::new();
         }
         let entry = self.store.table(name);
-        entry.next_seq = next_seq;
-        entry.pending = 0;
-        entry.recent_ids.clear();
-        entry.id_index.clear();
+        *entry = TableStore {
+            next_seq,
+            ..TableStore::default()
+        };
         for id in ids {
             entry.remember(*id);
         }
@@ -1219,6 +1275,14 @@ impl Catalog {
         // failed validation in prepare must stay retryable under the
         // same ID.
         let entry = self.store.table(&name);
+        // A delete below the checksummed prefix moves later rows into
+        // it, so the next compaction hashes every row again.
+        if deleted_rows
+            .first()
+            .is_some_and(|&row| row < entry.cached_prefix().0)
+        {
+            entry.prefix.store(0, Ordering::SeqCst);
+        }
         entry.remember(id);
         entry.next_seq = seq + 1;
         entry.pending += 1;
@@ -1292,11 +1356,9 @@ impl Catalog {
             .tables
             .get(name)
             .ok_or_else(|| QueryError::UnknownTable(name.to_string()))?;
-        let next_seq = self.store.tables.get(name).map_or(0, |t| t.next_seq);
-        let ids: Vec<MutationId> = self
-            .store
-            .tables
-            .get(name)
+        let entry = self.store.tables.get(name);
+        let next_seq = entry.map_or(0, |t| t.next_seq);
+        let ids: Vec<MutationId> = entry
             .map(|t| t.recent_ids.iter().copied().collect())
             .unwrap_or_default();
         let (Some(dir), StatsState::Ready(h)) = (&self.store.dir, table.stats()) else {
@@ -1307,7 +1369,12 @@ impl Catalog {
         // page cache lets a power loss surface a torn target — the one
         // corruption the write-new + rename contract promises readers
         // never see.
-        let bytes = encode_base(next_seq, &table.dataset.rects, &ids, h.histogram());
+        let rects = &table.dataset.rects;
+        let prefix = entry.map_or((0, 0), TableStore::cached_prefix);
+        let (bytes, register) = encode_base(next_seq, rects, &ids, h.histogram(), prefix);
+        if let Some(entry) = entry {
+            entry.cache_prefix(rects.len(), register);
+        }
         Ok(Some(CompactionPlan {
             table: name.to_string(),
             io: Arc::clone(&self.store.io),
@@ -2414,5 +2481,231 @@ mod tests {
         );
         // The lazy index rebuilt over the mutated dataset.
         assert_eq!(c.rtree("a").unwrap().len(), 60);
+    }
+
+    /// The one-pass encoder the cached row prefix replaced: every row
+    /// encoded and the whole snapshot section checksummed cold.
+    fn encode_base_reference(
+        next_seq: u64,
+        rects: &[Rect],
+        ids: &[MutationId],
+        stats: &dyn SpatialHistogram,
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&next_seq.to_le_bytes());
+        buf.extend_from_slice(&(rects.len() as u64).to_le_bytes());
+        for r in rects {
+            buf.extend_from_slice(&rect_bytes(r));
+        }
+        buf.extend_from_slice(&(u32::try_from(ids.len()).unwrap()).to_le_bytes());
+        for id in ids {
+            buf.extend_from_slice(&id.token.to_le_bytes());
+            buf.extend_from_slice(&id.seq.to_le_bytes());
+        }
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        stats.persist_into(&mut buf);
+        buf
+    }
+
+    /// Table `t`'s cached prefix length, 0 before its first batch.
+    fn prefix_rows(c: &Catalog) -> usize {
+        c.store.tables.get("t").map_or(0, |t| t.cached_prefix().0)
+    }
+
+    /// `plan_compaction`'s bytes equal the reference encoder's over the
+    /// same state, and the plan caches every row as the next prefix.
+    fn assert_plan_matches_reference(c: &Catalog, step: usize, what: &str) {
+        let entry = c.store.tables.get("t");
+        let ids: Vec<MutationId> = entry
+            .map(|t| t.recent_ids.iter().copied().collect())
+            .unwrap_or_default();
+        let table = &c.tables["t"];
+        let StatsState::Ready(h) = table.stats() else {
+            panic!("step {step}: table t has no statistics");
+        };
+        let rects = &table.dataset.rects;
+        let next_seq = entry.map_or(0, |t| t.next_seq);
+        let want = encode_base_reference(next_seq, rects, &ids, h.histogram());
+        let plan = c.plan_compaction("t").unwrap().unwrap();
+        let first_diff = plan.bytes.iter().zip(&want).position(|(a, b)| a != b);
+        assert!(
+            plan.bytes == want,
+            "step {step} ({what}): {} bytes against the reference's {}, first difference at {first_diff:?}",
+            plan.bytes.len(),
+            want.len()
+        );
+        if entry.is_some() {
+            assert_eq!(prefix_rows(c), rects.len(), "step {step} ({what})");
+        }
+    }
+
+    /// The cached row prefix equals the cold path (DESIGN.md §13.3): a
+    /// seeded sequence of inserts, tail deletes, deletes below the
+    /// prefix, duplicate-key deletes, rejected `DeleteNotFound` batches,
+    /// deduplicated retries, policy and explicit compactions and reopens
+    /// through `install_base`, after each of which `plan_compaction`'s
+    /// bytes equal the one-pass reference encoder's. Inserts and tail
+    /// deletes must keep the prefix, and a delete below it must drop
+    /// it.
+    #[test]
+    fn cached_prefix_compaction_matches_the_one_pass_encoder() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let dir = temp_dir("prefix_crc");
+        let registered = rects(120, 0.0);
+        let open = || {
+            let mut c = Catalog::with_level(4);
+            c.register(Dataset::new("t", Extent::unit(), registered.clone()))
+                .unwrap();
+            c.open_stats_store(&dir, CompactionPolicy::default())
+                .unwrap();
+            c
+        };
+        let mut rng = StdRng::seed_from_u64(0x5eed_c3c5);
+        let fresh = |rng: &mut StdRng, n: usize| -> Vec<Rect> {
+            (0..n)
+                .map(|_| {
+                    let t = f64::from(rng.random_range(0..4000u32)) / 4500.0;
+                    Rect::new(t, t * 0.5, t + 0.05, t * 0.5 + 0.03)
+                })
+                .collect()
+        };
+        let rows = |c: &Catalog| c.tables["t"].dataset.rects.clone();
+        let mut c = open();
+        assert_plan_matches_reference(&c, 0, "registration");
+        let mut stamp = 0u64;
+        let mut policy_compactions = 0;
+        let mut counts = BTreeMap::new();
+        for step in 1..=400 {
+            let k = prefix_rows(&c);
+            let data = rows(&c);
+            let what = match rng.random_range(0..9u8) {
+                0 => {
+                    // Inserts leave every cached row as it was.
+                    let mut k = k;
+                    for _ in 0..rng.random_range(1..=3u8) {
+                        let n = rng.random_range(1..8usize);
+                        let batch = fresh(&mut rng, n);
+                        let receipt = c.apply_delta("t", &batch, &[]).unwrap();
+                        policy_compactions += usize::from(receipt.compacted);
+                        if receipt.compacted {
+                            k = c.table_len("t").unwrap();
+                        }
+                        assert_eq!(
+                            prefix_rows(&c),
+                            k,
+                            "step {step}: an insert moved the prefix"
+                        );
+                    }
+                    "inserts"
+                }
+                1 => {
+                    // An insert, then a delete of some of its rows that
+                    // no earlier row equals (an ingest's inverse
+                    // delete): every claimed row is past the prefix.
+                    let batch = fresh(&mut rng, 4);
+                    let receipt = c.apply_delta("t", &batch, &[]).unwrap();
+                    policy_compactions += usize::from(receipt.compacted);
+                    let (k, data) = (prefix_rows(&c), rows(&c));
+                    let tail: Vec<Rect> = batch
+                        .into_iter()
+                        .filter(|r| data.iter().position(|d| d == r).is_some_and(|i| i >= k))
+                        .take(rng.random_range(1..4usize))
+                        .collect();
+                    let receipt = c.apply_delta("t", &[], &tail).unwrap();
+                    policy_compactions += usize::from(receipt.compacted);
+                    if !receipt.compacted {
+                        assert_eq!(
+                            prefix_rows(&c),
+                            k,
+                            "step {step}: a tail delete moved the prefix"
+                        );
+                    }
+                    "tail deletes"
+                }
+                2 if k > 0 => {
+                    let below = data[rng.random_range(0..k)];
+                    let receipt = c.apply_delta("t", &fresh(&mut rng, 1), &[below]).unwrap();
+                    policy_compactions += usize::from(receipt.compacted);
+                    if !receipt.compacted {
+                        assert_eq!(
+                            prefix_rows(&c),
+                            0,
+                            "step {step}: a delete below the prefix kept it"
+                        );
+                    }
+                    "delete below the prefix"
+                }
+                3 if k > 0 => {
+                    // Two more copies of a cached row, then a batch
+                    // deleting two rows of that key: the first claims
+                    // the cached original.
+                    let key = data[rng.random_range(0..k)];
+                    c.apply_delta("t", &[key, key], &[]).unwrap();
+                    assert_plan_matches_reference(&c, step, "duplicate-key inserts");
+                    c.apply_delta("t", &[], &[key, key]).unwrap();
+                    "duplicate-key deletes"
+                }
+                4 if k > 0 => {
+                    let below = data[rng.random_range(0..k)];
+                    let absent = Rect::new(0.97, 0.97, 0.98, 0.98);
+                    let err = c.apply_delta("t", &[], &[below, absent]).unwrap_err();
+                    assert!(matches!(err, QueryError::DeleteNotFound { index: 1, .. }));
+                    assert_eq!(
+                        prefix_rows(&c),
+                        k,
+                        "step {step}: a rejected batch moved the prefix"
+                    );
+                    "rejected delete"
+                }
+                5 if k > 0 => {
+                    stamp += 1;
+                    let id = MutationId::new(0x7ab1e, stamp);
+                    let batch = fresh(&mut rng, 2);
+                    let below = [data[rng.random_range(0..k)]];
+                    let first = c.apply_delta_idempotent("t", &batch, &below, id).unwrap();
+                    policy_compactions += usize::from(first.compacted);
+                    let retry = c.apply_delta_idempotent("t", &batch, &below, id).unwrap();
+                    assert!(retry.deduplicated, "step {step}");
+                    "deduplicated retry"
+                }
+                6 => {
+                    c.compact("t").unwrap();
+                    "explicit compaction"
+                }
+                7 => {
+                    drop(c);
+                    c = open();
+                    assert_eq!(
+                        prefix_rows(&c),
+                        0,
+                        "step {step}: install_base kept a prefix"
+                    );
+                    "reopen"
+                }
+                _ => {
+                    let n_del = rng.random_range(0..4usize).min(data.len());
+                    let deletes: Vec<Rect> = (0..n_del)
+                        .map(|_| data[rng.random_range(0..data.len())])
+                        .collect();
+                    match c.apply_delta("t", &fresh(&mut rng, 3), &deletes) {
+                        Ok(receipt) => policy_compactions += usize::from(receipt.compacted),
+                        Err(QueryError::DeleteNotFound { .. }) => {}
+                        Err(e) => panic!("step {step}: {e}"),
+                    }
+                    "mixed batch"
+                }
+            };
+            *counts.entry(what).or_insert(0) += 1;
+            assert_plan_matches_reference(&c, step, what);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            counts.len() == 9 && policy_compactions > 0,
+            "every step kind and a policy compaction must run: {counts:?}, {policy_compactions}"
+        );
     }
 }
