@@ -46,6 +46,8 @@
 //! The logic lives in this library crate so it is unit-testable; the
 //! binary (`src/main.rs`) is a thin wrapper.
 
+#![warn(clippy::indexing_slicing)]
+
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_core::{
     build_histogram_parallel, build_histogram_sharded, load_histogram, parallel_map, presets,

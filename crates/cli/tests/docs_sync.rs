@@ -210,45 +210,6 @@ fn wire_opcode_table_matches_opcode_all() {
 }
 
 #[test]
-fn lint_rule_table_matches_the_rule_registry() {
-    use sj_lint::rules::RuleId;
-    let doc = docs_cli_md();
-    // The `### Rules` table under the sj-lint section: first column is
-    // the rule code in backticks, second the slug in backticks.
-    let start = doc
-        .find("### Rules")
-        .expect("docs/CLI.md lost its sj-lint Rules section");
-    let mut tabled: Vec<(String, String)> = Vec::new();
-    let mut in_table = false;
-    for line in doc[start..].lines().skip(1) {
-        let line = line.trim();
-        if line.starts_with('|') {
-            in_table = true;
-            let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
-            let (Some(code), Some(slug)) = (cells.first(), cells.get(1)) else {
-                continue;
-            };
-            if code.starts_with('`') {
-                tabled.push((
-                    code.trim_matches('`').to_string(),
-                    slug.trim_matches('`').to_string(),
-                ));
-            }
-        } else if in_table {
-            break;
-        }
-    }
-    let actual: Vec<(String, String)> = RuleId::ALL
-        .iter()
-        .map(|r| (r.code().to_string(), r.slug().to_string()))
-        .collect();
-    assert_eq!(
-        tabled, actual,
-        "the docs/CLI.md rule table diverges from sj_lint::rules::RuleId::ALL"
-    );
-}
-
-#[test]
 fn subcommand_table_matches_the_usage_text() {
     let doc = docs_cli_md();
     // The `### Subcommands` table's first column is the subcommand in

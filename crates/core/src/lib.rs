@@ -48,7 +48,7 @@ pub use estimator::{Estimate, EstimationReport, EstimatorKind};
 pub use exact::{ExactBackend, JoinBaseline};
 pub use metrics::{error_pct, ratio_pct};
 pub use parallel::{parallel_map, Parallelism, ParallelismError};
-pub use sync::{LockRank, OrderedMutex, OrderedRwLock};
+pub use sync::{LockRank, OrderedMutex, OrderedRwLock, SeqCstBool, SeqCstU64};
 
 /// The workspace's single CRC32-IEEE implementation (canonical home:
 /// `sj_histogram::crc`, re-exported here so every crate shares one

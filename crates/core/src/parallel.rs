@@ -9,6 +9,8 @@
 //! behind `threads == 1` so results can be equality-checked against the
 //! serial oracle.
 
+#![warn(clippy::exhaustive_enums)]
+
 use crate::sync::{LockRank, OrderedMutex};
 use std::num::NonZeroUsize;
 
@@ -35,6 +37,9 @@ impl std::fmt::Display for ParallelismError {
 }
 
 impl std::error::Error for ParallelismError {}
+
+// Public errors implement `Display` and `Error`; this fails to compile otherwise.
+const _: fn(&ParallelismError) -> &dyn std::error::Error = |e| e;
 
 /// How many OS threads a pipeline stage may use.
 ///

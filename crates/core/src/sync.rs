@@ -24,10 +24,15 @@
 //! guard must never wedge the next acquirer, so `lock()`/`read()`/
 //! `write()` recover poison via [`PoisonError::into_inner`] — the
 //! policy every call site in the workspace already used by hand.
+//!
+//! Atomics go through [`SeqCstBool`] and [`SeqCstU64`], whose every
+//! operation is `SeqCst`: no call site picks a weaker ordering, so none
+//! has to argue that one is sound. `clippy.toml` disallows the
+//! `std::sync::atomic` types everywhere else.
 
 #![expect(
     clippy::disallowed_types,
-    reason = "the ranked wrapper layer itself wraps the std locks, and the tracker's own log mutex cannot be a ranked wrapper without recursing into itself"
+    reason = "this layer wraps the std locks and atomics, and the tracker's own log mutex cannot be a ranked wrapper without recursing into itself"
 )]
 
 #[cfg(debug_assertions)]
@@ -56,9 +61,10 @@ pub enum LockRank {
     /// (in-memory commit only — never I/O).
     Catalog,
     /// The WAL/store file-I/O mutex (`CatalogService::wal_io`):
-    /// serializes appends, fsyncs and compaction rewrites. Deliberately
-    /// *above* `Catalog` so holding the catalog across file I/O is a
-    /// rank inversion the checker sees.
+    /// serializes appends, fsyncs and compaction rewrites. Ranked
+    /// *above* `Catalog`, so a thread holding it cannot take the catalog;
+    /// file I/O under a catalog guard is what `verify-locks`' fsync
+    /// oracle catches.
     WalFile,
     /// The work-distribution queue inside [`crate::parallel_map`].
     /// Ranked above every daemon lock: estimate paths may fan out to
@@ -554,6 +560,55 @@ impl<T> OrderedRwLock<T> {
         self.inner
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// An [`std::sync::atomic::AtomicBool`] whose every operation is `SeqCst`.
+#[derive(Debug)]
+pub struct SeqCstBool(std::sync::atomic::AtomicBool);
+
+impl SeqCstBool {
+    /// A flag holding `value`.
+    #[must_use]
+    pub const fn new(value: bool) -> Self {
+        SeqCstBool(std::sync::atomic::AtomicBool::new(value))
+    }
+
+    /// The current value.
+    pub fn load(&self) -> bool {
+        self.0.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// Replaces the value.
+    pub fn store(&self, value: bool) {
+        self.0.store(value, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+/// An [`std::sync::atomic::AtomicU64`] whose every operation is `SeqCst`.
+#[derive(Debug, Default)]
+pub struct SeqCstU64(std::sync::atomic::AtomicU64);
+
+impl SeqCstU64 {
+    /// A counter holding `value`.
+    #[must_use]
+    pub const fn new(value: u64) -> Self {
+        SeqCstU64(std::sync::atomic::AtomicU64::new(value))
+    }
+
+    /// The current value.
+    pub fn load(&self) -> u64 {
+        self.0.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// Replaces the value.
+    pub fn store(&self, value: u64) {
+        self.0.store(value, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// Adds `delta`, wrapping on overflow, and returns the previous value.
+    pub fn fetch_add(&self, delta: u64) -> u64 {
+        self.0.fetch_add(delta, std::sync::atomic::Ordering::SeqCst)
     }
 }
 

@@ -1,3 +1,5 @@
+#![warn(clippy::indexing_slicing)]
+
 use crate::DatasetError;
 use sj_geo::{apply_policy, Extent, Rect, Validated, ValidationPolicy, ValidationReport};
 use std::io::{self, BufRead, BufWriter, Write};
@@ -12,13 +14,13 @@ const CSV_FIELDS: [&str; 4] = ["xlo", "ylo", "xhi", "yhi"];
 fn parse_csv_fields(lineno: usize, line: &str) -> Result<(f64, f64, f64, f64), DatasetError> {
     let mut parts = line.split(',');
     let mut vals = [0.0f64; 4];
-    for (i, field) in CSV_FIELDS.iter().enumerate() {
+    for (val, field) in vals.iter_mut().zip(&CSV_FIELDS) {
         let raw = parts.next().ok_or_else(|| DatasetError::Parse {
             line: lineno,
             field,
             detail: "missing field (expected 4 comma-separated values)".to_string(),
         })?;
-        vals[i] = raw.trim().parse::<f64>().map_err(|e| DatasetError::Parse {
+        *val = raw.trim().parse::<f64>().map_err(|e| DatasetError::Parse {
             line: lineno,
             field,
             detail: format!("{e} (got {:?})", raw.trim()),
@@ -565,13 +567,14 @@ impl Dataset {
         let count = usize::try_from(count).map_err(|_| bad("count overflows usize"))?;
         let mut payload = Vec::new();
         r.read_to_end(&mut payload)?;
-        if payload.len() != count * 32 {
+        if Some(payload.len()) != count.checked_mul(32) {
             return Err(bad("payload size mismatch"));
         }
         let mut rects = Vec::with_capacity(count);
         for chunk in payload.chunks_exact(32) {
             #[expect(
                 clippy::expect_used,
+                clippy::indexing_slicing,
                 reason = "chunks_exact(32) yields 32-byte chunks and i <= 3, so the 8-byte window is in range"
             )]
             let f = |i: usize| {
@@ -658,6 +661,10 @@ mod bin_format_tests {
         let mut nan_payload = buf.clone();
         nan_payload[13..21].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(Dataset::read_bin("x", &nan_payload[..]).is_err());
+        // A count whose byte size wraps to the empty payload's.
+        let mut wrapping_count = buf[..13].to_vec();
+        wrapping_count[5..13].copy_from_slice(&(1u64 << 59).to_le_bytes());
+        assert!(Dataset::read_bin("x", &wrapping_count[..]).is_err());
     }
 
     #[test]

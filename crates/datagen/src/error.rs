@@ -1,5 +1,7 @@
 //! Typed dataset-ingestion errors with line and field provenance.
 
+#![warn(clippy::exhaustive_enums)]
+
 use sj_geo::RectIssue;
 use std::fmt;
 use std::io;
@@ -58,6 +60,9 @@ impl std::error::Error for DatasetError {
         }
     }
 }
+
+// Public errors implement `Display` and `Error`; this fails to compile otherwise.
+const _: fn(&DatasetError) -> &dyn std::error::Error = |e| e;
 
 impl From<io::Error> for DatasetError {
     fn from(e: io::Error) -> Self {

@@ -211,7 +211,7 @@ const VERIFY_FIELD_SEED: u64 = 0x5652_4659; // "VRFY"
 
 /// `verify-uniform` — uniformly placed rectangles with uniform sides, the
 /// benign scenario of the merge-equivalence verifier. Deterministic:
-/// the same scale always yields the same rectangles (lint rule r1).
+/// the same scale always yields the same rectangles.
 #[must_use]
 pub fn verify_uniform(scale: f64) -> Dataset {
     Generator {

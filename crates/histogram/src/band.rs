@@ -26,6 +26,8 @@
 //! own rows, so a band's touched cells all sort after the previous
 //! band's: the delta build concatenates its bands in row order.
 
+#![warn(clippy::float_arithmetic)]
+
 use crate::grid::Grid;
 use crate::schema::{merge_same_grid, Family, Sink};
 use sj_geo::Rect;

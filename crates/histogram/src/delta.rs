@@ -64,6 +64,8 @@
 //! daemon's WAL and `sjsel apply-delta` both keep a batch as its
 //! rectangles and build the delta from them when it is applied.
 
+#![warn(clippy::float_arithmetic)]
+
 use crate::band::{build_shard_merge, map_row_bands, RowBanded};
 use crate::grid::ix;
 use crate::mass::Mass;
@@ -583,6 +585,10 @@ mod tests {
         Grid::new(level, Extent::unit()).unwrap()
     }
 
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "random test rectangles, not a merge path"
+    )]
     fn uniform(n: usize, seed: u64, side: f64) -> Vec<Rect> {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};

@@ -1,3 +1,5 @@
+#![warn(clippy::exhaustive_enums)]
+
 use std::fmt;
 
 /// Which structural section of a persisted histogram failed to decode.
@@ -6,6 +8,10 @@ use std::fmt;
 /// JSON provenance) can tell an unreadable envelope from a failed
 /// checksum or a malformed family payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed: the four sections are the whole envelope layout a decode walks"
+)]
 pub enum CorruptSection {
     /// The outer envelope: magic, version, kind tag or length framing.
     Envelope,
@@ -141,3 +147,6 @@ impl fmt::Display for HistogramError {
 }
 
 impl std::error::Error for HistogramError {}
+
+// Public errors implement `Display` and `Error`; this fails to compile otherwise.
+const _: fn(&HistogramError) -> &dyn std::error::Error = |e| e;

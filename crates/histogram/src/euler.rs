@@ -158,6 +158,7 @@ impl EulerHistogram {
     }
 }
 
+#[warn(clippy::float_arithmetic)]
 impl RowBanded for EulerHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
         const SCHEMA: &Schema = &EulerHistogram::SCHEMA;

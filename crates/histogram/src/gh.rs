@@ -120,6 +120,7 @@ impl GhBasicHistogram {
     }
 }
 
+#[warn(clippy::float_arithmetic)]
 impl RowBanded for GhBasicHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
         const SCHEMA: &Schema = &GhBasicHistogram::SCHEMA;
@@ -391,6 +392,7 @@ impl GhHistogram {
     }
 }
 
+#[warn(clippy::float_arithmetic)]
 impl RowBanded for GhHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
         const SCHEMA: &Schema = &GhHistogram::SCHEMA;

@@ -53,9 +53,10 @@
 //! The build side is served by the crate-internal `BinGrid`, a
 //! flattened view of the grid geometry (hoisted cell sizes, row-base
 //! flat indices) used by the `bin_*` binning loops that
-//! `build`/`build_parallel` delegate to. Those loops stay under lint
-//! rule r2: they accumulate only integers and `Mass` (quantizing once
-//! via `Mass::from_f64`), which is what keeps shard merges bit-exact.
+//! `build`/`build_parallel` delegate to. Those loops stay under
+//! `clippy::float_arithmetic`: they accumulate only integers and `Mass`
+//! (quantizing once via `Mass::from_f64`), which is what keeps shard
+//! merges bit-exact.
 
 use crate::grid::ix;
 use crate::grid::Grid;
@@ -1213,6 +1214,7 @@ impl BinGrid {
 /// PH `Cont` binning of one fully-contained rect into cell `(col, row)`:
 /// `num`, `cov`, `xsum`, `ysum` are the four arrays' sink positions.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_ph_cont(
     bg: &BinGrid,
     r: &Rect,
@@ -1231,6 +1233,7 @@ pub(crate) fn bin_ph_cont(
 /// cell block `(c0..=c1) × (row_lo..=row_hi)`, into the sink positions
 /// of `num_x`, `cov_x`, `xsum_x`, `ysum_x`.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_ph_isect(
     bg: &BinGrid,
     r: &Rect,
@@ -1260,6 +1263,7 @@ pub(crate) fn bin_ph_isect(
 /// Revised-GH overlap-mass binning of one rect over a banded block into
 /// mass array `o`.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_gh_overlap(
     bg: &BinGrid,
     r: &Rect,
@@ -1282,6 +1286,7 @@ pub(crate) fn bin_gh_overlap(
 
 /// Revised-GH horizontal-edge binning along one row into mass array `h`.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_gh_hedge(
     bg: &BinGrid,
     edge: &HEdge,
@@ -1303,6 +1308,7 @@ pub(crate) fn bin_gh_hedge(
 /// Revised-GH vertical-edge binning along one banded column into mass
 /// array `v`.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_gh_vedge(
     bg: &BinGrid,
     edge: &VEdge,
@@ -1323,6 +1329,7 @@ pub(crate) fn bin_gh_vedge(
 /// Counter binning over a banded block (basic GH `I`) into count array
 /// `out`.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_count_block(
     bg: &BinGrid,
     (c0, c1): (u32, u32),
@@ -1340,6 +1347,7 @@ pub(crate) fn bin_count_block(
 
 /// Counter binning along one row (basic GH `H`) into count array `out`.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_count_row(
     bg: &BinGrid,
     (c0, c1): (u32, u32),
@@ -1356,6 +1364,7 @@ pub(crate) fn bin_count_row(
 /// Counter binning along one banded column (basic GH `V`) into count
 /// array `out`.
 #[inline]
+#[warn(clippy::float_arithmetic)]
 pub(crate) fn bin_count_col(
     bg: &BinGrid,
     col: u32,

@@ -15,6 +15,8 @@
 //! the contributions themselves and every tolerance in the estimator
 //! stack. Pathological magnitudes saturate instead of wrapping.
 
+#![warn(clippy::indexing_slicing)]
+
 use bytes::{Buf, BufMut};
 
 /// Number of fractional bits in the fixed-point representation.
@@ -133,6 +135,7 @@ impl Mass {
     }
 }
 
+#[warn(clippy::float_arithmetic)]
 impl std::ops::AddAssign for Mass {
     fn add_assign(&mut self, rhs: Self) {
         self.0 = self.0.saturating_add(rhs.0);

@@ -231,6 +231,7 @@ impl PhHistogram {
     }
 }
 
+#[warn(clippy::float_arithmetic)]
 impl RowBanded for PhHistogram {
     fn build_rows(grid: Grid, rects: &[Rect], lo: u32, hi: u32, sink: &mut impl Sink) {
         const SCHEMA: &Schema = &PhHistogram::SCHEMA;

@@ -29,6 +29,8 @@
 //!   | arrays in declaration order: u32 per count, 16 bytes per mass
 //! ```
 
+#![warn(clippy::float_arithmetic, clippy::indexing_slicing)]
+
 use crate::grid::{ix, Grid};
 use crate::mass::Mass;
 use crate::{CorruptSection, HistogramError, HistogramKind};
@@ -140,12 +142,12 @@ impl Schema {
     /// address a binning pass adds it at. Evaluated in `const` items
     /// only, so a name the family does not declare fails to compile.
     pub(crate) const fn scalar(&self, name: &str) -> usize {
-        let mut at = 0;
-        while at < self.scalars.len() {
-            if str_eq(self.scalars[at], name) {
+        let (mut at, mut rest) = (0, self.scalars);
+        while let Some((first, tail)) = rest.split_first() {
+            if str_eq(first, name) {
                 return at;
             }
-            at += 1;
+            (at, rest) = (at + 1, tail);
         }
         undeclared()
     }
@@ -153,12 +155,12 @@ impl Schema {
     /// Position of the per-cell array `name` in file order, as
     /// [`Self::scalar`].
     pub(crate) const fn array(&self, name: &str) -> usize {
-        let mut at = 0;
-        while at < self.arrays.len() {
-            if str_eq(self.arrays[at].name, name) {
+        let (mut at, mut rest) = (0, self.arrays);
+        while let Some((first, tail)) = rest.split_first() {
+            if str_eq(first.name, name) {
                 return at;
             }
-            at += 1;
+            (at, rest) = (at + 1, tail);
         }
         undeclared()
     }
@@ -166,16 +168,15 @@ impl Schema {
 
 /// `a == b`, usable in `const` evaluation.
 const fn str_eq(a: &str, b: &str) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let (mut a, mut b) = (a.as_bytes(), b.as_bytes());
     if a.len() != b.len() {
         return false;
     }
-    let mut i = 0;
-    while i < a.len() {
-        if a[i] != b[i] {
+    while let (Some((x, a_tail)), Some((y, b_tail))) = (a.split_first(), b.split_first()) {
+        if *x != *y {
             return false;
         }
-        i += 1;
+        (a, b) = (a_tail, b_tail);
     }
     true
 }
@@ -221,6 +222,10 @@ pub(crate) trait DenseCells {
     fn add_mass(&mut self, cell: usize, v: Mass);
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "cells come from the grid the array was sized for, one slot per cell"
+)]
 impl DenseCells for Vec<u32> {
     #[inline]
     fn add_count(&mut self, cell: usize) {
@@ -231,6 +236,10 @@ impl DenseCells for Vec<u32> {
     fn add_mass(&mut self, _: usize, _: Mass) {}
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "cells come from the grid the array was sized for, one slot per cell"
+)]
 impl DenseCells for Vec<Mass> {
     #[inline]
     fn add_count(&mut self, _: usize) {}
@@ -467,6 +476,10 @@ pub(crate) fn encode_into<H: Family>(h: &H, out: &mut Vec<u8>) {
 fn put_chunks<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], le: impl Fn(T) -> [u8; N]) {
     let start = out.len();
     out.resize(start + values.len() * N, 0);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start is the length before the resize, so out[start..] is the new tail"
+    )]
     let (chunks, _) = out[start..].as_chunks_mut::<N>();
     for (dst, &v) in chunks.iter_mut().zip(values) {
         *dst = le(v);

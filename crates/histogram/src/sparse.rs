@@ -23,6 +23,8 @@
 //! earlier builds (magic "SJGS", no length frame or checksum) fail the
 //! magic check like any other foreign file.
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::mass::Mass;
 use crate::schema::Family;
 use crate::traits::{open_envelope, seal_envelope};

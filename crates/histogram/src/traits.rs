@@ -24,6 +24,8 @@
 //! of panics or silently-wrong statistics. Any other version is rejected
 //! the same way.
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::crc::crc32;
 use crate::delta::HistogramDelta;
 use crate::schema::Family;

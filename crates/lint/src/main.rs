@@ -1,25 +1,18 @@
-//! `sj-lint` binary: `check`, `rules`, `verify-equivalence`,
-//! `verify-recovery` and `verify-locks` subcommands.
+//! `sj-lint` binary: the `verify-equivalence`, `verify-recovery` and
+//! `verify-locks` subcommands.
 //!
-//! Exit codes: `0` clean, `1` deny-severity findings (or verifier
-//! divergences), `2` usage error, `3` I/O error.
+//! Exit codes: `0` clean, `1` verifier divergences, `2` usage error.
 
-use sj_lint::report::{render, Format};
-use sj_lint::rules::{RuleId, Severity};
+use sj_lint::report::Format;
 use sj_lint::verify::{run_verify, Fault, VerifyConfig};
 use sj_lint::verify_locks::{run_verify_locks, LockFault, LocksConfig};
 use sj_lint::verify_recovery::{run_verify_recovery, RecoveryConfig, RecoveryFault};
-use sj_lint::{find_workspace_root, run_check, Selection, Workspace};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-sj-lint — workspace invariant checker
+sj-lint — workspace invariant verifiers
 
 USAGE:
-    sj-lint check [--root <dir>] [--format human|json] [--rule <r,..>]
-                  [--deny <r,..|all>] [--warn <r,..|all>]
-    sj-lint rules
     sj-lint verify-equivalence [--format human|json] [--scale <f>]
                                [--levels <l,..>] [--shards <n,..>]
                                [--inject drop-last-rect|nudge-first-rect]
@@ -29,12 +22,9 @@ USAGE:
     sj-lint verify-locks [--format human|json] [--scale <f>]
                          [--inject invert-ranks|hold-across-fsync]
 
-Rules are named by code or slug (see `sj-lint rules`; r1, r4, r8 and r9
-are retired: rustc and clippy enforce them from the workspace lint
-configuration; r7 is retired: byte goldens pin the persisted formats).
-Suppress a single line with `// sj-lint: allow(<rule>, <reason>)` — the
-reason is mandatory. A flag the chosen subcommand does not read is a
-usage error.
+The static rules are rustc's and clippy's, configured in clippy.toml,
+[workspace.lints] and per-module lint attributes (DESIGN.md §10). A
+flag the chosen subcommand does not read is a usage error.
 
 verify-equivalence  every histogram family, built a second way (sharded
                     and merged, or through a signed delta), must be
@@ -48,8 +38,8 @@ verify-locks        a concurrent daemon workload must keep lock ranks
 
 Divergences are localized to a cell and statistic (or a lock pair);
 --inject breaks a verifier's input on purpose to prove the check bites.
-Exit codes: 0 clean, 1 findings or divergences, 2 usage error, 3 I/O
-error. docs/CLI.md is the full reference.";
+Exit codes: 0 clean, 1 divergences, 2 usage error. docs/CLI.md is the
+full reference.";
 
 /// The flags `command` reads — exactly those its synopsis lines in
 /// [`USAGE`] show — or `None` for an unknown command. Any other flag is
@@ -72,43 +62,18 @@ fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
     flags
 }
 
-/// Why a run stopped before producing a verdict.
-enum Failure {
-    /// Bad command line or configuration: exit 2.
-    Usage(String),
-    /// The workspace tree could not be read: exit 3.
-    Io(String),
-}
-
-impl From<String> for Failure {
-    fn from(msg: String) -> Self {
-        Failure::Usage(msg)
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(Failure::Usage(msg)) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(2)
-        }
-        Err(Failure::Io(msg)) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(3)
-        }
-    }
+    run(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::from(2)
+    })
 }
 
 /// Parsed command line. `None` means "the subcommand's default".
 #[derive(Default)]
 struct Cli {
-    root: Option<PathBuf>,
     format: Format,
-    rules: Option<Vec<RuleId>>,
-    deny: Vec<String>,
-    warn: Vec<String>,
     scale: Option<f64>,
     levels: Option<Vec<u32>>,
     shards: Option<Vec<usize>>,
@@ -123,19 +88,6 @@ fn parse_num_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T
             part.trim()
                 .parse::<T>()
                 .map_err(|_| format!("{flag}: `{part}` is not a valid number"))
-        })
-        .collect()
-}
-
-fn parse_rule_list(value: &str) -> Result<Vec<RuleId>, String> {
-    if value == "all" {
-        return Ok(RuleId::ALL.to_vec());
-    }
-    value
-        .split(',')
-        .map(|name| {
-            RuleId::parse(name)
-                .ok_or_else(|| format!("unknown rule `{name}` (see `sj-lint rules`)"))
         })
         .collect()
 }
@@ -158,7 +110,6 @@ fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Cli,
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag {
-            "--root" => cli.root = Some(PathBuf::from(value_of()?)),
             "--format" => {
                 cli.format = match value_of()?.as_str() {
                     "human" => Format::Human,
@@ -166,9 +117,6 @@ fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Cli,
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
-            "--rule" => cli.rules = Some(parse_rule_list(&value_of()?)?),
-            "--deny" => cli.deny.push(value_of()?),
-            "--warn" => cli.warn.push(value_of()?),
             "--scale" => {
                 let value = value_of()?;
                 cli.scale = Some(
@@ -194,7 +142,7 @@ fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Cli,
     Ok(cli)
 }
 
-fn run(args: &[String]) -> Result<ExitCode, Failure> {
+fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
         return Ok(ExitCode::from(2));
@@ -204,21 +152,14 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
         return Ok(ExitCode::SUCCESS);
     }
     let Some(accepted) = accepted_flags(command) else {
-        return Err(format!("unknown command `{command}`").into());
+        return Err(format!("unknown command `{command}`"));
     };
     let cli = parse_flags(command, &accepted, args.get(1..).unwrap_or_default())?;
     match command.as_str() {
-        "rules" => {
-            for rule in RuleId::ALL {
-                println!("{}/{}: {}", rule.code(), rule.slug(), rule.summary());
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "check" => cmd_check(&cli),
         "verify-equivalence" => cmd_verify_equivalence(&cli),
         "verify-recovery" => cmd_verify_recovery(&cli),
         "verify-locks" => cmd_verify_locks(&cli),
-        other => Err(format!("unknown command `{other}`").into()),
+        other => Err(format!("unknown command `{other}`")),
     }
 }
 
@@ -241,46 +182,7 @@ fn fault<F>(cli: &Cli, parse: fn(&str) -> Option<F>, known: &str) -> Result<Opti
         .transpose()
 }
 
-/// Loads the workspace from `--root` or by ascending from the cwd.
-fn load_workspace(cli: &Cli) -> Result<Workspace, Failure> {
-    let root = match &cli.root {
-        Some(r) => r.clone(),
-        None => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| Failure::Io(format!("cannot read cwd: {e}")))?;
-            find_workspace_root(&cwd)
-                .ok_or_else(|| Failure::Io("no workspace root found (pass --root)".to_string()))?
-        }
-    };
-    Workspace::load(&root)
-        .map_err(|e| Failure::Io(format!("failed to scan {}: {e}", root.display())))
-}
-
-fn cmd_check(cli: &Cli) -> Result<ExitCode, Failure> {
-    let ws = load_workspace(cli)?;
-    let mut selection = Selection {
-        enabled: cli.rules.clone().unwrap_or_else(|| RuleId::ALL.to_vec()),
-        ..Selection::default()
-    };
-    // --warn then --deny, so an explicit deny wins over a blanket warn.
-    for spec in &cli.warn {
-        for rule in parse_rule_list(spec)? {
-            selection.set(rule, Severity::Warn);
-        }
-    }
-    for spec in &cli.deny {
-        for rule in parse_rule_list(spec)? {
-            selection.set(rule, Severity::Deny);
-        }
-    }
-    let findings = run_check(&ws, &selection);
-    print!("{}", render(&findings, cli.format));
-    Ok(verdict(
-        !findings.iter().any(|f| f.severity == Severity::Deny),
-    ))
-}
-
-fn cmd_verify_equivalence(cli: &Cli) -> Result<ExitCode, Failure> {
+fn cmd_verify_equivalence(cli: &Cli) -> Result<ExitCode, String> {
     let defaults = VerifyConfig::default();
     let config = VerifyConfig {
         scale: cli.scale.unwrap_or(defaults.scale),
@@ -294,7 +196,7 @@ fn cmd_verify_equivalence(cli: &Cli) -> Result<ExitCode, Failure> {
     Ok(verdict(report.is_clean()))
 }
 
-fn cmd_verify_recovery(cli: &Cli) -> Result<ExitCode, Failure> {
+fn cmd_verify_recovery(cli: &Cli) -> Result<ExitCode, String> {
     let mut config = RecoveryConfig::default();
     if let Some(scale) = cli.scale {
         config.scale = scale;
@@ -303,9 +205,7 @@ fn cmd_verify_recovery(cli: &Cli) -> Result<ExitCode, Failure> {
         // The crash matrix is one build per trial — a single level.
         let [level] = levels[..] else {
             return Err(
-                "verify-recovery runs at a single level: pass one --levels value"
-                    .to_string()
-                    .into(),
+                "verify-recovery runs at a single level: pass one --levels value".to_string(),
             );
         };
         config.level = level;
@@ -316,7 +216,7 @@ fn cmd_verify_recovery(cli: &Cli) -> Result<ExitCode, Failure> {
     Ok(verdict(report.is_clean()))
 }
 
-fn cmd_verify_locks(cli: &Cli) -> Result<ExitCode, Failure> {
+fn cmd_verify_locks(cli: &Cli) -> Result<ExitCode, String> {
     let mut config = LocksConfig::default();
     if let Some(scale) = cli.scale {
         config.scale = scale;

@@ -1,59 +1,16 @@
-//! Human and JSON rendering of lint findings and of the dynamic
-//! verifiers' reports.
-
-use crate::rules::{Finding, RuleId, Severity};
+//! Human and JSON rendering of the dynamic verifiers' reports.
 
 /// Output format selected with `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Format {
-    /// One `path:line: [rule] message` line per finding.
+    /// One line per divergence plus a summary.
     #[default]
     Human,
-    /// A single JSON object with a `findings` array and counts.
+    /// A single JSON object with a `divergences` array and counts.
     Json,
 }
 
-/// Renders findings in the selected format, ending with a summary.
-#[must_use]
-pub fn render(findings: &[Finding], format: Format) -> String {
-    match format {
-        Format::Human => render_human(findings),
-        Format::Json => render_json(findings),
-    }
-}
-
-fn render_human(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    for f in findings {
-        let sev = match f.severity {
-            Severity::Deny => "error",
-            Severity::Warn => "warning",
-        };
-        out.push_str(&format!(
-            "{}:{}: {sev}[{}/{}] {}\n",
-            f.path,
-            f.line,
-            f.rule.code(),
-            f.rule.slug(),
-            f.message
-        ));
-    }
-    let denied = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Deny)
-        .count();
-    let warned = findings.len() - denied;
-    if findings.is_empty() {
-        out.push_str("sj-lint: clean (0 findings)\n");
-    } else {
-        out.push_str(&format!(
-            "sj-lint: {denied} error(s), {warned} warning(s)\n"
-        ));
-    }
-    out
-}
-
-/// Minimal JSON string escaping (the checker is dependency-free).
+/// Minimal JSON string escaping (the crate has no external dependencies).
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -67,47 +24,6 @@ pub(crate) fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let sev = match f.severity {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        };
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"slug\": \"{}\", \"severity\": \"{sev}\", \
-             \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            f.rule.code(),
-            f.rule.slug(),
-            escape(&f.path),
-            f.line,
-            escape(&f.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let mut counts = String::new();
-    let mut first = true;
-    for rule in RuleId::ALL {
-        let n = findings.iter().filter(|f| f.rule == rule).count();
-        if n > 0 {
-            if !first {
-                counts.push_str(", ");
-            }
-            counts.push_str(&format!("\"{}\": {n}", rule.code()));
-            first = false;
-        }
-    }
-    let denied = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Deny)
-        .count();
-    out.push_str(&format!("  \"counts\": {{{counts}}},\n"));
-    out.push_str(&format!("  \"errors\": {denied},\n"));
-    out.push_str(&format!("  \"total\": {}\n}}\n", findings.len()));
     out
 }
 
@@ -137,10 +53,10 @@ pub(crate) struct Verdicts<'a> {
     pub clean_claim: &'a str,
 }
 
-/// Renders a dynamic verifier's report in the selected format, mirroring
-/// `check`: one line per divergence plus a summary (human), or a single
-/// JSON object with the `divergences`/`fault`/`trials`/`divergent`/
-/// `clean` envelope (json).
+/// Renders a dynamic verifier's report in the selected format: one line
+/// per divergence plus a summary (human), or a single JSON object with
+/// the `divergences`/`fault`/`trials`/`divergent`/`clean` envelope
+/// (json).
 pub(crate) fn render_verdicts(v: &Verdicts<'_>, format: Format) -> String {
     let mut out = String::new();
     let divergent = v.divergent.len();
@@ -192,41 +108,4 @@ pub(crate) fn render_verdicts(v: &Verdicts<'_>, format: Format) -> String {
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Vec<Finding> {
-        vec![Finding {
-            rule: RuleId::PanicFree,
-            path: "crates/histogram/src/grid.rs".to_string(),
-            line: 86,
-            message: "unchecked slice indexing with \"quotes\"".to_string(),
-            severity: Severity::Deny,
-        }]
-    }
-
-    #[test]
-    fn human_output_names_rule_and_location() {
-        let text = render(&sample(), Format::Human);
-        assert!(text.contains("crates/histogram/src/grid.rs:86"));
-        assert!(text.contains("[r3/panic]"));
-        assert!(text.contains("1 error(s)"));
-    }
-
-    #[test]
-    fn json_output_is_escaped_and_counted() {
-        let text = render(&sample(), Format::Json);
-        assert!(text.contains("\\\"quotes\\\""));
-        assert!(text.contains("\"r3\": 1"));
-        assert!(text.contains("\"errors\": 1"));
-    }
-
-    #[test]
-    fn clean_run_summary() {
-        let text = render(&[], Format::Human);
-        assert!(text.contains("clean (0 findings)"));
-    }
 }

@@ -1,8 +1,9 @@
 //! Dynamic equivalence verification — the `verify-equivalence`
 //! subcommand.
 //!
-//! The static fixed-point rule r2 guards the *lexical* precondition of
-//! bit-identical histogram maintenance (no floats in merge paths). This
+//! Clippy's `float_arithmetic` scopes guard the static precondition of
+//! bit-identical histogram maintenance (no float arithmetic in merge
+//! paths). This
 //! module executes the contract end-to-end: for seeded uniform and
 //! skewed datasets, every [`HistogramKind`], grid level and shard count,
 //! it builds each histogram a second way ([`Way`]: a sharded merge, or a

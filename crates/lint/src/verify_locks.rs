@@ -1,9 +1,9 @@
 //! Dynamic lock-order verification — the `verify-locks` subcommand.
 //!
-//! Clippy's `disallowed_types` and the static rules r10–r11 pin *how*
-//! locks are built (ranked wrappers only), *what* runs under them lexically (no blocking I/O in a
-//! visible guard region) and *how* atomics are ordered. This module
-//! closes the gap static scanning cannot: it runs a fixed, seeded
+//! Clippy's `disallowed_types` pins *how* locks are built (ranked
+//! wrappers only) and *how* atomics are ordered (SeqCst only). What runs
+//! under a lock crosses function boundaries, which no lint follows, so
+//! this module checks it dynamically: it runs a fixed, seeded
 //! concurrent workload — stamped mutations, estimates and a
 //! mid-workload compaction against an in-process statistics daemon —
 //! with `sj_core::sync`'s observe mode on, harvests the global
@@ -558,7 +558,8 @@ fn inject(fault: LockFault, events: &mut Vec<LockEvent>) -> Result<(), String> {
                 .map_err(|e| format!("preparing the fsync sabotage file: {e}"))?;
             let lock = OrderedMutex::new(LockRank::Catalog, "inject.catalog", ());
             let guard = lock.lock();
-            // sj-lint: allow(io-under-lock, deliberate sabotage — verify-locks --inject hold-across-fsync exists to prove the dynamic oracle catches exactly this)
+            // Deliberate: this fsync under a catalog-ranked guard is what
+            // the oracle must catch.
             let synced = io.sync_file(&path);
             drop(guard);
             let _ = std::fs::remove_dir_all(&dir);

@@ -35,6 +35,7 @@
 
 use crate::report::{escape, render_verdicts, DivergentTrial, Format, Verdicts};
 use crate::verify::reflect;
+use sj_core::sync::SeqCstU64;
 use sj_datagen::presets;
 use sj_geo::Rect;
 use sj_histogram::{first_divergence, Divergence, HistogramKind, SpatialHistogram};
@@ -43,7 +44,6 @@ use sj_query::{
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// When, relative to the targeted I/O operation, the simulated process
@@ -617,11 +617,11 @@ fn sabotage(fault: RecoveryFault, dir: &Path) -> Result<(), String> {
 
 /// Numbers scratch directories within one process, so concurrent runs
 /// (the unit tests run the matrix on parallel threads) never share one.
-static NEXT_TRIAL_DIR: AtomicU64 = AtomicU64::new(0);
+static NEXT_TRIAL_DIR: SeqCstU64 = SeqCstU64::new(0);
 
 /// A scratch directory unique to this process, call and trial.
 fn trial_dir(tag: &str) -> PathBuf {
-    let n = NEXT_TRIAL_DIR.fetch_add(1, Ordering::SeqCst);
+    let n = NEXT_TRIAL_DIR.fetch_add(1);
     let dir = std::env::temp_dir().join(format!(
         "sj-verify-recovery-{}-{n}-{tag}",
         std::process::id()

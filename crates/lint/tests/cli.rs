@@ -1,5 +1,5 @@
 //! The `sj-lint` command line through the built binary: exit codes for
-//! I/O and usage errors, and the docs/CLI.md synopsis kept in step with
+//! usage errors, and the docs/CLI.md synopsis kept in step with
 //! `--help`.
 
 #![expect(
@@ -17,19 +17,10 @@ fn sj_lint(args: &[&str]) -> Output {
         .expect("sj-lint runs")
 }
 
-#[test]
-fn unreadable_workspace_is_an_io_error() {
-    let missing = std::env::temp_dir().join("sj-lint-no-such-workspace");
-    let missing = missing.to_str().expect("utf-8 temp path");
-    let out = sj_lint(&["check", "--root", missing]);
-    assert_eq!(out.status.code(), Some(3), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("failed to scan"), "{stderr}");
-}
-
 /// A flag the chosen subcommand does not read is a usage error, never
 /// silently ignored; so is a second level for the single-level crash
-/// matrix, and so is the retired `fingerprint` subcommand.
+/// matrix, and so are the retired `fingerprint`, `check` and `rules`
+/// subcommands.
 #[test]
 fn flags_a_subcommand_does_not_read_are_usage_errors() {
     let cases: [(&[&str], &str); 9] = [
@@ -50,18 +41,12 @@ fn flags_a_subcommand_does_not_read_are_usage_errors() {
             &["verify-equivalence", "--root", "."],
             "`--root` is not an option of `verify-equivalence`",
         ),
-        (
-            &["check", "--scale", "0.5"],
-            "`--scale` is not an option of `check`",
-        ),
         (&["fingerprint"], "unknown command `fingerprint`"),
+        (&["check"], "unknown command `check`"),
+        (&["rules"], "unknown command `rules`"),
         (
-            &["rules", "--deny", "all"],
-            "`--deny` is not an option of `rules`",
-        ),
-        (
-            &["check", "--bogus"],
-            "`--bogus` is not an option of `check`",
+            &["verify-locks", "--bogus"],
+            "`--bogus` is not an option of `verify-locks`",
         ),
     ];
     for (args, message) in cases {

@@ -132,7 +132,7 @@ fn json_report_names_cell_and_statistic() {
 
 /// End-to-end through the binary: exit 0 on a clean run, 1 when an
 /// injected fault makes a second build diverge, 2 on a usage error —
-/// matching `check`'s exit-code contract.
+/// the exit-code contract every `sj-lint` subcommand shares.
 #[test]
 fn binary_exit_codes_match_check_contract() {
     let bin = env!("CARGO_BIN_EXE_sj-lint");

@@ -1,3 +1,5 @@
+#![warn(clippy::exhaustive_enums)]
+
 use sj_geo::RectIssue;
 use sj_histogram::HistogramError;
 use std::fmt;
@@ -142,6 +144,9 @@ impl std::error::Error for QueryError {
         }
     }
 }
+
+// Public errors implement `Display` and `Error`; this fails to compile otherwise.
+const _: fn(&QueryError) -> &dyn std::error::Error = |e| e;
 
 impl From<HistogramError> for QueryError {
     fn from(e: HistogramError) -> Self {

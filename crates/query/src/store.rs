@@ -86,17 +86,19 @@
 //! unsynced data at every crash point — that is what
 //! `sj-lint -- verify-recovery` does.
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::catalog::StatsState;
 use crate::delete_index;
 use crate::error::QueryError;
 use crate::Catalog;
+use sj_core::sync::SeqCstU64;
 use sj_geo::Rect;
 use sj_histogram::{
     build_histogram, CorruptSection, HistogramDelta, HistogramError, SpatialHistogram,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Magic prefix of every WAL record.
@@ -479,13 +481,13 @@ struct TableStore {
     /// `<table>.base` encodes them. Zero is the empty prefix. Set by
     /// [`Catalog::plan_compaction`], which runs under a shared borrow;
     /// zeroed when a delete claims a row below `k`.
-    prefix: AtomicU64,
+    prefix: SeqCstU64,
 }
 
 impl TableStore {
     /// The cached `(k, register)` pair.
     fn cached_prefix(&self) -> (usize, u32) {
-        let [r0, r1, r2, r3, k0, k1, k2, k3] = self.prefix.load(Ordering::SeqCst).to_le_bytes();
+        let [r0, r1, r2, r3, k0, k1, k2, k3] = self.prefix.load().to_le_bytes();
         (
             u32::from_le_bytes([k0, k1, k2, k3]) as usize,
             u32::from_le_bytes([r0, r1, r2, r3]),
@@ -496,7 +498,7 @@ impl TableStore {
     /// caps a table at `u32::MAX` rows; a count past it caches nothing.
     fn cache_prefix(&self, rows: usize, register: u32) {
         let packed = u32::try_from(rows).map_or(0, |k| u64::from(k) << 32 | u64::from(register));
-        self.prefix.store(packed, Ordering::SeqCst);
+        self.prefix.store(packed);
     }
 
     /// Whether a stamped ID has already been applied.
@@ -725,6 +727,10 @@ struct Snapshot<'a> {
 /// hashed; their register is shifted past the header's and joined to it
 /// (DESIGN.md §13.3). Returns the file and the register of all rows,
 /// the next call's prefix.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every bound is a length written here: the header, rows_end, and k <= rects.len() rows"
+)]
 fn encode_base(
     next_seq: u64,
     rects: &[Rect],
@@ -844,7 +850,7 @@ fn remove_rows(rects: &mut Vec<Rect>, rows: &[usize]) {
         return;
     };
     debug_assert!(
-        rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_some_and(|&r| r < rects.len()),
+        rows.is_sorted_by(|a, b| a < b) && rows.last().is_some_and(|&r| r < rects.len()),
         "row positions must be strictly ascending and in range"
     );
     let mut write = first;
@@ -1281,7 +1287,7 @@ impl Catalog {
             .first()
             .is_some_and(|&row| row < entry.cached_prefix().0)
         {
-            entry.prefix.store(0, Ordering::SeqCst);
+            entry.prefix.store(0);
         }
         entry.remember(id);
         entry.next_seq = seq + 1;

@@ -1,19 +1,21 @@
 //! The in-process client library: a blocking TCP connection speaking
 //! one request/response frame pair at a time.
 
+#![warn(clippy::exhaustive_enums)]
+
 use crate::service::{CompactReply, EstimateReply, MutationReply, RemoteOutcome};
 use crate::wire::{self, status, Frame, Opcode, PayloadReader, WireError};
+use sj_core::sync::SeqCstU64;
 use sj_geo::Rect;
 use sj_query::MutationId;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Distinguishes clients created in the same process: combined with the
 /// process id and the socket's local port into the mutation-id token,
 /// so two clients opened back-to-back never collide even if the OS
 /// recycles a port.
-static CLIENT_INSTANCES: AtomicU64 = AtomicU64::new(0);
+static CLIENT_INSTANCES: SeqCstU64 = SeqCstU64::new(0);
 
 /// The deterministic backoff schedule used by [`Client::connect_with_retry`]:
 /// the pause taken before each re-attempt after a failed connect. Fixed
@@ -72,6 +74,9 @@ impl std::error::Error for ClientError {
     }
 }
 
+// Public errors implement `Display` and `Error`; this fails to compile otherwise.
+const _: fn(&ClientError) -> &dyn std::error::Error = |e| e;
+
 impl From<WireError> for ClientError {
     fn from(e: WireError) -> Self {
         ClientError::Wire(e)
@@ -118,8 +123,7 @@ impl Client {
             .local_addr()
             .map(|a| u64::from(a.port()))
             .unwrap_or(0);
-        // sj-lint: allow(atomic-ordering, the counter only disambiguates concurrently created clients; token uniqueness needs no cross-variable ordering)
-        let instance = CLIENT_INSTANCES.fetch_add(1, Ordering::Relaxed) & 0xFFFF;
+        let instance = CLIENT_INSTANCES.fetch_add(1) & 0xFFFF;
         let token = (u64::from(std::process::id()) << 32) | (port << 16) | instance;
         Ok(Self {
             stream,

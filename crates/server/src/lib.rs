@@ -25,6 +25,8 @@
 //! No external dependencies: framing, checksums and threading are std
 //! only, like everything else in the workspace.
 
+#![warn(clippy::indexing_slicing)]
+
 pub mod client;
 pub mod server;
 pub mod service;

@@ -14,14 +14,15 @@
 //! * Never a panic, never a wedged connection: a mid-request disconnect
 //!   surfaces as a typed read error and ends only that handler thread.
 
+#![warn(clippy::exhaustive_enums)]
+
 use crate::service::{ServiceError, StatisticsService};
 use crate::wire::{self, status, Frame, Opcode, PayloadReader, WireError};
-use sj_core::sync::{LockRank, OrderedMutex};
+use sj_core::sync::{LockRank, OrderedMutex, SeqCstBool, SeqCstU64};
 use sj_geo::Rect;
 use sj_query::MutationId;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Admission-control knobs for a [`Server`].
@@ -77,12 +78,15 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
+// Public errors implement `Display` and `Error`; this fails to compile otherwise.
+const _: fn(&ServerError) -> &dyn std::error::Error = |e| e;
+
 /// A statistics daemon bound to a TCP address.
 pub struct Server<S: StatisticsService> {
     listener: TcpListener,
     service: S,
     config: ServerConfig,
-    shutdown: AtomicBool,
+    shutdown: SeqCstBool,
     /// Cloned handles of live connections keyed by connection id, shut
     /// down to unpark blocked reader threads when the daemon stops.
     /// Handlers deregister their entry on exit — a lingering clone would
@@ -91,7 +95,7 @@ pub struct Server<S: StatisticsService> {
     /// connection count checked against `config.max_connections`.
     conns: OrderedMutex<Vec<(u64, TcpStream)>>,
     /// Monotonic connection id source.
-    next_conn: AtomicU64,
+    next_conn: SeqCstU64,
 }
 
 impl<S: StatisticsService> Server<S> {
@@ -118,9 +122,9 @@ impl<S: StatisticsService> Server<S> {
             listener,
             service,
             config,
-            shutdown: AtomicBool::new(false),
+            shutdown: SeqCstBool::new(false),
             conns: OrderedMutex::new(LockRank::ConnRegistry, "server.conns", Vec::new()),
-            next_conn: AtomicU64::new(0),
+            next_conn: SeqCstU64::new(0),
         })
     }
 
@@ -148,7 +152,7 @@ impl<S: StatisticsService> Server<S> {
         std::thread::scope(|scope| {
             let mut accept_failures = 0usize;
             for stream in self.listener.incoming() {
-                if self.shutdown.load(Ordering::SeqCst) {
+                if self.shutdown.load() {
                     break;
                 }
                 let Ok(stream) = stream else {
@@ -156,6 +160,10 @@ impl<S: StatisticsService> Server<S> {
                     // deterministic schedule instead of spinning hot.
                     let slot = accept_failures.min(ACCEPT_BACKOFF_MS.len() - 1);
                     accept_failures = accept_failures.saturating_add(1);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "slot is clamped to the last index"
+                    )]
                     std::thread::sleep(Duration::from_millis(ACCEPT_BACKOFF_MS[slot]));
                     continue;
                 };
@@ -172,8 +180,7 @@ impl<S: StatisticsService> Server<S> {
                     drop(stream.set_read_timeout(self.config.io_timeout));
                     drop(stream.set_write_timeout(self.config.io_timeout));
                 }
-                // sj-lint: allow(atomic-ordering, monotonic id allocation needs only per-counter uniqueness; no other memory is published under this counter)
-                let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
+                let id = self.next_conn.fetch_add(1);
                 if let Ok(handle) = stream.try_clone() {
                     self.conns.lock().push((id, handle));
                 }
@@ -189,7 +196,7 @@ impl<S: StatisticsService> Server<S> {
     /// Requests shutdown: stops accepting and unblocks every parked
     /// connection reader. Safe to call from any thread.
     pub fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.store(true);
         if let Ok(addr) = self.local_addr() {
             // Wake the blocking accept; the loop re-checks the flag first.
             drop(TcpStream::connect(addr));
@@ -210,7 +217,7 @@ impl<S: StatisticsService> Server<S> {
     /// makes the stream untrustworthy, or the daemon shuts down.
     fn handle_connection(&self, mut stream: TcpStream, _addr: SocketAddr) {
         loop {
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.shutdown.load() {
                 return;
             }
             let frame = match Frame::read_from(&mut stream) {

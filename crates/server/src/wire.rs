@@ -23,6 +23,8 @@
 //! Response payloads open with one status byte from [`status`] (`0` =
 //! OK); non-OK responses carry a message string after the status.
 
+#![warn(clippy::exhaustive_enums)]
+
 /// Magic bytes opening every frame (`b"SJWF"` — spatial-join wire frame).
 pub const MAGIC: [u8; 4] = *b"SJWF";
 
@@ -97,6 +99,10 @@ pub mod status {
 
 /// Request opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[expect(
+    clippy::exhaustive_enums,
+    reason = "closed: the opcode set is fixed per WIRE_VERSION, and the dispatcher matches every opcode"
+)]
 pub enum Opcode {
     /// Liveness check; empty payload both ways.
     Ping,
@@ -274,6 +280,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+// Public errors implement `Display` and `Error`; this fails to compile otherwise.
+const _: fn(&WireError) -> &dyn std::error::Error = |e| e;
+
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e.to_string())
@@ -421,6 +430,10 @@ impl Frame {
         let mut frame = Vec::with_capacity(HEADER_LEN + rest_len);
         frame.extend_from_slice(&header);
         frame.resize(HEADER_LEN + rest_len, 0);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "frame was just resized past HEADER_LEN"
+        )]
         read_exact_or_truncated(r, &mut frame[HEADER_LEN..], false)?;
         Self::from_bytes(&frame)
     }
@@ -446,6 +459,10 @@ fn read_exact_or_truncated(
 ) -> Result<(), WireError> {
     let mut filled = 0usize;
     while filled < buf.len() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the loop runs while filled < buf.len()"
+        )]
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 if at_boundary && filled == 0 {
@@ -516,6 +533,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     let len = bytes.len().min(usize::from(u16::MAX));
     // Floor guarantees the cast: len <= u16::MAX.
     put_u16(out, u16::try_from(len).unwrap_or(u16::MAX));
+    #[expect(clippy::indexing_slicing, reason = "len <= bytes.len()")]
     out.extend_from_slice(&bytes[..len]);
 }
 

@@ -3,7 +3,8 @@
 //! byte-identical to the same batches applied on a serial schedule.
 //!
 //! This holds because the histogram cell statistics are fixed-point
-//! accumulators (lint rule r2 bans floats from merge paths), so batch
+//! accumulators (clippy's `float_arithmetic` bans float arithmetic from
+//! merge paths), so batch
 //! application commutes — any interleaving of disjoint batches folds to
 //! the same bytes. Each client works a disjoint coordinate band and
 //! deletes only rectangles it inserted itself, so every delete resolves

@@ -17,10 +17,10 @@
 )]
 
 use proptest::prelude::*;
+use sj_core::sync::SeqCstU64;
 use sj_geo::Rect;
 use sj_query::{wal_record_ends, Catalog, CompactionPolicy, MutationId};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A deterministic base set with pairwise-distinct rectangles (the
 /// `1e-4 * i` skew) so delete validation is unambiguous.
@@ -75,8 +75,8 @@ fn batch(i: usize, spec: BatchSpec, base: &[Rect]) -> (Vec<Rect>, Vec<Rect>) {
 
 /// A scratch statistics directory unique to this process and case.
 fn scratch(tag: &str) -> PathBuf {
-    static CASE: AtomicUsize = AtomicUsize::new(0);
-    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    static CASE: SeqCstU64 = SeqCstU64::new(0);
+    let case = CASE.fetch_add(1);
     let dir =
         std::env::temp_dir().join(format!("sj-wal-replay-{}-{tag}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
