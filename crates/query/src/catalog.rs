@@ -195,6 +195,14 @@ impl PairMemo {
     }
 }
 
+/// Distinct table names one [`Catalog::primary_estimates`] call keeps
+/// resolved; a scan of this many names is cheaper than a map lookup,
+/// and the bound keeps a batch of all-distinct names linear.
+const RESOLVED_NAMES: usize = 16;
+
+/// A table name a batch has looked up, with its table and statistics.
+type Resolved<'c, 'n> = (&'n str, &'c Table, &'c ResidentHistogram);
+
 /// A catalog of named spatial tables with precomputed statistics.
 ///
 /// Registration builds the configured histogram file immediately (the
@@ -380,6 +388,41 @@ impl Catalog {
     pub fn primary_estimate(&self, a: &str, b: &str) -> Result<SelectivityEstimate, QueryError> {
         let ((ta, ha), (tb, hb)) = (self.statistics(a)?, self.statistics(b)?);
         Ok(self.memo_estimate(ta, ha, tb, hb)?)
+    }
+
+    /// [`Catalog::primary_estimate`] for each pair of a batch, answers
+    /// in order, each failing alone. A batch of more than one pair looks
+    /// each of its first 16 distinct names up once and keeps its table
+    /// for the rest of the batch; any further name, and a name without
+    /// usable statistics, is looked up at each use, so an item costs at
+    /// most a 16-name scan and two lookups.
+    pub fn primary_estimates<'c, 'p>(
+        &'c self,
+        pairs: &'p [(&'p str, &'p str)],
+    ) -> impl Iterator<Item = Result<SelectivityEstimate, QueryError>> + use<'c, 'p> {
+        let mut seen = Vec::with_capacity(if pairs.len() > 1 { RESOLVED_NAMES } else { 0 });
+        pairs.iter().map(move |&(a, b)| {
+            let (ta, ha) = self.resolve(&mut seen, a)?;
+            let (tb, hb) = self.resolve(&mut seen, b)?;
+            Ok(self.memo_estimate(ta, ha, tb, hb)?)
+        })
+    }
+
+    /// [`Catalog::statistics`] of `name` through a batch's names already
+    /// looked up, which keeps a found table while `seen` has room.
+    fn resolve<'c, 'n>(
+        &'c self,
+        seen: &mut Vec<Resolved<'c, 'n>>,
+        name: &'n str,
+    ) -> Result<(&'c Table, &'c ResidentHistogram), QueryError> {
+        if let Some(&(_, table, stats)) = seen.iter().find(|(n, ..)| *n == name) {
+            return Ok((table, stats));
+        }
+        let (table, stats) = self.statistics(name)?;
+        if seen.len() < seen.capacity() {
+            seen.push((name, table, stats));
+        }
+        Ok((table, stats))
     }
 
     /// The primary-tier answer for `ta ⋈ tb` from the pair memo, or one

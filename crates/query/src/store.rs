@@ -479,7 +479,8 @@ struct TableStore {
     /// row count `k` in the high half and, in the low half, the raw
     /// CRC32 register, started from zero, of the first `k` rows as a
     /// `<table>.base` encodes them. Zero is the empty prefix. Set by
-    /// [`Catalog::plan_compaction`], which runs under a shared borrow;
+    /// [`Catalog::plan_compaction`], which runs under a shared borrow,
+    /// and by a base install to the register its decode computed;
     /// zeroed when a delete claims a row below `k`.
     prefix: SeqCstU64,
 }
@@ -711,6 +712,10 @@ struct Snapshot<'a> {
     rects: Vec<Rect>,
     /// The mutation-ID dedup ring at compaction time, oldest first.
     ids: Vec<MutationId>,
+    /// The raw CRC32 register, started from zero, of every row: the
+    /// table's cached prefix once the base is installed (DESIGN.md
+    /// §13.3).
+    rows_register: u32,
     /// The statistics envelope after the snapshot section, checked by
     /// its own length frame and CRC trailer when it is decoded.
     envelope: &'a [u8],
@@ -817,7 +822,17 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot<'_>, QueryError> {
             data.len()
         )));
     };
-    let computed = crc32(body);
+    // The section's CRC joined from the rows' own register, as
+    // `encode_base` joins it, so the check leaves that register behind
+    // without a second pass over the rows.
+    let rows = body.get(SNAPSHOT_HEADER_LEN..rects_end).unwrap_or_default();
+    let tail = body.get(rects_end..).unwrap_or_default();
+    let rows_register = crc::resume(0, rows);
+    let header_register = !crc32(body.get(..SNAPSHOT_HEADER_LEN).unwrap_or_default());
+    let computed = !crc::resume(
+        crc::shift(header_register, rows.len()) ^ rows_register,
+        tail,
+    );
     if stored != computed {
         return Err(corrupt(format!(
             "failed its checksum (stored {stored:#010x}, computed {computed:#010x})"
@@ -837,6 +852,7 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot<'_>, QueryError> {
         next_seq,
         rects,
         ids,
+        rows_register,
         envelope: data.get(body_len + 4..).unwrap_or_default(),
     })
 }
@@ -936,14 +952,8 @@ impl Catalog {
                 let snapshot = decode_snapshot(&bytes)?;
                 let histogram = self.decode_statistics(snapshot.rects.len(), snapshot.envelope)?;
                 recovery.installed += 1;
-                self.install_base(
-                    &name,
-                    snapshot.rects,
-                    histogram,
-                    snapshot.next_seq,
-                    &snapshot.ids,
-                );
                 fence = Some(snapshot.next_seq);
+                self.install_base(&name, snapshot, histogram);
             }
             let wal = dir.join(format!("{name}.wal"));
             if !io.exists(&wal) {
@@ -984,16 +994,23 @@ impl Catalog {
 
     /// Installs a recovered base state: the base file's dataset and
     /// statistics, a reset lazy R-tree and delete index, the sequence
-    /// fence, and the snapshotted mutation-ID dedup ring — with no
-    /// pending records (the base is, by construction, compacted).
+    /// fence, the snapshotted mutation-ID dedup ring, and every row as
+    /// the checksummed prefix — with no pending records (the base is,
+    /// by construction, compacted).
     fn install_base(
         &mut self,
         name: &str,
-        rects: Vec<Rect>,
+        snapshot: Snapshot<'_>,
         histogram: Box<dyn sj_histogram::SpatialHistogram>,
-        next_seq: u64,
-        ids: &[MutationId],
     ) {
+        let Snapshot {
+            next_seq,
+            rects,
+            ids,
+            rows_register,
+            ..
+        } = snapshot;
+        let rows = rects.len();
         if let Some(stats) = self.stats_mut(name) {
             *stats = StatsState::ready_from(histogram);
         }
@@ -1008,8 +1025,9 @@ impl Catalog {
             ..TableStore::default()
         };
         for id in ids {
-            entry.remember(*id);
+            entry.remember(id);
         }
+        entry.cache_prefix(rows, rows_register);
     }
 
     /// Rebuilds a table's statistics from its registered dataset when
@@ -2554,8 +2572,8 @@ mod tests {
     /// deduplicated retries, policy and explicit compactions and reopens
     /// through `install_base`, after each of which `plan_compaction`'s
     /// bytes equal the one-pass reference encoder's. Inserts and tail
-    /// deletes must keep the prefix, and a delete below it must drop
-    /// it.
+    /// deletes must keep the prefix, a delete below it must drop it,
+    /// and a reopen after a compaction must cover every row with it.
     #[test]
     fn cached_prefix_compaction_matches_the_one_pass_encoder() {
         use rand::rngs::StdRng;
@@ -2683,13 +2701,22 @@ mod tests {
                     "explicit compaction"
                 }
                 7 => {
+                    // A reopen right after a compaction installs the
+                    // base with every row as the prefix; otherwise the
+                    // pending records replay over the installed prefix.
+                    let compacted = step % 2 == 0;
+                    if compacted {
+                        c.compact("t").unwrap();
+                    }
                     drop(c);
                     c = open();
-                    assert_eq!(
-                        prefix_rows(&c),
-                        0,
-                        "step {step}: install_base kept a prefix"
-                    );
+                    if compacted {
+                        assert_eq!(
+                            prefix_rows(&c),
+                            c.table_len("t").unwrap(),
+                            "step {step}: the reopened base left rows outside the prefix"
+                        );
+                    }
                     "reopen"
                 }
                 _ => {

@@ -8,6 +8,7 @@ use crate::wire::{self, status, Frame, Opcode, PayloadReader, WireError};
 use sj_core::sync::SeqCstU64;
 use sj_geo::Rect;
 use sj_query::MutationId;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -95,7 +96,9 @@ pub struct RemoteFailure {
 /// A blocking connection to a running `sj-server`.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// The connection, read through a buffer so a reply usually costs
+    /// one `read`; requests are written to the stream under it.
+    stream: BufReader<TcpStream>,
     /// The daemon's resolved address, kept so retry-safe mutations can
     /// reconnect after an ambiguous connection failure.
     addr: SocketAddr,
@@ -126,7 +129,7 @@ impl Client {
         let instance = CLIENT_INSTANCES.fetch_add(1) & 0xFFFF;
         let token = (u64::from(std::process::id()) << 32) | (port << 16) | instance;
         Ok(Self {
-            stream,
+            stream: BufReader::new(stream),
             addr,
             token,
             next_seq: 1,
@@ -140,12 +143,9 @@ impl Client {
     /// # Errors
     /// [`ClientError::Wire`] when the socket refuses the deadline.
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(WireError::from)?;
-        self.stream
-            .set_write_timeout(timeout)
-            .map_err(WireError::from)?;
+        let stream = self.stream.get_ref();
+        stream.set_read_timeout(timeout).map_err(WireError::from)?;
+        stream.set_write_timeout(timeout).map_err(WireError::from)?;
         self.io_timeout = timeout;
         Ok(())
     }
@@ -164,7 +164,8 @@ impl Client {
     }
 
     /// Replaces the connection after an ambiguous failure, re-applying
-    /// the configured socket deadline.
+    /// the configured socket deadline. Bytes buffered from the old
+    /// connection are dropped with it.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         let stream = TcpStream::connect(self.addr).map_err(WireError::from)?;
         stream
@@ -173,7 +174,7 @@ impl Client {
         stream
             .set_write_timeout(self.io_timeout)
             .map_err(WireError::from)?;
-        self.stream = stream;
+        self.stream = BufReader::new(stream);
         Ok(())
     }
 
@@ -204,7 +205,7 @@ impl Client {
     /// the status byte stripped, mapping non-OK statuses to
     /// [`ClientError::Remote`].
     fn call(&mut self, op: Opcode, payload: Vec<u8>) -> Result<Vec<u8>, ClientError> {
-        Frame::request(op, payload).write_to(&mut self.stream)?;
+        Frame::request(op, payload).write_to(self.stream.get_mut())?;
         let resp = Frame::read_from(&mut self.stream)?;
         if resp.opcode != op.response() && resp.opcode != wire::ERROR_OPCODE {
             return Err(ClientError::Protocol(format!(
@@ -224,11 +225,9 @@ impl Client {
                 message,
             });
         }
-        Ok(resp
-            .payload
-            .get(1..)
-            .map(<[u8]>::to_vec)
-            .unwrap_or_default())
+        let mut body = resp.payload;
+        body.drain(..1);
+        Ok(body)
     }
 
     /// Liveness check.
@@ -324,7 +323,8 @@ impl Client {
         &mut self,
         pairs: &[(String, String)],
     ) -> Result<Vec<Result<EstimateReply, RemoteFailure>>, ClientError> {
-        let mut p = Vec::new();
+        let names: usize = pairs.iter().map(|(a, b)| 4 + a.len() + b.len()).sum();
+        let mut p = Vec::with_capacity(2 + names);
         wire::put_u16(&mut p, item_count(pairs.len(), "pairs")?);
         for (a, b) in pairs {
             wire::put_str(&mut p, a);
@@ -339,7 +339,7 @@ impl Client {
                 pairs.len()
             )));
         }
-        let mut items = Vec::with_capacity(n.min(1024));
+        let mut items = Vec::with_capacity(n);
         for _ in 0..n {
             let code = r.u8()?;
             if code == status::OK {

@@ -16,12 +16,12 @@
 
 #![warn(clippy::exhaustive_enums)]
 
-use crate::service::{ServiceError, StatisticsService};
+use crate::service::{EstimateReply, ServiceError, StatisticsService};
 use crate::wire::{self, status, Frame, Opcode, PayloadReader, WireError};
 use sj_core::sync::{LockRank, OrderedMutex, SeqCstBool, SeqCstU64};
 use sj_geo::Rect;
 use sj_query::MutationId;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -214,8 +214,13 @@ impl<S: StatisticsService> Server<S> {
     }
 
     /// Serves one connection until it closes, a frame-level corruption
-    /// makes the stream untrustworthy, or the daemon shuts down.
-    fn handle_connection(&self, mut stream: TcpStream, _addr: SocketAddr) {
+    /// makes the stream untrustworthy, or the daemon shuts down. Frames
+    /// are read through a per-connection buffer, so a request usually
+    /// costs one `read`, and every reply is encoded into one reused
+    /// buffer and written with one `write`.
+    fn handle_connection(&self, stream: TcpStream, _addr: SocketAddr) {
+        let mut stream = BufReader::new(stream);
+        let mut out = Vec::new();
         loop {
             if self.shutdown.load() {
                 return;
@@ -227,13 +232,14 @@ impl<S: StatisticsService> Server<S> {
                     // Corrupt framing: answer best-effort, then close —
                     // the stream may no longer be frame-aligned.
                     let resp = error_frame(wire::ERROR_OPCODE, e.status(), &e.to_string());
-                    drop(resp.write_to(&mut stream));
-                    drop(stream.flush());
+                    drop(resp.write_to(stream.get_mut()));
                     return;
                 }
             };
             let (resp, shutdown) = handle_request(&self.service, &frame);
-            if resp.write_to(&mut stream).is_err() {
+            out.clear();
+            resp.encode_into(&mut out);
+            if stream.get_mut().write_all(&out).is_err() {
                 return;
             }
             if shutdown {
@@ -261,21 +267,10 @@ fn reject_overloaded(mut stream: TcpStream, ceiling: usize) {
 
 /// Builds a non-OK response frame: `status + message`.
 fn error_frame(opcode: u8, code: u8, message: &str) -> Frame {
-    let mut payload = Vec::new();
+    let mut payload = Vec::with_capacity(3 + message.len());
     wire::put_u8(&mut payload, code);
     wire::put_str(&mut payload, message);
     Frame { opcode, payload }
-}
-
-/// Builds an OK response frame: `status 0 + result`.
-fn ok_frame(op: Opcode, result: Vec<u8>) -> Frame {
-    let mut payload = Vec::with_capacity(result.len() + 1);
-    wire::put_u8(&mut payload, status::OK);
-    payload.extend_from_slice(&result);
-    Frame {
-        opcode: op.response(),
-        payload,
-    }
 }
 
 /// Dispatches one well-framed request to the service and renders the
@@ -289,9 +284,14 @@ pub fn handle_request<S: StatisticsService>(service: &S, frame: &Frame) -> (Fram
             false,
         );
     };
-    let result = serve_opcode(service, op, &frame.payload);
-    let resp = match result {
-        Ok(body) => ok_frame(op, body),
+    // The OK status byte first; the result is encoded after it in place.
+    let mut payload = Vec::with_capacity(ESTIMATE_ITEM_LEN);
+    payload.push(status::OK);
+    let resp = match serve_opcode(service, op, &frame.payload, &mut payload) {
+        Ok(()) => Frame {
+            opcode: op.response(),
+            payload,
+        },
         Err(RequestError::Wire(e)) => error_frame(op.response(), e.status(), &e.to_string()),
         Err(RequestError::Service(e)) => error_frame(op.response(), e.status, &e.message),
     };
@@ -318,36 +318,72 @@ impl From<ServiceError> for RequestError {
     }
 }
 
+/// Bytes of one OK estimate item: status, selectivity, pairs.
+const ESTIMATE_ITEM_LEN: usize = 1 + 8 + 8;
+
+/// Appends an estimate's two numbers.
+fn put_estimate(out: &mut Vec<u8>, est: &EstimateReply) {
+    wire::put_f64(out, est.selectivity);
+    wire::put_f64(out, est.pairs);
+}
+
 /// Serves one opcode: parses the request payload, calls the service,
-/// and encodes the OK result payload (without the status byte).
+/// and appends the OK result to `out` (which holds the status byte).
+/// `Estimate` and `BatchEstimate` share one path: the single estimate
+/// is a batch of one whose failure fails the whole reply.
 fn serve_opcode<S: StatisticsService>(
     service: &S,
     op: Opcode,
     payload: &[u8],
-) -> Result<Vec<u8>, RequestError> {
+    out: &mut Vec<u8>,
+) -> Result<(), RequestError> {
     let mut r = PayloadReader::new(payload);
     match op {
-        Opcode::Ping | Opcode::Shutdown => {
-            r.finish()?;
-            Ok(Vec::new())
-        }
+        Opcode::Ping | Opcode::Shutdown => r.finish()?,
         Opcode::Estimate => {
-            let (a, b) = (r.str()?, r.str()?);
+            let pair = (r.str_ref()?, r.str_ref()?);
             r.finish()?;
-            let est = service.estimate(&a, &b)?;
-            let mut out = Vec::new();
-            wire::put_f64(&mut out, est.selectivity);
-            wire::put_f64(&mut out, est.pairs);
-            Ok(out)
+            let answer = service.estimates(&[pair]).pop().unwrap_or_else(|| {
+                Err(ServiceError::new(
+                    status::RUNTIME,
+                    "the service gave no answer",
+                ))
+            })?;
+            put_estimate(out, &answer);
+        }
+        Opcode::BatchEstimate => {
+            let n = usize::from(r.u16()?);
+            // Each pair takes at least its two length prefixes, so a
+            // lying count cannot size the list past the payload.
+            let mut pairs = Vec::with_capacity(n.min(payload.len() / 4));
+            for _ in 0..n {
+                pairs.push((r.str_ref()?, r.str_ref()?));
+            }
+            r.finish()?;
+            // One frame in, one frame out: each item is individually
+            // status-wrapped so a bad table name fails that item only.
+            let answers = service.estimates(&pairs);
+            out.reserve(2 + answers.len() * ESTIMATE_ITEM_LEN);
+            wire::put_u16(out, u16::try_from(answers.len()).unwrap_or(u16::MAX));
+            for answer in &answers {
+                match answer {
+                    Ok(est) => {
+                        wire::put_u8(out, status::OK);
+                        put_estimate(out, est);
+                    }
+                    Err(e) => {
+                        wire::put_u8(out, e.status);
+                        wire::put_str(out, &e.message);
+                    }
+                }
+            }
         }
         Opcode::WindowCount => {
-            let table = r.str()?;
+            let table = r.str_ref()?;
             let (x0, y0, x1, y1) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
             r.finish()?;
-            let count = service.window_count(&table, &Rect::new(x0, y0, x1, y1))?;
-            let mut out = Vec::new();
-            wire::put_f64(&mut out, count);
-            Ok(out)
+            let count = service.window_count(table, &Rect::new(x0, y0, x1, y1))?;
+            wire::put_f64(out, count);
         }
         Opcode::Explain => {
             let n = usize::from(r.u16()?);
@@ -357,76 +393,43 @@ fn serve_opcode<S: StatisticsService>(
             }
             r.finish()?;
             let text = service.explain(&tables)?;
-            let mut out = Vec::new();
-            wire::put_str(&mut out, &text);
-            Ok(out)
+            wire::put_str(out, &text);
         }
         Opcode::CatalogEstimate => {
-            let (a, b) = (r.str()?, r.str()?);
+            let (a, b) = (r.str_ref()?, r.str_ref()?);
             r.finish()?;
-            let outcome = service.catalog_estimate(&a, &b)?;
-            Ok(outcome.to_bytes())
-        }
-        Opcode::BatchEstimate => {
-            let n = usize::from(r.u16()?);
-            let mut pairs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                pairs.push((r.str()?, r.str()?));
-            }
-            r.finish()?;
-            // One frame in, one frame out: each item is individually
-            // status-wrapped so a bad table name fails that item only.
-            let mut out = Vec::new();
-            wire::put_u16(&mut out, u16::try_from(pairs.len()).unwrap_or(u16::MAX));
-            for (a, b) in &pairs {
-                match service.estimate(a, b) {
-                    Ok(est) => {
-                        wire::put_u8(&mut out, status::OK);
-                        wire::put_f64(&mut out, est.selectivity);
-                        wire::put_f64(&mut out, est.pairs);
-                    }
-                    Err(e) => {
-                        wire::put_u8(&mut out, e.status);
-                        wire::put_str(&mut out, &e.message);
-                    }
-                }
-            }
-            Ok(out)
+            let outcome = service.catalog_estimate(a, b)?;
+            out.extend_from_slice(&outcome.to_bytes());
         }
         Opcode::Tables => {
             r.finish()?;
             let names = service.tables();
-            let mut out = Vec::new();
-            wire::put_u16(&mut out, u16::try_from(names.len()).unwrap_or(u16::MAX));
+            wire::put_u16(out, u16::try_from(names.len()).unwrap_or(u16::MAX));
             for name in names.iter().take(usize::from(u16::MAX)) {
-                wire::put_str(&mut out, name);
+                wire::put_str(out, name);
             }
-            Ok(out)
         }
         Opcode::InsertBatch | Opcode::DeleteBatch => {
             let (table, id, rects) = read_mutation(&mut r)?;
             let reply = if op == Opcode::InsertBatch {
-                service.insert_batch(&table, &rects, id)?
+                service.insert_batch(table, &rects, id)?
             } else {
-                service.delete_batch(&table, &rects, id)?
+                service.delete_batch(table, &rects, id)?
             };
-            let mut out = Vec::new();
-            wire::put_u32(&mut out, reply.applied);
-            wire::put_u16(&mut out, reply.pending_tiers);
-            wire::put_u8(&mut out, u8::from(reply.compacted));
-            wire::put_u8(&mut out, u8::from(reply.deduplicated));
-            Ok(out)
+            wire::put_u32(out, reply.applied);
+            wire::put_u16(out, reply.pending_tiers);
+            wire::put_u8(out, u8::from(reply.compacted));
+            wire::put_u8(out, u8::from(reply.deduplicated));
         }
         Opcode::Compact => {
-            let table = r.str()?;
+            let table = r.str_ref()?;
             r.finish()?;
-            let reply = service.compact(&table)?;
-            let mut out = Vec::new();
-            wire::put_u16(&mut out, reply.tiers_folded);
-            wire::put_u8(&mut out, u8::from(reply.persisted));
-            Ok(out)
+            let reply = service.compact(table)?;
+            wire::put_u16(out, reply.tiers_folded);
+            wire::put_u8(out, u8::from(reply.persisted));
         }
     }
+    Ok(())
 }
 
 /// Parses the shared `insert-batch`/`delete-batch` request payload
@@ -437,10 +440,10 @@ fn serve_opcode<S: StatisticsService>(
 /// frame cap already bounds the count; the capacity pre-allocation is
 /// clamped anyway so a lying prefix cannot balloon memory before the
 /// reader hits truncation.
-fn read_mutation(
-    r: &mut PayloadReader<'_>,
-) -> Result<(String, MutationId, Vec<Rect>), RequestError> {
-    let table = r.str()?;
+fn read_mutation<'a>(
+    r: &mut PayloadReader<'a>,
+) -> Result<(&'a str, MutationId, Vec<Rect>), RequestError> {
+    let table = r.str_ref()?;
     let id = MutationId::new(r.u64()?, r.u64()?);
     let n = r.u32()? as usize;
     let mut rects = Vec::with_capacity(n.min(4096));

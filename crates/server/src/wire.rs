@@ -135,8 +135,9 @@ pub enum Opcode {
     /// Every rectangle must currently exist in the table, or the whole
     /// batch is rejected without applying anything.
     DeleteBatch,
-    /// Fold a table's pending delta tiers into its base envelope:
-    /// `str table` → `u16 tiers_folded + u8 persisted`.
+    /// Compact a table, folding the batches applied since its last
+    /// compaction into its base file: `str table` → `u16 tiers_folded +
+    /// u8 persisted`.
     Compact,
     /// Graceful server shutdown; empty payload both ways.
     Shutdown,
@@ -295,6 +296,7 @@ impl From<std::io::Error> for WireError {
 // lives in `sj_histogram::crc` (re-exported as `sj_core::crc`).
 // ---------------------------------------------------------------------
 
+use sj_core::crc;
 pub use sj_core::crc::crc32;
 
 // ---------------------------------------------------------------------
@@ -325,6 +327,15 @@ impl Frame {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + TRAILER_LEN);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the serialized frame to `out`, so a connection can
+    /// encode every reply into one reused buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(HEADER_LEN + self.payload.len() + TRAILER_LEN);
+        let start = out.len();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         out.push(self.opcode);
@@ -332,9 +343,8 @@ impl Frame {
         let len = u32::try_from(self.payload.len()).unwrap_or(u32::MAX);
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(&self.payload);
-        let crc = crc32(&out);
+        let crc = crc32(out.get(start..).unwrap_or_default());
         out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     /// Decodes one complete frame from `bytes`, which must contain the
@@ -345,27 +355,12 @@ impl Frame {
     /// unsupported version, oversized or truncated length, checksum
     /// mismatch, trailing garbage.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        let header = bytes.get(..HEADER_LEN).ok_or(WireError::Truncated {
+        let truncated = || WireError::Truncated {
             needed: HEADER_LEN,
             got: bytes.len(),
-        })?;
-        let (magic, version, opcode, reserved, len) = parse_header(header)?;
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        if reserved != 0 {
-            return Err(WireError::BadReserved(reserved));
-        }
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized {
-                len,
-                max: MAX_PAYLOAD,
-            });
-        }
-        let payload_len = len as usize;
+        };
+        let header = bytes.first_chunk().ok_or_else(truncated)?;
+        let (opcode, payload_len) = check_header(header)?;
         let total = HEADER_LEN + payload_len + TRAILER_LEN;
         if bytes.len() != total {
             return Err(WireError::Truncated {
@@ -373,16 +368,14 @@ impl Frame {
                 got: bytes.len(),
             });
         }
-        let body = bytes.get(..HEADER_LEN + payload_len).unwrap_or_default();
+        let payload = bytes
+            .get(HEADER_LEN..HEADER_LEN + payload_len)
+            .unwrap_or_default();
         let trailer = bytes.get(HEADER_LEN + payload_len..).unwrap_or_default();
-        let expected = u32::from_le_bytes(le4(trailer)?);
-        let actual = crc32(body);
-        if expected != actual {
-            return Err(WireError::ChecksumMismatch { expected, actual });
-        }
+        check_crc(header, payload, trailer)?;
         Ok(Self {
             opcode,
-            payload: body.get(HEADER_LEN..).unwrap_or_default().to_vec(),
+            payload: payload.to_vec(),
         })
     }
 
@@ -400,8 +393,9 @@ impl Frame {
     ///
     /// Reads the fixed header first, validates it (so an absurd length
     /// prefix is rejected before any allocation), then reads exactly the
-    /// declared payload and trailer and runs the full [`Frame::from_bytes`]
-    /// validation.
+    /// declared payload and trailer into one buffer, checks the CRC and
+    /// keeps that buffer, trailer cut off, as the payload. Over a
+    /// [`std::io::BufReader`] an ordinary frame costs one `read` call.
     ///
     /// # Errors
     /// A clean EOF before the first header byte is
@@ -410,43 +404,51 @@ impl Frame {
     pub fn read_from(r: &mut impl std::io::Read) -> Result<Self, WireError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact_or_truncated(r, &mut header, true)?;
-        let (magic, version, _opcode, reserved, len) = parse_header(&header)?;
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        if reserved != 0 {
-            return Err(WireError::BadReserved(reserved));
-        }
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized {
-                len,
-                max: MAX_PAYLOAD,
-            });
-        }
-        let rest_len = len as usize + TRAILER_LEN;
-        let mut frame = Vec::with_capacity(HEADER_LEN + rest_len);
-        frame.extend_from_slice(&header);
-        frame.resize(HEADER_LEN + rest_len, 0);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "frame was just resized past HEADER_LEN"
-        )]
-        read_exact_or_truncated(r, &mut frame[HEADER_LEN..], false)?;
-        Self::from_bytes(&frame)
+        let (opcode, len) = check_header(&header)?;
+        let mut payload = vec![0u8; len + TRAILER_LEN];
+        read_exact_or_truncated(r, &mut payload, false)?;
+        let (body, trailer) = payload.split_at_checked(len).unwrap_or_default();
+        check_crc(&header, body, trailer)?;
+        payload.truncate(len);
+        Ok(Self { opcode, payload })
     }
 }
 
-/// Splits a raw 12-byte header into its fields without validating them.
-fn parse_header(header: &[u8]) -> Result<([u8; 4], u16, u8, u8, u32), WireError> {
-    let magic = le4(header.get(0..4).unwrap_or_default())?;
-    let version = u16::from_le_bytes(le2(header.get(4..6).unwrap_or_default())?);
-    let opcode = header.get(6).copied().unwrap_or(0);
-    let reserved = header.get(7).copied().unwrap_or(0);
-    let len = u32::from_le_bytes(le4(header.get(8..12).unwrap_or_default())?);
-    Ok((magic, version, opcode, reserved, len))
+/// Validates a raw header and returns its opcode and payload length.
+/// The checks run in a fixed order (magic, version, reserved byte,
+/// length), so each corruption maps to one [`WireError`].
+fn check_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
+    let [m0, m1, m2, m3, v0, v1, opcode, reserved, l0, l1, l2, l3] = *header;
+    let magic = [m0, m1, m2, m3];
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic));
+    }
+    let version = u16::from_le_bytes([v0, v1]);
+    if version != WIRE_VERSION {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    if reserved != 0 {
+        return Err(WireError::BadReserved(reserved));
+    }
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    if len > MAX_PAYLOAD {
+        return Err(WireError::Oversized {
+            len,
+            max: MAX_PAYLOAD,
+        });
+    }
+    Ok((opcode, len as usize))
+}
+
+/// Checks the CRC32 `trailer` against the header and payload, hashed
+/// where they lie rather than joined first.
+fn check_crc(header: &[u8], payload: &[u8], trailer: &[u8]) -> Result<(), WireError> {
+    let expected = u32::from_le_bytes(le4(trailer)?);
+    let actual = !crc::resume(crc::resume(u32::MAX, header), payload);
+    if expected != actual {
+        return Err(WireError::ChecksumMismatch { expected, actual });
+    }
+    Ok(())
 }
 
 /// `read_exact` with the error vocabulary of this protocol: a clean EOF
@@ -620,9 +622,18 @@ impl<'a> PayloadReader<'a> {
     /// [`WireError::Truncated`] past the end, [`WireError::BadPayload`]
     /// on invalid UTF-8.
     pub fn str(&mut self) -> Result<String, WireError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Reads a string like [`PayloadReader::str`], borrowed from the
+    /// payload instead of copied out of it.
+    ///
+    /// # Errors
+    /// As [`PayloadReader::str`].
+    pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
         let len = usize::from(self.u16()?);
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|e| WireError::BadPayload(format!("invalid UTF-8 in string field: {e}")))
     }
 
