@@ -9,16 +9,16 @@
 //! enforcing deadlock freedom.
 //!
 //! In debug builds (`cfg(debug_assertions)`) each wrapper keeps a
-//! thread-local stack of held ranks and asserts the discipline on
-//! every acquisition; when *observe mode* is enabled (by the dynamic
-//! verifier `sj-lint verify-locks`) violations are recorded into a
-//! global lock-event log instead of panicking, together with every
-//! acquisition and every instrumented blocking-I/O call, so the
-//! verifier can rebuild the observed lock-order graph after the
-//! workload. In release builds the wrappers compile down to the bare
-//! `std::sync` lock plus poison recovery — no rank field, no
-//! thread-local, no event log (`latency_server`'s sync gate requires
-//! the overhead to stay ≤ 2% on the hot path).
+//! thread-local stack of held locks and panics on an acquisition that
+//! breaks the order, naming both acquisition sites. The storage layer
+//! reports every blocking file operation through [`note_blocking_io`],
+//! which panics when the thread holds a [`LockRank::Catalog`] lock: an
+//! fsync under the catalog would stall every estimate behind the disk.
+//! So every debug test checks both rules on every path it runs. In
+//! release builds the wrappers compile down to the bare `std::sync`
+//! lock plus poison recovery — no rank field, no thread-local
+//! (`latency_server`'s sync gate requires the overhead to stay ≤ 2% on
+//! the hot path).
 //!
 //! Poison recovery is part of the wrapper contract: a panic under a
 //! guard must never wedge the next acquirer, so `lock()`/`read()`/
@@ -32,11 +32,9 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "this layer wraps the std locks and atomics, and the tracker's own log mutex cannot be a ranked wrapper without recursing into itself"
+    reason = "this layer wraps the std locks and atomics that clippy.toml disallows everywhere else"
 )]
 
-#[cfg(debug_assertions)]
-use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
 use std::sync::{Mutex as StdMutex, RwLock as StdRwLock};
 
@@ -56,16 +54,15 @@ pub enum LockRank {
     /// one coarse mutex serializing mutations and compactions so the
     /// catalog's `RwLock` never has to be held across file I/O.
     StatsStore,
+    /// The WAL/store file-I/O mutex (`CatalogService::wal_io`):
+    /// serializes appends, fsyncs and compaction rewrites. Ranked
+    /// *below* `Catalog`, so taking it under a catalog guard is a rank
+    /// inversion: file I/O never runs while estimates could be waiting.
+    WalFile,
     /// The catalog itself (`Arc<OrderedRwLock<Catalog>>`): many
     /// concurrent readers (estimates), short exclusive writers
     /// (in-memory commit only — never I/O).
     Catalog,
-    /// The WAL/store file-I/O mutex (`CatalogService::wal_io`):
-    /// serializes appends, fsyncs and compaction rewrites. Ranked
-    /// *above* `Catalog`, so a thread holding it cannot take the catalog;
-    /// file I/O under a catalog guard is what `verify-locks`' fsync
-    /// oracle catches.
-    WalFile,
     /// The work-distribution queue inside [`crate::parallel_map`].
     /// Ranked above every daemon lock: estimate paths may fan out to
     /// worker threads while a catalog read guard is held.
@@ -79,20 +76,20 @@ impl LockRank {
     pub const ALL: [LockRank; 6] = [
         LockRank::ConnRegistry,
         LockRank::StatsStore,
-        LockRank::Catalog,
         LockRank::WalFile,
+        LockRank::Catalog,
         LockRank::WorkQueue,
         LockRank::WorkResults,
     ];
 
-    /// Stable human name used in reports and DESIGN.md §15.
+    /// Stable human name of the rank.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             LockRank::ConnRegistry => "conn-registry",
             LockRank::StatsStore => "stats-store",
-            LockRank::Catalog => "catalog",
             LockRank::WalFile => "wal-file",
+            LockRank::Catalog => "catalog",
             LockRank::WorkQueue => "work-queue",
             LockRank::WorkResults => "work-results",
         }
@@ -101,131 +98,80 @@ impl LockRank {
     /// Numeric rank (the position in [`LockRank::ALL`]).
     #[must_use]
     pub fn level(self) -> usize {
-        match self {
-            LockRank::ConnRegistry => 0,
-            LockRank::StatsStore => 1,
-            LockRank::Catalog => 2,
-            LockRank::WalFile => 3,
-            LockRank::WorkQueue => 4,
-            LockRank::WorkResults => 5,
-        }
+        self as usize
     }
-}
-
-/// A lock some thread held at the moment an event was recorded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeldLock {
-    /// The held lock's rank.
-    pub rank: LockRank,
-    /// The held lock's construction-time name (e.g. `server.conns`).
-    pub name: &'static str,
-    /// `file:line` of the acquisition call site.
-    pub site: String,
-}
-
-/// One entry of the global lock-event log (debug builds, observe mode).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LockEvent {
-    /// A ranked lock was acquired (`lock()`, `read()` or `write()`).
-    Acquire {
-        /// Rank of the acquired lock.
-        rank: LockRank,
-        /// Construction-time name of the acquired lock.
-        name: &'static str,
-        /// `file:line` of the acquisition call site.
-        site: String,
-        /// Snapshot of the locks the acquiring thread already held.
-        held: Vec<HeldLock>,
-        /// Ordinal of the acquiring thread (stable within a process).
-        thread: u64,
-    },
-    /// An instrumented blocking-I/O call ran (see [`note_blocking_io`]).
-    BlockingIo {
-        /// Operation name (`append_wal`, `sync_file`, ...).
-        op: String,
-        /// Snapshot of the locks the calling thread held.
-        held: Vec<HeldLock>,
-        /// Ordinal of the calling thread.
-        thread: u64,
-    },
 }
 
 #[cfg(debug_assertions)]
 mod tracking {
-    use super::{HeldLock, LockEvent, LockRank};
+    use super::LockRank;
     use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, PoisonError};
+    use std::panic::Location;
 
-    /// Observe mode: record instead of panicking on violations.
-    pub(super) static OBSERVE: AtomicBool = AtomicBool::new(false);
-    /// The global lock-event log, drained by `take_events`. Its own
-    /// mutex is internal to the tracker — never held across user code,
-    /// and a ranked wrapper here would recurse into itself.
-    pub(super) static EVENTS: Mutex<Vec<LockEvent>> = Mutex::new(Vec::new());
-    static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+    /// A lock the current thread holds.
+    struct HeldLock {
+        rank: LockRank,
+        name: &'static str,
+        site: &'static Location<'static>,
+    }
 
     thread_local! {
         static HELD: RefCell<Vec<HeldLock>> = const { RefCell::new(Vec::new()) };
-        static ORDINAL: u64 = NEXT_THREAD.fetch_add(1, Ordering::SeqCst);
     }
 
-    pub(super) fn thread_ordinal() -> u64 {
-        ORDINAL.with(|o| *o)
+    /// The held lock of highest rank among those `pick` accepts, as
+    /// `(rank, name, site)`.
+    fn worst_held(
+        pick: impl Fn(LockRank) -> bool,
+    ) -> Option<(LockRank, &'static str, &'static Location<'static>)> {
+        HELD.with(|h| {
+            h.borrow()
+                .iter()
+                .filter(|h| pick(h.rank))
+                .max_by_key(|h| h.rank)
+                .map(|h| (h.rank, h.name, h.site))
+        })
     }
 
-    pub(super) fn held_snapshot() -> Vec<HeldLock> {
-        HELD.with(|h| h.borrow().clone())
-    }
-
-    /// Rank check, run *before* blocking on the lock. Panics on a rank
-    /// inversion unless observing (the verifier wants the evidence, not
-    /// the corpse).
+    /// Rank check, run *before* blocking on the lock.
     #[expect(
         clippy::panic,
-        reason = "a rank inversion is a latent deadlock and must fail loudly in debug builds; observe mode records it for the verifier instead"
+        reason = "a rank inversion is a latent deadlock and must fail loudly in debug builds"
     )]
-    pub(super) fn check_order(rank: LockRank, name: &'static str, site: &str) {
-        let held = held_snapshot();
-        let Some(worst) = held
-            .iter()
-            .filter(|h| h.rank >= rank)
-            .max_by_key(|h| h.rank)
-        else {
-            return;
-        };
-        if OBSERVE.load(Ordering::SeqCst) {
-            return; // recorded with its held snapshot in note_acquired
+    pub(super) fn check_order(rank: LockRank, name: &'static str, site: &Location<'_>) {
+        if let Some((held, held_name, held_site)) = worst_held(|h| h >= rank) {
+            panic!(
+                "lock-order violation: acquiring {rank:?} (rank {}) `{name}` at {site} \
+                 while holding {held:?} (rank {}) `{held_name}` acquired at {held_site} — \
+                 acquisition ranks must strictly increase (DESIGN.md §15)",
+                rank.level(),
+                held.level(),
+            );
         }
-        panic!(
-            "lock-order violation: acquiring {:?} (rank {}) `{name}` at {site} \
-             while holding {:?} (rank {}) `{}` acquired at {} — acquisition \
-             ranks must strictly increase (DESIGN.md §15)",
-            rank,
-            rank.level(),
-            worst.rank,
-            worst.rank.level(),
-            worst.name,
-            worst.site,
-        );
     }
 
-    /// Records a successful acquisition onto the thread-local stack and
-    /// (in observe mode) into the global log.
-    pub(super) fn note_acquired(rank: LockRank, name: &'static str, site: String) {
-        if OBSERVE.load(Ordering::SeqCst) {
-            let ev = LockEvent::Acquire {
-                rank,
-                name,
-                site: site.clone(),
-                held: held_snapshot(),
-                thread: thread_ordinal(),
-            };
-            EVENTS
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(ev);
+    /// File-I/O check: the catalog lock is never held across the disk.
+    #[expect(
+        clippy::panic,
+        reason = "file I/O under the catalog lock stalls every estimate behind the disk and must fail loudly in debug builds"
+    )]
+    pub(super) fn check_io(op: &str) {
+        if let Some((held, held_name, held_site)) = worst_held(|h| h == LockRank::Catalog) {
+            panic!(
+                "file I/O under the catalog lock: `{op}` while holding {held:?} (rank {}) \
+                 `{held_name}` acquired at {held_site} — estimates must never wait \
+                 behind the disk (DESIGN.md §15)",
+                held.level(),
+            );
         }
+    }
+
+    /// Pushes a successful acquisition onto the thread-local stack.
+    pub(super) fn note_acquired(
+        rank: LockRank,
+        name: &'static str,
+        site: &'static Location<'static>,
+    ) {
         HELD.with(|h| h.borrow_mut().push(HeldLock { rank, name, site }));
     }
 
@@ -241,82 +187,17 @@ mod tracking {
     }
 }
 
-/// Enables or disables observe mode (debug builds only). Enabling
-/// clears the event log; disabling leaves the log intact for
-/// [`take_events`]. Release builds: no-op.
-pub fn set_observe(enabled: bool) {
-    #[cfg(debug_assertions)]
-    {
-        if enabled {
-            tracking::EVENTS
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
-        }
-        tracking::OBSERVE.store(enabled, Ordering::SeqCst);
-    }
-    #[cfg(not(debug_assertions))]
-    let _ = enabled;
-}
-
-/// Whether observe mode is currently enabled.
-#[must_use]
-pub fn observing() -> bool {
-    #[cfg(debug_assertions)]
-    {
-        tracking::OBSERVE.load(Ordering::SeqCst)
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        false
-    }
-}
-
-/// Drains and returns the global lock-event log (debug builds; always
-/// empty in release).
-#[must_use]
-pub fn take_events() -> Vec<LockEvent> {
-    #[cfg(debug_assertions)]
-    {
-        std::mem::take(
-            &mut tracking::EVENTS
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        Vec::new()
-    }
-}
-
-/// Instrumentation hook for blocking file/socket I/O: the storage layer
-/// calls this with an operation name (`append_wal`, `sync_file`, ...)
-/// so the verifier can see I/O performed while ranked locks are held.
-/// Records only in observe mode; never panics (single-threaded CLI
-/// paths legitimately do I/O with no locks held).
+/// Instrumentation hook for blocking file I/O: the storage layer calls
+/// this with an operation name (`append_wal`, `sync_file`, ...) before
+/// each operation. Debug builds panic when the calling thread holds a
+/// [`LockRank::Catalog`] lock, naming the operation and where that lock
+/// was taken; I/O with no lock held, or under `StatsStore` or `WalFile`
+/// alone, passes. Release builds: no-op.
 pub fn note_blocking_io(op: &str) {
     #[cfg(debug_assertions)]
-    {
-        if tracking::OBSERVE.load(Ordering::SeqCst) {
-            let ev = LockEvent::BlockingIo {
-                op: op.to_string(),
-                held: tracking::held_snapshot(),
-                thread: tracking::thread_ordinal(),
-            };
-            tracking::EVENTS
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(ev);
-        }
-    }
+    tracking::check_io(op);
     #[cfg(not(debug_assertions))]
     let _ = op;
-}
-
-#[cfg(debug_assertions)]
-fn caller_site(loc: &std::panic::Location<'_>) -> String {
-    format!("{}:{}", loc.file(), loc.line())
 }
 
 /// A [`StdMutex`] that participates in the workspace lock hierarchy.
@@ -372,7 +253,8 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
 }
 
 impl<T> OrderedMutex<T> {
-    /// Wraps `value` in a mutex at `rank`, labelled `name` for reports.
+    /// Wraps `value` in a mutex at `rank`, labelled `name` for the
+    /// debug tracker's panic messages.
     #[must_use]
     pub fn new(rank: LockRank, name: &'static str, value: T) -> Self {
         #[cfg(not(debug_assertions))]
@@ -392,8 +274,8 @@ impl<T> OrderedMutex<T> {
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         #[cfg(debug_assertions)]
         {
-            let site = caller_site(std::panic::Location::caller());
-            tracking::check_order(self.rank, self.name, &site);
+            let site = std::panic::Location::caller();
+            tracking::check_order(self.rank, self.name, site);
             let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             tracking::note_acquired(self.rank, self.name, site);
             OrderedMutexGuard {
@@ -518,8 +400,8 @@ impl<T> OrderedRwLock<T> {
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
         #[cfg(debug_assertions)]
         {
-            let site = caller_site(std::panic::Location::caller());
-            tracking::check_order(self.rank, self.name, &site);
+            let site = std::panic::Location::caller();
+            tracking::check_order(self.rank, self.name, site);
             let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
             tracking::note_acquired(self.rank, self.name, site);
             OrderedReadGuard {
@@ -539,8 +421,8 @@ impl<T> OrderedRwLock<T> {
     pub fn write(&self) -> OrderedWriteGuard<'_, T> {
         #[cfg(debug_assertions)]
         {
-            let site = caller_site(std::panic::Location::caller());
-            tracking::check_order(self.rank, self.name, &site);
+            let site = std::panic::Location::caller();
+            tracking::check_order(self.rank, self.name, site);
             let guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
             tracking::note_acquired(self.rank, self.name, site);
             OrderedWriteGuard {
@@ -616,10 +498,6 @@ impl SeqCstU64 {
 mod tests {
     use super::*;
 
-    /// The observe flag and event log are process-global; tests that
-    /// touch them must not interleave.
-    static SERIAL: StdMutex<()> = StdMutex::new(());
-
     #[test]
     fn ranks_are_strictly_ordered_and_named() {
         for w in LockRank::ALL.windows(2) {
@@ -633,7 +511,6 @@ mod tests {
 
     #[test]
     fn increasing_acquisitions_pass() {
-        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let low = OrderedMutex::new(LockRank::ConnRegistry, "t.low", 1);
         let high = OrderedMutex::new(LockRank::Catalog, "t.high", 2);
         let a = low.lock();
@@ -643,18 +520,27 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "lock-order violation")]
-    fn rank_inversion_panics_outside_observe_mode() {
-        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    fn rank_inversion_panics() {
         let low = OrderedMutex::new(LockRank::ConnRegistry, "t.low", ());
         let high = OrderedMutex::new(LockRank::WalFile, "t.high", ());
         let _h = high.lock();
         let _l = low.lock(); // WalFile held, ConnRegistry requested: inversion
     }
 
+    /// The daemon's WAL mutex under a catalog guard: file I/O would stall
+    /// every estimate, so the ranks alone reject it.
+    #[test]
+    #[should_panic(expected = "lock-order violation")]
+    fn wal_file_under_a_catalog_guard_panics() {
+        let catalog = OrderedRwLock::new(LockRank::Catalog, "t.catalog", ());
+        let wal_io = OrderedMutex::new(LockRank::WalFile, "t.wal_io", ());
+        let _r = catalog.read();
+        let _w = wal_io.lock();
+    }
+
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn same_rank_reacquisition_panics() {
-        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let a = OrderedMutex::new(LockRank::Catalog, "t.a", ());
         let b = OrderedMutex::new(LockRank::Catalog, "t.b", ());
         let _a = a.lock();
@@ -663,7 +549,6 @@ mod tests {
 
     #[test]
     fn early_drop_reopens_the_rank_window() {
-        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let high = OrderedMutex::new(LockRank::WalFile, "t.high", ());
         let low = OrderedMutex::new(LockRank::StatsStore, "t.low", ());
         let g = high.lock();
@@ -672,61 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_mode_records_acquisitions_and_io() {
-        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-        set_observe(true);
-        let low = OrderedMutex::new(LockRank::StatsStore, "t.pipeline", ());
-        let high = OrderedRwLock::new(LockRank::Catalog, "t.catalog", 7);
-        {
-            let _g = low.lock();
-            let r = high.read();
-            assert_eq!(*r, 7);
-            note_blocking_io("sync_file");
-        }
-        set_observe(false);
-        let events = take_events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            LockEvent::Acquire { name: "t.pipeline", held, .. } if held.is_empty()
-        )));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            LockEvent::Acquire { name: "t.catalog", held, .. }
-                if held.len() == 1 && held[0].rank == LockRank::StatsStore
-        )));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            LockEvent::BlockingIo { op, held, .. }
-                if op == "sync_file" && held.iter().any(|h| h.rank == LockRank::Catalog)
-        )));
-        assert!(take_events().is_empty(), "take_events drains the log");
-    }
-
-    #[test]
-    fn observe_mode_records_inversions_instead_of_panicking() {
-        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-        set_observe(true);
-        let low = OrderedMutex::new(LockRank::StatsStore, "t.low", ());
-        let high = OrderedMutex::new(LockRank::WalFile, "t.high", ());
-        {
-            let _h = high.lock();
-            let _l = low.lock(); // inversion: recorded, not fatal
-        }
-        set_observe(false);
-        let events = take_events();
-        let inverted = events.iter().any(|e| {
-            matches!(
-                e,
-                LockEvent::Acquire { rank: LockRank::StatsStore, held, .. }
-                    if held.iter().any(|h| h.rank >= LockRank::StatsStore)
-            )
-        });
-        assert!(inverted, "the inversion must appear in the log: {events:?}");
-    }
-
-    #[test]
     fn poison_is_recovered_by_every_acquisition_path() {
-        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let lock = std::sync::Arc::new(OrderedRwLock::new(LockRank::Catalog, "t.poison", 41));
         let clone = std::sync::Arc::clone(&lock);
         let _ = std::thread::spawn(move || {

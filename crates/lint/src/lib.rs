@@ -7,16 +7,12 @@
 //! datasets — sharded and merged, or incrementally through a signed
 //! delta — and asserts the result's envelope bytes equal the baseline's
 //! (localizing any divergence to the first differing cell and
-//! statistic), [`verify_recovery`] crash-tests the statistics store's
-//! durability, and [`verify_locks`] replays a concurrent daemon
-//! workload under the ranked-lock instrumentation of `sj_core::sync`
-//! and rejects rank inversions, observed lock-order cycles and file I/O
-//! under the catalog lock.
+//! statistic), and [`verify_recovery`] crash-tests the statistics
+//! store's durability.
 //!
 //! Run them with `cargo run -p sj-lint -- verify-equivalence` (and its
-//! `verify-recovery`, `verify-locks` siblings).
+//! `verify-recovery` sibling).
 
 pub mod report;
 pub mod verify;
-pub mod verify_locks;
 pub mod verify_recovery;

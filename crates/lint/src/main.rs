@@ -1,11 +1,10 @@
-//! `sj-lint` binary: the `verify-equivalence`, `verify-recovery` and
-//! `verify-locks` subcommands.
+//! `sj-lint` binary: the `verify-equivalence` and `verify-recovery`
+//! subcommands.
 //!
 //! Exit codes: `0` clean, `1` verifier divergences, `2` usage error.
 
 use sj_lint::report::Format;
 use sj_lint::verify::{run_verify, Fault, VerifyConfig};
-use sj_lint::verify_locks::{run_verify_locks, LockFault, LocksConfig};
 use sj_lint::verify_recovery::{run_verify_recovery, RecoveryConfig, RecoveryFault};
 use std::process::ExitCode;
 
@@ -19,8 +18,6 @@ USAGE:
     sj-lint verify-recovery [--format human|json] [--scale <f>]
                             [--levels <l>]
                             [--inject drop-wal-tail|skip-wal-replay]
-    sj-lint verify-locks [--format human|json] [--scale <f>]
-                         [--inject invert-ranks|hold-across-fsync]
 
 The static rules are rustc's and clippy's, configured in clippy.toml,
 [workspace.lints] and per-module lint attributes (DESIGN.md §10). A
@@ -32,11 +29,8 @@ verify-equivalence  every histogram family, built a second way (sharded
                     a full rebuild over the mutated data)
 verify-recovery     a crash at every mutating store operation must
                     recover to an acknowledged crash-free prefix state
-verify-locks        a concurrent daemon workload must keep lock ranks
-                    increasing, the lock-order graph acyclic and WAL/fsync
-                    I/O out from under the catalog lock (debug builds)
 
-Divergences are localized to a cell and statistic (or a lock pair);
+Divergences are localized to a cell and statistic;
 --inject breaks a verifier's input on purpose to prove the check bites.
 Exit codes: 0 clean, 1 divergences, 2 usage error. docs/CLI.md is the
 full reference.";
@@ -158,7 +152,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     match command.as_str() {
         "verify-equivalence" => cmd_verify_equivalence(&cli),
         "verify-recovery" => cmd_verify_recovery(&cli),
-        "verify-locks" => cmd_verify_locks(&cli),
         other => Err(format!("unknown command `{other}`")),
     }
 }
@@ -212,17 +205,6 @@ fn cmd_verify_recovery(cli: &Cli) -> Result<ExitCode, String> {
     }
     config.fault = fault(cli, RecoveryFault::parse, "drop-wal-tail, skip-wal-replay")?;
     let report = run_verify_recovery(&config)?;
-    print!("{}", report.render(cli.format));
-    Ok(verdict(report.is_clean()))
-}
-
-fn cmd_verify_locks(cli: &Cli) -> Result<ExitCode, String> {
-    let mut config = LocksConfig::default();
-    if let Some(scale) = cli.scale {
-        config.scale = scale;
-    }
-    config.fault = fault(cli, LockFault::parse, "invert-ranks, hold-across-fsync")?;
-    let report = run_verify_locks(&config)?;
     print!("{}", report.render(cli.format));
     Ok(verdict(report.is_clean()))
 }

@@ -19,20 +19,12 @@ fn sj_lint(args: &[&str]) -> Output {
 
 /// A flag the chosen subcommand does not read is a usage error, never
 /// silently ignored; so is a second level for the single-level crash
-/// matrix, and so are the retired `fingerprint`, `check` and `rules`
-/// subcommands.
+/// matrix, and so are the retired `fingerprint`, `check`, `rules` and
+/// `verify-locks` subcommands.
 #[test]
 fn flags_a_subcommand_does_not_read_are_usage_errors() {
     let cases: [(&[&str], &str); 9] = [
         (&["verify-recovery", "--levels", "3,9"], "single level"),
-        (
-            &["verify-locks", "--levels", "3"],
-            "`--levels` is not an option of `verify-locks`",
-        ),
-        (
-            &["verify-locks", "--shards", "2"],
-            "`--shards` is not an option of `verify-locks`",
-        ),
         (
             &["verify-recovery", "--shards", "2"],
             "`--shards` is not an option of `verify-recovery`",
@@ -44,9 +36,14 @@ fn flags_a_subcommand_does_not_read_are_usage_errors() {
         (&["fingerprint"], "unknown command `fingerprint`"),
         (&["check"], "unknown command `check`"),
         (&["rules"], "unknown command `rules`"),
+        (&["verify-locks"], "unknown command `verify-locks`"),
         (
-            &["verify-locks", "--bogus"],
-            "`--bogus` is not an option of `verify-locks`",
+            &["verify-locks", "--scale", "1"],
+            "unknown command `verify-locks`",
+        ),
+        (
+            &["verify-locks", "--inject", "invert-ranks"],
+            "unknown command `verify-locks`",
         ),
     ];
     for (args, message) in cases {

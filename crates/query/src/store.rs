@@ -227,12 +227,11 @@ pub trait StoreIo: Send + Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealStoreIo;
 
-// Every blocking operation reports itself to the lock-event log via
-// `sj_core::sync::note_blocking_io` (a no-op outside observe mode), so
-// the dynamic verifier `sj-lint verify-locks` can see file I/O that
-// runs while ranked locks are held — an fsync under the catalog lock is
-// the latency bug this workspace's mutation pipeline is structured to
-// avoid (DESIGN.md §15).
+// Every blocking operation reports itself through
+// `sj_core::sync::note_blocking_io`, which panics in debug builds when
+// the thread holds the catalog lock — an fsync under the catalog lock
+// is the latency bug this workspace's mutation pipeline is structured
+// to avoid (DESIGN.md §15).
 impl StoreIo for RealStoreIo {
     fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
         sj_core::sync::note_blocking_io("create_dir_all");
@@ -2486,6 +2485,38 @@ mod tests {
             ],
             "one file, fsynced before its rename; no `.hist` is touched"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An fsync under a catalog-ranked guard would stall every estimate
+    /// behind the disk: the debug tracker panics naming the operation.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "`sync_file` while holding Catalog")]
+    fn sync_file_under_a_catalog_guard_panics() {
+        use sj_core::sync::{LockRank, OrderedRwLock};
+        let catalog = OrderedRwLock::new(LockRank::Catalog, "t.catalog", ());
+        let _guard = catalog.read();
+        let _ = RealStoreIo.sync_file(&temp_dir("fsync-under-catalog").join("f"));
+    }
+
+    /// The same fsync passes with no lock held, as single-threaded CLI
+    /// paths do it, and under the daemon pipeline's `StatsStore` and
+    /// `WalFile` guards.
+    #[test]
+    fn sync_file_outside_the_catalog_lock_passes() {
+        use sj_core::sync::{LockRank, OrderedMutex};
+        let dir = temp_dir("fsync-outside-catalog");
+        let path = dir.join("f");
+        RealStoreIo.create_dir_all(&dir).unwrap();
+        RealStoreIo.write(&path, b"x").unwrap();
+        RealStoreIo.sync_file(&path).unwrap();
+        let pipeline = OrderedMutex::new(LockRank::StatsStore, "t.pipeline", ());
+        let wal_io = OrderedMutex::new(LockRank::WalFile, "t.wal_io", ());
+        let _pipeline = pipeline.lock();
+        RealStoreIo.sync_file(&path).unwrap();
+        let _wal_io = wal_io.lock();
+        RealStoreIo.sync_file(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -185,8 +185,8 @@ impl<S: StatisticsService> Server<S> {
                     self.conns.lock().push((id, handle));
                 }
                 scope.spawn(move || {
+                    let _registered = Registered(self, id);
                     self.handle_connection(stream, addr);
-                    self.forget_connection(id);
                 });
             }
         });
@@ -205,12 +205,6 @@ impl<S: StatisticsService> Server<S> {
         for (_, conn) in conns {
             drop(conn.shutdown(std::net::Shutdown::Both));
         }
-    }
-
-    /// Drops the registry clone of a finished connection so the kernel
-    /// can actually close the socket (and the fd is reclaimed).
-    fn forget_connection(&self, id: u64) {
-        self.conns.lock().retain(|(cid, _)| *cid != id);
     }
 
     /// Serves one connection until it closes, a frame-level corruption
@@ -247,6 +241,18 @@ impl<S: StatisticsService> Server<S> {
                 return;
             }
         }
+    }
+}
+
+/// A live connection's registry entry. Dropping it, when the handler
+/// returns or unwinds from a panic, drops the registry clone so the
+/// kernel can actually close the socket (and the fd is reclaimed): a
+/// peer of a panicked handler sees a closed connection, not a hang.
+struct Registered<'a, S: StatisticsService>(&'a Server<S>, u64);
+
+impl<S: StatisticsService> Drop for Registered<'_, S> {
+    fn drop(&mut self) {
+        self.0.conns.lock().retain(|(cid, _)| *cid != self.1);
     }
 }
 

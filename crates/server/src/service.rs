@@ -292,12 +292,10 @@ pub const GUARD_CHUNK: usize = 256;
 ///   mutations/compactions end to end, so a prepared batch cannot go
 ///   stale between its prepare and commit phases.
 /// * `wal_io` (rank [`LockRank::WalFile`]) brackets every store file
-///   I/O (WAL appends, compaction persistence). Its rank sits *above*
-///   the catalog's, so the rank tracker accepts taking it under a
-///   catalog guard: nothing static forbids an fsync under the catalog.
-///   The pipeline releases every catalog guard before it takes
-///   `wal_io`, and `sj-lint verify-locks`' fsync oracle checks that on
-///   the paths its workload runs.
+///   I/O (WAL appends, compaction persistence). Its rank sits *below*
+///   the catalog's, so the pipeline releases every catalog guard before
+///   it takes `wal_io`; debug builds panic on the inversion, and on any
+///   store I/O under a catalog guard.
 ///
 /// Estimates read the catalog under one read guard per 256 items of a
 /// batch, so a 65,535-item frame cannot hold a writer off for the whole

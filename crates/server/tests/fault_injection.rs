@@ -26,6 +26,10 @@ struct Stub;
 
 impl StatisticsService for Stub {
     fn estimate(&self, a: &str, _b: &str) -> Result<EstimateReply, ServiceError> {
+        assert_ne!(
+            a, "panic",
+            "the table name `panic` stands in for a handler bug"
+        );
         if a == "missing" {
             return Err(ServiceError::new(wire::status::RUNTIME, "unknown table"));
         }
@@ -511,6 +515,34 @@ fn stalled_client_is_disconnected_by_the_io_deadline() {
     drop(c);
     server.initiate_shutdown();
     run.join().expect("join");
+}
+
+/// A handler that panics closes its connection: the peer reads the end
+/// of the stream at once instead of waiting for a reply that never
+/// comes, and the daemon keeps serving.
+#[test]
+fn a_panicking_handler_closes_its_connection() {
+    let server = Arc::new(Server::bind("127.0.0.1:0", Stub).expect("bind"));
+    let addr = server.local_addr().expect("local_addr");
+    let run = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run())
+    };
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut p = Vec::new();
+    put_str(&mut p, "panic");
+    put_str(&mut p, "b");
+    s.write_all(&Frame::request(Opcode::Estimate, p).to_bytes())
+        .expect("send");
+    let mut sink = Vec::new();
+    assert_eq!(s.read_to_end(&mut sink).expect("closed, not timed out"), 0);
+    assert_alive(addr);
+    server.initiate_shutdown();
+    // `run` re-raises the handler's panic when its scope ends; this test
+    // checks only the connection.
+    drop(run.join());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Concurrent-mutation soak: N clients hammer one daemon with
-//! insert/delete/compact traffic and the final statistics must be
-//! byte-identical to the same batches applied on a serial schedule.
+//! insert/estimate/delete/compact traffic and the final statistics must
+//! be byte-identical to the same batches applied on a serial schedule.
 //!
 //! This holds because the histogram cell statistics are fixed-point
 //! accumulators (clippy's `float_arithmetic` bans float arithmetic from
@@ -11,8 +11,17 @@
 //! regardless of interleaving; the dataset is compared as a multiset
 //! (thread arrival order is scheduler-dependent, the *contents* are
 //! not). The daemon's warm `estimate` and `catalog_estimate` answers,
-//! served from views re-derived at every commit, must equal bit for bit
-//! the cold path over the serial schedule's statistics.
+//! served from views and pair-memo slots patched at every commit, must
+//! equal bit for bit the cold path over the serial schedule's
+//! statistics, for every ordered pair of the mutated table and a
+//! never-mutated one.
+//!
+//! The daemon keeps a statistics store, so WAL appends, fsyncs and
+//! compaction rewrites run through `RealStoreIo` beside the estimates.
+//! Debug builds panic on a rank inversion or on store I/O under the
+//! catalog lock (`sj_core::sync`), so the schedule also checks the lock
+//! discipline on every path it runs. Each client asks every pair every
+//! round, so every memo slot is held while commits patch it.
 
 #![expect(
     clippy::expect_used,
@@ -21,7 +30,7 @@
 
 use sj_core::sync::{LockRank, OrderedRwLock};
 use sj_geo::{Extent, Rect};
-use sj_query::{Catalog, DegradationPolicy};
+use sj_query::{Catalog, CompactionPolicy, DegradationPolicy};
 use sj_server::{CatalogService, Client, RemoteOutcome, Server};
 use std::sync::Arc;
 
@@ -73,8 +82,13 @@ fn fresh_catalog() -> Catalog {
     c
 }
 
-/// Every ordered pair the warm answers are checked on.
-const PAIRS: [(&str, &str); 3] = [(TABLE, TABLE), (TABLE, STATIC), (STATIC, TABLE)];
+/// Every ordered pair of the two tables, each its own memo slot.
+const PAIRS: [(&str, &str); 4] = [
+    (TABLE, TABLE),
+    (TABLE, STATIC),
+    (STATIC, TABLE),
+    (STATIC, STATIC),
+];
 
 /// The static table: large rectangles tiling the extent, so they meet
 /// both the base rectangles and every thread's band.
@@ -101,11 +115,17 @@ fn sorted(rects: &[Rect]) -> Vec<Rect> {
 
 #[test]
 fn concurrent_mutations_match_the_serial_schedule() {
-    // The daemon under load.
+    // The daemon under load, with its statistics store.
+    let dir = std::env::temp_dir().join(format!("sj-soak-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut daemon = fresh_catalog();
+    daemon
+        .open_stats_store(&dir, CompactionPolicy::default())
+        .expect("open the statistics store");
     let catalog = Arc::new(OrderedRwLock::new(
         LockRank::Catalog,
         "test.catalog",
-        fresh_catalog(),
+        daemon,
     ));
     let service = CatalogService::new(Arc::clone(&catalog), DegradationPolicy::default());
     let server = Arc::new(Server::bind("127.0.0.1:0", service).expect("bind"));
@@ -115,9 +135,9 @@ fn concurrent_mutations_match_the_serial_schedule() {
         std::thread::spawn(move || server.run().expect("run"))
     };
 
-    // N clients, each: insert its round batch, delete the batch's first
-    // half two rounds later, compact every third round. All through the
-    // stamped retrying client path.
+    // N clients, each: insert its round batch, ask every pair, delete
+    // the batch's first half two rounds later, compact every third
+    // round. All through the stamped retrying client path.
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
             std::thread::spawn(move || {
@@ -128,6 +148,9 @@ fn concurrent_mutations_match_the_serial_schedule() {
                         .insert_batch_with_retry(TABLE, &batch)
                         .expect("insert");
                     assert!(!reply.deduplicated, "fresh stamps never dedup");
+                    for (a, b) in PAIRS {
+                        client.estimate(a, b).expect("estimate");
+                    }
                     if r >= 2 {
                         let earlier = thread_batch(t, r - 2);
                         client
@@ -159,6 +182,7 @@ fn concurrent_mutations_match_the_serial_schedule() {
     // Unblock the accept loop so the run thread exits.
     drop(Client::connect(addr));
     run.join().expect("server thread");
+    std::fs::remove_dir_all(&dir).ok();
 
     // The serial reference: the same batches, thread-major order, no
     // concurrency, no wire.
